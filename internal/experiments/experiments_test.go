@@ -289,6 +289,26 @@ func TestLearningRunImproves(t *testing.T) {
 	}
 }
 
+// TestLearningRunPinned pins every E13 field to the exact float bits, so
+// a change to the revise/rebuild path that shifts any rounding shows up
+// here rather than only in the three-decimal rendering.
+func TestLearningRunPinned(t *testing.T) {
+	d, err := LearningRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Requests != 240 || d.DriftedImpls != 17 || d.Rebuilds != 6 {
+		t.Errorf("counts = %d requests, %d drifted, %d rebuilds; want 240, 17, 6",
+			d.Requests, d.DriftedImpls, d.Rebuilds)
+	}
+	if got := math.Float64bits(d.MeanSimStatic); got != 0x3fe81131572ddfc1 {
+		t.Errorf("MeanSimStatic bits = %#x, want 0x3fe81131572ddfc1", got)
+	}
+	if got := math.Float64bits(d.MeanSimLearning); got != 0x3fe8bb11ec3443c3 {
+		t.Errorf("MeanSimLearning bits = %#x, want 0x3fe8bb11ec3443c3", got)
+	}
+}
+
 func TestPolicyRunOrdering(t *testing.T) {
 	rs, err := PolicyRun()
 	if err != nil {
