@@ -117,11 +117,12 @@ func LearningRun() (LearningData, error) {
 	}
 
 	// Learning policy: observe the true attributes of every deployed
-	// variant, rebuild the case base every 40 requests.
+	// variant into an EWMA delta, fold it into a rebuilt case base every
+	// 40 requests.
 	{
 		current := advertised
 		eng := retrieval.NewEngine(current, retrieval.Options{})
-		learner, err := learn.NewLearner(current, 0.5)
+		delta, err := learn.NewDelta(current, 0.5)
 		if err != nil {
 			return d, err
 		}
@@ -136,23 +137,22 @@ func LearningRun() (LearningData, error) {
 				return d, err
 			}
 			sum += s
-			if err := learner.Observe(learn.Observation{
+			if _, err := delta.Observe(learn.Observation{
 				Type: req.Type, Impl: best.Impl,
 				Measured: truth[[2]uint16{uint16(req.Type), uint16(best.Impl)}],
 			}); err != nil {
 				return d, err
 			}
 			if (i+1)%40 == 0 {
-				next, _, err := learner.Rebuild()
+				b := learn.NewBuilder(current)
+				delta.FoldInto(b)
+				next, _, err := b.Build()
 				if err != nil {
 					return d, err
 				}
 				current = next
 				eng = retrieval.NewEngine(current, retrieval.Options{})
-				learner, err = learn.NewLearner(current, 0.5)
-				if err != nil {
-					return d, err
-				}
+				delta.Reset(current)
 				d.Rebuilds++
 			}
 		}

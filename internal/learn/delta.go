@@ -7,7 +7,7 @@ package learn
 // the read path. The deltas flow into a committed snapshot only when a
 // FoldPolicy trips — enough pending LSB-visible revisions to matter, or
 // pending state old enough that it must not stay invisible — at which
-// point the committer drains every Delta into a Learner, rebuilds, and
+// point the committer drains every Delta into a Builder, rebuilds, and
 // swaps the published snapshot in one unit.
 //
 // The fold quantizes each pending value to the attribute LSB (the
@@ -21,7 +21,6 @@ package learn
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
@@ -85,9 +84,12 @@ func (d *Delta) Observations() int { return d.obs }
 // Empty reports whether the delta holds no pending state.
 func (d *Delta) Empty() bool { return d.obs == 0 }
 
-// Observe folds one measurement into the pending EWMA state, exactly
-// like Learner.Observe but against the committed base plus this delta's
-// own state. It returns the change in the LSB-visible revision count:
+// Observe folds one measurement into the pending EWMA state, seeded
+// from the committed value or this delta's own state and clamped into
+// the design-global bounds so the supplemental table's dmax stays an
+// upper bound. Attributes the case does not describe are ignored
+// (retaining new attributes would change the request vocabulary, a
+// design-time decision). It returns the change in the LSB-visible revision count:
 // +1 for every attribute whose rounded pending value just started
 // differing from the committed value, -1 for every one that just
 // drifted back onto it — so a caller can maintain a global pending
@@ -135,43 +137,22 @@ func (d *Delta) Observe(o Observation) (revDelta int, err error) {
 	return revDelta, nil
 }
 
-// FoldInto drains the pending state into l (a Learner over the same
-// committed base, built with alpha 1 so each fold write replaces the
-// stored value outright). Keys are visited in sorted (type, impl,
-// attribute) order so the fold — and everything journaled about it — is
-// identical no matter how map iteration or stripe assignment shuffled
-// the state. Values are quantized to the attribute LSB here; sub-LSB
-// residue is dropped by design (see the package comment above). The
+// FoldInto drains the pending state into b, a Builder over the same
+// committed base: each pending value is quantized to the attribute LSB
+// and staged as the key's new stored value, replacing it outright (the
+// delta already did the EWMA). Sub-LSB residue is dropped by design (see
+// the package comment above). Every key is written independently, so
+// the result does not depend on map iteration or stripe assignment. The
 // delta itself is not cleared — call Reset against the newly committed
 // base once the swap has landed.
-func (d *Delta) FoldInto(l *Learner) (folded int, err error) {
-	keys := make([]implKey, 0, len(d.pending))
-	for k := range d.pending {
-		keys = append(keys, k)
+func (d *Delta) FoldInto(b *Builder) (folded int) {
+	for k, m := range d.pending {
+		for id, v := range m {
+			b.revise(k, id, attr.Value(math.Round(v)))
+		}
+		folded += len(m)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].t != keys[j].t {
-			return keys[i].t < keys[j].t
-		}
-		return keys[i].i < keys[j].i
-	})
-	for _, k := range keys {
-		m := d.pending[k]
-		ids := make([]attr.ID, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		pairs := make([]attr.Pair, 0, len(ids))
-		for _, id := range ids {
-			pairs = append(pairs, attr.Pair{ID: id, Value: attr.Value(math.Round(m[id]))})
-		}
-		if err := l.Observe(Observation{Type: k.t, Impl: k.i, Measured: pairs}); err != nil {
-			return folded, err
-		}
-		folded += len(pairs)
-	}
-	return folded, nil
+	return folded
 }
 
 // Reset clears the delta and rebases it onto a newly committed case

@@ -5,9 +5,10 @@ package serve
 // accumulate in volatile per-stripe deltas off the read path
 // (learn.Delta); when the fold policy trips — or a structural
 // Retain/Retire/CommitNow forces it — the committer folds every stripe
-// into a learn.Learner, rebuilds a validated CaseBase, and installs a
+// into a learn.Builder, builds a validated CaseBase, and installs a
 // fresh snapshot (tree + engines + empty epoch-bound token caches)
-// behind the atomic pointer. The shard mutexes double as the swap
+// behind the atomic pointer, in the same allocMu section that moves the
+// manager onto the new tree. The shard mutexes double as the swap
 // fence: cycling each one after the pointer store guarantees no reader
 // still works on the retired epoch.
 //
@@ -184,9 +185,9 @@ func (s *Service) Retain(t casebase.TypeID, im casebase.Implementation, atEpoch 
 	var id casebase.ImplID
 	target, cfgBytes := im.Target, im.Foot.ConfigBytes
 	_, err := s.commitLocked("retain",
-		func(l *learn.Learner) error {
+		func(b *learn.Builder) error {
 			var err error
-			id, err = l.Retain(t, im)
+			id, err = b.Retain(t, im)
 			return err
 		},
 		func() {
@@ -225,7 +226,7 @@ func (s *Service) Retire(t casebase.TypeID, impl casebase.ImplID, atEpoch uint64
 		return err
 	}
 	_, err := s.commitLocked("retire",
-		func(l *learn.Learner) error { return l.Retire(t, impl) }, nil)
+		func(b *learn.Builder) error { return b.Retire(t, impl) }, nil)
 	if err != nil {
 		return err
 	}
@@ -333,24 +334,20 @@ func (s *Service) checkEpochLocked(atEpoch uint64) error {
 }
 
 // commitLocked runs one swap: fold every stripe's pending delta into a
-// Learner over the old epoch's tree, apply the structural mutation (if
-// any), rebuild a validated CaseBase, install the new snapshot, fence
-// the shards, rebase the manager and the stripes, and journal the
-// commit. Caller holds commitMu. On any error nothing is installed and
-// the stripes keep their pending state for the next attempt.
+// Builder over the old epoch's tree, apply the structural mutation (if
+// any), build a validated CaseBase, install the new snapshot and rebase
+// the manager in one allocMu section, fence the shards, rebase the
+// stripes, and journal the commit. Caller holds commitMu. On any error
+// nothing is installed and the stripes keep their pending state for the
+// next attempt.
 //
-// post, when non-nil, runs inside the allocMu critical section right
+// post, when non-nil, runs inside that allocMu critical section right
 // after the manager's case base moved — the hook for state that must
 // become visible atomically with placement seeing the new epoch (e.g.
 // Retain's repository blob).
-func (s *Service) commitLocked(reason string, structural func(*learn.Learner) error, post func()) (uint64, error) {
+func (s *Service) commitLocked(reason string, structural func(*learn.Builder) error, post func()) (uint64, error) {
 	old := s.snap.Load()
-	// Alpha 1: the fold replaces stored values outright with the
-	// LSB-quantized delta state (the delta already did the EWMA).
-	l, err := learn.NewLearner(old.cb, 1)
-	if err != nil {
-		return old.epoch, err
-	}
+	b := learn.NewBuilder(old.cb)
 	// Hold every stripe across fold+swap+rebase so no observation lands
 	// against the old base mid-commit and gets silently discarded.
 	for _, st := range s.ls.stripes {
@@ -363,22 +360,31 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Learner) er
 	}()
 	foldedObs := int64(0)
 	for _, st := range s.ls.stripes {
-		if _, err := st.delta.FoldInto(l); err != nil {
-			return old.epoch, err
-		}
+		st.delta.FoldInto(b)
 		foldedObs += int64(st.delta.Observations())
 	}
 	if structural != nil {
-		if err := structural(l); err != nil {
+		if err := structural(b); err != nil {
 			return old.epoch, err
 		}
 	}
-	cb, changed, err := l.Rebuild()
+	cb, changed, err := b.Build()
 	if err != nil {
 		return old.epoch, err
 	}
 	next := newSnapshot(old.epoch+1, cb, len(s.shards), s.cfg.Engine, s.retMet)
+	// Publish the snapshot and move the manager in one allocMu section:
+	// an Allocate that scored candidates against the new epoch takes
+	// allocMu after loading it, so it always finds the manager there
+	// too (candidates are never newer than the manager).
+	s.allocMu.Lock()
 	s.snap.Store(next)
+	s.mgr.UpdateCaseBase(cb)
+	s.mgrEpoch = next.epoch
+	if post != nil {
+		post()
+	}
+	s.allocMu.Unlock()
 	// Swap fence: cycle every shard mutex. A batch loads the snapshot
 	// only after taking its shard mutex, so once we have held and
 	// released each one, no reader still works on the old epoch — its
@@ -389,13 +395,6 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Learner) er
 		s.pastRetrievals.Add(int64(old.engines[sh.idx].Stats().Retrievals))
 		sh.mu.Unlock()
 	}
-	s.allocMu.Lock()
-	s.mgr.UpdateCaseBase(cb)
-	s.mgrEpoch = next.epoch
-	if post != nil {
-		post()
-	}
-	s.allocMu.Unlock()
 	// Rebase the stripes onto the new tree and zero the fold counters;
 	// everything folded is committed, sub-LSB residue restarts from the
 	// committed values by design (DESIGN.md §14).
