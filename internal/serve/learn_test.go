@@ -569,3 +569,59 @@ func TestLearnMetricsExported(t *testing.T) {
 		t.Errorf("exposition missing %q", want)
 	}
 }
+
+// TestAllocateNeverAheadOfManager commits in a tight loop against
+// concurrent Allocate calls. The snapshot and the manager move in one
+// allocMu section, so candidates can lag the manager (a stale retry)
+// but never lead it: no *ErrStaleEpoch may report At > Committed.
+func TestAllocateNeverAheadOfManager(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 64, 0.3)
+	s := New(cb, fig1System(t, cb), Config{
+		Shards: 4, MaxQueue: 512, Learning: learnConfig(64, 0),
+	})
+	defer s.Close()
+
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, 64)
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d, err := s.Allocate(ctx, fmt.Sprintf("app%d", c), reqs[i%len(reqs)], 5)
+				var stale *ErrStaleEpoch
+				switch {
+				case err == nil:
+					if err := s.Release(d.Task.ID); err != nil {
+						errc <- fmt.Errorf("client %d release: %w", c, err)
+						return
+					}
+				case errors.As(err, &stale) && stale.At > stale.Committed:
+					errc <- fmt.Errorf("client %d: candidates ahead of the manager: %w", c, err)
+					return
+				}
+			}
+		}(c)
+	}
+	for i := 0; i < 400; i++ {
+		if _, err := s.CommitNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.Allocated == 0 {
+		t.Errorf("no allocation landed during the commit loop: %+v", st)
+	}
+}
