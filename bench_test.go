@@ -371,18 +371,20 @@ func BenchmarkLearnRebuild(b *testing.B) {
 	cb, _ := paperScaleFixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := learn.NewLearner(cb, 0.5)
+		d, err := learn.NewDelta(cb, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ft := cb.Types()[0]
-		if err := l.Observe(learn.Observation{
+		if _, err := d.Observe(learn.Observation{
 			Type: ft.ID, Impl: ft.Impls[0].ID,
 			Measured: ft.Impls[0].Attrs[:1],
 		}); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := l.Rebuild(); err != nil {
+		bld := learn.NewBuilder(cb)
+		d.FoldInto(bld)
+		if _, _, err := bld.Build(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,9 +138,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		e := qosalloc.NewEngine(cb, qosalloc.EngineOptions{
-			Local: lm, Amalgamation: am, Threshold: *threshold, KeepLocals: true,
-		})
+		e := qosalloc.NewRetrievalEngine(cb, qosalloc.WithLocalMeasure(lm),
+			qosalloc.WithAmalgamation(am), qosalloc.WithThreshold(*threshold), qosalloc.WithKeepLocals(true))
 		rs, err := e.RetrieveN(req, *n)
 		if err != nil {
 			fatal(err)

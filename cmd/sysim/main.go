@@ -279,13 +279,11 @@ func replayStream(n int, seed int64, repeat float64, plan qosalloc.FaultPlan, or
 		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 2000, 1<<20),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 2000, 1<<21),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{
-		NBest: 3, AllowPreemption: true, UseBypassTokens: true,
-	})
-	inj := qosalloc.NewFaultInjector(rt, plan)
 	// A nil registry yields dangling bundles, so instrumentation never
 	// branches (obslint's dangling-bundle invariant).
-	m.Instrument(oreg)
+	m := qosalloc.NewAllocationManager(cb, rt, qosalloc.WithNBest(3),
+		qosalloc.WithPreemption(true), qosalloc.WithBypassTokens(true), qosalloc.WithRegistry(oreg))
+	inj := qosalloc.NewFaultInjector(rt, plan)
 	rt.Instrument(oreg)
 	inj.Instrument(oreg)
 

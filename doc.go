@@ -13,9 +13,9 @@
 //     design-time implementation tree — function types, variants, QoS
 //     attributes — and NewRequest builds QoS-constrained function
 //     requests (package internal/attr, internal/casebase).
-//   - Retrieval: NewEngine is the double-precision reference retrieval
-//     (eq. 1 local similarity, eq. 2 weighted amalgamation, thresholds,
-//     n-best); NewFixedEngine is the bit-exact 16-bit twin of the
+//   - Retrieval: NewRetrievalEngine is the double-precision reference
+//     retrieval (eq. 1 local similarity, eq. 2 weighted amalgamation,
+//     thresholds, n-best); NewFixedEngine is the bit-exact 16-bit twin of the
 //     hardware datapath (internal/retrieval, internal/similarity,
 //     internal/fixed).
 //   - Memory images: EncodeTree/EncodeRequest/EncodeSupplemental lay the
@@ -31,9 +31,12 @@
 //     (internal/swret on internal/mb32).
 //   - System: NewFPGADevice/NewProcessorDevice/NewRepository model the
 //     platform, NewRuntime the task layer with adaptive priorities, and
-//     NewManager the QoS allocation manager — feasibility checks,
-//     preemption, alternative offers and bypass tokens
-//     (internal/device, internal/rtsys, internal/alloc).
+//     NewAllocationManager the QoS allocation manager — feasibility
+//     checks, preemption, alternative offers and bypass tokens
+//     (internal/device, internal/rtsys, internal/alloc). NewService is
+//     the concurrent front end over it: sharded, batched retrieval and,
+//     with WithLearning, live case-base revision and retention
+//     (internal/serve, internal/learn).
 //   - Workloads & experiments: GenCaseBase/GenRequests synthesize
 //     paper-scale inputs; Experiments exposes one driver per table and
 //     figure of the paper (internal/workload, internal/experiments).
@@ -44,7 +47,7 @@
 // the ranked answers:
 //
 //	cb, _ := qosalloc.PaperCaseBase()
-//	eng := qosalloc.NewEngine(cb, qosalloc.EngineOptions{})
+//	eng := qosalloc.NewRetrievalEngine(cb)
 //	best, _ := eng.Retrieve(qosalloc.PaperRequest())
 //	fmt.Println(best.Name, best.Similarity) // fir-eq-dsp 0.96...
 //

@@ -22,7 +22,7 @@ func main() {
 	fmt.Println("request: FIR equalizer, {bitwidth=16, output=stereo, 40 kS/s}, w=1/3 each")
 
 	// Table 1: the float64 reference with the per-attribute breakdown.
-	eng := qosalloc.NewEngine(cb, qosalloc.EngineOptions{KeepLocals: true})
+	eng := qosalloc.NewRetrievalEngine(cb, qosalloc.WithKeepLocals(true))
 	all, err := eng.RetrieveAll(req)
 	if err != nil {
 		log.Fatal(err)
@@ -56,7 +56,7 @@ func main() {
 
 	// §3 negotiation: a 0.5 threshold rejects the GP-Proc variant;
 	// relaxing the bitwidth constraint readmits it.
-	strict := qosalloc.NewEngine(cb, qosalloc.EngineOptions{Threshold: 0.5})
+	strict := qosalloc.NewRetrievalEngine(cb, qosalloc.WithThreshold(0.5))
 	n, err := strict.RetrieveN(req, 10)
 	if err != nil {
 		log.Fatal(err)

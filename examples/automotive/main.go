@@ -30,9 +30,7 @@ func main() {
 		}, 66),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 200, 256<<10),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{
-		NBest: 2, AllowPreemption: true,
-	})
+	m := qosalloc.NewAllocationManager(cb, rt, qosalloc.WithNBest(2), qosalloc.WithPreemption(true))
 
 	videoReq := qosalloc.NewRequest(3, // video decoder — wants the FPGA
 		qosalloc.Constraint{ID: 1, Value: 16},

@@ -30,9 +30,8 @@ func main() {
 		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 800, 128<<10),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 256<<10),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{
-		Threshold: 0.3, NBest: 3, UseBypassTokens: true,
-	})
+	m := qosalloc.NewAllocationManager(cb, rt,
+		qosalloc.WithThreshold(0.3), qosalloc.WithNBest(3), qosalloc.WithBypassTokens(true))
 
 	eqReq := qosalloc.NewRequest(1, // audio equalizer
 		qosalloc.Constraint{ID: 1, Value: 16},

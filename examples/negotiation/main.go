@@ -30,7 +30,7 @@ func main() {
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 256<<10),
 	)
 	// A demanding manager: only near-perfect matches are accepted.
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{Threshold: 0.97})
+	m := qosalloc.NewAllocationManager(cb, rt, qosalloc.WithThreshold(0.97))
 	mon := qosalloc.NewPlatformMonitor(rt, 16)
 
 	// The application would rather lose sample-rate than stereo.

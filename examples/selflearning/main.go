@@ -3,11 +3,12 @@
 // run-time enabling for a self-learning system" — end to end through the
 // public API: an implementation's real QoS degrades below its
 // advertisement, run-time observations revise the case base, a new
-// variant is retained from a repository update, and the allocation
-// manager hot-swaps the rebuilt tree (invalidating its bypass tokens).
+// variant is retained from a repository update, and the serving
+// allocation service swaps in each committed epoch without a restart.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,37 +31,49 @@ func main() {
 		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 1000, 192<<10),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 256<<10),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{UseBypassTokens: true})
+	// EWMA weight 0.6 per observation; commits happen where this program
+	// asks for them (the default fold threshold is never reached here).
+	svc := qosalloc.NewService(cb, rt, qosalloc.WithLearning(0.6, 0, 0))
+	defer svc.Close()
+	ctx := context.Background()
 	req := qosalloc.PaperRequest()
+	place := func(label string) qosalloc.ImplID {
+		d, err := svc.Allocate(ctx, "mp3", req, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-16s impl %d on %s (S=%.2f, epoch %d)\n", label, d.Impl, d.Device, d.Similarity, svc.Epoch())
+		if err := svc.Release(d.Task.ID); err != nil {
+			log.Fatal(err)
+		}
+		return d.Impl
+	}
 
 	// 1. Normal operation: the DSP equalizer wins (Table 1).
-	d, err := m.Request("mp3", req, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("before learning: impl %d on %s (S=%.2f)\n", d.Impl, d.Device, d.Similarity)
-	if err := m.Release(d.Task.ID); err != nil {
-		log.Fatal(err)
-	}
+	place("before learning:")
 
 	// 2. Monitors keep observing that the DSP variant only sustains
-	// 20 kS/s instead of the advertised 44 — the revise step.
-	learner, err := qosalloc.NewLearner(cb, 0.6)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 20 kS/s instead of the advertised 44 — the revise step. The
+	// observations accumulate off the read path until a commit.
 	for i := 0; i < 8; i++ {
-		if err := learner.Observe(qosalloc.Observation{
+		if err := svc.Observe(qosalloc.Observation{
 			Type: 1, Impl: 2,
 			Measured: []qosalloc.AttrPair{{ID: 4, Value: 20}}, // sample-rate
 		}); err != nil {
 			log.Fatal(err)
 		}
 	}
+	if _, err := svc.CommitNow(); err != nil {
+		log.Fatal(err)
+	}
+	journal := svc.Journal()
+	fmt.Printf("revision committed: %s\n", journal[len(journal)-1])
+	place("after revise:")
 
 	// 3. Meanwhile a new, better DSP build lands in the repository —
-	// the retain step.
-	newID, err := learner.Retain(1, qosalloc.Implementation{
+	// the retain step. The service stores its configuration blob and
+	// commits the new variant in one epoch.
+	newID, err := svc.Retain(1, qosalloc.Implementation{
 		Name: "fir-eq-dsp-v2", Target: qosalloc.TargetDSP,
 		Attrs: []qosalloc.AttrPair{
 			{ID: 1, Value: 16}, // bitwidth
@@ -68,34 +81,16 @@ func main() {
 			{ID: 4, Value: 40}, // exactly the requested rate
 		},
 		Foot: qosalloc.Footprint{CPULoad: 420, MemBytes: 24 << 10, PowerMW: 210, ConfigBytes: 20 << 10},
-	})
+	}, svc.Epoch())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("retained new variant: impl %d\n", newID)
 
-	// 4. Rebuild and hot-swap: the manager's engine and tokens follow.
-	cb2, changed, err := learner.Rebuild()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := repo.Store(1, newID, qosalloc.Blob{
-		Target: qosalloc.TargetDSP, Bytes: 20 << 10,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	m.UpdateCaseBase(cb2)
-	fmt.Printf("case base rebuilt: %d entries changed, tokens invalidated\n", changed)
-
-	// 5. The same request now retrieves the revised tree: the degraded
+	// 4. The same request now retrieves the revised tree: the degraded
 	// DSP variant lost its lead and the freshly retained v2 wins.
-	d2, err := m.Request("mp3", req, 5)
-	if err != nil {
-		log.Fatal(err)
+	if got := place("after learning:"); got != newID {
+		log.Fatalf("expected the retained variant %d to win, got %d", newID, got)
 	}
-	fmt.Printf("after learning:  impl %d on %s (S=%.2f, via token: %v)\n",
-		d2.Impl, d2.Device, d2.Similarity, d2.ViaToken)
-	if d2.Impl != newID {
-		log.Fatalf("expected the retained variant %d to win", newID)
-	}
+	fmt.Println("the retained variant wins")
 }

@@ -4,7 +4,7 @@ package qosalloc
 // its own repository, device set and runtime — behind one allocator
 // that scores placements with the pure policy package and enforces
 // per-tenant QoS-class budgets at admission. Construction uses the
-// shared v2 Option vocabulary: WithThreshold/WithNBest/WithPowerWeight
+// shared Option vocabulary: WithThreshold/WithNBest/WithPowerWeight
 // tune the fleet exactly as they tune a Manager, while WithFleetNode,
 // WithTenant and WithClassBudget declare the fleet-only topology and
 // tenancy. Declaration order is part of the replay contract.

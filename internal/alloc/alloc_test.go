@@ -265,16 +265,13 @@ func TestUpdateCaseBaseSwapsTreeAndDropsTokens(t *testing.T) {
 	if m.TokenCache().Len() == 0 {
 		t.Fatal("token should be cached")
 	}
-	// A learner retires the DSP variant at run time; the manager swaps
+	// A commit retires the DSP variant at run time; the manager swaps
 	// in the rebuilt tree.
-	l, err := learn.NewLearner(m.Engine().CaseBase(), 0.5)
-	if err != nil {
+	b := learn.NewBuilder(m.Engine().CaseBase())
+	if err := b.Retire(casebase.TypeFIREqualizer, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Retire(casebase.TypeFIREqualizer, 2); err != nil {
-		t.Fatal(err)
-	}
-	cb2, _, err := l.Rebuild()
+	cb2, _, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,26 +8,21 @@
 // remaining half of the cycle:
 //
 //   - Revise: applications (or the HW-layer's monitors) report the QoS
-//     attribute values a running implementation actually achieved;
-//     deviations from the case description are folded in with an
+//     attribute values a running implementation actually achieved; a
+//     Delta folds deviations from the case description in with an
 //     exponentially weighted moving average, clamped to the design
 //     bounds so dmax stays valid.
 //   - Retain: new implementation variants arriving in the function
 //     repository at run time are retained as new cases; withdrawn
 //     variants are retired.
 //
-// A Learner never mutates the live CaseBase (retrieval structures and
-// BRAM images are immutable); it accumulates changes and emits a fresh,
-// validated CaseBase via Rebuild. The caller swaps engines, regenerates
-// memory images and invalidates bypass tokens — exactly the update
-// protocol a dynamic BRAM reload would follow.
+// Nothing here mutates the live CaseBase (retrieval structures and
+// BRAM images are immutable): a commit drains the deltas and the
+// structural edits into a Builder, which emits a fresh, validated
+// CaseBase for the caller to swap in.
 package learn
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
 )
@@ -39,201 +34,7 @@ type Observation struct {
 	Measured []attr.Pair // observed attribute values
 }
 
-// Stats counts learner activity.
-type Stats struct {
-	Observations int
-	Revisions    int // attribute values changed by at least one LSB
-	Retained     int
-	Retired      int
-	Rebuilds     int
-}
-
 type implKey struct {
 	t casebase.TypeID
 	i casebase.ImplID
-}
-
-// Learner accumulates revisions and retained cases over a base
-// case base.
-type Learner struct {
-	base *casebase.CaseBase
-	// Alpha is the EWMA weight of new observations in (0, 1];
-	// 1 replaces the stored value outright.
-	Alpha float64
-
-	revised  map[implKey]map[attr.ID]float64 // EWMA state
-	retained map[casebase.TypeID][]casebase.Implementation
-	retired  map[implKey]bool
-	stats    Stats
-}
-
-// NewLearner returns a learner over base with EWMA weight alpha.
-func NewLearner(base *casebase.CaseBase, alpha float64) (*Learner, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("learn: alpha %v outside (0, 1]", alpha)
-	}
-	return &Learner{
-		base: base, Alpha: alpha,
-		revised:  make(map[implKey]map[attr.ID]float64),
-		retained: make(map[casebase.TypeID][]casebase.Implementation),
-		retired:  make(map[implKey]bool),
-	}, nil
-}
-
-// Stats returns a copy of the counters.
-func (l *Learner) Stats() Stats { return l.stats }
-
-// current returns the working value of an attribute: the EWMA state if
-// any, else the stored case value.
-func (l *Learner) current(k implKey, im *casebase.Implementation, id attr.ID) (float64, bool) {
-	if m, ok := l.revised[k]; ok {
-		if v, ok := m[id]; ok {
-			return v, true
-		}
-	}
-	v, ok := im.Attr(id)
-	return float64(v), ok
-}
-
-// Observe folds one measurement into the revision state. Attributes the
-// case does not describe are ignored (retention of new attributes would
-// change the request vocabulary, which is a design-time decision).
-func (l *Learner) Observe(obs Observation) error {
-	ft, ok := l.base.Type(obs.Type)
-	if !ok {
-		return fmt.Errorf("learn: observation for unknown type %d", obs.Type)
-	}
-	im, ok := ft.Impl(obs.Impl)
-	if !ok {
-		return fmt.Errorf("learn: observation for unknown impl %d of type %d", obs.Impl, obs.Type)
-	}
-	k := implKey{obs.Type, obs.Impl}
-	l.stats.Observations++
-	for _, p := range obs.Measured {
-		def, ok := l.base.Registry().Lookup(p.ID)
-		if !ok {
-			return fmt.Errorf("learn: observation references unknown attribute %d", p.ID)
-		}
-		cur, has := l.current(k, im, p.ID)
-		if !has {
-			continue // case does not describe this attribute
-		}
-		// EWMA, clamped into the design-global bounds so the
-		// supplemental table's dmax stays an upper bound.
-		next := (1-l.Alpha)*cur + l.Alpha*float64(p.Value)
-		next = math.Max(float64(def.Lo), math.Min(float64(def.Hi), next))
-		if l.revised[k] == nil {
-			l.revised[k] = make(map[attr.ID]float64)
-		}
-		before := uint16(math.Round(cur))
-		l.revised[k][p.ID] = next
-		if uint16(math.Round(next)) != before {
-			l.stats.Revisions++
-		}
-	}
-	return nil
-}
-
-// Retain registers a new implementation variant for a type, the
-// run-time repository update. A zero ImplID is assigned the next free
-// ID of the type. The variant is validated at Rebuild.
-func (l *Learner) Retain(t casebase.TypeID, im casebase.Implementation) (casebase.ImplID, error) {
-	ft, ok := l.base.Type(t)
-	if !ok {
-		return 0, fmt.Errorf("learn: retain for unknown type %d", t)
-	}
-	if im.ID == 0 {
-		im.ID = l.nextFreeImplID(ft)
-	} else if _, dup := ft.Impl(im.ID); dup {
-		return 0, fmt.Errorf("learn: impl %d already exists in type %d", im.ID, t)
-	} else {
-		for _, r := range l.retained[t] {
-			if r.ID == im.ID {
-				return 0, fmt.Errorf("learn: impl %d already retained for type %d", im.ID, t)
-			}
-		}
-	}
-	l.retained[t] = append(l.retained[t], im)
-	l.stats.Retained++
-	return im.ID, nil
-}
-
-func (l *Learner) nextFreeImplID(ft *casebase.FunctionType) casebase.ImplID {
-	next := casebase.ImplID(1)
-	for _, im := range ft.Impls {
-		if im.ID >= next {
-			next = im.ID + 1
-		}
-	}
-	for _, im := range l.retained[ft.ID] {
-		if im.ID >= next {
-			next = im.ID + 1
-		}
-	}
-	return next
-}
-
-// Retire marks a variant withdrawn from the repository; Rebuild drops
-// it. Retiring the last variant of a type fails at Rebuild (a type with
-// no implementations cannot be served).
-func (l *Learner) Retire(t casebase.TypeID, id casebase.ImplID) error {
-	ft, ok := l.base.Type(t)
-	if !ok {
-		return fmt.Errorf("learn: retire for unknown type %d", t)
-	}
-	if _, ok := ft.Impl(id); !ok {
-		return fmt.Errorf("learn: retire of unknown impl %d in type %d", id, t)
-	}
-	l.retired[implKey{t, id}] = true
-	l.stats.Retired++
-	return nil
-}
-
-// Rebuild emits a fresh, fully validated CaseBase with all accumulated
-// revisions, retentions and retirements applied, plus the count of
-// implementation entries that differ from the base.
-func (l *Learner) Rebuild() (*casebase.CaseBase, int, error) {
-	b := casebase.NewBuilder(l.base.Registry())
-	changed := 0
-	for _, ft := range l.base.Types() {
-		b.AddType(ft.ID, ft.Name)
-		for i := range ft.Impls {
-			im := ft.Impls[i]
-			k := implKey{ft.ID, im.ID}
-			if l.retired[k] {
-				changed++
-				continue
-			}
-			if rev, ok := l.revised[k]; ok {
-				attrs := append([]attr.Pair(nil), im.Attrs...)
-				implChanged := false
-				for j := range attrs {
-					if v, ok := rev[attrs[j].ID]; ok {
-						nv := attr.Value(math.Round(v))
-						if nv != attrs[j].Value {
-							attrs[j].Value = nv
-							implChanged = true
-						}
-					}
-				}
-				im.Attrs = attrs
-				if implChanged {
-					changed++
-				}
-			}
-			b.AddImpl(ft.ID, im)
-		}
-		news := append([]casebase.Implementation(nil), l.retained[ft.ID]...)
-		sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
-		for _, im := range news {
-			b.AddImpl(ft.ID, im)
-			changed++
-		}
-	}
-	cb, err := b.Build()
-	if err != nil {
-		return nil, 0, err
-	}
-	l.stats.Rebuilds++
-	return cb, changed, nil
 }

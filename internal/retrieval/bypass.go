@@ -13,9 +13,8 @@ import (
 // signatures drawn from an open-ended space (every distinct constraint
 // vector is a new key), so an uncapped cache grows linearly with
 // workload diversity. The cap bounds it to the hot working set; colder
-// signatures fall off the LRU tail and simply pay retrieval again —
-// mirroring the Pool.SetMaxIdle precedent of bounding steady-state
-// footprint, not peak correctness.
+// signatures fall off the LRU tail and simply pay retrieval again: the
+// cap bounds steady-state footprint, not peak correctness.
 const DefaultMaxTokens = 4096
 
 // Token is the paper's bypass token (§3): "data on the previous selection

@@ -144,7 +144,7 @@ func TestTokenCacheSetMaxTokensShrinks(t *testing.T) {
 	if tc.Evictions() != 6 {
 		t.Errorf("Evictions = %d, want 6", tc.Evictions())
 	}
-	// n < 1 keeps no tokens (the SetMaxIdle precedent).
+	// n < 1 keeps no tokens.
 	tc.SetMaxTokens(0)
 	if tc.Len() != 0 {
 		t.Errorf("Len = %d with cap 0, want 0", tc.Len())

@@ -52,36 +52,3 @@ func (e *Engine) RetrieveAllContext(ctx context.Context, req casebase.Request) (
 	}
 	return e.RetrieveAll(req)
 }
-
-// RetrieveContext is Pool.Retrieve honoring cancellation: the pool
-// refuses to borrow an engine for a dead context and re-checks after the
-// borrow, so a caller canceled while waiting on the pool lock does not
-// pay for a list walk it no longer wants.
-func (p *Pool) RetrieveContext(ctx context.Context, req casebase.Request) (Result, error) {
-	if err := Canceled(ctx); err != nil {
-		return Result{}, err
-	}
-	e := p.get()
-	defer p.put(e)
-	return e.RetrieveContext(ctx, req)
-}
-
-// RetrieveNContext is Pool.RetrieveN honoring cancellation.
-func (p *Pool) RetrieveNContext(ctx context.Context, req casebase.Request, n int) ([]Result, error) {
-	if err := Canceled(ctx); err != nil {
-		return nil, err
-	}
-	e := p.get()
-	defer p.put(e)
-	return e.RetrieveNContext(ctx, req, n)
-}
-
-// RetrieveAllContext is Pool.RetrieveAll honoring cancellation.
-func (p *Pool) RetrieveAllContext(ctx context.Context, req casebase.Request) ([]Result, error) {
-	if err := Canceled(ctx); err != nil {
-		return nil, err
-	}
-	e := p.get()
-	defer p.put(e)
-	return e.RetrieveAllContext(ctx, req)
-}

@@ -67,47 +67,3 @@ func TestCanceledWrapsCustomCause(t *testing.T) {
 		t.Errorf("Canceled(nil) = %v, want nil", err)
 	}
 }
-
-func TestPoolContext(t *testing.T) {
-	cb, err := casebase.PaperCaseBase()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(cb, Options{})
-	req := casebase.PaperRequest()
-
-	want, err := p.Retrieve(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.RetrieveContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Impl != want.Impl {
-		t.Errorf("pool RetrieveContext impl = %d, want %d", got.Impl, want.Impl)
-	}
-	if _, err := p.RetrieveNContext(context.Background(), req, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RetrieveAllContext(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.RetrieveContext(ctx, req); !errors.Is(err, ErrCanceled) {
-		t.Errorf("pool RetrieveContext(dead) = %v, want ErrCanceled", err)
-	}
-	if _, err := p.RetrieveNContext(ctx, req, 2); !errors.Is(err, ErrCanceled) {
-		t.Errorf("pool RetrieveNContext(dead) = %v, want ErrCanceled", err)
-	}
-	if _, err := p.RetrieveAllContext(ctx, req); !errors.Is(err, ErrCanceled) {
-		t.Errorf("pool RetrieveAllContext(dead) = %v, want ErrCanceled", err)
-	}
-	// A canceled caller must not leak a borrow accounting entry.
-	st := p.PoolStats()
-	if st.InFlight != 0 {
-		t.Errorf("InFlight = %d after canceled calls, want 0", st.InFlight)
-	}
-}

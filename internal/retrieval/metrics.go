@@ -3,7 +3,7 @@ package retrieval
 import "qosalloc/internal/obs"
 
 // Metrics is the observability bundle of the retrieval layer. Every
-// engine and pool created by the package carries one; uninstrumented
+// engine created by the package carries one; uninstrumented
 // code gets a dangling bundle (built over a nil registry) whose atomic
 // counters cost a few nanoseconds and surface nowhere — so the hot path
 // never branches on "is observability on".
@@ -31,15 +31,6 @@ type Metrics struct {
 	// Now is the optional clock feeding Latency. Nil keeps the bundle
 	// deterministic.
 	Now func() int64
-
-	// Pool traffic: a borrow "hit" reuses an idle engine, a "miss"
-	// constructs a new one, a discard drops a returned engine that
-	// exceeded the idle cap.
-	PoolBorrowHits   *obs.Counter
-	PoolBorrowMisses *obs.Counter
-	PoolDiscards     *obs.Counter
-	PoolInFlight     *obs.Gauge
-	PoolIdle         *obs.Gauge
 }
 
 // NewMetrics registers the retrieval metric set on reg (nil yields a
@@ -55,11 +46,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"implementation sub-list length scanned per retrieval", obs.CountBuckets),
 		Latency: reg.Histogram("qos_retrieval_latency",
 			"end-to-end retrieval latency in the installed clock's unit", obs.LatencyBucketsMicros),
-		PoolBorrowHits:   reg.Counter("qos_retrieval_pool_borrows_total{kind=\"hit\"}", "pool borrows served from the idle list"),
-		PoolBorrowMisses: reg.Counter("qos_retrieval_pool_borrows_total{kind=\"miss\"}", "pool borrows that built a fresh engine"),
-		PoolDiscards:     reg.Counter("qos_retrieval_pool_discards_total", "returned engines dropped by the idle cap"),
-		PoolInFlight:     reg.Gauge("qos_retrieval_pool_in_flight", "engines currently checked out"),
-		PoolIdle:         reg.Gauge("qos_retrieval_pool_idle", "engines parked on the idle list"),
 	}
 }
 

@@ -111,7 +111,7 @@ func NewEngine(cb *casebase.CaseBase, opt Options) *Engine {
 }
 
 // Instrument points the engine's observability at the given bundle
-// (typically shared with the pool or the allocation manager's registry).
+// (typically shared with the service or the allocation manager's registry).
 func (e *Engine) Instrument(m *Metrics) {
 	if m != nil {
 		e.met = m

@@ -1,13 +1,10 @@
 package qosalloc
 
-// API v2: functional options (DESIGN.md §9). The v1 facade exposed the
-// bare internal option structs (EngineOptions, ManagerOptions) at every
-// constructor; v2 entry points — NewService, NewRetrievalEngine,
-// NewRetrievalPool, NewAllocationManager — take a variadic Option list
-// drawn from one shared vocabulary, so the same WithThreshold tunes a
-// standalone engine, a pool, a manager, or the whole service, and new
-// knobs never break existing call sites. The v1 constructors remain as
-// deprecated shims.
+// Functional options (DESIGN.md §9). The entry points — NewService,
+// NewRetrievalEngine, NewAllocationManager, NewFleet — take a variadic
+// Option list drawn from one shared vocabulary, so the same
+// WithThreshold tunes a standalone engine, a manager, or the whole
+// service, and new knobs never break existing call sites.
 
 import (
 	"qosalloc/internal/alloc"
@@ -16,12 +13,11 @@ import (
 	"qosalloc/internal/serve"
 )
 
-// config is the merged option state every v2 constructor draws from;
+// config is the merged option state every constructor draws from;
 // each constructor reads the fields relevant to it and ignores the
 // rest (a WithShards passed to NewRetrievalEngine is harmless).
 type config struct {
 	serve     serve.Config
-	maxIdle   int // engine-pool idle cap; 0 = pool default
 	maxTokens int // token-cache LRU cap; 0 = retrieval.DefaultMaxTokens
 	reg       *obs.Registry
 
@@ -33,8 +29,8 @@ type config struct {
 	classBudgets []classBudgetDef
 }
 
-// Option configures a v2 entry point (NewService, NewRetrievalEngine,
-// NewRetrievalPool, NewAllocationManager).
+// Option configures an entry point (NewService, NewRetrievalEngine,
+// NewAllocationManager, NewFleet).
 type Option func(*config)
 
 // WithShards sets how many retrieval engines the service partitions the
@@ -128,11 +124,8 @@ func WithLearning(alpha float64, foldThreshold int, maxAge Micros) Option {
 
 // WithRegistry instruments the constructed component on reg — the
 // service wires its own metrics plus every shard engine and the
-// manager; engines, pools and managers wire their layer's bundle.
+// manager; engines and managers wire their layer's bundle.
 func WithRegistry(reg *ObsRegistry) Option { return func(c *config) { c.reg = reg } }
-
-// WithMaxIdle bounds an engine pool's idle list (pool only).
-func WithMaxIdle(n int) Option { return func(c *config) { c.maxIdle = n } }
 
 // WithMaxTokens bounds the bypass token cache's LRU retention
 // (manager only; the service sizes its shard caches internally).
@@ -204,7 +197,7 @@ func NewService(cb *CaseBase, rt *Runtime, opts ...Option) *Service {
 	return s
 }
 
-// --- v2 constructors for the lower layers ------------------------------
+// --- Constructors for the lower layers ---------------------------------
 
 // NewRetrievalEngine returns the reference retrieval engine over cb.
 // Zero options give the paper's measure: eq. (1) linear local
@@ -216,21 +209,9 @@ func NewRetrievalEngine(cb *CaseBase, opts ...Option) *Engine {
 	return e
 }
 
-// NewRetrievalPool returns a concurrency-safe retrieval front end over
-// one shared case base.
-func NewRetrievalPool(cb *CaseBase, opts ...Option) *EnginePool {
-	c := buildConfig(opts)
-	p := retrieval.NewPool(cb, c.serve.Engine)
-	if c.maxIdle > 0 {
-		p.SetMaxIdle(c.maxIdle)
-	}
-	p.Instrument(retrieval.NewMetrics(c.reg))
-	return p
-}
-
 // NewAllocationManager builds the allocation manager over a case base
 // and runtime (WithThreshold also configures its internal retrieval
-// engine, matching the v1 ManagerOptions behavior).
+// engine).
 func NewAllocationManager(cb *CaseBase, rt *Runtime, opts ...Option) *Manager {
 	c := buildConfig(opts)
 	m := alloc.New(cb, rt, c.serve.Manager)

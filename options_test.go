@@ -95,8 +95,7 @@ func TestFacadeServiceOverloadTyped(t *testing.T) {
 	}
 }
 
-// TestFacadeV2Constructors covers the per-layer v2 entry points against
-// their v1 shims.
+// TestFacadeV2Constructors covers the per-layer entry points.
 func TestFacadeV2Constructors(t *testing.T) {
 	cb, err := qosalloc.PaperCaseBase()
 	if err != nil {
@@ -111,11 +110,6 @@ func TestFacadeV2Constructors(t *testing.T) {
 	}
 	if v, ok := reg.CounterValue("qos_retrieval_total"); !ok || v != 1 {
 		t.Errorf("engine not instrumented: %d, %v", v, ok)
-	}
-
-	pool := qosalloc.NewRetrievalPool(cb, qosalloc.WithMaxIdle(2))
-	if _, err := pool.RetrieveContext(context.Background(), qosalloc.PaperRequest()); err != nil {
-		t.Fatal(err)
 	}
 
 	mgr := qosalloc.NewAllocationManager(cb, fig1Runtime(t, cb),

@@ -115,8 +115,6 @@ type (
 	LocalMeasure = similarity.Local
 	// Amalgamation combines weighted local similarities (eq. 2).
 	Amalgamation = similarity.Amalgamation
-	// EngineOptions configure a retrieval engine.
-	EngineOptions = retrieval.Options
 	// Engine is the float64 reference retrieval engine.
 	Engine = retrieval.Engine
 	// Result is one scored implementation variant.
@@ -133,35 +131,15 @@ type (
 	Token = retrieval.Token
 	// TokenCache maps request signatures to bypass tokens.
 	TokenCache = retrieval.TokenCache
-	// EnginePool is the concurrency-safe retrieval front end.
-	EnginePool = retrieval.Pool
 	// Q15 is the 16-bit fixed-point similarity format.
 	Q15 = fixed.Q15
 )
-
-// NewEngine returns the reference retrieval engine over cb. Zero-value
-// options give the paper's measure: eq. (1) linear local similarity and
-// eq. (2) weighted-sum amalgamation.
-//
-// Deprecated: use NewRetrievalEngine with functional options
-// (WithThreshold, WithLocalMeasure, ...); this v1 shim remains for
-// existing call sites.
-func NewEngine(cb *CaseBase, opt EngineOptions) *Engine { return retrieval.NewEngine(cb, opt) }
 
 // NewFixedEngine returns the 16-bit fixed-point engine over cb.
 func NewFixedEngine(cb *CaseBase) *FixedEngine { return retrieval.NewFixedEngine(cb) }
 
 // NewTokenCache returns an empty bypass-token cache.
 func NewTokenCache() *TokenCache { return retrieval.NewTokenCache() }
-
-// NewEnginePool returns a retrieval front end safe for concurrent use
-// by many application goroutines over one shared case base.
-//
-// Deprecated: use NewRetrievalPool with functional options (WithMaxIdle,
-// WithThreshold, ...); this v1 shim remains for existing call sites.
-func NewEnginePool(cb *CaseBase, opt EngineOptions) *EnginePool {
-	return retrieval.NewPool(cb, opt)
-}
 
 // LocalMeasureByName resolves "linear", "quadratic", "exact" or
 // "at-least".
@@ -300,8 +278,6 @@ type (
 	TaskID = rtsys.TaskID
 	// Manager is the QoS function-allocation manager.
 	Manager = alloc.Manager
-	// ManagerOptions tune the allocation policy.
-	ManagerOptions = alloc.Options
 	// Decision reports a successful allocation.
 	Decision = alloc.Decision
 	// ErrNoFeasible carries the alternatives offered when nothing
@@ -327,16 +303,6 @@ func NewRepository(bytesPerMicro int) *Repository { return device.NewRepository(
 
 // NewRuntime builds the run-time system over devices and a repository.
 func NewRuntime(repo *Repository, devs ...Device) *Runtime { return rtsys.NewSystem(repo, devs...) }
-
-// NewManager builds the allocation manager over a case base and runtime.
-//
-// Deprecated: use NewAllocationManager with functional options
-// (WithNBest, WithPreemption, WithRegistry, ...), or NewService for the
-// concurrent batching front end; this v1 shim remains for existing call
-// sites.
-func NewManager(cb *CaseBase, sys *Runtime, opt ManagerOptions) *Manager {
-	return alloc.New(cb, sys, opt)
-}
 
 // --- Fault injection & degradation -------------------------------------------
 
@@ -501,8 +467,8 @@ type (
 	// ObsEvent is one trace-ring entry (sim-time stamped).
 	ObsEvent = obs.Event
 	// RetrievalMetrics is the retrieval layer's metric bundle, for
-	// instrumenting standalone engines and pools (Manager.Instrument
-	// wires its own engines automatically).
+	// instrumenting standalone engines (Manager.Instrument wires its
+	// own engines automatically).
 	RetrievalMetrics = retrieval.Metrics
 )
 
@@ -512,25 +478,17 @@ type (
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
 // NewRetrievalMetrics registers the retrieval metric set on reg, for use
-// with Engine.Instrument or EnginePool.Instrument.
+// with Engine.Instrument.
 func NewRetrievalMetrics(reg *ObsRegistry) *RetrievalMetrics { return retrieval.NewMetrics(reg) }
 
 // --- Learning: the fig. 2 CBR cycle ------------------------------------------
 
-// Run-time case-base revision and retention (§5 future work). The
-// first-class path is the Service mutation API — build the service with
-// WithLearning and call Observe/Retain/Retire/CommitNow while it
-// serves; every commit installs a fresh epoch snapshot without pausing
-// readers (DESIGN.md §14).
+// Run-time case-base revision and retention (§5 future work) through
+// the Service mutation API: build the service with WithLearning and
+// call Observe/Retain/Retire/CommitNow while it serves; every commit
+// installs a fresh epoch snapshot without pausing readers (DESIGN.md
+// §14).
 type (
-	// Learner accumulates revisions/retentions over a case base.
-	//
-	// Deprecated: the manual Learner → Rebuild → construct-new-service
-	// flow is the v1 shim. Use WithLearning plus the Service mutation
-	// API, which folds observations off the read path and swaps epochs
-	// without a service restart. Learner remains for offline batch
-	// revision of a case base at rest.
-	Learner = learn.Learner
 	// Observation is one run-time QoS measurement of a deployed
 	// variant (also the Service.Observe payload).
 	Observation = learn.Observation
@@ -546,15 +504,6 @@ type (
 // ErrLearningOff reports a Service mutation call without WithLearning:
 // the case base is frozen for the process lifetime.
 var ErrLearningOff = serve.ErrLearningOff
-
-// NewLearner returns a learner over base with EWMA weight alpha in
-// (0, 1].
-//
-// Deprecated: see Learner. New code passes WithLearning to NewService
-// and mutates through Service.Observe/Retain/Retire/CommitNow.
-func NewLearner(base *CaseBase, alpha float64) (*Learner, error) {
-	return learn.NewLearner(base, alpha)
-}
 
 // --- Statistical similarity (§2.2 alternative) -------------------------------
 

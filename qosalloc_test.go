@@ -2,10 +2,10 @@ package qosalloc_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"qosalloc"
@@ -18,7 +18,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	eng := qosalloc.NewEngine(cb, qosalloc.EngineOptions{})
+	eng := qosalloc.NewRetrievalEngine(cb)
 	best, err := eng.Retrieve(qosalloc.PaperRequest())
 	if err != nil {
 		panic(err)
@@ -65,7 +65,7 @@ func TestFacadeFourEnginesAgree(t *testing.T) {
 	}
 	req := qosalloc.PaperRequest()
 
-	eng := qosalloc.NewEngine(cb, qosalloc.EngineOptions{})
+	eng := qosalloc.NewRetrievalEngine(cb)
 	ref, err := eng.Retrieve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestFacadeSystemStack(t *testing.T) {
 	dsp := qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 1000, 192*1024)
 	gpp := qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 512*1024)
 	rt := qosalloc.NewRuntime(repo, fpga, dsp, gpp)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{UseBypassTokens: true})
+	m := qosalloc.NewAllocationManager(cb, rt, qosalloc.WithBypassTokens(true))
 
 	apps := qosalloc.FigureOneApps()
 	if len(apps) != 4 {
@@ -238,7 +238,7 @@ func TestFacadeSessionAndMonitor(t *testing.T) {
 		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 1000, 128<<10),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 256<<10),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{})
+	m := qosalloc.NewAllocationManager(cb, rt)
 	mon := qosalloc.NewPlatformMonitor(rt, 8)
 
 	sess := qosalloc.OpenSession(m, "mp3", 5, qosalloc.AppSessionOptions{
@@ -267,7 +267,7 @@ func TestFacadeSessionAndMonitor(t *testing.T) {
 // ExampleEngine_RetrieveN shows the §5 n-most-similar extension.
 func ExampleEngine_RetrieveN() {
 	cb, _ := qosalloc.PaperCaseBase()
-	eng := qosalloc.NewEngine(cb, qosalloc.EngineOptions{})
+	eng := qosalloc.NewRetrievalEngine(cb)
 	top, _ := eng.RetrieveN(qosalloc.PaperRequest(), 2)
 	for _, r := range top {
 		fmt.Printf("%s S=%.2f\n", r.Name, r.Similarity)
@@ -277,20 +277,25 @@ func ExampleEngine_RetrieveN() {
 	// fir-eq-fpga S=0.85
 }
 
-// ExampleNewLearner shows the fig. 2 revise step: observed QoS folds
-// back into the case base.
-func ExampleNewLearner() {
+// ExampleWithLearning shows the fig. 2 revise step on a serving case
+// base: observed QoS folds back in at the next commit.
+func ExampleWithLearning() {
 	cb, _ := qosalloc.PaperCaseBase()
-	learner, _ := qosalloc.NewLearner(cb, 1.0)
+	svc := qosalloc.NewService(cb, qosalloc.NewRuntime(qosalloc.NewRepository(20)),
+		qosalloc.WithLearning(1, 0, 0))
+	defer svc.Close()
 	// The DSP equalizer is observed delivering only 20 kS/s.
-	_ = learner.Observe(qosalloc.Observation{
+	_ = svc.Observe(qosalloc.Observation{
 		Type: 1, Impl: 2,
 		Measured: []qosalloc.AttrPair{{ID: 4, Value: 20}},
 	})
-	revised, changed, _ := learner.Rebuild()
-	best, _ := qosalloc.NewEngine(revised, qosalloc.EngineOptions{}).Retrieve(qosalloc.PaperRequest())
-	fmt.Println(changed, best.Name)
-	// Output: 1 fir-eq-fpga
+	_, _ = svc.CommitNow()
+	best, _ := svc.Retrieve(context.Background(), qosalloc.PaperRequest())
+	fmt.Println(svc.Journal()[0])
+	fmt.Println(best.Name)
+	// Output:
+	// epoch=2 t=0 reason=manual changed=1 folded_obs=1
+	// fir-eq-fpga
 }
 
 // ExampleRequest_Relax shows the §3 constraint-relaxation step.
@@ -299,24 +304,4 @@ func ExampleRequest_Relax() {
 	relaxed, ok := req.Relax(1) // drop the bitwidth constraint
 	fmt.Println(ok, len(req.Constraints), len(relaxed.Constraints))
 	// Output: true 3 2
-}
-
-func TestFacadeEnginePool(t *testing.T) {
-	cb, _ := qosalloc.PaperCaseBase()
-	p := qosalloc.NewEnginePool(cb, qosalloc.EngineOptions{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			best, err := p.Retrieve(qosalloc.PaperRequest())
-			if err != nil || best.Impl != 2 {
-				t.Errorf("pool retrieval = %+v, %v", best, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.Stats().Retrievals != 8 {
-		t.Errorf("pool stats = %+v", p.Stats())
-	}
 }
