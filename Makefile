@@ -1,5 +1,7 @@
 # Standard development targets. `make ci` is the gate every change must
-# pass: build, vet, and the full test suite under the race detector.
+# pass; it runs scripts/ci.sh, the one list of CI gates (build, vet,
+# lint, the race-detector suite, benchmark gates, api-check, fleetcheck,
+# learncheck, loadcheck). The targets below run single gates by hand.
 
 GO ?= go
 
@@ -90,6 +92,7 @@ fleetcheck:
 # load stress passes under the race detector.
 learncheck:
 	$(GO) test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
-	$(GO) test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress' -count=1 ./internal/serve/
+	$(GO) test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager' -count=1 ./internal/serve/
 
-ci: build vet lint race bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck
+ci:
+	scripts/ci.sh

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
-# under the race detector, the observability golden tests, and a
-# one-iteration benchmark smoke pass. Mirrors `make ci` for
-# environments without make.
+# under the race detector, the observability golden tests, a
+# one-iteration benchmark smoke pass, the benchmark, API, fleet, learn
+# and load gates. This is the one gate list: `make ci` runs this script,
+# and it needs nothing but the go tool and a POSIX shell.
 set -eux
 
 go build ./...
@@ -42,10 +43,11 @@ go doc -all . | diff -u api.txt - || {
 go test -run 'TestFleetNoisyNeighborIsolation|TestFleetCheckGolden|TestFleetReplayBitIdentical' -count=1 ./internal/fleet/
 # Live case-base mutation gate (mirrors `make learncheck`): the pinned
 # E21 epoch journal replays bit-identically at any shard count, retiring
-# a tokenized variant never serves a stale bypass, and the churn stress
-# passes under the race detector.
+# a tokenized variant never serves a stale bypass, the churn stress
+# passes under the race detector, and Allocate never holds candidates
+# from an epoch newer than the manager's.
 go test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
-go test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress' -count=1 ./internal/serve/
+go test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager' -count=1 ./internal/serve/
 # qosd/qosload end-to-end smoke: scenario reports validate against the
 # wire schema, lockstep replay is outcome-identical, SIGTERM drains
 # cleanly. Writes its reports to a temp dir (the committed
