@@ -81,19 +81,16 @@ func NewDelta(base *casebase.CaseBase, alpha float64) (*Delta, error) {
 // Observations returns how many observations are pending in this delta.
 func (d *Delta) Observations() int { return d.obs }
 
-// Empty reports whether the delta holds no pending state.
-func (d *Delta) Empty() bool { return d.obs == 0 }
-
 // Observe folds one measurement into the pending EWMA state, seeded
 // from the committed value or this delta's own state and clamped into
 // the design-global bounds so the supplemental table's dmax stays an
 // upper bound. Attributes the case does not describe are ignored
 // (retaining new attributes would change the request vocabulary, a
-// design-time decision). It returns the change in the LSB-visible revision count:
-// +1 for every attribute whose rounded pending value just started
-// differing from the committed value, -1 for every one that just
-// drifted back onto it — so a caller can maintain a global pending
-// count across stripes without scanning them.
+// design-time decision). It returns the change in the LSB-visible
+// revision count: +1 for every attribute whose rounded pending value
+// just started differing from the committed value, -1 for every one
+// that just drifted back onto it — so a caller can maintain a global
+// pending count across stripes without scanning them.
 func (d *Delta) Observe(o Observation) (revDelta int, err error) {
 	ft, ok := d.base.Type(o.Type)
 	if !ok {
@@ -145,14 +142,12 @@ func (d *Delta) Observe(o Observation) (revDelta int, err error) {
 // the result does not depend on map iteration or stripe assignment. The
 // delta itself is not cleared — call Reset against the newly committed
 // base once the swap has landed.
-func (d *Delta) FoldInto(b *Builder) (folded int) {
+func (d *Delta) FoldInto(b *Builder) {
 	for k, m := range d.pending {
 		for id, v := range m {
 			b.revise(k, id, attr.Value(math.Round(v)))
 		}
-		folded += len(m)
 	}
-	return folded
 }
 
 // Reset clears the delta and rebases it onto a newly committed case
