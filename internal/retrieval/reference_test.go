@@ -1,0 +1,163 @@
+package retrieval
+
+import (
+	"fmt"
+	"sort"
+
+	"qosalloc/internal/casebase"
+	"qosalloc/internal/similarity"
+)
+
+// refEngine is the sort-based floating-point engine as it stood before
+// the single-pass rewrite: score allocates per variant and resolves dmax
+// through the registry per constraint, RetrieveAll stable-sorts the
+// whole field, and Retrieve/RetrieveN read the sorted field. It is kept
+// only as the differential-test reference for Engine.
+type refEngine struct {
+	cb      *casebase.CaseBase
+	opt     Options
+	stats   Stats
+	met     *Metrics
+	compact *CompactEngine
+}
+
+func newRefEngine(cb *casebase.CaseBase, opt Options) *refEngine {
+	var compact *CompactEngine
+	if opt.CompactLayout && opt.Local == nil && opt.Amalgamation == nil && !opt.KeepLocals {
+		compact, _ = NewCompactEngine(cb)
+	}
+	if opt.Local == nil {
+		opt.Local = similarity.Linear{}
+	}
+	if opt.Amalgamation == nil {
+		opt.Amalgamation = similarity.WeightedSum{}
+	}
+	return &refEngine{cb: cb, opt: opt, met: NewMetrics(nil), compact: compact}
+}
+
+func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (float64, []LocalScore) {
+	n := len(req.Constraints)
+	sims := make([]float64, n)
+	weights := make([]float64, n)
+	var locals []LocalScore
+	if e.opt.KeepLocals {
+		locals = make([]LocalScore, n)
+	}
+	for i, c := range req.Constraints {
+		weights[i] = c.Weight
+		dmax, err := e.cb.Registry().DMax(c.ID)
+		if err != nil {
+			dmax = 0
+		}
+		v, found := im.Attr(c.ID)
+		var s float64
+		if found {
+			s = e.opt.Local.Similarity(c.Value, v, dmax)
+		}
+		sims[i] = s
+		e.stats.AttrsCompared++
+		e.met.AttrsCompared.Inc()
+		if e.opt.KeepLocals {
+			locals[i] = LocalScore{
+				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
+				Found: found, DMax: dmax, Sim: s, Weight: c.Weight,
+			}
+		}
+	}
+	return e.opt.Amalgamation.Combine(sims, weights), locals
+}
+
+func (e *refEngine) RetrieveAll(req casebase.Request) ([]Result, error) {
+	if err := req.Validate(e.cb); err != nil {
+		return nil, err
+	}
+	start := e.met.start()
+	ft, _ := e.cb.Type(req.Type)
+	e.stats.Retrievals++
+	e.met.Retrievals.Inc()
+	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
+	out := make([]Result, 0, len(ft.Impls))
+	if e.compact != nil {
+		qs, err := e.compact.ScoreType(req)
+		if err != nil {
+			return nil, err
+		}
+		for i := range ft.Impls {
+			im := &ft.Impls[i]
+			e.stats.ImplsScored++
+			e.met.ImplsScored.Inc()
+			e.stats.AttrsCompared += len(req.Constraints)
+			e.met.AttrsCompared.Add(int64(len(req.Constraints)))
+			out = append(out, Result{
+				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
+				Similarity: qs[i].Float(),
+			})
+		}
+	} else {
+		for i := range ft.Impls {
+			im := &ft.Impls[i]
+			s, locals := e.score(im, req)
+			e.stats.ImplsScored++
+			e.met.ImplsScored.Inc()
+			out = append(out, Result{
+				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
+				Similarity: s, Locals: locals,
+			})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Similarity != out[j].Similarity {
+			return out[i].Similarity > out[j].Similarity
+		}
+		return out[i].Impl < out[j].Impl
+	})
+	e.met.observeLatency(start)
+	return out, nil
+}
+
+func (e *refEngine) Retrieve(req casebase.Request) (Result, error) {
+	all, err := e.RetrieveAll(req)
+	if err != nil {
+		return Result{}, err
+	}
+	best := all[0]
+	if best.Similarity < e.opt.Threshold {
+		e.stats.BelowThreshold += len(all)
+		e.met.BelowThreshold.Add(int64(len(all)))
+		e.met.NoMatch.Inc()
+		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: best.Similarity}
+	}
+	for _, r := range all {
+		if r.Similarity < e.opt.Threshold {
+			e.stats.BelowThreshold++
+			e.met.BelowThreshold.Inc()
+		}
+	}
+	return best, nil
+}
+
+func (e *refEngine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
+	}
+	all, err := e.RetrieveAll(req)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, 0, n)
+	for _, r := range all {
+		if r.Similarity < e.opt.Threshold {
+			e.stats.BelowThreshold++
+			e.met.BelowThreshold.Inc()
+			continue
+		}
+		if len(out) < n {
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 {
+		e.met.NoMatch.Inc()
+		return nil, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: all[0].Similarity}
+	}
+	return out, nil
+}
