@@ -87,9 +87,19 @@ type Implementation struct {
 // unsatisfiable requirement", §3).
 func (im *Implementation) Attr(id attr.ID) (attr.Value, bool) {
 	// Attrs is sorted; binary search keeps large attribute sets cheap.
-	i := sort.Search(len(im.Attrs), func(i int) bool { return im.Attrs[i].ID >= id })
-	if i < len(im.Attrs) && im.Attrs[i].ID == id {
-		return im.Attrs[i].Value, true
+	// This is sort.Search's bisection written out without the closure,
+	// because retrieval calls it once per variant × constraint.
+	lo, hi := 0, len(im.Attrs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if im.Attrs[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(im.Attrs) && im.Attrs[lo].ID == id {
+		return im.Attrs[lo].Value, true
 	}
 	return 0, false
 }

@@ -1,6 +1,7 @@
 package casebase
 
 import (
+	"sort"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -47,6 +48,33 @@ func TestImplAttrMissing(t *testing.T) {
 	}
 	if v, ok := im.Attr(AttrBitwidth); !ok || v != 16 {
 		t.Errorf("Attr(bitwidth) = %d,%v", v, ok)
+	}
+}
+
+// TestImplAttrMatchesSortSearch checks the written-out binary search
+// against sort.Search for every probe ID around sorted attribute sets of
+// every length up to 17, including the empty set, with sparse IDs and
+// with repeated IDs (which Build rejects, but the search must still
+// pick the same pair).
+func TestImplAttrMatchesSortSearch(t *testing.T) {
+	for _, step := range []int{0, 1, 3} {
+		for n := 0; n <= 17; n++ {
+			im := Implementation{}
+			for i := 0; i < n; i++ {
+				im.Attrs = append(im.Attrs, attr.Pair{ID: attr.ID(step*i + 2 + i/3), Value: attr.Value(100 + i)})
+			}
+			for id := attr.ID(0); id <= attr.ID((step+1)*n+3); id++ {
+				i := sort.Search(len(im.Attrs), func(i int) bool { return im.Attrs[i].ID >= id })
+				var want attr.Value
+				found := i < len(im.Attrs) && im.Attrs[i].ID == id
+				if found {
+					want = im.Attrs[i].Value
+				}
+				if v, ok := im.Attr(id); v != want || ok != found {
+					t.Errorf("step=%d n=%d Attr(%d) = %d,%v, want %d,%v", step, n, id, v, ok, want, found)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qosalloc/internal/casebase"
@@ -75,32 +76,30 @@ func (ce *CompactEngine) Compact() *memlist.CompactCaseBase { return ce.cc }
 
 // compactQuery is the once-per-retrieval request preparation: constraint
 // IDs and values widened to the 16-bit bus domain, weights converted to
-// Q15 with the same policy as the memory-image encoder.
+// Q15 with the same policy as the memory-image encoder. A query can be
+// reloaded; its slices are reused across requests.
 type compactQuery struct {
 	ids    []uint16
 	vals   []uint16
+	fws    []float64 // float weights, the WeightsQ15 input
 	ws     []fixed.Q15
 	sorted bool // IDs strictly ascending → resumable merge applies
 }
 
-func makeQuery(req casebase.Request) compactQuery {
+// load prepares q for req.
+func (q *compactQuery) load(req casebase.Request) {
 	n := len(req.Constraints)
-	q := compactQuery{
-		ids:    make([]uint16, n),
-		vals:   make([]uint16, n),
-		sorted: true,
-	}
-	fws := make([]float64, n)
+	q.ids, q.vals, q.fws = resize(q.ids, n), resize(q.vals, n), resize(q.fws, n)
+	q.sorted = true
 	for i, c := range req.Constraints {
 		q.ids[i] = uint16(c.ID)
 		q.vals[i] = uint16(c.Value)
-		fws[i] = c.Weight
+		q.fws[i] = c.Weight
 		if i > 0 && q.ids[i] <= q.ids[i-1] {
 			q.sorted = false
 		}
 	}
-	q.ws = fixed.WeightsQ15(fws)
-	return q
+	q.ws = fixed.WeightsQ15(q.fws)
 }
 
 // scoreExtent computes the Q15 global similarity of the implementation
@@ -144,12 +143,14 @@ func (ce *CompactEngine) ScoreType(req casebase.Request) ([]fixed.Q15, error) {
 	if err := req.Validate(ce.cb); err != nil {
 		return nil, err
 	}
-	return ce.scoreType(req)
+	var q compactQuery
+	return ce.scoreType(nil, &q, req)
 }
 
 // scoreType is ScoreType without the request validation, for callers
-// (Engine.RetrieveAll) that already validated.
-func (ce *CompactEngine) scoreType(req casebase.Request) ([]fixed.Q15, error) {
+// (Engine's walk) that already validated: it loads q from req and
+// appends the column to dst, so a caller owning both can reuse them.
+func (ce *CompactEngine) scoreType(dst []fixed.Q15, q *compactQuery, req casebase.Request) ([]fixed.Q15, error) {
 	t, ok := ce.typeAt[uint16(req.Type)]
 	if !ok {
 		// Validate accepted the type against the case base, so the
@@ -157,13 +158,13 @@ func (ce *CompactEngine) scoreType(req casebase.Request) ([]fixed.Q15, error) {
 		// the two drift apart.
 		return nil, fmt.Errorf("retrieval: type %d missing from compacted layout", req.Type)
 	}
-	q := makeQuery(req)
+	q.load(req)
 	iLo, iHi := int(ce.cc.ImplOff[t]), int(ce.cc.ImplOff[t+1])
-	out := make([]fixed.Q15, 0, iHi-iLo)
+	dst = slices.Grow(dst, iHi-iLo)
 	for i := iLo; i < iHi; i++ {
-		out = append(out, ce.scoreExtent(int(ce.cc.AttrOff[i]), int(ce.cc.AttrOff[i+1]), &q))
+		dst = append(dst, ce.scoreExtent(int(ce.cc.AttrOff[i]), int(ce.cc.AttrOff[i+1]), q))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Retrieve runs the fig. 6 most-similar scan over the compacted layout:
@@ -178,7 +179,8 @@ func (ce *CompactEngine) Retrieve(req casebase.Request) (FixedResult, error) {
 	if !ok {
 		return FixedResult{}, fmt.Errorf("retrieval: type %d missing from compacted layout", req.Type)
 	}
-	q := makeQuery(req)
+	var q compactQuery
+	q.load(req)
 	iLo, iHi := int(ce.cc.ImplOff[t]), int(ce.cc.ImplOff[t+1])
 	if iLo == iHi {
 		return FixedResult{}, fmt.Errorf("retrieval: type %d has no implementations", req.Type)
@@ -210,7 +212,8 @@ func (ce *CompactEngine) RetrieveN(req casebase.Request, n int) ([]FixedResult, 
 	if !ok {
 		return nil, fmt.Errorf("retrieval: type %d missing from compacted layout", req.Type)
 	}
-	q := makeQuery(req)
+	var q compactQuery
+	q.load(req)
 	iLo, iHi := int(ce.cc.ImplOff[t]), int(ce.cc.ImplOff[t+1])
 	out := make([]FixedResult, 0, iHi-iLo)
 	for i := iLo; i < iHi; i++ {

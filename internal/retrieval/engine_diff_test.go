@@ -203,7 +203,7 @@ func TestEngineMatchesSortReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(14))
 	trials := 40
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		trials = 10
 	}
 	for trial := 0; trial < trials; trial++ {

@@ -11,13 +11,24 @@
 // VHDL simulation" can be checked as a property over randomized case
 // bases. The n-best extension sketched in §5 ("our next step will be an
 // extension for getting n most similar solutions") is RetrieveN.
+//
+// Engine.Retrieve is literally fig. 6's single pass over the
+// implementation sub-list: each variant is scored into a column the
+// engine reuses, the running best (descending similarity, ties to the
+// lower implementation ID) is kept as the pass goes, and the variants
+// the threshold rejects are counted on the way. RetrieveN keeps the n
+// best in the same pass by bounded insertion; only RetrieveAll sorts.
+// A warmed Retrieve allocates nothing, which is why an Engine is not
+// safe for concurrent use.
 package retrieval
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/fixed"
 	"qosalloc/internal/similarity"
 )
 
@@ -67,7 +78,10 @@ type Options struct {
 	CompactLayout bool
 }
 
-// Engine performs floating-point retrieval over a case base.
+// Engine performs floating-point retrieval over a case base. An Engine
+// is not safe for concurrent use: every walk scores into scratch storage
+// the engine owns, so callers serialize access (the serving layer keeps
+// one engine per shard, under the shard mutex).
 type Engine struct {
 	cb    *casebase.CaseBase
 	opt   Options
@@ -76,6 +90,22 @@ type Engine struct {
 	// compact is the block-compacted kernel, non-nil only when
 	// Options.CompactLayout applies (default measures, no locals).
 	compact *CompactEngine
+
+	// Per-walk scratch, reused across walks. dmax and weights hold the
+	// request's per-constraint constants, resolved once per walk; sims
+	// is the local-similarity vector of the variant being scored;
+	// scores is the global similarity column in storage order; locals
+	// holds every variant's breakdown (KeepLocals only), one row of
+	// len(Constraints) per variant; top and qs serve n-best selection
+	// and the compacted kernel.
+	dmax    []uint16
+	weights []float64
+	sims    []float64
+	scores  []float64
+	locals  []LocalScore
+	top     []int
+	cq      compactQuery
+	qs      []fixed.Q15
 }
 
 // Stats counts engine activity.
@@ -136,41 +166,138 @@ func (e *ErrNoMatch) Error() string {
 		e.Type, e.Threshold, e.Best)
 }
 
-// score computes the global similarity of one implementation against the
-// request. Missing implementation attributes contribute s_i = 0 — "a
-// missing attribute can be seen as unsatisfiable requirement" (§3).
-func (e *Engine) score(im *casebase.Implementation, req casebase.Request) (float64, []LocalScore) {
-	n := len(req.Constraints)
-	sims := make([]float64, n)
-	weights := make([]float64, n)
-	var locals []LocalScore
-	if e.opt.KeepLocals {
-		locals = make([]LocalScore, n)
+// walk validates the request and scores every implementation of the
+// requested type into e.scores (storage order), the fig. 6 inner loop.
+// With KeepLocals, variant i's breakdown lands in row i of e.locals.
+// Stats and metric counters are updated once per walk; at quiescence
+// the totals equal one increment per variant and per comparison.
+//
+// start is the latency clock reading taken once the request validated,
+// for the caller to close with observeLatency after its selection.
+func (e *Engine) walk(req casebase.Request) (ft *casebase.FunctionType, start int64, err error) {
+	if err := req.Validate(e.cb); err != nil {
+		return nil, 0, err
 	}
+	start = e.met.start()
+	ft, _ = e.cb.Type(req.Type)
+	e.stats.Retrievals++
+	e.met.Retrievals.Inc()
+	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
+	n, k := len(ft.Impls), len(req.Constraints)
+	e.scores = resize(e.scores, n)
+	if e.compact != nil {
+		// Compacted datapath: one kernel pass yields the Q15 column in
+		// storage order, which the case base shares.
+		qs, err := e.compact.scoreType(e.qs[:0], &e.cq, req)
+		if err != nil {
+			return nil, 0, err
+		}
+		e.qs = qs
+		for i, q := range qs {
+			e.scores[i] = q.Float()
+		}
+	} else {
+		e.prepare(req)
+		if e.opt.KeepLocals {
+			e.locals = resize(e.locals, n*k)
+		}
+		for i := range ft.Impls {
+			var row []LocalScore
+			if e.opt.KeepLocals {
+				row = e.locals[i*k : (i+1)*k]
+			}
+			e.scores[i] = e.score(&ft.Impls[i], req, row)
+		}
+	}
+	e.stats.ImplsScored += n
+	e.met.ImplsScored.Add(int64(n))
+	e.stats.AttrsCompared += n * k
+	e.met.AttrsCompared.Add(int64(n * k))
+	return ft, start, nil
+}
+
+// prepare resolves the request's per-constraint constants once per walk:
+// the design-global dmax of each constrained attribute and the weight
+// column handed to the amalgamation.
+func (e *Engine) prepare(req casebase.Request) {
+	k := len(req.Constraints)
+	e.dmax = resize(e.dmax, k)
+	e.weights = resize(e.weights, k)
+	e.sims = resize(e.sims, k)
 	for i, c := range req.Constraints {
-		weights[i] = c.Weight
 		dmax, err := e.cb.Registry().DMax(c.ID)
 		if err != nil {
 			// Request validation catches this; scoring treats it
 			// as unsatisfiable to stay total.
 			dmax = 0
 		}
+		e.dmax[i] = dmax
+		e.weights[i] = c.Weight
+	}
+}
+
+// score computes the global similarity of one implementation against the
+// request, filling locals (request order) when it is non-nil. Missing
+// implementation attributes contribute s_i = 0 — "a missing attribute
+// can be seen as unsatisfiable requirement" (§3).
+func (e *Engine) score(im *casebase.Implementation, req casebase.Request, locals []LocalScore) float64 {
+	for i, c := range req.Constraints {
 		v, found := im.Attr(c.ID)
 		var s float64
 		if found {
-			s = e.opt.Local.Similarity(c.Value, v, dmax)
+			s = e.opt.Local.Similarity(c.Value, v, e.dmax[i])
 		}
-		sims[i] = s
-		e.stats.AttrsCompared++
-		e.met.AttrsCompared.Inc()
-		if e.opt.KeepLocals {
+		e.sims[i] = s
+		if locals != nil {
 			locals[i] = LocalScore{
 				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
-				Found: found, DMax: dmax, Sim: s, Weight: c.Weight,
+				Found: found, DMax: e.dmax[i], Sim: s, Weight: c.Weight,
 			}
 		}
 	}
-	return e.opt.Amalgamation.Combine(sims, weights), locals
+	return e.opt.Amalgamation.Combine(e.sims, e.weights)
+}
+
+// resize returns buf with length n, reallocating only when it is too
+// small; the contents are left for the caller to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// rank orders variants i and j of the last walk, negative when i ranks
+// ahead: higher similarity first, ties broken by ascending implementation
+// ID, the order the hardware scan keeps.
+func (e *Engine) rank(ft *casebase.FunctionType, i, j int) int {
+	si, sj := e.scores[i], e.scores[j]
+	switch {
+	case si > sj:
+		return -1
+	case si < sj:
+		return 1
+	case si != sj:
+		return 0 // NaN is unordered against everything
+	}
+	return cmp.Compare(ft.Impls[i].ID, ft.Impls[j].ID)
+}
+
+// ahead reports whether variant i of the last walk ranks ahead of j.
+func (e *Engine) ahead(ft *casebase.FunctionType, i, j int) bool { return e.rank(ft, i, j) < 0 }
+
+// result materializes variant i of the last walk, with a private copy of
+// its locals row when KeepLocals is on.
+func (e *Engine) result(ft *casebase.FunctionType, i, k int) Result {
+	im := &ft.Impls[i]
+	r := Result{
+		Type: ft.ID, Impl: im.ID, Target: im.Target, Name: im.Name,
+		Similarity: e.scores[i],
+	}
+	if e.opt.KeepLocals {
+		r.Locals = slices.Clone(e.locals[i*k : (i+1)*k])
+	}
+	return r
 }
 
 // RetrieveAll scores every implementation of the requested type and
@@ -178,105 +305,103 @@ func (e *Engine) score(im *casebase.Implementation, req casebase.Request) (float
 // ascending implementation ID, the order the hardware scan would keep).
 // The threshold is NOT applied; callers see the full field.
 func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
-	if err := req.Validate(e.cb); err != nil {
+	ft, start, err := e.walk(req)
+	if err != nil {
 		return nil, err
 	}
-	start := e.met.start()
-	ft, _ := e.cb.Type(req.Type)
-	e.stats.Retrievals++
-	e.met.Retrievals.Inc()
-	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
-	out := make([]Result, 0, len(ft.Impls))
-	if e.compact != nil {
-		// Compacted datapath: one kernel pass yields the Q15 column in
-		// storage order; implementation metadata is zipped back in from
-		// the case base, which shares that order.
-		qs, err := e.compact.scoreType(req)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			e.stats.AttrsCompared += len(req.Constraints)
-			e.met.AttrsCompared.Add(int64(len(req.Constraints)))
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: qs[i].Float(),
-			})
-		}
-	} else {
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			s, locals := e.score(im, req)
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: s, Locals: locals,
-			})
-		}
+	k := len(req.Constraints)
+	e.top = resize(e.top, len(ft.Impls))
+	for i := range e.top {
+		e.top[i] = i
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Similarity != out[j].Similarity {
-			return out[i].Similarity > out[j].Similarity
-		}
-		return out[i].Impl < out[j].Impl
-	})
+	slices.SortStableFunc(e.top, func(i, j int) int { return e.rank(ft, i, j) })
+	out := make([]Result, len(e.top))
+	for r, i := range e.top {
+		out[r] = e.result(ft, i, k)
+	}
 	e.met.observeLatency(start)
 	return out, nil
 }
 
 // Retrieve returns the most similar implementation, applying the
 // threshold. This is the fig. 6 algorithm: one pass over the
-// implementation sub-list keeping the running best.
+// implementation sub-list keeping the running best, counting the
+// variants the threshold rejects on the way.
 func (e *Engine) Retrieve(req casebase.Request) (Result, error) {
-	all, err := e.RetrieveAll(req)
+	ft, start, err := e.walk(req)
 	if err != nil {
 		return Result{}, err
 	}
-	best := all[0]
-	if best.Similarity < e.opt.Threshold {
-		e.stats.BelowThreshold += len(all)
-		e.met.BelowThreshold.Add(int64(len(all)))
-		e.met.NoMatch.Inc()
-		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: best.Similarity}
-	}
-	for _, r := range all {
-		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
-			e.met.BelowThreshold.Inc()
+	th := e.opt.Threshold
+	best, below := 0, 0
+	for i, s := range e.scores {
+		if s < th {
+			below++
+		}
+		if e.ahead(ft, i, best) {
+			best = i
 		}
 	}
-	return best, nil
+	e.met.observeLatency(start)
+	if e.scores[best] < th {
+		e.stats.BelowThreshold += len(e.scores)
+		e.met.BelowThreshold.Add(int64(len(e.scores)))
+		e.met.NoMatch.Inc()
+		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: th, Best: e.scores[best]}
+	}
+	e.stats.BelowThreshold += below
+	e.met.BelowThreshold.Add(int64(below))
+	return e.result(ft, best, len(req.Constraints)), nil
 }
 
 // RetrieveN returns the up-to-n most similar implementations that meet
 // the threshold, best first — the §5 n-best extension. It returns
 // ErrNoMatch when none qualifies, so the caller can relax constraints.
+// Selection is one pass of bounded insertion into the n best so far.
 func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
 	}
-	all, err := e.RetrieveAll(req)
+	ft, start, err := e.walk(req)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, n)
-	for _, r := range all {
-		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
-			e.met.BelowThreshold.Inc()
+	th := e.opt.Threshold
+	n = min(n, len(e.scores))
+	top := e.top[:0]
+	best, below := 0, 0
+	for i, s := range e.scores {
+		if e.ahead(ft, i, best) {
+			best = i
+		}
+		if s < th {
+			below++
 			continue
 		}
-		if len(out) < n {
-			out = append(out, r)
+		if len(top) == n {
+			if !e.ahead(ft, i, top[n-1]) {
+				continue
+			}
+			top = top[:n-1]
 		}
+		j := len(top)
+		top = append(top, i)
+		for ; j > 0 && e.ahead(ft, i, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
 	}
-	if len(out) == 0 {
+	e.top = top
+	e.met.observeLatency(start)
+	e.stats.BelowThreshold += below
+	e.met.BelowThreshold.Add(int64(below))
+	if len(top) == 0 {
 		e.met.NoMatch.Inc()
-		return nil, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: all[0].Similarity}
+		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: e.scores[best]}
+	}
+	out := make([]Result, len(top))
+	for r, i := range top {
+		out[r] = e.result(ft, i, len(req.Constraints))
 	}
 	return out, nil
 }

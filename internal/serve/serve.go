@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -179,7 +180,7 @@ type jobResult struct {
 // best-match walk never masks a deeper candidate walk.
 func jobKey(j *job) string {
 	if j.kind == jobCandidates {
-		return fmt.Sprintf("c%d|%s", j.n, j.sig)
+		return "c" + strconv.Itoa(j.n) + "|" + j.sig
 	}
 	return "r|" + j.sig
 }
@@ -196,6 +197,9 @@ type shard struct {
 	q   chan *job
 
 	mu sync.Mutex // serializes this shard's engine and token cache
+	// seen is the per-batch singleflight map, guarded by mu and cleared
+	// as every batch ends; reusing it spares a map per batch.
+	seen map[string]*jobResult
 }
 
 // Service is the concurrent allocation front end. Create with New,
@@ -308,8 +312,9 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
-			idx: i,
-			q:   make(chan *job, cfg.MaxQueue),
+			idx:  i,
+			q:    make(chan *job, cfg.MaxQueue),
+			seen: make(map[string]*jobResult),
 		}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -828,7 +833,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	defer sh.mu.Unlock()
 	sn := s.snap.Load()
 	s.noteBatch(met, len(batch))
-	seen := make(map[string]*jobResult, len(batch))
+	defer clear(sh.seen)
 	for _, j := range batch {
 		if err := retrieval.Canceled(j.ctx); err != nil {
 			s.canceled.Add(1)
@@ -836,7 +841,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 			j.done <- jobResult{err: err}
 			continue
 		}
-		j.done <- s.resolve(sn, sh, j, seen, met)
+		j.done <- s.resolve(sn, sh, j, met)
 	}
 }
 
@@ -852,7 +857,7 @@ func (s *Service) runGroup(ctx context.Context, sh *shard, reqs []casebase.Reque
 	defer sh.mu.Unlock()
 	sn := s.snap.Load() // after sh.mu — see runBatch
 	s.noteBatch(met, len(idxs))
-	seen := make(map[string]*jobResult, len(idxs))
+	defer clear(sh.seen)
 	for _, i := range idxs {
 		if err := retrieval.Canceled(ctx); err != nil {
 			s.canceled.Add(1)
@@ -861,7 +866,7 @@ func (s *Service) runGroup(ctx context.Context, sh *shard, reqs []casebase.Reque
 			continue
 		}
 		j := &job{ctx: ctx, kind: kind, req: reqs[i], n: n, sig: retrieval.Signature(reqs[i])}
-		r := s.resolve(sn, sh, j, seen, met)
+		r := s.resolve(sn, sh, j, met)
 		bests[i], lists[i], epochs[i], errs[i] = r.best, r.list, r.epoch, r.err
 	}
 }
@@ -880,17 +885,17 @@ func (s *Service) noteBatch(met *metrics, n int) {
 	}
 }
 
-// resolve serves one job from the singleflight map, the token cache, or
-// an engine walk against the sn epoch. Caller holds sh.mu.
-func (s *Service) resolve(sn *snapshot, sh *shard, j *job, seen map[string]*jobResult, met *metrics) jobResult {
+// resolve serves one job from the batch's singleflight map, the token
+// cache, or an engine walk against the sn epoch. Caller holds sh.mu.
+func (s *Service) resolve(sn *snapshot, sh *shard, j *job, met *metrics) jobResult {
 	key := jobKey(j)
-	if r, ok := seen[key]; ok {
+	if r, ok := sh.seen[key]; ok {
 		s.dedupHits.Add(1)
 		met.dedup.Inc()
 		return *r
 	}
 	r := s.runJob(sn, sh, j, met)
-	seen[key] = &r
+	sh.seen[key] = &r
 	return r
 }
 

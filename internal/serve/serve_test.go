@@ -617,3 +617,21 @@ func TestDrainMetricsExported(t *testing.T) {
 		t.Errorf("qos_serve_drain_flushed_total = %d (present %v), want 1", got, ok)
 	}
 }
+
+// TestJobKeyFormat pins the singleflight key: kind-qualified, with the
+// candidate depth in the key, so a best-match walk never masks an n-best
+// walk and n-best walks of different depth never share a result.
+func TestJobKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		j    job
+		want string
+	}{
+		{job{kind: jobRetrieve, n: 3, sig: "7|1=16"}, "r|7|1=16"},
+		{job{kind: jobCandidates, n: 3, sig: "7|1=16"}, "c3|7|1=16"},
+		{job{kind: jobCandidates, n: 12, sig: ""}, "c12|"},
+	} {
+		if got := jobKey(&c.j); got != c.want {
+			t.Errorf("jobKey(%+v) = %q, want %q", c.j, got, c.want)
+		}
+	}
+}

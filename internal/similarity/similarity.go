@@ -25,7 +25,9 @@ import (
 
 // Local computes the similarity of a requested value against an
 // implementation value for one attribute type whose design-global maximum
-// distance is dmax. Results are in [0, 1].
+// distance is dmax. Results are in [0, 1]. Retrieval calls it once per
+// variant × constraint, in request order; it must depend on its
+// arguments only.
 type Local interface {
 	Similarity(req, impl attr.Value, dmax uint16) float64
 	Name() string
@@ -106,6 +108,8 @@ func dist(a, b attr.Value) float64 {
 
 // Amalgamation combines the local similarities s_i (with weights w_i,
 // already normalized to sum to 1) into a global similarity in [0, 1].
+// Combine must not retain or modify sims or weights: the retrieval
+// engine passes the same scratch slices for every variant it scores.
 type Amalgamation interface {
 	Combine(sims, weights []float64) float64
 	Name() string

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
-# under the race detector, the observability golden tests, a
-# one-iteration benchmark smoke pass, the benchmark, API, fleet, learn
-# and load gates. This is the one gate list: `make ci` runs this script,
+# under the race detector, the retrieval allocation guard, the
+# observability golden tests, a one-iteration benchmark smoke pass, the
+# benchmark, API, fleet, learn and load gates. This is the one gate list: `make ci` runs this script,
 # and it needs nothing but the go tool and a POSIX shell.
 set -eux
 
@@ -18,6 +18,10 @@ go vet ./...
 go build -o bin/qosvet ./cmd/qosvet
 go vet -vettool="$(pwd)/bin/qosvet" ./...
 go test -race ./...
+# Allocation guard: a warmed float-engine Retrieve allocates nothing.
+# The race detector's instrumentation allocates, so the -race pass skips
+# it and it runs here without -race.
+go test -run TestEngineRetrieveZeroAllocs -count=1 ./internal/retrieval/
 # Observability goldens: deterministic counters and bit-exact replay.
 go test -run 'TestObs' ./internal/experiments/
 # Every benchmark must still compile and survive one iteration.
