@@ -56,8 +56,8 @@ func tieCaseBase(r *rand.Rand) (*casebase.CaseBase, *attr.Registry) {
 }
 
 // tieRequest draws a request against cb: random constraint subsets (so
-// some miss every variant), equal, random or zero weights, sorted or
-// reversed constraint order, and now and then an invalid request.
+// some miss every variant), equal, random, zero or NaN weights, sorted
+// or reversed constraint order, and now and then an invalid request.
 func tieRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebase.Request {
 	types := cb.Types()
 	req := casebase.Request{Type: types[r.Intn(len(types))].ID}
@@ -87,6 +87,8 @@ func tieRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebas
 		req.Constraints = append(req.Constraints, req.Constraints[0]) // duplicate
 	case 6:
 		req.Constraints[0].Weight = 1.5
+	case 7:
+		req.Constraints[0].Weight = math.NaN() // passes Validate
 	}
 	return req
 }

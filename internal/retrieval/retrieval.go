@@ -17,9 +17,9 @@
 // engine reuses, the running best (descending similarity, ties to the
 // lower implementation ID) is kept as the pass goes, and the variants
 // the threshold rejects are counted on the way. RetrieveN keeps the n
-// best in the same pass by bounded insertion; only RetrieveAll sorts.
-// A warmed Retrieve allocates nothing, which is why an Engine is not
-// safe for concurrent use.
+// best in the same kind of pass by bounded insertion; only RetrieveAll
+// sorts. A warmed Retrieve allocates nothing, which is why an Engine is
+// not safe for concurrent use.
 package retrieval
 
 import (
@@ -325,39 +325,23 @@ func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
 
 // Retrieve returns the most similar implementation, applying the
 // threshold. This is the fig. 6 algorithm: one pass over the
-// implementation sub-list keeping the running best, counting the
-// variants the threshold rejects on the way.
+// implementation sub-list keeping the running best.
 func (e *Engine) Retrieve(req casebase.Request) (Result, error) {
 	ft, start, err := e.walk(req)
 	if err != nil {
 		return Result{}, err
 	}
-	th := e.opt.Threshold
-	best, below := 0, 0
-	for i, s := range e.scores {
-		if s < th {
-			below++
-		}
-		if e.ahead(ft, i, best) {
-			best = i
-		}
-	}
+	top, err := e.selectTop(ft, req, 1)
 	e.met.observeLatency(start)
-	if e.scores[best] < th {
-		e.stats.BelowThreshold += len(e.scores)
-		e.met.BelowThreshold.Add(int64(len(e.scores)))
-		e.met.NoMatch.Inc()
-		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: th, Best: e.scores[best]}
+	if err != nil {
+		return Result{}, err
 	}
-	e.stats.BelowThreshold += below
-	e.met.BelowThreshold.Add(int64(below))
-	return e.result(ft, best, len(req.Constraints)), nil
+	return e.result(ft, top[0], len(req.Constraints)), nil
 }
 
 // RetrieveN returns the up-to-n most similar implementations that meet
 // the threshold, best first — the §5 n-best extension. It returns
 // ErrNoMatch when none qualifies, so the caller can relax constraints.
-// Selection is one pass of bounded insertion into the n best so far.
 func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
@@ -366,6 +350,24 @@ func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	top, err := e.selectTop(ft, req, n)
+	e.met.observeLatency(start)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(top))
+	for r, i := range top {
+		out[r] = e.result(ft, i, len(req.Constraints))
+	}
+	return out, nil
+}
+
+// selectTop is the one selection pass over the last walk's scores: it
+// keeps the n best variants that meet the threshold, best first, by
+// bounded insertion (with n = 1, fig. 6's running best), counting the
+// variants the threshold rejects and tracking the best one overall for
+// ErrNoMatch.Best. The returned indices live in e.top until the next walk.
+func (e *Engine) selectTop(ft *casebase.FunctionType, req casebase.Request, n int) ([]int, error) {
 	th := e.opt.Threshold
 	n = min(n, len(e.scores))
 	top := e.top[:0]
@@ -392,16 +394,11 @@ func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 		top[j] = i
 	}
 	e.top = top
-	e.met.observeLatency(start)
 	e.stats.BelowThreshold += below
 	e.met.BelowThreshold.Add(int64(below))
 	if len(top) == 0 {
 		e.met.NoMatch.Inc()
 		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: e.scores[best]}
 	}
-	out := make([]Result, len(top))
-	for r, i := range top {
-		out[r] = e.result(ft, i, len(req.Constraints))
-	}
-	return out, nil
+	return top, nil
 }
