@@ -2,8 +2,9 @@
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
 # under the race detector, the retrieval allocation guard, the
 # observability golden tests, a one-iteration benchmark smoke pass, the
-# benchmark, API, fleet, learn and load gates. This is the one gate list: `make ci` runs this script,
-# and it needs nothing but the go tool and a POSIX shell.
+# benchmark, API, fleet, learn and load gates. This is the one gate
+# list: `make ci` runs this script, and it needs nothing but the go tool
+# and a POSIX shell.
 set -eux
 
 go build ./...
