@@ -12,8 +12,10 @@
 package casebase
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"qosalloc/internal/attr"
@@ -106,6 +108,11 @@ func (im *Implementation) Attr(id attr.ID) (attr.Value, bool) {
 
 // FunctionType is one node of the top-level list: a basic function type
 // and its implementation variants, sorted by implementation ID.
+//
+// A FunctionType reached through a CaseBase is immutable: epochs derived
+// from one another (CaseBase.Derive) share unchanged types, their Impls
+// arrays and their variants' Attrs arrays, so a write through any of
+// them would change every epoch that holds it.
 type FunctionType struct {
 	ID    TypeID
 	Name  string
@@ -122,6 +129,67 @@ func (ft *FunctionType) Impl(id ImplID) (*Implementation, bool) {
 	return nil, false
 }
 
+// admit is the check a variant passes before joining a type under
+// construction: its ID is not reserved and not yet taken.
+func (ft *FunctionType) admit(id ImplID) error {
+	if id == 0 || id == 0xFFFF {
+		return fmt.Errorf("casebase: impl ID %d is reserved (type %d)", id, ft.ID)
+	}
+	if _, dup := ft.Impl(id); dup {
+		return fmt.Errorf("casebase: duplicate impl %d in type %d", id, ft.ID)
+	}
+	return nil
+}
+
+// carries reports whether im is a variant of ft that still shares ft's
+// attribute slice, i.e. data ft was validated with. ft's variants must
+// be sorted by ID.
+func (ft *FunctionType) carries(im *Implementation) bool {
+	lo, hi := 0, len(ft.Impls)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ft.Impls[m].ID < im.ID {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(ft.Impls) || ft.Impls[lo].ID != im.ID {
+		return false
+	}
+	a, b := im.Attrs, ft.Impls[lo].Attrs
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// validate sorts ft's admitted variants by ID and appends what is wrong
+// with the type: no variants at all (§3: "it should not happen that the
+// desired type is not found"), attribute IDs that are not strictly
+// ascending (one value per type), and pairs that reference an undefined
+// attribute type or leave its design-global bounds. Variants that base
+// (nil for none) carries are skipped: they passed these same checks when
+// base was built, against the same sealed registry.
+func (ft *FunctionType) validate(errs []error, reg *attr.Registry, base *FunctionType) []error {
+	if len(ft.Impls) == 0 {
+		errs = append(errs, fmt.Errorf("casebase: function type %d (%s) has no implementations", ft.ID, ft.Name))
+	}
+	slices.SortFunc(ft.Impls, func(a, b Implementation) int { return cmp.Compare(a.ID, b.ID) })
+	for i := range ft.Impls {
+		im := &ft.Impls[i]
+		if base != nil && base.carries(im) {
+			continue
+		}
+		if err := attr.CheckSorted(im.Attrs); err != nil {
+			errs = append(errs, fmt.Errorf("casebase: type %d impl %d: %w", ft.ID, im.ID, err))
+		}
+		for _, p := range im.Attrs {
+			if err := reg.Validate(p); err != nil {
+				errs = append(errs, fmt.Errorf("casebase: type %d impl %d: %w", ft.ID, im.ID, err))
+			}
+		}
+	}
+	return errs
+}
+
 // CaseBase is the complete, validated implementation tree together with
 // the attribute registry that defines the design-global value bounds.
 type CaseBase struct {
@@ -134,8 +202,10 @@ type CaseBase struct {
 // against.
 func (cb *CaseBase) Registry() *attr.Registry { return cb.registry }
 
-// Types returns the function types in ascending TypeID order. The slice
-// is shared; callers must not mutate it.
+// Types returns the function types in ascending TypeID order. The tree
+// is shared — between callers and, down to the attribute pairs, with the
+// epochs derived from this one and the one it was derived from — so
+// callers must never mutate it.
 func (cb *CaseBase) Types() []FunctionType { return cb.types }
 
 // Type returns the function type entry for id. Retrieval begins with this
@@ -147,6 +217,55 @@ func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
 		return nil, false
 	}
 	return &cb.types[i], true
+}
+
+// Derive returns the case base that differs from cb only in the given
+// types, each replacing cb's type of the same ID. It is the commit step
+// of run-time learning: a commit names the few types it revises,
+// retains into or retires from, and everything else is shared, not
+// copied — cb's sealed registry, its type index (the set of types does
+// not change), every type not replaced, and within a replaced type
+// every variant whose attribute slice is still cb's.
+//
+// types must be in strictly ascending ID order and name only types of
+// cb. Each one's Impls lists its variants in the order
+// Builder.AddImpl would receive them; Derive admits them as AddImpl does
+// and validates the types as Builder.Build does, skipping only the
+// variants it shares with cb, so it returns the same errors in the same
+// order. Derive takes ownership of the Impls slices and of the
+// attribute slices it does not share with cb, sorting both in place.
+func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
+	next := &CaseBase{registry: cb.registry, types: slices.Clone(cb.types), byID: cb.byID}
+	var admitErrs, errs []error
+	for k := range types {
+		ft := &types[k]
+		i, ok := cb.byID[ft.ID]
+		if !ok {
+			return nil, fmt.Errorf("casebase: Derive of undeclared type %d", ft.ID)
+		}
+		if k > 0 && ft.ID <= types[k-1].ID {
+			return nil, fmt.Errorf("casebase: Derive types not in ascending order at type %d", ft.ID)
+		}
+		base := &cb.types[i]
+		given := ft.Impls
+		ft.Impls = given[:0]
+		for _, im := range given {
+			if err := ft.admit(im.ID); err != nil {
+				admitErrs = append(admitErrs, err)
+				continue
+			}
+			if !base.carries(&im) {
+				attr.SortPairs(im.Attrs)
+			}
+			ft.Impls = append(ft.Impls, im)
+		}
+		errs = ft.validate(errs, cb.registry, base)
+		next.types[i] = *ft
+	}
+	if errs = append(admitErrs, errs...); len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	return next, nil
 }
 
 // NumTypes returns the number of basic function types offered.
@@ -237,12 +356,8 @@ func (b *Builder) AddImpl(t TypeID, im Implementation) *Builder {
 		b.errs = append(b.errs, fmt.Errorf("casebase: AddImpl for undeclared type %d", t))
 		return b
 	}
-	if im.ID == 0 || im.ID == 0xFFFF {
-		b.errs = append(b.errs, fmt.Errorf("casebase: impl ID %d is reserved (type %d)", im.ID, t))
-		return b
-	}
-	if _, dup := ft.Impl(im.ID); dup {
-		b.errs = append(b.errs, fmt.Errorf("casebase: duplicate impl %d in type %d", im.ID, t))
+	if err := ft.admit(im.ID); err != nil {
+		b.errs = append(b.errs, err)
 		return b
 	}
 	im.Attrs = append([]attr.Pair(nil), im.Attrs...)
@@ -264,21 +379,7 @@ func (b *Builder) Build() (*CaseBase, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		ft := b.types[id]
-		if len(ft.Impls) == 0 {
-			errs = append(errs, fmt.Errorf("casebase: function type %d (%s) has no implementations", ft.ID, ft.Name))
-		}
-		sort.Slice(ft.Impls, func(i, j int) bool { return ft.Impls[i].ID < ft.Impls[j].ID })
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			if err := attr.CheckSorted(im.Attrs); err != nil {
-				errs = append(errs, fmt.Errorf("casebase: type %d impl %d: %w", ft.ID, im.ID, err))
-			}
-			for _, p := range im.Attrs {
-				if err := b.registry.Validate(p); err != nil {
-					errs = append(errs, fmt.Errorf("casebase: type %d impl %d: %w", ft.ID, im.ID, err))
-				}
-			}
-		}
+		errs = ft.validate(errs, b.registry, nil)
 		cb.byID[ft.ID] = len(cb.types)
 		cb.types = append(cb.types, *ft)
 	}

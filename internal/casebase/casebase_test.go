@@ -1,6 +1,7 @@
 package casebase
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -208,5 +209,71 @@ func TestBuildSealsRegistry(t *testing.T) {
 func TestTargetString(t *testing.T) {
 	if TargetFPGA.String() != "FPGA" || TargetDSP.String() != "DSP" || TargetGPP.String() != "GP-Proc" {
 		t.Error("Target.String names wrong")
+	}
+}
+
+// TestDerive checks the derived constructor on the paper tree: a
+// replaced type is admitted, sorted and validated like Builder input
+// while unreplaced types and carried variants stay shared, and misuse
+// (an undeclared type, types out of order) is refused.
+func TestDerive(t *testing.T) {
+	cb, _ := PaperCaseBase()
+	fir, _ := cb.Type(TypeFIREqualizer)
+	fft, _ := cb.Type(Type1DFFT)
+
+	// Keep FIR's variants 3 and 1, and add a variant 7 whose attributes
+	// arrive unsorted.
+	impls := []Implementation{fir.Impls[2], fir.Impls[0], {ID: 7, Attrs: []attr.Pair{
+		{ID: AttrSampleRate, Value: 30}, {ID: AttrBitwidth, Value: 16},
+	}}}
+	next, err := cb.Derive([]FunctionType{{ID: fir.ID, Name: fir.Name, Impls: impls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nfir, _ := next.Type(TypeFIREqualizer)
+	var ids []ImplID
+	for _, im := range nfir.Impls {
+		ids = append(ids, im.ID)
+	}
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 7 {
+		t.Fatalf("derived FIR variants = %v, want [1 3 7]", ids)
+	}
+	if &nfir.Impls[0].Attrs[0] != &fir.Impls[0].Attrs[0] {
+		t.Error("carried variant 1 does not share its attributes")
+	}
+	if err := attr.CheckSorted(nfir.Impls[2].Attrs); err != nil {
+		t.Errorf("new variant's attributes not sorted: %v", err)
+	}
+	if nfft, _ := next.Type(Type1DFFT); &nfft.Impls[0] != &fft.Impls[0] {
+		t.Error("unreplaced type was copied")
+	}
+	if next.Registry() != cb.Registry() {
+		t.Error("registry not shared")
+	}
+	if len(fir.Impls) != 3 || fir.Impls[1].ID != 2 {
+		t.Error("Derive changed its base")
+	}
+
+	// Errors come in Builder order: admission first, then validation.
+	_, err = cb.Derive([]FunctionType{
+		{ID: fir.ID, Name: fir.Name, Impls: []Implementation{
+			{ID: 9, Attrs: []attr.Pair{{ID: AttrSampleRate, Value: 9999}}}, {ID: 0xFFFF},
+		}},
+		{ID: fft.ID, Name: fft.Name},
+	})
+	want := "casebase: impl ID 65535 is reserved (type 1)\n" +
+		"casebase: type 1 impl 9: attr: \"sample-rate\" value 9999 outside design bounds [8, 44]\n" +
+		"casebase: function type 2 (1D-FFT) has no implementations"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v\nwant %s", err, want)
+	}
+
+	if _, err := cb.Derive([]FunctionType{{ID: 42, Impls: slices.Clone(fir.Impls)}}); err == nil {
+		t.Error("Derive of an undeclared type succeeded")
+	}
+	if _, err := cb.Derive([]FunctionType{
+		{ID: fft.ID, Impls: slices.Clone(fft.Impls)}, {ID: fir.ID, Impls: slices.Clone(fir.Impls)},
+	}); err == nil {
+		t.Error("Derive of types out of order succeeded")
 	}
 }

@@ -10,10 +10,11 @@ import (
 
 // Builder stages one commit over a committed case base: LSB-quantized
 // attribute revisions (written by Delta.FoldInto), retained variants
-// and retired IDs. It never mutates the committed base; Build emits a
-// fresh, validated CaseBase. The caller swaps engines, regenerates
-// memory images and invalidates bypass tokens — exactly the update
-// protocol a dynamic BRAM reload would follow.
+// and retired IDs. It never mutates the committed base; Build emits the
+// next epoch's validated CaseBase, which shares every type and variant
+// the commit leaves unchanged with the base. The caller swaps engines,
+// regenerates memory images and invalidates bypass tokens — exactly the
+// update protocol a dynamic BRAM reload would follow.
 type Builder struct {
 	base     *casebase.CaseBase
 	revised  map[implKey]map[attr.ID]attr.Value
@@ -92,47 +93,86 @@ func (b *Builder) Retire(t casebase.TypeID, id casebase.ImplID) error {
 	return nil
 }
 
-// Build emits a fresh, fully validated CaseBase with every staged
-// revision, retention and retirement applied, plus the count of
-// implementation entries that differ from the base.
+// Build emits the next epoch's CaseBase with every staged revision,
+// retention and retirement applied, plus the count of implementation
+// entries that differ from the base. Only the types a staged edit
+// changes are rebuilt and validated (casebase.CaseBase.Derive); every
+// other type, and every variant of a rebuilt type that no revision
+// changed, is shared with the base rather than copied.
 func (b *Builder) Build() (*casebase.CaseBase, int, error) {
-	cbb := casebase.NewBuilder(b.base.Registry())
+	touched := make(map[casebase.TypeID]bool)
+	for k := range b.revised {
+		touched[k.t] = true
+	}
+	for k := range b.retired {
+		touched[k.t] = true
+	}
+	for t := range b.retained {
+		touched[t] = true
+	}
+	var types []casebase.FunctionType
 	changed := 0
 	for _, ft := range b.base.Types() {
-		cbb.AddType(ft.ID, ft.Name)
-		for i := range ft.Impls {
-			im := ft.Impls[i]
-			k := implKey{ft.ID, im.ID}
-			if b.retired[k] {
-				changed++
-				continue
-			}
-			if rev, ok := b.revised[k]; ok {
-				attrs := append([]attr.Pair(nil), im.Attrs...)
-				implChanged := false
-				for j := range attrs {
-					if v, ok := rev[attrs[j].ID]; ok && v != attrs[j].Value {
-						attrs[j].Value = v
-						implChanged = true
-					}
-				}
-				im.Attrs = attrs
-				if implChanged {
-					changed++
-				}
-			}
-			cbb.AddImpl(ft.ID, im)
+		if !touched[ft.ID] {
+			continue
 		}
-		news := append([]casebase.Implementation(nil), b.retained[ft.ID]...)
-		sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
-		for _, im := range news {
-			cbb.AddImpl(ft.ID, im)
-			changed++
+		impls, n := b.apply(&ft)
+		if n == 0 {
+			continue // only no-op revisions: the type stays shared
 		}
+		types = append(types, casebase.FunctionType{ID: ft.ID, Name: ft.Name, Impls: impls})
+		changed += n
 	}
-	cb, err := cbb.Build()
+	cb, err := b.base.Derive(types)
 	if err != nil {
 		return nil, 0, err
 	}
 	return cb, changed, nil
+}
+
+// apply returns ft's variants with this commit's edits applied, in the
+// order casebase.Builder.AddImpl would receive them — the surviving base
+// variants in base order, then the retained ones by ID — and the number
+// of entries that changed. A surviving variant keeps its attribute slice
+// unless a revision changes one of its values; a retained variant gets a
+// copy of its own, which Derive sorts.
+func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, int) {
+	news := b.retained[ft.ID]
+	impls := make([]casebase.Implementation, 0, len(ft.Impls)+len(news))
+	changed := 0
+	for _, im := range ft.Impls {
+		k := implKey{ft.ID, im.ID}
+		if b.retired[k] {
+			changed++
+			continue
+		}
+		if attrs := revisedAttrs(im.Attrs, b.revised[k]); attrs != nil {
+			im.Attrs = attrs
+			changed++
+		}
+		impls = append(impls, im)
+	}
+	news = append([]casebase.Implementation(nil), news...)
+	sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
+	for _, im := range news {
+		im.Attrs = append([]attr.Pair(nil), im.Attrs...)
+		impls = append(impls, im)
+		changed++
+	}
+	return impls, changed
+}
+
+// revisedAttrs returns a copy of attrs carrying the revised values, or
+// nil when no revision changes a value.
+func revisedAttrs(attrs []attr.Pair, rev map[attr.ID]attr.Value) []attr.Pair {
+	var out []attr.Pair
+	for j, p := range attrs {
+		if v, ok := rev[p.ID]; ok && v != p.Value {
+			if out == nil {
+				out = append([]attr.Pair(nil), attrs...)
+			}
+			out[j].Value = v
+		}
+	}
+	return out
 }

@@ -217,11 +217,50 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// checkShared asserts that next, built by b, shares with b's base what
+// the commit left alone: the Impls array of every type no staged edit
+// names, and the Attrs array of every surviving variant no revision
+// changed.
+func checkShared(t *testing.T, where string, b *Builder, next *casebase.CaseBase) {
+	t.Helper()
+	named := make(map[casebase.TypeID]bool)
+	for k := range b.revised {
+		named[k.t] = true
+	}
+	for k := range b.retired {
+		named[k.t] = true
+	}
+	for ty := range b.retained {
+		named[ty] = true
+	}
+	for i, ft := range b.base.Types() {
+		nt := next.Types()[i]
+		if !named[ft.ID] && &nt.Impls[0] != &ft.Impls[0] {
+			t.Fatalf("%s: untouched type %d was copied", where, ft.ID)
+		}
+		for j := range nt.Impls {
+			im := &nt.Impls[j]
+			old, ok := ft.Impl(im.ID)
+			if !ok || len(im.Attrs) == 0 || !reflect.DeepEqual(im.Attrs, old.Attrs) {
+				continue
+			}
+			retained := false
+			for _, r := range b.retained[ft.ID] {
+				retained = retained || r.ID == im.ID
+			}
+			if !retained && &im.Attrs[0] != &old.Attrs[0] {
+				t.Fatalf("%s: unchanged variant %d/%d was copied", where, ft.ID, im.ID)
+			}
+		}
+	}
+}
+
 // TestBuildMatchesFullRebuild runs seeded commit sequences over the
 // paper's case base and a generated 24×16×8 one, staging every commit
 // into two builders over the same base: Build must produce the tree,
 // the changed count and the error text referenceBuild does, and must
-// leave the base it read untouched. Each successful commit becomes the
+// leave the base it read untouched, sharing with it every type and
+// variant the commit did not change. Each successful commit becomes the
 // next one's base, so sequences also build on derived trees.
 func TestBuildMatchesFullRebuild(t *testing.T) {
 	paper, err := casebase.PaperCaseBase()
@@ -285,6 +324,7 @@ func TestBuildMatchesFullRebuild(t *testing.T) {
 				if _, ok := cb.Type(0xFFF0); ok {
 					t.Fatalf("%s: Type(0xFFF0) found", where)
 				}
+				checkShared(t, where, got, cb)
 				base = cb
 			}
 		}
