@@ -87,11 +87,13 @@ fleetcheck:
 	$(GO) test -run 'TestFleetNoisyNeighborIsolation|TestFleetCheckGolden|TestFleetReplayBitIdentical' -count=1 ./internal/fleet/
 
 # Live case-base mutation gate (DESIGN.md §14): the pinned E21 epoch
-# journal replays bit-identically at any shard count, retiring a
-# tokenized variant never serves a stale bypass, and the churn-under-
-# load stress passes under the race detector.
+# journal replays bit-identically at any shard count, incremental commits
+# match the full rebuild they replaced, retiring a tokenized variant
+# never serves a stale bypass, and the churn-under-load stress passes
+# under the race detector.
 learncheck:
 	$(GO) test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
+	$(GO) test -race -run TestBuildMatchesFullRebuild -count=1 ./internal/learn/
 	$(GO) test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager' -count=1 ./internal/serve/
 
 ci:

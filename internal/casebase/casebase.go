@@ -8,7 +8,8 @@
 // a set of attributes whose values are derived from simulations and tests
 // of the function's model" (§3). At run time it is read-only for
 // retrieval; dynamic update is the paper's future work and is supported
-// here through the Builder so a self-learning layer can regenerate it.
+// here through CaseBase.Derive, which builds the next epoch from the
+// types a self-learning layer changed and shares the rest.
 package casebase
 
 import (
@@ -172,7 +173,10 @@ func (ft *FunctionType) validate(errs []error, reg *attr.Registry, base *Functio
 	if len(ft.Impls) == 0 {
 		errs = append(errs, fmt.Errorf("casebase: function type %d (%s) has no implementations", ft.ID, ft.Name))
 	}
-	slices.SortFunc(ft.Impls, func(a, b Implementation) int { return cmp.Compare(a.ID, b.ID) })
+	byID := func(a, b Implementation) int { return cmp.Compare(a.ID, b.ID) }
+	if !slices.IsSortedFunc(ft.Impls, byID) {
+		slices.SortFunc(ft.Impls, byID)
+	}
 	for i := range ft.Impls {
 		im := &ft.Impls[i]
 		if base != nil && base.carries(im) {

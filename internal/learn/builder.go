@@ -142,7 +142,7 @@ func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, i
 	changed := 0
 	for _, im := range ft.Impls {
 		k := implKey{ft.ID, im.ID}
-		if b.retired[k] {
+		if len(b.retired) > 0 && b.retired[k] {
 			changed++
 			continue
 		}
@@ -165,6 +165,9 @@ func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, i
 // revisedAttrs returns a copy of attrs carrying the revised values, or
 // nil when no revision changes a value.
 func revisedAttrs(attrs []attr.Pair, rev map[attr.ID]attr.Value) []attr.Pair {
+	if len(rev) == 0 {
+		return nil
+	}
 	var out []attr.Pair
 	for j, p := range attrs {
 		if v, ok := rev[p.ID]; ok && v != p.Value {

@@ -18,8 +18,11 @@
 //
 // Nothing here mutates the live CaseBase (retrieval structures and
 // BRAM images are immutable): a commit drains the deltas and the
-// structural edits into a Builder, which emits a fresh, validated
-// CaseBase for the caller to swap in.
+// structural edits into a Builder, which emits the next epoch's
+// validated CaseBase for the caller to swap in. Only the types a commit
+// changes are rebuilt and validated; everything else — whole types and,
+// inside a rebuilt type, every variant no revision changed — is shared
+// with the previous epoch, which is why no tree may ever be mutated.
 package learn
 
 import (

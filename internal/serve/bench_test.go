@@ -2,9 +2,13 @@ package serve
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/learn"
 	"qosalloc/internal/retrieval"
 	"qosalloc/internal/workload"
 )
@@ -72,4 +76,61 @@ func BenchmarkServeBatch(b *testing.B) {
 	st := s.Stats()
 	b.ReportMetric(float64(st.TokenHits)/float64(b.N), "tokenhits/op")
 	b.ReportMetric(float64(st.DedupHits)/float64(b.N), "deduphits/op")
+}
+
+// BenchmarkCommitFold measures one fold commit on churn_alloc's tree
+// shape (24 types × 16 variants × 8 attributes): 24 observations, each
+// moving a different attribute value by one LSB, trip the fold
+// threshold, and the commit folds the revisions into the next epoch.
+// One op = the 24 observations plus the commit they trip.
+func BenchmarkCommitFold(b *testing.B) {
+	cb, _, err := workload.GenCaseBase(workload.CaseBaseSpec{
+		Types: 24, ImplsPerType: 16, AttrsPerImpl: 8, AttrUniverse: 12, ValueSpan: 1000, Seed: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const revisions = 24
+	s := New(cb, fig1System(b, cb), Config{Shards: 4,
+		Learning: LearnConfig{Enabled: true, Alpha: 1, FoldThreshold: revisions}})
+	defer s.Close()
+	type key struct {
+		t    casebase.TypeID
+		impl casebase.ImplID
+		attr attr.ID
+	}
+	rng := rand.New(rand.NewSource(5))
+	var keys []key
+	for len(keys) < revisions {
+		ft := cb.Types()[rng.Intn(cb.NumTypes())]
+		im := ft.Impls[rng.Intn(len(ft.Impls))]
+		k := key{ft.ID, im.ID, im.Attrs[rng.Intn(len(im.Attrs))].ID}
+		if !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur := s.CaseBase()
+		for _, k := range keys {
+			ft, _ := cur.Type(k.t)
+			im, _ := ft.Impl(k.impl)
+			v, _ := im.Attr(k.attr)
+			if d, _ := cur.Registry().Lookup(k.attr); v < d.Hi {
+				v++
+			} else {
+				v--
+			}
+			err := s.Observe(learn.Observation{Type: k.t, Impl: k.impl,
+				Measured: []attr.Pair{{ID: k.attr, Value: v}}})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if got := s.EpochStats().Folds; got != int64(b.N) {
+		b.Fatalf("%d folds for %d ops", got, b.N)
+	}
 }

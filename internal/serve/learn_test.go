@@ -290,55 +290,91 @@ func TestRetireInvalidatesBypassTokens(t *testing.T) {
 	}
 }
 
-// TestSwapMatchesFromScratchRebuild is the equivalence guard: after a
-// run of observations and structural mutations, batched retrieval
-// through the long-lived service must be bit-identical to a sequential
-// engine walk over the committed tree — the swap pipeline leaves no
-// residue a from-scratch rebuild wouldn't have.
+// TestSwapMatchesFromScratchRebuild is the equivalence guard for
+// incremental commits: after every commit of a seeded run of
+// observations, retains and retires, the committed tree must equal a
+// from-scratch casebase.Builder rebuild of its content, and batched
+// retrieval through the long-lived service must be bit-identical to a
+// sequential engine walk over that rebuild — the swap pipeline leaves
+// no residue a from-scratch rebuild wouldn't have.
 func TestSwapMatchesFromScratchRebuild(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 120, 0.4)
 	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxBatch: 16, Learning: learnConfig(8, 0)})
 	defer s.Close()
 
-	rng := rand.New(rand.NewSource(7))
-	types := cb.Types()
-	for i := 0; i < 40; i++ {
-		ft := types[rng.Intn(len(types))]
-		im := ft.Impls[rng.Intn(len(ft.Impls))]
-		p := im.Attrs[rng.Intn(len(im.Attrs))]
-		err := s.Observe(learn.Observation{Type: ft.ID, Impl: im.ID,
-			Measured: []attr.Pair{{ID: p.ID, Value: nudged(t, cb, p.ID, p.Value)}}})
+	ctx := context.Background()
+	check := func(step int) {
+		t.Helper()
+		cur := s.CaseBase()
+		rb := casebase.NewBuilder(cur.Registry())
+		for _, ft := range cur.Types() {
+			rb.AddType(ft.ID, ft.Name)
+			for _, im := range ft.Impls {
+				rb.AddImpl(ft.ID, im)
+			}
+		}
+		fresh, err := rb.Build()
+		if err != nil {
+			t.Fatalf("step %d epoch %d: from-scratch rebuild: %v", step, s.Epoch(), err)
+		}
+		if !reflect.DeepEqual(cur.Types(), fresh.Types()) {
+			t.Fatalf("step %d epoch %d: committed tree differs from its from-scratch rebuild", step, s.Epoch())
+		}
+		eng := retrieval.NewEngine(fresh, retrieval.Options{})
+		out, err := s.RetrieveBatch(ctx, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	src := types[0].Impls[0]
-	if _, err := s.Retain(types[0].ID, casebase.Implementation{
-		Name: "equiv-v1", Target: src.Target,
-		Attrs: append([]attr.Pair(nil), src.Attrs...), Foot: src.Foot,
-	}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Retire(types[1].ID, types[1].Impls[2].ID, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() < 3 {
-		t.Fatalf("epoch = %d, want several commits", s.Epoch())
+		for k, o := range out {
+			want, wantErr := eng.Retrieve(reqs[k])
+			if (o.Err == nil) != (wantErr == nil) {
+				t.Fatalf("step %d epoch %d req %d: err = %v, fresh walk err = %v", step, s.Epoch(), k, o.Err, wantErr)
+			}
+			if !reflect.DeepEqual(o.Result, want) {
+				t.Fatalf("step %d epoch %d req %d: served %+v != fresh walk %+v", step, s.Epoch(), k, o.Result, want)
+			}
+		}
 	}
 
-	eng := retrieval.NewEngine(s.CaseBase(), retrieval.Options{})
-	out, err := s.RetrieveBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	epoch, retained, retired := s.Epoch(), 0, 0
+	check(-1)
+	for step := 0; step < 400; step++ {
+		types := s.CaseBase().Types()
+		ft := types[rng.Intn(len(types))]
+		im := ft.Impls[rng.Intn(len(ft.Impls))]
+		switch k := rng.Intn(40); {
+		case k < 35:
+			p := im.Attrs[rng.Intn(len(im.Attrs))]
+			err := s.Observe(learn.Observation{Type: ft.ID, Impl: im.ID,
+				Measured: []attr.Pair{{ID: p.ID, Value: nudged(t, cb, p.ID, p.Value)}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		case k < 38:
+			if _, err := s.Retain(ft.ID, casebase.Implementation{
+				Name: fmt.Sprintf("equiv-%d", step), Target: im.Target,
+				Attrs: append([]attr.Pair(nil), im.Attrs...), Foot: im.Foot,
+			}, 0); err != nil {
+				t.Fatal(err)
+			}
+			retained++
+		default:
+			if len(ft.Impls) < 3 {
+				continue
+			}
+			if err := s.Retire(ft.ID, im.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+			retired++
+		}
+		if e := s.Epoch(); e != epoch {
+			check(step)
+			epoch = e
+		}
 	}
-	for k, o := range out {
-		want, wantErr := eng.Retrieve(reqs[k])
-		if (o.Err == nil) != (wantErr == nil) {
-			t.Fatalf("req %d: err = %v, sequential err = %v", k, o.Err, wantErr)
-		}
-		if !reflect.DeepEqual(o.Result, want) {
-			t.Fatalf("req %d: served %+v != fresh walk %+v", k, o.Result, want)
-		}
+	if st := s.EpochStats(); st.Folds < 10 || retained < 10 || retired < 10 {
+		t.Fatalf("schedule too thin: %d folds, %d retained, %d retired", st.Folds, retained, retired)
 	}
 }
 

@@ -47,11 +47,13 @@ go doc -all . | diff -u api.txt - || {
 # and reproduce the pinned fleet journal hash (mirrors `make fleetcheck`).
 go test -run 'TestFleetNoisyNeighborIsolation|TestFleetCheckGolden|TestFleetReplayBitIdentical' -count=1 ./internal/fleet/
 # Live case-base mutation gate (mirrors `make learncheck`): the pinned
-# E21 epoch journal replays bit-identically at any shard count, retiring
-# a tokenized variant never serves a stale bypass, the churn stress
-# passes under the race detector, and Allocate never holds candidates
-# from an epoch newer than the manager's.
+# E21 epoch journal replays bit-identically at any shard count,
+# incremental commits match the full rebuild they replaced (trees,
+# changed counts, errors), retiring a tokenized variant never serves a
+# stale bypass, the churn stress passes under the race detector, and
+# Allocate never holds candidates from an epoch newer than the manager's.
 go test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
+go test -race -run TestBuildMatchesFullRebuild -count=1 ./internal/learn/
 go test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager' -count=1 ./internal/serve/
 # qosd/qosload end-to-end smoke: scenario reports validate against the
 # wire schema, lockstep replay is outcome-identical, SIGTERM drains
