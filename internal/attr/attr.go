@@ -237,13 +237,7 @@ func (r *Registry) Validate(p Pair) error {
 // to be pre-sorted by their ID in ascending order ... as a consequence the
 // effort for searching becomes linear").
 func SortPairs(ps []Pair) {
-	for i := 1; i < len(ps); i++ {
-		if ps[i].ID <= ps[i-1].ID {
-			sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
-			return
-		}
-	}
-	// Strictly ascending already: sorting could not move anything.
+	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
 }
 
 // CheckSorted returns an error unless ps is strictly ascending by ID

@@ -233,11 +233,11 @@ func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
 //
 // types must be in strictly ascending ID order and name only types of
 // cb. Each one's Impls lists its variants in the order
-// Builder.AddImpl would receive them; Derive admits them as AddImpl does
-// and validates the types as Builder.Build does, skipping only the
-// variants it shares with cb, so it returns the same errors in the same
-// order. Derive takes ownership of the Impls slices and of the
-// attribute slices it does not share with cb, sorting both in place.
+// Builder.AddImpl would receive them, with attributes sorted as AddImpl
+// sorts them; Derive admits them as AddImpl does and validates the types
+// as Builder.Build does, skipping only the variants it shares with cb,
+// so it returns the same errors in the same order. Derive takes
+// ownership of the Impls slices, which it filters and sorts in place.
 func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 	next := &CaseBase{registry: cb.registry, types: slices.Clone(cb.types), byID: cb.byID}
 	var admitErrs, errs []error
@@ -257,9 +257,6 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 			if err := ft.admit(im.ID); err != nil {
 				admitErrs = append(admitErrs, err)
 				continue
-			}
-			if !base.carries(&im) {
-				attr.SortPairs(im.Attrs)
 			}
 			ft.Impls = append(ft.Impls, im)
 		}

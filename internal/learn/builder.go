@@ -135,14 +135,14 @@ func (b *Builder) Build() (*casebase.CaseBase, int, error) {
 // variants in base order, then the retained ones by ID — and the number
 // of entries that changed. A surviving variant keeps its attribute slice
 // unless a revision changes one of its values; a retained variant gets a
-// copy of its own, which Derive sorts.
+// sorted copy of its own.
 func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, int) {
 	news := b.retained[ft.ID]
 	impls := make([]casebase.Implementation, 0, len(ft.Impls)+len(news))
 	changed := 0
 	for _, im := range ft.Impls {
 		k := implKey{ft.ID, im.ID}
-		if len(b.retired) > 0 && b.retired[k] {
+		if b.retired[k] {
 			changed++
 			continue
 		}
@@ -156,6 +156,7 @@ func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, i
 	sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
 	for _, im := range news {
 		im.Attrs = append([]attr.Pair(nil), im.Attrs...)
+		attr.SortPairs(im.Attrs)
 		impls = append(impls, im)
 		changed++
 	}
