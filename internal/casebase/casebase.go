@@ -232,12 +232,13 @@ func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
 // every variant whose attribute slice is still cb's.
 //
 // types must be in strictly ascending ID order and name only types of
-// cb. Each one's Impls lists its variants in the order
-// Builder.AddImpl would receive them, with attributes sorted as AddImpl
-// sorts them; Derive admits them as AddImpl does and validates the types
-// as Builder.Build does, skipping only the variants it shares with cb,
-// so it returns the same errors in the same order. Derive takes
-// ownership of the Impls slices, which it filters and sorts in place.
+// cb. Each one's Impls lists its variants in the order Builder.AddImpl
+// would receive them. Derive admits them as AddImpl does and validates
+// the types as Builder.Build does, skipping only the variants it shares
+// with cb, so it returns the same errors in the same order. Unlike
+// AddImpl it does not sort attribute lists; an unsorted one is reported.
+// Derive takes ownership of the Impls slices, which it filters and
+// sorts in place.
 func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 	next := &CaseBase{registry: cb.registry, types: slices.Clone(cb.types), byID: cb.byID}
 	var admitErrs, errs []error
