@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,17 +22,17 @@ func unsortRequest(req casebase.Request) casebase.Request {
 	return out
 }
 
-// TestCompactMatchesFixedBitIdentical is the tentpole gate on the
-// software side: across randomized case bases and requests — sorted and
-// unsorted constraint orders alike — the compacted kernel must return
-// exactly the FixedEngine result, bit for bit: same implementation,
-// same Q15 similarity, same n-best ranking.
+// TestCompactMatchesFixedBitIdentical is the differential gate for the
+// compacted kernel: across randomized case bases and requests — sorted
+// and unsorted constraint orders alike — it must return exactly the
+// pointer-walking reference's result, bit for bit: same
+// implementation, same Q15 similarity, same n-best ranking.
 func TestCompactMatchesFixedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const trials = 300
 	for trial := 0; trial < trials; trial++ {
 		cb, reg := randomCaseBase(r, 3, 8, 5, 10)
-		fe := NewFixedEngine(cb)
+		fe := newFixedReference(cb)
 		ce, err := NewCompactEngine(cb)
 		if err != nil {
 			t.Fatal(err)
@@ -62,16 +63,39 @@ func TestCompactMatchesFixedBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// Tie-rich bases with sparse IDs, missing attributes, NaN or zero
+	// weights and invalid requests: answers and error texts must match.
+	for trial := 0; trial < trials; trial++ {
+		cb, reg := tieCaseBase(r)
+		fe := newFixedReference(cb)
+		ce, err := NewCompactEngine(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := tieRequest(r, cb, reg)
+		fbest, ferr := fe.Retrieve(req)
+		cbest, cerr := ce.Retrieve(req)
+		if fbest != cbest || fmt.Sprint(ferr) != fmt.Sprint(cerr) {
+			t.Fatalf("tie trial %d: fixed %+v (%v), compact %+v (%v)", trial, fbest, ferr, cbest, cerr)
+		}
+		for _, n := range []int{0, 1, 3} {
+			fn, ferr := fe.RetrieveN(req, n)
+			cn, cerr := ce.RetrieveN(req, n)
+			if !reflect.DeepEqual(fn, cn) || fmt.Sprint(ferr) != fmt.Sprint(cerr) {
+				t.Fatalf("tie trial %d n=%d:\nfixed   %+v (%v)\ncompact %+v (%v)", trial, n, fn, ferr, cn, cerr)
+			}
+		}
+	}
 }
 
 // TestCompactScoreTypeMatchesFixedScores pins the per-implementation
 // Q15 column, not just the winner: every score in storage order must be
-// bit-identical to FixedEngine.Score on the corresponding variant.
+// bit-identical to the reference's Score on the corresponding variant.
 func TestCompactScoreTypeMatchesFixedScores(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		cb, reg := randomCaseBase(r, 2, 6, 4, 8)
-		fe := NewFixedEngine(cb)
+		fe := newFixedReference(cb)
 		ce, err := NewCompactEngine(cb)
 		if err != nil {
 			t.Fatal(err)

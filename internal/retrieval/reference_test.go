@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/fixed"
 	"qosalloc/internal/similarity"
 )
 
@@ -158,6 +159,97 @@ func (e *refEngine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if len(out) == 0 {
 		e.met.NoMatch.Inc()
 		return nil, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: all[0].Similarity}
+	}
+	return out, nil
+}
+
+// fixedReference is the pointer-walking Q15 engine as it stood before
+// the fold into the compacted kernel: it walks the case-base tree,
+// looks every attribute up through Implementation.Attr and its
+// reciprocal in a map, and converts the request weights once per
+// variant. It is kept only as the differential-test reference and the
+// bench-compact baseline for FixedEngine.
+type fixedReference struct {
+	cb     *casebase.CaseBase
+	recips map[uint16]fixed.UQ16
+}
+
+func newFixedReference(cb *casebase.CaseBase) *fixedReference {
+	fr := &fixedReference{cb: cb, recips: make(map[uint16]fixed.UQ16)}
+	for _, id := range cb.Registry().IDs() {
+		dmax, _ := cb.Registry().DMax(id)
+		fr.recips[uint16(id)] = fixed.Recip(dmax)
+	}
+	return fr
+}
+
+// Score is the datapath arithmetic for one variant: s_i = 1 - d·recip
+// per requested attribute (missing ⇒ 0), acc += w_i·s_i with saturation.
+func (fr *fixedReference) Score(im *casebase.Implementation, req casebase.Request) fixed.Q15 {
+	ws := make([]float64, len(req.Constraints))
+	for i, c := range req.Constraints {
+		ws[i] = c.Weight
+	}
+	w := fixed.WeightsQ15(ws)
+	var acc fixed.Q15
+	for i, c := range req.Constraints {
+		v, found := im.Attr(c.ID)
+		if !found {
+			continue
+		}
+		d := fixed.Dist(uint16(c.Value), uint16(v))
+		acc = fixed.WeightedAcc(acc, w[i], fixed.LocalSim(d, fr.recips[uint16(c.ID)]))
+	}
+	return acc
+}
+
+// Retrieve is fig. 6's running maximum in storage order, strict > so
+// the first of equals wins.
+func (fr *fixedReference) Retrieve(req casebase.Request) (FixedResult, error) {
+	if err := req.Validate(fr.cb); err != nil {
+		return FixedResult{}, err
+	}
+	ft, _ := fr.cb.Type(req.Type)
+	best := FixedResult{Type: req.Type}
+	haveBest := false
+	for i := range ft.Impls {
+		s := fr.Score(&ft.Impls[i], req)
+		if !haveBest || s > best.Similarity {
+			best.Impl = ft.Impls[i].ID
+			best.Similarity = s
+			haveBest = true
+		}
+	}
+	if !haveBest {
+		return FixedResult{}, fmt.Errorf("retrieval: type %d has no implementations", req.Type)
+	}
+	return best, nil
+}
+
+// RetrieveN is the n best, best first, ties by ascending implementation ID.
+func (fr *fixedReference) RetrieveN(req casebase.Request, n int) ([]FixedResult, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
+	}
+	if err := req.Validate(fr.cb); err != nil {
+		return nil, err
+	}
+	ft, _ := fr.cb.Type(req.Type)
+	out := make([]FixedResult, 0, len(ft.Impls))
+	for i := range ft.Impls {
+		out = append(out, FixedResult{
+			Type: req.Type, Impl: ft.Impls[i].ID,
+			Similarity: fr.Score(&ft.Impls[i], req),
+		})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Similarity != out[j].Similarity {
+			return out[i].Similarity > out[j].Similarity
+		}
+		return out[i].Impl < out[j].Impl
+	})
+	if len(out) > n {
+		out = out[:n]
 	}
 	return out, nil
 }
