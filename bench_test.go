@@ -144,7 +144,10 @@ func BenchmarkFixedVsFloat(b *testing.B) {
 		}
 	})
 	b.Run("fixed16", func(b *testing.B) {
-		fe := retrieval.NewFixedEngine(cb)
+		fe, err := retrieval.NewFixedEngine(cb)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			if _, err := fe.Retrieve(reqs[i%len(reqs)]); err != nil {
 				b.Fatal(err)

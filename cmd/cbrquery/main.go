@@ -152,7 +152,10 @@ func main() {
 			}
 		}
 	case "fixed":
-		fe := qosalloc.NewFixedEngine(cb)
+		fe, err := qosalloc.NewFixedEngine(cb)
+		if err != nil {
+			fatal(err)
+		}
 		rs, err := fe.RetrieveN(req, *n)
 		if err != nil {
 			fatal(err)

@@ -42,10 +42,6 @@ type options struct {
 	windowUS   uint64
 	threshold  float64
 	preemption bool
-	// compact serves retrieval from the block-compacted layout (§5):
-	// datapath-precision similarities from the Q15 kernel, identical
-	// across shard counts.
-	compact bool
 
 	// Synthetic case base (shared contract with qosload).
 	types        int
@@ -277,7 +273,6 @@ func newDaemon(opt options) (*daemon, error) {
 		qosalloc.WithBatchWindow(qosalloc.Micros(opt.windowUS)),
 		qosalloc.WithThreshold(opt.threshold),
 		qosalloc.WithPreemption(opt.preemption),
-		qosalloc.WithCompactLayout(opt.compact),
 		qosalloc.WithRegistry(reg),
 	}
 	if opt.learn {

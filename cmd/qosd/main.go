@@ -46,7 +46,6 @@ func main() {
 	flag.Uint64Var(&opt.windowUS, "batch-window-us", opt.windowUS, "micro-batch linger budget (sim µs)")
 	flag.Float64Var(&opt.threshold, "threshold", opt.threshold, "similarity acceptance threshold")
 	flag.BoolVar(&opt.preemption, "preemption", opt.preemption, "allow priority preemption")
-	flag.BoolVar(&opt.compact, "compact", opt.compact, "serve retrieval from the block-compacted layout (datapath-precision similarities)")
 	flag.IntVar(&opt.types, "types", opt.types, "case-base function types")
 	flag.IntVar(&opt.implsPerType, "impls", opt.implsPerType, "implementations per type")
 	flag.IntVar(&opt.attrsPerImpl, "attrs", opt.attrsPerImpl, "attributes per implementation")

@@ -16,8 +16,8 @@
 //   - Retrieval: NewRetrievalEngine is the double-precision reference
 //     retrieval (eq. 1 local similarity, eq. 2 weighted amalgamation,
 //     thresholds, n-best); NewFixedEngine is the bit-exact 16-bit twin of the
-//     hardware datapath (internal/retrieval, internal/similarity,
-//     internal/fixed).
+//     hardware datapath, scoring over the §5 block-compacted memory image
+//     (internal/retrieval, internal/similarity, internal/fixed).
 //   - Memory images: EncodeTree/EncodeRequest/EncodeSupplemental lay the
 //     case base out as the paper's 16-bit linear lists (figs. 4–5), the
 //     format both hardware and software retrieval consume

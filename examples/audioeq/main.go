@@ -36,7 +36,11 @@ func main() {
 	}
 
 	// The three fixed-point implementations must agree bit-exactly.
-	fx, err := qosalloc.NewFixedEngine(cb).Retrieve(req)
+	fe, err := qosalloc.NewFixedEngine(cb)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fx, err := fe.Retrieve(req)
 	if err != nil {
 		log.Fatal(err)
 	}

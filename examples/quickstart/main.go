@@ -65,7 +65,10 @@ func main() {
 
 	// 4. The same request through the bit-exact 16-bit engine — the
 	// arithmetic the paper's FPGA unit implements.
-	fe := qosalloc.NewFixedEngine(cb)
+	fe, err := qosalloc.NewFixedEngine(cb)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fx, err := fe.Retrieve(req)
 	if err != nil {
 		log.Fatal(err)

@@ -210,12 +210,19 @@ func TestBitwidthSixteenMatchesFixedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := retrieval.NewFixedEngine(cb)
+	fe, err := retrieval.NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := casebase.PaperRequest()
+	qs, err := fe.ScoreType(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ft, _ := cb.Type(req.Type)
 	for i := range ft.Impls {
 		im := &ft.Impls[i]
-		want := fe.Score(im, req)
+		want := qs[i]
 		got := scoreAtWidth(cb, im, req, 16)
 		if int64(want) != got {
 			t.Errorf("impl %d: width-16 scorer %d != Q15 engine %d", im.ID, got, want)

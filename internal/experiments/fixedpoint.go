@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"qosalloc/internal/casebase"
 	"qosalloc/internal/retrieval"
 	"qosalloc/internal/workload"
 )
@@ -44,7 +45,10 @@ func FixedPointRun(trials int) (FixedPointData, error) {
 		if err != nil {
 			return d, err
 		}
-		fe := retrieval.NewFixedEngine(cb)
+		fe, err := retrieval.NewFixedEngine(cb)
+		if err != nil {
+			return d, err
+		}
 		e := retrieval.NewEngine(cb, retrieval.Options{})
 		for _, req := range reqs {
 			d.Trials++
@@ -56,13 +60,20 @@ func FixedPointRun(trials int) (FixedPointData, error) {
 			if err != nil {
 				return d, err
 			}
+			qs, err := fe.ScoreType(req)
+			if err != nil {
+				return d, err
+			}
 			// Track the worst absolute similarity error across the
-			// whole scored field, not just the winner.
-			ft, _ := cb.Type(req.Type)
+			// whole scored field, not just the winner: qs[i] scores
+			// Impls[i], matched to the float field by ID.
+			floatOf := make(map[casebase.ImplID]float64, len(all))
 			for _, res := range all {
-				im, _ := ft.Impl(res.Impl)
-				fs := fe.Score(im, req).Float()
-				if e := math.Abs(fs - res.Similarity); e > d.WorstAbsErr {
+				floatOf[res.Impl] = res.Similarity
+			}
+			ft, _ := cb.Type(req.Type)
+			for i, q := range qs {
+				if e := math.Abs(q.Float() - floatOf[ft.Impls[i].ID]); e > d.WorstAbsErr {
 					d.WorstAbsErr = e
 				}
 			}

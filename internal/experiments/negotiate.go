@@ -102,7 +102,10 @@ func NBest(w io.Writer) error {
 		return err
 	}
 	req := casebase.PaperRequest()
-	fe := retrieval.NewFixedEngine(cb)
+	fe, err := retrieval.NewFixedEngine(cb)
+	if err != nil {
+		return err
+	}
 	fx, err := fe.RetrieveN(req, 3)
 	if err != nil {
 		return err

@@ -38,7 +38,10 @@ func TestHardwareMatchesFixedEngine(t *testing.T) {
 	// produce the identical (ID, Q15 similarity) pair — they implement
 	// the same datapath.
 	cb, _ := casebase.PaperCaseBase()
-	fe := retrieval.NewFixedEngine(cb)
+	fe, err := retrieval.NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := casebase.PaperRequest()
 	hw, err := Retrieve(cb, req, Config{})
 	if err != nil {
@@ -194,7 +197,10 @@ func TestHardwareMissingAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := retrieval.NewFixedEngine(cb)
+	fe, err := retrieval.NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sw, _ := fe.Retrieve(req)
 	if res.ImplID != uint16(sw.Impl) || res.Sim != sw.Similarity {
 		t.Errorf("hw %+v disagrees with fixed engine %+v", res, sw)
@@ -212,7 +218,10 @@ func TestHardwareRandomAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		cb, reg := randomCaseBase(r, 1+r.Intn(4), 1+r.Intn(8), 1+r.Intn(6), 8)
-		fe := retrieval.NewFixedEngine(cb)
+		fe, err := retrieval.NewFixedEngine(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
 		req := randomRequest(r, cb, reg, 1+r.Intn(5))
 		sw, err := fe.Retrieve(req)
 		if err != nil {

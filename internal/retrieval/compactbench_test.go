@@ -1,30 +1,47 @@
-package qosalloc
+package retrieval
 
 // Compacted-layout retrieval benchmark (§5's projected ~2× speedup, the
 // software half). BenchmarkCompactVsFixedRetrieval reports both paths
 // under the normal -bench flow; TestCompactRetrievalSpeedup is the
 // `make bench-compact` CI gate — it measures both paths with
-// testing.Benchmark, FAILS if the compacted path is slower than the
-// uncompacted baseline, and refreshes BENCH_compact_retrieval.json when
-// pointed at an output file.
+// testing.Benchmark, FAILS if the compacted kernel (FixedEngine) is not
+// faster than the pointer-walking fixedReference, and refreshes
+// BENCH_compact_retrieval.json when pointed at an output file.
 
 import (
 	"encoding/json"
 	"os"
 	"testing"
 
+	"qosalloc/internal/casebase"
 	"qosalloc/internal/memlist"
-	"qosalloc/internal/retrieval"
+	"qosalloc/internal/workload"
 )
 
+// paperScaleFixtures is the benchmark case base (15 types × 10 variants
+// × 10 attributes) with a 64-request stream.
+func paperScaleFixtures(b *testing.B) (*casebase.CaseBase, []casebase.Request) {
+	b.Helper()
+	cb, reg, err := workload.GenCaseBase(workload.PaperScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := workload.GenRequests(cb, reg, workload.RequestStreamSpec{N: 64, ConstraintsPer: 4, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cb, reqs
+}
+
 // BenchmarkCompactVsFixedRetrieval (E-compact): the same paper-scale
-// request stream through the uncompacted FixedEngine and the compacted
-// kernel. Both produce bit-identical Q15 results (gated in
-// internal/retrieval tests); this measures only the fetch-path cost.
+// request stream through the pointer-walking reference and the
+// compacted kernel. Both produce bit-identical Q15 results
+// (TestCompactMatchesFixedBitIdentical); this measures only the
+// fetch-path cost.
 func BenchmarkCompactVsFixedRetrieval(b *testing.B) {
 	cb, reqs := paperScaleFixtures(b)
 	b.Run("fixed", func(b *testing.B) {
-		fe := retrieval.NewFixedEngine(cb)
+		fe := newFixedReference(cb)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := fe.Retrieve(reqs[i%len(reqs)]); err != nil {
@@ -33,10 +50,7 @@ func BenchmarkCompactVsFixedRetrieval(b *testing.B) {
 		}
 	})
 	b.Run("compact", func(b *testing.B) {
-		ce, err := retrieval.NewCompactEngine(cb)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ce := mustFixedEngine(b, cb)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ce.Retrieve(reqs[i%len(reqs)]); err != nil {
@@ -64,7 +78,8 @@ type compactBenchReport struct {
 // TestCompactRetrievalSpeedup is the bench-compact gate. It is skipped
 // unless QOS_BENCH_COMPACT=1 so the regular test suite stays fast and
 // timing-independent; `make bench-compact` sets the variable. With
-// QOS_BENCH_OUT set, the measured report is written there
+// QOS_BENCH_OUT set, the measured report is written there; the path
+// should be absolute, since go test runs in this package's directory
 // (BENCH_compact_retrieval.json at the repo root is the committed
 // copy).
 func TestCompactRetrievalSpeedup(t *testing.T) {
@@ -73,7 +88,7 @@ func TestCompactRetrievalSpeedup(t *testing.T) {
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		cb, reqs := paperScaleFixtures(b)
-		fe := retrieval.NewFixedEngine(cb)
+		fe := newFixedReference(cb)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := fe.Retrieve(reqs[i%len(reqs)]); err != nil {
@@ -83,10 +98,7 @@ func TestCompactRetrievalSpeedup(t *testing.T) {
 	})
 	resC := testing.Benchmark(func(b *testing.B) {
 		cb, reqs := paperScaleFixtures(b)
-		ce, err := retrieval.NewCompactEngine(cb)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ce := mustFixedEngine(b, cb)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ce.Retrieve(reqs[i%len(reqs)]); err != nil {
@@ -119,7 +131,7 @@ func TestCompactRetrievalSpeedup(t *testing.T) {
 		}
 	}
 	if compactNs >= fixedNs {
-		t.Fatalf("compacted retrieval (%d ns/op) is not faster than the uncompacted baseline (%d ns/op)",
+		t.Fatalf("compacted retrieval (%d ns/op) is not faster than the pointer-walking baseline (%d ns/op)",
 			compactNs, fixedNs)
 	}
 }

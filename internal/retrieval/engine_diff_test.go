@@ -189,9 +189,9 @@ func stepClock() func() int64 {
 // missing attributes, every entry point must return exactly what the
 // sort-based reference returns — results, locals and similarity bits,
 // errors and ErrNoMatch.Best bits — and leave identical Stats and metric
-// counters after every call, across measures, thresholds, KeepLocals and
-// CompactLayout. Earlier results are re-checked at the end of each trial
-// to catch answers aliasing reused engine storage.
+// counters after every call, across measures, thresholds and KeepLocals.
+// Earlier results are re-checked at the end of each trial to catch
+// answers aliasing reused engine storage.
 func TestEngineMatchesSortReference(t *testing.T) {
 	measures := []struct {
 		local similarity.Local
@@ -219,13 +219,11 @@ func TestEngineMatchesSortReference(t *testing.T) {
 		}
 		for mi, ms := range measures {
 			for _, keep := range []bool{false, true} {
-				for _, compact := range []bool{false, true} {
-					opt := Options{Local: ms.local, Amalgamation: ms.amal, KeepLocals: keep, CompactLayout: compact}
-					for _, th := range diffThresholds(r, cb, opt, reqs) {
-						opt.Threshold = th
-						name := fmt.Sprintf("trial %d measures %d keep %v compact %v threshold %v", trial, mi, keep, compact, th)
-						diffEngines(t, name, cb, opt, reqs)
-					}
+				opt := Options{Local: ms.local, Amalgamation: ms.amal, KeepLocals: keep}
+				for _, th := range diffThresholds(r, cb, opt, reqs) {
+					opt.Threshold = th
+					name := fmt.Sprintf("trial %d measures %d keep %v threshold %v", trial, mi, keep, th)
+					diffEngines(t, name, cb, opt, reqs)
 				}
 			}
 		}

@@ -1,20 +1,36 @@
 package retrieval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/workload"
 )
+
+// mustFixedEngine builds the Q15 kernel over cb, failing the test if
+// the compacted image does not fit.
+func mustFixedEngine(t testing.TB, cb *casebase.CaseBase) *FixedEngine {
+	t.Helper()
+	fe, err := NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fe
+}
 
 func TestFixedTableOne(t *testing.T) {
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := NewFixedEngine(cb)
+	fe := mustFixedEngine(t, cb)
 	best, err := fe.Retrieve(casebase.PaperRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +45,7 @@ func TestFixedTableOne(t *testing.T) {
 
 func TestFixedRetrieveNOrder(t *testing.T) {
 	cb, _ := casebase.PaperCaseBase()
-	fe := NewFixedEngine(cb)
+	fe := mustFixedEngine(t, cb)
 	got, err := fe.RetrieveN(casebase.PaperRequest(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -47,21 +63,10 @@ func TestFixedRetrieveNOrder(t *testing.T) {
 
 func TestFixedRejectsInvalidRequest(t *testing.T) {
 	cb, _ := casebase.PaperCaseBase()
-	fe := NewFixedEngine(cb)
+	fe := mustFixedEngine(t, cb)
 	bad := casebase.NewRequest(99, casebase.Constraint{ID: 1, Value: 16, Weight: 1})
 	if _, err := fe.Retrieve(bad); err == nil {
 		t.Error("unknown type must error")
-	}
-}
-
-func TestRecipExposed(t *testing.T) {
-	cb, _ := casebase.PaperCaseBase()
-	fe := NewFixedEngine(cb)
-	if _, ok := fe.Recip(uint16(casebase.AttrBitwidth)); !ok {
-		t.Error("Recip for a defined attribute must exist")
-	}
-	if _, ok := fe.Recip(999); ok {
-		t.Error("Recip for unknown attribute must be absent")
 	}
 }
 
@@ -127,7 +132,7 @@ func TestFixedMatchesFloat(t *testing.T) {
 	const trials = 300
 	for trial := 0; trial < trials; trial++ {
 		cb, reg := randomCaseBase(r, 3, 8, 5, 10)
-		fe := NewFixedEngine(cb)
+		fe := mustFixedEngine(t, cb)
 		e := NewEngine(cb, Options{})
 		req := randomRequest(r, cb, reg, 4)
 
@@ -167,15 +172,18 @@ func TestFixedSimilarityError(t *testing.T) {
 	worst := 0.0
 	for trial := 0; trial < 200; trial++ {
 		cb, reg := randomCaseBase(r, 1, 5, 4, 8)
-		fe := NewFixedEngine(cb)
+		fe := mustFixedEngine(t, cb)
 		e := NewEngine(cb, Options{})
 		req := randomRequest(r, cb, reg, 3)
 		all, _ := e.RetrieveAll(req)
+		qs, err := fe.ScoreType(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ft, _ := cb.Type(req.Type)
 		for _, res := range all {
-			im, _ := ft.Impl(res.Impl)
-			f := fe.Score(im, req).Float()
-			if d := math.Abs(f - res.Similarity); d > worst {
+			i := slices.IndexFunc(ft.Impls, func(im casebase.Implementation) bool { return im.ID == res.Impl })
+			if d := math.Abs(qs[i].Float() - res.Similarity); d > worst {
 				worst = d
 			}
 		}
@@ -186,4 +194,141 @@ func TestFixedSimilarityError(t *testing.T) {
 		t.Errorf("worst fixed-vs-float similarity error = %v, want < 0.01", worst)
 	}
 	t.Logf("worst error = %.6f", worst)
+}
+
+// unsortRequest reverses the constraint order, bypassing the sorting
+// NewRequest applies, to exercise the kernel's non-merge fallback.
+// Validate still accepts such requests, so the engines must agree on
+// them too.
+func unsortRequest(req casebase.Request) casebase.Request {
+	out := casebase.Request{Type: req.Type}
+	for i := len(req.Constraints) - 1; i >= 0; i-- {
+		out.Constraints = append(out.Constraints, req.Constraints[i])
+	}
+	return out
+}
+
+// TestCompactMatchesFixedBitIdentical is the differential gate for the
+// compacted kernel: across randomized case bases and requests — sorted
+// and unsorted constraint orders alike — it must return exactly the
+// pointer-walking reference's result, bit for bit: same
+// implementation, same Q15 similarity, same n-best ranking.
+func TestCompactMatchesFixedBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
+		cb, reg := randomCaseBase(r, 3, 8, 5, 10)
+		fe, ce := newFixedReference(cb), mustFixedEngine(t, cb)
+		req := randomRequest(r, cb, reg, 1+r.Intn(5))
+		for _, rq := range []casebase.Request{req, unsortRequest(req)} {
+			fbest, err := fe.Retrieve(rq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cbest, err := ce.Retrieve(rq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fbest != cbest {
+				t.Fatalf("trial %d: fixed %+v, compact %+v", trial, fbest, cbest)
+			}
+			fn, err := fe.RetrieveN(rq, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cn, err := ce.RetrieveN(rq, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fn, cn) {
+				t.Fatalf("trial %d: n-best diverges:\nfixed   %+v\ncompact %+v", trial, fn, cn)
+			}
+		}
+	}
+	// Tie-rich bases with sparse IDs, missing attributes, NaN or zero
+	// weights and invalid requests: answers and error texts must match.
+	for trial := 0; trial < trials; trial++ {
+		cb, reg := tieCaseBase(r)
+		fe, ce := newFixedReference(cb), mustFixedEngine(t, cb)
+		req := tieRequest(r, cb, reg)
+		fbest, ferr := fe.Retrieve(req)
+		cbest, cerr := ce.Retrieve(req)
+		if fbest != cbest || fmt.Sprint(ferr) != fmt.Sprint(cerr) {
+			t.Fatalf("tie trial %d: fixed %+v (%v), compact %+v (%v)", trial, fbest, ferr, cbest, cerr)
+		}
+		for _, n := range []int{0, 1, 3} {
+			fn, ferr := fe.RetrieveN(req, n)
+			cn, cerr := ce.RetrieveN(req, n)
+			if !reflect.DeepEqual(fn, cn) || fmt.Sprint(ferr) != fmt.Sprint(cerr) {
+				t.Fatalf("tie trial %d n=%d:\nfixed   %+v (%v)\ncompact %+v (%v)", trial, n, fn, ferr, cn, cerr)
+			}
+		}
+	}
+}
+
+// TestCompactScoreTypeMatchesFixedScores pins the per-implementation
+// Q15 column, not just the winner: every score in storage order must be
+// bit-identical to the reference's Score on the corresponding variant.
+func TestCompactScoreTypeMatchesFixedScores(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		cb, reg := randomCaseBase(r, 2, 6, 4, 8)
+		fe, ce := newFixedReference(cb), mustFixedEngine(t, cb)
+		req := randomRequest(r, cb, reg, 3)
+		qs, err := ce.ScoreType(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft, _ := cb.Type(req.Type)
+		if len(qs) != len(ft.Impls) {
+			t.Fatalf("scored %d impls, type has %d", len(qs), len(ft.Impls))
+		}
+		for i := range ft.Impls {
+			if want := fe.Score(&ft.Impls[i], req); qs[i] != want {
+				t.Fatalf("trial %d impl %d: compact %d, fixed %d", trial, ft.Impls[i].ID, qs[i], want)
+			}
+		}
+	}
+}
+
+// TestCompactEngineValidation checks the kernel's rejection paths.
+func TestCompactEngineValidation(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := mustFixedEngine(t, cb)
+	if _, err := ce.Retrieve(casebase.Request{Type: 99}); err == nil {
+		t.Error("unknown type accepted")
+	}
+	if _, err := ce.Retrieve(casebase.Request{Type: 1}); err == nil {
+		t.Error("empty constraint list accepted")
+	}
+	if _, err := ce.RetrieveN(casebase.PaperRequest(), 0); err == nil {
+		t.Error("n=0 accepted")
+	}
+}
+
+// TestNewFixedEngineRejectsOversizedImage: a 64×64×16 case base (the
+// perfbench scan_large shape) needs more than 2^16 words of compacted
+// image, which the hardware cannot address. Construction must fail
+// with memlist's error instead of building extents from wrapped 16-bit
+// offsets.
+func TestNewFixedEngineRejectsOversizedImage(t *testing.T) {
+	cb, _, err := workload.GenCaseBase(workload.CaseBaseSpec{
+		Types: 64, ImplsPerType: 64, AttrsPerImpl: 16, AttrUniverse: 32, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFixedEngine(cb)
+	if err == nil {
+		t.Fatal("oversized case base accepted")
+	}
+	if fe != nil {
+		t.Error("engine returned alongside the error")
+	}
+	if !strings.HasPrefix(err.Error(), "memlist: compact") {
+		t.Errorf("error %q is not memlist's", err)
+	}
 }

@@ -15,25 +15,20 @@ import (
 // whole field, and Retrieve/RetrieveN read the sorted field. It is kept
 // only as the differential-test reference for Engine.
 type refEngine struct {
-	cb      *casebase.CaseBase
-	opt     Options
-	stats   Stats
-	met     *Metrics
-	compact *CompactEngine
+	cb    *casebase.CaseBase
+	opt   Options
+	stats Stats
+	met   *Metrics
 }
 
 func newRefEngine(cb *casebase.CaseBase, opt Options) *refEngine {
-	var compact *CompactEngine
-	if opt.CompactLayout && opt.Local == nil && opt.Amalgamation == nil && !opt.KeepLocals {
-		compact, _ = NewCompactEngine(cb)
-	}
 	if opt.Local == nil {
 		opt.Local = similarity.Linear{}
 	}
 	if opt.Amalgamation == nil {
 		opt.Amalgamation = similarity.WeightedSum{}
 	}
-	return &refEngine{cb: cb, opt: opt, met: NewMetrics(nil), compact: compact}
+	return &refEngine{cb: cb, opt: opt, met: NewMetrics(nil)}
 }
 
 func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (float64, []LocalScore) {
@@ -78,33 +73,15 @@ func (e *refEngine) RetrieveAll(req casebase.Request) ([]Result, error) {
 	e.met.Retrievals.Inc()
 	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
 	out := make([]Result, 0, len(ft.Impls))
-	if e.compact != nil {
-		qs, err := e.compact.ScoreType(req)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			e.stats.AttrsCompared += len(req.Constraints)
-			e.met.AttrsCompared.Add(int64(len(req.Constraints)))
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: qs[i].Float(),
-			})
-		}
-	} else {
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			s, locals := e.score(im, req)
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: s, Locals: locals,
-			})
-		}
+	for i := range ft.Impls {
+		im := &ft.Impls[i]
+		s, locals := e.score(im, req)
+		e.stats.ImplsScored++
+		e.met.ImplsScored.Inc()
+		out = append(out, Result{
+			Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
+			Similarity: s, Locals: locals,
+		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Similarity != out[j].Similarity {

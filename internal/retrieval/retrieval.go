@@ -4,13 +4,15 @@
 // request and return the best match(es).
 //
 // Two engines are provided. Engine is the double-precision reference —
-// the role Matlab plays in §4.2 — supporting pluggable similarity
-// measures. FixedEngine (fixedengine.go) reproduces the 16-bit datapath
-// arithmetic bit-for-bit, so that the paper's claim "we get the same
-// retrieval results in high precision floating point ... as we get from
-// VHDL simulation" can be checked as a property over randomized case
-// bases. The n-best extension sketched in §5 ("our next step will be an
-// extension for getting n most similar solutions") is RetrieveN.
+// the role Matlab plays in §4.2 — and the serving engine, supporting
+// pluggable similarity measures. FixedEngine (fixedengine.go) is the one
+// Q15 engine: it reproduces the 16-bit datapath arithmetic bit-for-bit
+// over the §5 block-compacted memory layout, so that the paper's claim
+// "we get the same retrieval results in high precision floating point
+// ... as we get from VHDL simulation" can be checked as a property over
+// randomized case bases. The n-best extension sketched in §5 ("our next
+// step will be an extension for getting n most similar solutions") is
+// RetrieveN.
 //
 // Engine.Retrieve is literally fig. 6's single pass over the
 // implementation sub-list: each variant is scored into a column the
@@ -28,7 +30,6 @@ import (
 	"slices"
 
 	"qosalloc/internal/casebase"
-	"qosalloc/internal/fixed"
 	"qosalloc/internal/similarity"
 )
 
@@ -67,15 +68,6 @@ type Options struct {
 	// KeepLocals retains the per-attribute breakdown in results.
 	// Disable for large sweeps to avoid the allocations.
 	KeepLocals bool
-	// CompactLayout serves retrieval from the block-compacted memory
-	// layout (§5): scores come from the branch-free Q15 kernel over
-	// structure-of-arrays attribute blocks, converted to float64 at
-	// datapath precision. It applies only with the paper's default
-	// measures — a custom Local or Amalgamation, or KeepLocals, keeps
-	// the floating-point path, since the compacted kernel computes
-	// neither. Thresholding and n-best selection behave identically on
-	// the quantized similarities.
-	CompactLayout bool
 }
 
 // Engine performs floating-point retrieval over a case base. An Engine
@@ -87,25 +79,19 @@ type Engine struct {
 	opt   Options
 	stats Stats
 	met   *Metrics
-	// compact is the block-compacted kernel, non-nil only when
-	// Options.CompactLayout applies (default measures, no locals).
-	compact *CompactEngine
 
 	// Per-walk scratch, reused across walks. dmax and weights hold the
 	// request's per-constraint constants, resolved once per walk; sims
 	// is the local-similarity vector of the variant being scored;
 	// scores is the global similarity column in storage order; locals
 	// holds every variant's breakdown (KeepLocals only), one row of
-	// len(Constraints) per variant; top and qs serve n-best selection
-	// and the compacted kernel.
+	// len(Constraints) per variant; top serves n-best selection.
 	dmax    []uint16
 	weights []float64
 	sims    []float64
 	scores  []float64
 	locals  []LocalScore
 	top     []int
-	cq      compactQuery
-	qs      []fixed.Q15
 }
 
 // Stats counts engine activity.
@@ -119,25 +105,13 @@ type Stats struct {
 // NewEngine returns an Engine over cb. Nil option fields get the paper's
 // defaults (Linear local measure, WeightedSum amalgamation).
 func NewEngine(cb *casebase.CaseBase, opt Options) *Engine {
-	// Compact-layout eligibility is decided before the nil fields are
-	// defaulted: a caller-supplied measure (or a locals request) means
-	// the floating-point path must run, because the compacted kernel
-	// hard-wires the paper's Linear/WeightedSum datapath arithmetic.
-	var compact *CompactEngine
-	if opt.CompactLayout && opt.Local == nil && opt.Amalgamation == nil && !opt.KeepLocals {
-		// Construction fails only past the 16-bit word-address space
-		// of the compacted image; such a case base cannot exist in
-		// hardware, so the software engine falls back to the
-		// floating-point path rather than refusing service.
-		compact, _ = NewCompactEngine(cb)
-	}
 	if opt.Local == nil {
 		opt.Local = similarity.Linear{}
 	}
 	if opt.Amalgamation == nil {
 		opt.Amalgamation = similarity.WeightedSum{}
 	}
-	return &Engine{cb: cb, opt: opt, met: NewMetrics(nil), compact: compact}
+	return &Engine{cb: cb, opt: opt, met: NewMetrics(nil)}
 }
 
 // Instrument points the engine's observability at the given bundle
@@ -185,29 +159,16 @@ func (e *Engine) walk(req casebase.Request) (ft *casebase.FunctionType, start in
 	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
 	n, k := len(ft.Impls), len(req.Constraints)
 	e.scores = resize(e.scores, n)
-	if e.compact != nil {
-		// Compacted datapath: one kernel pass yields the Q15 column in
-		// storage order, which the case base shares.
-		qs, err := e.compact.scoreType(e.qs[:0], &e.cq, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		e.qs = qs
-		for i, q := range qs {
-			e.scores[i] = q.Float()
-		}
-	} else {
-		e.prepare(req)
+	e.prepare(req)
+	if e.opt.KeepLocals {
+		e.locals = resize(e.locals, n*k)
+	}
+	for i := range ft.Impls {
+		var row []LocalScore
 		if e.opt.KeepLocals {
-			e.locals = resize(e.locals, n*k)
+			row = e.locals[i*k : (i+1)*k]
 		}
-		for i := range ft.Impls {
-			var row []LocalScore
-			if e.opt.KeepLocals {
-				row = e.locals[i*k : (i+1)*k]
-			}
-			e.scores[i] = e.score(&ft.Impls[i], req, row)
-		}
+		e.scores[i] = e.score(&ft.Impls[i], req, row)
 	}
 	e.stats.ImplsScored += n
 	e.met.ImplsScored.Add(int64(n))

@@ -100,34 +100,6 @@ func TestRetrieveBatchBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestRetrieveCompactLayoutShardInvariant pins the PR 7 acceptance
-// criterion: with CompactLayout on, every shard count yields results
-// bit-identical to a sequential compact engine walk (similarities at
-// datapath precision, no locals).
-func TestRetrieveCompactLayoutShardInvariant(t *testing.T) {
-	cb, _, reqs := genWorkload(t, 120, 0.4)
-	opt := retrieval.Options{CompactLayout: true}
-	eng := retrieval.NewEngine(cb, opt)
-
-	for _, shards := range []int{1, 2, 4, 7} {
-		s := New(cb, fig1System(t, cb), Config{Shards: shards, MaxBatch: 16, Engine: opt})
-		out, err := s.RetrieveBatch(context.Background(), reqs)
-		s.Close()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for k, o := range out {
-			want, wantErr := eng.Retrieve(reqs[k])
-			if (o.Err == nil) != (wantErr == nil) {
-				t.Fatalf("shards=%d req %d: err = %v, sequential err = %v", shards, k, o.Err, wantErr)
-			}
-			if !reflect.DeepEqual(o.Result, want) {
-				t.Fatalf("shards=%d req %d: batched %+v != sequential %+v", shards, k, o.Result, want)
-			}
-		}
-	}
-}
-
 // TestRetrieveKeepLocalsBitIdentical pins the KeepLocals contract: the
 // token fast-path is disabled (tokens cannot carry locals) and results
 // still match sequential walks including the per-attribute breakdown.

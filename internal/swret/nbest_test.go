@@ -95,7 +95,10 @@ func TestSWNBestMatchesFixedEngine(t *testing.T) {
 		cb, reg := randomCaseBase(r, 2, 2+r.Intn(8), 1+r.Intn(5), 8)
 		req := randomRequest(r, cb, reg, 1+r.Intn(4))
 		n := 1 + r.Intn(6)
-		fe := retrieval.NewFixedEngine(cb)
+		fe, err := retrieval.NewFixedEngine(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := fe.RetrieveN(req, n)
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,10 @@ func TestSoftwareTableOne(t *testing.T) {
 
 func TestSoftwareMatchesFixedEngineBitExact(t *testing.T) {
 	cb, _ := casebase.PaperCaseBase()
-	fe := retrieval.NewFixedEngine(cb)
+	fe, err := retrieval.NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRunner()
 	req := casebase.PaperRequest()
 	sw, err := r.Retrieve(cb, req)
@@ -121,7 +124,10 @@ func TestThreeWayAgreement(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		cb, reg := randomCaseBase(r, 1+r.Intn(3), 1+r.Intn(8), 1+r.Intn(6), 8)
 		req := randomRequest(r, cb, reg, 1+r.Intn(5))
-		fe := retrieval.NewFixedEngine(cb)
+		fe, err := retrieval.NewFixedEngine(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ref, err := fe.Retrieve(req)
 		if err != nil {
 			t.Fatal(err)

@@ -71,17 +71,6 @@ func WithAmalgamation(a Amalgamation) Option {
 // (and disables the service's token fast-path, which cannot carry it).
 func WithKeepLocals(keep bool) Option { return func(c *config) { c.serve.Engine.KeepLocals = keep } }
 
-// WithCompactLayout serves retrieval from the block-compacted memory
-// layout (the paper's §5 projection): scores come from the branch-free
-// Q15 kernel over structure-of-arrays attribute blocks and are reported
-// at datapath precision. Results are bit-identical to the hardware
-// datapath at every shard count. The option applies only with the
-// paper's default measures — WithLocalMeasure, WithAmalgamation or
-// WithKeepLocals silently keep the floating-point path.
-func WithCompactLayout(on bool) Option {
-	return func(c *config) { c.serve.Engine.CompactLayout = on }
-}
-
 // WithNBest bounds how many retrieval candidates the allocation layer
 // checks for feasibility (§5 n-most-similar extension).
 func WithNBest(n int) Option { return func(c *config) { c.serve.Manager.NBest = n } }

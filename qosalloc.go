@@ -122,7 +122,9 @@ type (
 	Result = retrieval.Result
 	// LocalScore is one attribute-level comparison (a Table 1 row).
 	LocalScore = retrieval.LocalScore
-	// FixedEngine is the bit-exact 16-bit datapath twin.
+	// FixedEngine is the bit-exact 16-bit datapath twin, scoring over
+	// the §5 block-compacted memory layout. It is safe for concurrent
+	// use.
 	FixedEngine = retrieval.FixedEngine
 	// FixedResult is a Q15-scored variant.
 	FixedResult = retrieval.FixedResult
@@ -136,8 +138,10 @@ type (
 	Q15 = fixed.Q15
 )
 
-// NewFixedEngine returns the 16-bit fixed-point engine over cb.
-func NewFixedEngine(cb *CaseBase) *FixedEngine { return retrieval.NewFixedEngine(cb) }
+// NewFixedEngine returns the 16-bit fixed-point engine over cb. It fails
+// when cb's compacted image exceeds the 16-bit word-address space, a case
+// base the hardware cannot hold.
+func NewFixedEngine(cb *CaseBase) (*FixedEngine, error) { return retrieval.NewFixedEngine(cb) }
 
 // NewTokenCache returns an empty bypass-token cache.
 func NewTokenCache() *TokenCache { return retrieval.NewTokenCache() }

@@ -70,7 +70,10 @@ func TestFacadeFourEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := qosalloc.NewFixedEngine(cb)
+	fe, err := qosalloc.NewFixedEngine(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fx, err := fe.Retrieve(req)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +96,25 @@ func TestFacadeFourEnginesAgree(t *testing.T) {
 	}
 	if math.Abs(ref.Similarity-fx.Similarity.Float()) > 0.001 {
 		t.Errorf("float %.4f vs fixed %.4f", ref.Similarity, fx.Similarity.Float())
+	}
+}
+
+// TestFacadeNewFixedEngineRejectsOversizedImage: the facade passes on
+// the kernel's refusal of a case base whose compacted image exceeds the
+// 16-bit word-address space (64×64×16, the perfbench scan_large shape).
+func TestFacadeNewFixedEngineRejectsOversizedImage(t *testing.T) {
+	cb, _, err := qosalloc.GenCaseBase(qosalloc.CaseBaseSpec{
+		Types: 64, ImplsPerType: 64, AttrsPerImpl: 16, AttrUniverse: 32, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := qosalloc.NewFixedEngine(cb)
+	if err == nil || fe != nil {
+		t.Fatalf("oversized case base: engine %v, err %v; want nil engine and an error", fe, err)
+	}
+	if !strings.Contains(err.Error(), "16-bit") {
+		t.Errorf("error %q does not name the 16-bit limit", err)
 	}
 }
 
