@@ -168,12 +168,32 @@ func TestFleetRecoveryMigratesAcrossNodes(t *testing.T) {
 	}
 }
 
+// pinnedReplayHashes are the journal hashes of the replay schedule
+// below by power weight and node count. The schedule is the only fleet
+// test that ranks by power. At weight 0.1 the power discount leaves the
+// paper request's candidate order as it is; at weight 10 it reorders
+// the candidates, so that row is what catches a change in the
+// power-ranked order. Regenerate after an intentional policy change
+// from the failure message of TestFleetReplayBitIdentical.
+var pinnedReplayHashes = []struct {
+	weight float64
+	nodes  int
+	hash   string
+}{
+	{0.1, 1, "fnv64a:fccbe6110342b609"},
+	{0.1, 2, "fnv64a:4dfa26c266076766"},
+	{0.1, 4, "fnv64a:eefd15f3736f7fa2"},
+	{10, 1, "fnv64a:be9d8bb99e989ba8"},
+	{10, 2, "fnv64a:0f1a4a25172c650b"},
+	{10, 4, "fnv64a:54a3a55ab68ff680"},
+}
+
 // TestFleetReplayBitIdentical pins the acceptance criterion: the same
 // schedule produces the same journal hash on every run, at any node
-// count.
+// count, and that hash is the pinned one.
 func TestFleetReplayBitIdentical(t *testing.T) {
-	run := func(nodes int) string {
-		f := newTestFleet(t, nodes, Options{PowerWeight: 0.1})
+	run := func(nodes int, weight float64) string {
+		f := newTestFleet(t, nodes, Options{PowerWeight: weight})
 		f.Ledger().DefineClass("std", admit.ClassBudget{Slices: 3000, ConfigBytesPerSec: 64 * 1024})
 		for i := 0; i < 4; i++ {
 			f.Ledger().BindTenant(fmt.Sprintf("t%d", i), "std")
@@ -197,10 +217,13 @@ func TestFleetReplayBitIdentical(t *testing.T) {
 		f.Rebalance()
 		return f.ReplayHash()
 	}
-	for _, nodes := range []int{1, 2, 4} {
-		a, b := run(nodes), run(nodes)
+	for _, pin := range pinnedReplayHashes {
+		a, b := run(pin.nodes, pin.weight), run(pin.nodes, pin.weight)
 		if a != b {
-			t.Errorf("%d-node replay diverged: %s vs %s", nodes, a, b)
+			t.Errorf("weight %v, %d-node replay diverged: %s vs %s", pin.weight, pin.nodes, a, b)
+		}
+		if a != pin.hash {
+			t.Errorf("weight %v, %d-node replay hash = %s, want %s", pin.weight, pin.nodes, a, pin.hash)
 		}
 	}
 }
