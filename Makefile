@@ -1,7 +1,8 @@
 # Standard development targets. `make ci` is the gate every change must
 # pass; it runs scripts/ci.sh, the one list of CI gates (build, vet,
-# lint, the race-detector suite, benchmark gates, api-check, fleetcheck,
-# learncheck, loadcheck), where each gate is defined once. The gate
+# lint, the race-detector suite, repro, benchmark gates, api-check,
+# fleetcheck, learncheck, loadcheck, size), where each gate is defined
+# once. The gate
 # targets below delegate to it; the rest are development helpers.
 
 GO ?= go
@@ -11,11 +12,11 @@ export GO
 # the gate checks without refreshing a committed report.
 OUT ?=
 
-.PHONY: all build vet qosvet lint test race bench bench-smoke bench-compact bench-learn fuzz api api-check loadcheck fleetcheck learncheck ci
+.PHONY: all build vet qosvet lint test race repro bench bench-smoke bench-compact bench-learn fuzz api api-check loadcheck fleetcheck learncheck size ci
 
 all: ci
 
-build vet lint race bench-smoke api-check fleetcheck learncheck:
+build vet lint race repro bench-smoke api-check fleetcheck learncheck size:
 	scripts/ci.sh $@
 
 # qosvet is the project-specific invariant suite (internal/lint):

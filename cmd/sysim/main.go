@@ -350,7 +350,7 @@ func replayStream(n int, seed int64, repeat float64, plan qosalloc.FaultPlan, or
 		mt := rt.Metrics()
 		dropped := 0
 		for _, t := range rt.Tasks() {
-			if t.State == qosalloc.TaskFailed || (t.State == qosalloc.TaskPending && t.Faults > 0) {
+			if t.Stranded() {
 				dropped++
 			}
 		}

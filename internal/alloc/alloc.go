@@ -6,6 +6,13 @@
 // variant on a device (possibly preempting lower-priority work), offers
 // alternatives when the best match is not feasible, and hands out bypass
 // tokens so repeated calls skip the retrieval (§2–§3).
+//
+// Decisions are split from effects (DESIGN.md §13). The pure policy
+// subpackage decides; Mechanism executes against one run-time system
+// and answers the victim, waiting-task, target-exclusion and
+// power-ranking questions by calling policy; Degraded judges what a
+// recovery cost. Manager composes them with its own booking, and the
+// fleet layer reuses the same pieces across nodes.
 package alloc
 
 import (
@@ -33,7 +40,8 @@ type Options struct {
 	// given threshold similarity", §3).
 	Threshold float64
 	// NBest bounds how many retrieval candidates are checked for
-	// feasibility, the §5 n-most-similar extension. Zero means 3.
+	// feasibility, the §5 n-most-similar extension. Zero means
+	// DefaultNBest.
 	NBest int
 	// AllowPreemption permits evicting strictly lower-priority tasks
 	// when the best match has no free capacity.
@@ -46,6 +54,9 @@ type Options struct {
 	// the paper's pure-similarity ranking.
 	PowerWeight float64
 }
+
+// DefaultNBest is the N-best depth used when Options.NBest is zero.
+const DefaultNBest = 3
 
 // Decision reports a successful allocation.
 type Decision struct {
@@ -175,7 +186,7 @@ type Manager struct {
 // New builds a manager over a case base and run-time system.
 func New(cb *casebase.CaseBase, sys *rtsys.System, opt Options) *Manager {
 	if opt.NBest <= 0 {
-		opt.NBest = 3
+		opt.NBest = DefaultNBest
 	}
 	return &Manager{
 		mech:      NewMechanism(cb, sys),
@@ -270,7 +281,7 @@ func (m *Manager) PlaceCandidates(app string, req casebase.Request, candidates [
 // check best first, then preemption, then the structured infeasibility
 // error carrying the alternatives.
 func (m *Manager) placeCandidates(app string, req casebase.Request, candidates []retrieval.Result, basePrio int) (*Decision, error) {
-	m.rankForPower(req.Type, candidates)
+	m.mech.RankForPower(req.Type, candidates, m.opt.PowerWeight)
 
 	// Feasibility check, best candidate first.
 	for depth, cand := range candidates {
@@ -299,38 +310,11 @@ func (m *Manager) placeCandidates(app string, req casebase.Request, candidates [
 	return nil, &ErrNoFeasible{Alternatives: candidates}
 }
 
-// rankForPower re-orders the candidate list by the power-discounted
-// score S - PowerWeight·(PowerMW/1000): the mechanism resolves each
-// candidate's power figure, policy.PowerOrder decides the order, and
-// the permutation is applied in place. A no-op when PowerWeight is 0.
-func (m *Manager) rankForPower(ty casebase.TypeID, candidates []retrieval.Result) {
-	if m.opt.PowerWeight == 0 {
-		return
-	}
-	sims := make([]float64, len(candidates))
-	power := make([]int, len(candidates))
-	for i, r := range candidates {
-		sims[i] = r.Similarity
-		power[i] = m.mech.PowerMW(ty, r.Impl)
-	}
-	order := policy.PowerOrder(sims, power, m.opt.PowerWeight)
-	reordered := make([]retrieval.Result, len(candidates))
-	for i, j := range order {
-		reordered[i] = candidates[j]
-	}
-	copy(candidates, reordered)
-}
-
-// implOf resolves an implementation record via the mechanism layer.
-func (m *Manager) implOf(ty casebase.TypeID, id casebase.ImplID) (*casebase.Implementation, error) {
-	return m.mech.ImplOf(ty, id)
-}
-
 // tryPlace attempts to place an implementation on any device of its
 // target class with free capacity: the mechanism executes, the manager
 // keeps the books (stats, origins, the Decision).
 func (m *Manager) tryPlace(app string, req casebase.Request, id casebase.ImplID, sim float64, basePrio int) (*Decision, error) {
-	im, err := m.implOf(req.Type, id)
+	im, err := m.mech.ImplOf(req.Type, id)
 	if err != nil {
 		return nil, err
 	}
@@ -351,12 +335,12 @@ func (m *Manager) tryPlace(app string, req casebase.Request, id casebase.ImplID,
 // victim that frees enough capacity for the best-ranked candidate.
 func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidates []retrieval.Result, basePrio int) (*Decision, error) {
 	for _, cand := range candidates {
-		im, err := m.implOf(req.Type, cand.Impl)
+		im, err := m.mech.ImplOf(req.Type, cand.Impl)
 		if err != nil {
 			continue
 		}
 		for _, dev := range m.sys.DevicesByKind(im.Target) {
-			victim := m.lowestVictim(dev, basePrio)
+			victim := m.mech.LowestVictim(dev, basePrio)
 			if victim == nil {
 				continue
 			}
@@ -386,18 +370,6 @@ func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidate
 	return nil, fmt.Errorf("alloc: preemption found no viable victim")
 }
 
-// lowestVictim returns the running/configuring task with the lowest
-// effective priority on dev, provided it is strictly below prio: the
-// mechanism snapshots the occupants, policy.LowestVictim chooses.
-func (m *Manager) lowestVictim(dev device.Device, prio int) *rtsys.Task {
-	occ, tasks := m.mech.Occupants(dev)
-	i, ok := policy.LowestVictim(occ, prio)
-	if !ok {
-		return nil
-	}
-	return tasks[i]
-}
-
 // Release completes a task and invalidates nothing: bypass tokens stay
 // valid because the variant choice is still correct for the signature.
 func (m *Manager) Release(id rtsys.TaskID) error {
@@ -419,11 +391,11 @@ func (m *Manager) Release(id rtsys.TaskID) error {
 func (m *Manager) ReplacePending() int {
 	placed := 0
 	for {
-		best := m.bestWaiting()
+		best := m.mech.BestWaiting()
 		if best == nil {
 			return placed
 		}
-		im, err := m.implOf(best.Type, best.Impl)
+		im, err := m.mech.ImplOf(best.Type, best.Impl)
 		if err != nil {
 			return placed
 		}
@@ -432,16 +404,6 @@ func (m *Manager) ReplacePending() int {
 		}
 		placed++
 	}
-}
-
-// bestWaiting returns the preempted task with the highest aged priority.
-func (m *Manager) bestWaiting() *rtsys.Task {
-	occ, tasks := m.mech.Waiting()
-	i, ok := policy.BestWaiting(occ)
-	if !ok {
-		return nil
-	}
-	return tasks[i]
 }
 
 // InvalidateCaseBase drops all bypass tokens for a function type, the
@@ -477,21 +439,7 @@ func (m *Manager) UpdateCaseBase(cb *casebase.CaseBase) {
 // Recovery; none is silently dropped.
 func (m *Manager) RecoverFromFaults() []Recovery {
 	var out []Recovery
-	for _, t := range m.sys.Tasks() {
-		switch {
-		case t.State == rtsys.Failed:
-			// Exhausted its configuration retries; give it a fresh
-			// shot at a different variant/device.
-			if err := m.sys.Requeue(t); err != nil {
-				continue
-			}
-		case t.State == rtsys.Pending && t.Faults > 0:
-			// Auto-re-queued when its device failed.
-		default:
-			continue
-		}
-		out = append(out, m.recoverTask(t))
-	}
+	m.mech.SweepStranded(func(t *rtsys.Task) { out = append(out, m.recoverTask(t)) })
 	return out
 }
 
@@ -504,49 +452,36 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 		// type. Recover with an unconstrained request.
 		org = origin{app: t.App, req: casebase.NewRequest(t.Type), impl: t.Impl}
 	}
-	excluded := m.excludedTargets()
+	excluded := m.mech.ExcludedTargets()
 	candidates, err := m.locEngine.RetrieveN(org.req, m.opt.NBest)
 	if err != nil {
 		rec.Report = m.reject(t, org, excluded, nil)
 		return rec
 	}
-	m.rankForPower(org.req.Type, candidates)
-
-	var tried []retrieval.Result
-	for _, cand := range candidates {
-		im, err := m.implOf(org.req.Type, cand.Impl)
-		if err != nil || policy.TargetExcluded(excluded, im.Target) {
-			continue
-		}
-		tried = append(tried, cand)
-		if dev, ok := m.mech.PlaceExisting(t, im); ok {
-			m.stats.Recovered++
-			m.met.recovered.Inc()
-			m.met.nbestDepth.Observe(int64(len(tried)))
-			m.met.event(int64(m.sys.Now()), "recover", "task=%d impl=%d dev=%s", t.ID, cand.Impl, dev.Name())
-			d := &Decision{
-				Task: t, Impl: cand.Impl, Target: im.Target, Device: dev.Name(),
-				Similarity: cand.Similarity, ReadyAt: t.ReadyAt,
-			}
-			if known && cand.Impl != org.impl {
-				lost := m.lostAttrs(org.req, org.impl, cand.Impl)
-				if policy.IsDegradation(org.sim, cand.Similarity, lost) {
-					m.stats.Degraded++
-					m.met.degraded.Inc()
-					m.met.event(int64(m.sys.Now()), "degrade", "task=%d impl %d->%d sim %.3f->%.3f", t.ID, org.impl, cand.Impl, org.sim, cand.Similarity)
-					d.Degraded = &Degradation{
-						FromImpl: org.impl, ToImpl: cand.Impl,
-						FromSim: org.sim, ToSim: cand.Similarity,
-						LostAttrs: lost,
-					}
-				}
-			}
-			m.origins[t.ID] = origin{app: org.app, req: org.req, impl: cand.Impl, sim: cand.Similarity}
-			rec.Decision = d
-			return rec
+	m.mech.RankForPower(org.req.Type, candidates, m.opt.PowerWeight)
+	tried, im, dev := m.mech.Reseat(t, org.req.Type, candidates, excluded)
+	if dev == nil {
+		rec.Report = m.reject(t, org, excluded, tried)
+		return rec
+	}
+	cand := tried[len(tried)-1]
+	m.stats.Recovered++
+	m.met.recovered.Inc()
+	m.met.nbestDepth.Observe(int64(len(tried)))
+	m.met.event(int64(m.sys.Now()), "recover", "task=%d impl=%d dev=%s", t.ID, cand.Impl, dev.Name())
+	rec.Decision = &Decision{
+		Task: t, Impl: cand.Impl, Target: im.Target, Device: dev.Name(),
+		Similarity: cand.Similarity, ReadyAt: t.ReadyAt,
+	}
+	if known {
+		if deg := Degraded(m.locEngine, org.req, org.impl, org.sim, cand); deg != nil {
+			m.stats.Degraded++
+			m.met.degraded.Inc()
+			m.met.event(int64(m.sys.Now()), "degrade", "task=%d impl %d->%d sim %.3f->%.3f", t.ID, org.impl, cand.Impl, org.sim, cand.Similarity)
+			rec.Decision.Degraded = deg
 		}
 	}
-	rec.Report = m.reject(t, org, excluded, tried)
+	m.origins[t.ID] = origin{app: org.app, req: org.req, impl: cand.Impl, sim: cand.Similarity}
 	return rec
 }
 
@@ -567,29 +502,33 @@ func (m *Manager) reject(t *rtsys.Task, org origin, excluded []casebase.Target, 
 	return rep
 }
 
-// excludedTargets returns the target classes with no device able to
-// accept new work — the "failed target" the re-run retrieval excludes.
-func (m *Manager) excludedTargets() []casebase.Target {
-	seen, alive := m.mech.TargetHealth()
-	return policy.ExcludedTargets(seen, alive)
-}
-
-// lostAttrs compares the per-attribute similarity of two variants for
-// the same request and returns the requested attributes the substitute
-// satisfies worse: the locals engine supplies the breakdowns,
-// policy.LostAttrs does the comparison.
-func (m *Manager) lostAttrs(req casebase.Request, from, to casebase.ImplID) []attr.ID {
-	all, err := m.locEngine.RetrieveAll(req)
-	if err != nil {
+// Degraded reports what recovering a task from variant from, granted
+// at similarity fromSim, onto the substitute to cost the application,
+// or nil when to is the same variant or nothing got worse
+// (policy.IsDegradation). loc must keep per-attribute locals: it
+// supplies the breakdowns policy.LostAttrs compares.
+func Degraded(loc *retrieval.Engine, req casebase.Request, from casebase.ImplID, fromSim float64, to retrieval.Result) *Degradation {
+	if to.Impl == from {
 		return nil
 	}
-	locals := func(id casebase.ImplID) []retrieval.LocalScore {
-		for _, r := range all {
-			if r.Impl == id {
-				return r.Locals
+	var lost []attr.ID
+	if all, err := loc.RetrieveAll(req); err == nil {
+		locals := func(id casebase.ImplID) []retrieval.LocalScore {
+			for _, r := range all {
+				if r.Impl == id {
+					return r.Locals
+				}
 			}
+			return nil
 		}
+		lost = policy.LostAttrs(locals(from), locals(to.Impl))
+	}
+	if !policy.IsDegradation(fromSim, to.Similarity, lost) {
 		return nil
 	}
-	return policy.LostAttrs(locals(from), locals(to))
+	return &Degradation{
+		FromImpl: from, ToImpl: to.Impl,
+		FromSim: fromSim, ToSim: to.Similarity,
+		LostAttrs: lost,
+	}
 }

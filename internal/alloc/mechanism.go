@@ -2,11 +2,14 @@ package alloc
 
 // The mechanism half of the policy/mechanism split (DESIGN.md §13).
 // Mechanism owns every interaction with the case base, the run-time
-// system and the devices: resolving implementation records, taking the
-// plain-data snapshots package policy scores, and executing the
-// placements and preemptions policy decides. Manager composes the two
-// (policy for choices, Mechanism for effects) and keeps its public API
-// unchanged; the fleet layer drives a Mechanism per node directly.
+// system and the devices. It answers the allocation questions — which
+// victim, which waiting task, which target classes are dead, which
+// power-ranked order — by snapshotting the runtime into plain data and
+// calling the pure policy function, so callers get a task or a list
+// back, never parallel slices to index. It also executes the
+// placements, re-placements and stranded-task sweeps policy decides.
+// Manager and the fleet (one Mechanism per node) both compose it; each
+// keeps only its own booking.
 
 import (
 	"fmt"
@@ -14,6 +17,7 @@ import (
 	"qosalloc/internal/alloc/policy"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 )
 
@@ -38,7 +42,8 @@ func (e *UnknownImplError) Error() string {
 
 // Mechanism executes allocation decisions against one node's case base
 // and run-time system. It holds no policy state: no options, no
-// counters, no token cache — those stay in Manager (or the fleet).
+// counters, no token cache — those stay in Manager (or the fleet). A
+// Mechanism over a nil system serves ImplOf and RankForPower only.
 type Mechanism struct {
 	cb  *casebase.CaseBase
 	sys *rtsys.System
@@ -48,9 +53,6 @@ type Mechanism struct {
 func NewMechanism(cb *casebase.CaseBase, sys *rtsys.System) *Mechanism {
 	return &Mechanism{cb: cb, sys: sys}
 }
-
-// System returns the underlying run-time system.
-func (x *Mechanism) System() *rtsys.System { return x.sys }
 
 // ImplOf resolves an implementation record.
 func (x *Mechanism) ImplOf(ty casebase.TypeID, id casebase.ImplID) (*casebase.Implementation, error) {
@@ -65,15 +67,30 @@ func (x *Mechanism) ImplOf(ty casebase.TypeID, id casebase.ImplID) (*casebase.Im
 	return im, nil
 }
 
-// PowerMW returns the power figure of an implementation, or
-// policy.PowerUnknown when the record cannot be resolved — the value
-// policy.PowerOrder treats as "rank by similarity alone".
-func (x *Mechanism) PowerMW(ty casebase.TypeID, id casebase.ImplID) int {
-	im, err := x.ImplOf(ty, id)
-	if err != nil {
-		return policy.PowerUnknown
+// RankForPower re-orders candidates in place by the power-discounted
+// score S - weight·(PowerMW/1000), the §1 energy/power-efficiency
+// trade: the mechanism resolves each candidate's power figure and
+// policy.PowerOrder decides the order. A candidate whose record does
+// not resolve is ranked by similarity alone. A no-op at weight 0.
+func (x *Mechanism) RankForPower(ty casebase.TypeID, candidates []retrieval.Result, weight float64) {
+	if weight == 0 {
+		return
 	}
-	return im.Foot.PowerMW
+	sims := make([]float64, len(candidates))
+	power := make([]int, len(candidates))
+	for i, r := range candidates {
+		sims[i] = r.Similarity
+		power[i] = policy.PowerUnknown
+		if im, err := x.ImplOf(ty, r.Impl); err == nil {
+			power[i] = im.Foot.PowerMW
+		}
+	}
+	order := policy.PowerOrder(sims, power, weight)
+	reordered := make([]retrieval.Result, len(candidates))
+	for i, j := range order {
+		reordered[i] = candidates[j]
+	}
+	copy(candidates, reordered)
 }
 
 // TryPlace creates a task for app and places im on the first device of
@@ -116,17 +133,48 @@ func (x *Mechanism) PlaceExisting(t *rtsys.Task, im *casebase.Implementation) (d
 	return nil, false
 }
 
-// Preempt evicts t, releasing its capacity; the task re-bids later
-// with aged priority.
-func (x *Mechanism) Preempt(t *rtsys.Task) error { return x.sys.Preempt(t) }
+// Reseat is the re-placement walk of degrade-and-retry: it places the
+// re-queued task t on the first candidate, best first, whose record
+// resolves and whose target class is not excluded. tried lists the
+// candidates it examined, best first; on success the last one is the
+// variant placed, im its record and dev the device that took it. dev is
+// nil when nothing fit.
+func (x *Mechanism) Reseat(t *rtsys.Task, ty casebase.TypeID, candidates []retrieval.Result, excluded []casebase.Target) (tried []retrieval.Result, im *casebase.Implementation, dev device.Device) {
+	for _, cand := range candidates {
+		im, err := x.ImplOf(ty, cand.Impl)
+		if err != nil || policy.TargetExcluded(excluded, im.Target) {
+			continue
+		}
+		tried = append(tried, cand)
+		if dev, ok := x.PlaceExisting(t, im); ok {
+			return tried, im, dev
+		}
+	}
+	return tried, nil, nil
+}
 
-// Occupants snapshots dev's preemptible occupants for victim
-// selection: tasks in Running or Configuring, in task-handle order
-// (the order Placements reports), with their effective (aged)
-// priorities. tasks is positionally aligned with the returned
-// policy.Occupant slice so the caller can map the selected index back
-// to a task.
-func (x *Mechanism) Occupants(dev device.Device) ([]policy.Occupant, []*rtsys.Task) {
+// SweepStranded hands every fault-stranded task (rtsys.Task.Stranded) to
+// fn, in task-handle order, re-queueing a Failed task first. Each task
+// is requeued and handed to fn before the next is looked at, so the
+// run-time trace interleaves the two per task.
+func (x *Mechanism) SweepStranded(fn func(*rtsys.Task)) {
+	for _, t := range x.sys.Tasks() {
+		if !t.Stranded() {
+			continue
+		}
+		if t.State == rtsys.Failed && x.sys.Requeue(t) != nil {
+			continue
+		}
+		fn(t)
+	}
+}
+
+// LowestVictim returns the task to preempt on dev for a requester at
+// prio: of the tasks Running or Configuring there, the one with the
+// lowest effective (aged) priority, provided it is strictly below prio
+// (policy.LowestVictim, ties to the lowest task handle). nil means no
+// occupant qualifies.
+func (x *Mechanism) LowestVictim(dev device.Device, prio int) *rtsys.Task {
 	var occ []policy.Occupant
 	var tasks []*rtsys.Task
 	for _, pl := range dev.Placements() {
@@ -137,13 +185,16 @@ func (x *Mechanism) Occupants(dev device.Device) ([]policy.Occupant, []*rtsys.Ta
 		occ = append(occ, policy.Occupant{Task: pl.Task, Prio: x.sys.EffectivePriority(t)})
 		tasks = append(tasks, t)
 	}
-	return occ, tasks
+	if i, ok := policy.LowestVictim(occ, prio); ok {
+		return tasks[i]
+	}
+	return nil
 }
 
-// Waiting snapshots the preempted tasks (in task-handle order, the
-// order Tasks reports) with their effective priorities, positionally
-// aligned like Occupants.
-func (x *Mechanism) Waiting() ([]policy.Occupant, []*rtsys.Task) {
+// BestWaiting returns the preempted task to re-place first: the highest
+// effective priority, ties to the lowest task handle
+// (policy.BestWaiting). nil means no task is waiting.
+func (x *Mechanism) BestWaiting() *rtsys.Task {
 	var occ []policy.Occupant
 	var tasks []*rtsys.Task
 	for _, t := range x.sys.Tasks() {
@@ -153,22 +204,25 @@ func (x *Mechanism) Waiting() ([]policy.Occupant, []*rtsys.Task) {
 		occ = append(occ, policy.Occupant{Task: int(t.ID), Prio: x.sys.EffectivePriority(t)})
 		tasks = append(tasks, t)
 	}
-	return occ, tasks
+	if i, ok := policy.BestWaiting(occ); ok {
+		return tasks[i]
+	}
+	return nil
 }
 
-// TargetHealth snapshots which target classes exist on the platform
-// and which still have a device accepting work — the inputs to
-// policy.ExcludedTargets.
-func (x *Mechanism) TargetHealth() (seen, alive map[casebase.Target]bool) {
-	seen = make(map[casebase.Target]bool)
-	alive = make(map[casebase.Target]bool)
+// ExcludedTargets returns the target classes present on the platform
+// with no device left accepting work — the failed targets a
+// degrade-and-retry retrieval excludes (policy.ExcludedTargets).
+func (x *Mechanism) ExcludedTargets() []casebase.Target {
+	seen := make(map[casebase.Target]bool)
+	alive := make(map[casebase.Target]bool)
 	for _, d := range x.sys.Devices() {
 		seen[d.Kind()] = true
 		if d.Health() != device.Failed {
 			alive[d.Kind()] = true
 		}
 	}
-	return seen, alive
+	return policy.ExcludedTargets(seen, alive)
 }
 
 // View reduces the node to the plain-integer snapshot policy.RankNodes

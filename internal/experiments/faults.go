@@ -181,7 +181,7 @@ func FaultSweepRun(spec FaultSweepSpec) (FaultSweepData, error) {
 	d.SEUs = mt.SEUs
 	d.Retries = mt.Retries
 	for _, t := range sys.Tasks() {
-		if t.State == rtsys.Failed || (t.State == rtsys.Pending && t.Faults > 0) {
+		if t.Stranded() {
 			d.Dropped++
 		}
 	}

@@ -3,9 +3,12 @@
 // first consumer of the policy/mechanism split (DESIGN.md §13) that
 // composes the layers differently than alloc.Manager does: one shared
 // retrieval engine scores candidates for the whole fleet, the pure
-// policy package ranks nodes and picks victims, and each node's
-// alloc.Mechanism executes placements against that node's devices and
-// run-time system.
+// policy package ranks nodes, and each node's alloc.Mechanism executes
+// placements against that node's devices and run-time system. Power
+// ranking, the stranded-task sweep, same-node re-placement, target
+// exclusion, the waiting-task order and the degradation check are the
+// Mechanism's and alloc.Degraded, shared with the Manager; the fleet
+// adds only cross-node migration and the tenant ledger.
 //
 // Tenants are bound to QoS classes whose integer slice/BRAM/
 // reconfiguration-bandwidth budgets (admit.Ledger) are enforced at
@@ -28,7 +31,6 @@ import (
 	"qosalloc/internal/admit"
 	"qosalloc/internal/alloc"
 	"qosalloc/internal/alloc/policy"
-	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
@@ -43,7 +45,7 @@ type Options struct {
 	// Threshold rejects retrieval results below this global similarity.
 	Threshold float64
 	// NBest bounds how many candidates are checked per request. Zero
-	// means 3.
+	// means alloc.DefaultNBest.
 	NBest int
 	// PowerWeight trades QoS similarity against power when ranking
 	// candidates (zero keeps the paper's pure-similarity ranking).
@@ -118,9 +120,6 @@ func (n *Node) Name() string { return n.name }
 // System returns the node's run-time system.
 func (n *Node) System() *rtsys.System { return n.sys }
 
-// Mechanism returns the node's execution layer.
-func (n *Node) Mechanism() *alloc.Mechanism { return n.mech }
-
 // Injector returns the node's fault injector, nil when none was wired.
 func (n *Node) Injector() *fault.Injector { return n.inj }
 
@@ -131,7 +130,7 @@ func (n *Node) Injector() *fault.Injector { return n.inj }
 type Fleet struct {
 	cb *casebase.CaseBase
 	// resolve is a system-less mechanism used only for implementation
-	// records (ImplOf/PowerMW never touch a run-time system).
+	// records (ImplOf and RankForPower never touch a run-time system).
 	resolve *alloc.Mechanism
 	engine  *retrieval.Engine
 	// locEngine keeps per-attribute breakdowns for degradation
@@ -151,7 +150,7 @@ type Fleet struct {
 // with AddNode.
 func New(cb *casebase.CaseBase, opt Options) *Fleet {
 	if opt.NBest <= 0 {
-		opt.NBest = 3
+		opt.NBest = alloc.DefaultNBest
 	}
 	return &Fleet{
 		cb:        cb,
@@ -272,7 +271,7 @@ func (f *Fleet) Allocate(tenant, app string, req casebase.Request, basePrio int)
 		f.log("reject t=%d tenant=%s type=%d", f.now, tenant, req.Type)
 		return nil, err
 	}
-	f.rankForPower(req.Type, candidates)
+	f.resolve.RankForPower(req.Type, candidates, f.opt.PowerWeight)
 	order := policy.RankNodes(f.views())
 
 	var budgetErr error
@@ -348,27 +347,6 @@ func (f *Fleet) Release(node string, id rtsys.TaskID) error {
 	return nil
 }
 
-// rankForPower re-orders candidates by the power-discounted score,
-// identical to the single-node manager: records via the resolver,
-// order via policy.PowerOrder.
-func (f *Fleet) rankForPower(ty casebase.TypeID, candidates []retrieval.Result) {
-	if f.opt.PowerWeight == 0 {
-		return
-	}
-	sims := make([]float64, len(candidates))
-	power := make([]int, len(candidates))
-	for i, r := range candidates {
-		sims[i] = r.Similarity
-		power[i] = f.resolve.PowerMW(ty, r.Impl)
-	}
-	order := policy.PowerOrder(sims, power, f.opt.PowerWeight)
-	reordered := make([]retrieval.Result, len(candidates))
-	for i, j := range order {
-		reordered[i] = candidates[j]
-	}
-	copy(candidates, reordered)
-}
-
 // RecoverAll sweeps every node (insertion order) for fault-stranded
 // tasks and runs fleet degrade-and-retry on each: same node first
 // (excluding dead target classes), then migration to the best-ranked
@@ -378,19 +356,7 @@ func (f *Fleet) rankForPower(ty casebase.TypeID, candidates []retrieval.Result) 
 func (f *Fleet) RecoverAll() []Recovery {
 	var out []Recovery
 	for _, n := range f.nodes {
-		for _, t := range n.sys.Tasks() {
-			switch {
-			case t.State == rtsys.Failed:
-				if err := n.sys.Requeue(t); err != nil {
-					continue
-				}
-			case t.State == rtsys.Pending && t.Faults > 0:
-				// Auto-re-queued when its device failed.
-			default:
-				continue
-			}
-			out = append(out, f.recoverTask(n, t))
-		}
+		n.mech.SweepStranded(func(t *rtsys.Task) { out = append(out, f.recoverTask(n, t)) })
 	}
 	return out
 }
@@ -403,26 +369,19 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 		tr = &taskRec{app: t.App, req: casebase.NewRequest(t.Type), impl: t.Impl, prio: t.BasePrio}
 	}
 	rec := Recovery{Node: n.name, Task: t.ID, Tenant: tr.tenant}
-	seen, alive := n.mech.TargetHealth()
-	excluded := policy.ExcludedTargets(seen, alive)
+	excluded := n.mech.ExcludedTargets()
 	candidates, err := f.locEngine.RetrieveN(tr.req, f.opt.NBest)
 	if err != nil {
 		f.rejectRecovery(n, t, tr)
 		return rec
 	}
-	f.rankForPower(tr.req.Type, candidates)
+	f.resolve.RankForPower(tr.req.Type, candidates, f.opt.PowerWeight)
 
 	// Same node first: the storm-hit node's surviving capacity belongs
 	// to its own stranded tenants.
-	for _, cand := range candidates {
-		im, err := f.resolve.ImplOf(tr.req.Type, cand.Impl)
-		if err != nil || policy.TargetExcluded(excluded, im.Target) {
-			continue
-		}
-		if dev, ok := n.mech.PlaceExisting(t, im); ok {
-			f.settleRecovery(&rec, n, n, t.ID, tr, cand, im, dev.Name(), t.ReadyAt)
-			return rec
-		}
+	if tried, im, dev := n.mech.Reseat(t, tr.req.Type, candidates, excluded); dev != nil {
+		f.settleRecovery(&rec, n, n, t.ID, tr, tried[len(tried)-1], im, dev.Name(), t.ReadyAt)
+		return rec
 	}
 
 	// Migrate: create a substitute task on the best-ranked other node.
@@ -432,21 +391,9 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 		if err != nil {
 			continue
 		}
-		for _, ni := range order {
-			dst := f.nodes[ni]
-			if dst == n {
-				continue
-			}
-			task, dev, err := dst.mech.TryPlace(tr.app, tr.req.Type, im, tr.prio)
-			if err != nil {
-				continue
-			}
-			_ = n.sys.Complete(t) // old shell: Pending, nothing to release
-			delete(n.tasks, t.ID)
+		if dst, task, dev := f.migrate(n, t, tr, im, order); dst != nil {
 			f.settleRecovery(&rec, n, dst, task.ID, tr, cand, im, dev.Name(), task.ReadyAt)
 			rec.Migrated = true
-			f.stats.Migrated++
-			f.met.migrated.Inc()
 			return rec
 		}
 	}
@@ -464,13 +411,10 @@ func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, t
 		f.ledger.ForceCharge(tr.tenant, im.Foot)
 		f.observeTenant(tr.tenant)
 	}
-	if tr.impl != cand.Impl {
-		lost := f.lostAttrs(tr.req, tr.impl, cand.Impl)
-		if policy.IsDegradation(tr.sim, cand.Similarity, lost) {
-			rec.Degraded = true
-			f.stats.Degraded++
-			f.met.degraded.Inc()
-		}
+	if alloc.Degraded(f.locEngine, tr.req, tr.impl, tr.sim, cand) != nil {
+		rec.Degraded = true
+		f.stats.Degraded++
+		f.met.degraded.Inc()
 	}
 	nrec := &taskRec{
 		tenant: tr.tenant, app: tr.app, req: tr.req,
@@ -503,25 +447,6 @@ func (f *Fleet) rejectRecovery(n *Node, t *rtsys.Task, tr *taskRec) {
 	f.log("fault-reject t=%d tenant=%s node=%s task=%d", f.now, tr.tenant, n.name, t.ID)
 }
 
-// lostAttrs compares the per-attribute similarity of two variants for
-// the same request, exactly like the single-node manager: the locals
-// engine supplies the breakdowns, policy.LostAttrs compares.
-func (f *Fleet) lostAttrs(req casebase.Request, from, to casebase.ImplID) []attr.ID {
-	all, err := f.locEngine.RetrieveAll(req)
-	if err != nil {
-		return nil
-	}
-	locals := func(id casebase.ImplID) []retrieval.LocalScore {
-		for _, r := range all {
-			if r.Impl == id {
-				return r.Locals
-			}
-		}
-		return nil
-	}
-	return policy.LostAttrs(locals(from), locals(to))
-}
-
 // Rebalance sweeps waiting (preempted) tasks in descending aged
 // priority per node and re-places each on its own node first, then on
 // the best-ranked other node — deterministic live rebalancing. It
@@ -530,13 +455,8 @@ func (f *Fleet) Rebalance() int {
 	moved := 0
 	for _, n := range f.nodes {
 		for {
-			occ, tasks := n.mech.Waiting()
-			i, ok := policy.BestWaiting(occ)
-			if !ok {
-				break
-			}
-			t := tasks[i]
-			if !f.rebalanceOne(n, t) {
+			t := n.mech.BestWaiting()
+			if t == nil || !f.rebalanceOne(n, t) {
 				break
 			}
 			moved++
@@ -561,7 +481,24 @@ func (f *Fleet) rebalanceOne(n *Node, t *rtsys.Task) bool {
 		f.log("replace t=%d tenant=%s node=%s task=%d dev=%s", f.now, tr.tenant, n.name, t.ID, dev.Name())
 		return true
 	}
-	order := policy.RankNodes(f.views())
+	dst, task, dev := f.migrate(n, t, tr, im, policy.RankNodes(f.views()))
+	if dst == nil {
+		return false
+	}
+	dst.tasks[task.ID] = &taskRec{
+		tenant: tr.tenant, app: tr.app, req: tr.req,
+		impl: t.Impl, sim: tr.sim, foot: im.Foot, prio: tr.prio,
+	}
+	f.log("rebalance t=%d tenant=%s from=%s to=%s task=%d dev=%s", f.now, tr.tenant, n.name, dst.name, task.ID, dev.Name())
+	return true
+}
+
+// migrate moves t's work off node n: it creates a substitute task for
+// im on the first node in order, other than n, with capacity, then
+// completes the old shell (Pending or Preempted, nothing to release)
+// and drops n's record of it. It returns the destination node, the new
+// task and its device, or a nil node when no other node could host im.
+func (f *Fleet) migrate(n *Node, t *rtsys.Task, tr *taskRec, im *casebase.Implementation, order []int) (*Node, *rtsys.Task, device.Device) {
 	for _, ni := range order {
 		dst := f.nodes[ni]
 		if dst == n {
@@ -573,16 +510,11 @@ func (f *Fleet) rebalanceOne(n *Node, t *rtsys.Task) bool {
 		}
 		_ = n.sys.Complete(t)
 		delete(n.tasks, t.ID)
-		dst.tasks[task.ID] = &taskRec{
-			tenant: tr.tenant, app: tr.app, req: tr.req,
-			impl: t.Impl, sim: tr.sim, foot: im.Foot, prio: tr.prio,
-		}
 		f.stats.Migrated++
 		f.met.migrated.Inc()
-		f.log("rebalance t=%d tenant=%s from=%s to=%s task=%d dev=%s", f.now, tr.tenant, n.name, dst.name, task.ID, dev.Name())
-		return true
+		return dst, task, dev
 	}
-	return false
+	return nil, nil, nil
 }
 
 // log appends one journal line; the journal is the fleet's replay

@@ -116,6 +116,14 @@ type Task struct {
 	Faults int
 }
 
+// Stranded reports whether a fault left the task without a placement
+// it can use: Failed (a lost placement or exhausted configuration
+// retries), or back in Pending after a device or slot failure. These
+// are the tasks degrade-and-retry must re-place or reject.
+func (t *Task) Stranded() bool {
+	return t.State == Failed || t.State == Pending && t.Faults > 0
+}
+
 // Metrics aggregates system activity.
 type Metrics struct {
 	Created     int
@@ -123,7 +131,8 @@ type Metrics struct {
 	Preemptions int
 	// TotalWait accumulates time tasks spent Pending or Preempted.
 	TotalWait device.Micros
-	// TotalConfig accumulates time spent in Configuring.
+	// TotalConfig accumulates time spent in Configuring: the
+	// ConfigCost of each configuration that reached Running.
 	TotalConfig device.Micros
 
 	// Fault-path counters.
@@ -358,7 +367,7 @@ func (s *System) AdvanceTo(t device.Micros) error {
 		if task.State == Configuring && task.ReadyAt <= s.now {
 			s.setState(task, Running, "run")
 			task.Started = task.ReadyAt
-			s.metrics.TotalConfig += task.ReadyAt - task.Created
+			s.metrics.TotalConfig += task.ConfigCost
 			s.met.configMicros.Observe(int64(task.ConfigCost))
 		}
 	}

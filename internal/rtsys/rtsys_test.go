@@ -229,3 +229,78 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalConfigCountsConfigurationOnly: TotalConfig adds a
+// placement's configuration cost when it reaches Running, never the
+// Pending or Preempted wait before it (TotalWait holds that), and a
+// preempted task placed again adds its second configuration once.
+func TestTotalConfigCountsConfigurationOnly(t *testing.T) {
+	s, cb := paperPlatform(t)
+	im := implOf(t, cb, casebase.TypeFIREqualizer, 2) // DSP variant
+	dsp := s.DevicesByKind(casebase.TargetDSP)[0]
+	task := s.CreateTask("mp3", casebase.TypeFIREqualizer, 5)
+	if err := s.AdvanceTo(5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Place(task, dsp, im); err != nil {
+		t.Fatal(err)
+	}
+	first := task.ConfigCost
+	if first <= 0 {
+		t.Fatalf("config cost = %d", first)
+	}
+	if err := s.AdvanceTo(task.ReadyAt); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.TotalConfig != first || m.TotalWait != 5000 {
+		t.Errorf("after first run: TotalConfig %d, TotalWait %d; want %d, 5000", m.TotalConfig, m.TotalWait, first)
+	}
+
+	if err := s.Advance(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Preempt(task); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(3000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Place(task, dsp, im); err != nil {
+		t.Fatal(err)
+	}
+	second := task.ConfigCost
+	if err := s.AdvanceTo(task.ReadyAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.TotalConfig != first+second || m.TotalWait != 8000 {
+		t.Errorf("after second run: TotalConfig %d, TotalWait %d; want %d, 8000", m.TotalConfig, m.TotalWait, first+second)
+	}
+}
+
+// TestTaskStranded: a task is stranded when it is Failed, or Pending
+// after a fault; a fresh Pending task or any placed task is not.
+func TestTaskStranded(t *testing.T) {
+	for _, tc := range []struct {
+		state  State
+		faults int
+		want   bool
+	}{
+		{Pending, 0, false},
+		{Pending, 1, true},
+		{Failed, 0, true},
+		{Failed, 2, true},
+		{Configuring, 1, false},
+		{Running, 1, false},
+		{Recovering, 1, false},
+		{Preempted, 1, false},
+		{Done, 1, false},
+	} {
+		task := &Task{State: tc.state, Faults: tc.faults}
+		if got := task.Stranded(); got != tc.want {
+			t.Errorf("%v with %d faults: Stranded() = %v, want %v", tc.state, tc.faults, got, tc.want)
+		}
+	}
+}

@@ -284,7 +284,7 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
 	if cfg.Manager.NBest <= 0 {
-		cfg.Manager.NBest = 3
+		cfg.Manager.NBest = alloc.DefaultNBest
 	}
 	if cfg.Learning.Enabled {
 		if cfg.Learning.Alpha <= 0 || cfg.Learning.Alpha > 1 {

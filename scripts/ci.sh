@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
 # under the race detector, the retrieval allocation guard, the
-# observability golden tests, a one-iteration benchmark smoke pass, the
-# benchmark, API, fleet, learn and load gates. This is the one gate
-# list, and each gate is defined once, as a function below.
+# observability golden tests, the bit-identical experiment output, a
+# one-iteration benchmark smoke pass, the benchmark, API, fleet, learn
+# and load gates, and a size report. This is the one gate list, and
+# each gate is defined once, as a function below.
 #
 #	scripts/ci.sh                    run every gate, in order
 #	scripts/ci.sh <gate> [OUT]       run one gate
@@ -11,11 +12,11 @@
 # The Makefile targets of the same names delegate here. bench-compact,
 # bench-learn and loadcheck take an optional output path for the report
 # they refresh. It needs nothing but the go tool (or $GO) and a POSIX
-# shell.
+# shell, and git for the size report.
 set -eux
 
 GO=${GO:-go}
-GATES="build vet lint race allocs obs bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck"
+GATES="build vet lint race allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
 
 # abspath prints $1 made absolute against the working directory, or
 # nothing when $1 is empty: go test runs in the package directory, so a
@@ -52,6 +53,12 @@ gate_allocs() { $GO test -run TestEngineRetrieveZeroAllocs -count=1 ./internal/r
 
 # Observability goldens: deterministic counters and bit-exact replay.
 gate_obs() { $GO test -run 'TestObs' ./internal/experiments/; }
+
+# Bit-identical results: every experiment's output (E1–E21 and the
+# named sweeps) must match the committed REPRO_OUTPUT.txt byte for byte.
+# After an intended result change, regenerate it with
+# `go run ./cmd/repro > REPRO_OUTPUT.txt` and commit.
+gate_repro() { $GO run ./cmd/repro | diff -u REPRO_OUTPUT.txt -; }
 
 # Every benchmark must still compile and survive one iteration.
 gate_bench_smoke() { $GO test -run xxx -bench . -benchtime 1x ./...; }
@@ -106,6 +113,14 @@ gate_learncheck() {
 # cleanly. Without an output directory it writes its reports to a temp
 # dir; `make loadcheck OUT=.` refreshes the committed BENCH_qosd_*.json.
 gate_loadcheck() { scripts/loadcheck.sh "$@"; }
+
+# Size report, never a failure: the non-test Go line count (tracked .go
+# files outside perfbench/) and the api.txt line count, the two figures
+# a change records in CHANGES.md.
+gate_size() {
+	echo "non-test Go lines: $(git ls-files '*.go' | grep -v -e '^perfbench/' -e '_test\.go$' | xargs cat | wc -l)"
+	echo "api.txt lines: $(wc -l <api.txt)"
+}
 
 run() {
 	case " $GATES " in
