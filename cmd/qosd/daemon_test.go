@@ -135,10 +135,14 @@ func TestDaemonServesRetrieveAllocateRelease(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release: %d %s", resp.StatusCode, body)
 	}
-	// Releasing again is an unknown task now.
+	// Releasing again is an unknown task now, as is a task never issued.
 	resp, body = post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: ar.Task}, now+3000, nil)
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
 		t.Fatalf("double release: %d %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: ar.Task + 1000}, now+3000, nil)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
+		t.Fatalf("release of a never-issued task: %d %s", resp.StatusCode, body)
 	}
 
 	// Malformed body → 400 bad_request.

@@ -348,12 +348,7 @@ func replayStream(n int, seed int64, repeat float64, plan qosalloc.FaultPlan, or
 	fmt.Printf("preemptions: %d\n", st.Preemptions)
 	if len(plan.Events) > 0 {
 		mt := rt.Metrics()
-		dropped := 0
-		for _, t := range rt.Tasks() {
-			if t.Stranded() {
-				dropped++
-			}
-		}
+		dropped := rt.StrandedCount()
 		fmt.Printf("faults:      %d applied; %d stranded, %d re-placed (%d degraded), %d rejected, %d dropped\n",
 			len(plan.Events), mt.Stranded, recovered, degraded, rejected, dropped)
 		fmt.Printf("fault path:  %d config errors, %d SEUs, %d retries fired, %d requeued\n",

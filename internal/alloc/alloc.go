@@ -373,11 +373,11 @@ func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidate
 // Release completes a task and invalidates nothing: bypass tokens stay
 // valid because the variant choice is still correct for the signature.
 func (m *Manager) Release(id rtsys.TaskID) error {
-	t, ok := m.sys.Task(id)
-	if !ok {
+	issued, err := m.sys.CompleteID(id)
+	if !issued {
 		return fmt.Errorf("alloc: unknown task %d", id)
 	}
-	if err := m.sys.Complete(t); err != nil {
+	if err != nil {
 		return fmt.Errorf("alloc: release task %d: %w", id, err)
 	}
 	delete(m.origins, id)

@@ -156,17 +156,22 @@ func (x *Mechanism) Reseat(t *rtsys.Task, ty casebase.TypeID, candidates []retri
 // SweepStranded hands every fault-stranded task (rtsys.Task.Stranded) to
 // fn, in task-handle order, re-queueing a Failed task first. Each task
 // is requeued and handed to fn before the next is looked at, so the
-// run-time trace interleaves the two per task.
+// run-time trace interleaves the two per task. fn may complete the task.
+// With nothing stranded it returns without walking the tasks.
 func (x *Mechanism) SweepStranded(fn func(*rtsys.Task)) {
-	for _, t := range x.sys.Tasks() {
+	if x.sys.StrandedCount() == 0 {
+		return
+	}
+	x.sys.Walk(func(t *rtsys.Task) bool {
 		if !t.Stranded() {
-			continue
+			return true
 		}
 		if t.State == rtsys.Failed && x.sys.Requeue(t) != nil {
-			continue
+			return true
 		}
 		fn(t)
-	}
+		return true
+	})
 }
 
 // LowestVictim returns the task to preempt on dev for a requester at
@@ -195,19 +200,27 @@ func (x *Mechanism) LowestVictim(dev device.Device, prio int) *rtsys.Task {
 // effective priority, ties to the lowest task handle
 // (policy.BestWaiting). nil means no task is waiting.
 func (x *Mechanism) BestWaiting() *rtsys.Task {
-	var occ []policy.Occupant
-	var tasks []*rtsys.Task
-	for _, t := range x.sys.Tasks() {
+	if x.sys.Count(rtsys.Preempted) == 0 {
+		return nil
+	}
+	// Fold the waiting tasks pairwise, the best so far against the next
+	// in handle order: the policy keeps the earlier on a tie, so the fold
+	// picks what it would from the whole list, without building one.
+	var best *rtsys.Task
+	var pair [2]policy.Occupant
+	x.sys.Walk(func(t *rtsys.Task) bool {
 		if t.State != rtsys.Preempted {
-			continue
+			return true
 		}
-		occ = append(occ, policy.Occupant{Task: int(t.ID), Prio: x.sys.EffectivePriority(t)})
-		tasks = append(tasks, t)
-	}
-	if i, ok := policy.BestWaiting(occ); ok {
-		return tasks[i]
-	}
-	return nil
+		pair[1] = policy.Occupant{Task: int(t.ID), Prio: x.sys.EffectivePriority(t)}
+		if best == nil {
+			best, pair[0] = t, pair[1]
+		} else if i, _ := policy.BestWaiting(pair[:]); i == 1 {
+			best, pair[0] = t, pair[1]
+		}
+		return true
+	})
+	return best
 }
 
 // ExcludedTargets returns the target classes present on the platform
@@ -258,10 +271,6 @@ func (x *Mechanism) View(name string) policy.NodeView {
 			}
 		}
 	}
-	for _, t := range x.sys.Tasks() {
-		if t.State == rtsys.Pending || t.State == rtsys.Preempted {
-			v.Waiting++
-		}
-	}
+	v.Waiting = x.sys.Count(rtsys.Pending) + x.sys.Count(rtsys.Preempted)
 	return v
 }

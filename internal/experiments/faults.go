@@ -180,11 +180,7 @@ func FaultSweepRun(spec FaultSweepSpec) (FaultSweepData, error) {
 	d.ConfigErrors = mt.ConfigErrors
 	d.SEUs = mt.SEUs
 	d.Retries = mt.Retries
-	for _, t := range sys.Tasks() {
-		if t.Stranded() {
-			d.Dropped++
-		}
-	}
+	d.Dropped = sys.StrandedCount()
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		var sum float64

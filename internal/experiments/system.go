@@ -95,10 +95,7 @@ func SystemRun() (SystemResult, error) {
 		kept := leases[:0]
 		for _, l := range leases {
 			if l.end <= now {
-				t, ok := sys.Task(l.task)
-				if ok && t.State != rtsys.Done {
-					_ = m.Release(l.task)
-				}
+				_ = m.Release(l.task) // an already finished task only returns an error
 				continue
 			}
 			kept = append(kept, l)

@@ -418,10 +418,14 @@ func (in *Injector) apply(e Event) (Applied, error) {
 // victim returns the lowest-ID task in the wanted state on the device —
 // a deterministic choice, so replays are exact.
 func (in *Injector) victim(dev device.ID, st rtsys.State) *rtsys.Task {
-	for _, t := range in.sys.Tasks() {
-		if t.Dev == dev && t.State == st {
-			return t
-		}
+	var v *rtsys.Task
+	if in.sys.Count(st) > 0 {
+		in.sys.Walk(func(t *rtsys.Task) bool {
+			if t.Dev == dev && t.State == st {
+				v = t
+			}
+			return v == nil
+		})
 	}
-	return nil
+	return v
 }

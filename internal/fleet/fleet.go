@@ -331,11 +331,11 @@ func (f *Fleet) Release(node string, id rtsys.TaskID) error {
 	if !ok {
 		return fmt.Errorf("fleet: unknown node %q", node)
 	}
-	t, ok := n.sys.Task(id)
-	if !ok {
+	issued, err := n.sys.CompleteID(id)
+	if !issued {
 		return fmt.Errorf("fleet: node %q has no task %d", node, id)
 	}
-	if err := n.sys.Complete(t); err != nil {
+	if err != nil {
 		return fmt.Errorf("fleet: release task %d on %q: %w", id, node, err)
 	}
 	if tr := n.tasks[id]; tr != nil {

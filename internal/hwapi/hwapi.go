@@ -63,11 +63,7 @@ func Snapshot(sys *rtsys.System) Status {
 		st.Devices = append(st.Devices, ds)
 	}
 	sort.Slice(st.Devices, func(i, j int) bool { return st.Devices[i].Name < st.Devices[j].Name })
-	for _, t := range sys.Tasks() {
-		if t.State == rtsys.Pending || t.State == rtsys.Preempted {
-			st.Pending++
-		}
-	}
+	st.Pending = sys.Count(rtsys.Pending) + sys.Count(rtsys.Preempted)
 	return st
 }
 

@@ -71,10 +71,19 @@ func newRTMetrics(reg *obs.Registry) *rtMetrics {
 // gauges, the transition counter and the trace ring coherent. Every
 // t.State assignment in the package goes through here.
 func (s *System) setState(t *Task, to State, event string) {
-	from := t.State
+	from, wasStranded := t.State, t.Stranded()
 	s.met.tasksByState[from].Add(-1)
 	s.met.tasksByState[to].Add(1)
+	s.byState[from]--
+	s.byState[to]++
 	t.State = to
+	if st := t.Stranded(); st != wasStranded {
+		if st {
+			s.stranded++
+		} else {
+			s.stranded--
+		}
+	}
 	if c, ok := s.met.transitions[event]; ok {
 		c.Inc()
 	}
@@ -101,12 +110,8 @@ func (s *System) Instrument(reg *obs.Registry) {
 	s.met = newRTMetrics(reg)
 	s.devObs = device.NewObserver(reg)
 	// Prime queue depths for tasks that predate instrumentation.
-	var depth [Recovering + 1]int64
-	for _, t := range s.tasks {
-		depth[t.State]++
-	}
 	for st := Pending; st <= Recovering; st++ {
-		s.met.tasksByState[st].Set(depth[st])
+		s.met.tasksByState[st].Set(int64(s.byState[st]))
 	}
 	s.devSync()
 }

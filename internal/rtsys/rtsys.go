@@ -150,8 +150,20 @@ type System struct {
 	now     device.Micros
 	devices []device.Device
 	repo    *device.Repository
-	tasks   map[TaskID]*Task
-	nextID  TaskID
+	// live holds the tasks that have not finished, in ID order. IDs are
+	// issued in increasing order and a task only ever leaves, at
+	// Complete, so appending keeps the slice sorted. Finished tasks are
+	// forgotten: a handle below nextID that is not live has finished.
+	live   []*Task
+	nextID TaskID
+	// byState counts tasks per lifecycle state (Done: every task ever
+	// completed) and stranded the live tasks whose Stranded() holds;
+	// setState keeps both.
+	byState  [Recovering + 1]int
+	stranded int
+	// visits counts the tasks Walk has handed out, so tests can check
+	// that a walk costs the live population, not the history.
+	visits  uint64
 	metrics Metrics
 	met     *rtMetrics
 	devObs  *device.Observer
@@ -179,7 +191,6 @@ type System struct {
 func NewSystem(repo *device.Repository, devs ...device.Device) *System {
 	return &System{
 		devices: devs, repo: repo,
-		tasks:            make(map[TaskID]*Task),
 		nextID:           1,
 		met:              newRTMetrics(nil),
 		devObs:           device.NewObserver(nil),
@@ -214,20 +225,68 @@ func (s *System) DevicesByKind(k casebase.Target) []device.Device {
 	return out
 }
 
-// Task returns a task by handle.
+// Task returns the live task with handle id. A finished (Done) task has
+// left the system, so Task misses it; CompleteID tells a finished handle
+// from one never issued.
 func (s *System) Task(id TaskID) (*Task, bool) {
-	t, ok := s.tasks[id]
-	return t, ok
+	if i := s.search(id); i < len(s.live) && s.live[i].ID == id {
+		return s.live[i], true
+	}
+	return nil, false
 }
 
-// Tasks returns all tasks sorted by ID.
-func (s *System) Tasks() []*Task {
-	out := make([]*Task, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		out = append(out, t)
+// Tasks returns the live (not Done) tasks in ID order. The slice is the
+// system's own index, not a copy: read it, and do not keep it across a
+// call that creates or completes a task.
+func (s *System) Tasks() []*Task { return s.live[:len(s.live):len(s.live)] }
+
+// Walk hands the live tasks to fn in ID order until fn returns false.
+// fn may complete, requeue or create tasks: a task that finishes before
+// the walk reaches it is skipped, and a task created during the walk is
+// not visited.
+func (s *System) Walk(fn func(*Task) bool) {
+	end := s.nextID
+	for i := 0; i < len(s.live); {
+		t := s.live[i]
+		if t.ID >= end {
+			return
+		}
+		s.visits++
+		if !fn(t) {
+			return
+		}
+		if i < len(s.live) && s.live[i] == t {
+			i++
+		} else {
+			i = s.search(t.ID + 1)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+}
+
+// Count returns how many tasks are in state st; Count(Done) is every
+// task ever completed.
+func (s *System) Count(st State) int { return s.byState[st] }
+
+// StrandedCount returns how many live tasks are Stranded.
+func (s *System) StrandedCount() int { return s.stranded }
+
+// CompleteID completes the live task with handle id (Complete). A
+// handle the system issued whose task has already finished gets the
+// error Complete gives a Done task, a *TransitionError from Done.
+// issued is false, with a nil error, for a handle never issued.
+func (s *System) CompleteID(id TaskID) (issued bool, err error) {
+	if t, ok := s.Task(id); ok {
+		return true, s.Complete(t)
+	}
+	if id < 1 || id >= s.nextID {
+		return false, nil
+	}
+	return true, &TransitionError{Task: id, From: Done, Event: "complete"}
+}
+
+// search returns the index of the first live task with an ID >= id.
+func (s *System) search(id TaskID) int {
+	return sort.Search(len(s.live), func(i int) bool { return s.live[i].ID >= id })
 }
 
 // CreateTask registers a new pending task for a function request.
@@ -237,7 +296,8 @@ func (s *System) CreateTask(app string, ty casebase.TypeID, basePrio int) *Task 
 		State: Pending, Created: s.now, WaitingSince: s.now,
 	}
 	s.nextID++
-	s.tasks[t.ID] = t
+	s.live = append(s.live, t)
+	s.byState[Pending]++
 	s.metrics.Created++
 	s.met.tasksByState[Pending].Add(1)
 	s.met.transitions["create"].Inc()
@@ -342,6 +402,11 @@ func (s *System) Complete(t *Task) error {
 	s.setState(t, Done, "complete")
 	t.Finished = s.now
 	s.metrics.Completed++
+	if i := s.search(t.ID); i < len(s.live) && s.live[i] == t {
+		copy(s.live[i:], s.live[i+1:])
+		s.live[len(s.live)-1] = nil
+		s.live = s.live[:len(s.live)-1]
+	}
 	s.devSync()
 	return nil
 }
@@ -354,9 +419,12 @@ func (s *System) AdvanceTo(t device.Micros) error {
 		return fmt.Errorf("rtsys: cannot rewind clock from %d to %d", s.now, t)
 	}
 	s.now = t
-	// Resolve in task-ID order, not map order: same-tick transitions must
-	// land in the trace ring identically on every replay.
-	for _, task := range s.Tasks() {
+	if s.byState[Configuring] == 0 && s.byState[Recovering] == 0 {
+		return nil
+	}
+	// Resolve in task-ID order: same-tick transitions must land in the
+	// trace ring identically on every replay.
+	s.Walk(func(task *Task) bool {
 		if task.State == Recovering && task.NextRetryAt <= s.now {
 			// The retried configuration re-streams the image from
 			// the repository at the original cost.
@@ -370,7 +438,8 @@ func (s *System) AdvanceTo(t device.Micros) error {
 			s.metrics.TotalConfig += task.ConfigCost
 			s.met.configMicros.Observe(int64(task.ConfigCost))
 		}
-	}
+		return true
+	})
 	return nil
 }
 
@@ -511,7 +580,7 @@ func (s *System) FailSlot(id device.ID, slot int) (*Task, error) {
 
 // strand records a fault-stranded task and re-queues it.
 func (s *System) strand(taskHandle int) *Task {
-	t, ok := s.tasks[TaskID(taskHandle)]
+	t, ok := s.Task(TaskID(taskHandle))
 	if !ok {
 		return nil
 	}

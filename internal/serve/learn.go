@@ -25,7 +25,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -297,12 +296,7 @@ func (s *Service) Journal() []string {
 func (s *Service) ReplayHash() string {
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
-	h := fnv.New64a()
-	for _, line := range s.journal {
-		h.Write([]byte(line))
-		h.Write([]byte{'\n'})
-	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+	return fmt.Sprintf("fnv64a:%016x", s.journalSum.Sum64())
 }
 
 // --- Commit pipeline ---------------------------------------------------
@@ -416,6 +410,8 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 		next.epoch, s.now.Load(), reason, changed, foldedObs)
 	s.journalMu.Lock()
 	s.journal = append(s.journal, line)
+	_, _ = s.journalSum.Write([]byte(line))
+	_, _ = s.journalSum.Write([]byte{'\n'})
 	s.journalMu.Unlock()
 	return next.epoch, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -85,6 +86,27 @@ func TestCommitNowBumpsEpochAndJournals(t *testing.T) {
 	st := s.EpochStats()
 	if st.Commits != 1 || st.Folds != 0 || st.Epoch != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestReplayHashFoldsJournalAtAppend checks the running digest: after
+// every commit, ReplayHash equals a fresh fnv64a fold over Journal().
+func TestReplayHashFoldsJournalAtAppend(t *testing.T) {
+	cb, _, _ := genWorkload(t, 1, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 2, Learning: learnConfig(64, 0)})
+	defer s.Close()
+	for i := 1; i <= 20; i++ {
+		s.Tick(device.Micros(i) * 100)
+		if _, err := s.CommitNow(); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, line := range s.Journal() {
+			_, _ = h.Write([]byte(line + "\n"))
+		}
+		if got, want := s.ReplayHash(), fmt.Sprintf("fnv64a:%016x", h.Sum64()); got != want {
+			t.Fatalf("after %d commits: ReplayHash %s, fold over the journal %s", i, got, want)
+		}
 	}
 }
 

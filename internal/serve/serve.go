@@ -35,6 +35,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -232,11 +234,13 @@ type Service struct {
 	// ls is the deferred net-commit state; nil when learning is off.
 	ls *learnState
 
-	// journal is the epoch replay witness: one line per commit, hashed
-	// by ReplayHash. Fold points and epoch numbering are part of the
-	// replay contract (DESIGN.md §14).
-	journalMu sync.Mutex
-	journal   []string
+	// journal is the epoch replay witness: one line per commit. Fold
+	// points and epoch numbering are part of the replay contract
+	// (DESIGN.md §14). journalSum folds each line into the fnv64a
+	// digest ReplayHash prints as it is appended.
+	journalMu  sync.Mutex
+	journal    []string
+	journalSum hash.Hash64
 
 	// now mirrors the sim clock for the linger budget and overload
 	// hints; reading rtsys.System.Now directly from workers would race
@@ -302,6 +306,8 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		tickCh:   make(chan struct{}),
 		drain:    make(chan struct{}),
 		done:     make(chan struct{}),
+
+		journalSum: fnv.New64a(),
 	}
 	s.snap.Store(newSnapshot(1, cb, cfg.Shards, cfg.Engine, nil))
 	s.met.Store(newMetrics(nil, cfg.Shards))

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
-# under the race detector, the retrieval allocation guard, the
+# under the race detector, the allocation guards, the
 # observability golden tests, the bit-identical experiment output, a
 # one-iteration benchmark smoke pass, the benchmark, API, fleet, learn
 # and load gates, and a size report. This is the one gate list, and
@@ -46,10 +46,14 @@ gate_lint() {
 
 gate_race() { $GO test -race ./...; }
 
-# Allocation guard: a warmed float-engine Retrieve allocates nothing.
-# The race detector's instrumentation allocates, so the -race pass skips
-# it and it runs here without -race.
-gate_allocs() { $GO test -run TestEngineRetrieveZeroAllocs -count=1 ./internal/retrieval/; }
+# Allocation guards: a warmed float-engine Retrieve allocates nothing,
+# and a clock tick's walks allocate no more late in a 20k-step run than
+# early. The race detector's instrumentation allocates, so the -race
+# pass skips both checks and they run here without -race.
+gate_allocs() {
+	$GO test -run TestEngineRetrieveZeroAllocs -count=1 ./internal/retrieval/
+	$GO test -run TestTickWorkBoundedByHistory -count=1 ./internal/rtsys/
+}
 
 # Observability goldens: deterministic counters and bit-exact replay.
 gate_obs() { $GO test -run 'TestObs' ./internal/experiments/; }

@@ -2,7 +2,9 @@
 # loadcheck: the qosd/qosload end-to-end smoke. Builds both binaries,
 # boots a lockstep daemon on a loopback port, runs the two committed
 # bench scenarios (zipf hotkey and uniform client mixes), validates the
-# emitted BENCH_qosd_*.json against the wire schema, replays the zipf
+# emitted BENCH_qosd_*.json against the wire schema, reruns the uniform
+# mix ten times longer and requires its p50 to stay within 1.5x (a
+# daemon must not slow down with age), replays the zipf
 # schedule against a FRESH daemon and requires identical outcome hashes
 # (the determinism acceptance check), and finally SIGTERMs a daemon
 # with traffic behind it and requires a clean drain (exit 0).
@@ -61,6 +63,24 @@ stop
 boot
 run_scenario uniform "$OUT/BENCH_qosd_uniform.json"
 stop
+
+# Age acceptance: a daemon must not slow down as its history grows. The
+# uniform scenario at ten times the length, against a fresh daemon, must
+# keep its p50 within 1.5x of the short run's. The report goes to $TMP:
+# the committed reports stay at $REQS requests.
+LONG_REQS=$((REQS * 10))
+boot
+./bin/qosload -addr "$URL" -scenario uniform -mode lockstep \
+	-seed "$SEED" -requests "$LONG_REQS" -out "$TMP/BENCH_qosd_uniform_long.json"
+stop
+p50() { sed -n 's/.*"p50": *\([0-9.]*\).*/\1/p' "$1" | head -n 1; }
+SHORT_P50="$(p50 "$OUT/BENCH_qosd_uniform.json")"
+LONG_P50="$(p50 "$TMP/BENCH_qosd_uniform_long.json")"
+echo "loadcheck: uniform p50 ${SHORT_P50}us at $REQS requests, ${LONG_P50}us at $LONG_REQS"
+awk -v s="$SHORT_P50" -v l="$LONG_P50" 'BEGIN { exit !(l <= 1.5 * s) }' || {
+	echo "loadcheck: uniform p50 grew more than 1.5x between $REQS and $LONG_REQS requests" >&2
+	exit 1
+}
 
 # Determinism acceptance: replaying the same seed against a fresh
 # daemon must yield the exact same per-request outcomes (latency aside).
