@@ -47,12 +47,15 @@ gate_lint() {
 gate_race() { $GO test -race ./...; }
 
 # Allocation guards: a warmed float-engine Retrieve allocates nothing,
-# and a clock tick's walks allocate no more late in a 20k-step run than
-# early. The race detector's instrumentation allocates, so the -race
-# pass skips both checks and they run here without -race.
+# a clock tick's walks allocate no more late in a 20k-step run than
+# early, and the service's Retrieve, Allocate+Release and RetrieveBatch
+# stay at their pinned allocation counts. The race detector's
+# instrumentation allocates, so the -race pass skips these checks and
+# they run here without -race.
 gate_allocs() {
 	$GO test -run TestEngineRetrieveZeroAllocs -count=1 ./internal/retrieval/
 	$GO test -run TestTickWorkBoundedByHistory -count=1 ./internal/rtsys/
+	$GO test -run TestServiceAllocsPinned -count=1 ./internal/serve/
 }
 
 # Observability goldens: deterministic counters and bit-exact replay.
