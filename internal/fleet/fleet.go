@@ -26,7 +26,6 @@ package fleet
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"qosalloc/internal/admit"
 	"qosalloc/internal/alloc"
@@ -143,7 +142,7 @@ type Fleet struct {
 	now       device.Micros
 	met       *metrics
 	stats     Stats
-	journal   []string
+	journal   *obs.Journal
 }
 
 // New builds an empty fleet over one shared case base; add platforms
@@ -161,6 +160,7 @@ func New(cb *casebase.CaseBase, opt Options) *Fleet {
 		ledger:    admit.NewLedger(),
 		opt:       opt,
 		met:       newMetrics(nil),
+		journal:   obs.NewJournal(),
 	}
 }
 
@@ -520,23 +520,16 @@ func (f *Fleet) migrate(n *Node, t *rtsys.Task, tr *taskRec, im *casebase.Implem
 // log appends one journal line; the journal is the fleet's replay
 // witness, hashed by ReplayHash.
 func (f *Fleet) log(format string, args ...any) {
-	f.journal = append(f.journal, fmt.Sprintf(format, args...))
+	f.journal.Append(fmt.Sprintf(format, args...))
 }
 
 // Journal returns the ordered placement-event log.
-func (f *Fleet) Journal() []string { return append([]string(nil), f.journal...) }
+func (f *Fleet) Journal() []string { return f.journal.Lines() }
 
-// ReplayHash folds the journal into a printable fnv64a digest — two
-// runs of the same schedule must produce the same value, the
+// ReplayHash returns the journal's printable fnv64a digest — two runs
+// of the same schedule must produce the same value, the
 // bit-identical-replay acceptance criterion.
-func (f *Fleet) ReplayHash() string {
-	h := fnv.New64a()
-	for _, line := range f.journal {
-		_, _ = h.Write([]byte(line))
-		_, _ = h.Write([]byte{'\n'})
-	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
-}
+func (f *Fleet) ReplayHash() string { return f.journal.Hash() }
 
 // observeTenant refreshes the tenant's holdings gauges.
 func (f *Fleet) observeTenant(tenant string) {

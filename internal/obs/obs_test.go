@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -188,5 +190,27 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 	if r.Snapshot().Histograms["h"].Count != 8000 {
 		t.Error("histogram lost observations")
+	}
+}
+
+// TestJournalRunningDigest checks that Hash, kept up at every Append,
+// equals a fresh fnv64a fold over the lines (each followed by a
+// newline), and that Lines hands out a copy.
+func TestJournalRunningDigest(t *testing.T) {
+	j := NewJournal()
+	for i := 0; i <= 5; i++ {
+		h := fnv.New64a()
+		for _, line := range j.Lines() {
+			_, _ = h.Write([]byte(line + "\n"))
+		}
+		if got, want := j.Hash(), fmt.Sprintf("fnv64a:%016x", h.Sum64()); got != want {
+			t.Fatalf("after %d lines: Hash %s, fold over Lines %s", i, got, want)
+		}
+		j.Append(fmt.Sprintf("event=%d", i))
+	}
+	lines := j.Lines()
+	lines[0] = "edited"
+	if got := j.Lines()[0]; got != "event=0" {
+		t.Errorf("Lines shares its backing array: first line now %q", got)
 	}
 }

@@ -50,7 +50,7 @@ func TestServiceAllocsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"RetrieveBatch/16", 96, func() {
+		{"RetrieveBatch/16", 90, func() {
 			if _, err := gs.RetrieveBatch(ctx, batch); err != nil {
 				t.Fatal(err)
 			}

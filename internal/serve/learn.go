@@ -24,6 +24,7 @@ package serve
 //qosvet:lockorder commitMu < learnStripe.mu < shard.mu < allocMu
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -101,10 +102,6 @@ func newLearnState(cb *casebase.CaseBase, cfg LearnConfig, stripes int) *learnSt
 	return ls
 }
 
-func (ls *learnState) stripeFor(t casebase.TypeID) *learnStripe {
-	return ls.stripes[int(t)%len(ls.stripes)]
-}
-
 // due evaluates the fold policy against the global counters. Pending
 // sub-LSB residue alone never trips a fold — it stays in the deltas
 // compounding until it becomes an LSB-visible revision.
@@ -126,11 +123,11 @@ func (s *Service) Observe(o learn.Observation) error {
 	if s.ls == nil {
 		return ErrLearningOff
 	}
-	if err := s.acquireMut(); err != nil {
+	if err := s.acquire(context.Background()); err != nil {
 		return err
 	}
 	defer s.inflight.Done()
-	st := s.ls.stripeFor(o.Type)
+	st := s.ls.stripes[shardOf(o.Type, len(s.ls.stripes))]
 	st.mu.Lock()
 	revDelta, err := st.delta.Observe(o)
 	st.mu.Unlock()
@@ -172,7 +169,7 @@ func (s *Service) Retain(t casebase.TypeID, im casebase.Implementation, atEpoch 
 	if s.ls == nil {
 		return 0, ErrLearningOff
 	}
-	if err := s.acquireMut(); err != nil {
+	if err := s.acquire(context.Background()); err != nil {
 		return 0, err
 	}
 	defer s.inflight.Done()
@@ -215,7 +212,7 @@ func (s *Service) Retire(t casebase.TypeID, impl casebase.ImplID, atEpoch uint64
 	if s.ls == nil {
 		return ErrLearningOff
 	}
-	if err := s.acquireMut(); err != nil {
+	if err := s.acquire(context.Background()); err != nil {
 		return err
 	}
 	defer s.inflight.Done()
@@ -242,7 +239,7 @@ func (s *Service) CommitNow() (uint64, error) {
 	if s.ls == nil {
 		return 0, ErrLearningOff
 	}
-	if err := s.acquireMut(); err != nil {
+	if err := s.acquire(context.Background()); err != nil {
 		return 0, err
 	}
 	defer s.inflight.Done()
@@ -284,35 +281,14 @@ func (s *Service) EpochStats() EpochStats {
 // points and epoch numbering are part of the replay contract — a
 // deterministic driver replays the identical journal at any shard
 // count.
-func (s *Service) Journal() []string {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
-	return append([]string(nil), s.journal...)
-}
+func (s *Service) Journal() []string { return s.journal.Lines() }
 
 // ReplayHash folds the epoch journal into a printable fnv64a digest —
 // two runs of the same schedule must produce the same hash, bit for
 // bit, no matter the shard count.
-func (s *Service) ReplayHash() string {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
-	return fmt.Sprintf("fnv64a:%016x", s.journalSum.Sum64())
-}
+func (s *Service) ReplayHash() string { return s.journal.Hash() }
 
 // --- Commit pipeline ---------------------------------------------------
-
-// acquireMut is the mutation twin of acquire: it registers the call on
-// the in-flight group Close waits for, so a mutation either sees
-// ErrDraining or fully commits before Close returns.
-func (s *Service) acquireMut() error {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
-		return ErrDraining
-	}
-	s.inflight.Add(1)
-	return nil
-}
 
 // checkEpochLocked enforces an optimistic epoch precondition (zero
 // means unconditional). Caller holds commitMu, so the check cannot race
@@ -406,12 +382,7 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 	met := s.met.Load()
 	met.epoch.Set(int64(next.epoch))
 	met.foldedObs.Add(foldedObs)
-	line := fmt.Sprintf("epoch=%d t=%d reason=%s changed=%d folded_obs=%d",
-		next.epoch, s.now.Load(), reason, changed, foldedObs)
-	s.journalMu.Lock()
-	s.journal = append(s.journal, line)
-	_, _ = s.journalSum.Write([]byte(line))
-	_, _ = s.journalSum.Write([]byte{'\n'})
-	s.journalMu.Unlock()
+	s.journal.Append(fmt.Sprintf("epoch=%d t=%d reason=%s changed=%d folded_obs=%d",
+		next.epoch, s.now.Load(), reason, changed, foldedObs))
 	return next.epoch, nil
 }

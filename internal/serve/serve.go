@@ -35,8 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -160,7 +158,9 @@ const (
 	jobCandidates                // N-best list feeding a placement
 )
 
-// job is one queued retrieval unit.
+// job is one retrieval unit. A queued job (Retrieve, Allocate) gets
+// its reply on done; a job of a pre-formed batch (RetrieveBatch,
+// AllocateBatch) has no channel, and runBatch writes *out instead.
 type job struct {
 	ctx  context.Context
 	kind jobKind
@@ -168,7 +168,8 @@ type job struct {
 	n    int    // candidate depth for jobCandidates
 	sig  string // request signature (dedup key)
 	at   device.Micros
-	done chan jobResult // buffered(1); the worker always sends
+	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
+	out  *jobResult     // the pre-formed job's result slot
 }
 
 type jobResult struct {
@@ -236,11 +237,8 @@ type Service struct {
 
 	// journal is the epoch replay witness: one line per commit. Fold
 	// points and epoch numbering are part of the replay contract
-	// (DESIGN.md §14). journalSum folds each line into the fnv64a
-	// digest ReplayHash prints as it is appended.
-	journalMu  sync.Mutex
-	journal    []string
-	journalSum hash.Hash64
+	// (DESIGN.md §14).
+	journal *obs.Journal
 
 	// now mirrors the sim clock for the linger budget and overload
 	// hints; reading rtsys.System.Now directly from workers would race
@@ -306,8 +304,7 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		tickCh:   make(chan struct{}),
 		drain:    make(chan struct{}),
 		done:     make(chan struct{}),
-
-		journalSum: fnv.New64a(),
+		journal:  obs.NewJournal(),
 	}
 	s.snap.Store(newSnapshot(1, cb, cfg.Shards, cfg.Engine, nil))
 	s.met.Store(newMetrics(nil, cfg.Shards))
@@ -489,26 +486,8 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
-	j := &job{ctx: ctx, kind: jobRetrieve, req: req, done: make(chan jobResult, 1)}
-	if err := s.submit(j); err != nil {
-		return retrieval.Result{}, err
-	}
-	select {
-	case r := <-j.done:
-		return r.best, r.err
-	case <-ctx.Done():
-		return retrieval.Result{}, retrieval.Canceled(ctx)
-	case <-s.done:
-		// done closes only after the drain flush answered every
-		// admitted job, so the reply is already buffered — but select
-		// picks arms at random when both are ready; prefer the result.
-		select {
-		case r := <-j.done:
-			return r.best, r.err
-		default:
-		}
-		return retrieval.Result{}, ErrDraining
-	}
+	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, done: make(chan jobResult, 1)})
+	return r.best, r.err
 }
 
 // Allocate retrieves the N-best candidates for req on its shard, then
@@ -524,39 +503,24 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 	defer s.inflight.Done()
 	met := s.met.Load()
 	for attempt := 0; ; attempt++ {
-		cands, epoch, err := s.candidates(ctx, req)
-		if err == nil {
-			err = retrieval.Canceled(ctx)
-		}
-		if err != nil {
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			return nil, err
+		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: s.cfg.Manager.NBest, done: make(chan jobResult, 1)})
+		if r.err == nil {
+			r.err = retrieval.Canceled(ctx)
 		}
 		s.allocMu.Lock()
-		if epoch != s.mgrEpoch {
-			committed := s.mgrEpoch
+		stale := r.err == nil && r.epoch != s.mgrEpoch
+		if stale && attempt < maxStaleRetries {
 			s.allocMu.Unlock()
-			if attempt < maxStaleRetries {
-				s.staleRetries.Add(1)
-				met.staleRetries.Inc()
-				continue
-			}
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			return nil, &ErrStaleEpoch{At: epoch, Committed: committed}
+			s.staleRetries.Add(1)
+			met.staleRetries.Inc()
+			continue
 		}
-		d, err := s.mgr.PlaceCandidates(app, req, append([]retrieval.Result(nil), cands...), basePrio)
-		s.now.Store(uint64(s.sys.Now()))
+		d, err := s.placeLocked(met, app, req, r, basePrio)
+		if r.err == nil && !stale {
+			s.now.Store(uint64(s.sys.Now()))
+		}
 		s.allocMu.Unlock()
-		if err != nil {
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			return nil, err
-		}
-		s.allocated.Add(1)
-		met.allocOK.Inc()
-		return d, nil
+		return d, err
 	}
 }
 
@@ -564,26 +528,52 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 // when commits keep landing between its retrieval and its placement.
 const maxStaleRetries = 2
 
-// candidates fetches the N-best list for one request through the shard
-// queue, returning the epoch it was scored against.
-func (s *Service) candidates(ctx context.Context, req casebase.Request) ([]retrieval.Result, uint64, error) {
-	j := &job{ctx: ctx, kind: jobCandidates, req: req, n: s.cfg.Manager.NBest, done: make(chan jobResult, 1)}
+// await submits a queued job to its shard and waits for the reply, the
+// caller's context, or the end of the drain flush.
+func (s *Service) await(ctx context.Context, j *job) jobResult {
 	if err := s.submit(j); err != nil {
-		return nil, 0, err
+		return jobResult{err: err}
 	}
 	select {
 	case r := <-j.done:
-		return r.list, r.epoch, r.err
+		return r
 	case <-ctx.Done():
-		return nil, 0, retrieval.Canceled(ctx)
+		return jobResult{err: retrieval.Canceled(ctx)}
 	case <-s.done:
-		select { // prefer the buffered reply (see Retrieve)
+		// done closes only after the drain flush answered every
+		// admitted job, so the reply is already buffered — but select
+		// picks arms at random when both are ready; prefer the result.
+		select {
 		case r := <-j.done:
-			return r.list, r.epoch, r.err
+			return r
 		default:
 		}
-		return nil, 0, ErrDraining
+		return jobResult{err: ErrDraining}
 	}
+}
+
+// placeLocked places one request from its retrieval result: a failed
+// retrieval fails the request, candidates scored against an epoch the
+// manager has left fail it with *ErrStaleEpoch, and the manager places
+// the rest from a copy of the candidate list (the batch's singleflight
+// map may share it). Every outcome is counted. Caller holds allocMu.
+func (s *Service) placeLocked(met *metrics, app string, req casebase.Request, r jobResult, prio int) (*alloc.Decision, error) {
+	var d *alloc.Decision
+	err := r.err
+	if err == nil && r.epoch != s.mgrEpoch {
+		err = &ErrStaleEpoch{At: r.epoch, Committed: s.mgrEpoch}
+	}
+	if err == nil {
+		d, err = s.mgr.PlaceCandidates(app, req, append([]retrieval.Result(nil), r.list...), prio)
+	}
+	if err != nil {
+		s.allocFailed.Add(1)
+		met.allocFail.Inc()
+		return nil, err
+	}
+	s.allocated.Add(1)
+	met.allocOK.Inc()
+	return d, nil
 }
 
 // RetrieveOutcome is one RetrieveBatch element: the result or the
@@ -603,13 +593,13 @@ func (s *Service) RetrieveBatch(ctx context.Context, reqs []casebase.Request) ([
 		return nil, err
 	}
 	defer s.inflight.Done()
-	bests, _, _, errs, err := s.fanout(ctx, reqs, jobRetrieve, 0)
+	res, err := s.fanout(ctx, reqs, jobRetrieve, 0)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]RetrieveOutcome, len(reqs))
-	for i := range reqs {
-		out[i] = RetrieveOutcome{Result: bests[i], Err: errs[i]}
+	for i, r := range res {
+		out[i] = RetrieveOutcome{Result: r.best, Err: r.err}
 	}
 	return out, nil
 }
@@ -634,7 +624,7 @@ func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase
 		return nil, err
 	}
 	defer s.inflight.Done()
-	_, lists, epochs, errs, err := s.fanout(ctx, reqs, jobCandidates, s.cfg.Manager.NBest)
+	res, err := s.fanout(ctx, reqs, jobCandidates, s.cfg.Manager.NBest)
 	if err != nil {
 		return nil, err
 	}
@@ -642,39 +632,18 @@ func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase
 	out := make([]BatchResult, len(reqs))
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	for i := range reqs {
-		if errs[i] != nil {
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			out[i].Err = errs[i]
-			continue
-		}
-		if epochs[i] != s.mgrEpoch {
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			out[i].Err = &ErrStaleEpoch{At: epochs[i], Committed: s.mgrEpoch}
-			continue
-		}
-		d, err := s.mgr.PlaceCandidates(app, reqs[i], append([]retrieval.Result(nil), lists[i]...), basePrio)
-		if err != nil {
-			s.allocFailed.Add(1)
-			met.allocFail.Inc()
-			out[i].Err = err
-			continue
-		}
-		s.allocated.Add(1)
-		met.allocOK.Inc()
-		out[i].Decision = d
+	for i, r := range res {
+		out[i].Decision, out[i].Err = s.placeLocked(met, app, reqs[i], r, basePrio)
 	}
 	s.now.Store(uint64(s.sys.Now()))
 	return out, nil
 }
 
-// acquire guards the Allocate/*Batch entry points and registers the
-// call on the in-flight group Close waits for: a call either sees
-// ErrDraining here, or its placements finish before Close returns. The
-// check and the Add sit under the drain fence so the group can never
-// grow after Close started waiting on it.
+// acquire guards the Allocate/*Batch and mutation entry points and
+// registers the call on the in-flight group Close waits for: a call
+// either sees ErrDraining here, or its placements or commit finish
+// before Close returns. The check and the Add sit under the drain fence
+// so the group can never grow after Close started waiting on it.
 func (s *Service) acquire(ctx context.Context) error {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return err
@@ -690,9 +659,9 @@ func (s *Service) acquire(ctx context.Context) error {
 
 // --- Shard routing & admission ----------------------------------------
 
-func (s *Service) shardFor(t casebase.TypeID) *shard {
-	return s.shards[int(t)%len(s.shards)]
-}
+// shardOf is the one routing rule, for shard queues and learning
+// stripes alike: type t belongs to partition t mod n.
+func shardOf(t casebase.TypeID, n int) int { return int(t) % n }
 
 // submit routes a job to its shard queue, shedding with *ErrOverload
 // when the queue is full. The admission check and the queue send sit
@@ -705,7 +674,7 @@ func (s *Service) submit(j *job) error {
 	if s.draining {
 		return ErrDraining
 	}
-	sh := s.shardFor(j.req.Type)
+	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
 	j.sig = retrieval.Signature(j.req)
 	j.at = device.Micros(s.now.Load())
 	met := s.met.Load()
@@ -825,8 +794,9 @@ func (s *Service) gather(sh *shard, batch *[]*job) {
 	}
 }
 
-// runBatch executes one coalesced batch of queued jobs, deduplicating
-// identical signatures, and replies to every job. The snapshot is
+// runBatch executes one batch of jobs, queued or pre-formed,
+// deduplicating identical signatures, and replies to every job. The
+// caller splits batches at MaxBatch. The snapshot is
 // loaded once per batch, after the shard mutex is held — the ordering
 // the commit fence relies on: a committer that has swapped the pointer
 // and then cycled this mutex knows every later batch sees the new
@@ -841,39 +811,19 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	s.noteBatch(met, len(batch))
 	defer clear(sh.seen)
 	for _, j := range batch {
+		var r jobResult
 		if err := retrieval.Canceled(j.ctx); err != nil {
 			s.canceled.Add(1)
 			met.canceled.Inc()
-			j.done <- jobResult{err: err}
-			continue
+			r.err = err
+		} else {
+			r = s.resolve(sn, sh, j, met)
 		}
-		j.done <- s.resolve(sn, sh, j, met)
-	}
-}
-
-// runGroup is the pre-formed twin of runBatch for the *Batch entry
-// points: it scores one shard group of reqs (selected by idxs) and
-// writes results positionally. The caller splits groups at MaxBatch.
-func (s *Service) runGroup(ctx context.Context, sh *shard, reqs []casebase.Request, idxs []int, kind jobKind, n int,
-	bests []retrieval.Result, lists [][]retrieval.Result, epochs []uint64, errs []error) {
-	met := s.met.Load()
-	met.busy[sh.idx].Set(1)
-	defer met.busy[sh.idx].Set(0)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sn := s.snap.Load() // after sh.mu — see runBatch
-	s.noteBatch(met, len(idxs))
-	defer clear(sh.seen)
-	for _, i := range idxs {
-		if err := retrieval.Canceled(ctx); err != nil {
-			s.canceled.Add(1)
-			met.canceled.Inc()
-			errs[i] = err
-			continue
+		if j.done != nil {
+			j.done <- r
+		} else {
+			*j.out = r
 		}
-		j := &job{ctx: ctx, kind: kind, req: reqs[i], n: n, sig: retrieval.Signature(reqs[i])}
-		r := s.resolve(sn, sh, j, met)
-		bests[i], lists[i], epochs[i], errs[i] = r.best, r.list, r.epoch, r.err
 	}
 }
 
@@ -937,38 +887,37 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResul
 	return jobResult{best: r, epoch: sn.epoch}
 }
 
-// fanout routes reqs to shards and processes each shard's group as
-// pre-formed micro-batches (split at MaxBatch) in parallel across
-// shards. Results are positionally aligned with reqs.
-func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobKind, n int) (
-	bests []retrieval.Result, lists [][]retrieval.Result, epochs []uint64, errs []error, err error) {
-	bests = make([]retrieval.Result, len(reqs))
-	lists = make([][]retrieval.Result, len(reqs))
-	epochs = make([]uint64, len(reqs))
-	errs = make([]error, len(reqs))
-	groups := make([][]int, len(s.shards))
+// fanout runs reqs as pre-formed micro-batches: one job per request,
+// grouped by shard, each group split at MaxBatch and run through
+// runBatch, in parallel across shards. Results are positionally aligned
+// with reqs.
+func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobKind, n int) ([]jobResult, error) {
+	jobs := make([]job, len(reqs))
+	res := make([]jobResult, len(reqs))
+	groups := make([][]*job, len(s.shards))
 	for i, r := range reqs {
-		si := int(r.Type) % len(s.shards)
-		groups[si] = append(groups[si], i)
+		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: n, sig: retrieval.Signature(r), out: &res[i]}
+		si := shardOf(r.Type, len(s.shards))
+		groups[si] = append(groups[si], &jobs[i])
 	}
 	var wg sync.WaitGroup
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
+	for si, g := range groups {
+		if len(g) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(sh *shard, idxs []int) {
+		go func(sh *shard, g []*job) {
 			defer wg.Done()
-			for len(idxs) > 0 {
-				nb := min(len(idxs), s.cfg.MaxBatch)
-				s.runGroup(ctx, sh, reqs, idxs[:nb], kind, n, bests, lists, epochs, errs)
-				idxs = idxs[nb:]
+			for len(g) > 0 {
+				nb := min(len(g), s.cfg.MaxBatch)
+				s.runBatch(sh, g[:nb])
+				g = g[nb:]
 			}
-		}(s.shards[si], idxs)
+		}(s.shards[si], g)
 	}
 	wg.Wait()
-	if cerr := retrieval.Canceled(ctx); cerr != nil {
-		return nil, nil, nil, nil, cerr
+	if err := retrieval.Canceled(ctx); err != nil {
+		return nil, err
 	}
-	return bests, lists, epochs, errs, nil
+	return res, nil
 }
