@@ -360,7 +360,8 @@ func (d *daemon) now(r *http.Request) (device.Micros, error) {
 
 // advanceTo moves the platform's sim clock to now (monotonically),
 // applying due scripted faults and recovering stranded tasks under the
-// service's exclusive section, then settles due auto-releases.
+// service's exclusive section, then returns the budget charges of the
+// tasks recovery rejected and settles due auto-releases.
 func (d *daemon) advanceTo(now device.Micros) {
 	for {
 		cur := d.simNow.Load()
@@ -371,6 +372,7 @@ func (d *daemon) advanceTo(now device.Micros) {
 			break
 		}
 	}
+	var rejected []qosalloc.TaskID
 	d.svc.Exclusive(func() {
 		// Exclusive serializes; re-check against the system clock in
 		// case a racing later advance already passed this target.
@@ -380,8 +382,17 @@ func (d *daemon) advanceTo(now device.Micros) {
 		if _, err := d.inj.AdvanceTo(now); err != nil {
 			return
 		}
-		d.svc.Manager().RecoverFromFaults()
+		for _, rec := range d.svc.Manager().RecoverFromFaults() {
+			if rec.Report != nil {
+				rejected = append(rejected, rec.Task)
+			}
+		}
 	})
+	// A rejected task is done, so its client's release will fail and
+	// never reach dropGrant.
+	for _, id := range rejected {
+		d.dropGrant(id)
+	}
 	d.releaseDue(now)
 }
 
@@ -462,10 +473,9 @@ func (d *daemon) begin(w http.ResponseWriter) bool {
 	d.drainMu.RLock()
 	defer d.drainMu.RUnlock()
 	if d.draining {
-		writeError(w, http.StatusServiceUnavailable, wire.ErrorResponse{
+		d.writeError(w, http.StatusServiceUnavailable, wire.ErrorResponse{
 			Code: wire.CodeDraining, Error: "qosd: draining for shutdown", RetryAfterUS: 1_000_000,
 		})
-		d.met.serverEr.Inc()
 		return false
 	}
 	d.inflight.Add(1)
@@ -566,17 +576,15 @@ func (d *daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, wire.MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: fmt.Sprintf("qosd: bad release body: %v", err),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.svc.Release(qosalloc.TaskID(req.Task)); err != nil {
-		writeError(w, http.StatusNotFound, wire.ErrorResponse{
+		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
 			Code: wire.CodeUnknownTask, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	d.dropGrant(qosalloc.TaskID(req.Task))
@@ -595,24 +603,21 @@ func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	defer d.inflight.Done()
 	req, err := wire.DecodeObserveRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if _, err := d.now(r); err != nil { // advance the sim clock (age bound)
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.checkVariant(req.Type, req.Impl, req.Measured); err != nil {
-		writeError(w, http.StatusNotFound, wire.ErrorResponse{
+		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
 			Code: wire.CodeNoMatch, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.svc.Observe(req.Observation()); err != nil {
@@ -635,24 +640,21 @@ func (d *daemon) handleRetain(w http.ResponseWriter, r *http.Request) {
 	defer d.inflight.Done()
 	req, err := wire.DecodeRetainRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if _, err := d.now(r); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.checkVariant(req.Type, 0, req.Attrs); err != nil {
-		writeError(w, http.StatusNotFound, wire.ErrorResponse{
+		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
 			Code: wire.CodeNoMatch, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	id, err := d.svc.Retain(casebase.TypeID(req.Type), req.Implementation(), req.AtEpoch)
@@ -675,24 +677,21 @@ func (d *daemon) handleRetire(w http.ResponseWriter, r *http.Request) {
 	defer d.inflight.Done()
 	req, err := wire.DecodeRetireRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if _, err := d.now(r); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.checkVariant(req.Type, req.Impl, nil); err != nil {
-		writeError(w, http.StatusNotFound, wire.ErrorResponse{
+		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
 			Code: wire.CodeNoMatch, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return
 	}
 	if err := d.svc.Retire(casebase.TypeID(req.Type), casebase.ImplID(req.Impl), req.AtEpoch); err != nil {
@@ -752,10 +751,9 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*wire.AllocRequest, device.Micros, bool) {
 	req, err := wire.DecodeAllocRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return nil, 0, false
 	}
 	// Semantic validation against the served case base (unknown type,
@@ -764,18 +762,16 @@ func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*wire.AllocRequ
 	// out of the engine. The committed epoch's tree is the reference —
 	// with -learn the construction-time d.cb goes stale after commits.
 	if err := req.Request().Validate(d.svc.CaseBase()); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return nil, 0, false
 	}
 	now, err := d.now(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorResponse{
+		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: err.Error(),
 		})
-		d.met.clientEr.Inc()
 		return nil, 0, false
 	}
 	return req, now, true
@@ -838,12 +834,7 @@ func breakerFailure(err error) bool {
 // writeMapped translates a typed pipeline error into its HTTP shape.
 func (d *daemon) writeMapped(w http.ResponseWriter, err error) {
 	status, body := mapError(err)
-	writeError(w, status, body)
-	if status >= 500 {
-		d.met.serverEr.Inc()
-	} else {
-		d.met.clientEr.Inc()
-	}
+	d.writeError(w, status, body)
 }
 
 // mapError is the single error → (status, body) table for the daemon.
@@ -918,8 +909,15 @@ func mapError(err error) (int, wire.ErrorResponse) {
 }
 
 // writeError emits the JSON error body plus the Retry-After header
-// (whole seconds, rounded up) when the error class carries a hint.
-func writeError(w http.ResponseWriter, status int, body wire.ErrorResponse) {
+// (whole seconds, rounded up) when the error class carries a hint, and
+// counts the response by status class. Every error reply goes through
+// it.
+func (d *daemon) writeError(w http.ResponseWriter, status int, body wire.ErrorResponse) {
+	if status >= 500 {
+		d.met.serverEr.Inc()
+	} else {
+		d.met.clientEr.Inc()
+	}
 	if body.RetryAfterUS > 0 {
 		secs := (body.RetryAfterUS + 999_999) / 1_000_000
 		w.Header().Set("Retry-After", strconv.FormatUint(secs, 10))

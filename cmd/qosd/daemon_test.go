@@ -427,3 +427,64 @@ func TestDaemonTenantBudgets(t *testing.T) {
 		t.Fatalf("grants after release: %d, want 0", held)
 	}
 }
+
+// TestDaemonFaultRejectReturnsGrant covers a metered task that fault
+// recovery rejects: every device fails under it, so the task is done
+// before its client releases it. The tenant's budget charge must come
+// back at the clock advance that rejects it; the client's release then
+// gets 404 and there is nothing left to return.
+func TestDaemonFaultRejectReturnsGrant(t *testing.T) {
+	opt := lockstepOptions()
+	opt.tenants = "dave=big"
+	opt.classes = "big=slices:100000,brams:100000"
+	opt.faults = "3500:devfail:fpga0;3500:devfail:dsp0;3500:devfail:gpp0"
+	d, base, sig, done := startDaemon(t, opt)
+	defer func() { sig <- syscall.SIGTERM; <-done }()
+	reqs := testRequests(t, opt, 8)
+
+	held := func() int {
+		d.grantMu.Lock()
+		defer d.grantMu.Unlock()
+		return len(d.grants)
+	}
+	// Allocate until a variant with an FPGA footprint is charged, so the
+	// ledger's slice count shows the grant too.
+	var tasks []int
+	for i, alloc := range reqs {
+		alloc.App = fmt.Sprintf("a%d", i)
+		alloc.Priority = 5
+		var ar wire.AllocResponse
+		resp, body := postAs(t, base+"/v1/allocate", "dave", alloc, uint64(3000+i), &ar)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metered allocate: %d %s", resp.StatusCode, body)
+		}
+		tasks = append(tasks, ar.Task)
+		if sl, _ := d.ledger.Usage("dave"); sl > 0 {
+			break
+		}
+	}
+	if sl, _ := d.ledger.Usage("dave"); sl == 0 {
+		t.Fatal("no allocation charged dave any slices")
+	}
+	if n := held(); n != len(tasks) {
+		t.Fatalf("grants after %d metered allocates: %d", len(tasks), n)
+	}
+
+	// Any request past the faults advances the clock; recovery finds no
+	// live device and rejects every task.
+	if resp, body := post(t, base+"/v1/retrieve", reqs[0], 6000, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retrieve: %d %s", resp.StatusCode, body)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("grants after the tasks were fault-rejected: %d, want 0", n)
+	}
+	if sl, br := d.ledger.Usage("dave"); sl != 0 || br != 0 {
+		t.Errorf("dave still holds %d slices, %d BRAMs", sl, br)
+	}
+	for _, task := range tasks {
+		resp, body := post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: task}, 7000, nil)
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
+			t.Fatalf("release of fault-rejected task %d: %d %s", task, resp.StatusCode, body)
+		}
+	}
+}
