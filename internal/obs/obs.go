@@ -1,7 +1,9 @@
 // Package obs is the observability substrate of the allocation pipeline:
 // atomic counters and gauges, fixed-bucket latency histograms, and a
 // bounded event-trace ring, collected in a Registry that renders either a
-// Prometheus-style text exposition or a JSON snapshot.
+// Prometheus-style text exposition or a JSON snapshot. Journal, the
+// append-only replay log with a running digest, is kept apart from the
+// Registry: it is a run's witness, not a metric.
 //
 // The package is dependency-free (standard library only) and makes two
 // promises the rest of the repo leans on:
