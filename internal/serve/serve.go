@@ -164,8 +164,8 @@ const (
 type job struct {
 	ctx  context.Context
 	kind jobKind
+	n    int32 // candidate depth for jobCandidates; int32 packs it beside kind
 	req  casebase.Request
-	n    int    // candidate depth for jobCandidates
 	sig  string // request signature (dedup key)
 	at   device.Micros
 	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
@@ -183,7 +183,7 @@ type jobResult struct {
 // best-match walk never masks a deeper candidate walk.
 func jobKey(j *job) string {
 	if j.kind == jobCandidates {
-		return "c" + strconv.Itoa(j.n) + "|" + j.sig
+		return "c" + strconv.Itoa(int(j.n)) + "|" + j.sig
 	}
 	return "r|" + j.sig
 }
@@ -503,7 +503,7 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 	defer s.inflight.Done()
 	met := s.met.Load()
 	for attempt := 0; ; attempt++ {
-		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: s.cfg.Manager.NBest, done: make(chan jobResult, 1)})
+		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), done: make(chan jobResult, 1)})
 		if r.err == nil {
 			r.err = retrieval.Canceled(ctx)
 		}
@@ -794,13 +794,12 @@ func (s *Service) gather(sh *shard, batch *[]*job) {
 	}
 }
 
-// runBatch executes one batch of jobs, queued or pre-formed,
-// deduplicating identical signatures, and replies to every job. The
-// caller splits batches at MaxBatch. The snapshot is
-// loaded once per batch, after the shard mutex is held — the ordering
-// the commit fence relies on: a committer that has swapped the pointer
-// and then cycled this mutex knows every later batch sees the new
-// epoch.
+// runBatch executes one batch of jobs, queued or pre-formed (the caller
+// splits batches at MaxBatch), deduplicating identical signatures, and
+// replies to every job. The snapshot is loaded once per batch, after
+// the shard mutex is held — the ordering the commit fence relies on: a
+// committer that has swapped the pointer and then cycled this mutex
+// knows every later batch sees the new epoch.
 func (s *Service) runBatch(sh *shard, batch []*job) {
 	met := s.met.Load()
 	met.busy[sh.idx].Set(1)
@@ -860,7 +859,7 @@ func (s *Service) resolve(sn *snapshot, sh *shard, j *job, met *metrics) jobResu
 func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResult {
 	eng, tokens := sn.engines[sh.idx], sn.tokens[sh.idx]
 	if j.kind == jobCandidates {
-		list, err := eng.RetrieveN(j.req, j.n)
+		list, err := eng.RetrieveN(j.req, int(j.n))
 		return jobResult{list: list, epoch: sn.epoch, err: err}
 	}
 	// Best-match path: the shard token cache bypasses the walk for
@@ -896,7 +895,7 @@ func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobK
 	res := make([]jobResult, len(reqs))
 	groups := make([][]*job, len(s.shards))
 	for i, r := range reqs {
-		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: n, sig: retrieval.Signature(r), out: &res[i]}
+		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: int32(n), sig: retrieval.Signature(r), out: &res[i]}
 		si := shardOf(r.Type, len(s.shards))
 		groups[si] = append(groups[si], &jobs[i])
 	}
