@@ -108,7 +108,7 @@ func (r lockRef) display() string {
 }
 
 // lockOp classifies call as a sync.Mutex/sync.RWMutex method call and
-// returns the resolved receiver plus the method name.
+// returns the resolved receiver plus the method name (see lockMode).
 func lockOp(info *types.Info, call *ast.CallExpr) (ref lockRef, name string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -123,10 +123,28 @@ func lockOp(info *types.Info, call *ast.CallExpr) (ref lockRef, name string, ok 
 		return lockRef{}, "", false
 	}
 	switch fn.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
 		return resolveLockExpr(info, sel.X), fn.Name(), true
 	}
 	return lockRef{}, "", false
+}
+
+// lockMode reports whether the mutex method op acquires or releases,
+// and whether in read mode. TryLock and TryRLock count as acquisitions
+// at the call, checked against the declared order like Lock and RLock:
+// the `if !mu.TryLock() { return }; defer mu.Unlock()` shape holds the
+// lock on every path that reaches the defer, and a failed attempt's
+// branch is left to the path walk like any other conditional hold.
+func lockMode(op string) (acquire, read bool) {
+	switch op {
+	case "Lock", "TryLock":
+		return true, false
+	case "RLock", "TryRLock":
+		return true, true
+	case "RUnlock":
+		return false, true
+	}
+	return false, false
 }
 
 // resolveLockExpr resolves the receiver expression of a mutex method to
@@ -372,7 +390,7 @@ func buildSummaries(pass *Pass) map[*types.Func]*funcSummary {
 					return true
 				}
 				if ref, op, isLock := lockOp(info, call); isLock {
-					if (op == "Lock" || op == "RLock") && ref.class != "" {
+					if acquire, _ := lockMode(op); acquire && ref.class != "" {
 						s.all[ref.class] = true
 					}
 					return true
@@ -531,11 +549,8 @@ func (lc *lockChecker) checkFunc(body *ast.BlockStmt) {
 			return true
 		}
 		if ref, op, isLock := lockOp(lc.pass.TypesInfo, call); isLock && ref.valid() {
-			switch op {
-			case "Lock":
-				fc.locksAnywhere[ref.key(false)] = true
-			case "RLock":
-				fc.locksAnywhere[ref.key(true)] = true
+			if acquire, read := lockMode(op); acquire {
+				fc.locksAnywhere[ref.key(read)] = true
 			}
 		}
 		return true
@@ -835,10 +850,10 @@ func (fc *funcCtx) walkExpr(e ast.Expr, st *lockState) {
 // reporting order inversions and unmatched unlocks.
 func (fc *funcCtx) applyLockOp(pos token.Pos, ref lockRef, op string, st *lockState) {
 	lc := fc.lc
-	read := op == "RLock" || op == "RUnlock"
+	_, read := lockMode(op)
 	key := ref.key(read)
 	switch op {
-	case "Lock", "RLock":
+	case "Lock", "RLock", "TryLock", "TryRLock":
 		if rank, tok, ranked := lc.ranks.rankOf(ref.class); ranked {
 			for _, h := range st.sortedHeld() {
 				if h.ranked && h.count > 0 && rank < h.rank {

@@ -1,8 +1,8 @@
 // Package locksites exercises locklint: the declared hierarchy below
 // mirrors the serve package's (commit → stripes → shards → alloc), and
 // the cases cover ordered acquisition, direct and cross-function
-// inversions, deferred and method-value unlocks, unmatched unlocks,
-// and mutex-by-value copies.
+// inversions, TryLock/TryRLock attempts, deferred and method-value
+// unlocks, unmatched unlocks, and mutex-by-value copies.
 package locksites
 
 import "sync"
@@ -74,6 +74,29 @@ func (s *Service) CrossFunction() {
 	s.lockCommit() // want `locklint: call to lockCommit acquires "commitMu" \(rank 0\) while holding "shard\.mu" \(rank 2\)`
 }
 
+// TryShard is the inline-answer shape: a failed attempt returns, so
+// the deferred unlock runs only with the lock held, and allocMu nests
+// inside it in declared order. Clean.
+func (s *Service) TryShard() bool {
+	if !s.shards[0].mu.TryLock() {
+		return false
+	}
+	defer s.shards[0].mu.Unlock()
+	s.allocMu.Lock()
+	s.allocMu.Unlock()
+	return true
+}
+
+// TryUnderAlloc attempts a shard mutex while holding allocMu: an
+// attempt is an acquisition, checked against the order like Lock.
+func (s *Service) TryUnderAlloc() {
+	s.allocMu.Lock()
+	defer s.allocMu.Unlock()
+	if s.shards[0].mu.TryLock() { // want `locklint: shard\.mu\.TryLock acquires "shard\.mu" \(rank 2\) while holding "allocMu" \(rank 3\)`
+		s.shards[0].mu.Unlock()
+	}
+}
+
 // DeferMethodValue binds the unlock as a method value: still matched.
 func (s *Service) DeferMethodValue() {
 	s.allocMu.Lock()
@@ -119,6 +142,16 @@ func (r *Registry) ReadThenWrite() {
 	r.mu.RLock()
 	r.mu.Unlock() // want `locklint: Registry\.mu\.Unlock without a matching Lock on this path`
 	r.mu.RUnlock()
+}
+
+// TryRead holds the read lock past a successful TryRLock: the deferred
+// RUnlock matches it.
+func (r *Registry) TryRead() bool {
+	if !r.mu.TryRLock() {
+		return false
+	}
+	defer r.mu.RUnlock()
+	return true
 }
 
 // GoBodyIsFresh: goroutine bodies are separate locking scopes; locks

@@ -7,16 +7,19 @@ package sync
 // Mutex is a stand-in mutual exclusion lock.
 type Mutex struct{ state int32 }
 
-func (m *Mutex) Lock()   {}
-func (m *Mutex) Unlock() {}
+func (m *Mutex) Lock()         {}
+func (m *Mutex) Unlock()       {}
+func (m *Mutex) TryLock() bool { return true }
 
 // RWMutex is a stand-in reader/writer lock.
 type RWMutex struct{ state int32 }
 
-func (rw *RWMutex) Lock()    {}
-func (rw *RWMutex) Unlock()  {}
-func (rw *RWMutex) RLock()   {}
-func (rw *RWMutex) RUnlock() {}
+func (rw *RWMutex) Lock()          {}
+func (rw *RWMutex) Unlock()        {}
+func (rw *RWMutex) RLock()         {}
+func (rw *RWMutex) RUnlock()       {}
+func (rw *RWMutex) TryLock() bool  { return true }
+func (rw *RWMutex) TryRLock() bool { return true }
 
 // WaitGroup is a stand-in goroutine counter.
 type WaitGroup struct{ n int32 }

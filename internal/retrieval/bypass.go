@@ -89,18 +89,24 @@ func (tc *TokenCache) evictOldest() {
 // bit pattern — the key sits on the hot batching path, so it is built
 // with strconv appends, never fmt.
 func Signature(req casebase.Request) string {
-	b := make([]byte, 0, 8+24*len(req.Constraints))
-	b = append(b, 't')
-	b = strconv.AppendUint(b, uint64(req.Type), 10)
+	return string(AppendSignature(make([]byte, 0, 8+24*len(req.Constraints)), req))
+}
+
+// AppendSignature appends req's Signature bytes to dst and returns the
+// extended slice. A caller that keys a lookup in a buffer of its own
+// (LookupKey) derives the signature without allocating.
+func AppendSignature(dst []byte, req casebase.Request) []byte {
+	dst = append(dst, 't')
+	dst = strconv.AppendUint(dst, uint64(req.Type), 10)
 	for _, c := range req.Constraints {
-		b = append(b, '|')
-		b = strconv.AppendUint(b, uint64(c.ID), 10)
-		b = append(b, '=')
-		b = strconv.AppendUint(b, uint64(c.Value), 10)
-		b = append(b, '*')
-		b = strconv.AppendUint(b, math.Float64bits(c.Weight), 16)
+		dst = append(dst, '|')
+		dst = strconv.AppendUint(dst, uint64(c.ID), 10)
+		dst = append(dst, '=')
+		dst = strconv.AppendUint(dst, uint64(c.Value), 10)
+		dst = append(dst, '*')
+		dst = strconv.AppendUint(dst, math.Float64bits(c.Weight), 16)
 	}
-	return string(b)
+	return dst
 }
 
 // Lookup returns the token for req if one is cached, refreshing its
@@ -116,6 +122,22 @@ func (tc *TokenCache) LookupSig(sig string) (Token, bool) {
 	el, ok := tc.tokens[sig]
 	if !ok {
 		tc.misses++
+		return Token{}, false
+	}
+	tc.hits++
+	tc.order.MoveToFront(el)
+	return el.Value.(*tokenEntry).tok, true
+}
+
+// LookupKey is LookupSig keyed by AppendSignature bytes; the key is
+// only read, never retained, so the lookup does not allocate. A hit is
+// counted and refreshes recency like LookupSig. A miss is not counted:
+// LookupKey is the probe in front of a fallback that looks the same
+// signature up again with LookupSig, and that lookup counts it, so each
+// request is counted once.
+func (tc *TokenCache) LookupKey(key []byte) (Token, bool) {
+	el, ok := tc.tokens[string(key)]
+	if !ok {
 		return Token{}, false
 	}
 	tc.hits++

@@ -1,10 +1,13 @@
 package retrieval
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/workload"
 )
 
 func TestTokenCacheRoundTrip(t *testing.T) {
@@ -59,6 +62,79 @@ func TestSignatureDistinguishesRequests(t *testing.T) {
 	d.Constraints[2].Weight = 0.1
 	if Signature(a) == Signature(d) {
 		t.Error("weights must participate in the signature")
+	}
+}
+
+// TestAppendSignatureMatchesSignature checks the byte form against the
+// string form over generated requests, with random weights so the
+// weight bits vary too, appended both to an empty buffer and behind a
+// prefix.
+func TestAppendSignatureMatchesSignature(t *testing.T) {
+	cb, reg, err := workload.GenCaseBase(workload.CaseBaseSpec{
+		Types: 12, ImplsPerType: 4, AttrsPerImpl: 6, AttrUniverse: 9, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.GenRequests(cb, reg, workload.RequestStreamSpec{
+		N: 400, ConstraintsPer: 5, RepeatFraction: 0.2, Seed: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(33))
+	var buf [64]byte
+	for i, req := range reqs {
+		if i%2 == 1 {
+			for k := range req.Constraints {
+				req.Constraints[k].Weight = rng.Float64()
+			}
+		}
+		want := Signature(req)
+		if got := AppendSignature(buf[:0], req); string(got) != want {
+			t.Fatalf("request %d: AppendSignature = %q, Signature = %q", i, got, want)
+		}
+		pre := []byte("prefix")
+		if got := AppendSignature(pre, req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("request %d: AppendSignature behind a prefix = %q", i, got)
+		}
+	}
+}
+
+// TestLookupKeyCountsHitsOnly checks the byte-keyed probe: it finds
+// what StoreSig stored, counts a hit and refreshes recency like
+// LookupSig, leaves a miss to the fallback lookup to count, and does
+// not allocate.
+func TestLookupKeyCountsHitsOnly(t *testing.T) {
+	tc := NewTokenCache()
+	tc.SetMaxTokens(2)
+	a := casebase.PaperRequest()
+	b := casebase.NewRequest(casebase.Type1DFFT,
+		casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16},
+	).EqualWeights()
+	key := AppendSignature(nil, a)
+	if _, ok := tc.LookupKey(key); ok {
+		t.Fatal("empty cache must miss")
+	}
+	if hits, misses := tc.Counters(); hits != 0 || misses != 0 {
+		t.Fatalf("a missed probe counted: hits %d, misses %d", hits, misses)
+	}
+	tok := Token{Type: a.Type, Impl: 2, Similarity: 0.96}
+	tc.StoreSig(Signature(a), tok)
+	tc.Store(b, Token{Type: b.Type, Impl: 1})
+	if got, ok := tc.LookupKey(key); !ok || got != tok {
+		t.Fatalf("LookupKey = %+v, %v", got, ok)
+	}
+	if hits, misses := tc.Counters(); hits != 1 || misses != 0 {
+		t.Fatalf("counters = %d, %d, want 1, 0", hits, misses)
+	}
+	// The probe made a the most recent entry, so a third store evicts b.
+	tc.Store(casebase.NewRequest(casebase.Type1DFFT).EqualWeights(), Token{})
+	if _, ok := tc.Lookup(a); !ok {
+		t.Error("LookupKey did not refresh recency")
+	}
+	if n := testing.AllocsPerRun(100, func() { tc.LookupKey(key) }); n != 0 {
+		t.Errorf("LookupKey allocates %.1f times per call", n)
 	}
 }
 

@@ -40,7 +40,16 @@ func TestRequestConservation(t *testing.T) {
 	cancel()
 	var admittedAllocs, batchItems atomic.Int64
 	var wg sync.WaitGroup
-	errc := make(chan error, 16)
+	// Failures are collected under a mutex, never sent on a bounded
+	// channel: a wrong answer must fail the test, not park its
+	// goroutine and hang the package.
+	var errMu sync.Mutex
+	var errs []error
+	fail := func(err error) {
+		errMu.Lock()
+		errs = append(errs, err)
+		errMu.Unlock()
+	}
 	for c := 0; c < 16; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -61,7 +70,7 @@ func TestRequestConservation(t *testing.T) {
 				case 0:
 					_, err := s.Retrieve(ctx, batch[0])
 					if kind != 0 && err == nil {
-						errc <- errors.New("Retrieve on a canceled context succeeded")
+						fail(errors.New("Retrieve on a canceled context succeeded"))
 					}
 				case 1:
 					d, err := s.Allocate(ctx, "app", batch[0], 5)
@@ -73,12 +82,12 @@ func TestRequestConservation(t *testing.T) {
 					}
 				case 2:
 					if _, err := s.RetrieveBatch(ctx, batch); (err == nil) != (kind == 0) {
-						errc <- errors.New("RetrieveBatch error does not match its context")
+						fail(errors.New("RetrieveBatch error does not match its context"))
 					}
 				case 3:
 					out, err := s.AllocateBatch(ctx, "app", batch, 5)
 					if (err == nil) != (kind == 0) {
-						errc <- errors.New("AllocateBatch error does not match its context")
+						fail(errors.New("AllocateBatch error does not match its context"))
 					}
 					if err == nil {
 						batchItems.Add(int64(len(batch)))
@@ -93,9 +102,8 @@ func TestRequestConservation(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+	if len(errs) > 0 {
+		t.Fatalf("%d calls failed their checks; first: %v", len(errs), errs[0])
 	}
 
 	st := s.Stats()

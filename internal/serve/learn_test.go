@@ -7,8 +7,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -310,6 +312,122 @@ func TestRetireInvalidatesBypassTokens(t *testing.T) {
 		t.Fatalf("post-retire result %+v (err %v) != fresh walk %+v (err %v)",
 			out[0].Result, out[0].Err, want, wantErr)
 	}
+}
+
+// TestInlineHitsAcrossEpochSwap runs Retrieve callers over a hot set,
+// so most calls are token hits answered on the callers' goroutines,
+// while a driver retires the implementation one hot token pins and
+// then forces a commit. Every answer must be a fresh walk over the tree
+// before or after the swap; a call that starts after CommitNow returns
+// must get the after-swap answer, never the retired implementation; and
+// the inline path must keep both conservation laws.
+func TestInlineHitsAcrossEpochSwap(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 64, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxQueue: 4096, Learning: learnConfig(64, 0)})
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	hot := reqs[:16]
+	walk := func(cb *casebase.CaseBase) []walkOutcome {
+		eng := retrieval.NewEngine(cb, retrieval.Options{})
+		out := make([]walkOutcome, len(hot))
+		for i, req := range hot {
+			r, err := eng.Retrieve(req)
+			out[i] = walkOutcome{r, err != nil}
+		}
+		return out
+	}
+	pre := walk(cb)
+	victim := -1
+	for i, o := range pre {
+		if !o.failed {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no hot request has a match to retire")
+	}
+	gone := pre[victim].r
+
+	const callers, minCalls, tail = 4, 400, 200
+	var calls atomic.Int64
+	var swapped atomic.Bool // set once CommitNow has returned
+	type answer struct {
+		i         int
+		afterSwap bool
+		got       walkOutcome
+	}
+	answers := make([][]answer, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for n, extra := c, 0; extra < tail; n++ {
+				i := n % len(hot)
+				afterSwap := swapped.Load()
+				r, err := s.Retrieve(ctx, hot[i])
+				answers[c] = append(answers[c], answer{i, afterSwap, walkOutcome{r, err != nil}})
+				calls.Add(1)
+				if afterSwap {
+					extra++
+				}
+			}
+		}(c)
+	}
+	for calls.Load() < minCalls {
+		runtime.Gosched()
+	}
+	err := s.Retire(gone.Type, gone.Impl, 0)
+	if err == nil {
+		_, err = s.CommitNow()
+	}
+	swapped.Store(true) // release the callers on failure too
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	post := walk(s.CaseBase())
+	if post[victim].r.Type == gone.Type && post[victim].r.Impl == gone.Impl && !post[victim].failed {
+		t.Fatal("the retired implementation survived the commit")
+	}
+	for c, as := range answers {
+		for _, a := range as {
+			okPost := reflect.DeepEqual(a.got, post[a.i])
+			if a.afterSwap && !okPost {
+				t.Fatalf("caller %d: request %d started after CommitNow answered %+v, want %+v",
+					c, a.i, a.got, post[a.i])
+			}
+			if !okPost && !reflect.DeepEqual(a.got, pre[a.i]) {
+				t.Fatalf("caller %d: request %d answered %+v, neither the pre-swap walk %+v nor the post-swap walk %+v",
+					c, a.i, a.got, pre[a.i], post[a.i])
+			}
+		}
+	}
+
+	st := s.Stats()
+	inline, _ := reg.CounterValue("qos_serve_inline_hits_total")
+	t.Logf("stats: %+v; inline hits %d", st, inline)
+	if st.TokenHits == 0 || inline == 0 {
+		t.Errorf("token hits %d, inline hits %d: the inline path went unexercised", st.TokenHits, inline)
+	}
+	if st.Enqueued != st.BatchedJobs {
+		t.Errorf("Enqueued %d != BatchedJobs %d", st.Enqueued, st.BatchedJobs)
+	}
+	if answered := st.DedupHits + st.TokenHits + st.Canceled + st.EngineRetrievals; st.BatchedJobs != answered {
+		t.Errorf("BatchedJobs = %d, but dedup %d + token %d + canceled %d + walks %d = %d",
+			st.BatchedJobs, st.DedupHits, st.TokenHits, st.Canceled, st.EngineRetrievals, answered)
+	}
+}
+
+// walkOutcome is a Retrieve answer reduced to what a fresh walk must
+// match: the result, and whether the walk failed.
+type walkOutcome struct {
+	r      retrieval.Result
+	failed bool
 }
 
 // TestSwapMatchesFromScratchRebuild is the equivalence guard for

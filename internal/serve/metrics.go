@@ -21,6 +21,7 @@ type metrics struct {
 	batches      *obs.Counter
 	dedup        *obs.Counter
 	tokenHits    *obs.Counter
+	inlineHits   *obs.Counter
 	canceled     *obs.Counter
 	drainFlushed *obs.Counter
 	allocOK      *obs.Counter
@@ -46,12 +47,14 @@ type metrics struct {
 // yields a dangling bundle).
 func newMetrics(reg *obs.Registry, n int) *metrics {
 	m := &metrics{
-		enqueued:  reg.Counter("qos_serve_enqueued_total", "requests admitted to a shard queue"),
+		enqueued:  reg.Counter("qos_serve_enqueued_total", "requests admitted to a shard: queued, or token hits answered inline"),
 		shed:      reg.Counter("qos_serve_shed_total", "requests refused by admission control (ErrOverload)"),
 		batches:   reg.Counter("qos_serve_batches_total", "micro-batches processed across all shards"),
 		dedup:     reg.Counter("qos_serve_dedup_hits_total", "in-batch requests served by another job's retrieval (singleflight)"),
 		tokenHits: reg.Counter("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit"),
-		canceled:  reg.Counter("qos_serve_canceled_total", "jobs dropped because the caller's context died"),
+		inlineHits: reg.Counter("qos_serve_inline_hits_total",
+			"token hits answered on the caller's goroutine, without the hop to the shard worker"),
+		canceled: reg.Counter("qos_serve_canceled_total", "jobs dropped because the caller's context died"),
 		drainFlushed: reg.Counter("qos_serve_drain_flushed_total",
 			"queued jobs answered during the shutdown flush"),
 		draining:  reg.Gauge("qos_serve_draining", "1 once service shutdown (drain) has begun"),

@@ -17,9 +17,11 @@
 //     into bounded batches. Within a batch, identical request
 //     signatures are deduplicated singleflight-style — one list walk
 //     serves every waiter — and across batches the shard's TokenCache
-//     bypasses retrieval for signatures it has already resolved. The
-//     optional linger budget is measured in sim-time, never a wall
-//     clock, so instrumented runs stay deterministic.
+//     bypasses retrieval for signatures it has already resolved; a
+//     Retrieve whose token hits on an idle shard is answered on the
+//     caller's goroutine, without the queue. The optional linger budget
+//     is measured in sim-time, never a wall clock, so instrumented runs
+//     stay deterministic.
 //
 //   - Admission control. Each shard queue is bounded; beyond it the
 //     service sheds load with a typed *ErrOverload carrying a
@@ -137,9 +139,9 @@ func (e *ErrOverload) Error() string {
 // Stats counts service activity. All fields are monotone except
 // MaxBatch (a high-water mark).
 type Stats struct {
-	Enqueued         int64 // jobs admitted to shard queues
+	Enqueued         int64 // jobs admitted to shards (queued, or token hits answered inline)
 	Shed             int64 // jobs refused with ErrOverload
-	Batches          int64 // micro-batches processed (queued + pre-formed)
+	Batches          int64 // micro-batches processed (queued + pre-formed + inline hits)
 	BatchedJobs      int64 // jobs across those batches
 	DedupHits        int64 // jobs served by another job's walk (singleflight)
 	TokenHits        int64 // retrievals bypassed by a shard token cache
@@ -166,7 +168,7 @@ type job struct {
 	kind jobKind
 	n    int32 // candidate depth for jobCandidates; int32 packs it beside kind
 	req  casebase.Request
-	sig  string // request signature (dedup key)
+	sig  string // request signature (dedup key), set when the job is built
 	at   device.Micros
 	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
 	out  *jobResult     // the pre-formed job's result slot
@@ -481,13 +483,67 @@ func (s *Service) ReplacePending() int {
 // --- Public request paths ---------------------------------------------
 
 // Retrieve returns the most similar implementation for req, batched and
-// deduplicated with concurrent callers on the same shard.
+// deduplicated with concurrent callers on the same shard. A token hit
+// on an idle shard is answered on the caller's goroutine instead
+// (answerInline).
 func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval.Result, error) {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
-	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, done: make(chan jobResult, 1)})
+	var buf [sigBufLen]byte
+	key := retrieval.AppendSignature(buf[:0], req)
+	if r, ok := s.answerInline(ctx, req.Type, key); ok {
+		return r, nil
+	}
+	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, sig: string(key), done: make(chan jobResult, 1)})
 	return r.best, r.err
+}
+
+// sigBufLen sizes Retrieve's stack buffer for the request signature:
+// room for eight constraints; a longer signature grows onto the heap.
+const sigBufLen = 256
+
+// answerInline answers a token hit on the caller's goroutine, without
+// the hop to the shard worker, and reports whether it did. It answers
+// only where the queued path would give the same answer with no batch
+// to join: admission is open, the caller's context is live, no linger
+// window applies and no locals are kept (neither is served by tokens),
+// the shard has nothing queued, its mutex is free, and its token cache
+// hits key. The snapshot is loaded after the mutex is held, as in
+// runBatch, so the commit fence covers this path too. A hit counts as
+// an admitted batch of one token-hit job; in every other case the
+// caller enqueues the request as usual.
+func (s *Service) answerInline(ctx context.Context, t casebase.TypeID, key []byte) (retrieval.Result, bool) {
+	if s.cfg.BatchWindow != 0 || s.cfg.Engine.KeepLocals {
+		return retrieval.Result{}, false
+	}
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining || retrieval.Canceled(ctx) != nil {
+		return retrieval.Result{}, false
+	}
+	sh := s.shards[shardOf(t, len(s.shards))]
+	if len(sh.q) != 0 || !sh.mu.TryLock() {
+		return retrieval.Result{}, false
+	}
+	defer sh.mu.Unlock()
+	sn := s.snap.Load()
+	tok, hit := sn.tokens[sh.idx].LookupKey(key)
+	if !hit {
+		return retrieval.Result{}, false
+	}
+	r, live := sn.resultFromToken(tok)
+	if !live {
+		return retrieval.Result{}, false
+	}
+	met := s.met.Load()
+	s.enqueued.Add(1)
+	met.enqueued.Inc()
+	s.noteBatch(met, 1)
+	s.tokenHits.Add(1)
+	met.tokenHits.Inc()
+	met.inlineHits.Inc()
+	return r, true
 }
 
 // Allocate retrieves the N-best candidates for req on its shard, then
@@ -502,8 +558,9 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 	}
 	defer s.inflight.Done()
 	met := s.met.Load()
+	sig := retrieval.Signature(req)
 	for attempt := 0; ; attempt++ {
-		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), done: make(chan jobResult, 1)})
+		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), sig: sig, done: make(chan jobResult, 1)})
 		if r.err == nil {
 			r.err = retrieval.Canceled(ctx)
 		}
@@ -675,7 +732,6 @@ func (s *Service) submit(j *job) error {
 		return ErrDraining
 	}
 	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
-	j.sig = retrieval.Signature(j.req)
 	j.at = device.Micros(s.now.Load())
 	met := s.met.Load()
 	select {

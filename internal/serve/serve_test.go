@@ -129,6 +129,68 @@ func TestRetrieveKeepLocalsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestInlineHitAccounting pins the inline path's bookkeeping: a token
+// hit answered on the caller's goroutine counts as an admitted batch of
+// one token-hit job, with no walk, and the token cache counts the first
+// call's miss once although both the inline probe and the queued
+// lookup saw it. With KeepLocals on, Retrieve never answers inline.
+func TestInlineHitAccounting(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := casebase.PaperRequest()
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		opt    retrieval.Options
+		inline int64
+	}{
+		{"tokens", retrieval.Options{}, 1},
+		{"keep-locals", retrieval.Options{KeepLocals: true}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(cb, fig1System(t, cb), Config{Shards: 2, Engine: c.opt})
+			defer s.Close()
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			first, err := s.Retrieve(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats()
+			again, err := s.Retrieve(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, first) {
+				t.Fatalf("repeat answered %+v, first call %+v", again, first)
+			}
+			after := s.Stats()
+			inline, _ := reg.CounterValue("qos_serve_inline_hits_total")
+			if inline != c.inline {
+				t.Fatalf("inline hits = %d, want %d", inline, c.inline)
+			}
+			d := func(a, b int64) int64 { return a - b }
+			got := []int64{
+				d(after.Enqueued, before.Enqueued), d(after.Batches, before.Batches),
+				d(after.BatchedJobs, before.BatchedJobs), d(after.TokenHits, before.TokenHits),
+				d(after.EngineRetrievals, before.EngineRetrievals),
+			}
+			want := []int64{1, 1, 1, c.inline, 1 - c.inline}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("repeat moved enqueued/batches/jobs/token hits/walks by %v, want %v", got, want)
+			}
+			if c.inline == 1 {
+				hits, misses := s.snap.Load().tokens[shardOf(req.Type, 2)].Counters()
+				if hits != 1 || misses != 1 {
+					t.Errorf("token cache counted %d hits, %d misses; want 1, 1", hits, misses)
+				}
+			}
+		})
+	}
+}
+
 // TestAllocatePicksTableOneBest mirrors the alloc-layer golden: the
 // paper's request through the service lands impl 2 on the DSP.
 func TestAllocatePicksTableOneBest(t *testing.T) {
