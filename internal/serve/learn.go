@@ -9,8 +9,8 @@ package serve
 // fresh snapshot (tree + engines + empty epoch-bound token caches)
 // behind the atomic pointer, in the same allocMu section that moves the
 // manager onto the new tree. The shard mutexes double as the swap
-// fence: cycling each one after the pointer store guarantees no reader
-// still works on the retired epoch.
+// fence: cycling each one after the pointer store guarantees no batch
+// still walks the retired epoch.
 //
 // The deadlock discipline is declared below and machine-checked by
 // qosvet's locklint (see internal/lint/locklint.go): commitMu is
@@ -19,9 +19,10 @@ package serve
 // turn, which come before allocMu. Observe takes only its stripe
 // mutex, and never while holding commitMu; the sim-time age bound is
 // evaluated at mutation entry points and CommitNow, never from the
-// tick path (which runs under allocMu).
+// tick path (which runs under allocMu). A shard's token mutex is taken
+// inside its batch mutex, for one token lookup or store at a time.
 //
-//qosvet:lockorder commitMu < learnStripe.mu < shard.mu < allocMu
+//qosvet:lockorder commitMu < learnStripe.mu < shard.mu < shard.tokMu < allocMu
 
 import (
 	"context"
@@ -357,9 +358,12 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 	s.allocMu.Unlock()
 	// Swap fence: cycle every shard mutex. A batch loads the snapshot
 	// only after taking its shard mutex, so once we have held and
-	// released each one, no reader still works on the old epoch — its
-	// engines and token caches are garbage. Fold their walk counts into
-	// the cumulative stats on the way out.
+	// released each one, no batch still walks the old epoch — its
+	// engines are garbage. (An inline token hit that loaded the old
+	// snapshot may still read its token cache under the token mutex; it
+	// answers from the old tree, as a call that started before the
+	// commit may.) Fold the engines' walk counts into the cumulative
+	// stats on the way out.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		s.pastRetrievals.Add(int64(old.engines[sh.idx].Stats().Retrievals))

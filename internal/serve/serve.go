@@ -18,8 +18,9 @@
 //     signatures are deduplicated singleflight-style — one list walk
 //     serves every waiter — and across batches the shard's TokenCache
 //     bypasses retrieval for signatures it has already resolved; a
-//     Retrieve whose token hits on an idle shard is answered on the
-//     caller's goroutine, without the queue. The optional linger budget
+//     Retrieve whose token hits while its shard queue is empty is
+//     answered on the caller's goroutine, without the queue. The
+//     optional linger budget
 //     is measured in sim-time, never a wall clock, so instrumented runs
 //     stay deterministic.
 //
@@ -190,18 +191,21 @@ func jobKey(j *job) string {
 	return "r|" + j.sig
 }
 
-// shard is one partition: a queue plus the mutex serializing its slice
-// of the current snapshot (engine and token cache). The engine itself
-// lives in the snapshot — an epoch swap replaces it wholesale — but the
-// shard mutex persists across swaps, which is what makes it the swap
-// fence: a committer that locks and unlocks every shard mutex after
-// storing the new snapshot pointer knows no reader still works on the
-// old epoch.
+// shard is one partition: a queue plus the mutexes serializing its
+// slice of the current snapshot. The engine and token cache themselves
+// live in the snapshot — an epoch swap replaces them wholesale — but
+// the shard mutexes persist across swaps. mu is held for a whole batch
+// and is the swap fence: a committer that locks and unlocks every shard
+// mu after storing the new snapshot pointer knows no batch still walks
+// the old epoch. tokMu guards the token caches alone and is only ever
+// held for one lookup or store, never across a walk, so a token hit
+// never waits behind a batch.
 type shard struct {
 	idx int
 	q   chan *job
 
-	mu sync.Mutex // serializes this shard's engine and token cache
+	mu    sync.Mutex // serializes this shard's engine; held per batch
+	tokMu sync.Mutex // serializes this shard's token caches, of any epoch
 	// seen is the per-batch singleflight map, guarded by mu and cleared
 	// as every batch ends; reusing it spares a map per batch.
 	seen map[string]*jobResult
@@ -484,8 +488,8 @@ func (s *Service) ReplacePending() int {
 
 // Retrieve returns the most similar implementation for req, batched and
 // deduplicated with concurrent callers on the same shard. A token hit
-// on an idle shard is answered on the caller's goroutine instead
-// (answerInline).
+// on a shard with nothing queued is answered on the caller's goroutine
+// instead (answerInline).
 func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval.Result, error) {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
@@ -508,11 +512,16 @@ const sigBufLen = 256
 // only where the queued path would give the same answer with no batch
 // to join: admission is open, the caller's context is live, no linger
 // window applies and no locals are kept (neither is served by tokens),
-// the shard has nothing queued, its mutex is free, and its token cache
-// hits key. The snapshot is loaded after the mutex is held, as in
-// runBatch, so the commit fence covers this path too. A hit counts as
-// an admitted batch of one token-hit job; in every other case the
-// caller enqueues the request as usual.
+// the shard has nothing queued, and its token cache hits key. It waits
+// for the token mutex, which is held only for single lookups and
+// stores, but never for the shard mutex, which a batch holds across its
+// walks: a hit never queues or parks behind a walk, so which path a hit
+// takes does not depend on how callers interleave. The snapshot is
+// loaded after the token mutex is held; a commit stores the new
+// snapshot before it returns, so a call that starts after a commit
+// returned reads the new epoch's tokens. A hit counts as an admitted
+// batch of one token-hit job; in every other case the caller enqueues
+// the request as usual.
 func (s *Service) answerInline(ctx context.Context, t casebase.TypeID, key []byte) (retrieval.Result, bool) {
 	if s.cfg.BatchWindow != 0 || s.cfg.Engine.KeepLocals {
 		return retrieval.Result{}, false
@@ -523,10 +532,11 @@ func (s *Service) answerInline(ctx context.Context, t casebase.TypeID, key []byt
 		return retrieval.Result{}, false
 	}
 	sh := s.shards[shardOf(t, len(s.shards))]
-	if len(sh.q) != 0 || !sh.mu.TryLock() {
+	if len(sh.q) != 0 {
 		return retrieval.Result{}, false
 	}
-	defer sh.mu.Unlock()
+	sh.tokMu.Lock()
+	defer sh.tokMu.Unlock()
 	sn := s.snap.Load()
 	tok, hit := sn.tokens[sh.idx].LookupKey(key)
 	if !hit {
@@ -926,7 +936,10 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResul
 	// locals are kept — a token cannot carry the per-attribute breakdown,
 	// and the bit-identical contract with sequential retrieval must hold.
 	if !s.cfg.Engine.KeepLocals {
-		if tok, ok := tokens.LookupSig(j.sig); ok {
+		sh.tokMu.Lock()
+		tok, ok := tokens.LookupSig(j.sig)
+		sh.tokMu.Unlock()
+		if ok {
 			if r, live := sn.resultFromToken(tok); live {
 				s.tokenHits.Add(1)
 				met.tokenHits.Inc()
@@ -938,7 +951,9 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResul
 	if err != nil {
 		return jobResult{epoch: sn.epoch, err: err}
 	}
+	sh.tokMu.Lock()
 	tokens.StoreSig(j.sig, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
+	sh.tokMu.Unlock()
 	return jobResult{best: r, epoch: sn.epoch}
 }
 

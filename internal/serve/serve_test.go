@@ -191,6 +191,58 @@ func TestInlineHitAccounting(t *testing.T) {
 	}
 }
 
+// TestInlineHitSkipsBusyShard pins that a token hit never waits for a
+// batch: with the shard mutex held, as by a batch mid-walk, a repeat of
+// a resolved request is still answered on the caller's goroutine, while
+// a new request queues behind the batch.
+func TestInlineHitSkipsBusyShard(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 2, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
+	defer s.Close()
+	ctx := context.Background()
+	first, err := s.Retrieve(ctx, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sh := s.shards[0]
+	sh.mu.Lock() // a batch holds the shard
+	// NB: Stats() locks sh.mu — read the atomic counters directly.
+	hit := make(chan retrieval.Result, 1)
+	go func() {
+		r, err := s.Retrieve(ctx, reqs[0])
+		if err != nil {
+			t.Error(err)
+		}
+		hit <- r
+	}()
+	select {
+	case again := <-hit:
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("repeat answered %+v, first call %+v", again, first)
+		}
+	case <-time.After(5 * time.Second):
+		sh.mu.Unlock()
+		<-hit
+		t.Fatal("token hit waited for the busy shard")
+	}
+	if got := s.tokenHits.Load(); got != 1 {
+		t.Fatalf("token hits = %d with the shard busy, want 1 (answered inline)", got)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
+	waitFor(t, "the new request to queue", func() bool { return s.enqueued.Load() == 3 })
+	select {
+	case err := <-done:
+		t.Fatalf("new request answered while the shard was busy (err %v)", err)
+	default:
+	}
+	sh.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAllocatePicksTableOneBest mirrors the alloc-layer golden: the
 // paper's request through the service lands impl 2 on the DSP.
 func TestAllocatePicksTableOneBest(t *testing.T) {
