@@ -48,10 +48,15 @@ bench:
 bench-compact bench-learn loadcheck:
 	scripts/ci.sh $@ $(OUT)
 
-# Short fuzz pass over the decoder; lengthen FUZZTIME for a real hunt.
+# Short fuzz pass over every decoder, one target at a time (go test
+# fuzzes one target per run); lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
+FUZZ_TARGETS = cbjson:FuzzDecodeCaseBase memlist:FuzzDecodeCompact \
+	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest
 fuzz:
-	$(GO) test ./internal/cbjson/ -run xxx -fuzz FuzzDecodeCaseBase -fuzztime $(FUZZTIME)
+	set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./internal/$${t%%:*}/ -run xxx -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Regenerate the committed API-surface snapshot after a deliberate
 # exported-surface change; api-check is the CI half that fails on drift.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"qosalloc/internal/device"
+	"qosalloc/internal/obs"
 )
 
 // Breaker defaults.
@@ -117,7 +118,7 @@ type Breaker struct {
 	backoff device.Micros
 	probing bool // a half-open probe is in flight
 
-	trips int64
+	trips obs.Counter // times opened; the gate attaches it
 }
 
 // NewBreaker returns a closed breaker for shard with cfg (zero fields
@@ -142,11 +143,7 @@ func (b *Breaker) State(now device.Micros) State {
 }
 
 // Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
+func (b *Breaker) Trips() int64 { return b.trips.Load() }
 
 // Allow asks whether a request may pass at sim time now. Closed always
 // admits; HalfOpen admits exactly one in-flight probe; Open rejects
@@ -225,7 +222,7 @@ func (b *Breaker) advance(now device.Micros) {
 func (b *Breaker) open(now device.Micros) {
 	b.state = Open
 	b.openAt = now
-	b.trips++
+	b.trips.Inc()
 	b.clear()
 }
 

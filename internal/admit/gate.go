@@ -26,7 +26,8 @@ type Gate struct {
 }
 
 // NewGate builds a gate with cfg, registering its qos_admit_* metrics
-// on reg (nil yields a dangling, uninstrumented bundle).
+// on reg (nil yields a dangling, uninstrumented bundle). The trips
+// series sums every shard breaker's own count.
 func NewGate(cfg GateConfig, reg *obs.Registry) *Gate {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -36,7 +37,9 @@ func NewGate(cfg GateConfig, reg *obs.Registry) *Gate {
 		met:     newGateMetrics(reg, cfg.Shards),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		g.breakers = append(g.breakers, NewBreaker(i, cfg.Breaker))
+		b := NewBreaker(i, cfg.Breaker)
+		reg.Attach("qos_admit_breaker_trips_total", "times any shard breaker tripped open", &b.trips)
+		g.breakers = append(g.breakers, b)
 	}
 	return g
 }
@@ -73,9 +76,8 @@ func (g *Gate) Admit(client string, shard int, now device.Micros) error {
 // feeding the shard breaker's rolling window (and, in half-open,
 // deciding the probe).
 func (g *Gate) Record(shard int, now device.Micros, failed bool) {
-	before := g.breakers[shard].Trips()
 	g.breakers[shard].Record(now, failed)
-	g.accountTrips(shard, before, now)
+	g.refreshState(shard, now)
 }
 
 // RecordFault injects an external failure signal (a fault-storm event
@@ -83,9 +85,8 @@ func (g *Gate) Record(shard int, now device.Micros, failed bool) {
 // fault injector's Subscribe hook here so storms trip breakers even
 // between requests.
 func (g *Gate) RecordFault(shard int, now device.Micros) {
-	before := g.breakers[shard].Trips()
 	g.breakers[shard].RecordFault(now)
-	g.accountTrips(shard, before, now)
+	g.refreshState(shard, now)
 }
 
 // BreakerState reports shard's breaker position at sim time now.
@@ -100,15 +101,6 @@ func (g *Gate) Trips() int64 {
 		n += b.Trips()
 	}
 	return n
-}
-
-// accountTrips bumps the trip counter and state gauge after a Record
-// that may have opened the breaker.
-func (g *Gate) accountTrips(shard int, before int64, now device.Micros) {
-	if d := g.breakers[shard].Trips() - before; d > 0 {
-		g.met.trips.Add(d)
-	}
-	g.refreshState(shard, now)
 }
 
 // refreshState mirrors shard's breaker state into its gauge.

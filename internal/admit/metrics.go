@@ -13,7 +13,6 @@ type gateMetrics struct {
 	allowed     *obs.Counter
 	rateLimited *obs.Counter
 	breakerOpen *obs.Counter
-	trips       *obs.Counter
 
 	breakerState []*obs.Gauge // per shard: 0 closed, 1 open, 2 half-open
 }
@@ -25,7 +24,6 @@ func newGateMetrics(reg *obs.Registry, n int) *gateMetrics {
 		allowed:     reg.Counter("qos_admit_allowed_total", "requests passed by the admission gate"),
 		rateLimited: reg.Counter("qos_admit_rate_limited_total", "requests refused by a client token bucket"),
 		breakerOpen: reg.Counter("qos_admit_breaker_rejected_total", "requests refused by an open or probing shard breaker"),
-		trips:       reg.Counter("qos_admit_breaker_trips_total", "times any shard breaker tripped open"),
 	}
 	for i := 0; i < n; i++ {
 		m.breakerState = append(m.breakerState, reg.Gauge(

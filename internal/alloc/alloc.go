@@ -177,7 +177,7 @@ type Manager struct {
 	sys       *rtsys.System
 	tokens    *retrieval.TokenCache
 	opt       Options
-	stats     Stats
+	counts    counts
 	met       *metrics
 	retMet    *retrieval.Metrics // survives UpdateCaseBase engine rebuilds
 	origins   map[rtsys.TaskID]origin
@@ -206,13 +206,23 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, opt Options) *Manager {
 // metrics can go to the same or different registries.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	m.met = newMetrics(reg)
+	m.counts.attach(reg)
 	m.retMet = retrieval.NewMetrics(reg)
 	m.engine.Instrument(m.retMet)
 	m.locEngine.Instrument(m.retMet)
 }
 
 // Stats returns a copy of the counters.
-func (m *Manager) Stats() Stats { return m.stats }
+func (m *Manager) Stats() Stats {
+	c := &m.counts
+	return Stats{
+		Requests: int(c.requests.Load()), TokenHits: int(c.tokenHits.Load()),
+		Retrievals: int(c.retrievals.Load()), Placed: int(c.placed.Load()),
+		Preemptions: int(c.preemptions.Load()), Rejected: int(c.rejected.Load()),
+		Infeasible: int(c.infeasible.Load()), Recovered: int(c.recovered.Load()),
+		Degraded: int(c.degraded.Load()), FaultRejected: int(c.faultRejected.Load()),
+	}
+}
 
 // System returns the underlying run-time system.
 func (m *Manager) System() *rtsys.System { return m.sys }
@@ -229,8 +239,7 @@ func (m *Manager) TokenCache() *retrieval.TokenCache { return m.tokens }
 // has to advance the run-time clock past Decision.ReadyAt before the
 // function is usable.
 func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Decision, error) {
-	m.stats.Requests++
-	m.met.requests.Inc()
+	m.counts.requests.Inc()
 
 	// Bypass-token shortcut: a repeated call with the same signature
 	// skips retrieval; "only an availability check on the function and
@@ -238,8 +247,7 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 	if m.opt.UseBypassTokens {
 		if tok, ok := m.tokens.Lookup(req); ok {
 			if d, err := m.tryPlace(app, req, tok.Impl, tok.Similarity, basePrio); err == nil {
-				m.stats.TokenHits++
-				m.met.tokenHits.Inc()
+				m.counts.tokenHits.Inc()
 				m.met.event(int64(m.sys.Now()), "token-hit", "app=%s task=%d impl=%d dev=%s", app, d.Task.ID, d.Impl, d.Device)
 				d.ViaToken = true
 				return d, nil
@@ -249,14 +257,12 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 		}
 	}
 
-	m.stats.Retrievals++
-	m.met.retrievals.Inc()
+	m.counts.retrievals.Inc()
 	candidates, err := m.engine.RetrieveN(req, m.opt.NBest)
 	if err != nil {
 		var nm *retrieval.ErrNoMatch
 		if errors.As(err, &nm) {
-			m.stats.Rejected++
-			m.met.rejected.Inc()
+			m.counts.rejected.Inc()
 			m.met.event(int64(m.sys.Now()), "threshold-reject", "app=%s type=%d best=%.3f", app, req.Type, nm.Best)
 		}
 		return nil, err
@@ -272,8 +278,7 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 // preempts, and stores a bypass token on success. Counted as a request
 // in Stats; the caller owns the slice (it may be re-ordered in place).
 func (m *Manager) PlaceCandidates(app string, req casebase.Request, candidates []retrieval.Result, basePrio int) (*Decision, error) {
-	m.stats.Requests++
-	m.met.requests.Inc()
+	m.counts.requests.Inc()
 	return m.placeCandidates(app, req, candidates, basePrio)
 }
 
@@ -304,8 +309,7 @@ func (m *Manager) placeCandidates(app string, req casebase.Request, candidates [
 		}
 	}
 
-	m.stats.Infeasible++
-	m.met.infeasible.Inc()
+	m.counts.infeasible.Inc()
 	m.met.event(int64(m.sys.Now()), "infeasible", "app=%s type=%d candidates=%d", app, req.Type, len(candidates))
 	return nil, &ErrNoFeasible{Alternatives: candidates}
 }
@@ -322,8 +326,7 @@ func (m *Manager) tryPlace(app string, req casebase.Request, id casebase.ImplID,
 	if err != nil {
 		return nil, err
 	}
-	m.stats.Placed++
-	m.met.placed.Inc()
+	m.counts.placed.Inc()
 	m.origins[task.ID] = origin{app: app, req: req, impl: id, sim: sim}
 	return &Decision{
 		Task: task, Impl: id, Target: im.Target, Device: dev.Name(),
@@ -347,8 +350,7 @@ func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidate
 			if err := m.sys.Preempt(victim); err != nil {
 				continue
 			}
-			m.stats.Preemptions++
-			m.met.preemptions.Inc()
+			m.counts.preemptions.Inc()
 			m.met.event(int64(m.sys.Now()), "preempt", "victim=%d dev=%s for app=%s", victim.ID, dev.Name(), app)
 			if !dev.CanPlace(im.Foot) {
 				// Even the freed capacity is not enough; the
@@ -465,8 +467,7 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 		return rec
 	}
 	cand := tried[len(tried)-1]
-	m.stats.Recovered++
-	m.met.recovered.Inc()
+	m.counts.recovered.Inc()
 	m.met.nbestDepth.Observe(int64(len(tried)))
 	m.met.event(int64(m.sys.Now()), "recover", "task=%d impl=%d dev=%s", t.ID, cand.Impl, dev.Name())
 	rec.Decision = &Decision{
@@ -475,8 +476,7 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 	}
 	if known {
 		if deg := Degraded(m.locEngine, org.req, org.impl, org.sim, cand); deg != nil {
-			m.stats.Degraded++
-			m.met.degraded.Inc()
+			m.counts.degraded.Inc()
 			m.met.event(int64(m.sys.Now()), "degrade", "task=%d impl %d->%d sim %.3f->%.3f", t.ID, org.impl, cand.Impl, org.sim, cand.Similarity)
 			rec.Decision.Degraded = deg
 		}
@@ -489,8 +489,7 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 // task is completed (the application cannot call the function, §3) and a
 // structured report names what was lost.
 func (m *Manager) reject(t *rtsys.Task, org origin, excluded []casebase.Target, tried []retrieval.Result) *DegradationReport {
-	m.stats.FaultRejected++
-	m.met.faultRejected.Inc()
+	m.counts.faultRejected.Inc()
 	m.met.event(int64(m.sys.Now()), "fault-reject", "task=%d app=%s tried=%d excluded=%d", t.ID, org.app, len(tried), len(excluded))
 	rep := &DegradationReport{
 		App: org.app, Task: t.ID, Req: org.req,

@@ -84,12 +84,12 @@ func (r Request) Validate(cb *CaseBase) error {
 	if len(r.Constraints) == 0 {
 		return fmt.Errorf("casebase: request for type %d has no constraints", r.Type)
 	}
-	seen := map[attr.ID]bool{}
-	for _, c := range r.Constraints {
-		if seen[c.ID] {
-			return fmt.Errorf("casebase: duplicate constraint on attribute %d", c.ID)
+	for i, c := range r.Constraints {
+		for _, prev := range r.Constraints[:i] { // few constraints: a scan beats a map
+			if prev.ID == c.ID {
+				return fmt.Errorf("casebase: duplicate constraint on attribute %d", c.ID)
+			}
 		}
-		seen[c.ID] = true
 		if err := cb.Registry().Validate(attr.Pair{ID: c.ID, Value: c.Value}); err != nil {
 			return err
 		}

@@ -140,8 +140,8 @@ type Fleet struct {
 	ledger    *admit.Ledger
 	opt       Options
 	now       device.Micros
-	met       *metrics
-	stats     Stats
+	reg       *obs.Registry // nil until Instrument
+	counts    counts
 	journal   *obs.Journal
 }
 
@@ -159,14 +159,17 @@ func New(cb *casebase.CaseBase, opt Options) *Fleet {
 		byName:    make(map[string]*Node),
 		ledger:    admit.NewLedger(),
 		opt:       opt,
-		met:       newMetrics(nil),
 		journal:   obs.NewJournal(),
 	}
 }
 
-// Instrument registers the fleet's metric set on reg; per-node and
-// per-tenant series materialize lazily as they are first touched.
-func (f *Fleet) Instrument(reg *obs.Registry) { f.met = newMetrics(reg) }
+// Instrument registers the fleet's metric set on reg and attaches its
+// counts; per-node and per-tenant series materialize lazily as they are
+// first touched.
+func (f *Fleet) Instrument(reg *obs.Registry) {
+	f.reg = reg
+	f.counts.attach(reg)
+}
 
 // AddNode builds a node named name over devs: a fresh configuration
 // repository populated from the shared case base, a run-time system,
@@ -229,7 +232,16 @@ func (f *Fleet) NodeNames() []string {
 func (f *Fleet) Now() device.Micros { return f.now }
 
 // Stats returns a copy of the counters.
-func (f *Fleet) Stats() Stats { return f.stats }
+func (f *Fleet) Stats() Stats {
+	c := &f.counts
+	return Stats{
+		Requests: int(c.requests.Load()), Placed: int(c.placed.Load()),
+		BudgetRejected: int(c.budgetRejected.Load()), Infeasible: int(c.infeasible.Load()),
+		Recovered: int(c.recovered.Load()), Migrated: int(c.migrated.Load()),
+		Degraded: int(c.degraded.Load()), FaultRejected: int(c.faultRejected.Load()),
+		Rebalanced: int(c.rebalanced.Load()),
+	}
+}
 
 // AdvanceTo advances every node's clock to t in insertion order,
 // firing each node's due faults on the way.
@@ -264,8 +276,7 @@ func (f *Fleet) views() []policy.NodeView {
 // typed *admit.ErrBudgetExceeded for its best candidate; a tenant
 // within budget but out of capacity gets *alloc.ErrNoFeasible.
 func (f *Fleet) Allocate(tenant, app string, req casebase.Request, basePrio int) (*Placement, error) {
-	f.stats.Requests++
-	f.met.requests.Inc()
+	f.counts.requests.Inc()
 	candidates, err := f.engine.RetrieveN(req, f.opt.NBest)
 	if err != nil {
 		f.log("reject t=%d tenant=%s type=%d", f.now, tenant, req.Type)
@@ -296,10 +307,9 @@ func (f *Fleet) Allocate(tenant, app string, req casebase.Request, basePrio int)
 				tenant: tenant, app: app, req: req,
 				impl: cand.Impl, sim: cand.Similarity, foot: im.Foot, prio: basePrio,
 			}
-			f.stats.Placed++
-			f.met.placed.Inc()
-			f.met.nodePlaced(n.name).Inc()
-			f.met.tenantPlaced(tenant).Inc()
+			f.counts.placed.Inc()
+			f.nodePlaced(n.name).Inc()
+			f.tenantPlaced(tenant).Inc()
 			f.observeTenant(tenant)
 			f.log("place t=%d tenant=%s node=%s task=%d impl=%d dev=%s", f.now, tenant, n.name, task.ID, cand.Impl, dev.Name())
 			return &Placement{
@@ -312,14 +322,12 @@ func (f *Fleet) Allocate(tenant, app string, req casebase.Request, basePrio int)
 		f.ledger.Refund(tenant, im.Foot)
 	}
 	if budgetErr != nil {
-		f.stats.BudgetRejected++
-		f.met.budgetRejected.Inc()
-		f.met.tenantThrottled(tenant).Inc()
+		f.counts.budgetRejected.Inc()
+		f.tenantThrottled(tenant).Inc()
 		f.log("budget-reject t=%d tenant=%s type=%d", f.now, tenant, req.Type)
 		return nil, budgetErr
 	}
-	f.stats.Infeasible++
-	f.met.infeasible.Inc()
+	f.counts.infeasible.Inc()
 	f.log("infeasible t=%d tenant=%s type=%d candidates=%d", f.now, tenant, req.Type, len(candidates))
 	return nil, &alloc.ErrNoFeasible{Alternatives: candidates}
 }
@@ -413,8 +421,7 @@ func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, t
 	}
 	if alloc.Degraded(f.locEngine, tr.req, tr.impl, tr.sim, cand) != nil {
 		rec.Degraded = true
-		f.stats.Degraded++
-		f.met.degraded.Inc()
+		f.counts.degraded.Inc()
 	}
 	nrec := &taskRec{
 		tenant: tr.tenant, app: tr.app, req: tr.req,
@@ -426,9 +433,8 @@ func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, t
 		Impl: cand.Impl, Target: im.Target, Device: dev,
 		Similarity: cand.Similarity, ReadyAt: readyAt,
 	}
-	f.stats.Recovered++
-	f.met.recovered.Inc()
-	f.met.nodeRecovered(to.name).Inc()
+	f.counts.recovered.Inc()
+	f.nodeRecovered(to.name).Inc()
 	f.log("recover t=%d tenant=%s from=%s to=%s task=%d impl=%d dev=%s", f.now, tr.tenant, from.name, to.name, id, cand.Impl, dev)
 }
 
@@ -442,8 +448,7 @@ func (f *Fleet) rejectRecovery(n *Node, t *rtsys.Task, tr *taskRec) {
 		f.observeTenant(tr.tenant)
 	}
 	delete(n.tasks, t.ID)
-	f.stats.FaultRejected++
-	f.met.faultRejected.Inc()
+	f.counts.faultRejected.Inc()
 	f.log("fault-reject t=%d tenant=%s node=%s task=%d", f.now, tr.tenant, n.name, t.ID)
 }
 
@@ -460,8 +465,7 @@ func (f *Fleet) Rebalance() int {
 				break
 			}
 			moved++
-			f.stats.Rebalanced++
-			f.met.rebalanced.Inc()
+			f.counts.rebalanced.Inc()
 		}
 	}
 	return moved
@@ -510,8 +514,7 @@ func (f *Fleet) migrate(n *Node, t *rtsys.Task, tr *taskRec, im *casebase.Implem
 		}
 		_ = n.sys.Complete(t)
 		delete(n.tasks, t.ID)
-		f.stats.Migrated++
-		f.met.migrated.Inc()
+		f.counts.migrated.Inc()
 		return dst, task, dev
 	}
 	return nil, nil, nil
@@ -537,6 +540,6 @@ func (f *Fleet) observeTenant(tenant string) {
 		return
 	}
 	slices, brams := f.ledger.Usage(tenant)
-	f.met.tenantSlices(tenant).Set(int64(slices))
-	f.met.tenantBRAMs(tenant).Set(int64(brams))
+	f.tenantSlices(tenant).Set(int64(slices))
+	f.tenantBRAMs(tenant).Set(int64(brams))
 }

@@ -26,9 +26,11 @@ var ObsLint = &Analyzer{
 // before any {label="v"} suffix).
 var metricBaseRE = regexp.MustCompile(`^qos_[a-z0-9_]*[a-z0-9]$`)
 
-// registryFactories maps the Registry get-or-create methods to the
-// index of their bucket/capacity argument (-1 when none needs checking).
+// registryFactories maps the Registry get-or-create methods, and Attach,
+// to the index of their bucket/capacity argument (-1 when none needs
+// checking).
 var registryFactories = map[string]int{
+	"Attach":    -1,
 	"Counter":   -1,
 	"Gauge":     -1,
 	"Histogram": 2,
@@ -52,7 +54,8 @@ func runObsLint(pass *Pass) {
 	}
 }
 
-// obsLintFactory checks one Registry.Counter/Gauge/Histogram/Ring call.
+// obsLintFactory checks one Registry.Counter/Gauge/Histogram/Ring/Attach
+// call.
 func obsLintFactory(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

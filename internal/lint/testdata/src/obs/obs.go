@@ -53,6 +53,9 @@ func NewRegistry() *Registry { return &Registry{} }
 // Counter mirrors (*obs.Registry).Counter.
 func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
 
+// Attach mirrors (*obs.Registry).Attach.
+func (r *Registry) Attach(name, help string, c *Counter) {}
+
 // Gauge mirrors (*obs.Registry).Gauge.
 func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
 

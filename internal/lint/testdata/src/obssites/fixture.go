@@ -22,6 +22,12 @@ func register(reg *obs.Registry) {
 	_ = reg.Ring("qos_trace", "rings carry names too", 64)
 }
 
+// attach names obey the rules of the get-or-create methods.
+func attach(reg *obs.Registry, c *obs.Counter) {
+	reg.Attach("qos_owned_total{reason=\"fold\"}", "well-shaped attached series", c)
+	reg.Attach("owned", "rejected: missing qos_ prefix", c) // want `obslint: metric name "owned" does not match`
+}
+
 // series is the sanctioned labeled-series idiom: a constant Sprintf
 // format whose base name is auditable.
 func series(reg *obs.Registry, shard int) {

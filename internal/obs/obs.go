@@ -31,6 +31,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -67,14 +68,15 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Registry holds named metrics and renders them. The zero value is not
 // usable; call NewRegistry. A nil *Registry is a valid no-op target for
-// every Get-or-create method, so instrumented code can run uninstrumented
-// without nil checks at each site.
+// every Get-or-create method and for Attach, so instrumented code can run
+// uninstrumented without nil checks at each site.
 type Registry struct {
 	mu       sync.Mutex
 	order    []string // full series names, registration order
 	kind     map[string]metricKind
-	help     map[string]string // by base name, first registration wins
-	counters map[string]*Counter
+	help     map[string]string     // by base name, first registration wins
+	counters map[string]*Counter   // the counter Counter hands out, by series
+	sources  map[string][]*Counter // what a series sums: Counter's own and attached ones
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	rings    map[string]*Ring
@@ -95,6 +97,7 @@ func NewRegistry() *Registry {
 		kind:     make(map[string]metricKind),
 		help:     make(map[string]string),
 		counters: make(map[string]*Counter),
+		sources:  make(map[string][]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		rings:    make(map[string]*Ring),
@@ -129,7 +132,8 @@ func (r *Registry) register(name, help string, k metricKind) {
 
 // Counter returns the counter registered under name, creating it on
 // first use. Safe for concurrent use. A nil registry returns a usable
-// dangling counter so instrumentation never branches.
+// dangling counter so instrumentation never branches. It never returns
+// a counter an owner attached: the series then sums both.
 func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return &Counter{}
@@ -142,7 +146,34 @@ func (r *Registry) Counter(name, help string) *Counter {
 	r.register(name, help, kindCounter)
 	c := &Counter{}
 	r.counters[name] = c
+	r.sources[name] = append(r.sources[name], c)
 	return c
+}
+
+// Attach exports a counter its owner keeps, so a layer counts each fact
+// once and its Stats and the exposition read the same value. The series
+// reports the sum of all its sources: two components attaching under
+// one name export their merged count. Attaching the same counter twice
+// does nothing, and so does any call on a nil registry.
+func (r *Registry) Attach(name, help string, c *Counter) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.register(name, help, kindCounter)
+	if !slices.Contains(r.sources[name], c) {
+		r.sources[name] = append(r.sources[name], c)
+	}
+}
+
+// counterValue sums a counter series' sources. Caller holds r.mu.
+func (r *Registry) counterValue(name string) int64 {
+	var v int64
+	for _, c := range r.sources[name] {
+		v += c.Load()
+	}
+	return v
 }
 
 // Gauge returns the gauge registered under name, creating it on first

@@ -153,6 +153,74 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAttach checks that a series reports the sum of its sources, that
+// re-attaching a counter is a no-op, that Counter never hands out an
+// attached counter, and that WriteProm, Snapshot and CounterValue agree.
+func TestAttach(t *testing.T) {
+	const name = `qos_attached_total{reason="x"}`
+	for _, tc := range []struct {
+		desc  string
+		setup func(r *Registry, a, b *Counter)
+		want  int64
+	}{
+		{"one source", func(r *Registry, a, b *Counter) {
+			r.Attach(name, "attached", a)
+		}, 5},
+		{"sum of two owners", func(r *Registry, a, b *Counter) {
+			r.Attach(name, "attached", a)
+			r.Attach(name, "", b)
+		}, 8},
+		{"re-attach is a no-op", func(r *Registry, a, b *Counter) {
+			r.Attach(name, "attached", a)
+			r.Attach(name, "attached", a)
+		}, 5},
+		{"created plus attached", func(r *Registry, a, b *Counter) {
+			r.Counter(name, "attached").Add(2)
+			r.Attach(name, "", a)
+		}, 7},
+		{"Counter after Attach makes its own", func(r *Registry, a, b *Counter) {
+			r.Attach(name, "attached", a)
+			c := r.Counter(name, "")
+			if c == a {
+				t.Error("Counter returned the attached counter")
+			}
+			c.Inc()
+			r.Attach(name, "", c) // already a source
+		}, 6},
+	} {
+		t.Run(tc.desc, func(t *testing.T) {
+			r := NewRegistry()
+			var a, b Counter
+			a.Add(5)
+			b.Add(3)
+			tc.setup(r, &a, &b)
+			if got, ok := r.CounterValue(name); !ok || got != tc.want {
+				t.Errorf("CounterValue = %d, %v; want %d", got, ok, tc.want)
+			}
+			if got := r.Snapshot().Counters[name]; got != tc.want {
+				t.Errorf("Snapshot = %d, want %d", got, tc.want)
+			}
+			var buf bytes.Buffer
+			if err := r.WriteProm(&buf); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("# HELP qos_attached_total attached\n# TYPE qos_attached_total counter\n%s %d\n", name, tc.want)
+			if buf.String() != want {
+				t.Errorf("WriteProm =\n%s\nwant\n%s", buf.String(), want)
+			}
+		})
+	}
+	t.Run("nil registry", func(t *testing.T) {
+		var r *Registry
+		var a Counter
+		r.Attach(name, "", &a)
+		a.Inc()
+		if _, ok := r.CounterValue(name); ok {
+			t.Error("nil registry reported a series")
+		}
+	})
+}
+
 func TestRegistryKindClashPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

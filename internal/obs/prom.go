@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -44,7 +43,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	seen := make(map[string]bool)
 	for _, name := range r.seriesByKind(kindCounter) {
 		emitHeader(seen, name, "counter")
-		fmt.Fprintf(w, "%s %d\n", name, r.counters[name].Load())
+		fmt.Fprintf(w, "%s %d\n", name, r.counterValue(name))
 	}
 	for _, name := range r.seriesByKind(kindGauge) {
 		emitHeader(seen, name, "gauge")
@@ -111,8 +110,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Load()
+	for name := range r.sources {
+		s.Counters[name] = r.counterValue(name)
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
@@ -145,11 +144,10 @@ func (r *Registry) CounterValue(name string) (int64, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
+	if _, ok := r.sources[name]; !ok {
 		return 0, false
 	}
-	return c.Load(), true
+	return r.counterValue(name), true
 }
 
 // CounterNames returns every registered counter series, sorted.
@@ -159,7 +157,5 @@ func (r *Registry) CounterNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.seriesByKind(kindCounter)
-	sort.Strings(out)
-	return out
+	return r.seriesByKind(kindCounter)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"qosalloc/internal/casebase"
 )
 
 // lateCancel is a context that is live at its first Err check and
@@ -25,16 +27,31 @@ func (c *lateCancel) Err() error {
 	return nil
 }
 
+// invalidRequests derives requests that fail casebase.Request.Validate
+// from a valid one: an unknown type, a duplicate constraint, and a
+// weight outside [0, 1].
+func invalidRequests(req casebase.Request) []casebase.Request {
+	unknown := casebase.Request{Type: 9999, Constraints: req.Constraints}
+	dup := casebase.Request{Type: req.Type, Constraints: append(append([]casebase.Constraint(nil), req.Constraints...), req.Constraints[0])}
+	heavy := casebase.Request{Type: req.Type, Constraints: append([]casebase.Constraint(nil), req.Constraints...)}
+	heavy.Constraints[0].Weight = 1.5
+	return []casebase.Request{unknown, dup, heavy}
+}
+
 // TestRequestConservation mixes concurrent Retrieve, Allocate,
 // RetrieveBatch and AllocateBatch calls on shared shards, with live,
-// already-canceled and late-canceled contexts, and checks that no job
-// and no placement goes uncounted: every batched job was answered by a
-// dedup hit, a token hit, a cancellation or an engine walk, and every
-// admitted allocation request was counted as placed or failed.
+// already-canceled and late-canceled contexts and with invalid requests
+// among the valid ones, and checks that no job and no placement goes
+// uncounted: every batched job was answered by a dedup hit, a token
+// hit, a cancellation or an engine walk, and every admitted allocation
+// request was counted as placed or failed. An invalid request fails
+// with its validation error and joins no batch.
 func TestRequestConservation(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 64, 0.5)
 	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxBatch: 8, MaxQueue: 4096})
 	defer s.Close()
+	bad := invalidRequests(reqs[0])
+	var badSent atomic.Int64
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -65,24 +82,35 @@ func TestRequestConservation(t *testing.T) {
 					ctx = &lateCancel{Context: context.Background()}
 				}
 				lo := rng.Intn(len(reqs) - 8)
-				batch := reqs[lo : lo+1+rng.Intn(8)]
+				batch := append([]casebase.Request(nil), reqs[lo:lo+1+rng.Intn(8)]...)
+				invalid := rng.Intn(4) == 0
+				if invalid {
+					batch[0] = bad[rng.Intn(len(bad))]
+				}
 				switch rng.Intn(4) {
 				case 0:
 					_, err := s.Retrieve(ctx, batch[0])
-					if kind != 0 && err == nil {
-						fail(errors.New("Retrieve on a canceled context succeeded"))
+					if (kind != 0 || invalid) && err == nil {
+						fail(errors.New("Retrieve on a canceled context or an invalid request succeeded"))
 					}
 				case 1:
 					d, err := s.Allocate(ctx, "app", batch[0], 5)
 					if kind != 1 {
 						admittedAllocs.Add(1)
 					}
+					if invalid && err == nil {
+						fail(errors.New("Allocate of an invalid request succeeded"))
+					}
 					if err == nil {
 						_ = s.Release(d.Task.ID)
 					}
 				case 2:
-					if _, err := s.RetrieveBatch(ctx, batch); (err == nil) != (kind == 0) {
+					out, err := s.RetrieveBatch(ctx, batch)
+					if (err == nil) != (kind == 0) {
 						fail(errors.New("RetrieveBatch error does not match its context"))
+					}
+					if err == nil && invalid && out[0].Err == nil {
+						fail(errors.New("RetrieveBatch answered an invalid request"))
 					}
 				case 3:
 					out, err := s.AllocateBatch(ctx, "app", batch, 5)
@@ -97,6 +125,9 @@ func TestRequestConservation(t *testing.T) {
 							_ = s.Release(r.Decision.Task.ID)
 						}
 					}
+				}
+				if invalid && kind != 1 {
+					badSent.Add(1)
 				}
 			}
 		}(c)
@@ -116,7 +147,7 @@ func TestRequestConservation(t *testing.T) {
 		t.Errorf("Allocated %d + AllocFailed %d = %d, want %d admitted Allocate calls + AllocateBatch items",
 			st.Allocated, st.AllocFailed, st.Allocated+st.AllocFailed, want)
 	}
-	if st.DedupHits == 0 || st.TokenHits == 0 || st.Canceled == 0 || st.Allocated == 0 || st.AllocFailed == 0 {
+	if st.DedupHits == 0 || st.TokenHits == 0 || st.Canceled == 0 || st.Allocated == 0 || st.AllocFailed == 0 || badSent.Load() == 0 {
 		t.Errorf("a path went unexercised: %+v", st)
 	}
 }

@@ -139,8 +139,7 @@ func (s *Service) Observe(o learn.Observation) error {
 		return err
 	}
 	s.ls.pendingObs.Add(1)
-	s.observations.Add(1)
-	s.met.Load().observations.Inc()
+	s.counts.observations.Inc()
 	now := device.Micros(s.now.Load())
 	s.ls.firstAt.CompareAndSwap(noPending, uint64(now))
 	if s.ls.due(now) {
@@ -150,9 +149,6 @@ func (s *Service) Observe(o learn.Observation) error {
 			return nil // another writer committed while we waited
 		}
 		_, err := s.commitLocked("fold", nil, nil)
-		if err == nil {
-			s.met.Load().commitsFold.Inc()
-		}
 		return err
 	}
 	return nil
@@ -200,8 +196,6 @@ func (s *Service) Retain(t casebase.TypeID, im casebase.Implementation, atEpoch 
 	if err != nil {
 		return 0, err
 	}
-	s.retainedN.Add(1)
-	s.met.Load().commitsStructural.Inc()
 	return id, nil
 }
 
@@ -224,12 +218,7 @@ func (s *Service) Retire(t casebase.TypeID, impl casebase.ImplID, atEpoch uint64
 	}
 	_, err := s.commitLocked("retire",
 		func(b *learn.Builder) error { return b.Retire(t, impl) }, nil)
-	if err != nil {
-		return err
-	}
-	s.retiredN.Add(1)
-	s.met.Load().commitsStructural.Inc()
-	return nil
+	return err
 }
 
 // CommitNow forces a commit of whatever is pending — or a pure epoch
@@ -250,7 +239,6 @@ func (s *Service) CommitNow() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.met.Load().commitsManual.Inc()
 	return epoch, nil
 }
 
@@ -260,16 +248,17 @@ func (s *Service) Epoch() uint64 { return s.snap.Load().epoch }
 // EpochStats snapshots the mutation counters. On a service without
 // learning every field but Epoch is zero.
 func (s *Service) EpochStats() EpochStats {
+	c := &s.counts
 	st := EpochStats{
 		Epoch:        s.snap.Load().epoch,
-		Commits:      s.commits.Load(),
-		Folds:        s.folds.Load(),
-		Observations: s.observations.Load(),
-		FoldedObs:    s.foldedObs.Load(),
-		Retained:     s.retainedN.Load(),
-		Retired:      s.retiredN.Load(),
-		StaleRetries: s.staleRetries.Load(),
+		Folds:        c.folds.Load(),
+		Observations: c.observations.Load(),
+		FoldedObs:    c.foldedObs.Load(),
+		Retained:     c.retained.Load(),
+		Retired:      c.retired.Load(),
+		StaleRetries: c.staleRetries.Load(),
 	}
+	st.Commits = st.Folds + st.Retained + st.Retired + c.manual.Load()
 	if s.ls != nil {
 		st.PendingObs = s.ls.pendingObs.Load()
 		st.PendingRevs = s.ls.pendingRevs.Load()
@@ -378,14 +367,18 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 	s.ls.pendingRevs.Store(0)
 	s.ls.pendingObs.Store(0)
 	s.ls.firstAt.Store(noPending)
-	s.commits.Add(1)
-	if reason == "fold" {
-		s.folds.Add(1)
+	switch reason {
+	case "fold":
+		s.counts.folds.Inc()
+	case "retain":
+		s.counts.retained.Inc()
+	case "retire":
+		s.counts.retired.Inc()
+	default:
+		s.counts.manual.Inc()
 	}
-	s.foldedObs.Add(foldedObs)
-	met := s.met.Load()
-	met.epoch.Set(int64(next.epoch))
-	met.foldedObs.Add(foldedObs)
+	s.counts.foldedObs.Add(foldedObs)
+	s.met.Load().epoch.Set(int64(next.epoch))
 	s.journal.Append(fmt.Sprintf("epoch=%d t=%d reason=%s changed=%d folded_obs=%d",
 		next.epoch, s.now.Load(), reason, changed, foldedObs))
 	return next.epoch, nil

@@ -255,13 +255,8 @@ type Service struct {
 
 	allocMu sync.Mutex // serializes Manager and rtsys access
 
-	enqueued, shed, batches, batchedJobs atomic.Int64
-	dedupHits, tokenHits, canceled       atomic.Int64
-	maxBatch, drainFlushed               atomic.Int64
-	allocated, allocFailed               atomic.Int64
-	commits, folds, observations         atomic.Int64
-	foldedObs, retainedN, retiredN       atomic.Int64
-	staleRetries                         atomic.Int64
+	counts   counts
+	maxBatch atomic.Int64 // high-water mark of the batch size
 
 	// drainMu fences admission against shutdown: submissions hold the
 	// read side across the draining check and the queue send, Close
@@ -374,9 +369,10 @@ func (s *Service) Manager() *alloc.Manager { return s.mgr }
 // Manager).
 func (s *Service) System() *rtsys.System { return s.sys }
 
-// Instrument registers the serve metric set on reg and threads the
-// registry through the current epoch's shard engines and the manager.
-// Engines built by later commits inherit the same retrieval metric set.
+// Instrument registers the serve metric set on reg, attaches the
+// service's counts, and threads the registry through the current
+// epoch's shard engines and the manager. Engines built by later commits
+// inherit the same retrieval metric set.
 func (s *Service) Instrument(reg *obs.Registry) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -384,6 +380,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	sn := s.snap.Load()
 	m.epoch.Set(int64(sn.epoch))
 	s.met.Store(m)
+	s.counts.attach(reg)
 	s.retMet = retrieval.NewMetrics(reg)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -397,18 +394,19 @@ func (s *Service) Instrument(reg *obs.Registry) {
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
+	c := &s.counts
 	st := Stats{
-		Enqueued:     s.enqueued.Load(),
-		Shed:         s.shed.Load(),
-		Batches:      s.batches.Load(),
-		BatchedJobs:  s.batchedJobs.Load(),
-		DedupHits:    s.dedupHits.Load(),
-		TokenHits:    s.tokenHits.Load(),
-		Canceled:     s.canceled.Load(),
-		DrainFlushed: s.drainFlushed.Load(),
+		Enqueued:     c.enqueued.Load(),
+		Shed:         c.shed.Load(),
+		Batches:      c.batches.Load(),
+		BatchedJobs:  c.batchedJobs.Load(),
+		DedupHits:    c.dedupHits.Load(),
+		TokenHits:    c.tokenHits.Load(),
+		Canceled:     c.canceled.Load(),
+		DrainFlushed: c.drainFlushed.Load(),
 		MaxBatch:     s.maxBatch.Load(),
-		Allocated:    s.allocated.Load(),
-		AllocFailed:  s.allocFailed.Load(),
+		Allocated:    c.allocated.Load(),
+		AllocFailed:  c.allocFailed.Load(),
 	}
 	// Walk counts live in the epoch's engines; retired epochs roll into
 	// pastRetrievals at commit. A commit racing this loop can transiently
@@ -546,13 +544,10 @@ func (s *Service) answerInline(ctx context.Context, t casebase.TypeID, key []byt
 	if !live {
 		return retrieval.Result{}, false
 	}
-	met := s.met.Load()
-	s.enqueued.Add(1)
-	met.enqueued.Inc()
-	s.noteBatch(met, 1)
-	s.tokenHits.Add(1)
-	met.tokenHits.Inc()
-	met.inlineHits.Inc()
+	s.counts.enqueued.Inc()
+	s.noteBatch(s.met.Load(), 1)
+	s.counts.tokenHits.Inc()
+	s.counts.inlineHits.Inc()
 	return r, true
 }
 
@@ -567,7 +562,6 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 		return nil, err
 	}
 	defer s.inflight.Done()
-	met := s.met.Load()
 	sig := retrieval.Signature(req)
 	for attempt := 0; ; attempt++ {
 		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), sig: sig, done: make(chan jobResult, 1)})
@@ -578,11 +572,10 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 		stale := r.err == nil && r.epoch != s.mgrEpoch
 		if stale && attempt < maxStaleRetries {
 			s.allocMu.Unlock()
-			s.staleRetries.Add(1)
-			met.staleRetries.Inc()
+			s.counts.staleRetries.Inc()
 			continue
 		}
-		d, err := s.placeLocked(met, app, req, r, basePrio)
+		d, err := s.placeLocked(app, req, r, basePrio)
 		if r.err == nil && !stale {
 			s.now.Store(uint64(s.sys.Now()))
 		}
@@ -624,7 +617,7 @@ func (s *Service) await(ctx context.Context, j *job) jobResult {
 // manager has left fail it with *ErrStaleEpoch, and the manager places
 // the rest from a copy of the candidate list (the batch's singleflight
 // map may share it). Every outcome is counted. Caller holds allocMu.
-func (s *Service) placeLocked(met *metrics, app string, req casebase.Request, r jobResult, prio int) (*alloc.Decision, error) {
+func (s *Service) placeLocked(app string, req casebase.Request, r jobResult, prio int) (*alloc.Decision, error) {
 	var d *alloc.Decision
 	err := r.err
 	if err == nil && r.epoch != s.mgrEpoch {
@@ -634,12 +627,10 @@ func (s *Service) placeLocked(met *metrics, app string, req casebase.Request, r 
 		d, err = s.mgr.PlaceCandidates(app, req, append([]retrieval.Result(nil), r.list...), prio)
 	}
 	if err != nil {
-		s.allocFailed.Add(1)
-		met.allocFail.Inc()
+		s.counts.allocFailed.Inc()
 		return nil, err
 	}
-	s.allocated.Add(1)
-	met.allocOK.Inc()
+	s.counts.allocated.Inc()
 	return d, nil
 }
 
@@ -695,12 +686,11 @@ func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase
 	if err != nil {
 		return nil, err
 	}
-	met := s.met.Load()
 	out := make([]BatchResult, len(reqs))
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	for i, r := range res {
-		out[i].Decision, out[i].Err = s.placeLocked(met, app, reqs[i], r, basePrio)
+		out[i].Decision, out[i].Err = s.placeLocked(app, reqs[i], r, basePrio)
 	}
 	s.now.Store(uint64(s.sys.Now()))
 	return out, nil
@@ -731,7 +721,10 @@ func (s *Service) acquire(ctx context.Context) error {
 func shardOf(t casebase.TypeID, n int) int { return int(t) % n }
 
 // submit routes a job to its shard queue, shedding with *ErrOverload
-// when the queue is full. The admission check and the queue send sit
+// when the queue is full. A request that fails casebase.Request.Validate
+// is refused with its error and never admitted. (A token hit answered
+// inline skips the check: a token is stored only after its walk
+// validated the request.) The admission check and the queue send sit
 // under the drain fence: a submission either lands before the workers'
 // final flush or is refused with ErrDraining — never admitted and then
 // abandoned.
@@ -741,18 +734,18 @@ func (s *Service) submit(j *job) error {
 	if s.draining {
 		return ErrDraining
 	}
+	if err := j.req.Validate(s.CaseBase()); err != nil {
+		return err
+	}
 	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
 	j.at = device.Micros(s.now.Load())
-	met := s.met.Load()
 	select {
 	case sh.q <- j:
-		s.enqueued.Add(1)
-		met.enqueued.Inc()
-		met.queueDepth[sh.idx].Set(int64(len(sh.q)))
+		s.counts.enqueued.Inc()
+		s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
 		return nil
 	default:
-		s.shed.Add(1)
-		met.shed.Inc()
+		s.counts.shed.Inc()
 		qn := len(sh.q)
 		return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: s.retryAfter(qn)}
 	}
@@ -825,8 +818,7 @@ func (s *Service) flush(sh *shard, batch []*job) {
 			s.met.Load().queueDepth[sh.idx].Set(0)
 			return
 		}
-		s.drainFlushed.Add(int64(len(batch)))
-		s.met.Load().drainFlushed.Add(int64(len(batch)))
+		s.counts.drainFlushed.Add(int64(len(batch)))
 		s.runBatch(sh, batch)
 	}
 }
@@ -878,11 +870,10 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	for _, j := range batch {
 		var r jobResult
 		if err := retrieval.Canceled(j.ctx); err != nil {
-			s.canceled.Add(1)
-			met.canceled.Inc()
+			s.counts.canceled.Inc()
 			r.err = err
 		} else {
-			r = s.resolve(sn, sh, j, met)
+			r = s.resolve(sn, sh, j)
 		}
 		if j.done != nil {
 			j.done <- r
@@ -892,11 +883,11 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	}
 }
 
-// noteBatch records batch accounting. Caller holds sh.mu.
+// noteBatch records batch accounting for a batch of n jobs: a queued or
+// pre-formed batch under sh.mu, or an inline hit under sh.tokMu.
 func (s *Service) noteBatch(met *metrics, n int) {
-	s.batches.Add(1)
-	s.batchedJobs.Add(int64(n))
-	met.batches.Inc()
+	s.counts.batches.Inc()
+	s.counts.batchedJobs.Add(int64(n))
 	met.batchSize.Observe(int64(n))
 	for {
 		cur := s.maxBatch.Load()
@@ -908,21 +899,20 @@ func (s *Service) noteBatch(met *metrics, n int) {
 
 // resolve serves one job from the batch's singleflight map, the token
 // cache, or an engine walk against the sn epoch. Caller holds sh.mu.
-func (s *Service) resolve(sn *snapshot, sh *shard, j *job, met *metrics) jobResult {
+func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
 	key := jobKey(j)
 	if r, ok := sh.seen[key]; ok {
-		s.dedupHits.Add(1)
-		met.dedup.Inc()
+		s.counts.dedupHits.Inc()
 		return *r
 	}
-	r := s.runJob(sn, sh, j, met)
+	r := s.runJob(sn, sh, j)
 	sh.seen[key] = &r
 	return r
 }
 
 // runJob performs the actual retrieval for one deduplicated job against
 // the sn epoch. Caller holds sh.mu.
-func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResult {
+func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	eng, tokens := sn.engines[sh.idx], sn.tokens[sh.idx]
 	if j.kind == jobCandidates {
 		list, err := eng.RetrieveN(j.req, int(j.n))
@@ -941,8 +931,7 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResul
 		sh.tokMu.Unlock()
 		if ok {
 			if r, live := sn.resultFromToken(tok); live {
-				s.tokenHits.Add(1)
-				met.tokenHits.Inc()
+				s.counts.tokenHits.Inc()
 				return jobResult{best: r, epoch: sn.epoch}
 			}
 		}
@@ -957,15 +946,20 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job, met *metrics) jobResul
 	return jobResult{best: r, epoch: sn.epoch}
 }
 
-// fanout runs reqs as pre-formed micro-batches: one job per request,
-// grouped by shard, each group split at MaxBatch and run through
-// runBatch, in parallel across shards. Results are positionally aligned
-// with reqs.
+// fanout runs reqs as pre-formed micro-batches: one job per valid
+// request, grouped by shard, each group split at MaxBatch and run
+// through runBatch, in parallel across shards. An invalid request gets
+// its validation error and joins no batch. Results are positionally
+// aligned with reqs.
 func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobKind, n int) ([]jobResult, error) {
 	jobs := make([]job, len(reqs))
 	res := make([]jobResult, len(reqs))
 	groups := make([][]*job, len(s.shards))
+	cb := s.CaseBase()
 	for i, r := range reqs {
+		if res[i].err = r.Validate(cb); res[i].err != nil {
+			continue
+		}
 		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: int32(n), sig: retrieval.Signature(r), out: &res[i]}
 		si := shardOf(r.Type, len(s.shards))
 		groups[si] = append(groups[si], &jobs[i])

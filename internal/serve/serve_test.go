@@ -226,12 +226,12 @@ func TestInlineHitSkipsBusyShard(t *testing.T) {
 		<-hit
 		t.Fatal("token hit waited for the busy shard")
 	}
-	if got := s.tokenHits.Load(); got != 1 {
+	if got := s.counts.tokenHits.Load(); got != 1 {
 		t.Fatalf("token hits = %d with the shard busy, want 1 (answered inline)", got)
 	}
 	done := make(chan error, 1)
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "the new request to queue", func() bool { return s.enqueued.Load() == 3 })
+	waitFor(t, "the new request to queue", func() bool { return s.counts.enqueued.Load() == 3 })
 	select {
 	case err := <-done:
 		t.Fatalf("new request answered while the shard was busy (err %v)", err)
@@ -339,7 +339,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 	// NB: Stats() locks sh.mu (engine counters), which this test holds —
 	// poll the atomic counters directly.
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
 
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to fill the queue", func() bool { return len(sh.q) == 1 })
@@ -355,7 +355,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 	if !strings.Contains(ov.Error(), "retry after") {
 		t.Errorf("Error() = %q", ov.Error())
 	}
-	if shed := s.shed.Load(); shed != 1 {
+	if shed := s.counts.shed.Load(); shed != 1 {
 		t.Errorf("Shed = %d, want 1", shed)
 	}
 
@@ -626,7 +626,7 @@ func TestDrainFlushesQueuedJobs(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 2)
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
 
@@ -683,7 +683,7 @@ func TestDrainMetricsExported(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 2)
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
 
