@@ -572,10 +572,8 @@ func (d *daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer d.inflight.Done()
-	var req wire.ReleaseRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, wire.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := wire.DecodeReleaseRequest(r.Body)
+	if err != nil {
 		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
 			Code: wire.CodeBadRequest, Error: fmt.Sprintf("qosd: bad release body: %v", err),
 		})

@@ -132,9 +132,10 @@ func (tc *TokenCache) LookupSig(sig string) (Token, bool) {
 // LookupKey is LookupSig keyed by AppendSignature bytes; the key is
 // only read, never retained, so the lookup does not allocate. A hit is
 // counted and refreshes recency like LookupSig. A miss is not counted:
-// LookupKey is the probe in front of a fallback that looks the same
-// signature up again with LookupSig, and that lookup counts it, so each
-// request is counted once.
+// LookupKey is the probe in front of either a fallback that looks the
+// same signature up again with LookupSig, which counts it, or a caller
+// that resolves the miss itself and calls CountMiss, so each request is
+// counted once.
 func (tc *TokenCache) LookupKey(key []byte) (Token, bool) {
 	el, ok := tc.tokens[string(key)]
 	if !ok {
@@ -144,6 +145,10 @@ func (tc *TokenCache) LookupKey(key []byte) (Token, bool) {
 	tc.order.MoveToFront(el)
 	return el.Value.(*tokenEntry).tok, true
 }
+
+// CountMiss counts a miss that LookupKey saw and its caller resolved
+// without a LookupSig.
+func (tc *TokenCache) CountMiss() { tc.misses++ }
 
 // Store caches a token for req as the most recently used entry, evicting
 // the LRU tail when the cap is exceeded.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -297,6 +298,70 @@ func diffEngines(t *testing.T, name string, cb *casebase.CaseBase, opt Options, 
 	for _, a := range kept {
 		if err := sameResults(a.got, a.ref); err != nil {
 			t.Fatalf("%s: %s changed after later calls: %v", name, a.op, err)
+		}
+	}
+}
+
+// TestEngineConcurrentWalks shares one engine among several goroutines,
+// with and without KeepLocals, while another re-instruments it: every
+// Retrieve, RetrieveN and RetrieveAll must return exactly what a
+// private engine returns for the same request, and the shared Stats
+// must add up to one private engine's per caller. Run it with -race.
+func TestEngineConcurrentWalks(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	cb, reg := tieCaseBase(r)
+	reqs := make([]casebase.Request, 16)
+	for i := range reqs {
+		reqs[i] = tieRequest(r, cb, reg)
+	}
+	for _, keep := range []bool{false, true} {
+		opt := Options{KeepLocals: keep}
+		walkAll := func(e *Engine) [][]Result {
+			var out [][]Result
+			for _, req := range reqs {
+				best, _ := e.Retrieve(req)
+				top, _ := e.RetrieveN(req, 3)
+				all, _ := e.RetrieveAll(req)
+				out = append(out, []Result{best}, top, all)
+			}
+			return out
+		}
+		private := NewEngine(cb, opt)
+		want := walkAll(private)
+		shared := NewEngine(cb, opt)
+		const callers = 4
+		stop := make(chan struct{})
+		instrumented := make(chan struct{})
+		go func() {
+			defer close(instrumented)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					shared.Instrument(NewMetrics(nil))
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i, got := range walkAll(shared) {
+					if err := sameResults(got, want[i]); err != nil {
+						t.Errorf("keep %v caller %d answer %d: %v", keep, c, i, err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(stop)
+		<-instrumented
+		ps, ss := private.Stats(), shared.Stats()
+		if ss != (Stats{callers * ps.Retrievals, callers * ps.ImplsScored, callers * ps.AttrsCompared, callers * ps.BelowThreshold}) {
+			t.Errorf("keep %v: shared stats %+v, want %d× %+v", keep, ss, callers, ps)
 		}
 	}
 }

@@ -20,14 +20,17 @@
 // lower implementation ID) is kept as the pass goes, and the variants
 // the threshold rejects are counted on the way. RetrieveN keeps the n
 // best in the same kind of pass by bounded insertion; only RetrieveAll
-// sorts. A warmed Retrieve allocates nothing, which is why an Engine is
-// not safe for concurrent use.
+// sorts. A warmed Retrieve allocates nothing: the walk scores into
+// scratch it borrows from a package-level pool, so an Engine holds no
+// per-walk state and, like FixedEngine, is safe for concurrent use.
 package retrieval
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/similarity"
@@ -71,27 +74,16 @@ type Options struct {
 }
 
 // Engine performs floating-point retrieval over a case base. An Engine
-// is not safe for concurrent use: every walk scores into scratch storage
-// the engine owns, so callers serialize access (the serving layer keeps
-// one engine per shard, under the shard mutex).
+// is safe for concurrent use: its case base and options never change,
+// each walk scores into scratch storage it takes from a package-level
+// pool for the length of the call, the activity counters are atomic,
+// and the metric bundle sits behind an atomic pointer (the serving
+// layer shares one engine per epoch among all its callers).
 type Engine struct {
 	cb    *casebase.CaseBase
 	opt   Options
-	stats Stats
-	met   *Metrics
-
-	// Per-walk scratch, reused across walks. dmax and weights hold the
-	// request's per-constraint constants, resolved once per walk; sims
-	// is the local-similarity vector of the variant being scored;
-	// scores is the global similarity column in storage order; locals
-	// holds every variant's breakdown (KeepLocals only), one row of
-	// len(Constraints) per variant; top serves n-best selection.
-	dmax    []uint16
-	weights []float64
-	sims    []float64
-	scores  []float64
-	locals  []LocalScore
-	top     []int
+	stats engineStats
+	met   atomic.Pointer[Metrics]
 }
 
 // Stats counts engine activity.
@@ -100,6 +92,11 @@ type Stats struct {
 	ImplsScored    int // implementation variants scored
 	AttrsCompared  int // attribute comparisons performed
 	BelowThreshold int // variants rejected by the threshold
+}
+
+// engineStats is Stats as atomic counts, so concurrent walks add to it.
+type engineStats struct {
+	retrievals, implsScored, attrsCompared, belowThreshold atomic.Int64
 }
 
 // NewEngine returns an Engine over cb. Nil option fields get the paper's
@@ -111,14 +108,17 @@ func NewEngine(cb *casebase.CaseBase, opt Options) *Engine {
 	if opt.Amalgamation == nil {
 		opt.Amalgamation = similarity.WeightedSum{}
 	}
-	return &Engine{cb: cb, opt: opt, met: NewMetrics(nil)}
+	e := &Engine{cb: cb, opt: opt}
+	e.met.Store(NewMetrics(nil))
+	return e
 }
 
 // Instrument points the engine's observability at the given bundle
 // (typically shared with the service or the allocation manager's registry).
+// Walks already under way finish on the bundle they started with.
 func (e *Engine) Instrument(m *Metrics) {
 	if m != nil {
-		e.met = m
+		e.met.Store(m)
 	}
 }
 
@@ -126,7 +126,14 @@ func (e *Engine) Instrument(m *Metrics) {
 func (e *Engine) CaseBase() *casebase.CaseBase { return e.cb }
 
 // Stats returns a copy of the activity counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	return Stats{
+		Retrievals:     int(e.stats.retrievals.Load()),
+		ImplsScored:    int(e.stats.implsScored.Load()),
+		AttrsCompared:  int(e.stats.attrsCompared.Load()),
+		BelowThreshold: int(e.stats.belowThreshold.Load()),
+	}
+}
 
 // ErrNoMatch is returned when no implementation survives the threshold.
 type ErrNoMatch struct {
@@ -140,60 +147,95 @@ func (e *ErrNoMatch) Error() string {
 		e.Type, e.Threshold, e.Best)
 }
 
+// walkState is one walk's working storage. dmax and weights hold the
+// request's per-constraint constants, resolved once per walk; sims is
+// the local-similarity vector of the variant being scored; scores is
+// the global similarity column of ft's variants in storage order;
+// locals holds every variant's breakdown (KeepLocals only), one row of
+// len(Constraints) per variant; top serves n-best selection. e, met,
+// ft and start describe the walk in progress.
+type walkState struct {
+	e     *Engine
+	met   *Metrics
+	ft    *casebase.FunctionType
+	start int64
+
+	dmax    []uint16
+	weights []float64
+	sims    []float64
+	scores  []float64
+	locals  []LocalScore
+	top     []int
+}
+
+// walkPool recycles walk storage across every engine, so a warmed walk
+// allocates nothing. It is one pool for the package, not one per
+// engine, and release drops the pointers into the engine and its tree:
+// a pooled walkState never keeps a retired case base alive.
+var walkPool = sync.Pool{New: func() any { return new(walkState) }}
+
+// release returns w to the pool. Results materialized from w stay valid.
+func (w *walkState) release() {
+	w.e, w.met, w.ft = nil, nil, nil
+	walkPool.Put(w)
+}
+
 // walk validates the request and scores every implementation of the
-// requested type into e.scores (storage order), the fig. 6 inner loop.
-// With KeepLocals, variant i's breakdown lands in row i of e.locals.
-// Stats and metric counters are updated once per walk; at quiescence
-// the totals equal one increment per variant and per comparison.
-//
-// start is the latency clock reading taken once the request validated,
-// for the caller to close with observeLatency after its selection.
-func (e *Engine) walk(req casebase.Request) (ft *casebase.FunctionType, start int64, err error) {
+// requested type into the returned state's scores (storage order), the
+// fig. 6 inner loop. With KeepLocals, variant i's breakdown lands in
+// row i of locals. Stats and metric counters are updated once per walk;
+// at quiescence the totals equal one increment per variant and per
+// comparison. The latency clock starts once the request validated; the
+// caller closes it with observeLatency after its selection, then
+// releases the state.
+func (e *Engine) walk(req casebase.Request) (*walkState, error) {
 	if err := req.Validate(e.cb); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	start = e.met.start()
-	ft, _ = e.cb.Type(req.Type)
-	e.stats.Retrievals++
-	e.met.Retrievals.Inc()
-	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
-	n, k := len(ft.Impls), len(req.Constraints)
-	e.scores = resize(e.scores, n)
-	e.prepare(req)
+	w := walkPool.Get().(*walkState)
+	w.e, w.met = e, e.met.Load()
+	w.start = w.met.start()
+	w.ft, _ = e.cb.Type(req.Type)
+	e.stats.retrievals.Add(1)
+	w.met.Retrievals.Inc()
+	w.met.ImplsPerRetrieval.Observe(int64(len(w.ft.Impls)))
+	n, k := len(w.ft.Impls), len(req.Constraints)
+	w.scores = resize(w.scores, n)
+	w.prepare(req)
 	if e.opt.KeepLocals {
-		e.locals = resize(e.locals, n*k)
+		w.locals = resize(w.locals, n*k)
 	}
-	for i := range ft.Impls {
+	for i := range w.ft.Impls {
 		var row []LocalScore
 		if e.opt.KeepLocals {
-			row = e.locals[i*k : (i+1)*k]
+			row = w.locals[i*k : (i+1)*k]
 		}
-		e.scores[i] = e.score(&ft.Impls[i], req, row)
+		w.scores[i] = w.score(&w.ft.Impls[i], req, row)
 	}
-	e.stats.ImplsScored += n
-	e.met.ImplsScored.Add(int64(n))
-	e.stats.AttrsCompared += n * k
-	e.met.AttrsCompared.Add(int64(n * k))
-	return ft, start, nil
+	e.stats.implsScored.Add(int64(n))
+	w.met.ImplsScored.Add(int64(n))
+	e.stats.attrsCompared.Add(int64(n * k))
+	w.met.AttrsCompared.Add(int64(n * k))
+	return w, nil
 }
 
 // prepare resolves the request's per-constraint constants once per walk:
 // the design-global dmax of each constrained attribute and the weight
 // column handed to the amalgamation.
-func (e *Engine) prepare(req casebase.Request) {
+func (w *walkState) prepare(req casebase.Request) {
 	k := len(req.Constraints)
-	e.dmax = resize(e.dmax, k)
-	e.weights = resize(e.weights, k)
-	e.sims = resize(e.sims, k)
+	w.dmax = resize(w.dmax, k)
+	w.weights = resize(w.weights, k)
+	w.sims = resize(w.sims, k)
 	for i, c := range req.Constraints {
-		dmax, err := e.cb.Registry().DMax(c.ID)
+		dmax, err := w.e.cb.Registry().DMax(c.ID)
 		if err != nil {
 			// Request validation catches this; scoring treats it
 			// as unsatisfiable to stay total.
 			dmax = 0
 		}
-		e.dmax[i] = dmax
-		e.weights[i] = c.Weight
+		w.dmax[i] = dmax
+		w.weights[i] = c.Weight
 	}
 }
 
@@ -201,22 +243,23 @@ func (e *Engine) prepare(req casebase.Request) {
 // request, filling locals (request order) when it is non-nil. Missing
 // implementation attributes contribute s_i = 0 — "a missing attribute
 // can be seen as unsatisfiable requirement" (§3).
-func (e *Engine) score(im *casebase.Implementation, req casebase.Request, locals []LocalScore) float64 {
+func (w *walkState) score(im *casebase.Implementation, req casebase.Request, locals []LocalScore) float64 {
+	opt := &w.e.opt
 	for i, c := range req.Constraints {
 		v, found := im.Attr(c.ID)
 		var s float64
 		if found {
-			s = e.opt.Local.Similarity(c.Value, v, e.dmax[i])
+			s = opt.Local.Similarity(c.Value, v, w.dmax[i])
 		}
-		e.sims[i] = s
+		w.sims[i] = s
 		if locals != nil {
 			locals[i] = LocalScore{
 				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
-				Found: found, DMax: e.dmax[i], Sim: s, Weight: c.Weight,
+				Found: found, DMax: w.dmax[i], Sim: s, Weight: c.Weight,
 			}
 		}
 	}
-	return e.opt.Amalgamation.Combine(e.sims, e.weights)
+	return opt.Amalgamation.Combine(w.sims, w.weights)
 }
 
 // resize returns buf with length n, reallocating only when it is too
@@ -228,11 +271,11 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// rank orders variants i and j of the last walk, negative when i ranks
+// rank orders variants i and j of the walk, negative when i ranks
 // ahead: higher similarity first, ties broken by ascending implementation
 // ID, the order the hardware scan keeps.
-func (e *Engine) rank(ft *casebase.FunctionType, i, j int) int {
-	si, sj := e.scores[i], e.scores[j]
+func (w *walkState) rank(i, j int) int {
+	si, sj := w.scores[i], w.scores[j]
 	switch {
 	case si > sj:
 		return -1
@@ -241,22 +284,22 @@ func (e *Engine) rank(ft *casebase.FunctionType, i, j int) int {
 	case si != sj:
 		return 0 // NaN is unordered against everything
 	}
-	return cmp.Compare(ft.Impls[i].ID, ft.Impls[j].ID)
+	return cmp.Compare(w.ft.Impls[i].ID, w.ft.Impls[j].ID)
 }
 
-// ahead reports whether variant i of the last walk ranks ahead of j.
-func (e *Engine) ahead(ft *casebase.FunctionType, i, j int) bool { return e.rank(ft, i, j) < 0 }
+// ahead reports whether variant i of the walk ranks ahead of j.
+func (w *walkState) ahead(i, j int) bool { return w.rank(i, j) < 0 }
 
-// result materializes variant i of the last walk, with a private copy of
-// its locals row when KeepLocals is on.
-func (e *Engine) result(ft *casebase.FunctionType, i, k int) Result {
-	im := &ft.Impls[i]
+// result materializes variant i of the walk, with a private copy of its
+// locals row when KeepLocals is on.
+func (w *walkState) result(i, k int) Result {
+	im := &w.ft.Impls[i]
 	r := Result{
-		Type: ft.ID, Impl: im.ID, Target: im.Target, Name: im.Name,
-		Similarity: e.scores[i],
+		Type: w.ft.ID, Impl: im.ID, Target: im.Target, Name: im.Name,
+		Similarity: w.scores[i],
 	}
-	if e.opt.KeepLocals {
-		r.Locals = slices.Clone(e.locals[i*k : (i+1)*k])
+	if w.e.opt.KeepLocals {
+		r.Locals = slices.Clone(w.locals[i*k : (i+1)*k])
 	}
 	return r
 }
@@ -266,21 +309,22 @@ func (e *Engine) result(ft *casebase.FunctionType, i, k int) Result {
 // ascending implementation ID, the order the hardware scan would keep).
 // The threshold is NOT applied; callers see the full field.
 func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
-	ft, start, err := e.walk(req)
+	w, err := e.walk(req)
 	if err != nil {
 		return nil, err
 	}
+	defer w.release()
 	k := len(req.Constraints)
-	e.top = resize(e.top, len(ft.Impls))
-	for i := range e.top {
-		e.top[i] = i
+	w.top = resize(w.top, len(w.ft.Impls))
+	for i := range w.top {
+		w.top[i] = i
 	}
-	slices.SortStableFunc(e.top, func(i, j int) int { return e.rank(ft, i, j) })
-	out := make([]Result, len(e.top))
-	for r, i := range e.top {
-		out[r] = e.result(ft, i, k)
+	slices.SortStableFunc(w.top, w.rank)
+	out := make([]Result, len(w.top))
+	for r, i := range w.top {
+		out[r] = w.result(i, k)
 	}
-	e.met.observeLatency(start)
+	w.met.observeLatency(w.start)
 	return out, nil
 }
 
@@ -288,16 +332,17 @@ func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
 // threshold. This is the fig. 6 algorithm: one pass over the
 // implementation sub-list keeping the running best.
 func (e *Engine) Retrieve(req casebase.Request) (Result, error) {
-	ft, start, err := e.walk(req)
+	w, err := e.walk(req)
 	if err != nil {
 		return Result{}, err
 	}
-	top, err := e.selectTop(ft, req, 1)
-	e.met.observeLatency(start)
+	defer w.release()
+	top, err := w.selectTop(req, 1)
+	w.met.observeLatency(w.start)
 	if err != nil {
 		return Result{}, err
 	}
-	return e.result(ft, top[0], len(req.Constraints)), nil
+	return w.result(top[0], len(req.Constraints)), nil
 }
 
 // RetrieveN returns the up-to-n most similar implementations that meet
@@ -307,34 +352,36 @@ func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
 	}
-	ft, start, err := e.walk(req)
+	w, err := e.walk(req)
 	if err != nil {
 		return nil, err
 	}
-	top, err := e.selectTop(ft, req, n)
-	e.met.observeLatency(start)
+	defer w.release()
+	top, err := w.selectTop(req, n)
+	w.met.observeLatency(w.start)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Result, len(top))
 	for r, i := range top {
-		out[r] = e.result(ft, i, len(req.Constraints))
+		out[r] = w.result(i, len(req.Constraints))
 	}
 	return out, nil
 }
 
-// selectTop is the one selection pass over the last walk's scores: it
-// keeps the n best variants that meet the threshold, best first, by
-// bounded insertion (with n = 1, fig. 6's running best), counting the
-// variants the threshold rejects and tracking the best one overall for
-// ErrNoMatch.Best. The returned indices live in e.top until the next walk.
-func (e *Engine) selectTop(ft *casebase.FunctionType, req casebase.Request, n int) ([]int, error) {
-	th := e.opt.Threshold
-	n = min(n, len(e.scores))
-	top := e.top[:0]
+// selectTop is the one selection pass over the walk's scores: it keeps
+// the n best variants that meet the threshold, best first, by bounded
+// insertion (with n = 1, fig. 6's running best), counting the variants
+// the threshold rejects and tracking the best one overall for
+// ErrNoMatch.Best. The returned indices live in w.top until w is
+// released.
+func (w *walkState) selectTop(req casebase.Request, n int) ([]int, error) {
+	th := w.e.opt.Threshold
+	n = min(n, len(w.scores))
+	top := w.top[:0]
 	best, below := 0, 0
-	for i, s := range e.scores {
-		if e.ahead(ft, i, best) {
+	for i, s := range w.scores {
+		if w.ahead(i, best) {
 			best = i
 		}
 		if s < th {
@@ -342,24 +389,24 @@ func (e *Engine) selectTop(ft *casebase.FunctionType, req casebase.Request, n in
 			continue
 		}
 		if len(top) == n {
-			if !e.ahead(ft, i, top[n-1]) {
+			if !w.ahead(i, top[n-1]) {
 				continue
 			}
 			top = top[:n-1]
 		}
 		j := len(top)
 		top = append(top, i)
-		for ; j > 0 && e.ahead(ft, i, top[j-1]); j-- {
+		for ; j > 0 && w.ahead(i, top[j-1]); j-- {
 			top[j] = top[j-1]
 		}
 		top[j] = i
 	}
-	e.top = top
-	e.stats.BelowThreshold += below
-	e.met.BelowThreshold.Add(int64(below))
+	w.top = top
+	w.e.stats.belowThreshold.Add(int64(below))
+	w.met.BelowThreshold.Add(int64(below))
 	if len(top) == 0 {
-		e.met.NoMatch.Inc()
-		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: e.scores[best]}
+		w.met.NoMatch.Inc()
+		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: w.scores[best]}
 	}
 	return top, nil
 }

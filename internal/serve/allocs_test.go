@@ -7,10 +7,11 @@ import (
 	"qosalloc/internal/casebase"
 )
 
-// TestServiceAllocsPinned pins the heap allocations of the three
-// service paths per call: a token-hit Retrieve after warm-up, an
-// Allocate followed by its Release, and a RetrieveBatch of 16 distinct
-// requests over four shards. The counts include the shard worker's share, so a
+// TestServiceAllocsPinned pins the heap allocations of the four
+// service paths per call: a token-hit Retrieve after warm-up, a
+// Retrieve that misses and walks on the caller's goroutine, an Allocate
+// followed by its Release, and a RetrieveBatch of 16 distinct requests
+// over four shards. The counts include the shard worker's share, so a
 // change to the job pipeline that makes any path allocate more fails
 // here before it shows in a benchmark.
 func TestServiceAllocsPinned(t *testing.T) {
@@ -30,6 +31,11 @@ func TestServiceAllocsPinned(t *testing.T) {
 	gcb, _, batch := genWorkload(t, 16, 0)
 	gs := New(gcb, fig1System(t, gcb), Config{})
 	defer gs.Close()
+	// Every miss call retrieves a request no earlier call resolved.
+	_, _, cold := genWorkload(t, 512, 0)
+	ms := New(gcb, fig1System(t, gcb), Config{})
+	defer ms.Close()
+	next := 0
 
 	for _, c := range []struct {
 		name string
@@ -40,6 +46,12 @@ func TestServiceAllocsPinned(t *testing.T) {
 			if _, err := s.Retrieve(ctx, req); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"Retrieve/miss", 3, func() {
+			if _, err := ms.Retrieve(ctx, cold[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
 		}},
 		{"Allocate+Release", 17, func() {
 			d, err := s.Allocate(ctx, "mp3", req, 5)
@@ -62,5 +74,8 @@ func TestServiceAllocsPinned(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s allocates %.1f times per call, pinned at %.0f", c.name, got, c.max)
 		}
+	}
+	if walks := ms.counts.inlineWalks.Load(); walks != int64(next) {
+		t.Errorf("%d miss calls walked inline %d times; each must miss and walk once", next, walks)
 	}
 }

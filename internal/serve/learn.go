@@ -6,21 +6,22 @@ package serve
 // (learn.Delta); when the fold policy trips — or a structural
 // Retain/Retire/CommitNow forces it — the committer folds every stripe
 // into a learn.Builder, builds a validated CaseBase, and installs a
-// fresh snapshot (tree + engines + empty epoch-bound token caches)
+// fresh snapshot (tree + engine + empty epoch-bound token caches)
 // behind the atomic pointer, in the same allocMu section that moves the
-// manager onto the new tree. The shard mutexes double as the swap
-// fence: cycling each one after the pointer store guarantees no batch
-// still walks the retired epoch.
+// manager onto the new tree. No fence follows the store: a batch or an
+// inline call that loaded the old snapshot finishes on the old tree, as
+// a call that started before the commit may, and the walk counts live
+// in the service, not in the retired engine.
 //
 // The deadlock discipline is declared below and machine-checked by
 // qosvet's locklint (see internal/lint/locklint.go): commitMu is
 // acquired before every stripe mutex (taken in index order, held
-// across fold, swap and rebase), which come before each shard mutex in
-// turn, which come before allocMu. Observe takes only its stripe
-// mutex, and never while holding commitMu; the sim-time age bound is
-// evaluated at mutation entry points and CommitNow, never from the
-// tick path (which runs under allocMu). A shard's token mutex is taken
-// inside its batch mutex, for one token lookup or store at a time.
+// across fold, swap and rebase), which come before allocMu. Observe
+// takes only its stripe mutex, and never while holding commitMu; the
+// sim-time age bound is evaluated at mutation entry points and
+// CommitNow, never from the tick path (which runs under allocMu). A
+// shard's token mutex is taken inside its batch mutex, or alone, for
+// one token lookup or store at a time.
 //
 //qosvet:lockorder commitMu < learnStripe.mu < shard.mu < shard.tokMu < allocMu
 
@@ -296,10 +297,9 @@ func (s *Service) checkEpochLocked(atEpoch uint64) error {
 // commitLocked runs one swap: fold every stripe's pending delta into a
 // Builder over the old epoch's tree, apply the structural mutation (if
 // any), build a validated CaseBase, install the new snapshot and rebase
-// the manager in one allocMu section, fence the shards, rebase the
-// stripes, and journal the commit. Caller holds commitMu. On any error
-// nothing is installed and the stripes keep their pending state for the
-// next attempt.
+// the manager in one allocMu section, rebase the stripes, and journal
+// the commit. Caller holds commitMu. On any error nothing is installed
+// and the stripes keep their pending state for the next attempt.
 //
 // post, when non-nil, runs inside that allocMu critical section right
 // after the manager's case base moved — the hook for state that must
@@ -345,19 +345,6 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 		post()
 	}
 	s.allocMu.Unlock()
-	// Swap fence: cycle every shard mutex. A batch loads the snapshot
-	// only after taking its shard mutex, so once we have held and
-	// released each one, no batch still walks the old epoch — its
-	// engines are garbage. (An inline token hit that loaded the old
-	// snapshot may still read its token cache under the token mutex; it
-	// answers from the old tree, as a call that started before the
-	// commit may.) Fold the engines' walk counts into the cumulative
-	// stats on the way out.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.pastRetrievals.Add(int64(old.engines[sh.idx].Stats().Retrievals))
-		sh.mu.Unlock()
-	}
 	// Rebase the stripes onto the new tree and zero the fold counters;
 	// everything folded is committed, sub-LSB residue restarts from the
 	// committed values by design (DESIGN.md §14).

@@ -316,13 +316,16 @@ func TestRetireInvalidatesBypassTokens(t *testing.T) {
 
 // TestInlineHitsAcrossEpochSwap runs Retrieve callers over a hot set,
 // so most calls are token hits answered on the callers' goroutines,
-// while a driver retires the implementation one hot token pins and
-// then forces a commit. Every answer must be a fresh walk over the tree
-// before or after the swap; a call that starts after CommitNow returns
-// must get the after-swap answer, never the retired implementation; and
-// the inline path must keep both conservation laws.
+// mixed with cold requests that no earlier call resolved, which miss
+// and walk on the callers' goroutines, while a driver retires the
+// implementation one hot token pins and then forces a commit. Every
+// answer, hit or miss, must be a fresh walk over the tree before or
+// after the swap; a call that starts after CommitNow returns must get
+// the after-swap answer, never the retired implementation; and the
+// inline path must keep both conservation laws.
 func TestInlineHitsAcrossEpochSwap(t *testing.T) {
-	cb, _, reqs := genWorkload(t, 64, 0)
+	const callers, minCalls, tail, coldPer = 4, 400, 200, 200
+	cb, _, reqs := genWorkload(t, 16+callers*coldPer, 0)
 	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxQueue: 4096, Learning: learnConfig(64, 0)})
 	defer s.Close()
 	reg := obs.NewRegistry()
@@ -330,8 +333,8 @@ func TestInlineHitsAcrossEpochSwap(t *testing.T) {
 	hot := reqs[:16]
 	walk := func(cb *casebase.CaseBase) []walkOutcome {
 		eng := retrieval.NewEngine(cb, retrieval.Options{})
-		out := make([]walkOutcome, len(hot))
-		for i, req := range hot {
+		out := make([]walkOutcome, len(reqs))
+		for i, req := range reqs {
 			r, err := eng.Retrieve(req)
 			out[i] = walkOutcome{r, err != nil}
 		}
@@ -339,7 +342,7 @@ func TestInlineHitsAcrossEpochSwap(t *testing.T) {
 	}
 	pre := walk(cb)
 	victim := -1
-	for i, o := range pre {
+	for i, o := range pre[:len(hot)] {
 		if !o.failed {
 			victim = i
 			break
@@ -350,7 +353,6 @@ func TestInlineHitsAcrossEpochSwap(t *testing.T) {
 	}
 	gone := pre[victim].r
 
-	const callers, minCalls, tail = 4, 400, 200
 	var calls atomic.Int64
 	var swapped atomic.Bool // set once CommitNow has returned
 	type answer struct {
@@ -365,10 +367,22 @@ func TestInlineHitsAcrossEpochSwap(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			ctx := context.Background()
+			// Every fourth call retrieves one of the caller's own cold
+			// requests: the first half of them before the swap, the
+			// second half after it.
+			cold := len(hot) + c*coldPer // the caller's first cold request
+			preCold, postCold := 0, coldPer/2
 			for n, extra := c, 0; extra < tail; n++ {
-				i := n % len(hot)
 				afterSwap := swapped.Load()
-				r, err := s.Retrieve(ctx, hot[i])
+				i := n % len(hot)
+				if n%4 == 0 {
+					if afterSwap && postCold < coldPer {
+						i, postCold = cold+postCold, postCold+1
+					} else if !afterSwap && preCold < coldPer/2 {
+						i, preCold = cold+preCold, preCold+1
+					}
+				}
+				r, err := s.Retrieve(ctx, reqs[i])
 				answers[c] = append(answers[c], answer{i, afterSwap, walkOutcome{r, err != nil}})
 				calls.Add(1)
 				if afterSwap {
@@ -410,9 +424,94 @@ func TestInlineHitsAcrossEpochSwap(t *testing.T) {
 
 	st := s.Stats()
 	inline, _ := reg.CounterValue("qos_serve_inline_hits_total")
-	t.Logf("stats: %+v; inline hits %d", st, inline)
-	if st.TokenHits == 0 || inline == 0 {
-		t.Errorf("token hits %d, inline hits %d: the inline path went unexercised", st.TokenHits, inline)
+	walks, _ := reg.CounterValue("qos_serve_inline_walks_total")
+	t.Logf("stats: %+v; inline hits %d, inline walks %d", st, inline, walks)
+	if st.TokenHits == 0 || inline == 0 || walks == 0 {
+		t.Errorf("token hits %d, inline hits %d, inline walks %d: the inline path went unexercised", st.TokenHits, inline, walks)
+	}
+	if st.Enqueued != st.BatchedJobs {
+		t.Errorf("Enqueued %d != BatchedJobs %d", st.Enqueued, st.BatchedJobs)
+	}
+	if answered := st.DedupHits + st.TokenHits + st.Canceled + st.EngineRetrievals; st.BatchedJobs != answered {
+		t.Errorf("BatchedJobs = %d, but dedup %d + token %d + canceled %d + walks %d = %d",
+			st.BatchedJobs, st.DedupHits, st.TokenHits, st.Canceled, st.EngineRetrievals, answered)
+	}
+}
+
+// TestConcurrentInlineMisses has several callers miss on one shard at
+// once while the driver re-instruments the service and commits. A walk
+// never waits for another, so every miss is answered on its caller's
+// goroutine: the inline walk series counts every call, nothing is
+// shed, every answer equals a fresh walk, and both conservation laws
+// hold. Under -race it also checks that the callers share the epoch's
+// engine safely while Instrument swaps its metrics and commits swap
+// the epoch.
+func TestConcurrentInlineMisses(t *testing.T) {
+	const callers, perCaller = 4, 100
+	cb, _, gen := genWorkload(t, 2*callers*perCaller, 0)
+	// Distinct requests only, so that every call misses.
+	seen := make(map[string]bool)
+	var reqs []casebase.Request
+	for _, r := range gen {
+		if sig := retrieval.Signature(r); !seen[sig] {
+			seen[sig] = true
+			reqs = append(reqs, r)
+		}
+	}
+	if len(reqs) < callers*perCaller {
+		t.Fatalf("only %d distinct requests, want %d", len(reqs), callers*perCaller)
+	}
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
+	s := New(cb, fig1System(t, cb), Config{Shards: 1, Learning: learnConfig(64, 0)})
+	defer s.Close()
+
+	started, stop := make(chan struct{}), make(chan struct{})
+	last := make(chan *obs.Registry, 1)
+	go func() {
+		var reg *obs.Registry
+		for i := 0; ; i++ {
+			reg = obs.NewRegistry()
+			s.Instrument(reg)
+			if _, err := s.CommitNow(); err != nil {
+				t.Error(err)
+			}
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				last <- reg
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, req := range reqs[c*perCaller:][:perCaller] {
+				got, err := s.Retrieve(context.Background(), req)
+				want, wantErr := eng.Retrieve(req)
+				if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Errorf("caller %d: answered %+v (err %v), fresh walk %+v (err %v)", c, got, err, want, wantErr)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	reg := <-last
+
+	st := s.Stats()
+	walks, _ := reg.CounterValue("qos_serve_inline_walks_total")
+	t.Logf("stats: %+v; inline walks %d over %d commits", st, walks, s.EpochStats().Commits)
+	if walks != callers*perCaller || st.Shed != 0 {
+		t.Errorf("inline walks %d, shed %d; want every one of %d misses walked inline and none shed",
+			walks, st.Shed, callers*perCaller)
 	}
 	if st.Enqueued != st.BatchedJobs {
 		t.Errorf("Enqueued %d != BatchedJobs %d", st.Enqueued, st.BatchedJobs)
@@ -786,7 +885,10 @@ func TestAllocateNeverAheadOfManager(t *testing.T) {
 			}
 		}(c)
 	}
-	for i := 0; i < 400; i++ {
+	// Commit at least 400 times, and on until an allocation has landed
+	// in between: a commit never waits for a shard, so the loop can
+	// outrun the clients' first calls.
+	for i := 0; i < 400 || s.counts.allocated.Load() == 0 && i < 100000; i++ {
 		if _, err := s.CommitNow(); err != nil {
 			t.Fatal(err)
 		}

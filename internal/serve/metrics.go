@@ -17,6 +17,7 @@ var batchBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 type counts struct {
 	enqueued, shed, batches, batchedJobs  obs.Counter
 	dedupHits, tokenHits, inlineHits      obs.Counter
+	walks, inlineWalks                    obs.Counter
 	canceled, drainFlushed                obs.Counter
 	allocated, allocFailed                obs.Counter
 	folds, retained, retired, manual      obs.Counter
@@ -26,12 +27,13 @@ type counts struct {
 // attach exports the counts on reg. Retain and Retire commits share the
 // structural series, which reports their sum.
 func (c *counts) attach(reg *obs.Registry) {
-	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or token hits answered inline", &c.enqueued)
+	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", &c.enqueued)
 	reg.Attach("qos_serve_shed_total", "requests refused by admission control (ErrOverload)", &c.shed)
 	reg.Attach("qos_serve_batches_total", "micro-batches processed across all shards", &c.batches)
 	reg.Attach("qos_serve_dedup_hits_total", "in-batch requests served by another job's retrieval (singleflight)", &c.dedupHits)
 	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &c.tokenHits)
 	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &c.inlineHits)
+	reg.Attach("qos_serve_inline_walks_total", "token misses walked on the caller's goroutine, without the hop to the shard worker", &c.inlineWalks)
 	reg.Attach("qos_serve_canceled_total", "jobs dropped because the caller's context died", &c.canceled)
 	reg.Attach("qos_serve_drain_flushed_total", "queued jobs answered during the shutdown flush", &c.drainFlushed)
 	reg.Attach("qos_serve_allocations_total{outcome=\"placed\"}", "allocation calls that placed a variant", &c.allocated)

@@ -8,21 +8,21 @@
 // package closes that gap for the software system:
 //
 //   - Sharding. The case base is partitioned by TypeID across N
-//     retrieval engines, so requests for unrelated function types score
-//     in parallel. Each shard owns a single-threaded Engine (the
-//     paper's FSM is single-threaded too), a bypass TokenCache, and an
-//     admission queue.
+//     shards, so requests for unrelated function types score in
+//     parallel. Each shard owns a bypass TokenCache and an admission
+//     queue; every shard walks the epoch's one Engine, which is safe
+//     for concurrent use.
 //
 //   - Micro-batching. Concurrent requests landing on one shard coalesce
 //     into bounded batches. Within a batch, identical request
 //     signatures are deduplicated singleflight-style — one list walk
 //     serves every waiter — and across batches the shard's TokenCache
-//     bypasses retrieval for signatures it has already resolved; a
-//     Retrieve whose token hits while its shard queue is empty is
-//     answered on the caller's goroutine, without the queue. The
-//     optional linger budget
-//     is measured in sim-time, never a wall clock, so instrumented runs
-//     stay deterministic.
+//     bypasses retrieval for signatures it has already resolved. A
+//     Retrieve on a shard with nothing queued is answered on the
+//     caller's goroutine instead, from its token or by a walk of its
+//     own, without the hop to the shard worker. The optional linger
+//     budget is measured in sim-time, never a wall clock, so
+//     instrumented runs stay deterministic.
 //
 //   - Admission control. Each shard queue is bounded; beyond it the
 //     service sheds load with a typed *ErrOverload carrying a
@@ -61,8 +61,8 @@ const (
 // linger, the paper's retrieval measure, and the manager's default
 // policy.
 type Config struct {
-	// Shards is the number of retrieval engines the case base is
-	// partitioned across (by TypeID modulo Shards).
+	// Shards is the number of partitions the case base is split
+	// across (by TypeID modulo Shards).
 	Shards int
 	// MaxBatch bounds how many requests one shard coalesces per
 	// micro-batch.
@@ -76,7 +76,7 @@ type Config struct {
 	// (published by Advance/Tick). Zero flushes as soon as the queue
 	// runs dry. The worker never sleeps on a wall clock.
 	BatchWindow device.Micros
-	// Engine configures every shard engine.
+	// Engine configures the retrieval engine of every epoch.
 	Engine retrieval.Options
 	// Manager tunes the allocation policy fed by AllocateBatch and
 	// Allocate.
@@ -123,9 +123,10 @@ var ErrClosed = errors.New("serve: service closed")
 var ErrDraining = fmt.Errorf("%w: draining", ErrClosed)
 
 // ErrOverload is the typed admission-control rejection: the target
-// shard's queue is full. RetryAfter is a coarse sim-time hint — the
-// linger window plus the §4.2 software-retrieval scale (~10 µs) per
-// queued request — after which the queue has likely drained.
+// shard's queued jobs plus its inline walks (QueueLen) reached
+// MaxQueue. RetryAfter is a coarse sim-time hint — the linger window
+// plus the §4.2 software-retrieval scale (~10 µs) per job ahead — after
+// which the shard has likely drained.
 type ErrOverload struct {
 	Shard      int
 	QueueLen   int
@@ -140,16 +141,16 @@ func (e *ErrOverload) Error() string {
 // Stats counts service activity. All fields are monotone except
 // MaxBatch (a high-water mark).
 type Stats struct {
-	Enqueued         int64 // jobs admitted to shards (queued, or token hits answered inline)
+	Enqueued         int64 // jobs admitted to shards (queued, or answered inline)
 	Shed             int64 // jobs refused with ErrOverload
-	Batches          int64 // micro-batches processed (queued + pre-formed + inline hits)
+	Batches          int64 // micro-batches processed (queued + pre-formed + inline answers)
 	BatchedJobs      int64 // jobs across those batches
 	DedupHits        int64 // jobs served by another job's walk (singleflight)
 	TokenHits        int64 // retrievals bypassed by a shard token cache
 	Canceled         int64 // jobs dropped on a dead caller context
 	DrainFlushed     int64 // queued jobs answered during the drain flush
 	MaxBatch         int64 // largest batch coalesced so far
-	EngineRetrievals int64 // actual engine list walks across shards
+	EngineRetrievals int64 // actual engine list walks, queued and inline
 	Allocated        int64 // allocation calls that placed a variant
 	AllocFailed      int64 // allocation calls that returned an error
 }
@@ -191,24 +192,27 @@ func jobKey(j *job) string {
 	return "r|" + j.sig
 }
 
-// shard is one partition: a queue plus the mutexes serializing its
-// slice of the current snapshot. The engine and token cache themselves
-// live in the snapshot — an epoch swap replaces them wholesale — but
-// the shard mutexes persist across swaps. mu is held for a whole batch
-// and is the swap fence: a committer that locks and unlocks every shard
-// mu after storing the new snapshot pointer knows no batch still walks
-// the old epoch. tokMu guards the token caches alone and is only ever
-// held for one lookup or store, never across a walk, so a token hit
-// never waits behind a batch.
+// shard is one partition: a queue, the mutexes serializing its batches
+// and its token caches, and its count of inline walks. The token cache
+// itself lives in the snapshot — an epoch swap replaces it wholesale —
+// but the shard state persists across swaps. mu is write-held for a
+// whole batch; an inline walk only probes its read side, to see whether
+// a batch is running, so concurrent probes never fail each other.
+// tokMu guards the token caches alone and is only ever held for one
+// lookup or store, never across a walk, so an inline answer never waits
+// behind a walk.
 type shard struct {
 	idx int
 	q   chan *job
 
-	mu    sync.Mutex // serializes this shard's engine; held per batch
-	tokMu sync.Mutex // serializes this shard's token caches, of any epoch
+	mu    sync.RWMutex // serializes this shard's batches; write-held per batch
+	tokMu sync.Mutex   // serializes this shard's token caches, of any epoch
 	// seen is the per-batch singleflight map, guarded by mu and cleared
 	// as every batch ends; reusing it spares a map per batch.
 	seen map[string]*jobResult
+	// walkers counts the misses walking inline on this shard; with the
+	// queue length it is bounded by MaxQueue.
+	walkers atomic.Int64
 }
 
 // Service is the concurrent allocation front end. Create with New,
@@ -221,22 +225,19 @@ type Service struct {
 	mgr *alloc.Manager
 
 	shards []*shard
-	// snap is the committed epoch: case base + per-shard engines +
-	// per-shard token caches, swapped as one unit. Readers load it once
-	// per batch under their shard mutex and never take any other lock.
+	// snap is the committed epoch: case base + engine + per-shard token
+	// caches, swapped as one unit. Readers load it once per call or
+	// batch and never take a lock to do so.
 	snap atomic.Pointer[snapshot]
 	met  atomic.Pointer[metrics]
 
 	// commitMu serializes the swap pipeline (and guards retMet, which
-	// every freshly built epoch's engines are instrumented with).
+	// every freshly built epoch's engine is instrumented with).
 	commitMu sync.Mutex
 	retMet   *retrieval.Metrics
 	// mgrEpoch is the epoch the manager's case base matches; guarded by
 	// allocMu so placement can detect candidates from a stale epoch.
 	mgrEpoch uint64
-	// pastRetrievals accumulates engine walk counts from retired
-	// snapshots so Stats stays cumulative across epochs.
-	pastRetrievals atomic.Int64
 
 	// ls is the deferred net-commit state; nil when learning is off.
 	ls *learnState
@@ -371,7 +372,7 @@ func (s *Service) System() *rtsys.System { return s.sys }
 
 // Instrument registers the serve metric set on reg, attaches the
 // service's counts, and threads the registry through the current
-// epoch's shard engines and the manager. Engines built by later commits
+// epoch's engine and the manager. Engines built by later commits
 // inherit the same retrieval metric set.
 func (s *Service) Instrument(reg *obs.Registry) {
 	s.commitMu.Lock()
@@ -382,11 +383,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	s.met.Store(m)
 	s.counts.attach(reg)
 	s.retMet = retrieval.NewMetrics(reg)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sn.engines[sh.idx].Instrument(s.retMet)
-		sh.mu.Unlock()
-	}
+	sn.engine.Instrument(s.retMet)
 	s.allocMu.Lock()
 	s.mgr.Instrument(reg)
 	s.allocMu.Unlock()
@@ -395,30 +392,20 @@ func (s *Service) Instrument(reg *obs.Registry) {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	c := &s.counts
-	st := Stats{
-		Enqueued:     c.enqueued.Load(),
-		Shed:         c.shed.Load(),
-		Batches:      c.batches.Load(),
-		BatchedJobs:  c.batchedJobs.Load(),
-		DedupHits:    c.dedupHits.Load(),
-		TokenHits:    c.tokenHits.Load(),
-		Canceled:     c.canceled.Load(),
-		DrainFlushed: c.drainFlushed.Load(),
-		MaxBatch:     s.maxBatch.Load(),
-		Allocated:    c.allocated.Load(),
-		AllocFailed:  c.allocFailed.Load(),
+	return Stats{
+		Enqueued:         c.enqueued.Load(),
+		Shed:             c.shed.Load(),
+		Batches:          c.batches.Load(),
+		BatchedJobs:      c.batchedJobs.Load(),
+		DedupHits:        c.dedupHits.Load(),
+		TokenHits:        c.tokenHits.Load(),
+		Canceled:         c.canceled.Load(),
+		DrainFlushed:     c.drainFlushed.Load(),
+		MaxBatch:         s.maxBatch.Load(),
+		EngineRetrievals: c.walks.Load(),
+		Allocated:        c.allocated.Load(),
+		AllocFailed:      c.allocFailed.Load(),
 	}
-	// Walk counts live in the epoch's engines; retired epochs roll into
-	// pastRetrievals at commit. A commit racing this loop can transiently
-	// undercount — acceptable for a monitoring snapshot.
-	st.EngineRetrievals = s.pastRetrievals.Load()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sn := s.snap.Load()
-		st.EngineRetrievals += int64(sn.engines[sh.idx].Stats().Retrievals)
-		sh.mu.Unlock()
-	}
-	return st
 }
 
 // --- Clock plumbing ----------------------------------------------------
@@ -485,17 +472,17 @@ func (s *Service) ReplacePending() int {
 // --- Public request paths ---------------------------------------------
 
 // Retrieve returns the most similar implementation for req, batched and
-// deduplicated with concurrent callers on the same shard. A token hit
-// on a shard with nothing queued is answered on the caller's goroutine
-// instead (answerInline).
+// deduplicated with concurrent callers on the same shard. On a shard
+// with nothing queued it is answered on the caller's goroutine instead
+// (answerInline).
 func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval.Result, error) {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
 	var buf [sigBufLen]byte
 	key := retrieval.AppendSignature(buf[:0], req)
-	if r, ok := s.answerInline(ctx, req.Type, key); ok {
-		return r, nil
+	if r, ok, err := s.answerInline(ctx, req, key); ok {
+		return r, err
 	}
 	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, sig: string(key), done: make(chan jobResult, 1)})
 	return r.best, r.err
@@ -505,50 +492,67 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 // room for eight constraints; a longer signature grows onto the heap.
 const sigBufLen = 256
 
-// answerInline answers a token hit on the caller's goroutine, without
-// the hop to the shard worker, and reports whether it did. It answers
-// only where the queued path would give the same answer with no batch
-// to join: admission is open, the caller's context is live, no linger
-// window applies and no locals are kept (neither is served by tokens),
-// the shard has nothing queued, and its token cache hits key. It waits
-// for the token mutex, which is held only for single lookups and
-// stores, but never for the shard mutex, which a batch holds across its
-// walks: a hit never queues or parks behind a walk, so which path a hit
-// takes does not depend on how callers interleave. The snapshot is
-// loaded after the token mutex is held; a commit stores the new
-// snapshot before it returns, so a call that starts after a commit
-// returned reads the new epoch's tokens. A hit counts as an admitted
-// batch of one token-hit job; in every other case the caller enqueues
-// the request as usual.
-func (s *Service) answerInline(ctx context.Context, t casebase.TypeID, key []byte) (retrieval.Result, bool) {
+// answerInline answers req on the caller's goroutine, without the hop
+// to the shard worker, and reports whether it did. It answers only
+// where the queued path would give the same answer with no batch to
+// join: admission is open, the context is live, no linger window
+// applies, no locals are kept (tokens serve neither) and the shard has
+// nothing queued. The snapshot is loaded under the token mutex, so a
+// call that starts after a commit returned answers from the new epoch.
+// A hit answers from its token. A miss walks the snapshot's engine when
+// a TryRLock probe finds no batch holding the shard mutex, the shard's
+// inline walks plus its queue stay within MaxQueue, and the request is
+// valid (the queued path refuses an invalid one unadmitted). A probe
+// never fails on another probe, so no walk waits for another walk.
+// Either answer counts as an admitted batch of one job.
+func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []byte) (retrieval.Result, bool, error) {
 	if s.cfg.BatchWindow != 0 || s.cfg.Engine.KeepLocals {
-		return retrieval.Result{}, false
+		return retrieval.Result{}, false, nil
 	}
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining || retrieval.Canceled(ctx) != nil {
-		return retrieval.Result{}, false
+		return retrieval.Result{}, false, nil
 	}
-	sh := s.shards[shardOf(t, len(s.shards))]
+	sh := s.shards[shardOf(req.Type, len(s.shards))]
 	if len(sh.q) != 0 {
-		return retrieval.Result{}, false
+		return retrieval.Result{}, false, nil
 	}
 	sh.tokMu.Lock()
-	defer sh.tokMu.Unlock()
 	sn := s.snap.Load()
-	tok, hit := sn.tokens[sh.idx].LookupKey(key)
-	if !hit {
-		return retrieval.Result{}, false
+	tokens := sn.tokens[sh.idx]
+	tok, hit := tokens.LookupKey(key)
+	sh.tokMu.Unlock()
+	if hit {
+		if r, live := sn.resultFromToken(tok); live {
+			s.counts.enqueued.Inc()
+			s.noteBatch(s.met.Load(), 1)
+			s.counts.tokenHits.Inc()
+			s.counts.inlineHits.Inc()
+			return r, true, nil
+		}
 	}
-	r, live := sn.resultFromToken(tok)
-	if !live {
-		return retrieval.Result{}, false
+	if !sh.mu.TryRLock() {
+		return retrieval.Result{}, false, nil
 	}
+	sh.mu.RUnlock()
+	if sh.walkers.Add(1)+int64(len(sh.q)) > int64(s.cfg.MaxQueue) || req.Validate(sn.cb) != nil {
+		sh.walkers.Add(-1)
+		return retrieval.Result{}, false, nil
+	}
+	defer sh.walkers.Add(-1)
 	s.counts.enqueued.Inc()
 	s.noteBatch(s.met.Load(), 1)
-	s.counts.tokenHits.Inc()
-	s.counts.inlineHits.Inc()
-	return r, true
+	s.counts.walks.Inc()
+	s.counts.inlineWalks.Inc()
+	r, err := sn.engine.Retrieve(req)
+	sh.tokMu.Lock()
+	tokens.CountMiss()
+	if err == nil {
+		tokens.StoreSig(string(key), retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
+	}
+	sh.tokMu.Unlock()
+	return r, true, err
 }
 
 // Allocate retrieves the N-best candidates for req on its shard, then
@@ -721,13 +725,13 @@ func (s *Service) acquire(ctx context.Context) error {
 func shardOf(t casebase.TypeID, n int) int { return int(t) % n }
 
 // submit routes a job to its shard queue, shedding with *ErrOverload
-// when the queue is full. A request that fails casebase.Request.Validate
-// is refused with its error and never admitted. (A token hit answered
-// inline skips the check: a token is stored only after its walk
-// validated the request.) The admission check and the queue send sit
-// under the drain fence: a submission either lands before the workers'
-// final flush or is refused with ErrDraining — never admitted and then
-// abandoned.
+// when the shard's queued jobs plus its inline walks reach MaxQueue. A
+// request that fails casebase.Request.Validate is refused with its
+// error and never admitted. (A token hit answered inline skips the
+// check: a token is stored only after its walk validated the request.)
+// The admission check and the queue send sit under the drain fence: a
+// submission either lands before the workers' final flush or is refused
+// with ErrDraining — never admitted and then abandoned.
 func (s *Service) submit(j *job) error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -739,16 +743,18 @@ func (s *Service) submit(j *job) error {
 	}
 	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
 	j.at = device.Micros(s.now.Load())
-	select {
-	case sh.q <- j:
-		s.counts.enqueued.Inc()
-		s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
-		return nil
-	default:
-		s.counts.shed.Inc()
-		qn := len(sh.q)
-		return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: s.retryAfter(qn)}
+	if len(sh.q)+int(sh.walkers.Load()) < s.cfg.MaxQueue {
+		select {
+		case sh.q <- j:
+			s.counts.enqueued.Inc()
+			s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
+			return nil
+		default:
+		}
 	}
+	s.counts.shed.Inc()
+	qn := len(sh.q) + int(sh.walkers.Load())
+	return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: s.retryAfter(qn)}
 }
 
 // retrievalCostMicros is the §4.2 software-retrieval scale: one list
@@ -884,7 +890,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 }
 
 // noteBatch records batch accounting for a batch of n jobs: a queued or
-// pre-formed batch under sh.mu, or an inline hit under sh.tokMu.
+// pre-formed batch under sh.mu, or an inline answer.
 func (s *Service) noteBatch(met *metrics, n int) {
 	s.counts.batches.Inc()
 	s.counts.batchedJobs.Add(int64(n))
@@ -913,9 +919,10 @@ func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
 // runJob performs the actual retrieval for one deduplicated job against
 // the sn epoch. Caller holds sh.mu.
 func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
-	eng, tokens := sn.engines[sh.idx], sn.tokens[sh.idx]
+	tokens := sn.tokens[sh.idx]
 	if j.kind == jobCandidates {
-		list, err := eng.RetrieveN(j.req, int(j.n))
+		s.counts.walks.Inc()
+		list, err := sn.engine.RetrieveN(j.req, int(j.n))
 		return jobResult{list: list, epoch: sn.epoch, err: err}
 	}
 	// Best-match path: the shard token cache bypasses the walk for
@@ -936,7 +943,8 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 			}
 		}
 	}
-	r, err := eng.Retrieve(j.req)
+	s.counts.walks.Inc()
+	r, err := sn.engine.Retrieve(j.req)
 	if err != nil {
 		return jobResult{epoch: sn.epoch, err: err}
 	}

@@ -207,7 +207,6 @@ func TestInlineHitSkipsBusyShard(t *testing.T) {
 
 	sh := s.shards[0]
 	sh.mu.Lock() // a batch holds the shard
-	// NB: Stats() locks sh.mu — read the atomic counters directly.
 	hit := make(chan retrieval.Result, 1)
 	go func() {
 		r, err := s.Retrieve(ctx, reqs[0])
@@ -336,8 +335,6 @@ func TestOverloadShedsTyped(t *testing.T) {
 
 	ctx := context.Background()
 	done := make(chan error, 2)
-	// NB: Stats() locks sh.mu (engine counters), which this test holds —
-	// poll the atomic counters directly.
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
 	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
 

@@ -6,22 +6,23 @@ import (
 )
 
 // snapshot is one committed epoch of the case base: the immutable tree
-// plus the per-shard retrieval engines and bypass token caches built
+// plus the retrieval engine and per-shard bypass token caches built
 // over it, installed behind Service.snap as a single unit. Readers load
-// the pointer once per batch (under their shard mutex) and never see a
-// half-updated epoch: engines, token caches and the tree a token is
-// validated against always agree.
+// the pointer once per call or batch and never see a half-updated
+// epoch: the engine, the token caches and the tree a token is validated
+// against always agree. The engine is safe for concurrent use, so every
+// shard batch and every inline walk of the epoch shares it.
 //
 // Epochs are numbered from 1 (the snapshot New builds). Every commit —
 // fold, structural retain/retire, or manual CommitNow — installs epoch
-// N+1 with freshly built engines and empty token caches bound to the
-// new epoch via TokenCache.SetEpoch, so a token minted against epoch N
-// can never bypass retrieval against epoch N+1.
+// N+1 with a fresh engine and empty token caches bound to the new epoch
+// via TokenCache.SetEpoch, so a token minted against epoch N can never
+// bypass retrieval against epoch N+1.
 type snapshot struct {
-	epoch   uint64
-	cb      *casebase.CaseBase
-	engines []*retrieval.Engine
-	tokens  []*retrieval.TokenCache
+	epoch  uint64
+	cb     *casebase.CaseBase
+	engine *retrieval.Engine
+	tokens []*retrieval.TokenCache
 }
 
 // CaseBase returns the committed epoch's case base — the immutable tree
@@ -30,18 +31,14 @@ type snapshot struct {
 // request racing a commit (the service's own epoch checks do).
 func (s *Service) CaseBase() *casebase.CaseBase { return s.snap.Load().cb }
 
-// newSnapshot builds the epoch's per-shard engines and token caches
-// over cb. rm may be nil (uninstrumented service).
+// newSnapshot builds the epoch's engine and per-shard token caches over
+// cb. rm may be nil (uninstrumented service).
 func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.Options, rm *retrieval.Metrics) *snapshot {
-	sn := &snapshot{epoch: epoch, cb: cb}
+	sn := &snapshot{epoch: epoch, cb: cb, engine: retrieval.NewEngine(cb, opt)}
+	sn.engine.Instrument(rm)
 	for i := 0; i < shards; i++ {
-		eng := retrieval.NewEngine(cb, opt)
-		if rm != nil {
-			eng.Instrument(rm)
-		}
 		tc := retrieval.NewTokenCache()
 		tc.SetEpoch(epoch)
-		sn.engines = append(sn.engines, eng)
 		sn.tokens = append(sn.tokens, tc)
 	}
 	return sn

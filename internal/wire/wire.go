@@ -19,7 +19,7 @@ import (
 	"qosalloc/internal/learn"
 )
 
-// MaxRequestBytes bounds a request body read; DecodeAllocRequest
+// MaxRequestBytes bounds a request body read; every Decode*Request
 // refuses anything longer. Generous for a request with a full
 // constraint list, small enough that a hostile body cannot balloon.
 const MaxRequestBytes = 1 << 16
@@ -29,7 +29,7 @@ const MaxRequestBytes = 1 << 16
 // handful of attributes.
 const MaxConstraints = 64
 
-// ErrBadRequest is the sentinel wrapped by every DecodeAllocRequest
+// ErrBadRequest is the sentinel wrapped by every Decode*Request
 // failure caused by body content (as opposed to transport I/O), so the
 // daemon can map the whole class to one HTTP status.
 var ErrBadRequest = errors.New("wire: invalid request")
@@ -61,20 +61,38 @@ type AllocRequest struct {
 	HoldUS uint64 `json:"hold_us,omitempty"`
 }
 
-// DecodeAllocRequest reads one strict AllocRequest from r: unknown
-// fields, trailing data, and semantic violations (empty client, no or
-// duplicate constraints, weights outside [0,1], negative priority) all
-// fail with an error wrapping ErrBadRequest. On success the request is
-// safe to convert with Request().
-func DecodeAllocRequest(r io.Reader) (*AllocRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes))
+// decodeStrict reads one JSON object from r into v. A body longer than
+// MaxRequestBytes, malformed JSON, unknown fields and any data after
+// the object but whitespace all fail with an error wrapping
+// ErrBadRequest. It reads at most MaxRequestBytes+1 bytes.
+func decodeStrict(r io.Reader, v any) error {
+	lr := &io.LimitedReader{R: r, N: MaxRequestBytes + 1}
+	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
-	var req AllocRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); !errors.Is(tail, io.EOF) {
+			err = errors.New("trailing data after request object")
+		}
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+	if lr.N == 0 {
+		err = fmt.Errorf("body exceeds %d bytes", MaxRequestBytes)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return nil
+}
+
+// DecodeAllocRequest reads one strict AllocRequest from r: an over-long
+// body, unknown fields, trailing data, and semantic violations (empty
+// client, no or duplicate constraints, weights outside [0,1], negative
+// priority) all fail with an error wrapping ErrBadRequest. On success
+// the request is safe to convert with Request().
+func DecodeAllocRequest(r io.Reader) (*AllocRequest, error) {
+	var req AllocRequest
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
 	if err := req.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -149,6 +167,17 @@ type ReleaseRequest struct {
 	Task   int    `json:"task"`
 }
 
+// DecodeReleaseRequest reads one strict ReleaseRequest from r (same
+// size bound, unknown-field and trailing-data discipline as
+// DecodeAllocRequest).
+func DecodeReleaseRequest(r io.Reader) (*ReleaseRequest, error) {
+	var req ReleaseRequest
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
 // --- Mutation endpoints (live case-base update, DESIGN.md §14) ---------
 
 // MeasurementJSON is one observed or declared QoS attribute value on
@@ -173,14 +202,9 @@ type ObserveRequest struct {
 // fields, trailing data and semantic violations all fail with an error
 // wrapping ErrBadRequest.
 func DecodeObserveRequest(r io.Reader) (*ObserveRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes))
-	dec.DisallowUnknownFields()
 	var req ObserveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
 	if err := req.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -284,14 +308,9 @@ type RetainRequest struct {
 // DecodeRetainRequest reads one strict RetainRequest from r (same
 // discipline as DecodeAllocRequest).
 func DecodeRetainRequest(r io.Reader) (*RetainRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes))
-	dec.DisallowUnknownFields()
 	var req RetainRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
 	if err := req.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -361,14 +380,9 @@ type RetireRequest struct {
 // DecodeRetireRequest reads one strict RetireRequest from r (same
 // discipline as DecodeAllocRequest).
 func DecodeRetireRequest(r io.Reader) (*RetireRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes))
-	dec.DisallowUnknownFields()
 	var req RetireRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
 	if req.Client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)

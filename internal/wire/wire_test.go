@@ -289,6 +289,50 @@ func TestDecodeRetireRequest(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestSizeAndTrailingData pins the strict decode every
+// request body shares: a valid body padded with whitespace up to
+// MaxRequestBytes still decodes, one more byte of padding, or trailing
+// data past the limit, is refused, and trailing data after the object —
+// a second object, a stray closing brace, junk — is refused at any size.
+func TestDecodeRequestSizeAndTrailingData(t *testing.T) {
+	decoders := map[string]struct {
+		body   string
+		decode func(string) error
+	}{
+		"alloc": {goodReq, func(b string) error { _, err := DecodeAllocRequest(strings.NewReader(b)); return err }},
+		"observe": {goodObserve, func(b string) error {
+			_, err := DecodeObserveRequest(strings.NewReader(b))
+			return err
+		}},
+		"retain": {goodRetain, func(b string) error { _, err := DecodeRetainRequest(strings.NewReader(b)); return err }},
+		"retire": {`{"client":"c1","type":2,"impl":4}`, func(b string) error {
+			_, err := DecodeRetireRequest(strings.NewReader(b))
+			return err
+		}},
+		"release": {`{"client":"c1","task":1}`, func(b string) error {
+			_, err := DecodeReleaseRequest(strings.NewReader(b))
+			return err
+		}},
+	}
+	pad := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+	for name, d := range decoders {
+		if err := d.decode(pad(d.body, MaxRequestBytes)); err != nil {
+			t.Errorf("%s: body of exactly MaxRequestBytes: %v", name, err)
+		}
+		for what, body := range map[string]string{
+			"one byte over the limit":      pad(d.body, MaxRequestBytes+1),
+			"trailing data past the limit": pad(d.body, MaxRequestBytes) + `garbage{"x":1}`,
+			"a second object":              d.body + `{"x":1}`,
+			"a stray closing brace":        d.body + `}`,
+			"trailing junk":                d.body + `junk`,
+		} {
+			if err := d.decode(body); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%s with %s: %v, want ErrBadRequest", name, what, err)
+			}
+		}
+	}
+}
+
 func TestParseTarget(t *testing.T) {
 	for _, name := range []string{"FPGA", "DSP", "GP-Proc"} {
 		tgt, err := ParseTarget(name)

@@ -115,8 +115,8 @@ type (
 	LocalMeasure = similarity.Local
 	// Amalgamation combines weighted local similarities (eq. 2).
 	Amalgamation = similarity.Amalgamation
-	// Engine is the float64 reference retrieval engine. It is not safe
-	// for concurrent use; NewService serves concurrent callers.
+	// Engine is the float64 reference retrieval engine. It is safe for
+	// concurrent use; NewService adds batching and admission control.
 	Engine = retrieval.Engine
 	// Result is one scored implementation variant.
 	Result = retrieval.Result

@@ -107,12 +107,14 @@ gate_fleetcheck() {
 # journal replays bit-identically at any shard count, incremental
 # commits match the full rebuild they replaced (trees, changed counts,
 # errors), retiring a tokenized variant never serves a stale bypass, the
-# churn stress passes under the race detector, and Allocate never holds
-# candidates from an epoch newer than the manager's.
+# churn stress passes under the race detector, Allocate never holds
+# candidates from an epoch newer than the manager's, and inline hits and
+# misses answer from the epoch before or after a swap while concurrent
+# misses share the epoch's engine through commits and re-instrumenting.
 gate_learncheck() {
 	$GO test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
 	$GO test -race -run TestBuildMatchesFullRebuild -count=1 ./internal/learn/
-	$GO test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager' -count=1 ./internal/serve/
+	$GO test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress|TestAllocateNeverAheadOfManager|TestInlineHitsAcrossEpochSwap|TestConcurrentInlineMisses' -count=1 ./internal/serve/
 }
 
 # qosd/qosload end-to-end smoke: scenario reports validate against the
