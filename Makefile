@@ -52,7 +52,8 @@ bench-compact bench-learn loadcheck:
 # fuzzes one target per run); lengthen FUZZTIME for a real hunt.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = cbjson:FuzzDecodeCaseBase memlist:FuzzDecodeCompact \
-	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest
+	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest \
+	wire:FuzzDecodeMutationBodies
 fuzz:
 	set -e; for t in $(FUZZ_TARGETS); do \
 		$(GO) test ./internal/$${t%%:*}/ -run xxx -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME); \

@@ -39,7 +39,6 @@ type options struct {
 	shards     int
 	maxBatch   int
 	maxQueue   int
-	windowUS   uint64
 	threshold  float64
 	preemption bool
 
@@ -270,7 +269,6 @@ func newDaemon(opt options) (*daemon, error) {
 		qosalloc.WithShards(opt.shards),
 		qosalloc.WithMaxBatch(opt.maxBatch),
 		qosalloc.WithMaxQueue(opt.maxQueue),
-		qosalloc.WithBatchWindow(qosalloc.Micros(opt.windowUS)),
 		qosalloc.WithThreshold(opt.threshold),
 		qosalloc.WithPreemption(opt.preemption),
 		qosalloc.WithRegistry(reg),

@@ -43,7 +43,6 @@ func main() {
 	flag.IntVar(&opt.shards, "shards", opt.shards, "retrieval shards")
 	flag.IntVar(&opt.maxBatch, "max-batch", opt.maxBatch, "max requests per micro-batch")
 	flag.IntVar(&opt.maxQueue, "max-queue", opt.maxQueue, "per-shard admission queue bound")
-	flag.Uint64Var(&opt.windowUS, "batch-window-us", opt.windowUS, "micro-batch linger budget (sim µs)")
 	flag.Float64Var(&opt.threshold, "threshold", opt.threshold, "similarity acceptance threshold")
 	flag.BoolVar(&opt.preemption, "preemption", opt.preemption, "allow priority preemption")
 	flag.IntVar(&opt.types, "types", opt.types, "case-base function types")

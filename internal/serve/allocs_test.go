@@ -7,11 +7,11 @@ import (
 	"qosalloc/internal/casebase"
 )
 
-// TestServiceAllocsPinned pins the heap allocations of the four
-// service paths per call: a token-hit Retrieve after warm-up, a
-// Retrieve that misses and walks on the caller's goroutine, an Allocate
-// followed by its Release, and a RetrieveBatch of 16 distinct requests
-// over four shards. The counts include the shard worker's share, so a
+// TestServiceAllocsPinned pins the heap allocations of the service
+// paths per call: a token-hit Retrieve after warm-up, a Retrieve that
+// misses and walks on the caller's goroutine, an Allocate followed by
+// its Release, a RetrieveBatch of 16 distinct requests over four
+// shards, and the two clock publishers, Tick and Exclusive. The counts include the shard worker's share, so a
 // change to the job pipeline that makes any path allocate more fails
 // here before it shows in a benchmark.
 func TestServiceAllocsPinned(t *testing.T) {
@@ -53,7 +53,7 @@ func TestServiceAllocsPinned(t *testing.T) {
 			}
 			next++
 		}},
-		{"Allocate+Release", 17, func() {
+		{"Allocate+Release", 16, func() {
 			d, err := s.Allocate(ctx, "mp3", req, 5)
 			if err != nil {
 				t.Fatal(err)
@@ -62,11 +62,13 @@ func TestServiceAllocsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"RetrieveBatch/16", 90, func() {
+		{"RetrieveBatch/16", 74, func() {
 			if _, err := gs.RetrieveBatch(ctx, batch); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"Tick", 0, func() { s.Tick(1) }},
+		{"Exclusive", 0, func() { s.Exclusive(func() {}) }},
 	} {
 		c.run() // warm the token cache and the batch scratch
 		got := testing.AllocsPerRun(200, c.run)

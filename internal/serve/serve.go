@@ -20,9 +20,7 @@
 //     bypasses retrieval for signatures it has already resolved. A
 //     Retrieve on a shard with nothing queued is answered on the
 //     caller's goroutine instead, from its token or by a walk of its
-//     own, without the hop to the shard worker. The optional linger
-//     budget is measured in sim-time, never a wall clock, so
-//     instrumented runs stay deterministic.
+//     own, without the hop to the shard worker.
 //
 //   - Admission control. Each shard queue is bounded; beyond it the
 //     service sheds load with a typed *ErrOverload carrying a
@@ -38,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -57,9 +54,8 @@ const (
 	DefaultMaxQueue = 256
 )
 
-// Config tunes the service. The zero value gives the defaults above, no
-// linger, the paper's retrieval measure, and the manager's default
-// policy.
+// Config tunes the service. The zero value gives the defaults above,
+// the paper's retrieval measure, and the manager's default policy.
 type Config struct {
 	// Shards is the number of partitions the case base is split
 	// across (by TypeID modulo Shards).
@@ -70,12 +66,6 @@ type Config struct {
 	// MaxQueue bounds each shard's admission queue; submissions beyond
 	// it are shed with *ErrOverload.
 	MaxQueue int
-	// BatchWindow is the linger budget in sim-time microseconds: a
-	// shard with a partial batch keeps accepting arrivals until the
-	// oldest queued job has aged past the window on the sim clock
-	// (published by Advance/Tick). Zero flushes as soon as the queue
-	// runs dry. The worker never sleeps on a wall clock.
-	BatchWindow device.Micros
 	// Engine configures the retrieval engine of every epoch.
 	Engine retrieval.Options
 	// Manager tunes the allocation policy fed by AllocateBatch and
@@ -124,9 +114,9 @@ var ErrDraining = fmt.Errorf("%w: draining", ErrClosed)
 
 // ErrOverload is the typed admission-control rejection: the target
 // shard's queued jobs plus its inline walks (QueueLen) reached
-// MaxQueue. RetryAfter is a coarse sim-time hint — the linger window
-// plus the §4.2 software-retrieval scale (~10 µs) per job ahead — after
-// which the shard has likely drained.
+// MaxQueue. RetryAfter is a coarse sim-time hint — the §4.2
+// software-retrieval scale (~10 µs) per job ahead — after which the
+// shard has likely drained.
 type ErrOverload struct {
 	Shard      int
 	QueueLen   int
@@ -170,8 +160,7 @@ type job struct {
 	kind jobKind
 	n    int32 // candidate depth for jobCandidates; int32 packs it beside kind
 	req  casebase.Request
-	sig  string // request signature (dedup key), set when the job is built
-	at   device.Micros
+	sig  string         // request signature (dedup key), set when the job is built
 	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
 	out  *jobResult     // the pre-formed job's result slot
 }
@@ -183,14 +172,16 @@ type jobResult struct {
 	err   error
 }
 
-// jobKey is the singleflight key: kind-qualified signature, so a
-// best-match walk never masks a deeper candidate walk.
-func jobKey(j *job) string {
-	if j.kind == jobCandidates {
-		return "c" + strconv.Itoa(int(j.n)) + "|" + j.sig
-	}
-	return "r|" + j.sig
+// jobKey is the singleflight key: the signature qualified by kind and
+// candidate depth, so a best-match walk never masks a candidate walk
+// and candidate walks of different depth never share a result.
+type jobKey struct {
+	kind jobKind
+	n    int32
+	sig  string
 }
+
+func (j *job) key() jobKey { return jobKey{j.kind, j.n, j.sig} }
 
 // shard is one partition: a queue, the mutexes serializing its batches
 // and its token caches, and its count of inline walks. The token cache
@@ -209,7 +200,7 @@ type shard struct {
 	tokMu sync.Mutex   // serializes this shard's token caches, of any epoch
 	// seen is the per-batch singleflight map, guarded by mu and cleared
 	// as every batch ends; reusing it spares a map per batch.
-	seen map[string]*jobResult
+	seen map[jobKey]*jobResult
 	// walkers counts the misses walking inline on this shard; with the
 	// queue length it is bounded by MaxQueue.
 	walkers atomic.Int64
@@ -247,12 +238,10 @@ type Service struct {
 	// (DESIGN.md §14).
 	journal *obs.Journal
 
-	// now mirrors the sim clock for the linger budget and overload
-	// hints; reading rtsys.System.Now directly from workers would race
-	// the driver advancing it.
-	now    atomic.Uint64
-	tickMu sync.Mutex
-	tickCh chan struct{} // closed and replaced on every clock advance
+	// now mirrors the sim clock for the learning age bound and the
+	// commit journal; reading rtsys.System.Now directly from there
+	// would race the driver advancing it.
+	now atomic.Uint64
 
 	allocMu sync.Mutex // serializes Manager and rtsys access
 
@@ -303,7 +292,6 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		sys:      sys,
 		mgr:      alloc.New(cb, sys, cfg.Manager),
 		mgrEpoch: 1,
-		tickCh:   make(chan struct{}),
 		drain:    make(chan struct{}),
 		done:     make(chan struct{}),
 		journal:  obs.NewJournal(),
@@ -319,7 +307,7 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		sh := &shard{
 			idx:  i,
 			q:    make(chan *job, cfg.MaxQueue),
-			seen: make(map[string]*jobResult),
+			seen: make(map[jobKey]*jobResult),
 		}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -411,34 +399,19 @@ func (s *Service) Stats() Stats {
 // --- Clock plumbing ----------------------------------------------------
 
 // Advance moves the shared sim clock under the service's serialization
-// lock and publishes the new time to the linger budget.
+// lock and publishes the new time to the service.
 func (s *Service) Advance(to device.Micros) error {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	err := s.sys.AdvanceTo(to)
-	s.tick(s.sys.Now())
+	s.Tick(s.sys.Now())
 	return err
 }
 
 // Tick publishes sim-clock progress made outside Advance (a driver
-// advancing the runtime directly must call it, or lingering shards
-// never see time pass).
-func (s *Service) Tick(now device.Micros) { s.tick(now) }
-
-func (s *Service) tick(now device.Micros) {
-	s.now.Store(uint64(now))
-	s.tickMu.Lock()
-	close(s.tickCh)
-	s.tickCh = make(chan struct{})
-	s.tickMu.Unlock()
-}
-
-// tickSignal returns a channel closed at the next clock advance.
-func (s *Service) tickSignal() <-chan struct{} {
-	s.tickMu.Lock()
-	defer s.tickMu.Unlock()
-	return s.tickCh
-}
+// advancing the runtime directly must call it, or the learning age
+// bound and the commit journal never see time pass).
+func (s *Service) Tick(now device.Micros) { s.now.Store(uint64(now)) }
 
 // Release completes a task under the serialization lock.
 func (s *Service) Release(id rtsys.TaskID) error {
@@ -458,7 +431,7 @@ func (s *Service) Exclusive(fn func()) {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	fn()
-	s.tick(s.sys.Now())
+	s.Tick(s.sys.Now())
 }
 
 // ReplacePending re-places preempted tasks under the serialization
@@ -495,10 +468,10 @@ const sigBufLen = 256
 // answerInline answers req on the caller's goroutine, without the hop
 // to the shard worker, and reports whether it did. It answers only
 // where the queued path would give the same answer with no batch to
-// join: admission is open, the context is live, no linger window
-// applies, no locals are kept (tokens serve neither) and the shard has
-// nothing queued. The snapshot is loaded under the token mutex, so a
-// call that starts after a commit returned answers from the new epoch.
+// join: admission is open, the context is live, no locals are kept
+// (tokens cannot carry them) and the shard has nothing queued. The
+// snapshot is loaded under the token mutex, so a call that starts after
+// a commit returned answers from the new epoch.
 // A hit answers from its token. A miss walks the snapshot's engine when
 // a TryRLock probe finds no batch holding the shard mutex, the shard's
 // inline walks plus its queue stay within MaxQueue, and the request is
@@ -506,7 +479,7 @@ const sigBufLen = 256
 // never fails on another probe, so no walk waits for another walk.
 // Either answer counts as an admitted batch of one job.
 func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []byte) (retrieval.Result, bool, error) {
-	if s.cfg.BatchWindow != 0 || s.cfg.Engine.KeepLocals {
+	if s.cfg.Engine.KeepLocals {
 		return retrieval.Result{}, false, nil
 	}
 	s.drainMu.RLock()
@@ -742,7 +715,6 @@ func (s *Service) submit(j *job) error {
 		return err
 	}
 	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
-	j.at = device.Micros(s.now.Load())
 	if len(sh.q)+int(sh.walkers.Load()) < s.cfg.MaxQueue {
 		select {
 		case sh.q <- j:
@@ -754,7 +726,7 @@ func (s *Service) submit(j *job) error {
 	}
 	s.counts.shed.Inc()
 	qn := len(sh.q) + int(sh.walkers.Load())
-	return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: s.retryAfter(qn)}
+	return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: retryAfter(qn)}
 }
 
 // retrievalCostMicros is the §4.2 software-retrieval scale: one list
@@ -763,14 +735,12 @@ func (s *Service) submit(j *job) error {
 const retrievalCostMicros = 10
 
 // retryAfter derives the *ErrOverload hint from the observed queue
-// depth at shed time: every queued job ahead costs one list walk on
-// the §4.2 software scale, and every micro-batch dispatch the backlog
-// still needs pays one linger window. The hint is monotone in the
-// observed depth — a deeper queue never promises a sooner retry — so
-// clients backing off on it spread out instead of re-colliding.
-func (s *Service) retryAfter(queued int) device.Micros {
-	dispatches := device.Micros((queued + s.cfg.MaxBatch) / s.cfg.MaxBatch) // ceil((queued+1)/MaxBatch)
-	return dispatches*s.cfg.BatchWindow + device.Micros(queued+1)*retrievalCostMicros
+// depth at shed time: every queued job ahead, and the rejected one,
+// costs one list walk on the §4.2 software scale. The hint is monotone
+// in the observed depth — a deeper queue never promises a sooner retry
+// — so clients backing off on it spread out instead of re-colliding.
+func retryAfter(queued int) device.Micros {
+	return device.Micros(queued+1) * retrievalCostMicros
 }
 
 // --- Workers & batch execution ----------------------------------------
@@ -796,8 +766,7 @@ func (s *Service) worker(sh *shard) {
 			s.flush(sh, batch[:0])
 			return
 		case j := <-sh.q:
-			batch = append(batch[:0], j)
-			s.gather(sh, &batch)
+			batch = s.gather(sh, append(batch[:0], j))
 			s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
 			s.runBatch(sh, batch)
 		}
@@ -806,20 +775,10 @@ func (s *Service) worker(sh *shard) {
 
 // flush answers everything left in the shard queue at shutdown. By the
 // time the worker gets here the drain fence guarantees no new sends
-// can start, so a dry queue means the shard is done. Linger windows no
-// longer apply — the goal is to finish, not to coalesce.
+// can start, so a dry queue means the shard is done.
 func (s *Service) flush(sh *shard, batch []*job) {
 	for {
-		batch = batch[:0]
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case j := <-sh.q:
-				batch = append(batch, j)
-				continue
-			default:
-			}
-			break
-		}
+		batch = s.gather(sh, batch[:0])
 		if len(batch) == 0 {
 			s.met.Load().queueDepth[sh.idx].Set(0)
 			return
@@ -829,41 +788,25 @@ func (s *Service) flush(sh *shard, batch []*job) {
 	}
 }
 
-// gather coalesces queued jobs behind the first one, up to MaxBatch.
-// Draining is greedy; when the queue runs dry and a BatchWindow is set,
-// the worker lingers for more arrivals until the oldest job has aged
-// past the window on the sim clock — woken by new jobs or by tick
-// broadcasts, never by a wall clock.
-func (s *Service) gather(sh *shard, batch *[]*job) {
-	for len(*batch) < s.cfg.MaxBatch {
+// gather appends the jobs queued on the shard to batch, up to MaxBatch,
+// and returns it once the queue runs dry. It never waits for arrivals.
+func (s *Service) gather(sh *shard, batch []*job) []*job {
+	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case j := <-sh.q:
-			*batch = append(*batch, j)
-			continue
+			batch = append(batch, j)
 		default:
-		}
-		w := s.cfg.BatchWindow
-		if w == 0 || device.Micros(s.now.Load())-(*batch)[0].at >= w {
-			return
-		}
-		select {
-		case j := <-sh.q:
-			*batch = append(*batch, j)
-		case <-s.tickSignal():
-			// Clock advanced; re-check the window.
-		case <-s.drain:
-			// Shutdown: stop lingering so the partial batch flushes now.
-			return
+			return batch
 		}
 	}
+	return batch
 }
 
 // runBatch executes one batch of jobs, queued or pre-formed (the caller
 // splits batches at MaxBatch), deduplicating identical signatures, and
-// replies to every job. The snapshot is loaded once per batch, after
-// the shard mutex is held — the ordering the commit fence relies on: a
-// committer that has swapped the pointer and then cycled this mutex
-// knows every later batch sees the new epoch.
+// replies to every job. The snapshot is loaded once, after the shard
+// mutex is taken, and serves the whole batch: every job of a batch is
+// answered from one epoch.
 func (s *Service) runBatch(sh *shard, batch []*job) {
 	met := s.met.Load()
 	met.busy[sh.idx].Set(1)
@@ -906,7 +849,7 @@ func (s *Service) noteBatch(met *metrics, n int) {
 // resolve serves one job from the batch's singleflight map, the token
 // cache, or an engine walk against the sn epoch. Caller holds sh.mu.
 func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
-	key := jobKey(j)
+	key := j.key()
 	if r, ok := sh.seen[key]; ok {
 		s.counts.dedupHits.Inc()
 		return *r

@@ -414,55 +414,6 @@ func TestCloseRejectsAndIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestBatchWindowLinger pins the sim-time linger: with a window set and
-// the clock frozen, a partial batch waits for more arrivals; a Tick past
-// the window flushes it. Both jobs must land in one batch.
-func TestBatchWindowLinger(t *testing.T) {
-	cb, reg, _ := genWorkload(t, 1, 0)
-	// Two distinct signatures on the same shard (single shard).
-	reqA := lingerReq(t, cb, reg, 0)
-	reqB := lingerReq(t, cb, reg, 1)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, BatchWindow: 100})
-	defer s.Close()
-
-	ctx := context.Background()
-	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, reqA); done <- err }()
-	go func() { _, err := s.Retrieve(ctx, reqB); done <- err }()
-	waitFor(t, "both jobs to reach the shard", func() bool {
-		return s.Stats().Enqueued == 2 && len(s.shards[0].q) == 0
-	})
-	if got := s.Stats().Batches; got != 0 {
-		t.Fatalf("batch flushed before the window expired (%d batches)", got)
-	}
-
-	s.Tick(200) // sim clock leaps past the window
-
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.Batches != 1 || st.BatchedJobs != 2 || st.MaxBatch != 2 {
-		t.Errorf("linger stats = %+v, want one batch of two", st)
-	}
-}
-
-// lingerReq builds a valid single-constraint request with a
-// value-distinct signature (offset off above the attribute's lower
-// design bound).
-func lingerReq(t *testing.T, cb *casebase.CaseBase, reg *attr.Registry, off attr.Value) casebase.Request {
-	t.Helper()
-	ft := cb.Types()[0]
-	id := ft.Impls[0].Attrs[0].ID
-	d, ok := reg.Lookup(id)
-	if !ok {
-		t.Fatalf("attribute %d undefined", id)
-	}
-	return casebase.NewRequest(ft.ID, casebase.Constraint{ID: id, Value: d.Lo + off}).EqualWeights()
-}
-
 // TestInstrumentExportsServeSeries wires a registry mid-flight and
 // checks the serve metric family shows up in the Prometheus exposition
 // with per-shard labels.
@@ -564,16 +515,12 @@ func isNoFeasible(err error) bool {
 
 // TestRetryAfterScalesWithQueueDepth pins the overload hint's shape:
 // monotone non-decreasing in the observed queue depth (a deeper queue
-// never promises a sooner retry), and strictly later once the backlog
-// needs another micro-batch dispatch.
+// never promises a sooner retry), and strictly later behind a deeper
+// backlog.
 func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
-	cb, _, _ := genWorkload(t, 1, 0)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxBatch: 8, BatchWindow: 100})
-	defer s.Close()
-
 	prev := device.Micros(0)
 	for q := 0; q <= 64; q++ {
-		got := s.retryAfter(q)
+		got := retryAfter(q)
 		if got == 0 {
 			t.Fatalf("retryAfter(%d) = 0; the hint must always buy the backlog time", q)
 		}
@@ -582,11 +529,11 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 		}
 		prev = got
 	}
-	if a, b := s.retryAfter(0), s.retryAfter(8); b <= a {
-		t.Fatalf("one extra dispatch did not push the hint: retryAfter(0)=%d, retryAfter(8)=%d", a, b)
+	if a, b := retryAfter(0), retryAfter(8); b <= a {
+		t.Fatalf("8 jobs ahead did not push the hint: retryAfter(0)=%d, retryAfter(8)=%d", a, b)
 	}
-	if a, b := s.retryAfter(0), s.retryAfter(40); b <= a {
-		t.Fatalf("a 5-dispatch backlog did not push the hint: %d vs %d", a, b)
+	if a, b := retryAfter(0), retryAfter(40); b <= a {
+		t.Fatalf("40 jobs ahead did not push the hint: %d vs %d", a, b)
 	}
 }
 
@@ -701,20 +648,25 @@ func TestDrainMetricsExported(t *testing.T) {
 	}
 }
 
-// TestJobKeyFormat pins the singleflight key: kind-qualified, with the
+// TestJobKeyDistinct pins the singleflight key: kind-qualified, with the
 // candidate depth in the key, so a best-match walk never masks an n-best
-// walk and n-best walks of different depth never share a result.
-func TestJobKeyFormat(t *testing.T) {
-	for _, c := range []struct {
-		j    job
-		want string
-	}{
-		{job{kind: jobRetrieve, n: 3, sig: "7|1=16"}, "r|7|1=16"},
-		{job{kind: jobCandidates, n: 3, sig: "7|1=16"}, "c3|7|1=16"},
-		{job{kind: jobCandidates, n: 12, sig: ""}, "c12|"},
-	} {
-		if got := jobKey(&c.j); got != c.want {
-			t.Errorf("jobKey(%+v) = %q, want %q", c.j, got, c.want)
+// walk and n-best walks of different depth never share a result, while
+// jobs of equal kind, depth and signature share one key.
+func TestJobKeyDistinct(t *testing.T) {
+	jobs := []job{
+		{kind: jobRetrieve, n: 3, sig: "7|1=16"},
+		{kind: jobCandidates, n: 3, sig: "7|1=16"},
+		{kind: jobCandidates, n: 12, sig: ""},
+	}
+	for i := range jobs {
+		twin := job{ctx: context.Background(), kind: jobs[i].kind, n: jobs[i].n, sig: jobs[i].sig}
+		if jobs[i].key() != twin.key() {
+			t.Errorf("equal jobs %+v and %+v have different keys", jobs[i], twin)
+		}
+		for k := i + 1; k < len(jobs); k++ {
+			if jobs[i].key() == jobs[k].key() {
+				t.Errorf("jobs %+v and %+v share key %+v", jobs[i], jobs[k], jobs[i].key())
+			}
 		}
 	}
 }

@@ -117,3 +117,69 @@ func FuzzDecodeObserveRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMutationBodies asserts the decoder contract for the retain,
+// retire and release bodies, feeding every input to all three: each
+// decoder either returns a value that holds its invariants or an error
+// wrapping ErrBadRequest — never a panic, never both. Seeds are the
+// good bodies of each endpoint plus their rejection corners.
+func FuzzDecodeMutationBodies(f *testing.F) {
+	for _, seed := range []string{
+		goodRetain,
+		`{"client":"c1","type":2,"impl":4,"at_epoch":3}`,
+		`{"client":"c1","task":1}`,
+		``,
+		`{`,
+		`null`,
+		`[]`,
+		`{"client":"c","type":1,"target":"FPGA","attrs":[{"id":1,"value":2}],"bogus":1}`,
+		`{"client":"c","type":1,"target":"FPGA","attrs":[{"id":1,"value":2}]} x`,
+		`{"type":1,"target":"FPGA","attrs":[{"id":1,"value":2}]}`,
+		`{"client":"c","type":1,"target":"ASIC","attrs":[{"id":1,"value":2}]}`,
+		`{"client":"c","type":1,"target":"FPGA","attrs":[]}`,
+		`{"client":"c","type":1,"target":"FPGA","attrs":[{"id":1,"value":2},{"id":1,"value":3}]}`,
+		`{"client":"c","type":1,"target":"FPGA","attrs":[{"id":1,"value":2}],"footprint":{"slices":-1}}`,
+		`{"client":"c","type":1,"impl":1,"bogus":1}`,
+		`{"client":"c","type":1,"impl":1} x`,
+		`{"type":1,"impl":1}`,
+		`{"client":"c","type":1}`,
+		`{"client":"c1","task":1} {}`,
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		retain, err := DecodeRetainRequest(strings.NewReader(body))
+		if decoded(t, "retain", retain != nil, err) {
+			if err := retain.validate(); err != nil {
+				t.Fatalf("retain: accepted a request that fails validation: %v", err)
+			}
+		}
+		retire, err := DecodeRetireRequest(strings.NewReader(body))
+		if decoded(t, "retire", retire != nil, err) && (retire.Client == "" || retire.Impl == 0) {
+			t.Fatalf("retire: accepted %+v without a client or an impl", retire)
+		}
+		release, err := DecodeReleaseRequest(strings.NewReader(body))
+		decoded(t, "release", release != nil, err)
+	})
+}
+
+// decoded checks the half of the decoder contract every body shares —
+// a value or an error wrapping ErrBadRequest, never both, never
+// neither — and reports whether the decoder returned a value.
+func decoded(t *testing.T, name string, got bool, err error) bool {
+	t.Helper()
+	if err == nil {
+		if !got {
+			t.Fatalf("%s: returned neither a value nor an error", name)
+		}
+		return true
+	}
+	if got {
+		t.Fatalf("%s: returned both a value and an error: %v", name, err)
+	}
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("%s: content error does not wrap ErrBadRequest: %v", name, err)
+	}
+	return false
+}

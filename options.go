@@ -17,9 +17,8 @@ import (
 // each constructor reads the fields relevant to it and ignores the
 // rest (a WithShards passed to NewRetrievalEngine is harmless).
 type config struct {
-	serve     serve.Config
-	maxTokens int // token-cache LRU cap; 0 = retrieval.DefaultMaxTokens
-	reg       *obs.Registry
+	serve serve.Config
+	reg   *obs.Registry
 
 	// Fleet construction state (NewFleet only): nodes, tenant→class
 	// bindings and class budgets, all kept in declaration order so a
@@ -36,11 +35,6 @@ type Option func(*config)
 // WithShards sets how many retrieval engines the service partitions the
 // case base across (service only).
 func WithShards(n int) Option { return func(c *config) { c.serve.Shards = n } }
-
-// WithBatchWindow sets the service's micro-batch linger budget in
-// sim-time microseconds; zero flushes batches as soon as the shard
-// queue runs dry (service only).
-func WithBatchWindow(w Micros) Option { return func(c *config) { c.serve.BatchWindow = w } }
 
 // WithMaxBatch bounds how many requests one shard coalesces per
 // micro-batch (service only).
@@ -115,10 +109,6 @@ func WithLearning(alpha float64, foldThreshold int, maxAge Micros) Option {
 // service wires its own metrics plus every shard engine and the
 // manager; engines and managers wire their layer's bundle.
 func WithRegistry(reg *ObsRegistry) Option { return func(c *config) { c.reg = reg } }
-
-// WithMaxTokens bounds the bypass token cache's LRU retention
-// (manager only; the service sizes its shard caches internally).
-func WithMaxTokens(n int) Option { return func(c *config) { c.maxTokens = n } }
 
 func buildConfig(opts []Option) config {
 	var c config
@@ -204,9 +194,6 @@ func NewRetrievalEngine(cb *CaseBase, opts ...Option) *Engine {
 func NewAllocationManager(cb *CaseBase, rt *Runtime, opts ...Option) *Manager {
 	c := buildConfig(opts)
 	m := alloc.New(cb, rt, c.serve.Manager)
-	if c.maxTokens > 0 {
-		m.TokenCache().SetMaxTokens(c.maxTokens)
-	}
 	m.Instrument(c.reg)
 	return m
 }

@@ -113,7 +113,7 @@ func TestFacadeV2Constructors(t *testing.T) {
 	}
 
 	mgr := qosalloc.NewAllocationManager(cb, fig1Runtime(t, cb),
-		qosalloc.WithNBest(2), qosalloc.WithBypassTokens(true), qosalloc.WithMaxTokens(8))
+		qosalloc.WithNBest(2), qosalloc.WithBypassTokens(true))
 	d, err := mgr.Request("mp3", qosalloc.PaperRequest(), 5)
 	if err != nil || d.Target != qosalloc.TargetDSP {
 		t.Fatalf("manager = %+v, %v", d, err)
