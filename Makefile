@@ -1,6 +1,6 @@
 # Standard development targets. `make ci` is the gate every change must
 # pass; it runs scripts/ci.sh, the one list of CI gates (build, vet,
-# lint, the race-detector suite, repro, benchmark gates, api-check,
+# lint, the race-detector suite, fuzz, repro, benchmark gates, api-check,
 # fleetcheck, learncheck, loadcheck, size), where each gate is defined
 # once. The gate
 # targets below delegate to it; the rest are development helpers.
@@ -48,16 +48,11 @@ bench:
 bench-compact bench-learn loadcheck:
 	scripts/ci.sh $@ $(OUT)
 
-# Short fuzz pass over every decoder, one target at a time (go test
-# fuzzes one target per run); lengthen FUZZTIME for a real hunt.
+# Fuzz pass over every decoder, FUZZTIME per target (the fuzz gate in
+# scripts/ci.sh, which `make ci` runs at 5s); lengthen it for a real hunt.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = cbjson:FuzzDecodeCaseBase memlist:FuzzDecodeCompact \
-	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest \
-	wire:FuzzDecodeMutationBodies
 fuzz:
-	set -e; for t in $(FUZZ_TARGETS); do \
-		$(GO) test ./internal/$${t%%:*}/ -run xxx -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME); \
-	done
+	scripts/ci.sh fuzz $(FUZZTIME)
 
 # Regenerate the committed API-surface snapshot after a deliberate
 # exported-surface change; api-check is the CI half that fails on drift.

@@ -46,7 +46,8 @@ type Options struct {
 	// AllowPreemption permits evicting strictly lower-priority tasks
 	// when the best match has no free capacity.
 	AllowPreemption bool
-	// UseBypassTokens enables the repeated-call shortcut.
+	// UseBypassTokens enables Request's repeated-call shortcut; with it
+	// off the manager neither looks up nor stores a token.
 	UseBypassTokens bool
 	// PowerWeight trades QoS similarity against power (the §1
 	// "energy/power-efficiency" goal): candidates are ranked by
@@ -230,22 +231,23 @@ func (m *Manager) System() *rtsys.System { return m.sys }
 // Engine returns the retrieval engine (for inspection in reports).
 func (m *Manager) Engine() *retrieval.Engine { return m.engine }
 
-// TokenCache returns the bypass-token cache.
-func (m *Manager) TokenCache() *retrieval.TokenCache { return m.tokens }
-
 // Request allocates an implementation for a QoS function request on
 // behalf of app with the given base priority. On success the chosen
 // variant is placed and a task handle returned; the application still
 // has to advance the run-time clock past Decision.ReadyAt before the
-// function is usable.
+// function is usable. With UseBypassTokens on, a successful placement
+// pins its choice in the manager's bypass token for req's signature;
+// this is the one place the manager stores a token.
 func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Decision, error) {
 	m.counts.requests.Inc()
 
 	// Bypass-token shortcut: a repeated call with the same signature
 	// skips retrieval; "only an availability check on the function and
 	// its allocated resources has to be done" (§3).
+	var sig string
 	if m.opt.UseBypassTokens {
-		if tok, ok := m.tokens.Lookup(req); ok {
+		sig = retrieval.Signature(req)
+		if tok, ok := m.tokens.LookupSig(sig); ok {
 			if d, err := m.tryPlace(app, req, tok.Impl, tok.Similarity, basePrio); err == nil {
 				m.counts.tokenHits.Inc()
 				m.met.event(int64(m.sys.Now()), "token-hit", "app=%s task=%d impl=%d dev=%s", app, d.Task.ID, d.Impl, d.Device)
@@ -267,16 +269,22 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 		}
 		return nil, err
 	}
-	return m.placeCandidates(app, req, candidates, basePrio)
+	d, err := m.placeCandidates(app, req, candidates, basePrio)
+	if err == nil && m.opt.UseBypassTokens {
+		m.tokens.StoreSig(sig, retrieval.Token{Type: req.Type, Impl: d.Impl, Similarity: d.Similarity})
+	}
+	return d, err
 }
 
 // PlaceCandidates is the placement half of Request for callers that run
 // retrieval on their own engines — the serve layer retrieves on sharded,
 // deduplicated engines and feeds the candidate lists here. The list must
 // be similarity-ranked best first (the order RetrieveN returns); the
-// manager applies its power ranking, walks feasibility, optionally
-// preempts, and stores a bypass token on success. Counted as a request
-// in Stats; the caller owns the slice (it may be re-ordered in place).
+// manager applies its power ranking, walks feasibility and optionally
+// preempts. It stores no bypass token: the caller retrieved, so the
+// caller owns any token for the signature (serve keeps them per shard).
+// Counted as a request in Stats; the caller owns the slice (it may be
+// re-ordered in place).
 func (m *Manager) PlaceCandidates(app string, req casebase.Request, candidates []retrieval.Result, basePrio int) (*Decision, error) {
 	m.counts.requests.Inc()
 	return m.placeCandidates(app, req, candidates, basePrio)
@@ -294,9 +302,6 @@ func (m *Manager) placeCandidates(app string, req casebase.Request, candidates [
 		if err == nil {
 			m.met.nbestDepth.Observe(int64(depth + 1))
 			m.met.event(int64(m.sys.Now()), "place", "app=%s task=%d impl=%d dev=%s depth=%d", app, d.Task.ID, d.Impl, d.Device, depth+1)
-			m.tokens.Store(req, retrieval.Token{
-				Type: req.Type, Impl: cand.Impl, Similarity: cand.Similarity,
-			})
 			return d, nil
 		}
 	}
@@ -363,9 +368,6 @@ func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidate
 				continue
 			}
 			d.Preempted = append(d.Preempted, victim.ID)
-			m.tokens.Store(req, retrieval.Token{
-				Type: req.Type, Impl: cand.Impl, Similarity: cand.Similarity,
-			})
 			return d, nil
 		}
 	}
@@ -406,12 +408,6 @@ func (m *Manager) ReplacePending() int {
 		}
 		placed++
 	}
-}
-
-// InvalidateCaseBase drops all bypass tokens for a function type, the
-// hook a dynamic case-base update (the paper's future work) must call.
-func (m *Manager) InvalidateCaseBase(ty casebase.TypeID) int {
-	return m.tokens.InvalidateType(ty)
 }
 
 // UpdateCaseBase swaps in a revised case base — the §5 dynamic update,

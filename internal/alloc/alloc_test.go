@@ -219,7 +219,7 @@ func TestBypassTokens(t *testing.T) {
 		t.Errorf("retrievals = %d, want 1", st.Retrievals)
 	}
 	// Case-base update invalidates tokens for the type.
-	if n := m.InvalidateCaseBase(casebase.TypeFIREqualizer); n != 1 {
+	if n := m.tokens.InvalidateType(casebase.TypeFIREqualizer); n != 1 {
 		t.Errorf("invalidated %d tokens", n)
 	}
 	d3, err := m.Request("mp3", req, 5)
@@ -228,6 +228,46 @@ func TestBypassTokens(t *testing.T) {
 	}
 	if d3.ViaToken {
 		t.Error("invalidated token must not hit")
+	}
+}
+
+// TestRequestStoresNoTokenWhenOff pins that a manager with bypass
+// tokens off keeps none: nothing would ever read them.
+func TestRequestStoresNoTokenWhenOff(t *testing.T) {
+	m, _ := platform(t, Options{})
+	for i := 0; i < 2; i++ {
+		if _, err := m.Request("mp3", casebase.PaperRequest(), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.tokens.Len(); n != 0 {
+		t.Errorf("tokens off, yet %d tokens stored", n)
+	}
+}
+
+// TestPreemptiveRequestStoresToken pins that a Request placed by
+// preemption still pins its choice when bypass tokens are on.
+func TestPreemptiveRequestStoresToken(t *testing.T) {
+	cb, _ := casebase.PaperCaseBase()
+	repo := device.NewRepository(20)
+	_ = repo.PopulateFromCaseBase(cb)
+	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 500, 128*1024)
+	m := New(cb, rtsys.NewSystem(repo, dsp), Options{UseBypassTokens: true, AllowPreemption: true, NBest: 1})
+	req := casebase.PaperRequest()
+	if _, err := m.Request("bg", req, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.tokens.InvalidateAll()
+	high, err := m.Request("fg", req, 9)
+	if err != nil {
+		t.Fatalf("preemptive place failed: %v", err)
+	}
+	if len(high.Preempted) != 1 {
+		t.Fatalf("preempted = %v, want one victim", high.Preempted)
+	}
+	tok, ok := m.tokens.LookupSig(retrieval.Signature(req))
+	if !ok || tok.Impl != high.Impl || tok.Similarity != high.Similarity {
+		t.Errorf("token after preemptive place = %+v, %v; want impl %d", tok, ok, high.Impl)
 	}
 }
 
@@ -262,7 +302,7 @@ func TestUpdateCaseBaseSwapsTreeAndDropsTokens(t *testing.T) {
 	if err := m.Release(d1.Task.ID); err != nil {
 		t.Fatal(err)
 	}
-	if m.TokenCache().Len() == 0 {
+	if m.tokens.Len() == 0 {
 		t.Fatal("token should be cached")
 	}
 	// A commit retires the DSP variant at run time; the manager swaps
@@ -276,7 +316,7 @@ func TestUpdateCaseBaseSwapsTreeAndDropsTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.UpdateCaseBase(cb2)
-	if m.TokenCache().Len() != 0 {
+	if m.tokens.Len() != 0 {
 		t.Error("tokens must be invalidated on case-base update")
 	}
 	d2, err := m.Request("mp3", req, 5)
@@ -359,9 +399,10 @@ func TestPlaceCandidatesMatchesRequest(t *testing.T) {
 	if st.Requests != 1 || st.Placed != 1 {
 		t.Errorf("stats = %+v, want 1 request / 1 placed", st)
 	}
-	// A bypass token was stored for the signature.
-	if _, ok := m.TokenCache().Lookup(req); !ok {
-		t.Error("PlaceCandidates did not store a bypass token")
+	// The caller retrieved, so the caller owns any token: the
+	// manager's cache stays empty.
+	if n := m.tokens.Len(); n != 0 {
+		t.Errorf("PlaceCandidates stored %d bypass tokens, want 0", n)
 	}
 	// An empty candidate list is a structured infeasibility.
 	_, err = m.PlaceCandidates("mp3", req, nil, 5)

@@ -519,12 +519,11 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []
 	s.counts.walks.Inc()
 	s.counts.inlineWalks.Inc()
 	r, err := sn.engine.Retrieve(req)
-	sh.tokMu.Lock()
-	tokens.CountMiss()
 	if err == nil {
+		sh.tokMu.Lock()
 		tokens.StoreSig(string(key), retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
+		sh.tokMu.Unlock()
 	}
-	sh.tokMu.Unlock()
 	return r, true, err
 }
 

@@ -15,9 +15,10 @@ import (
 //
 // Epochs are numbered from 1 (the snapshot New builds). Every commit —
 // fold, structural retain/retire, or manual CommitNow — installs epoch
-// N+1 with a fresh engine and empty token caches bound to the new epoch
-// via TokenCache.SetEpoch, so a token minted against epoch N can never
-// bypass retrieval against epoch N+1.
+// N+1 with a fresh engine and empty token caches. The snapshot is the
+// caches' epoch binding: a token lives only in the caches of the epoch
+// it was minted against, so it can never bypass retrieval against
+// epoch N+1.
 type snapshot struct {
 	epoch  uint64
 	cb     *casebase.CaseBase
@@ -37,9 +38,7 @@ func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.
 	sn := &snapshot{epoch: epoch, cb: cb, engine: retrieval.NewEngine(cb, opt)}
 	sn.engine.Instrument(rm)
 	for i := 0; i < shards; i++ {
-		tc := retrieval.NewTokenCache()
-		tc.SetEpoch(epoch)
-		sn.tokens = append(sn.tokens, tc)
+		sn.tokens = append(sn.tokens, retrieval.NewTokenCache())
 	}
 	return sn
 }

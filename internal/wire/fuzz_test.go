@@ -144,6 +144,9 @@ func FuzzDecodeMutationBodies(f *testing.F) {
 		`{"type":1,"impl":1}`,
 		`{"client":"c","type":1}`,
 		`{"client":"c1","task":1} {}`,
+		`{}`,
+		`{"task":1}`,
+		`{"client":"c1","task":-5}`,
 	} {
 		f.Add(seed)
 	}
@@ -160,7 +163,9 @@ func FuzzDecodeMutationBodies(f *testing.F) {
 			t.Fatalf("retire: accepted %+v without a client or an impl", retire)
 		}
 		release, err := DecodeReleaseRequest(strings.NewReader(body))
-		decoded(t, "release", release != nil, err)
+		if decoded(t, "release", release != nil, err) && (release.Client == "" || release.Task < 1) {
+			t.Fatalf("release: accepted %+v without a client or a task of 1 or more", release)
+		}
 	})
 }
 

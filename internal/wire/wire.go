@@ -169,11 +169,18 @@ type ReleaseRequest struct {
 
 // DecodeReleaseRequest reads one strict ReleaseRequest from r (same
 // size bound, unknown-field and trailing-data discipline as
-// DecodeAllocRequest).
+// DecodeAllocRequest). A missing client or a task below 1 fails with an
+// error wrapping ErrBadRequest.
 func DecodeReleaseRequest(r io.Reader) (*ReleaseRequest, error) {
 	var req ReleaseRequest
 	if err := decodeStrict(r, &req); err != nil {
 		return nil, err
+	}
+	if req.Client == "" {
+		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
+	}
+	if req.Task < 1 {
+		return nil, fmt.Errorf("%w: task %d is not a task ID", ErrBadRequest, req.Task)
 	}
 	return &req, nil
 }

@@ -84,6 +84,30 @@ func TestDecodeAllocRequestRejections(t *testing.T) {
 	}
 }
 
+// TestDecodeReleaseRequestRejections pins that a release body must
+// name its client and a task ID of 1 or more, like the retain and
+// retire bodies name their client.
+func TestDecodeReleaseRequestRejections(t *testing.T) {
+	cases := map[string]string{
+		"null":           `null`,
+		"empty object":   `{}`,
+		"negative task":  `{"task":-5}`,
+		"missing client": `{"task":1}`,
+		"missing task":   `{"client":"c1"}`,
+		"zero task":      `{"client":"c1","task":0}`,
+		"negative id":    `{"client":"c1","task":-5}`,
+	}
+	for name, body := range cases {
+		if got, err := DecodeReleaseRequest(strings.NewReader(body)); got != nil || !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: decoded %+v, %v; want only an error wrapping ErrBadRequest", name, got, err)
+		}
+	}
+	got, err := DecodeReleaseRequest(strings.NewReader(`{"client":"c1","task":7}`))
+	if err != nil || got.Client != "c1" || got.Task != 7 {
+		t.Errorf("good body = %+v, %v", got, err)
+	}
+}
+
 func TestDecodeAllocRequestTooManyConstraints(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString(`{"client":"c","type":1,"constraints":[`)

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
-# under the race detector, the allocation guards, the
-# observability golden tests, the bit-identical experiment output, a
-# one-iteration benchmark smoke pass, the benchmark, API, fleet, learn
-# and load gates, and a size report. This is the one gate list, and
+# under the race detector, a short fuzz pass over every decoder, the
+# allocation guards, the observability golden tests, the bit-identical
+# experiment output, a one-iteration benchmark smoke pass, the
+# benchmark, API, fleet, learn and load gates, and a size report. This is the one gate list, and
 # each gate is defined once, as a function below.
 #
 #	scripts/ci.sh                    run every gate, in order
@@ -11,12 +11,13 @@
 #
 # The Makefile targets of the same names delegate here. bench-compact,
 # bench-learn and loadcheck take an optional output path for the report
-# they refresh. It needs nothing but the go tool (or $GO) and a POSIX
-# shell, and git for the size report.
+# they refresh; fuzz takes an optional per-target fuzz time. It needs
+# nothing but the go tool (or $GO) and a POSIX shell, and git for the
+# size report.
 set -eux
 
 GO=${GO:-go}
-GATES="build vet lint race allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
+GATES="build vet lint race fuzz allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
 
 # abspath prints $1 made absolute against the working directory, or
 # nothing when $1 is empty: go test runs in the package directory, so a
@@ -45,6 +46,18 @@ gate_lint() {
 }
 
 gate_race() { $GO test -race ./...; }
+
+# Decoder fuzzing: each target, named package:Fuzz function, fuzzes for
+# the given time (default 5s), one target per go test run because go
+# test fuzzes one target at a time. `make fuzz FUZZTIME=10m` hunts longer.
+FUZZ_TARGETS="cbjson:FuzzDecodeCaseBase memlist:FuzzDecodeCompact
+	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest
+	wire:FuzzDecodeMutationBodies"
+gate_fuzz() {
+	for t in $FUZZ_TARGETS; do
+		$GO test "./internal/${t%%:*}/" -run xxx -fuzz "^${t#*:}\$" -fuzztime "${1:-5s}"
+	done
+}
 
 # Allocation guards: a warmed float-engine Retrieve allocates nothing,
 # a clock tick's walks allocate no more late in a 20k-step run than
