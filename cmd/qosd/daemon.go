@@ -124,7 +124,6 @@ const tenantHeader = "X-QoS-Tenant"
 // the drain fence the SIGTERM path uses.
 type daemon struct {
 	opt  options
-	cb   *qosalloc.CaseBase
 	svc  *qosalloc.Service
 	rt   *qosalloc.Runtime
 	gate *admit.Gate
@@ -147,12 +146,14 @@ type daemon struct {
 	holdMu sync.Mutex
 	holds  []hold // auto-release deadlines, kept sorted by at
 
-	// ledger enforces tenant QoS-class budgets; grants remembers which
-	// tenant and footprint each live task was charged under so Release
-	// (explicit or hold-driven) can return the holdings.
+	// ledger enforces tenant QoS-class budgets. tasks is the task
+	// table: one record per task the daemon placed and still holds, so
+	// a release can be checked against the task's owner and a metered
+	// task's charge returned when the task goes away (explicit or
+	// hold-driven release, fault rejection).
 	ledger  *admit.Ledger
-	grantMu sync.Mutex
-	grants  map[qosalloc.TaskID]grant
+	tasksMu sync.Mutex
+	tasks   map[qosalloc.TaskID]task
 
 	// preServe, when set (tests only), runs after admission and before
 	// the service call — a hook to wedge an in-flight request.
@@ -165,23 +166,20 @@ type hold struct {
 	id qosalloc.TaskID
 }
 
-// grant is one task's budget charge: which tenant holds which
-// footprint, to be released when the task goes away.
-type grant struct {
+// task is one placed task's record: the client that placed it and,
+// when the request named a tenant, the tenant and the footprint
+// charged to its budget.
+type task struct {
+	client string
 	tenant string
 	foot   casebase.Footprint
 }
 
 // daemonMetrics is the qos_qosd_* bundle. The registry is always
 // non-nil in the daemon; the bundle exists so handler code never
-// mentions the registry.
+// mentions the registry. The per-endpoint request counters belong to
+// the pipeline's routes.
 type daemonMetrics struct {
-	retrieve *obs.Counter
-	allocate *obs.Counter
-	release  *obs.Counter
-	observe  *obs.Counter
-	retain   *obs.Counter
-	retire   *obs.Counter
 	ok       *obs.Counter
 	clientEr *obs.Counter
 	serverEr *obs.Counter
@@ -191,12 +189,6 @@ type daemonMetrics struct {
 
 func newDaemonMetrics(reg *obs.Registry) *daemonMetrics {
 	return &daemonMetrics{
-		retrieve: reg.Counter("qos_qosd_requests_total{endpoint=\"retrieve\"}", "requests to /v1/retrieve"),
-		allocate: reg.Counter("qos_qosd_requests_total{endpoint=\"allocate\"}", "requests to /v1/allocate"),
-		release:  reg.Counter("qos_qosd_requests_total{endpoint=\"release\"}", "requests to /v1/release"),
-		observe:  reg.Counter("qos_qosd_requests_total{endpoint=\"observe\"}", "requests to /v1/observe"),
-		retain:   reg.Counter("qos_qosd_requests_total{endpoint=\"retain\"}", "requests to /v1/retain"),
-		retire:   reg.Counter("qos_qosd_requests_total{endpoint=\"retire\"}", "requests to /v1/retire"),
 		ok:       reg.Counter("qos_qosd_responses_total{class=\"2xx\"}", "successful responses"),
 		clientEr: reg.Counter("qos_qosd_responses_total{class=\"4xx\"}", "client-error responses (bad request, shed, no match)"),
 		serverEr: reg.Counter("qos_qosd_responses_total{class=\"5xx\"}", "server-error responses (breaker, draining, deadline, internal)"),
@@ -257,13 +249,12 @@ func newDaemon(opt options) (*daemon, error) {
 	reg := obs.NewRegistry()
 	d := &daemon{
 		opt:    opt,
-		cb:     cb,
 		rt:     rt,
 		reg:    reg,
 		met:    newDaemonMetrics(reg),
 		start:  time.Now(),
 		ledger: ledger,
-		grants: make(map[qosalloc.TaskID]grant),
+		tasks:  make(map[qosalloc.TaskID]task),
 	}
 	svcOpts := []qosalloc.Option{
 		qosalloc.WithShards(opt.shards),
@@ -321,12 +312,18 @@ func newDaemon(opt options) (*daemon, error) {
 	})
 
 	d.mux = http.NewServeMux()
-	d.mux.HandleFunc("POST /v1/retrieve", d.handleRetrieve)
-	d.mux.HandleFunc("POST /v1/allocate", d.handleAllocate)
-	d.mux.HandleFunc("POST /v1/release", d.handleRelease)
-	d.mux.HandleFunc("POST /v1/observe", d.handleObserve)
-	d.mux.HandleFunc("POST /v1/retain", d.handleRetain)
-	d.mux.HandleFunc("POST /v1/retire", d.handleRetire)
+	pipeline(d, "retrieve", endpoint[*wire.AllocRequest]{
+		decode: d.decodeAlloc, clock: true, route: allocRoute, call: d.retrieve})
+	pipeline(d, "allocate", endpoint[*wire.AllocRequest]{
+		decode: d.decodeAlloc, clock: true, route: allocRoute, call: d.allocate})
+	pipeline(d, "release", endpoint[*wire.ReleaseRequest]{
+		decode: wire.DecodeReleaseRequest, call: d.release})
+	pipeline(d, "observe", endpoint[*wire.ObserveRequest]{
+		decode: wire.DecodeObserveRequest, clock: true, call: d.observe})
+	pipeline(d, "retain", endpoint[*wire.RetainRequest]{
+		decode: wire.DecodeRetainRequest, clock: true, call: d.retain})
+	pipeline(d, "retire", endpoint[*wire.RetireRequest]{
+		decode: wire.DecodeRetireRequest, clock: true, call: d.retire})
 	d.mux.HandleFunc("GET /metrics", d.handleMetrics)
 	d.mux.HandleFunc("GET /statz", d.handleStatz)
 	d.mux.HandleFunc("GET /healthz", d.handleHealthz)
@@ -342,11 +339,11 @@ func (d *daemon) now(r *http.Request) (device.Micros, error) {
 	if d.opt.lockstep {
 		h := r.Header.Get(nowHeader)
 		if h == "" {
-			return 0, fmt.Errorf("lockstep mode requires the %s header", nowHeader)
+			return 0, fmt.Errorf("%w: lockstep mode requires the %s header", wire.ErrBadRequest, nowHeader)
 		}
 		v, err := strconv.ParseUint(h, 10, 64)
 		if err != nil {
-			return 0, fmt.Errorf("bad %s header %q: %w", nowHeader, h, err)
+			return 0, fmt.Errorf("%w: bad %s header %q: %v", wire.ErrBadRequest, nowHeader, h, err)
 		}
 		now = device.Micros(v)
 	} else {
@@ -387,9 +384,9 @@ func (d *daemon) advanceTo(now device.Micros) {
 		}
 	})
 	// A rejected task is done, so its client's release will fail and
-	// never reach dropGrant.
+	// never reach forget.
 	for _, id := range rejected {
-		d.dropGrant(id)
+		d.forget(id)
 	}
 	d.releaseDue(now)
 }
@@ -412,7 +409,7 @@ func (d *daemon) releaseDue(now device.Micros) {
 		if err := d.svc.Release(id); err == nil {
 			d.met.released.Inc()
 		}
-		d.dropGrant(id)
+		d.forget(id)
 	}
 }
 
@@ -424,279 +421,249 @@ func (d *daemon) addHold(at device.Micros, id qosalloc.TaskID) {
 	sort.Slice(d.holds, func(i, j int) bool { return d.holds[i].at < d.holds[j].at })
 }
 
-// chargeTenant draws the placed variant's footprint from the tenant's
-// QoS-class budget and remembers the grant for release. Anonymous or
-// unbound tenants are unmetered (Ledger.Admit's contract).
-func (d *daemon) chargeTenant(tenant string, ty casebase.TypeID, dec *qosalloc.Decision, now device.Micros) error {
+// charge draws the placed variant's footprint from the tenant's
+// QoS-class budget and returns the task's record for the table.
+// Anonymous or unbound tenants are unmetered (Ledger.Admit's contract).
+func (d *daemon) charge(client, tenant string, ty casebase.TypeID, dec *qosalloc.Decision, now device.Micros) (task, error) {
+	rec := task{client: client}
 	if tenant == "" {
-		return nil
+		return rec, nil
 	}
-	// Footprints come from the committed epoch's tree — with -learn the
-	// construction-time d.cb goes stale after the first commit.
+	// Footprints come from the committed epoch's tree: with -learn a
+	// commit may have revised the variant since the service started.
 	ft, ok := d.svc.CaseBase().Type(ty)
 	if !ok {
-		return nil // validated earlier; belt and braces
+		return rec, nil // validated earlier; belt and braces
 	}
 	im, ok := ft.Impl(dec.Impl)
 	if !ok {
-		return nil
+		return rec, nil
 	}
 	if err := d.ledger.Admit(tenant, im.Foot, now); err != nil {
-		return err
+		return rec, err
 	}
-	d.grantMu.Lock()
-	d.grants[dec.Task.ID] = grant{tenant: tenant, foot: im.Foot}
-	d.grantMu.Unlock()
-	return nil
+	rec.tenant, rec.foot = tenant, im.Foot
+	return rec, nil
 }
 
-// dropGrant returns a released (or otherwise gone) task's holdings to
-// its tenant's budget. Safe to call for tasks that were never charged.
-func (d *daemon) dropGrant(id qosalloc.TaskID) {
-	d.grantMu.Lock()
-	g, ok := d.grants[id]
-	if ok {
-		delete(d.grants, id)
-	}
-	d.grantMu.Unlock()
-	if ok {
-		d.ledger.Release(g.tenant, g.foot)
+// forget drops a released (or otherwise gone) task from the task table
+// and returns its charge to its tenant's budget. Safe to call for
+// tasks the table no longer holds.
+func (d *daemon) forget(id qosalloc.TaskID) {
+	d.tasksMu.Lock()
+	rec, ok := d.tasks[id]
+	delete(d.tasks, id)
+	d.tasksMu.Unlock()
+	if ok && rec.tenant != "" {
+		d.ledger.Release(rec.tenant, rec.foot)
 	}
 }
 
-// begin admits one HTTP request past the drain fence; a false return
-// means the 503 has already been written. Every true return must be
-// paired with d.inflight.Done().
-func (d *daemon) begin(w http.ResponseWriter) bool {
+// begin admits one HTTP request past the drain fence. Every true
+// return must be paired with d.inflight.Done().
+func (d *daemon) begin() bool {
 	d.drainMu.RLock()
 	defer d.drainMu.RUnlock()
 	if d.draining {
-		d.writeError(w, http.StatusServiceUnavailable, wire.ErrorResponse{
-			Code: wire.CodeDraining, Error: "qosd: draining for shutdown", RetryAfterUS: 1_000_000,
-		})
 		return false
 	}
 	d.inflight.Add(1)
 	return true
 }
 
-// --- Handlers ----------------------------------------------------------
+// --- Request pipeline ---------------------------------------------------
 
-func (d *daemon) handleRetrieve(w http.ResponseWriter, r *http.Request) {
-	d.met.retrieve.Inc()
-	if !d.begin(w) {
-		return
+// endpoint is one POST route as the pipeline runs it. Req is the
+// decoded body.
+type endpoint[Req any] struct {
+	// decode reads and validates the body; its errors wrap
+	// wire.ErrBadRequest.
+	decode func(io.Reader) (Req, error)
+	// clock reads the admission clock after decode.
+	clock bool
+	// route, when set, names the client and function type the gate
+	// admits the request under. A gated call runs under the request
+	// timeout, and its outcome feeds the shard's breaker.
+	route func(Req) (client string, ty casebase.TypeID)
+	// call answers the request with the body writeOK encodes. It
+	// reads only the headers of r, never its body.
+	call func(ctx context.Context, r *http.Request, req Req, now device.Micros) (any, error)
+}
+
+// pipeline registers POST /v1/<name>. Every request runs the same
+// stages in order: the endpoint's request counter and the drain fence,
+// body decode, the admission clock, the gate (routed endpoints only),
+// the call, and the reply — writeOK, or the error mapError maps.
+func pipeline[Req any](d *daemon, name string, ep endpoint[Req]) {
+	requests := d.reg.Counter(fmt.Sprintf("qos_qosd_requests_total{endpoint=%q}", name), "requests to /v1/"+name)
+	d.mux.HandleFunc("POST /v1/"+name, func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		if !d.begin() {
+			d.writeError(w, serve.ErrDraining)
+			return
+		}
+		defer d.inflight.Done()
+		out, err := ep.run(d, r)
+		if err != nil {
+			d.writeError(w, err)
+			return
+		}
+		d.writeOK(w, out)
+	})
+}
+
+// run takes one fenced request from decode through the call.
+func (ep endpoint[Req]) run(d *daemon, r *http.Request) (any, error) {
+	req, err := ep.decode(r.Body)
+	if err != nil {
+		return nil, err
 	}
-	defer d.inflight.Done()
-	req, now, ok := d.decode(w, r)
-	if !ok {
-		return
+	var now device.Micros
+	if ep.clock {
+		if now, err = d.now(r); err != nil {
+			return nil, err
+		}
 	}
-	shard := d.gate.Shard(casebase.TypeID(req.Type))
-	if err := d.gate.Admit(req.Client, shard, now); err != nil {
-		d.writeMapped(w, err)
-		return
+	if ep.route == nil {
+		return ep.call(r.Context(), r, req, now)
+	}
+	client, ty := ep.route(req)
+	shard := d.gate.Shard(ty)
+	if err := d.gate.Admit(client, shard, now); err != nil {
+		return nil, err
 	}
 	if d.preServe != nil {
 		d.preServe()
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d.opt.requestTimeout)
 	defer cancel()
-	res, err := d.svc.Retrieve(ctx, req.Request())
+	out, err := ep.call(ctx, r, req, now)
 	d.gate.Record(shard, now, breakerFailure(err))
-	if err != nil {
-		d.writeMapped(w, err)
-		return
-	}
-	d.writeOK(w, wire.RetrieveResponse{
-		Type: uint16(res.Type), Impl: uint16(res.Impl),
-		Target: res.Target.String(), Name: res.Name, Similarity: res.Similarity,
-	})
+	return out, err
 }
 
-func (d *daemon) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	d.met.allocate.Inc()
-	if !d.begin(w) {
-		return
+// allocRoute gates retrieve and allocate requests under their client
+// and function type.
+func allocRoute(req *wire.AllocRequest) (string, casebase.TypeID) {
+	return req.Client, casebase.TypeID(req.Type)
+}
+
+// decodeAlloc reads a retrieve or allocate body and validates it
+// against the committed epoch's tree. An unknown type or a value
+// outside an attribute's design bounds is the client's fault, so it is
+// a bad request here rather than an internal error out of the engine.
+func (d *daemon) decodeAlloc(body io.Reader) (*wire.AllocRequest, error) {
+	req, err := wire.DecodeAllocRequest(body)
+	if err != nil {
+		return nil, err
 	}
-	defer d.inflight.Done()
-	req, now, ok := d.decode(w, r)
-	if !ok {
-		return
+	if err := req.Request().Validate(d.svc.CaseBase()); err != nil {
+		return nil, fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 	}
+	return req, nil
+}
+
+func (d *daemon) retrieve(ctx context.Context, _ *http.Request, req *wire.AllocRequest, _ device.Micros) (any, error) {
+	res, err := d.svc.Retrieve(ctx, req.Request())
+	if err != nil {
+		return nil, err
+	}
+	return wire.RetrieveResponse{
+		Type: uint16(res.Type), Impl: uint16(res.Impl),
+		Target: res.Target.String(), Name: res.Name, Similarity: res.Similarity,
+	}, nil
+}
+
+func (d *daemon) allocate(ctx context.Context, r *http.Request, req *wire.AllocRequest, now device.Micros) (any, error) {
 	app := req.App
 	if app == "" {
 		app = req.Client
 	}
-	shard := d.gate.Shard(casebase.TypeID(req.Type))
-	if err := d.gate.Admit(req.Client, shard, now); err != nil {
-		d.writeMapped(w, err)
-		return
-	}
-	if d.preServe != nil {
-		d.preServe()
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d.opt.requestTimeout)
-	defer cancel()
 	dec, err := d.svc.Allocate(ctx, app, req.Request(), req.Priority)
-	d.gate.Record(shard, now, breakerFailure(err))
 	if err != nil {
-		d.writeMapped(w, err)
-		return
+		return nil, err
 	}
 	// Charge the tenant's QoS-class budget for the variant the service
 	// actually placed. An over-budget charge rolls the placement back
 	// atomically — the tenant sees a typed 429 and the platform is as
 	// if the request never landed.
-	if err := d.chargeTenant(r.Header.Get(tenantHeader), casebase.TypeID(req.Type), dec, now); err != nil {
+	rec, err := d.charge(req.Client, r.Header.Get(tenantHeader), casebase.TypeID(req.Type), dec, now)
+	if err != nil {
 		_ = d.svc.Release(dec.Task.ID)
-		d.writeMapped(w, err)
-		return
+		return nil, err
 	}
+	d.tasksMu.Lock()
+	d.tasks[dec.Task.ID] = rec
+	d.tasksMu.Unlock()
 	if req.HoldUS > 0 {
 		d.addHold(dec.ReadyAt+device.Micros(req.HoldUS), dec.Task.ID)
 	}
-	d.writeOK(w, wire.AllocResponse{
+	return wire.AllocResponse{
 		Task: int(dec.Task.ID), Type: uint16(req.Type), Impl: uint16(dec.Impl),
 		Target: dec.Target.String(), Device: string(dec.Device),
 		Similarity: dec.Similarity, ReadyAtUS: uint64(dec.ReadyAt),
 		ViaToken: dec.ViaToken, Degraded: dec.Degraded != nil,
-	})
+	}, nil
 }
 
-func (d *daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
-	d.met.release.Inc()
-	if !d.begin(w) {
-		return
+// release frees a task its client placed. A task placed by another
+// client gets the same reply as one never issued, and survives with
+// its charge.
+func (d *daemon) release(_ context.Context, _ *http.Request, req *wire.ReleaseRequest, _ device.Micros) (any, error) {
+	id := qosalloc.TaskID(req.Task)
+	d.tasksMu.Lock()
+	rec, ok := d.tasks[id]
+	d.tasksMu.Unlock()
+	if !ok || rec.client != req.Client {
+		return nil, fmt.Errorf("%w %d", errUnknownTask, id)
 	}
-	defer d.inflight.Done()
-	req, err := wire.DecodeReleaseRequest(r.Body)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: fmt.Sprintf("qosd: bad release body: %v", err),
-		})
-		return
+	if err := d.svc.Release(id); err != nil {
+		return nil, fmt.Errorf("%w: %v", errUnknownTask, err)
 	}
-	if err := d.svc.Release(qosalloc.TaskID(req.Task)); err != nil {
-		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
-			Code: wire.CodeUnknownTask, Error: err.Error(),
-		})
-		return
-	}
-	d.dropGrant(qosalloc.TaskID(req.Task))
-	d.writeOK(w, map[string]any{"released": req.Task})
+	d.forget(id)
+	return map[string]any{"released": req.Task}, nil
 }
 
-// handleObserve folds one run-time QoS measurement into the service's
+// observe folds one run-time QoS measurement into the service's
 // deferred net-commit layer. The observation itself never blocks
 // readers; when it trips the fold policy the commit happens inline and
 // the response's epoch reflects it.
-func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
-	d.met.observe.Inc()
-	if !d.begin(w) {
-		return
-	}
-	defer d.inflight.Done()
-	req, err := wire.DecodeObserveRequest(r.Body)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
-	if _, err := d.now(r); err != nil { // advance the sim clock (age bound)
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
+func (d *daemon) observe(_ context.Context, _ *http.Request, req *wire.ObserveRequest, _ device.Micros) (any, error) {
 	if err := d.checkVariant(req.Type, req.Impl, req.Measured); err != nil {
-		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
-			Code: wire.CodeNoMatch, Error: err.Error(),
-		})
-		return
+		return nil, err
 	}
 	if err := d.svc.Observe(req.Observation()); err != nil {
-		d.writeMapped(w, err)
-		return
+		return nil, err
 	}
 	st := d.svc.EpochStats()
-	d.writeOK(w, wire.ObserveResponse{
+	return wire.ObserveResponse{
 		Epoch: st.Epoch, PendingRevs: st.PendingRevs, PendingObs: st.PendingObs,
-	})
+	}, nil
 }
 
-// handleRetain commits a new implementation variant through the epoch
+// retain commits a new implementation variant through the epoch
 // snapshot pipeline and registers its configuration blob.
-func (d *daemon) handleRetain(w http.ResponseWriter, r *http.Request) {
-	d.met.retain.Inc()
-	if !d.begin(w) {
-		return
-	}
-	defer d.inflight.Done()
-	req, err := wire.DecodeRetainRequest(r.Body)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
-	if _, err := d.now(r); err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
+func (d *daemon) retain(_ context.Context, _ *http.Request, req *wire.RetainRequest, _ device.Micros) (any, error) {
 	if err := d.checkVariant(req.Type, 0, req.Attrs); err != nil {
-		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
-			Code: wire.CodeNoMatch, Error: err.Error(),
-		})
-		return
+		return nil, err
 	}
 	id, err := d.svc.Retain(casebase.TypeID(req.Type), req.Implementation(), req.AtEpoch)
 	if err != nil {
-		d.writeMapped(w, err)
-		return
+		return nil, err
 	}
-	d.writeOK(w, wire.RetainResponse{
-		Type: req.Type, Impl: uint16(id), Epoch: d.svc.Epoch(),
-	})
+	return wire.RetainResponse{Type: req.Type, Impl: uint16(id), Epoch: d.svc.Epoch()}, nil
 }
 
-// handleRetire withdraws an implementation variant through the epoch
+// retire withdraws an implementation variant through the epoch
 // snapshot pipeline.
-func (d *daemon) handleRetire(w http.ResponseWriter, r *http.Request) {
-	d.met.retire.Inc()
-	if !d.begin(w) {
-		return
-	}
-	defer d.inflight.Done()
-	req, err := wire.DecodeRetireRequest(r.Body)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
-	if _, err := d.now(r); err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return
-	}
+func (d *daemon) retire(_ context.Context, _ *http.Request, req *wire.RetireRequest, _ device.Micros) (any, error) {
 	if err := d.checkVariant(req.Type, req.Impl, nil); err != nil {
-		d.writeError(w, http.StatusNotFound, wire.ErrorResponse{
-			Code: wire.CodeNoMatch, Error: err.Error(),
-		})
-		return
+		return nil, err
 	}
 	if err := d.svc.Retire(casebase.TypeID(req.Type), casebase.ImplID(req.Impl), req.AtEpoch); err != nil {
-		d.writeMapped(w, err)
-		return
+		return nil, err
 	}
-	d.writeOK(w, wire.RetireResponse{
-		Type: req.Type, Impl: req.Impl, Epoch: d.svc.Epoch(),
-	})
+	return wire.RetireResponse{Type: req.Type, Impl: req.Impl, Epoch: d.svc.Epoch()}, nil
 }
 
 func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -742,36 +709,13 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// decode reads the request body and resolves the admission clock,
-// writing the 400 itself on failure.
-func (d *daemon) decode(w http.ResponseWriter, r *http.Request) (*wire.AllocRequest, device.Micros, bool) {
-	req, err := wire.DecodeAllocRequest(r.Body)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return nil, 0, false
-	}
-	// Semantic validation against the served case base (unknown type,
-	// value outside an attribute's design bounds) is still the client's
-	// fault — surface it as 400 here rather than as an internal error
-	// out of the engine. The committed epoch's tree is the reference —
-	// with -learn the construction-time d.cb goes stale after commits.
-	if err := req.Request().Validate(d.svc.CaseBase()); err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return nil, 0, false
-	}
-	now, err := d.now(r)
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, wire.ErrorResponse{
-			Code: wire.CodeBadRequest, Error: err.Error(),
-		})
-		return nil, 0, false
-	}
-	return req, now, true
-}
+// errUnknownVariant is checkVariant's refusal: the mutation names a
+// type, impl or attribute the committed epoch does not have.
+var errUnknownVariant = errors.New("qosd: unknown variant")
+
+// errUnknownTask refuses a release of a task the requesting client
+// does not hold.
+var errUnknownTask = errors.New("qosd: unknown task")
 
 // checkVariant validates a mutation request against the committed
 // epoch's tree so the common client mistakes (unknown type, unknown
@@ -783,16 +727,16 @@ func (d *daemon) checkVariant(ty, impl uint16, attrs []wire.MeasurementJSON) err
 	cb := d.svc.CaseBase()
 	ft, ok := cb.Type(casebase.TypeID(ty))
 	if !ok {
-		return fmt.Errorf("unknown function type %d", ty)
+		return fmt.Errorf("%w: unknown function type %d", errUnknownVariant, ty)
 	}
 	if impl != 0 {
 		if _, ok := ft.Impl(casebase.ImplID(impl)); !ok {
-			return fmt.Errorf("unknown impl %d of type %d", impl, ty)
+			return fmt.Errorf("%w: unknown impl %d of type %d", errUnknownVariant, impl, ty)
 		}
 	}
 	for _, a := range attrs {
 		if _, ok := cb.Registry().Lookup(attr.ID(a.ID)); !ok {
-			return fmt.Errorf("unknown attribute %d", a.ID)
+			return fmt.Errorf("%w: unknown attribute %d", errUnknownVariant, a.ID)
 		}
 	}
 	return nil
@@ -800,8 +744,9 @@ func (d *daemon) checkVariant(ty, impl uint16, attrs []wire.MeasurementJSON) err
 
 // breakerFailure decides whether a service error is a health signal
 // for the shard breaker. Semantic outcomes (no match, no feasible
-// placement) and load shedding are not: they are the service answering
-// correctly. Device failures and deadline blowouts are.
+// placement, an over-budget tenant) and load shedding are not: they
+// are the service answering correctly. Device failures and deadline
+// blowouts are.
 func breakerFailure(err error) bool {
 	if err == nil {
 		return false
@@ -817,7 +762,8 @@ func breakerFailure(err error) bool {
 	}
 	var nf *qosalloc.ErrNoFeasible
 	var ov *serve.ErrOverload
-	if errors.As(err, &nf) || errors.As(err, &ov) {
+	var be *admit.ErrBudgetExceeded
+	if errors.As(err, &nf) || errors.As(err, &ov) || errors.As(err, &be) {
 		return false
 	}
 	if errors.Is(err, retrieval.ErrCanceled) {
@@ -827,14 +773,19 @@ func breakerFailure(err error) bool {
 	return true // unclassified: treat as a failure
 }
 
-// writeMapped translates a typed pipeline error into its HTTP shape.
-func (d *daemon) writeMapped(w http.ResponseWriter, err error) {
-	status, body := mapError(err)
-	d.writeError(w, status, body)
-}
-
-// mapError is the single error → (status, body) table for the daemon.
+// mapError is the single error → (status, body) table for the daemon:
+// every error reply's body is built here.
 func mapError(err error) (int, wire.ErrorResponse) {
+	if errors.Is(err, wire.ErrBadRequest) {
+		return http.StatusBadRequest, wire.ErrorResponse{
+			Code: wire.CodeBadRequest, Error: err.Error(),
+		}
+	}
+	if errors.Is(err, errUnknownTask) {
+		return http.StatusNotFound, wire.ErrorResponse{
+			Code: wire.CodeUnknownTask, Error: err.Error(),
+		}
+	}
 	if errors.Is(err, serve.ErrLearningOff) {
 		return http.StatusForbidden, wire.ErrorResponse{
 			Code: wire.CodeLearningOff, Error: err.Error(),
@@ -888,7 +839,7 @@ func mapError(err error) (int, wire.ErrorResponse) {
 		}
 	}
 	var nm *retrieval.ErrNoMatch
-	if errors.As(err, &nm) {
+	if errors.As(err, &nm) || errors.Is(err, errUnknownVariant) {
 		return http.StatusNotFound, wire.ErrorResponse{
 			Code: wire.CodeNoMatch, Error: err.Error(),
 		}
@@ -904,11 +855,12 @@ func mapError(err error) (int, wire.ErrorResponse) {
 	}
 }
 
-// writeError emits the JSON error body plus the Retry-After header
+// writeError emits err's JSON error body plus the Retry-After header
 // (whole seconds, rounded up) when the error class carries a hint, and
 // counts the response by status class. Every error reply goes through
 // it.
-func (d *daemon) writeError(w http.ResponseWriter, status int, body wire.ErrorResponse) {
+func (d *daemon) writeError(w http.ResponseWriter, err error) {
+	status, body := mapError(err)
 	if status >= 500 {
 		d.met.serverEr.Inc()
 	} else {
@@ -969,7 +921,7 @@ func (d *daemon) run(ln net.Listener, sig <-chan os.Signal, snap io.Writer) erro
 		fmt.Fprintln(os.Stderr, "qosd: drain timeout with handlers still in flight")
 	}
 
-	d.svc.Drain() // flush the admitted backlog, then stop the workers
+	d.svc.Close() // flush the admitted backlog, then stop the workers
 
 	ctx, cancel := context.WithTimeout(context.Background(), d.opt.drainTimeout)
 	defer cancel()

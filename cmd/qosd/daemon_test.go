@@ -372,6 +372,19 @@ func postAs(t *testing.T, url, tenant string, body any, now uint64, out any) (*h
 	return resp, string(data)
 }
 
+// metered counts the task table's records charged to a tenant.
+func metered(d *daemon) int {
+	d.tasksMu.Lock()
+	defer d.tasksMu.Unlock()
+	n := 0
+	for _, rec := range d.tasks {
+		if rec.tenant != "" {
+			n++
+		}
+	}
+	return n
+}
+
 func TestDaemonTenantBudgets(t *testing.T) {
 	opt := lockstepOptions()
 	// "tiny" cannot afford any bitstream (burst 1 byte, every synthetic
@@ -410,20 +423,14 @@ func TestDaemonTenantBudgets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metered allocate: %d %s", resp.StatusCode, body)
 	}
-	d.grantMu.Lock()
-	held := len(d.grants)
-	d.grantMu.Unlock()
-	if held != 1 {
+	if held := metered(d); held != 1 {
 		t.Fatalf("grants after metered allocate: %d, want 1", held)
 	}
 	resp, body = post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: ar2.Task}, 4000, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release: %d %s", resp.StatusCode, body)
 	}
-	d.grantMu.Lock()
-	held = len(d.grants)
-	d.grantMu.Unlock()
-	if held != 0 {
+	if held := metered(d); held != 0 {
 		t.Fatalf("grants after release: %d, want 0", held)
 	}
 }
@@ -442,11 +449,6 @@ func TestDaemonFaultRejectReturnsGrant(t *testing.T) {
 	defer func() { sig <- syscall.SIGTERM; <-done }()
 	reqs := testRequests(t, opt, 8)
 
-	held := func() int {
-		d.grantMu.Lock()
-		defer d.grantMu.Unlock()
-		return len(d.grants)
-	}
 	// Allocate until a variant with an FPGA footprint is charged, so the
 	// ledger's slice count shows the grant too.
 	var tasks []int
@@ -466,7 +468,7 @@ func TestDaemonFaultRejectReturnsGrant(t *testing.T) {
 	if sl, _ := d.ledger.Usage("dave"); sl == 0 {
 		t.Fatal("no allocation charged dave any slices")
 	}
-	if n := held(); n != len(tasks) {
+	if n := metered(d); n != len(tasks) {
 		t.Fatalf("grants after %d metered allocates: %d", len(tasks), n)
 	}
 
@@ -475,7 +477,7 @@ func TestDaemonFaultRejectReturnsGrant(t *testing.T) {
 	if resp, body := post(t, base+"/v1/retrieve", reqs[0], 6000, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("retrieve: %d %s", resp.StatusCode, body)
 	}
-	if n := held(); n != 0 {
+	if n := metered(d); n != 0 {
 		t.Errorf("grants after the tasks were fault-rejected: %d, want 0", n)
 	}
 	if sl, br := d.ledger.Usage("dave"); sl != 0 || br != 0 {
@@ -486,5 +488,188 @@ func TestDaemonFaultRejectReturnsGrant(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
 			t.Fatalf("release of fault-rejected task %d: %d %s", task, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestDaemonEndpointTable pins each POST endpoint's reply — status and
+// code slug — to a malformed body, an unknown type, impl or task, a bad
+// X-QoS-Now header, the drain fence and a good request, and whether the
+// request moved the admission clock. The clock column pins the stage
+// order: retrieve and allocate validate before they read the clock,
+// observe, retain and retire read it before checking the variant, and
+// release never reads it.
+func TestDaemonEndpointTable(t *testing.T) {
+	opt := lockstepOptions()
+	opt.learn = true
+	d, base, sig, done := startDaemon(t, opt)
+	defer func() { sig <- syscall.SIGTERM; <-done }()
+	reqs := testRequests(t, opt, 4)
+
+	send := func(path string, body any, now string) (int, string) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(nowHeader, now)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e wire.ErrorResponse
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("%s: error body: %v", path, err)
+			}
+		}
+		return resp.StatusCode, e.Code
+	}
+	var clock uint64 = 1000
+	tick := func() string { clock += 1000; return fmt.Sprint(clock) }
+	place := func(req wire.AllocRequest) int {
+		t.Helper()
+		var ar wire.AllocResponse
+		resp, body := post(t, base+"/v1/allocate", req, clock, &ar)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("allocate: %d %s", resp.StatusCode, body)
+		}
+		return ar.Task
+	}
+	taskA, taskB := place(reqs[1]), place(reqs[2])
+
+	ft := d.svc.CaseBase().Types()[0]
+	im := ft.Impls[0]
+	var attrs []wire.MeasurementJSON
+	for _, p := range im.Attrs {
+		attrs = append(attrs, wire.MeasurementJSON{ID: uint16(p.ID), Value: uint16(p.Value)})
+	}
+	ty, impl := uint16(ft.ID), uint16(im.ID)
+	unknownType := reqs[0]
+	unknownType.Type = 999
+	observe := wire.ObserveRequest{Client: "t", Type: ty, Impl: impl, Measured: attrs}
+	retain := wire.RetainRequest{Client: "t", Type: ty, Target: im.Target.String(), Attrs: attrs}
+	retire := wire.RetireRequest{Client: "t", Type: ty, Impl: uint16(ft.Impls[1].ID)}
+	unknownImpl := observe
+	unknownImpl.Impl = 999
+	unknownRetain := retain
+	unknownRetain.Type = 999
+	unknownRetire := retire
+	unknownRetire.Impl = 999
+	malformed := map[string]any{"bogus": 1}
+
+	const good, badNow, draining = "good", "bad", "draining"
+	cases := []struct {
+		path   string
+		name   string
+		body   any
+		now    string // good, badNow or draining
+		status int
+		code   string
+		ticks  bool // the request moved the admission clock
+	}{
+		{"/v1/retrieve", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/retrieve", "unknown type", unknownType, good, 400, wire.CodeBadRequest, false},
+		{"/v1/retrieve", "bad now", reqs[0], badNow, 400, wire.CodeBadRequest, false},
+		{"/v1/retrieve", "draining", reqs[0], draining, 503, wire.CodeDraining, false},
+		{"/v1/retrieve", "ok", reqs[0], good, 200, "", true},
+
+		{"/v1/allocate", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/allocate", "unknown type", unknownType, good, 400, wire.CodeBadRequest, false},
+		{"/v1/allocate", "bad now", reqs[3], badNow, 400, wire.CodeBadRequest, false},
+		{"/v1/allocate", "draining", reqs[3], draining, 503, wire.CodeDraining, false},
+		{"/v1/allocate", "ok", reqs[3], good, 200, "", true},
+
+		{"/v1/release", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/release", "unknown task", wire.ReleaseRequest{Client: "t", Task: 99999}, good, 404, wire.CodeUnknownTask, false},
+		{"/v1/release", "bad now", wire.ReleaseRequest{Client: "t", Task: taskA}, badNow, 200, "", false},
+		{"/v1/release", "draining", wire.ReleaseRequest{Client: "t", Task: taskB}, draining, 503, wire.CodeDraining, false},
+		{"/v1/release", "ok", wire.ReleaseRequest{Client: "t", Task: taskB}, good, 200, "", false},
+
+		{"/v1/observe", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/observe", "unknown impl", unknownImpl, good, 404, wire.CodeNoMatch, true},
+		{"/v1/observe", "bad now", observe, badNow, 400, wire.CodeBadRequest, false},
+		{"/v1/observe", "draining", observe, draining, 503, wire.CodeDraining, false},
+		{"/v1/observe", "ok", observe, good, 200, "", true},
+
+		{"/v1/retain", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/retain", "unknown type", unknownRetain, good, 404, wire.CodeNoMatch, true},
+		{"/v1/retain", "bad now", retain, badNow, 400, wire.CodeBadRequest, false},
+		{"/v1/retain", "draining", retain, draining, 503, wire.CodeDraining, false},
+		{"/v1/retain", "ok", retain, good, 200, "", true},
+
+		{"/v1/retire", "malformed", malformed, good, 400, wire.CodeBadRequest, false},
+		{"/v1/retire", "unknown impl", unknownRetire, good, 404, wire.CodeNoMatch, true},
+		{"/v1/retire", "bad now", retire, badNow, 400, wire.CodeBadRequest, false},
+		{"/v1/retire", "draining", retire, draining, 503, wire.CodeDraining, false},
+		{"/v1/retire", "ok", retire, good, 200, "", true},
+	}
+	for _, c := range cases {
+		before := d.simNow.Load()
+		now := tick()
+		switch c.now {
+		case badNow:
+			now = "soon"
+		case draining:
+			d.drainMu.Lock()
+			d.draining = true
+			d.drainMu.Unlock()
+		}
+		status, code := send(c.path, c.body, now)
+		if c.now == draining {
+			d.drainMu.Lock()
+			d.draining = false
+			d.drainMu.Unlock()
+		}
+		if status != c.status || code != c.code {
+			t.Errorf("%s %s: %d %q, want %d %q", c.path, c.name, status, code, c.status, c.code)
+		}
+		if ticked := d.simNow.Load() != before; ticked != c.ticks {
+			t.Errorf("%s %s: clock moved %v, want %v", c.path, c.name, ticked, c.ticks)
+		}
+	}
+}
+
+// TestDaemonReleaseChecksOwner: a client may release only the tasks it
+// placed. Another client's release gets the reply a never-issued ID
+// gets, and the task keeps running with its tenant's charge.
+func TestDaemonReleaseChecksOwner(t *testing.T) {
+	opt := lockstepOptions()
+	opt.tenants = "dave=big"
+	opt.classes = "big=slices:100000,brams:100000"
+	d, base, sig, done := startDaemon(t, opt)
+	defer func() { sig <- syscall.SIGTERM; <-done }()
+	reqs := testRequests(t, opt, 1)
+
+	var ar wire.AllocResponse
+	resp, body := postAs(t, base+"/v1/allocate", "dave", reqs[0], 1000, &ar)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("allocate: %d %s", resp.StatusCode, body)
+	}
+	slices, brams := d.ledger.Usage("dave")
+
+	resp, body = post(t, base+"/v1/release", wire.ReleaseRequest{Client: "mallory", Task: ar.Task}, 2000, nil)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
+		t.Fatalf("release by another client: %d %s", resp.StatusCode, body)
+	}
+	var live bool
+	d.svc.Exclusive(func() { _, live = d.rt.Task(qosalloc.TaskID(ar.Task)) })
+	if !live {
+		t.Fatal("another client's release removed the task")
+	}
+	if sl, br := d.ledger.Usage("dave"); sl != slices || br != brams || metered(d) != 1 {
+		t.Fatalf("another client's release moved the charge: %d slices, %d BRAMs, %d records", sl, br, metered(d))
+	}
+
+	resp, body = post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: ar.Task}, 3000, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("release by the owner: %d %s", resp.StatusCode, body)
+	}
+	if metered(d) != 0 {
+		t.Fatal("the owner's release kept the task's record")
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	POST /v1/retrieve   {"client","type","constraints":[{"id","value","weight"}]}
 //	POST /v1/allocate   retrieve body + {"app","priority","hold_us"}
-//	POST /v1/release    {"client","task"}
+//	POST /v1/release    {"client","task"}                                           (placing client only)
 //	POST /v1/observe    {"client","type","impl","measured":[{"id","value"}]}        (-learn)
 //	POST /v1/retain     {"client","type","target","attrs",...,"footprint",...}      (-learn)
 //	POST /v1/retire     {"client","type","impl","at_epoch"}                         (-learn)

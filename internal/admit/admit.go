@@ -39,11 +39,37 @@ const (
 	DefaultMaxClients = 4096
 )
 
-// microPerToken is the bucket's fixed-point scale: one request-token
-// is one million micro-tokens, so a rate of R tokens per second adds
-// exactly R micro-tokens per elapsed sim-microsecond — integer
-// arithmetic, no drift, bit-identical replay.
+// microPerToken is the bucket's fixed-point scale: one token (a
+// request, or a configuration byte) is one million micro-tokens, so a
+// rate of R tokens per second adds exactly R micro-tokens per elapsed
+// sim-microsecond — integer arithmetic, no drift, bit-identical replay.
 const microPerToken = 1_000_000
+
+// microBucket is a token bucket in micro-tokens, refilled from the sim
+// timestamps passed to take. The request Limiter and the Ledger's
+// configuration-bandwidth budget both use it.
+type microBucket struct {
+	micro int64         // current fill, 0..burst*microPerToken
+	last  device.Micros // sim time of the last refill
+}
+
+// take refills the bucket up to now at rate tokens per second, capped
+// at burst tokens, then spends n tokens. On a shortfall it spends
+// nothing and returns the sim time until n tokens will have accrued. A
+// stale now simply yields no refill.
+func (b *microBucket) take(n, rate, burst int64, now device.Micros) (retry device.Micros, ok bool) {
+	// Refill: elapsed µs × rate = accrued micro-tokens, exactly.
+	if now > b.last {
+		b.micro = min(b.micro+int64(now-b.last)*rate, burst*microPerToken)
+		b.last = now
+	}
+	need := n * microPerToken
+	if b.micro < need {
+		return device.Micros((need - b.micro + rate - 1) / rate), false
+	}
+	b.micro -= need
+	return 0, true
+}
 
 // ErrRateLimited is the typed per-client rejection: the client's
 // token bucket is empty. RetryAfter is the sim time until one token
@@ -85,11 +111,10 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	return c
 }
 
-// bucket is one client's token bucket in micro-tokens.
+// bucket is one client's token bucket.
 type bucket struct {
+	microBucket
 	client string
-	micro  int64         // current fill, 0..Burst*microPerToken
-	last   device.Micros // sim time of the last refill
 	elem   *list.Element // position in the LRU list
 }
 
@@ -131,18 +156,10 @@ func (l *Limiter) Allow(client string, now device.Micros) error {
 		b = l.insert(client, now)
 	}
 	l.lru.MoveToFront(b.elem)
-	// Refill: elapsed µs × RatePerSec = accrued micro-tokens, exactly.
-	if now > b.last {
-		b.micro = min(b.micro+int64(now-b.last)*l.cfg.RatePerSec, l.cfg.Burst*microPerToken)
-		b.last = now
+	if retry, ok := b.take(1, l.cfg.RatePerSec, l.cfg.Burst, now); !ok {
+		return &ErrRateLimited{Client: client, RetryAfter: retry}
 	}
-	if b.micro >= microPerToken {
-		b.micro -= microPerToken
-		return nil
-	}
-	need := microPerToken - b.micro
-	retry := device.Micros((need + l.cfg.RatePerSec - 1) / l.cfg.RatePerSec)
-	return &ErrRateLimited{Client: client, RetryAfter: retry}
+	return nil
 }
 
 // insert adds a fresh full bucket for client, evicting the least
@@ -153,7 +170,7 @@ func (l *Limiter) insert(client string, now device.Micros) *bucket {
 		evicted := l.lru.Remove(oldest).(*bucket)
 		delete(l.clients, evicted.client)
 	}
-	b := &bucket{client: client, micro: l.cfg.Burst * microPerToken, last: now}
+	b := &bucket{client: client, microBucket: microBucket{micro: l.cfg.Burst * microPerToken, last: now}}
 	b.elem = l.lru.PushFront(b)
 	l.clients[client] = b
 	return b

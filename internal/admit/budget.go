@@ -8,8 +8,8 @@ package admit
 // hardware is the reconfigurable platform: FPGA slices and BRAMs are
 // the space-shared resources (held for the lifetime of a placement),
 // and reconfiguration bytes through the ICAP are the time-shared one
-// (a deterministic rate bucket, same fixed-point arithmetic as the
-// request Limiter). A tenant exceeding any dimension gets a typed
+// (a deterministic rate bucket, the same microBucket as the request
+// Limiter). A tenant exceeding any dimension gets a typed
 // *ErrBudgetExceeded naming the resource; tenants never queue on each
 // other's budgets, which is what keeps a noisy neighbor from starving
 // a degraded tenant's recovery.
@@ -78,10 +78,9 @@ func (e *ErrBudgetExceeded) Error() string {
 type tenantUsage struct {
 	slices int
 	brams  int
-	// bwMicro is the bandwidth bucket fill in micro-bytes (the
-	// Limiter's fixed-point scale), capped at ConfigBurstBytes.
-	bwMicro int64
-	last    device.Micros
+	// bw is the bandwidth bucket in micro-bytes, capped at
+	// ConfigBurstBytes.
+	bw microBucket
 }
 
 // Ledger attributes platform usage to tenants and enforces their QoS
@@ -146,7 +145,7 @@ func (l *Ledger) Admit(tenant string, f casebase.Footprint, now device.Micros) e
 	}
 	u := l.usage[tenant]
 	if u == nil {
-		u = &tenantUsage{bwMicro: budget.ConfigBurstBytes * microPerToken, last: now}
+		u = &tenantUsage{bw: microBucket{micro: budget.ConfigBurstBytes * microPerToken, last: now}}
 		l.usage[tenant] = u
 	}
 	if budget.Slices > 0 && u.slices+f.Slices > budget.Slices {
@@ -162,23 +161,14 @@ func (l *Ledger) Admit(tenant string, f casebase.Footprint, now device.Micros) e
 		}
 	}
 	if budget.ConfigBytesPerSec > 0 && f.ConfigBytes > 0 {
-		// Refill exactly like the request Limiter: elapsed µs × rate =
-		// accrued micro-bytes, integer arithmetic, no drift.
-		if now > u.last {
-			u.bwMicro = min(u.bwMicro+int64(now-u.last)*budget.ConfigBytesPerSec,
-				budget.ConfigBurstBytes*microPerToken)
-			u.last = now
-		}
-		need := int64(f.ConfigBytes) * microPerToken
-		if u.bwMicro < need {
-			retry := device.Micros((need - u.bwMicro + budget.ConfigBytesPerSec - 1) / budget.ConfigBytesPerSec)
+		retry, ok := u.bw.take(int64(f.ConfigBytes), budget.ConfigBytesPerSec, budget.ConfigBurstBytes, now)
+		if !ok {
 			return &ErrBudgetExceeded{
 				Tenant: tenant, Class: class, Resource: ResourceConfigBytes,
-				Need: int64(f.ConfigBytes), Used: (budget.ConfigBurstBytes*microPerToken - u.bwMicro) / microPerToken,
+				Need: int64(f.ConfigBytes), Used: (budget.ConfigBurstBytes*microPerToken - u.bw.micro) / microPerToken,
 				Budget: budget.ConfigBurstBytes, RetryAfter: retry,
 			}
 		}
-		u.bwMicro -= need
 	}
 	u.slices += f.Slices
 	u.brams += f.BRAMs
@@ -221,7 +211,7 @@ func (l *Ledger) Refund(tenant string, f casebase.Footprint) {
 	}
 	budget, ok := l.classes[l.tenants[tenant]]
 	if ok && budget.ConfigBytesPerSec > 0 && f.ConfigBytes > 0 {
-		u.bwMicro = min(u.bwMicro+int64(f.ConfigBytes)*microPerToken,
+		u.bw.micro = min(u.bw.micro+int64(f.ConfigBytes)*microPerToken,
 			budget.ConfigBurstBytes*microPerToken)
 	}
 }
@@ -240,7 +230,7 @@ func (l *Ledger) ForceCharge(tenant string, f casebase.Footprint) {
 	u := l.usage[tenant]
 	if u == nil {
 		budget := l.classes[l.tenants[tenant]]
-		u = &tenantUsage{bwMicro: budget.ConfigBurstBytes * microPerToken}
+		u = &tenantUsage{bw: microBucket{micro: budget.ConfigBurstBytes * microPerToken}}
 		l.usage[tenant] = u
 	}
 	u.slices += f.Slices

@@ -13,9 +13,9 @@ var depthBuckets = []int64{1, 2, 3, 5}
 func register(reg *obs.Registry) {
 	_ = reg.Counter("qos_good_total", "well-shaped name")
 	_ = reg.Counter("qos_good_total{kind=\"hit\"}", "well-shaped labeled series")
-	_ = reg.Counter("Bad-Name", "rejected") // want `obslint: metric name "Bad-Name" does not match`
+	_ = reg.Counter("Bad-Name", "rejected")                        // want `obslint: metric name "Bad-Name" does not match`
 	_ = reg.Counter("retrievals", "rejected: missing qos_ prefix") // want `obslint: metric name "retrievals" does not match`
-	_ = reg.Gauge("qos_UPPER", "rejected: not snake_case") // want `obslint: metric name "qos_UPPER" does not match`
+	_ = reg.Gauge("qos_UPPER", "rejected: not snake_case")         // want `obslint: metric name "qos_UPPER" does not match`
 	_ = reg.Histogram("qos_wait_micros", "shared buckets pass", obs.LatencyBucketsMicros)
 	_ = reg.Histogram("qos_depth", "local package-level buckets pass", depthBuckets)
 	_ = reg.Histogram("qos_adhoc_micros", "inline buckets rejected", []int64{1, 2, 3}) // want `obslint: histogram buckets must be a shared package-level bucket set`

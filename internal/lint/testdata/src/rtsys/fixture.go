@@ -91,5 +91,5 @@ func wrongAnalyzer() int64 {
 
 func badSuppression() int64 {
 	/* want `qosvet: malformed suppression` */ //qosvet:ignore detlint
-	return time.Now().UnixNano() // want `detlint: time\.Now reads the wall clock`
+	return time.Now().UnixNano()               // want `detlint: time\.Now reads the wall clock`
 }

@@ -31,10 +31,10 @@ func FuzzDecodeCompact(f *testing.F) {
 	}
 	good := im.Bytes()
 	f.Add(good)
-	f.Add(good[:len(good)-2])            // truncated terminator
+	f.Add(good[:len(good)-2])               // truncated terminator
 	f.Add(append([]byte(nil), good...)[:8]) // header only
 	f.Add([]byte{})
-	f.Add([]byte{0x16, 0xCB})            // magic alone
+	f.Add([]byte{0x16, 0xCB}) // magic alone
 	f.Add([]byte{0x16, 0xCB, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	mutated := append([]byte(nil), good...)
 	mutated[12] = 0xFF

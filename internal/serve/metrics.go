@@ -55,7 +55,7 @@ func (c *counts) attach(reg *obs.Registry) {
 type metrics struct {
 	batchSize *obs.Histogram
 
-	draining *obs.Gauge // 1 once Close/Drain has begun
+	draining *obs.Gauge // 1 once Close has begun
 	epoch    *obs.Gauge // committed case-base epoch (1 until a commit)
 
 	queueDepth []*obs.Gauge // per shard

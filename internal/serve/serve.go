@@ -335,11 +335,7 @@ func (s *Service) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
 }
 
-// Drain is Close under the name shutdown paths read naturally:
-// stop admitting, flush in-flight batches, stop.
-func (s *Service) Drain() { s.Close() }
-
-// Draining reports whether shutdown has begun (Close/Drain called).
+// Draining reports whether shutdown has begun (Close called).
 func (s *Service) Draining() bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: build, vet, the qosvet invariant suite, the full test suite
+# CI gate: gofmt, build, vet, the qosvet invariant suite, the full test suite
 # under the race detector, a short fuzz pass over every decoder, the
 # allocation guards, the observability golden tests, the bit-identical
 # experiment output, a one-iteration benchmark smoke pass, the
@@ -12,12 +12,12 @@
 # The Makefile targets of the same names delegate here. bench-compact,
 # bench-learn and loadcheck take an optional output path for the report
 # they refresh; fuzz takes an optional per-target fuzz time. It needs
-# nothing but the go tool (or $GO) and a POSIX shell, and git for the
-# size report.
+# nothing but the go tool (or $GO), gofmt and a POSIX shell, and git
+# for the fmt gate and the size report.
 set -eux
 
 GO=${GO:-go}
-GATES="build vet lint race fuzz allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
+GATES="fmt build vet lint race fuzz allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
 
 # abspath prints $1 made absolute against the working directory, or
 # nothing when $1 is empty: go test runs in the package directory, so a
@@ -27,6 +27,16 @@ abspath() {
 	'' | /*) printf '%s' "${1-}" ;;
 	*) printf '%s/%s' "$(pwd)" "$1" ;;
 	esac
+}
+
+# Formatting: gofmt must list no tracked .go file, fixtures included.
+gate_fmt() {
+	unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt -l lists files that need formatting (run gofmt -w on them):" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
 }
 
 gate_build() { $GO build ./...; }
