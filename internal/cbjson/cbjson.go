@@ -8,6 +8,7 @@
 package cbjson
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,14 +114,41 @@ func Encode(w io.Writer, cb *casebase.CaseBase) error {
 	return enc.Encode(doc)
 }
 
-// Decode reads a document and rebuilds a fully validated case base.
+// Decode reads one document, to the end of r, and rebuilds a fully
+// validated case base. Field names match case-insensitively and keys may
+// come in any order; unknown fields, a key repeated within one object,
+// numbers that do not fit their field and data after the document are
+// errors. A read error comes back wrapped as "cbjson: read"; every
+// failure the document's content causes wraps ErrBadDocument.
 func Decode(r io.Reader) (*casebase.CaseBase, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("cbjson: decode: %w (%w)", err, ErrBadDocument)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("cbjson: read: %w", err)
 	}
+	var doc Document
+	if err := decodeDocument(data, &doc); err != nil {
+		return nil, err
+	}
+	return rebuild(&doc)
+}
+
+// readAll is io.ReadAll, but reads into one buffer of the right size
+// when r knows how many bytes it holds (bytes.Reader, strings.Reader and
+// bytes.Buffer do), where io.ReadAll would grow a buffer through many
+// copies of a large document.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, sized.Len()+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// rebuild checks doc's version and rebuilds its registry and case base,
+// which revalidate every definition and implementation from scratch.
+func rebuild(doc *Document) (*casebase.CaseBase, error) {
 	if doc.Version != FormatVersion {
 		return nil, fmt.Errorf("cbjson: unsupported format version %d (want %d): %w", doc.Version, FormatVersion, ErrBadDocument)
 	}

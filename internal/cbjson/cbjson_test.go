@@ -2,8 +2,11 @@ package cbjson
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/memlist"
@@ -85,7 +88,14 @@ func TestRoundTripGeneratedCaseBase(t *testing.T) {
 	}
 }
 
+// minimalDoc is the smallest document that decodes: one attribute, one
+// type with one implementation.
+const minimalDoc = `{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1}], "types": [{"id":1,"name":"t","implementations":[{"id":1,"target":"gpp","attributes":[{"id":1,"value":1}],"footprint":{"CPULoad":10}}]}]}`
+
 func TestDecodeRejectsBadDocuments(t *testing.T) {
+	if _, err := Decode(strings.NewReader(minimalDoc)); err != nil {
+		t.Fatalf("minimal document: %v", err)
+	}
 	cases := map[string]string{
 		"bad json":       `{`,
 		"wrong version":  `{"version": 99, "attributes": [], "types": []}`,
@@ -95,10 +105,63 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 		"empty type":     `{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1}], "types": [{"id":1,"name":"t","implementations":[]}]}`,
 		"oob attr value": `{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1}], "types": [{"id":1,"name":"t","implementations":[{"id":1,"target":"gpp","attributes":[{"id":1,"value":9}]}]}]}`,
 		"dup attribute":  `{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1},{"id":1,"name":"b","kind":"numeric","lo":0,"hi":1}], "types": []}`,
+		"trailing data":  minimalDoc + " garbage",
+		"two documents":  minimalDoc + minimalDoc,
+		// encoding/json would merge a repeated key's value into the
+		// earlier one; a repeated key is an error at every level.
+		"repeated top-level key": strings.Replace(minimalDoc, `"types": [`,
+			`"types": [{"id":2,"name":"u","implementations":[{"id":1,"target":"gpp","attributes":[]}]}], "Types": [`, 1),
+		"repeated implementation key": strings.Replace(minimalDoc, `"target":"gpp"`, `"target":"gpp","target":"dsp"`, 1),
+		"repeated footprint key":      strings.Replace(minimalDoc, `"CPULoad":10`, `"CPULoad":10,"cpuload":20`, 1),
 	}
 	for name, doc := range cases {
-		if _, err := Decode(strings.NewReader(doc)); err == nil {
+		_, err := Decode(strings.NewReader(doc))
+		if err == nil {
 			t.Errorf("%s: decode should fail", name)
+		} else if !errors.Is(err, ErrBadDocument) {
+			t.Errorf("%s: error does not wrap ErrBadDocument: %v", name, err)
+		}
+	}
+}
+
+// A failing reader is an I/O error, not a content error.
+func TestDecodeReadError(t *testing.T) {
+	errRead := errors.New("disk gone")
+	_, err := Decode(iotest.ErrReader(errRead))
+	if !errors.Is(err, errRead) {
+		t.Fatalf("read error lost: %v", err)
+	}
+	if errors.Is(err, ErrBadDocument) {
+		t.Fatalf("read error claims to be a content error: %v", err)
+	}
+}
+
+// The scanner's field tables must name the fields encoding/json would,
+// in struct order, so that Encode's output decodes field for field.
+func TestFieldTablesMatchStructs(t *testing.T) {
+	for _, c := range []struct {
+		v     any
+		names []string
+	}{
+		{Document{}, documentFields},
+		{AttrJSON{}, attributeFields},
+		{TypeJSON{}, typeFields},
+		{ImplJSON{}, implFields},
+		{PairJSON{}, pairFields},
+		{casebase.Footprint{}, footprintFields},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var want []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			want = append(want, name)
+		}
+		if !reflect.DeepEqual(c.names, want) {
+			t.Errorf("%s: scanner reads %v, struct has %v", typ, c.names, want)
 		}
 	}
 }

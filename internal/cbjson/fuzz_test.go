@@ -9,11 +9,15 @@ import (
 	"qosalloc/internal/casebase"
 )
 
-// FuzzDecodeCaseBase asserts the decoder's contract on arbitrary input:
-// it either returns a fully validated case base or an error wrapping
-// ErrBadDocument — it must never panic and never hand back a half-built
-// structure. Seeds cover the valid paper document plus each rejection
-// class so the fuzzer starts from interesting shapes.
+// FuzzDecodeCaseBase holds the scanner to referenceDecode, the
+// encoding/json path it replaced plus its two added rules, on arbitrary
+// input. Both must reach the same verdict; on success both case bases
+// must encode to the same bytes, and on failure both errors must wrap
+// ErrBadDocument and neither decoder may hand back a case base. Seeds
+// cover the valid paper document, each rejection class, and one input
+// per rule the scanner must keep: case-folded and escaped keys, the
+// long-s and Kelvin folds, invalid UTF-8, nulls, numbers that do not
+// fit, repeated keys and trailing data.
 func FuzzDecodeCaseBase(f *testing.F) {
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
@@ -32,31 +36,69 @@ func FuzzDecodeCaseBase(f *testing.F) {
 	f.Add(`{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1}], "types": [{"id":1,"name":"t","implementations":[{"id":1,"target":"asic","attributes":[]}]}]}`)
 	f.Add(`{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":5,"hi":2}], "types": []}`)
 	f.Add(`{"version": 1, "attributes": [{"id":1,"name":"a","kind":"numeric","lo":0,"hi":1}], "types": [{"id":1,"name":"t","implementations":[{"id":1,"target":"gpp","attributes":[{"id":7,"value":0}]}]}]}`)
+	for _, seed := range [][2]string{
+		{`"version"`, `"VERSION"`},
+		{`"version"`, `"\u0076\u0065rsion"`},
+		{`"CPULoad"`, `"cpu\u004coad"`},
+		{`"CPULoad"`, `"CPULoad":10,"\u017Flices"`}, // long s folds to S
+		{`"kind"`, `"\u212Aind"`},                   // Kelvin sign folds to K
+		{`"CPULoad"`, "\"\u017Flices\":1,\"CPULoad\""},
+		{`"kind"`, "\"\u212Aind\""},
+		{`"name":"t"`, "\"name\":\"t\xff\x80\""},
+		{`"name":"a"`, `"name":"a\ud800\u00e9\t"`},
+		{`"name":"a"`, `"name":null,"unit":null`},
+		{`"target":"gpp"`, `"name":null,"target":"gpp"`},
+		{`"footprint":{"CPULoad":10}`, `"footprint":null`},
+		{`"lo":0`, `"lo":null,"symbols":null`},
+		{`"lo":0,"hi":1`, `"lo":0,"hi":1,"symbols":["x",null]`},
+		{`"id":1,"value":1`, `"id":1.5,"value":1`},
+		{`"id":1,"value":1`, `"id":1e2,"value":1`},
+		{`"id":1,"value":1`, `"id":-1,"value":1`},
+		{`"id":1,"value":1`, `"id":65536,"value":1`},
+		{`"id":1,"value":1`, `"id":1,"value":-0`},
+		{`"CPULoad":10`, `"CPULoad":-10`},
+		{`"CPULoad":10`, `"CPULoad":9223372036854775808`},
+		{`"CPULoad":10`, `"CPULoad":-9223372036854775808`},
+		{`"CPULoad":10`, `"CPULoad":1.0`},
+		{`"version": 1`, `"version": 1, "Version": 1`},
+		{`"target":"gpp"`, `"target":"gpp","Target":"gpp"`},
+	} {
+		f.Add(strings.Replace(minimalDoc, seed[0], seed[1], 1))
+	}
+	f.Add(minimalDoc)
+	f.Add(minimalDoc + " \r\n\t")
+	f.Add(minimalDoc + " garbage")
+	f.Add(minimalDoc + minimalDoc)
+	f.Add(`[]`)
+	f.Add(` null `)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		got, err := Decode(strings.NewReader(doc))
+		want, wantErr := referenceDecode([]byte(doc))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("verdicts differ: scanner %v, reference %v", err, wantErr)
+		}
 		if err != nil {
-			if got != nil {
-				t.Fatalf("Decode returned both a case base and an error: %v", err)
+			if got != nil || want != nil {
+				t.Fatalf("a decoder returned both a case base and an error: %v / %v", err, wantErr)
 			}
 			if !errors.Is(err, ErrBadDocument) {
 				t.Fatalf("content error does not wrap ErrBadDocument: %v", err)
 			}
+			if !errors.Is(wantErr, ErrBadDocument) {
+				t.Fatalf("reference content error does not wrap ErrBadDocument: %v", wantErr)
+			}
 			return
 		}
-		// A successful decode must be internally consistent: it
-		// re-encodes and decodes to the same shape.
-		var out bytes.Buffer
-		if err := Encode(&out, got); err != nil {
-			t.Fatalf("re-encode of decoded case base failed: %v", err)
+		var a, b bytes.Buffer
+		if err := Encode(&a, got); err != nil {
+			t.Fatalf("encode scanner result: %v", err)
 		}
-		back, err := Decode(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if err := Encode(&b, want); err != nil {
+			t.Fatalf("encode reference result: %v", err)
 		}
-		if back.NumTypes() != got.NumTypes() || back.NumImpls() != got.NumImpls() {
-			t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-				back.NumTypes(), back.NumImpls(), got.NumTypes(), got.NumImpls())
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("case bases differ:\nscanner:\n%s\nreference:\n%s", a.Bytes(), b.Bytes())
 		}
 	})
 }

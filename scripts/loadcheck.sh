@@ -33,8 +33,11 @@ go build -o bin/qosd ./cmd/qosd
 go build -o bin/qosload ./cmd/qosload
 
 DPID=""
+# The trap removes the scratch directory but never $OUT, which may be
+# the repo root or a directory the caller keeps.
 cleanup() {
 	[ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
+	rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
 
