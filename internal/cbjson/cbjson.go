@@ -8,7 +8,6 @@
 package cbjson
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -121,7 +120,7 @@ func Encode(w io.Writer, cb *casebase.CaseBase) error {
 // errors. A read error comes back wrapped as "cbjson: read"; every
 // failure the document's content causes wraps ErrBadDocument.
 func Decode(r io.Reader) (*casebase.CaseBase, error) {
-	data, err := readAll(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("cbjson: read: %w", err)
 	}
@@ -130,20 +129,6 @@ func Decode(r io.Reader) (*casebase.CaseBase, error) {
 		return nil, err
 	}
 	return rebuild(&doc)
-}
-
-// readAll is io.ReadAll, but reads into one buffer of the right size
-// when r knows how many bytes it holds (bytes.Reader, strings.Reader and
-// bytes.Buffer do), where io.ReadAll would grow a buffer through many
-// copies of a large document.
-func readAll(r io.Reader) ([]byte, error) {
-	sized, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, sized.Len()+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
 }
 
 // rebuild checks doc's version and rebuilds its registry and case base,

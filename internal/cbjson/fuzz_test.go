@@ -12,12 +12,13 @@ import (
 // FuzzDecodeCaseBase holds the scanner to referenceDecode, the
 // encoding/json path it replaced plus its two added rules, on arbitrary
 // input. Both must reach the same verdict; on success both case bases
-// must encode to the same bytes, and on failure both errors must wrap
-// ErrBadDocument and neither decoder may hand back a case base. Seeds
-// cover the valid paper document, each rejection class, and one input
-// per rule the scanner must keep: case-folded and escaped keys, the
-// long-s and Kelvin folds, invalid UTF-8, nulls, numbers that do not
-// fit, repeated keys and trailing data.
+// must encode to the same bytes, and the scanner must read those bytes
+// back to a case base that encodes to them again; on failure both
+// errors must wrap ErrBadDocument and neither decoder may hand back a
+// case base. Seeds cover the valid paper document, each rejection
+// class, and one input per rule the scanner must keep: case-folded and
+// escaped keys, the long-s and Kelvin folds, invalid UTF-8, nulls,
+// numbers that do not fit, repeated keys and trailing data.
 func FuzzDecodeCaseBase(f *testing.F) {
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
@@ -99,6 +100,17 @@ func FuzzDecodeCaseBase(f *testing.F) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("case bases differ:\nscanner:\n%s\nreference:\n%s", a.Bytes(), b.Bytes())
+		}
+		again, err := Decode(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode of encoded case base: %v\n%s", err, a.Bytes())
+		}
+		var c bytes.Buffer
+		if err := Encode(&c, again); err != nil {
+			t.Fatalf("encode re-decoded case base: %v", err)
+		}
+		if !bytes.Equal(a.Bytes(), c.Bytes()) {
+			t.Fatalf("round trip changed the case base:\nfirst:\n%s\nsecond:\n%s", a.Bytes(), c.Bytes())
 		}
 	})
 }

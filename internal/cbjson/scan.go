@@ -60,7 +60,9 @@ type scanner struct {
 
 	// One scratch slice per element type: array gathers an array's
 	// elements here and copies them out at their exact count, so the
-	// slice growth is paid once per document, not once per array.
+	// slice growth is paid once per document, not once per array
+	// (appending to each array's own slice costs BenchmarkDecodeCaseBase
+	// 12.7k more allocations per decode, 54.4k against 41.8k).
 	attrs []AttrJSON
 	types []TypeJSON
 	impls []ImplJSON
