@@ -1,6 +1,6 @@
 # Standard development targets. `make ci` is the gate every change must
 # pass; it runs scripts/ci.sh, the one list of CI gates (fmt, build, vet,
-# lint, the race-detector suite, fuzz, repro, benchmark gates, api-check,
+# lint, deadcode, the race-detector suite, fuzz, repro, benchmark gates, api-check,
 # fleetcheck, learncheck, loadcheck, size), where each gate is defined
 # once. The gate
 # targets below delegate to it; the rest are development helpers.
@@ -12,11 +12,11 @@ export GO
 # the gate checks without refreshing a committed report.
 OUT ?=
 
-.PHONY: all fmt build vet qosvet lint test race repro bench bench-smoke bench-compact bench-learn fuzz api api-check loadcheck fleetcheck learncheck size ci
+.PHONY: all fmt build vet qosvet lint deadcode test race repro bench bench-smoke bench-compact bench-learn fuzz api api-check loadcheck fleetcheck learncheck size ci
 
 all: ci
 
-fmt build vet lint race repro bench-smoke api-check fleetcheck learncheck size:
+fmt build vet lint deadcode race repro bench-smoke api-check fleetcheck learncheck size:
 	scripts/ci.sh $@
 
 # qosvet is the project-specific invariant suite (internal/lint):

@@ -137,13 +137,6 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	}
 }
 
-// Clients returns how many clients are currently tracked.
-func (l *Limiter) Clients() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.clients)
-}
-
 // Allow spends one token from client's bucket at sim time now. It
 // returns nil on admission or a typed *ErrRateLimited whose RetryAfter
 // says when one token will have accrued. Timestamps must not move

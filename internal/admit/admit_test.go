@@ -86,8 +86,8 @@ func TestLimiterEvictsLRU(t *testing.T) {
 	if err := l.Allow("c", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Clients(); got != 2 {
-		t.Fatalf("Clients() = %d, want 2", got)
+	if got := len(l.clients); got != 2 {
+		t.Fatalf("tracked clients = %d, want 2", got)
 	}
 	// c survived (it just drained its only token), so it stays refused.
 	if err := l.Allow("c", 3); err == nil {
@@ -98,8 +98,8 @@ func TestLimiterEvictsLRU(t *testing.T) {
 	if err := l.Allow("b", 3); err != nil {
 		t.Fatalf("evicted client must restart with a full bucket: %v", err)
 	}
-	if got := l.Clients(); got != 2 {
-		t.Fatalf("Clients() after re-insert = %d, want 2", got)
+	if got := len(l.clients); got != 2 {
+		t.Fatalf("tracked clients after re-insert = %d, want 2", got)
 	}
 }
 
@@ -295,7 +295,7 @@ func TestGateComposesLimiterAndBreakers(t *testing.T) {
 	if got := g.Trips(); got != 1 {
 		t.Fatalf("Trips = %d, want 1", got)
 	}
-	if got := g.BreakerState(1, 0); got != Open {
+	if got := g.breakers[1].State(0); got != Open {
 		t.Fatalf("shard 1 state = %v, want open", got)
 	}
 
@@ -337,7 +337,7 @@ func TestGateNilRegistryAndConcurrency(t *testing.T) {
 				}
 				if i%50 == 0 {
 					g.RecordFault(shard, now)
-					g.BreakerState(shard, now)
+					g.breakers[shard].State(now)
 				}
 			}
 		}(w)

@@ -89,11 +89,6 @@ func (g *Gate) RecordFault(shard int, now device.Micros) {
 	g.refreshState(shard, now)
 }
 
-// BreakerState reports shard's breaker position at sim time now.
-func (g *Gate) BreakerState(shard int, now device.Micros) State {
-	return g.breakers[shard].State(now)
-}
-
 // Trips returns the total breaker trips across all shards.
 func (g *Gate) Trips() int64 {
 	var n int64

@@ -158,9 +158,13 @@ func rebuild(doc *Document) (*casebase.CaseBase, error) {
 			if !ok {
 				return nil, fmt.Errorf("cbjson: impl %d has unknown target %q: %w", ij.ID, ij.Target, ErrBadDocument)
 			}
+			// Sized once; nil when empty, as Encode writes it back.
 			var ps []attr.Pair
-			for _, p := range ij.Attrs {
-				ps = append(ps, attr.Pair{ID: attr.ID(p.ID), Value: attr.Value(p.Value)})
+			if len(ij.Attrs) > 0 {
+				ps = make([]attr.Pair, len(ij.Attrs))
+				for i, p := range ij.Attrs {
+					ps[i] = attr.Pair{ID: attr.ID(p.ID), Value: attr.Value(p.Value)}
+				}
 			}
 			b.AddImpl(casebase.TypeID(tj.ID), casebase.Implementation{
 				ID: casebase.ImplID(ij.ID), Name: ij.Name, Target: target,

@@ -27,8 +27,6 @@ const (
 	// OneQ15 is the largest representable Q15 value, used as the
 	// saturated representation of 1.0.
 	OneQ15 Q15 = 0x7FFF
-	// ZeroQ15 is the Q15 representation of 0.
-	ZeroQ15 Q15 = 0
 	// q15Scale is the scale factor 2^15.
 	q15Scale = 1 << 15
 	// uq16Scale is the scale factor 2^16.
@@ -53,25 +51,6 @@ func FromFloat(f float64) Q15 {
 
 // Float returns the float64 value of q.
 func (q Q15) Float() float64 { return float64(q) / q15Scale }
-
-// UQ16FromFloat converts a float64 in [0, 1) to UQ16, saturating outside
-// that range and rounding to nearest.
-func UQ16FromFloat(f float64) UQ16 {
-	if f <= 0 {
-		return 0
-	}
-	if f >= 1 {
-		return 0xFFFF
-	}
-	v := uint32(f*uq16Scale + 0.5)
-	if v > 0xFFFF {
-		v = 0xFFFF
-	}
-	return UQ16(v)
-}
-
-// Float returns the float64 value of u.
-func (u UQ16) Float() float64 { return float64(u) / uq16Scale }
 
 // AddSat returns a+b with saturation at [0, OneQ15]. Similarity
 // accumulation never needs negative values, so the lower clamp is 0.
@@ -149,6 +128,8 @@ func LocalSim(d uint32, recip UQ16) Q15 {
 
 // WeightedAcc accumulates w*s into acc with saturation, the inner step of
 // the eq. (2) amalgamation S = sum w_i * s_i as the datapath performs it.
+//
+//qosvet:keep the per-step reference datapath: retrieval's fixedReference, the differential check on FixedEngine, accumulates with it
 func WeightedAcc(acc, w, s Q15) Q15 {
 	return AddSat(acc, Mul(w, s))
 }
@@ -166,6 +147,8 @@ func Dist(a, b uint16) uint32 {
 // [0, OneQ15]. It exists only as the baseline for the reciprocal-multiply
 // ablation (DESIGN.md §5): the paper's hardware avoids exactly this
 // divider.
+//
+//qosvet:keep the divider baseline of TestDivQ15AgainstMulRecip and BenchmarkReciprocalVsDivide
 func DivQ15(num, den uint32) Q15 {
 	if den == 0 {
 		return OneQ15

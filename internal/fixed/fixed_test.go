@@ -28,19 +28,6 @@ func TestFromFloatSaturates(t *testing.T) {
 	}
 }
 
-func TestUQ16FromFloat(t *testing.T) {
-	if UQ16FromFloat(0) != 0 {
-		t.Error("UQ16FromFloat(0) != 0")
-	}
-	if UQ16FromFloat(1) != 0xFFFF {
-		t.Error("UQ16FromFloat(1) != 0xFFFF")
-	}
-	u := UQ16FromFloat(0.5)
-	if math.Abs(u.Float()-0.5) > 1.0/uq16Scale {
-		t.Errorf("UQ16FromFloat(0.5).Float() = %v", u.Float())
-	}
-}
-
 func TestAddSat(t *testing.T) {
 	if AddSat(OneQ15, OneQ15) != OneQ15 {
 		t.Error("AddSat must saturate at OneQ15")
@@ -85,8 +72,8 @@ func TestRecipExactness(t *testing.T) {
 	for _, dmax := range []uint16{2, 8, 36} {
 		r := Recip(dmax)
 		want := 1.0 / float64(dmax+1)
-		if math.Abs(r.Float()-want) > 1.0/uq16Scale {
-			t.Errorf("Recip(%d) = %v, want %v", dmax, r.Float(), want)
+		if got := float64(r) / uq16Scale; math.Abs(got-want) > 1.0/uq16Scale {
+			t.Errorf("Recip(%d) = %v, want %v", dmax, got, want)
 		}
 	}
 }

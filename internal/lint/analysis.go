@@ -141,14 +141,6 @@ func suppressed(fset *token.FileSet, sup map[fileLine][]*suppression, d Diagnost
 	return hit
 }
 
-// RunPackage runs analyzers over one type-checked package and returns
-// the surviving (unsuppressed) diagnostics in position order. It is
-// the facts-blind convenience wrapper; drivers that thread
-// cross-package facts or want suppressed findings call analyzePackage.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
-	return Keep(analyzePackage(fset, files, pkg, info, analyzers, NewFactSet(), false))
-}
-
 // Keep filters a full diagnostic list down to the findings that gate:
 // everything not covered by a suppression.
 func Keep(diags []Diagnostic) []Diagnostic {

@@ -94,6 +94,23 @@
 // included with "suppressed": true so tools can render them dimmed;
 // only unsuppressed findings affect the text-mode exit code.
 //
+// One more gate is not a vet analyzer: deadcode (deadcode_test.go)
+// needs the whole module at once, since vet facts flow only from a
+// package to its importers and cannot say that nobody uses a name. It
+// typechecks every non-test file of this module and of the perfbench
+// module and fails on any package-level func, method, type, var or
+// const under internal/ that no non-test code reaches, directly or
+// through other reached code. Uses from outside internal/, from init
+// and main, exported methods of types the root package aliases, and
+// methods that satisfy an interface (while their type is reached)
+// count. A declaration only tests need keeps itself with a directive
+// in its doc comment,
+//
+//	//qosvet:keep <reason>
+//
+// naming the check it serves. The reason is mandatory, and a keep on a
+// name that non-test code reaches anyway is reported as stale.
+//
 // Test files (*_test.go) are exempt from all analyzers: tests may
 // legitimately use wall-clock deadlines, identity assertions and
 // short-lived goroutines, and the invariants gate the production

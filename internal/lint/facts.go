@@ -112,19 +112,6 @@ func (p *Pass) ExportPackageFact(f Fact) {
 	p.facts.setPkg(p.Pkg, p.Analyzer.Name, f)
 }
 
-// ImportPackageFact copies pkg's fact of this analyzer's type into f
-// and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if pkg == nil || p.facts == nil {
-		return false
-	}
-	stored, ok := p.facts.pkg[pkg][p.Analyzer.Name]
-	if !ok {
-		return false
-	}
-	return copyFact(stored, f)
-}
-
 // AllPackageFacts returns every package fact of this analyzer's type in
 // the store (dependencies and the package under analysis), sorted by
 // package path so iteration is deterministic.

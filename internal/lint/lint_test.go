@@ -161,7 +161,13 @@ func runFixture(t *testing.T, pkgPath string, analyzers ...*Analyzer) {
 		t.Fatal(err)
 	}
 
-	diags := Keep(analyzePackage(fset, files, pkg, info, analyzers, loader.facts, false))
+	checkWants(t, fset, files, Keep(analyzePackage(fset, files, pkg, info, analyzers, loader.facts, false)))
+}
+
+// checkWants matches diags against the // want annotations of files,
+// both ways: every finding must be expected, every expectation found.
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Diagnostic) {
+	t.Helper()
 	wants := expectations(t, fset, files)
 
 	matched := make(map[fileLine][]bool)
@@ -263,6 +269,20 @@ func TestLoaderIsHermetic(t *testing.T) {
 	if _, err := newFixtureLoader().Import("no/such/fixture"); err == nil {
 		t.Fatal("expected an error importing an unstubbed path")
 	}
+}
+
+// ImportPackageFact copies pkg's fact of this analyzer's type into f
+// and reports whether one was found. Analyzers read package facts
+// through AllPackageFacts; the round-trip test looks one up directly.
+func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
+	if pkg == nil || p.facts == nil {
+		return false
+	}
+	stored, ok := p.facts.pkg[pkg][p.Analyzer.Name]
+	if !ok {
+		return false
+	}
+	return copyFact(stored, f)
 }
 
 // TestFactsRoundTrip pins the vetx serialization contract: facts

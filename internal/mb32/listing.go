@@ -6,22 +6,6 @@ import (
 	"strings"
 )
 
-// Disassemble renders a binary instruction stream back to assembler
-// text, one instruction per line with its index. It is the inverse of
-// EncodeProgram up to formatting, and a debugging aid for programs
-// loaded from images.
-func Disassemble(b []byte) (string, error) {
-	prog, err := DecodeProgram(b)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	for i, in := range prog {
-		fmt.Fprintf(&sb, "%4d: %s\n", i, in)
-	}
-	return sb.String(), nil
-}
-
 // Listing renders a program with branch targets annotated as synthetic
 // labels (L<index>:), the human-readable form of a routine like the
 // swret retrieval kernel.

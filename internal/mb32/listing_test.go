@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestDisassembleRoundText(t *testing.T) {
-	prog := MustAssemble(`
-		addi r1, r0, 5
-		lhu  r2, r1, 8
-		beqz r2, end
-		add  r3, r2, r1
-	end:	halt
-	`)
-	b, err := EncodeProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Disassemble(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"addi r1, r0, 5", "lhu r2, r1, 8", "beqz r2, 4", "halt"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := Disassemble([]byte{1, 2}); err == nil {
-		t.Error("unaligned stream must fail")
-	}
-}
-
 func TestListingLabels(t *testing.T) {
 	prog := MustAssemble(`
 		addi r1, r0, 3

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func run(t *testing.T, src string, mem int) *CPU {
@@ -266,66 +265,6 @@ func TestEquConstants(t *testing.T) {
 	`, 128)
 	if c.Regs[1] != 0x20 || c.Regs[2] != 0x24 || c.Regs[3] != 3 {
 		t.Errorf("consts = %d, %d, %d", c.Regs[1], c.Regs[2], c.Regs[3])
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	prog := MustAssemble(`
-		addi r1, r0, -42
-		add  r2, r1, r1
-		lhu  r3, r2, 16
-		beqz r3, end
-		mul  r4, r3, r1
-	end:	halt
-	`)
-	b, err := EncodeProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 4*len(prog) {
-		t.Fatalf("code bytes = %d", len(b))
-	}
-	back, err := DecodeProgram(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range prog {
-		if prog[i] != back[i] {
-			t.Errorf("instr %d: %v != %v", i, prog[i], back[i])
-		}
-	}
-	if _, err := DecodeProgram([]byte{1, 2, 3}); err == nil {
-		t.Error("unaligned program must fail")
-	}
-}
-
-func TestEncodeRejectsBadInstr(t *testing.T) {
-	if _, err := Encode(Instr{Op: OpAddi, Imm: 1 << 20}); err == nil {
-		t.Error("oversized immediate must fail")
-	}
-	if _, err := Encode(Instr{Op: OpAdd, Rd: 77}); err == nil {
-		t.Error("bad register must fail")
-	}
-}
-
-// Property: Encode∘Decode is the identity on valid instructions.
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(op uint8, rd, ra, rb uint8, imm int16) bool {
-		o := Op(op % uint8(OpHalt+1))
-		in := Instr{Op: o, Rd: rd % 32, Ra: ra % 32}
-		if usesRb(o) {
-			in.Rb = rb % 32
-		} else {
-			in.Imm = int32(imm)
-		}
-		w, err := Encode(in)
-		if err != nil {
-			return false
-		}
-		return Decode(w) == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

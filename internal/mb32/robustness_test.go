@@ -6,17 +6,19 @@ import (
 )
 
 // TestRandomProgramsNeverPanic is failure injection at the instruction
-// level: arbitrary 32-bit words decoded and executed must either retire,
-// fault with an error, or exhaust the budget — never panic or corrupt
-// the simulator.
+// level: arbitrary instructions — any 6-bit opcode, any registers, any
+// 16-bit immediate — executed must either retire, fault with an error,
+// or exhaust the budget — never panic or corrupt the simulator.
 func TestRandomProgramsNeverPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 400; trial++ {
-		words := make([]byte, 4*(1+r.Intn(64)))
-		r.Read(words)
-		prog, err := DecodeProgram(words)
-		if err != nil {
-			t.Fatalf("aligned stream must decode: %v", err)
+		prog := make([]Instr, 1+r.Intn(64))
+		for i := range prog {
+			prog[i] = Instr{
+				Op: Op(r.Intn(64)),
+				Rd: uint8(r.Intn(32)), Ra: uint8(r.Intn(32)), Rb: uint8(r.Intn(32)),
+				Imm: int32(int16(r.Uint32())),
+			}
 		}
 		c := New(prog, 256)
 		_, _ = c.Run(5_000) // any outcome but a panic is acceptable

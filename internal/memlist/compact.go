@@ -13,8 +13,8 @@ package memlist
 // streams IDs at one comparison per word and the dual-port hardware
 // fetch picks up entry pairs in a single cycle.
 //
-// Flat word image (all 16-bit words, serialized like every other
-// Image):
+// Flat word image (all 16-bit words), the footprint CompactWordsShape
+// prices; TestCompactWordsClosedForm encodes it word for word:
 //
 //	header:  [ magic, version, #types, #impls, #pairs, #supp ]
 //	types:   TypeIDs  [#types]        ascending IDs
@@ -30,8 +30,7 @@ package memlist
 //	footer:  [ EndMarker ]
 //
 // The trailing EndMarker is explicit and must be the image's final
-// word: DecodeCompact rejects truncated or padded images, exactly like
-// the (post-bugfix) fig. 4/5 decoders.
+// word, as in the fig. 4/5 lists.
 
 import (
 	"fmt"
@@ -40,15 +39,8 @@ import (
 	"qosalloc/internal/fixed"
 )
 
-const (
-	// CompactMagic marks a compacted case-base image ("CB" over a
-	// 16-bit bus).
-	CompactMagic uint16 = 0xCB16
-	// CompactVersion is the current layout version.
-	CompactVersion uint16 = 1
-	// compactHeaderWords is the fixed header size.
-	compactHeaderWords = 6
-)
+// compactHeaderWords is the fixed header size.
+const compactHeaderWords = 6
 
 // CompactCaseBase is the decoded structure-of-arrays view of a
 // block-compacted case base: the implementation tree and the attribute-
@@ -78,15 +70,6 @@ type CompactCaseBase struct {
 	SuppHi    []uint16
 	SuppRecip []uint16
 }
-
-// NumTypes returns the number of function types.
-func (cc *CompactCaseBase) NumTypes() int { return len(cc.TypeIDs) }
-
-// NumImpls returns the total number of implementation variants.
-func (cc *CompactCaseBase) NumImpls() int { return len(cc.ImplIDs) }
-
-// NumPairs returns the total number of packed attribute pairs.
-func (cc *CompactCaseBase) NumPairs() int { return len(cc.AttrIDs) }
 
 // Words returns the flat-image word count of the compacted layout.
 func (cc *CompactCaseBase) Words() int {
@@ -142,50 +125,8 @@ func CompactFromCaseBase(cb *casebase.CaseBase) (*CompactCaseBase, error) {
 	return cc, nil
 }
 
-// CompactFromImages re-encodes validated fig. 4/5 images into the
-// compacted representation — the migration path for memory images that
-// exist only in their uncompacted serialized form. The inputs pass
-// through the strict DecodeTree/DecodeSupplemental validation first, so
-// a compacted image can never be built from words the linear-list
-// encoders could not have emitted.
-func CompactFromImages(tree, supp *Image) (*CompactCaseBase, error) {
-	types, err := DecodeTree(tree)
-	if err != nil {
-		return nil, fmt.Errorf("memlist: compacting tree image: %w", err)
-	}
-	entries, err := DecodeSupplemental(supp)
-	if err != nil {
-		return nil, fmt.Errorf("memlist: compacting supplemental image: %w", err)
-	}
-	cc := &CompactCaseBase{}
-	for _, dt := range types {
-		cc.TypeIDs = append(cc.TypeIDs, dt.ID)
-		cc.ImplOff = append(cc.ImplOff, uint16(len(cc.ImplIDs)))
-		for _, di := range dt.Impls {
-			cc.ImplIDs = append(cc.ImplIDs, di.ID)
-			cc.AttrOff = append(cc.AttrOff, uint16(len(cc.AttrIDs)))
-			for _, da := range di.Attrs {
-				cc.AttrIDs = append(cc.AttrIDs, da.ID)
-				cc.AttrVals = append(cc.AttrVals, da.Value)
-			}
-		}
-	}
-	cc.ImplOff = append(cc.ImplOff, uint16(len(cc.ImplIDs)))
-	cc.AttrOff = append(cc.AttrOff, uint16(len(cc.AttrIDs)))
-	for _, e := range entries {
-		cc.SuppIDs = append(cc.SuppIDs, e.ID)
-		cc.SuppLo = append(cc.SuppLo, e.Lo)
-		cc.SuppHi = append(cc.SuppHi, e.Hi)
-		cc.SuppRecip = append(cc.SuppRecip, uint16(e.Recip))
-	}
-	if err := cc.check(); err != nil {
-		return nil, err
-	}
-	return cc, nil
-}
-
-// check validates the structural invariants shared by the builders and
-// the decoder: section sizes within the 16-bit address space, extents
+// check validates the structural invariants every CompactFromCaseBase
+// result must hold: section sizes within the 16-bit address space, extents
 // monotone and closed, IDs inside [1, 0xFFFE] and ascending within
 // their scope.
 func (cc *CompactCaseBase) check() error {
@@ -264,99 +205,14 @@ func checkIDStream(ids []uint16, kind string) error {
 	return nil
 }
 
-// EncodeCompact serializes the compacted case base into its flat word
-// image.
-func (cc *CompactCaseBase) EncodeCompact() (*Image, error) {
-	if err := cc.check(); err != nil {
-		return nil, err
-	}
-	im := &Image{Words: make([]uint16, 0, cc.Words())}
-	im.Words = append(im.Words, CompactMagic, CompactVersion,
-		uint16(len(cc.TypeIDs)), uint16(len(cc.ImplIDs)), uint16(len(cc.AttrIDs)), uint16(len(cc.SuppIDs)))
-	im.Words = append(im.Words, cc.TypeIDs...)
-	im.Words = append(im.Words, cc.ImplOff...)
-	im.Words = append(im.Words, cc.ImplIDs...)
-	im.Words = append(im.Words, cc.AttrOff...)
-	im.Words = append(im.Words, cc.AttrIDs...)
-	im.Words = append(im.Words, cc.AttrVals...)
-	im.Words = append(im.Words, cc.SuppIDs...)
-	im.Words = append(im.Words, cc.SuppLo...)
-	im.Words = append(im.Words, cc.SuppHi...)
-	im.Words = append(im.Words, cc.SuppRecip...)
-	im.Words = append(im.Words, EndMarker)
-	if len(im.Words) != cc.Words() {
-		return nil, fmt.Errorf("memlist: internal error, emitted %d compact words, planned %d", len(im.Words), cc.Words())
-	}
-	return im, nil
-}
-
-// DecodeCompact parses and validates a compacted image. It applies the
-// same strictness as the fig. 4/5 decoders — reserved IDs rejected,
-// explicit terminator required — plus the layout's own invariants:
-// magic/version, section sizes that sum exactly to the image length,
-// monotone closed extents. The returned view copies nothing back into
-// the image; mutating the image after a successful decode is undefined.
-func DecodeCompact(im *Image) (*CompactCaseBase, error) {
-	if len(im.Words) < compactHeaderWords+1 {
-		return nil, fmt.Errorf("memlist: compact image too short (%d words)", len(im.Words))
-	}
-	if im.Words[0] != CompactMagic {
-		return nil, fmt.Errorf("memlist: compact magic %#04x, want %#04x", im.Words[0], CompactMagic)
-	}
-	if im.Words[1] != CompactVersion {
-		return nil, fmt.Errorf("memlist: compact version %d, want %d", im.Words[1], CompactVersion)
-	}
-	nT, nI, nP, nS := int(im.Words[2]), int(im.Words[3]), int(im.Words[4]), int(im.Words[5])
-	want := CompactWordsShape(nT, nI, nP, nS)
-	if len(im.Words) != want {
-		return nil, fmt.Errorf("memlist: compact image is %d words, header shape needs %d", len(im.Words), want)
-	}
-	if im.Words[len(im.Words)-1] != EndMarker {
-		return nil, fmt.Errorf("memlist: compact image missing terminator")
-	}
-	a := compactHeaderWords
-	section := func(n int) []uint16 {
-		s := im.Words[a : a+n]
-		a += n
-		return s
-	}
-	cc := &CompactCaseBase{
-		TypeIDs: section(nT),
-		ImplOff: section(nT + 1),
-		ImplIDs: section(nI),
-		AttrOff: section(nI + 1),
-		AttrIDs: section(nP),
-	}
-	cc.AttrVals = section(nP)
-	cc.SuppIDs = section(nS)
-	cc.SuppLo = section(nS)
-	cc.SuppHi = section(nS)
-	cc.SuppRecip = section(nS)
-	if err := cc.check(); err != nil {
-		return nil, err
-	}
-	return cc, nil
-}
-
-// CompactMemoryReport extends the Table 3 memory accounting with the
-// compacted layout: the uncompacted tree+supplemental words, their
-// compacted equivalent, and the saving.
-type CompactMemoryReport struct {
-	UncompactedWords int // TreeWords + SupplementalWords
-	CompactWords     int // flat compacted image
-	SavedWords       int
-	SavedFraction    float64
-}
-
 // CompactReport prices the compacted layout against the uncompacted
 // fig. 4/5 layout for a regular shape (types × implsPerType ×
 // attrsPerImpl, attrUniverse supplemental entries) — the Table 3 delta.
-func CompactReport(types, implsPerType, attrsPerImpl, attrUniverse int) CompactMemoryReport {
-	un := TreeWords(types, implsPerType, attrsPerImpl) + SupplementalWords(attrUniverse)
-	co := CompactWords(types, implsPerType, attrsPerImpl, attrUniverse)
-	r := CompactMemoryReport{UncompactedWords: un, CompactWords: co, SavedWords: un - co}
-	if un > 0 {
-		r.SavedFraction = float64(un-co) / float64(un)
-	}
-	return r
+// It returns the TreeWords + SupplementalWords footprint and the
+// CompactWords footprint.
+//
+//qosvet:keep the footprint half of the bench-compact gate's report (TestCompactRetrievalSpeedup) and of TestCompactReportPaperScale
+func CompactReport(types, implsPerType, attrsPerImpl, attrUniverse int) (uncompacted, compact int) {
+	return TreeWords(types, implsPerType, attrsPerImpl) + SupplementalWords(attrUniverse),
+		CompactWords(types, implsPerType, attrsPerImpl, attrUniverse)
 }

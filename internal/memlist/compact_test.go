@@ -1,19 +1,12 @@
 package memlist
 
 import (
-	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/workload"
 )
-
-func compactSpec(seed int64) workload.CaseBaseSpec {
-	return workload.CaseBaseSpec{
-		Types: 5, ImplsPerType: 4, AttrsPerImpl: 6, AttrUniverse: 9, Seed: seed,
-	}
-}
 
 func mustCompact(t *testing.T, cb *casebase.CaseBase) *CompactCaseBase {
 	t.Helper()
@@ -24,69 +17,40 @@ func mustCompact(t *testing.T, cb *casebase.CaseBase) *CompactCaseBase {
 	return cc
 }
 
-// TestCompactFromImagesMatchesCaseBase asserts the migration path from
-// serialized fig. 4/5 images produces exactly the structure the direct
-// case-base builder produces — the Encode→Compact→Decode round-trip
-// property of the issue, on random case bases.
-func TestCompactFromImagesMatchesCaseBase(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		cb, reg, err := workload.GenCaseBase(compactSpec(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := mustCompact(t, cb)
-		tree, err := EncodeTree(cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		supp := EncodeSupplemental(reg)
-		viaImages, err := CompactFromImages(tree, supp)
-		if err != nil {
-			t.Fatalf("seed %d: CompactFromImages: %v", seed, err)
-		}
-		if !reflect.DeepEqual(direct, viaImages) {
-			t.Fatalf("seed %d: compact via images differs from compact via case base", seed)
-		}
-	}
-}
+const (
+	// compactMagic marks a compacted case-base image ("CB" over a
+	// 16-bit bus).
+	compactMagic uint16 = 0xCB16
+	// compactVersion is the layout version.
+	compactVersion uint16 = 1
+)
 
-// TestCompactEncodeDecodeRoundTrip asserts EncodeCompact/DecodeCompact
-// are exact inverses, at the struct level and at the byte level.
-func TestCompactEncodeDecodeRoundTrip(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		cb, _, err := workload.GenCaseBase(compactSpec(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := mustCompact(t, cb)
-		im, err := cc.EncodeCompact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(im.Words) != cc.Words() {
-			t.Fatalf("seed %d: image is %d words, Words() says %d", seed, len(im.Words), cc.Words())
-		}
-		back, err := DecodeCompact(im)
-		if err != nil {
-			t.Fatalf("seed %d: DecodeCompact: %v", seed, err)
-		}
-		if !reflect.DeepEqual(cc, back) {
-			t.Fatalf("seed %d: decode(encode(cc)) != cc", seed)
-		}
-		// Byte round-trip through the serialization used for BRAM
-		// initialization files.
-		im2, err := FromBytes(im.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := back.EncodeCompact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(im2.Bytes(), re.Bytes()) {
-			t.Fatalf("seed %d: re-encoded bytes differ", seed)
-		}
+// EncodeCompact serializes the compacted case base into the flat word
+// image the compact.go header lays out. No program stores that image;
+// TestCompactWordsClosedForm encodes it to check the closed-form
+// footprint word for word.
+func (cc *CompactCaseBase) EncodeCompact() (*Image, error) {
+	if err := cc.check(); err != nil {
+		return nil, err
 	}
+	im := &Image{Words: make([]uint16, 0, cc.Words())}
+	im.Words = append(im.Words, compactMagic, compactVersion,
+		uint16(len(cc.TypeIDs)), uint16(len(cc.ImplIDs)), uint16(len(cc.AttrIDs)), uint16(len(cc.SuppIDs)))
+	im.Words = append(im.Words, cc.TypeIDs...)
+	im.Words = append(im.Words, cc.ImplOff...)
+	im.Words = append(im.Words, cc.ImplIDs...)
+	im.Words = append(im.Words, cc.AttrOff...)
+	im.Words = append(im.Words, cc.AttrIDs...)
+	im.Words = append(im.Words, cc.AttrVals...)
+	im.Words = append(im.Words, cc.SuppIDs...)
+	im.Words = append(im.Words, cc.SuppLo...)
+	im.Words = append(im.Words, cc.SuppHi...)
+	im.Words = append(im.Words, cc.SuppRecip...)
+	im.Words = append(im.Words, EndMarker)
+	if len(im.Words) != cc.Words() {
+		return nil, fmt.Errorf("memlist: internal error, emitted %d compact words, planned %d", len(im.Words), cc.Words())
+	}
+	return im, nil
 }
 
 // TestCompactWordsClosedForm checks the closed-form size predictions
@@ -120,123 +84,68 @@ func TestCompactWordsClosedForm(t *testing.T) {
 // than tree+supplemental because extents replace per-impl pointers and
 // per-list terminators.
 func TestCompactReportPaperScale(t *testing.T) {
-	r := CompactReport(15, 10, 10, 10)
-	if r.UncompactedWords != TreeWords(15, 10, 10)+SupplementalWords(10) {
-		t.Fatalf("uncompacted = %d", r.UncompactedWords)
+	un, co := CompactReport(15, 10, 10, 10)
+	if un != TreeWords(15, 10, 10)+SupplementalWords(10) {
+		t.Fatalf("uncompacted = %d", un)
 	}
-	if r.CompactWords >= r.UncompactedWords {
-		t.Fatalf("compact layout (%d words) not smaller than uncompacted (%d words)",
-			r.CompactWords, r.UncompactedWords)
+	if co != CompactWords(15, 10, 10, 10) {
+		t.Fatalf("compact = %d", co)
 	}
-	if r.SavedWords != r.UncompactedWords-r.CompactWords {
-		t.Fatalf("SavedWords = %d", r.SavedWords)
-	}
-	if r.SavedFraction <= 0 {
-		t.Fatalf("SavedFraction = %v", r.SavedFraction)
+	if co >= un {
+		t.Fatalf("compact layout (%d words) not smaller than uncompacted (%d words)", co, un)
 	}
 	t.Logf("Table 3 delta at 15×10×10: uncompacted %d words, compact %d words, saved %d (%.1f%%)",
-		r.UncompactedWords, r.CompactWords, r.SavedWords, 100*r.SavedFraction)
+		un, co, un-co, 100*float64(un-co)/float64(un))
 }
 
-// validCompactImage builds a small hand-checkable compacted image:
-// 2 types, 3 impls, 4 attribute pairs, 2 supplemental entries.
-func validCompactImage(t *testing.T) *Image {
-	t.Helper()
-	cc := &CompactCaseBase{
-		TypeIDs:   []uint16{1, 4},
-		ImplOff:   []uint16{0, 2, 3},
-		ImplIDs:   []uint16{10, 11, 12},
-		AttrOff:   []uint16{0, 2, 3, 4},
-		AttrIDs:   []uint16{1, 2, 1, 2},
-		AttrVals:  []uint16{7, 9, 8, 3},
-		SuppIDs:   []uint16{1, 2},
-		SuppLo:    []uint16{0, 0},
-		SuppHi:    []uint16{100, 50},
-		SuppRecip: []uint16{648, 1285},
-	}
-	im, err := cc.EncodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return im
-}
-
-// TestDecodeCompactRejectsCorrupt drives DecodeCompact through every
-// rejection class by corrupting single words of a valid image.
-func TestDecodeCompactRejectsCorrupt(t *testing.T) {
-	base := validCompactImage(t)
-	if _, err := DecodeCompact(base); err != nil {
-		t.Fatalf("valid image rejected: %v", err)
-	}
-	// Word addresses inside the valid image, for targeted corruption.
-	// header 0..5, TypeIDs 6..7, ImplOff 8..10, ImplIDs 11..13,
-	// AttrOff 14..17, AttrIDs 18..21, AttrVals 22..25, SuppIDs 26..27,
-	// SuppLo 28..29, SuppHi 30..31, SuppRecip 32..33, End 34.
-	cases := []struct {
-		name string
-		addr int
-		word uint16
-	}{
-		{"bad magic", 0, 0x1234},
-		{"bad version", 1, 2},
-		{"count changes shape", 2, 3},
-		{"missing terminator", 34, 5},
-		{"reserved type ID", 6, 0xFFFF},
-		{"zero type ID", 6, 0},
-		{"type IDs not ascending", 7, 1},
-		{"impl extents nonzero start", 8, 1},
-		{"impl extents decrease", 9, 5},
-		{"impl extents open", 10, 2},
-		{"reserved impl ID", 11, 0xFFFF},
-		{"impl IDs not ascending", 12, 10},
-		{"attr extents open", 17, 3},
-		{"reserved attr ID", 18, 0xFFFF},
-		{"attr IDs not ascending", 19, 1},
-		{"reserved supp ID", 26, 0xFFFF},
-		{"supp IDs not ascending", 27, 1},
-	}
-	for _, tc := range cases {
-		im := &Image{Words: append([]uint16(nil), base.Words...)}
-		im.Words[tc.addr] = tc.word
-		if _, err := DecodeCompact(im); err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
+// TestCompactBuilderRejectsMalformed drives check(), which guards every
+// CompactFromCaseBase result, through each rejection class by
+// corrupting one field of a small hand-checkable structure: 2 types,
+// 3 impls, 4 attribute pairs, 2 supplemental entries.
+func TestCompactBuilderRejectsMalformed(t *testing.T) {
+	valid := func() *CompactCaseBase {
+		return &CompactCaseBase{
+			TypeIDs:   []uint16{1, 4},
+			ImplOff:   []uint16{0, 2, 3},
+			ImplIDs:   []uint16{10, 11, 12},
+			AttrOff:   []uint16{0, 2, 3, 4},
+			AttrIDs:   []uint16{1, 2, 1, 2},
+			AttrVals:  []uint16{7, 9, 8, 3},
+			SuppIDs:   []uint16{1, 2},
+			SuppLo:    []uint16{0, 0},
+			SuppHi:    []uint16{100, 50},
+			SuppRecip: []uint16{648, 1285},
 		}
 	}
-	// Truncation and padding must both fail the exact-length check.
-	trunc := &Image{Words: base.Words[:len(base.Words)-1]}
-	if _, err := DecodeCompact(trunc); err == nil {
-		t.Error("truncated image decoded without error")
+	if err := valid().check(); err != nil {
+		t.Fatalf("valid structure rejected: %v", err)
 	}
-	padded := &Image{Words: append(append([]uint16(nil), base.Words...), EndMarker)}
-	if _, err := DecodeCompact(padded); err == nil {
-		t.Error("padded image decoded without error")
-	}
-	short := &Image{Words: []uint16{CompactMagic, CompactVersion}}
-	if _, err := DecodeCompact(short); err == nil {
-		t.Error("header-less image decoded without error")
-	}
-}
-
-// TestCompactBuilderRejectsMalformed covers the builder-side check()
-// paths that no encoder output can reach but hand-built structures can.
-func TestCompactBuilderRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*CompactCaseBase)
 	}{
+		{"reserved type ID", func(cc *CompactCaseBase) { cc.TypeIDs[0] = 0xFFFF }},
+		{"zero type ID", func(cc *CompactCaseBase) { cc.TypeIDs[0] = 0 }},
+		{"type IDs not ascending", func(cc *CompactCaseBase) { cc.TypeIDs[1] = 1 }},
+		{"impl extents nonzero start", func(cc *CompactCaseBase) { cc.ImplOff[0] = 1 }},
+		{"impl extents decrease", func(cc *CompactCaseBase) { cc.ImplOff[1] = 5 }},
+		{"impl extents open", func(cc *CompactCaseBase) { cc.ImplOff[2] = 2 }},
+		{"reserved impl ID", func(cc *CompactCaseBase) { cc.ImplIDs[0] = 0xFFFF }},
+		{"impl IDs not ascending", func(cc *CompactCaseBase) { cc.ImplIDs[1] = 10 }},
+		{"attr extents open", func(cc *CompactCaseBase) { cc.AttrOff[3] = 3 }},
+		{"reserved attr ID", func(cc *CompactCaseBase) { cc.AttrIDs[0] = 0xFFFF }},
+		{"attr IDs not ascending", func(cc *CompactCaseBase) { cc.AttrIDs[1] = 1 }},
+		{"reserved supp ID", func(cc *CompactCaseBase) { cc.SuppIDs[0] = 0xFFFF }},
+		{"supp IDs not ascending", func(cc *CompactCaseBase) { cc.SuppIDs[1] = 1 }},
 		{"misaligned attr values", func(cc *CompactCaseBase) { cc.AttrVals = cc.AttrVals[:1] }},
 		{"misaligned supplemental", func(cc *CompactCaseBase) { cc.SuppRecip = cc.SuppRecip[:1] }},
 		{"extents wrong length", func(cc *CompactCaseBase) { cc.ImplOff = cc.ImplOff[:2] }},
 	}
 	for _, tc := range cases {
-		cb, _, err := workload.GenCaseBase(compactSpec(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := mustCompact(t, cb)
+		cc := valid()
 		tc.mutate(cc)
-		if _, err := cc.EncodeCompact(); err == nil {
-			t.Errorf("%s: encoded without error", tc.name)
+		if err := cc.check(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

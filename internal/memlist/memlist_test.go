@@ -2,6 +2,8 @@ package memlist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,6 +13,119 @@ import (
 	"qosalloc/internal/fixed"
 	"qosalloc/internal/workload"
 )
+
+// The readers below invert the image encoders. No program reads a
+// request or supplemental image back, so they live here, as the
+// references the round-trip and corruption tests check the encoders
+// against.
+
+// FromBytes rebuilds an image from its little-endian serialization.
+func FromBytes(b []byte) (*Image, error) {
+	if len(b)%2 != 0 {
+		return nil, fmt.Errorf("memlist: odd byte count %d", len(b))
+	}
+	im := &Image{Words: make([]uint16, len(b)/2)}
+	for i := range im.Words {
+		im.Words[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+	return im, nil
+}
+
+// DecodedConstraint is one request-list block read back from an image.
+type DecodedConstraint struct {
+	ID     uint16
+	Value  uint16
+	Weight fixed.Q15
+}
+
+// DecodedRequest is a request list read back from an image.
+type DecodedRequest struct {
+	Type        uint16
+	Constraints []DecodedConstraint
+}
+
+// DecodeRequest parses a request image, validating layout invariants.
+// It enforces exactly the domain EncodeRequest emits: attribute IDs in
+// [1, 0xFFFE] (0xFFFF is reserved, 0 is the terminator), strictly
+// ascending blocks, and an explicit in-bounds EndMarker — a truncated
+// image (e.g. untrusted bytes via FromBytes) fails loudly instead of
+// decoding "successfully" off the zero-padded bus that Image.At models.
+func DecodeRequest(im *Image) (DecodedRequest, error) {
+	var out DecodedRequest
+	if len(im.Words) < 2 {
+		return out, fmt.Errorf("memlist: request image too short (%d words)", len(im.Words))
+	}
+	out.Type = im.Words[0]
+	if out.Type == 0 || out.Type == 0xFFFF {
+		return out, fmt.Errorf("memlist: invalid function type %d", out.Type)
+	}
+	a := 1
+	prev := uint16(0)
+	for {
+		if a >= len(im.Words) {
+			return out, fmt.Errorf("memlist: request image missing terminator (ends at word %d)", a)
+		}
+		id := im.Words[a]
+		if id == EndMarker {
+			break
+		}
+		if id == 0xFFFF {
+			return out, fmt.Errorf("memlist: reserved attribute ID 0xFFFF at word %d", a)
+		}
+		if a+2 >= len(im.Words) {
+			return out, fmt.Errorf("memlist: truncated constraint block at word %d", a)
+		}
+		if id <= prev {
+			return out, fmt.Errorf("memlist: constraint IDs not ascending at word %d", a)
+		}
+		prev = id
+		out.Constraints = append(out.Constraints, DecodedConstraint{
+			ID: id, Value: im.Words[a+1], Weight: fixed.Q15(im.Words[a+2]),
+		})
+		a += 3
+	}
+	return out, nil
+}
+
+// SupplementalEntry is one block of the supplemental list.
+type SupplementalEntry struct {
+	ID     uint16
+	Lo, Hi uint16
+	Recip  fixed.UQ16
+}
+
+// DecodeSupplemental parses a supplemental image. Like DecodeRequest it
+// enforces the encoder's domain: IDs in [1, 0xFFFE], strictly ascending
+// blocks, and an explicit in-bounds EndMarker.
+func DecodeSupplemental(im *Image) ([]SupplementalEntry, error) {
+	var out []SupplementalEntry
+	a := 0
+	prev := uint16(0)
+	for {
+		if a >= len(im.Words) {
+			return nil, fmt.Errorf("memlist: supplemental image missing terminator (ends at word %d)", a)
+		}
+		id := im.Words[a]
+		if id == EndMarker {
+			break
+		}
+		if id == 0xFFFF {
+			return nil, fmt.Errorf("memlist: reserved attribute ID 0xFFFF at word %d", a)
+		}
+		if a+3 >= len(im.Words) {
+			return nil, fmt.Errorf("memlist: truncated supplemental block at word %d", a)
+		}
+		if id <= prev {
+			return nil, fmt.Errorf("memlist: supplemental IDs not ascending at word %d", a)
+		}
+		prev = id
+		out = append(out, SupplementalEntry{
+			ID: id, Lo: im.Words[a+1], Hi: im.Words[a+2], Recip: fixed.UQ16(im.Words[a+3]),
+		})
+		a += 4
+	}
+	return out, nil
+}
 
 func TestEncodeRequestLayout(t *testing.T) {
 	im, err := EncodeRequest(casebase.PaperRequest())

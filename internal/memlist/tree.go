@@ -98,6 +98,8 @@ type DecodedType struct {
 // every ID must lie in [1, 0xFFFE] — the domain EncodeTree emits — so a
 // truncated or corrupt image never decodes by accident off the
 // zero-padded bus semantics of Image.At.
+//
+//qosvet:keep the verification inverse of EncodeTree that memlist's round-trip and corruption tests and BenchmarkMemoryImageDecode read images back through
 func DecodeTree(im *Image) ([]DecodedType, error) {
 	var out []DecodedType
 	a := 0

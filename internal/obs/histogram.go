@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Histogram is a fixed-bucket histogram with atomic buckets: bounds are
 // upper bounds (inclusive, ascending) and one overflow bucket catches
@@ -39,10 +36,6 @@ func newHistogram(bounds []int64) *Histogram {
 	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
 }
 
-// NewHistogram returns an unregistered histogram with the given upper
-// bounds (ascending).
-func NewHistogram(bounds []int64) *Histogram { return newHistogram(bounds) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	i := 0
@@ -75,35 +68,4 @@ func (h *Histogram) BucketCounts() []int64 {
 		out[i] = h.buckets[i].Load()
 	}
 	return out
-}
-
-// Quantile returns an upper-bound estimate of quantile q in [0, 1]: the
-// smallest bucket bound with cumulative count ≥ q·total (the overflow
-// bucket reports the last bound). Zero observations yield 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	want := int64(math.Ceil(q * float64(total)))
-	if want < 1 {
-		want = 1
-	}
-	if want > total {
-		want = total
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= want {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
 }

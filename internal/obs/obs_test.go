@@ -47,7 +47,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]int64{10, 100, 1000})
+	h := newHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 100, 5000} {
 		h.Observe(v)
 	}
@@ -60,12 +60,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Count() != 5 || h.Sum() != 5126 {
 		t.Errorf("count/sum = %d/%d", h.Count(), h.Sum())
-	}
-	if q := h.Quantile(0.5); q != 100 {
-		t.Errorf("p50 = %d, want 100", q)
-	}
-	if q := h.Quantile(1.0); q != 1000 {
-		t.Errorf("p100 upper bound = %d, want last bound", q)
 	}
 }
 
@@ -80,9 +74,6 @@ func TestRingEviction(t *testing.T) {
 	}
 	if r.Total() != 5 {
 		t.Errorf("total = %d, want 5", r.Total())
-	}
-	if r.Cap() != 3 {
-		t.Errorf("cap = %d", r.Cap())
 	}
 }
 

@@ -60,10 +60,3 @@ func (r *Ring) Total() uint64 {
 	defer r.mu.Unlock()
 	return r.total
 }
-
-// Cap returns the retention capacity.
-func (r *Ring) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return cap(r.buf)
-}

@@ -111,16 +111,15 @@ func TestCompactRetrievalSpeedup(t *testing.T) {
 		t.Fatalf("degenerate timings: fixed %d ns/op, compact %d ns/op", fixedNs, compactNs)
 	}
 	speedup := float64(fixedNs) / float64(compactNs)
-	mr := memlist.CompactReport(15, 10, 10, 10)
+	un, co := memlist.CompactReport(15, 10, 10, 10)
 	rep := compactBenchReport{
 		Benchmark: "compact_retrieval",
 		Types:     15, ImplsPerType: 10, AttrsPerImpl: 10, Requests: 64,
 		FixedNsPerOp: fixedNs, CompactNsPerOp: compactNs, Speedup: speedup,
-		UncompactedWords: mr.UncompactedWords, CompactWords: mr.CompactWords,
-		SavedWords: mr.SavedWords,
+		UncompactedWords: un, CompactWords: co, SavedWords: un - co,
 	}
 	t.Logf("fixed %d ns/op, compact %d ns/op, speedup %.2fx, footprint %d→%d words",
-		fixedNs, compactNs, speedup, mr.UncompactedWords, mr.CompactWords)
+		fixedNs, compactNs, speedup, un, co)
 	if out := os.Getenv("QOS_BENCH_OUT"); out != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

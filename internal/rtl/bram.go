@@ -13,13 +13,10 @@ package rtl
 type BRAM16 struct {
 	mem []uint16
 
-	doutA, doutB         uint16
-	addrA, addrB         int
-	pendA, pendB         bool
-	wrAddr               int
-	wrData               uint16
-	pendW                bool
-	reads, writes, waste uint64
+	doutA, doutB uint16
+	addrA, addrB int
+	pendA, pendB bool
+	reads        uint64
 }
 
 // NewBRAM16 returns a BRAM of the given word depth preloaded with init
@@ -41,7 +38,6 @@ func (b *BRAM16) LoadBurst(addr int, words []uint16) int {
 	for i, w := range words {
 		if a := addr + i; a >= 0 && a < len(b.mem) {
 			b.mem[a] = w
-			b.writes++
 		}
 	}
 	return len(words)
@@ -55,9 +51,6 @@ func (b *BRAM16) ReadA(addr int) { b.addrA = addr; b.pendA = true }
 // ReadB presents addr on port B (block-compact fetch only).
 func (b *BRAM16) ReadB(addr int) { b.addrB = addr; b.pendB = true }
 
-// Write schedules a synchronous write through port A's write logic.
-func (b *BRAM16) Write(addr int, v uint16) { b.wrAddr, b.wrData, b.pendW = addr, v, true }
-
 // DoutA returns port A's registered read data.
 func (b *BRAM16) DoutA() uint16 { return b.doutA }
 
@@ -67,9 +60,6 @@ func (b *BRAM16) DoutB() uint16 { return b.doutB }
 // Reads returns the number of read-port activations, the unit for
 // memory-bound cycle accounting.
 func (b *BRAM16) Reads() uint64 { return b.reads }
-
-// Writes returns the number of committed writes.
-func (b *BRAM16) Writes() uint64 { return b.writes }
 
 func (b *BRAM16) at(addr int) uint16 {
 	if addr < 0 || addr >= len(b.mem) {
@@ -81,15 +71,8 @@ func (b *BRAM16) at(addr int) uint16 {
 // Compute implements Component.
 func (b *BRAM16) Compute() {}
 
-// Commit implements Component: latch read data, apply writes.
+// Commit implements Component: latch read data.
 func (b *BRAM16) Commit() {
-	if b.pendW {
-		if b.wrAddr >= 0 && b.wrAddr < len(b.mem) {
-			b.mem[b.wrAddr] = b.wrData
-		}
-		b.writes++
-		b.pendW = false
-	}
 	if b.pendA {
 		b.doutA = b.at(b.addrA)
 		b.reads++

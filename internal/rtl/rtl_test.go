@@ -125,19 +125,16 @@ func TestBRAMDualPort(t *testing.T) {
 
 func TestBRAMWrite(t *testing.T) {
 	b := NewBRAM16(4, nil)
-	b.Write(3, 99)
-	b.Commit()
+	if cycles := b.LoadBurst(2, []uint16{98, 99}); cycles != 2 {
+		t.Fatalf("burst of 2 words took %d cycles", cycles)
+	}
 	b.ReadA(3)
 	b.Commit()
 	if b.DoutA() != 99 {
 		t.Fatalf("read-after-write = %d", b.DoutA())
 	}
-	if b.Writes() != 1 {
-		t.Fatal("write count")
-	}
-	// Out-of-range accesses are safe.
-	b.Write(77, 1)
-	b.Commit()
+	// Out-of-range accesses are safe: the word past the end is dropped.
+	b.LoadBurst(3, []uint16{5, 1})
 	b.ReadA(-1)
 	b.Commit()
 	if b.DoutA() != 0 {
@@ -182,8 +179,7 @@ func TestBRAMReadAfterWriteProperty(t *testing.T) {
 		b := NewBRAM16(256, nil)
 		shadow := make([]uint16, 256)
 		for _, op := range ops {
-			b.Write(int(op.Addr), op.Val)
-			b.Commit()
+			b.LoadBurst(int(op.Addr), []uint16{op.Val})
 			shadow[op.Addr] = op.Val
 			b.ReadA(int(op.Addr))
 			b.Commit()

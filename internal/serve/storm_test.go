@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -201,7 +202,11 @@ func TestServeUnderFaultStorm(t *testing.T) {
 				continue
 			}
 			gate.Record(shard, now, false)
-			recovered = gate.BreakerState(shard, now) == admit.Closed
+			state, ok := reg.Snapshot().Gauges[fmt.Sprintf("qos_admit_breaker_state{shard=%q}", fmt.Sprint(shard))]
+			if !ok {
+				t.Fatalf("no breaker state gauge for shard %d", shard)
+			}
+			recovered = state == int64(admit.Closed)
 		}
 		if !recovered {
 			t.Fatalf("shard %d breaker never recovered to Closed after the storm", shard)

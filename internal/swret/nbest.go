@@ -170,10 +170,6 @@ type NBestResult struct {
 	Instructions uint64
 }
 
-// NBestCodeBytes returns the n-best routine's opcode size, for the
-// footprint comparison against the single-best kernel.
-func NBestCodeBytes() int { return 4 * len(nbestProgram) }
-
 // RetrieveN runs the software n-best retrieval: the up-to-n most
 // similar implementations of the requested type, best first.
 func (r *Runner) RetrieveN(cb *casebase.CaseBase, req casebase.Request, n int) (NBestResult, error) {

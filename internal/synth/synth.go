@@ -210,23 +210,3 @@ func RetrievalUnitNetlist(addrBits int) Netlist {
 	n.add("product saturation detects", 0, 2*6)
 	return n
 }
-
-// RetrievalUnitNetlistNBest extends the unit with the §5 n-best register
-// file: n (similarity, ID) pairs, a sequential comparator stage and the
-// shift-register insert network. Area grows linearly in n — the
-// quantitative answer to whether the extension stays cheap.
-func RetrievalUnitNetlistNBest(addrBits, nBest int) Netlist {
-	n := RetrievalUnitNetlist(addrBits)
-	if nBest <= 1 {
-		return n
-	}
-	n.Name = fmt.Sprintf("retrieval-unit-n%d", nBest)
-	n.FSMStates += 2 // BestScan, BestShift
-	n.add("n-best FSM states", 2, 4)
-	n.add(fmt.Sprintf("n-best register file (%dx32b)", nBest), nBest*32, 0)
-	// One shared comparator (the scan is sequential) plus per-entry
-	// shift-enable and input muxes.
-	n.add("n-best comparator + index", 8, 16)
-	n.add("n-best shift/insert muxes", 0, nBest*16)
-	return n
-}

@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gate: gofmt, build, vet, the qosvet invariant suite, the full test suite
-# under the race detector, a short fuzz pass over every decoder, the
+# CI gate: gofmt, build, vet, the qosvet invariant suite, the unused-code
+# gate, the full test suite under the race detector, a short fuzz pass over every decoder, the
 # allocation guards, the observability golden tests, the bit-identical
 # experiment output, a one-iteration benchmark smoke pass, the
 # benchmark, API, fleet, learn and load gates, and a size report. This is the one gate list, and
@@ -17,7 +17,7 @@
 set -eux
 
 GO=${GO:-go}
-GATES="fmt build vet lint race fuzz allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
+GATES="fmt build vet lint deadcode race fuzz allocs obs repro bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck size"
 
 # abspath prints $1 made absolute against the working directory, or
 # nothing when $1 is empty: go test runs in the package directory, so a
@@ -55,17 +55,27 @@ gate_lint() {
 	$GO vet -vettool="$(pwd)/bin/qosvet" ./...
 }
 
+# Unused code: every package-level func, method, type, var and const
+# under internal/ must be used by non-test code of this module or of the
+# perfbench module, directly or through other used code, unless it
+# carries a //qosvet:keep <reason> (internal/lint/deadcode_test.go; the
+# fixture test shows the gate failing on seeded dead code and on stale
+# or reasonless keeps).
+gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
+
 gate_race() { $GO test -race ./...; }
 
 # Decoder fuzzing: each target, named package:Fuzz function, fuzzes for
 # the given time (default 5s), one target per go test run because go
 # test fuzzes one target at a time. `make fuzz FUZZTIME=10m` hunts longer.
-FUZZ_TARGETS="cbjson:FuzzDecodeCaseBase memlist:FuzzDecodeCompact
-	wire:FuzzDecodeAllocRequest wire:FuzzDecodeObserveRequest
-	wire:FuzzDecodeMutationBodies"
+# Minimization is off (-fuzzminimizetime 0): shrinking the inputs that
+# grow from a large seed would otherwise eat a short budget. A crasher
+# still fails the run and is still written, unshrunk, to testdata/fuzz.
+FUZZ_TARGETS="cbjson:FuzzDecodeCaseBase wire:FuzzDecodeAllocRequest
+	wire:FuzzDecodeObserveRequest wire:FuzzDecodeMutationBodies"
 gate_fuzz() {
 	for t in $FUZZ_TARGETS; do
-		$GO test "./internal/${t%%:*}/" -run xxx -fuzz "^${t#*:}\$" -fuzztime "${1:-5s}"
+		$GO test "./internal/${t%%:*}/" -run xxx -fuzz "^${t#*:}\$" -fuzztime "${1:-5s}" -fuzzminimizetime 0
 	done
 }
 
