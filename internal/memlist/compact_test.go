@@ -98,32 +98,54 @@ func TestCompactReportPaperScale(t *testing.T) {
 		un, co, un-co, 100*float64(un-co)/float64(un))
 }
 
-// TestCompactBuilderRejectsMalformed drives check(), which guards every
-// CompactFromCaseBase result, through each rejection class by
-// corrupting one field of a small hand-checkable structure: 2 types,
-// 3 impls, 4 attribute pairs, 2 supplemental entries.
-func TestCompactBuilderRejectsMalformed(t *testing.T) {
-	valid := func() *CompactCaseBase {
-		return &CompactCaseBase{
-			TypeIDs:   []uint16{1, 4},
-			ImplOff:   []uint16{0, 2, 3},
-			ImplIDs:   []uint16{10, 11, 12},
-			AttrOff:   []uint16{0, 2, 3, 4},
-			AttrIDs:   []uint16{1, 2, 1, 2},
-			AttrVals:  []uint16{7, 9, 8, 3},
-			SuppIDs:   []uint16{1, 2},
-			SuppLo:    []uint16{0, 0},
-			SuppHi:    []uint16{100, 50},
-			SuppRecip: []uint16{648, 1285},
-		}
+// validCompact is a small hand-checkable compacted structure that
+// check() accepts: 2 types, 3 impls, 4 attribute pairs, 2 supplemental
+// entries. Each rejection test corrupts one field of a fresh copy.
+func validCompact() *CompactCaseBase {
+	return &CompactCaseBase{
+		TypeIDs:   []uint16{1, 4},
+		ImplOff:   []uint16{0, 2, 3},
+		ImplIDs:   []uint16{10, 11, 12},
+		AttrOff:   []uint16{0, 2, 3, 4},
+		AttrIDs:   []uint16{1, 2, 1, 2},
+		AttrVals:  []uint16{7, 9, 8, 3},
+		SuppIDs:   []uint16{1, 2},
+		SuppLo:    []uint16{0, 0},
+		SuppHi:    []uint16{100, 50},
+		SuppRecip: []uint16{648, 1285},
 	}
-	if err := valid().check(); err != nil {
+}
+
+// compactMutation corrupts one field of a compacted structure.
+type compactMutation struct {
+	name   string
+	mutate func(*CompactCaseBase)
+}
+
+// compactRejects applies each mutation to a fresh validCompact and
+// fails the test for every one that check() accepts.
+func compactRejects(t *testing.T, cases []compactMutation) {
+	t.Helper()
+	if err := validCompact().check(); err != nil {
 		t.Fatalf("valid structure rejected: %v", err)
 	}
-	cases := []struct {
-		name   string
-		mutate func(*CompactCaseBase)
-	}{
+	for _, tc := range cases {
+		cc := validCompact()
+		tc.mutate(cc)
+		if err := cc.check(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestDecodeCompactRejectsCorrupt covers the content corruptions a
+// compacted image can carry: reserved, zero or out-of-order IDs and
+// extents that do not start at 0, decrease or fail to close. check()
+// guards every CompactFromCaseBase result against each of them. The
+// image-framing cases (magic, version, length, terminator) went with
+// the image decoder; no program reads a compacted image back.
+func TestDecodeCompactRejectsCorrupt(t *testing.T) {
+	compactRejects(t, []compactMutation{
 		{"reserved type ID", func(cc *CompactCaseBase) { cc.TypeIDs[0] = 0xFFFF }},
 		{"zero type ID", func(cc *CompactCaseBase) { cc.TypeIDs[0] = 0 }},
 		{"type IDs not ascending", func(cc *CompactCaseBase) { cc.TypeIDs[1] = 1 }},
@@ -137,15 +159,16 @@ func TestCompactBuilderRejectsMalformed(t *testing.T) {
 		{"attr IDs not ascending", func(cc *CompactCaseBase) { cc.AttrIDs[1] = 1 }},
 		{"reserved supp ID", func(cc *CompactCaseBase) { cc.SuppIDs[0] = 0xFFFF }},
 		{"supp IDs not ascending", func(cc *CompactCaseBase) { cc.SuppIDs[1] = 1 }},
+	})
+}
+
+// TestCompactBuilderRejectsMalformed covers the shape faults a builder
+// bug could produce: parallel columns of different lengths and an
+// extent table of the wrong length.
+func TestCompactBuilderRejectsMalformed(t *testing.T) {
+	compactRejects(t, []compactMutation{
 		{"misaligned attr values", func(cc *CompactCaseBase) { cc.AttrVals = cc.AttrVals[:1] }},
 		{"misaligned supplemental", func(cc *CompactCaseBase) { cc.SuppRecip = cc.SuppRecip[:1] }},
 		{"extents wrong length", func(cc *CompactCaseBase) { cc.ImplOff = cc.ImplOff[:2] }},
-	}
-	for _, tc := range cases {
-		cc := valid()
-		tc.mutate(cc)
-		if err := cc.check(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
+	})
 }
