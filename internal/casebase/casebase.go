@@ -87,11 +87,12 @@ type Implementation struct {
 
 // Attr returns the value of attribute id, with ok=false when the variant
 // does not describe that attribute ("a missing attribute can be seen as
-// unsatisfiable requirement", §3).
+// unsatisfiable requirement", §3). It serves one-off lookups (learning,
+// experiments, tests); retrieval reads the same answers from the type's
+// attribute columns (FunctionType.Column).
 func (im *Implementation) Attr(id attr.ID) (attr.Value, bool) {
 	// Attrs is sorted; binary search keeps large attribute sets cheap.
-	// This is sort.Search's bisection written out without the closure,
-	// because retrieval calls it once per variant × constraint.
+	// This is sort.Search's bisection written out without the closure.
 	lo, hi := 0, len(im.Attrs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -110,14 +111,25 @@ func (im *Implementation) Attr(id attr.ID) (attr.Value, bool) {
 // FunctionType is one node of the top-level list: a basic function type
 // and its implementation variants, sorted by implementation ID.
 //
+// A FunctionType reached through a CaseBase also carries an attribute
+// column index, built by Builder.Build and CaseBase.Derive: the §5
+// block-compacted view of the type, one column per attribute ID so a
+// retrieval walk reads each constrained attribute of every variant from
+// one contiguous array instead of bisecting every variant's Attrs.
+//
 // A FunctionType reached through a CaseBase is immutable: epochs derived
 // from one another (CaseBase.Derive) share unchanged types, their Impls
-// arrays and their variants' Attrs arrays, so a write through any of
-// them would change every epoch that holds it.
+// arrays, their variants' Attrs arrays and their columns, so a write
+// through any of them would change every epoch that holds it. The
+// columns mirror Impls; a copy whose Impls are changed outside Derive
+// keeps stale columns.
 type FunctionType struct {
 	ID    TypeID
 	Name  string
 	Impls []Implementation
+
+	colIDs []attr.ID // attribute IDs with a column, ascending
+	cells  []Cell    // column k is cells[k*len(Impls) : (k+1)*len(Impls)]
 }
 
 // Impl returns the variant with the given ID.
@@ -128,6 +140,134 @@ func (ft *FunctionType) Impl(id ImplID) (*Implementation, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Cell is one variant's entry in an attribute column: the value of the
+// attribute and whether the variant describes it at all. A missing
+// attribute reads as the zero Cell, just as Implementation.Attr reports
+// it.
+type Cell struct {
+	Value attr.Value
+	Found bool
+}
+
+// Column returns the attribute column of id: cell i answers
+// Impls[i].Attr(id). It is nil when no variant of the type describes
+// id. The column is shared and must not be written.
+func (ft *FunctionType) Column(id attr.ID) []Cell {
+	k := ft.column(id)
+	if k < 0 {
+		return nil
+	}
+	n := len(ft.Impls)
+	return ft.cells[k*n : (k+1)*n : (k+1)*n]
+}
+
+// column returns the number of id's column, or -1 when it has none.
+func (ft *FunctionType) column(id attr.ID) int {
+	lo, hi := 0, len(ft.colIDs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ft.colIDs[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(ft.colIDs) || ft.colIDs[lo] != id {
+		return -1
+	}
+	return lo
+}
+
+// index builds ft's attribute columns from its validated variants
+// without sorting: a pass over their pairs marks the IDs present in a
+// slot table over the type's ID range, one scan up that range numbers
+// the marked IDs in ascending order, and a second pass over the pairs
+// drops every value into its column. The table lives on the stack for
+// the usual narrow ranges, so the index costs two allocations.
+func (ft *FunctionType) index() {
+	ft.colIDs, ft.cells = nil, nil
+	lo, hi := attr.ID(0xFFFF), attr.ID(0)
+	for i := range ft.Impls {
+		if as := ft.Impls[i].Attrs; len(as) > 0 {
+			lo, hi = min(lo, as[0].ID), max(hi, as[len(as)-1].ID)
+		}
+	}
+	if lo > hi {
+		return
+	}
+	var buf [512]uint16
+	var slot []uint16
+	if span := int(hi-lo) + 1; span <= len(buf) {
+		slot = buf[:span]
+	} else {
+		slot = make([]uint16, span)
+	}
+	n := 0
+	for i := range ft.Impls {
+		for _, p := range ft.Impls[i].Attrs {
+			if s := &slot[p.ID-lo]; *s == 0 {
+				*s = 1
+				n++
+			}
+		}
+	}
+	ids := make([]attr.ID, 0, n)
+	for j, mark := range slot {
+		if mark != 0 {
+			slot[j] = uint16(len(ids)) // from here on: the column number
+			ids = append(ids, lo+attr.ID(j))
+		}
+	}
+	rows := len(ft.Impls)
+	cells := make([]Cell, n*rows)
+	for i := range ft.Impls {
+		for _, p := range ft.Impls[i].Attrs {
+			cells[int(slot[p.ID-lo])*rows+i] = Cell{Value: p.Value, Found: true}
+		}
+	}
+	ft.colIDs, ft.cells = ids, cells
+}
+
+// patch gives ft base's columns, with the values of ft's revised
+// variants written into a copy, and reports whether it could: ft must
+// list base's variants in base's order, each describing the same
+// attribute IDs as before, so only values differ. That is the shape of
+// a commit that folds revisions; it costs one allocation and a copy of
+// the cells where index would rebuild every column.
+func (ft *FunctionType) patch(base *FunctionType) bool {
+	if len(ft.Impls) != len(base.Impls) {
+		return false
+	}
+	rows := len(ft.Impls)
+	var cells []Cell
+	for i := range ft.Impls {
+		a, b := ft.Impls[i].Attrs, base.Impls[i].Attrs
+		if ft.Impls[i].ID != base.Impls[i].ID || len(a) != len(b) {
+			return false
+		}
+		if len(a) == 0 || &a[0] == &b[0] {
+			continue
+		}
+		for j, p := range a {
+			if p.ID != b[j].ID {
+				return false
+			}
+			if p.Value == b[j].Value {
+				continue
+			}
+			if cells == nil {
+				cells = slices.Clone(base.cells)
+			}
+			cells[base.column(p.ID)*rows+i].Value = p.Value
+		}
+	}
+	if cells == nil {
+		cells = base.cells
+	}
+	ft.colIDs, ft.cells = base.colIDs, cells
+	return true
 }
 
 // admit is the check a variant passes before joining a type under
@@ -228,8 +368,12 @@ func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
 // of run-time learning: a commit names the few types it revises,
 // retains into or retires from, and everything else is shared, not
 // copied — cb's sealed registry, its type index (the set of types does
-// not change), every type not replaced, and within a replaced type
-// every variant whose attribute slice is still cb's.
+// not change), every type not replaced together with its attribute
+// columns, and within a replaced type every variant whose attribute
+// slice is still cb's. Only the replaced types get their columns
+// rebuilt, whatever columns their given structs carry: copied from the
+// base type's and patched where a type keeps its variants and their
+// attribute IDs, built afresh otherwise.
 //
 // types must be in strictly ascending ID order and name only types of
 // cb. Each one's Impls lists its variants in the order Builder.AddImpl
@@ -266,6 +410,12 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 	}
 	if errs = append(admitErrs, errs...); len(errs) > 0 {
 		return nil, errors.Join(errs...)
+	}
+	for k := range types {
+		i := cb.byID[types[k].ID]
+		if ft := &next.types[i]; !ft.patch(&cb.types[i]) {
+			ft.index()
+		}
 	}
 	return next, nil
 }
@@ -387,6 +537,9 @@ func (b *Builder) Build() (*CaseBase, error) {
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
+	}
+	for i := range cb.types {
+		cb.types[i].index()
 	}
 	if !b.registry.Sealed() {
 		b.registry.Seal()

@@ -8,6 +8,7 @@
 package cbjson
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,12 +121,15 @@ func Encode(w io.Writer, cb *casebase.CaseBase) error {
 // errors. A read error comes back wrapped as "cbjson: read"; every
 // failure the document's content causes wraps ErrBadDocument.
 func Decode(r io.Reader) (*casebase.CaseBase, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	// io.Copy hands a reader that knows its length (a bytes.Reader, say)
+	// to the buffer in one write, so the document lands in one buffer of
+	// its own size; io.ReadAll would grow it by repeated append.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("cbjson: read: %w", err)
 	}
 	var doc Document
-	if err := decodeDocument(data, &doc); err != nil {
+	if err := decodeDocument(buf.Bytes(), &doc); err != nil {
 		return nil, err
 	}
 	return rebuild(&doc)

@@ -20,8 +20,9 @@ import (
 // analyzer: vet facts flow only from a package to its importers, so no
 // per-package analyzer can know that nobody uses a name. It parses and
 // typechecks the non-test files of every package of the listed modules
-// (the standard library comes from go/importer), builds a graph from
-// each package-level declaration to the declarations it names, and
+// (the standard library comes from the compiler's export data through
+// go/importer, not from GOROOT source), builds a graph from each
+// package-level declaration to the declarations it names, and
 // reports every func, method, type, var and const under the scope
 // prefix that no live declaration reaches. A declaration is live when:
 //
@@ -520,7 +521,7 @@ func interfacesByMethod(pkgs map[string]*dcPackage) map[string][]*types.Interfac
 func TestDeadcode(t *testing.T) {
 	root := moduleRoot(t)
 	fset := token.NewFileSet()
-	pkgs, err := loadModules(fset, importer.ForCompiler(fset, "source", nil), []dcModule{
+	pkgs, err := loadModules(fset, importer.ForCompiler(fset, "gc", nil), []dcModule{
 		{root, "qosalloc"},
 		{filepath.Join(root, "perfbench"), "qosalloc/perfbench"},
 	})

@@ -18,11 +18,15 @@
 // implementation sub-list: each variant is scored into a column the
 // engine reuses, the running best (descending similarity, ties to the
 // lower implementation ID) is kept as the pass goes, and the variants
-// the threshold rejects are counted on the way. RetrieveN keeps the n
-// best in the same kind of pass by bounded insertion; only RetrieveAll
-// sorts. A warmed Retrieve allocates nothing: the walk scores into
-// scratch it borrows from a package-level pool, so an Engine holds no
-// per-walk state and, like FixedEngine, is safe for concurrent use.
+// the threshold rejects are counted on the way. The walk reads attribute
+// values from the type's attribute columns (casebase.FunctionType.Column,
+// the §5 block-compacted view), resolved once per constraint, so scoring
+// a variant indexes k arrays instead of bisecting its attribute list k
+// times. RetrieveN keeps the n best in the same kind of pass by bounded
+// insertion; only RetrieveAll sorts. A warmed Retrieve allocates
+// nothing: the walk scores into scratch it borrows from a package-level
+// pool, so an Engine holds no per-walk state and, like FixedEngine, is
+// safe for concurrent use.
 package retrieval
 
 import (
@@ -147,13 +151,13 @@ func (e *ErrNoMatch) Error() string {
 		e.Type, e.Threshold, e.Best)
 }
 
-// walkState is one walk's working storage. dmax and weights hold the
-// request's per-constraint constants, resolved once per walk; sims is
-// the local-similarity vector of the variant being scored; scores is
-// the global similarity column of ft's variants in storage order;
-// locals holds every variant's breakdown (KeepLocals only), one row of
-// len(Constraints) per variant; top serves n-best selection. e, met,
-// ft and start describe the walk in progress.
+// walkState is one walk's working storage. dmax, weights and cols hold
+// the request's per-constraint constants and attribute columns, resolved
+// once per walk; sims is the local-similarity vector of the variant
+// being scored; scores is the global similarity column of ft's variants
+// in storage order; locals holds every variant's breakdown (KeepLocals
+// only), one row of len(Constraints) per variant; top serves n-best
+// selection. e, met, ft and start describe the walk in progress.
 type walkState struct {
 	e     *Engine
 	met   *Metrics
@@ -162,6 +166,7 @@ type walkState struct {
 
 	dmax    []uint16
 	weights []float64
+	cols    [][]casebase.Cell
 	sims    []float64
 	scores  []float64
 	locals  []LocalScore
@@ -177,6 +182,7 @@ var walkPool = sync.Pool{New: func() any { return new(walkState) }}
 // release returns w to the pool. Results materialized from w stay valid.
 func (w *walkState) release() {
 	w.e, w.met, w.ft = nil, nil, nil
+	clear(w.cols)
 	walkPool.Put(w)
 }
 
@@ -210,7 +216,7 @@ func (e *Engine) walk(req casebase.Request) (*walkState, error) {
 		if e.opt.KeepLocals {
 			row = w.locals[i*k : (i+1)*k]
 		}
-		w.scores[i] = w.score(&w.ft.Impls[i], req, row)
+		w.scores[i] = w.score(i, req, row)
 	}
 	e.stats.implsScored.Add(int64(n))
 	w.met.ImplsScored.Add(int64(n))
@@ -220,12 +226,14 @@ func (e *Engine) walk(req casebase.Request) (*walkState, error) {
 }
 
 // prepare resolves the request's per-constraint constants once per walk:
-// the design-global dmax of each constrained attribute and the weight
-// column handed to the amalgamation.
+// the design-global dmax of each constrained attribute, the weight
+// column handed to the amalgamation and the attribute column of w.ft
+// each constraint reads (nil when no variant describes it).
 func (w *walkState) prepare(req casebase.Request) {
 	k := len(req.Constraints)
 	w.dmax = resize(w.dmax, k)
 	w.weights = resize(w.weights, k)
+	w.cols = resize(w.cols, k)
 	w.sims = resize(w.sims, k)
 	for i, c := range req.Constraints {
 		dmax, err := w.e.cb.Registry().DMax(c.ID)
@@ -236,26 +244,30 @@ func (w *walkState) prepare(req casebase.Request) {
 		}
 		w.dmax[i] = dmax
 		w.weights[i] = c.Weight
+		w.cols[i] = w.ft.Column(c.ID)
 	}
 }
 
-// score computes the global similarity of one implementation against the
+// score computes the global similarity of variant v of w.ft against the
 // request, filling locals (request order) when it is non-nil. Missing
 // implementation attributes contribute s_i = 0 — "a missing attribute
 // can be seen as unsatisfiable requirement" (§3).
-func (w *walkState) score(im *casebase.Implementation, req casebase.Request, locals []LocalScore) float64 {
+func (w *walkState) score(v int, req casebase.Request, locals []LocalScore) float64 {
 	opt := &w.e.opt
 	for i, c := range req.Constraints {
-		v, found := im.Attr(c.ID)
+		var cell casebase.Cell
+		if col := w.cols[i]; col != nil {
+			cell = col[v]
+		}
 		var s float64
-		if found {
-			s = opt.Local.Similarity(c.Value, v, w.dmax[i])
+		if cell.Found {
+			s = opt.Local.Similarity(c.Value, cell.Value, w.dmax[i])
 		}
 		w.sims[i] = s
 		if locals != nil {
 			locals[i] = LocalScore{
-				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
-				Found: found, DMax: w.dmax[i], Sim: s, Weight: c.Weight,
+				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(cell.Value),
+				Found: cell.Found, DMax: w.dmax[i], Sim: s, Weight: c.Weight,
 			}
 		}
 	}
