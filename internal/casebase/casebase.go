@@ -155,29 +155,12 @@ type Cell struct {
 // Impls[i].Attr(id). It is nil when no variant of the type describes
 // id. The column is shared and must not be written.
 func (ft *FunctionType) Column(id attr.ID) []Cell {
-	k := ft.column(id)
-	if k < 0 {
+	k, ok := slices.BinarySearch(ft.colIDs, id)
+	if !ok {
 		return nil
 	}
 	n := len(ft.Impls)
 	return ft.cells[k*n : (k+1)*n : (k+1)*n]
-}
-
-// column returns the number of id's column, or -1 when it has none.
-func (ft *FunctionType) column(id attr.ID) int {
-	lo, hi := 0, len(ft.colIDs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ft.colIDs[m] < id {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == len(ft.colIDs) || ft.colIDs[lo] != id {
-		return -1
-	}
-	return lo
 }
 
 // index builds ft's attribute columns from its validated variants
@@ -228,46 +211,6 @@ func (ft *FunctionType) index() {
 		}
 	}
 	ft.colIDs, ft.cells = ids, cells
-}
-
-// patch gives ft base's columns, with the values of ft's revised
-// variants written into a copy, and reports whether it could: ft must
-// list base's variants in base's order, each describing the same
-// attribute IDs as before, so only values differ. That is the shape of
-// a commit that folds revisions; it costs one allocation and a copy of
-// the cells where index would rebuild every column.
-func (ft *FunctionType) patch(base *FunctionType) bool {
-	if len(ft.Impls) != len(base.Impls) {
-		return false
-	}
-	rows := len(ft.Impls)
-	var cells []Cell
-	for i := range ft.Impls {
-		a, b := ft.Impls[i].Attrs, base.Impls[i].Attrs
-		if ft.Impls[i].ID != base.Impls[i].ID || len(a) != len(b) {
-			return false
-		}
-		if len(a) == 0 || &a[0] == &b[0] {
-			continue
-		}
-		for j, p := range a {
-			if p.ID != b[j].ID {
-				return false
-			}
-			if p.Value == b[j].Value {
-				continue
-			}
-			if cells == nil {
-				cells = slices.Clone(base.cells)
-			}
-			cells[base.column(p.ID)*rows+i].Value = p.Value
-		}
-	}
-	if cells == nil {
-		cells = base.cells
-	}
-	ft.colIDs, ft.cells = base.colIDs, cells
-	return true
 }
 
 // admit is the check a variant passes before joining a type under
@@ -371,9 +314,7 @@ func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
 // not change), every type not replaced together with its attribute
 // columns, and within a replaced type every variant whose attribute
 // slice is still cb's. Only the replaced types get their columns
-// rebuilt, whatever columns their given structs carry: copied from the
-// base type's and patched where a type keeps its variants and their
-// attribute IDs, built afresh otherwise.
+// built afresh, whatever columns their given structs carry.
 //
 // types must be in strictly ascending ID order and name only types of
 // cb. Each one's Impls lists its variants in the order Builder.AddImpl
@@ -412,10 +353,7 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 		return nil, errors.Join(errs...)
 	}
 	for k := range types {
-		i := cb.byID[types[k].ID]
-		if ft := &next.types[i]; !ft.patch(&cb.types[i]) {
-			ft.index()
-		}
+		next.types[cb.byID[types[k].ID]].index()
 	}
 	return next, nil
 }

@@ -122,9 +122,8 @@ func mutate(rng *rand.Rand, reg *attr.Registry, ft *FunctionType, valuesOnly boo
 
 // TestColumnsMatchAttr checks the attribute-column index against
 // Implementation.Attr on random trees after Build and after each step of
-// a chain of Derives, alternating folds (values only, which Derive
-// patches from the base columns) with edits that also change attribute
-// IDs, retire and retain (which it indexes afresh), and checks that every
+// a chain of Derives, alternating folds (values only) with edits that
+// also change attribute IDs, retire and retain, and checks that every
 // earlier epoch still answers for its own variants. The last Derive of
 // each tree is handed a struct copied from the base type, carrying its
 // columns, whose values were then changed: Derive must rebuild them.

@@ -1,7 +1,9 @@
 package learn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"qosalloc/internal/attr"
@@ -17,7 +19,7 @@ import (
 // update protocol a dynamic BRAM reload would follow.
 type Builder struct {
 	base     *casebase.CaseBase
-	revised  map[implKey]map[attr.ID]attr.Value
+	revised  []revision // in staging order until Build sorts them
 	retained map[casebase.TypeID][]casebase.Implementation
 	retired  map[implKey]bool
 }
@@ -26,18 +28,39 @@ type Builder struct {
 func NewBuilder(base *casebase.CaseBase) *Builder {
 	return &Builder{
 		base:     base,
-		revised:  make(map[implKey]map[attr.ID]attr.Value),
 		retained: make(map[casebase.TypeID][]casebase.Implementation),
 		retired:  make(map[implKey]bool),
 	}
 }
 
+// revision is one staged attribute value of a variant.
+type revision struct {
+	k  implKey
+	id attr.ID
+	v  attr.Value
+}
+
 // revise stages a quantized value for an attribute the case describes.
+// A later value for the same attribute replaces an earlier one.
 func (b *Builder) revise(k implKey, id attr.ID, v attr.Value) {
-	if b.revised[k] == nil {
-		b.revised[k] = make(map[attr.ID]attr.Value)
+	b.revised = append(b.revised, revision{k, id, v})
+}
+
+// sortRevisions orders the staged revisions by type, variant and
+// attribute, keeping only the last value staged for each attribute.
+func (b *Builder) sortRevisions() {
+	key := func(x, y revision) int {
+		return cmp.Or(cmp.Compare(x.k.t, y.k.t), cmp.Compare(x.k.i, y.k.i), cmp.Compare(x.id, y.id))
 	}
-	b.revised[k][id] = v
+	slices.SortStableFunc(b.revised, key)
+	out := b.revised[:0]
+	for j, r := range b.revised {
+		if j+1 < len(b.revised) && key(r, b.revised[j+1]) == 0 {
+			continue
+		}
+		out = append(out, r)
+	}
+	b.revised = out
 }
 
 // Retain registers a new implementation variant for a type, the
@@ -100,10 +123,8 @@ func (b *Builder) Retire(t casebase.TypeID, id casebase.ImplID) error {
 // other type, and every variant of a rebuilt type that no revision
 // changed, is shared with the base rather than copied.
 func (b *Builder) Build() (*casebase.CaseBase, int, error) {
+	b.sortRevisions()
 	touched := make(map[casebase.TypeID]bool)
-	for k := range b.revised {
-		touched[k.t] = true
-	}
 	for k := range b.retired {
 		touched[k.t] = true
 	}
@@ -112,11 +133,14 @@ func (b *Builder) Build() (*casebase.CaseBase, int, error) {
 	}
 	var types []casebase.FunctionType
 	changed := 0
+	revs := b.revised
 	for _, ft := range b.base.Types() {
-		if !touched[ft.ID] {
+		var mine []revision
+		mine, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.t, ft.ID) })
+		if len(mine) == 0 && !touched[ft.ID] {
 			continue
 		}
-		impls, n := b.apply(&ft)
+		impls, n := b.apply(&ft, mine)
 		if n == 0 {
 			continue // only no-op revisions: the type stays shared
 		}
@@ -135,18 +159,20 @@ func (b *Builder) Build() (*casebase.CaseBase, int, error) {
 // variants in base order, then the retained ones by ID — and the number
 // of entries that changed. A surviving variant keeps its attribute slice
 // unless a revision changes one of its values; a retained variant gets a
-// sorted copy of its own.
-func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, int) {
+// sorted copy of its own. revs are ft's sorted revisions; ft's variants
+// are sorted by ID, so one merge pairs them up.
+func (b *Builder) apply(ft *casebase.FunctionType, revs []revision) ([]casebase.Implementation, int) {
 	news := b.retained[ft.ID]
 	impls := make([]casebase.Implementation, 0, len(ft.Impls)+len(news))
 	changed := 0
 	for _, im := range ft.Impls {
-		k := implKey{ft.ID, im.ID}
-		if b.retired[k] {
+		var mine []revision
+		mine, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.i, im.ID) })
+		if b.retired[implKey{ft.ID, im.ID}] {
 			changed++
 			continue
 		}
-		if attrs := revisedAttrs(im.Attrs, b.revised[k]); attrs != nil {
+		if attrs := revisedAttrs(im.Attrs, mine); attrs != nil {
 			im.Attrs = attrs
 			changed++
 		}
@@ -163,20 +189,39 @@ func (b *Builder) apply(ft *casebase.FunctionType) ([]casebase.Implementation, i
 	return impls, changed
 }
 
-// revisedAttrs returns a copy of attrs carrying the revised values, or
-// nil when no revision changes a value.
-func revisedAttrs(attrs []attr.Pair, rev map[attr.ID]attr.Value) []attr.Pair {
-	if len(rev) == 0 {
-		return nil
+// take splits off the front of the sorted revs the run that c reports
+// equal to its key (0), after dropping those that order before it (<0).
+func take(revs []revision, c func(revision) int) (run, rest []revision) {
+	for len(revs) > 0 && c(revs[0]) < 0 {
+		revs = revs[1:]
 	}
+	n := 0
+	for n < len(revs) && c(revs[n]) == 0 {
+		n++
+	}
+	return revs[:n], revs[n:]
+}
+
+// revisedAttrs returns a copy of attrs carrying the revised values, or
+// nil when no revision changes a value. attrs and revs are both sorted
+// by attribute ID.
+func revisedAttrs(attrs []attr.Pair, revs []revision) []attr.Pair {
 	var out []attr.Pair
-	for j, p := range attrs {
-		if v, ok := rev[p.ID]; ok && v != p.Value {
-			if out == nil {
-				out = append([]attr.Pair(nil), attrs...)
-			}
-			out[j].Value = v
+	j := 0
+	for _, r := range revs {
+		for j < len(attrs) && attrs[j].ID < r.id {
+			j++
 		}
+		if j == len(attrs) {
+			break
+		}
+		if attrs[j].ID != r.id || attrs[j].Value == r.v {
+			continue
+		}
+		if out == nil {
+			out = append([]attr.Pair(nil), attrs...)
+		}
+		out[j].Value = r.v
 	}
 	return out
 }

@@ -21,6 +21,7 @@ package learn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
@@ -62,8 +63,14 @@ type Delta struct {
 	base  *casebase.CaseBase
 	alpha float64
 
-	pending map[implKey]map[attr.ID]float64 // EWMA state, clamped to design bounds
+	pending map[pendKey]float64 // EWMA state, clamped to design bounds
 	obs     int
+}
+
+// pendKey names one attribute of one variant.
+type pendKey struct {
+	k  implKey
+	id attr.ID
 }
 
 // NewDelta returns an empty delta over the committed base with EWMA
@@ -74,7 +81,7 @@ func NewDelta(base *casebase.CaseBase, alpha float64) (*Delta, error) {
 	}
 	return &Delta{
 		base: base, alpha: alpha,
-		pending: make(map[implKey]map[attr.ID]float64),
+		pending: make(map[pendKey]float64),
 	}, nil
 }
 
@@ -110,20 +117,16 @@ func (d *Delta) Observe(o Observation) (revDelta int, err error) {
 		if !has {
 			continue // case does not describe this attribute
 		}
+		pk := pendKey{k, p.ID}
 		cur := float64(committed)
-		if m := d.pending[k]; m != nil {
-			if v, ok := m[p.ID]; ok {
-				cur = v
-			}
+		if v, ok := d.pending[pk]; ok {
+			cur = v
 		}
 		next := (1-d.alpha)*cur + d.alpha*float64(p.Value)
 		next = math.Max(float64(def.Lo), math.Min(float64(def.Hi), next))
-		if d.pending[k] == nil {
-			d.pending[k] = make(map[attr.ID]float64)
-		}
 		wasDirty := uint16(math.Round(cur)) != uint16(committed)
 		nowDirty := uint16(math.Round(next)) != uint16(committed)
-		d.pending[k][p.ID] = next
+		d.pending[pk] = next
 		if nowDirty && !wasDirty {
 			revDelta++
 		} else if !nowDirty && wasDirty {
@@ -143,10 +146,9 @@ func (d *Delta) Observe(o Observation) (revDelta int, err error) {
 // delta itself is not cleared — call Reset against the newly committed
 // base once the swap has landed.
 func (d *Delta) FoldInto(b *Builder) {
-	for k, m := range d.pending {
-		for id, v := range m {
-			b.revise(k, id, attr.Value(math.Round(v)))
-		}
+	b.revised = slices.Grow(b.revised, len(d.pending))
+	for pk, v := range d.pending {
+		b.revise(pk.k, pk.id, attr.Value(math.Round(v)))
 	}
 }
 
@@ -154,6 +156,6 @@ func (d *Delta) FoldInto(b *Builder) {
 // base. Pending state not folded first is discarded.
 func (d *Delta) Reset(base *casebase.CaseBase) {
 	d.base = base
-	d.pending = make(map[implKey]map[attr.ID]float64)
+	clear(d.pending)
 	d.obs = 0
 }

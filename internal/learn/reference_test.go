@@ -19,6 +19,13 @@ import (
 // reference for Build.
 func referenceBuild(b *Builder) (*casebase.CaseBase, int, error) {
 	cbb := casebase.NewBuilder(b.base.Registry())
+	revised := make(map[implKey]map[attr.ID]attr.Value)
+	for _, r := range b.revised {
+		if revised[r.k] == nil {
+			revised[r.k] = make(map[attr.ID]attr.Value)
+		}
+		revised[r.k][r.id] = r.v
+	}
 	changed := 0
 	for _, ft := range b.base.Types() {
 		cbb.AddType(ft.ID, ft.Name)
@@ -29,7 +36,7 @@ func referenceBuild(b *Builder) (*casebase.CaseBase, int, error) {
 				changed++
 				continue
 			}
-			if rev, ok := b.revised[k]; ok {
+			if rev, ok := revised[k]; ok {
 				attrs := append([]attr.Pair(nil), im.Attrs...)
 				implChanged := false
 				for j := range attrs {
@@ -331,4 +338,42 @@ func TestBuildMatchesFullRebuild(t *testing.T) {
 		t.Fatalf("%d of %d commits failed: schedule does not cover both outcomes", fails, commits)
 	}
 	t.Logf("%d commits, %d rejected", commits, fails)
+}
+
+// TestBuildSkipsRevisionsOfAbsentVariants stages revisions for a type
+// and a variant the base does not have, sorting before and after the
+// real ones, and checks that Build still applies every real revision.
+func TestBuildSkipsRevisionsOfAbsentVariants(t *testing.T) {
+	base, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ref := NewBuilder(base), NewBuilder(base)
+	for _, ft := range base.Types() {
+		im := ft.Impls[len(ft.Impls)-1]
+		p := im.Attrs[0]
+		if d, _ := base.Registry().Lookup(p.ID); p.Value < d.Hi {
+			p.Value++
+		} else {
+			p.Value--
+		}
+		for _, b := range []*Builder{got, ref} {
+			b.revise(implKey{0, im.ID}, p.ID, p.Value)
+			b.revise(implKey{ft.ID, 0}, p.ID, p.Value)
+			b.revise(implKey{ft.ID, im.ID}, p.ID, p.Value)
+			b.revise(implKey{ft.ID, 0xFFF0}, p.ID, p.Value)
+			b.revise(implKey{0xFFF0, im.ID}, p.ID, p.Value)
+		}
+	}
+	cb, changed, err := got.Build()
+	want, wantChanged, wantErr := referenceBuild(ref)
+	if err != nil || wantErr != nil {
+		t.Fatal(err, wantErr)
+	}
+	if changed != base.NumTypes() || changed != wantChanged {
+		t.Fatalf("changed = %d, reference %d, want %d", changed, wantChanged, base.NumTypes())
+	}
+	if !reflect.DeepEqual(cb.Types(), want.Types()) {
+		t.Fatal("Types() differ from the full rebuild")
+	}
 }
