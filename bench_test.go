@@ -211,10 +211,10 @@ func BenchmarkBypassToken(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tc.StoreSig(retrieval.Signature(req), retrieval.Token{Type: req.Type, Impl: best.Impl, Similarity: best.Similarity})
+	tc.Store(retrieval.Hash(req), req, retrieval.Token{Type: req.Type, Impl: best.Impl, Similarity: best.Similarity})
 	b.Run("token-hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := tc.LookupSig(retrieval.Signature(req)); !ok {
+			if _, ok := tc.Lookup(retrieval.Hash(req), req); !ok {
 				b.Fatal("token lost")
 			}
 		}

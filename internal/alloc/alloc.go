@@ -236,18 +236,18 @@ func (m *Manager) Engine() *retrieval.Engine { return m.engine }
 // variant is placed and a task handle returned; the application still
 // has to advance the run-time clock past Decision.ReadyAt before the
 // function is usable. With UseBypassTokens on, a successful placement
-// pins its choice in the manager's bypass token for req's signature;
+// pins its choice in the manager's bypass token for req;
 // this is the one place the manager stores a token.
 func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Decision, error) {
 	m.counts.requests.Inc()
 
-	// Bypass-token shortcut: a repeated call with the same signature
+	// Bypass-token shortcut: a repeated call with the same request
 	// skips retrieval; "only an availability check on the function and
 	// its allocated resources has to be done" (§3).
-	var sig string
+	var h uint64
 	if m.opt.UseBypassTokens {
-		sig = retrieval.Signature(req)
-		if tok, ok := m.tokens.LookupSig(sig); ok {
+		h = retrieval.Hash(req)
+		if tok, ok := m.tokens.Lookup(h, req); ok {
 			if d, err := m.tryPlace(app, req, tok.Impl, tok.Similarity, basePrio); err == nil {
 				m.counts.tokenHits.Inc()
 				m.met.event(int64(m.sys.Now()), "token-hit", "app=%s task=%d impl=%d dev=%s", app, d.Task.ID, d.Impl, d.Device)
@@ -271,7 +271,7 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 	}
 	d, err := m.placeCandidates(app, req, candidates, basePrio)
 	if err == nil && m.opt.UseBypassTokens {
-		m.tokens.StoreSig(sig, retrieval.Token{Type: req.Type, Impl: d.Impl, Similarity: d.Similarity})
+		m.tokens.Store(h, req, retrieval.Token{Type: req.Type, Impl: d.Impl, Similarity: d.Similarity})
 	}
 	return d, err
 }
@@ -282,7 +282,7 @@ func (m *Manager) Request(app string, req casebase.Request, basePrio int) (*Deci
 // be similarity-ranked best first (the order RetrieveN returns); the
 // manager applies its power ranking, walks feasibility and optionally
 // preempts. It stores no bypass token: the caller retrieved, so the
-// caller owns any token for the signature (serve keeps them per shard).
+// caller owns any token for the request (serve keeps them per shard).
 // Counted as a request in Stats; the caller owns the slice (it may be
 // re-ordered in place).
 func (m *Manager) PlaceCandidates(app string, req casebase.Request, candidates []retrieval.Result, basePrio int) (*Decision, error) {
@@ -375,7 +375,7 @@ func (m *Manager) tryPreemptivePlace(app string, req casebase.Request, candidate
 }
 
 // Release completes a task and invalidates nothing: bypass tokens stay
-// valid because the variant choice is still correct for the signature.
+// valid because the variant choice is still correct for the request.
 func (m *Manager) Release(id rtsys.TaskID) error {
 	issued, err := m.sys.CompleteID(id)
 	if !issued {

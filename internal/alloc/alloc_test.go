@@ -265,7 +265,7 @@ func TestPreemptiveRequestStoresToken(t *testing.T) {
 	if len(high.Preempted) != 1 {
 		t.Fatalf("preempted = %v, want one victim", high.Preempted)
 	}
-	tok, ok := m.tokens.LookupSig(retrieval.Signature(req))
+	tok, ok := m.tokens.Lookup(retrieval.Hash(req), req)
 	if !ok || tok.Impl != high.Impl || tok.Similarity != high.Similarity {
 		t.Errorf("token after preemptive place = %+v, %v; want impl %d", tok, ok, high.Impl)
 	}

@@ -14,8 +14,9 @@
 package attr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -213,7 +214,7 @@ func (r *Registry) IDs() []ID {
 	for id := range r.defs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -235,9 +236,10 @@ func (r *Registry) Validate(p Pair) error {
 // SortPairs sorts pairs in-place by ascending ID, the pre-sorted order all
 // of the paper's list structures require (§4.1: "the attribute-blocks have
 // to be pre-sorted by their ID in ascending order ... as a consequence the
-// effort for searching becomes linear").
+// effort for searching becomes linear"). slices.SortFunc, unlike
+// sort.Slice, allocates neither a swapper nor a closure per call.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
+	slices.SortFunc(ps, func(a, b Pair) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // CheckSorted returns an error unless ps is strictly ascending by ID

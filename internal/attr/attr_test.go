@@ -148,6 +148,14 @@ func TestSortPairsAndCheckSorted(t *testing.T) {
 	if err := CheckSorted(dup); err == nil {
 		t.Error("duplicate IDs must fail CheckSorted")
 	}
+	// Sorting brings duplicates together, and the rejection names the
+	// first repeated ID whatever order the sort left equal IDs in.
+	dup = []Pair{{ID: 5, Value: 1}, {ID: 2, Value: 0}, {ID: 5, Value: 2}, {ID: 1, Value: 0}}
+	SortPairs(dup)
+	const want = "attr: pairs not strictly ascending at index 3 (ID 5 after 5)"
+	if err := CheckSorted(dup); err == nil || err.Error() != want {
+		t.Errorf("CheckSorted(sorted duplicates) = %v, want %q", err, want)
+	}
 }
 
 // Property: SortPairs output always passes CheckSorted when IDs are unique.

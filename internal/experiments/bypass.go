@@ -45,8 +45,8 @@ func BypassSweep() ([]BypassPoint, error) {
 		tc := retrieval.NewTokenCache()
 		pt := BypassPoint{RepeatFraction: rf, Requests: len(reqs)}
 		for _, req := range reqs {
-			sig := retrieval.Signature(req)
-			if _, ok := tc.LookupSig(sig); ok {
+			h := retrieval.Hash(req)
+			if _, ok := tc.Lookup(h, req); ok {
 				pt.TokenHits++
 				continue
 			}
@@ -55,7 +55,7 @@ func BypassSweep() ([]BypassPoint, error) {
 				return nil, err
 			}
 			pt.Retrievals++
-			tc.StoreSig(sig, retrieval.Token{Type: req.Type, Impl: best.Impl, Similarity: best.Similarity})
+			tc.Store(h, req, retrieval.Token{Type: req.Type, Impl: best.Impl, Similarity: best.Similarity})
 		}
 		pt.RetrievalsSaved = float64(pt.TokenHits) / float64(pt.Requests)
 		out = append(out, pt)

@@ -1,7 +1,7 @@
 package retrieval
 
 import (
-	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,18 +12,33 @@ import (
 
 func TestTokenCacheRoundTrip(t *testing.T) {
 	tc := NewTokenCache()
-	sig := Signature(casebase.PaperRequest())
-	if _, ok := tc.LookupSig(sig); ok {
+	req := casebase.PaperRequest()
+	h := Hash(req)
+	if _, ok := tc.Lookup(h, req); ok {
 		t.Fatal("empty cache must miss")
 	}
 	tok := Token{Type: casebase.TypeFIREqualizer, Impl: 2, Similarity: 0.96}
-	tc.StoreSig(sig, tok)
-	got, ok := tc.LookupSig(sig)
+	tc.Store(h, req, tok)
+	got, ok := tc.Lookup(h, req)
 	if !ok || got != tok {
+		t.Fatalf("Lookup = %+v, %v", got, ok)
+	}
+	// The Signature adapters reach the same entry.
+	if got, ok := tc.LookupSig(Signature(req)); !ok || got != tok {
 		t.Fatalf("LookupSig = %+v, %v", got, ok)
+	}
+	tc.StoreSig(Signature(req), Token{Type: req.Type, Impl: 3})
+	if got, _ := tc.Lookup(h, req); got.Impl != 3 {
+		t.Errorf("StoreSig did not update the entry: %+v", got)
 	}
 	if tc.Len() != 1 {
 		t.Errorf("Len = %d", tc.Len())
+	}
+	// The stored key is a copy: mutating the caller's request afterwards
+	// must not move the entry.
+	req.Constraints[0].Value++
+	if _, ok := tc.Lookup(Hash(req), req); ok {
+		t.Error("mutated request hit the original's token")
 	}
 }
 
@@ -44,8 +59,8 @@ func TestSignatureDistinguishesRequests(t *testing.T) {
 		casebase.Constraint{ID: casebase.AttrOutputMode, Value: 1},
 		casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16},
 	).EqualWeights()
-	if Signature(a) != Signature(c) {
-		t.Error("order-insensitive requests must share a signature")
+	if Signature(a) != Signature(c) || Hash(a) != Hash(c) || !SameRequest(a, c) {
+		t.Error("order-insensitive requests must share a signature and a hash")
 	}
 	// Weight changes the signature: a reweighted request may retrieve
 	// a different variant.
@@ -53,16 +68,21 @@ func TestSignatureDistinguishesRequests(t *testing.T) {
 	d.Constraints[0].Weight = 0.8
 	d.Constraints[1].Weight = 0.1
 	d.Constraints[2].Weight = 0.1
-	if Signature(a) == Signature(d) {
+	if Signature(a) == Signature(d) || SameRequest(a, d) {
 		t.Error("weights must participate in the signature")
+	}
+	// Weights compare by their bits: 0 and -0 are different keys.
+	e := casebase.NewRequest(casebase.TypeFIREqualizer, casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16})
+	f := casebase.NewRequest(casebase.TypeFIREqualizer, casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16, Weight: math.Copysign(0, -1)})
+	if Signature(e) == Signature(f) || SameRequest(e, f) {
+		t.Error("weights 0 and -0 must give different keys")
 	}
 }
 
-// TestAppendSignatureMatchesSignature checks the byte form against the
-// string form over generated requests, with random weights so the
-// weight bits vary too, appended both to an empty buffer and behind a
-// prefix.
-func TestAppendSignatureMatchesSignature(t *testing.T) {
+// TestSignatureRoundTrip checks that parseSignature inverts Signature
+// over generated requests, with random weights so the weight bits vary
+// too, and that requests equal by SameRequest hash equal.
+func TestSignatureRoundTrip(t *testing.T) {
 	cb, reg, err := workload.GenCaseBase(workload.CaseBaseSpec{
 		Types: 12, ImplsPerType: 4, AttrsPerImpl: 6, AttrUniverse: 9, Seed: 31,
 	})
@@ -76,51 +96,60 @@ func TestAppendSignatureMatchesSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(33))
-	var buf [64]byte
 	for i, req := range reqs {
 		if i%2 == 1 {
 			for k := range req.Constraints {
 				req.Constraints[k].Weight = rng.Float64()
 			}
 		}
-		want := Signature(req)
-		if got := AppendSignature(buf[:0], req); string(got) != want {
-			t.Fatalf("request %d: AppendSignature = %q, Signature = %q", i, got, want)
+		got, ok := parseSignature(Signature(req))
+		if !ok || !SameRequest(got, req) {
+			t.Fatalf("request %d: parseSignature(%q) = %+v, %v", i, Signature(req), got, ok)
 		}
-		pre := []byte("prefix")
-		if got := AppendSignature(pre, req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
-			t.Fatalf("request %d: AppendSignature behind a prefix = %q", i, got)
+		if Hash(got) != Hash(req) {
+			t.Fatalf("request %d: equal requests hash %x and %x", i, Hash(got), Hash(req))
+		}
+	}
+	for _, bad := range []string{"", "x1", "t", "t1|", "t1|2=3", "t1|2=3*", "t1|2*3=4", "t70000", "t1|2=3*g"} {
+		if req, ok := parseSignature(bad); ok {
+			t.Errorf("parseSignature(%q) = %+v, want failure", bad, req)
 		}
 	}
 }
 
-// TestLookupKeyCountsHitsOnly checks the byte-keyed probe: it finds
-// what StoreSig stored, refreshes recency like LookupSig, and does not
-// allocate.
-func TestLookupKeyCountsHitsOnly(t *testing.T) {
+// TestLookupSetsReference checks that a hit marks its entry referenced,
+// so it survives the next eviction, that a miss marks nothing, and that
+// a probe does not allocate.
+func TestLookupSetsReference(t *testing.T) {
 	tc := NewTokenCache()
 	a := casebase.PaperRequest()
-	key := AppendSignature(nil, a)
-	if _, ok := tc.LookupKey(key); ok {
+	h := Hash(a)
+	if _, ok := tc.Lookup(h, a); ok {
 		t.Fatal("empty cache must miss")
 	}
 	tok := Token{Type: a.Type, Impl: 2, Similarity: 0.96}
-	tc.StoreSig(Signature(a), tok)
+	tc.Store(h, a, tok)
 	fill(tc, 0, DefaultMaxTokens-1)
-	if got, ok := tc.LookupKey(key); !ok || got != tok {
-		t.Fatalf("LookupKey = %+v, %v", got, ok)
+	// Missing probes for filler requests never stored mark nothing.
+	for i := DefaultMaxTokens; i < DefaultMaxTokens+8; i++ {
+		if _, ok := tc.Lookup(Hash(clockReq(i)), clockReq(i)); ok {
+			t.Fatalf("request %d hit before it was stored", i)
+		}
 	}
-	// The probe made a the most recent entry, so one store past the cap
-	// evicts the oldest filler instead.
+	if got, ok := tc.Lookup(h, a); !ok || got != tok {
+		t.Fatalf("Lookup = %+v, %v", got, ok)
+	}
+	// a sits under the hand; its reference bit sends the hand on to the
+	// first filler instead.
 	fill(tc, DefaultMaxTokens-1, DefaultMaxTokens)
-	if _, ok := tc.LookupSig(Signature(a)); !ok {
-		t.Error("LookupKey did not refresh recency")
+	if !has(tc, a) {
+		t.Error("the referenced entry was evicted")
 	}
-	if _, ok := tc.LookupSig(lruSig(0)); ok {
-		t.Error("the least recent entry survived past the cap")
+	if has(tc, clockReq(0)) {
+		t.Error("the first unreferenced entry survived past the cap")
 	}
-	if n := testing.AllocsPerRun(100, func() { tc.LookupKey(key) }); n != 0 {
-		t.Errorf("LookupKey allocates %.1f times per call", n)
+	if n := testing.AllocsPerRun(100, func() { tc.Lookup(h, a) }); n != 0 {
+		t.Errorf("Lookup allocates %.1f times per call", n)
 	}
 }
 
@@ -147,60 +176,123 @@ func TestInvalidateType(t *testing.T) {
 	}
 }
 
-// lruSig builds a distinct request signature per i (the cache never
-// validates requests, so synthetic constraint values are fine).
-func lruSig(i int) string {
-	return Signature(casebase.NewRequest(casebase.TypeFIREqualizer,
+// clockReq builds a distinct request per i (the cache never validates
+// requests, so synthetic constraint values are fine).
+func clockReq(i int) casebase.Request {
+	return casebase.NewRequest(casebase.TypeFIREqualizer,
 		casebase.Constraint{ID: casebase.AttrBitwidth, Value: attr.Value(i)},
-	).EqualWeights())
+	).EqualWeights()
 }
 
-// fill stores a type-1 token with impl i under lruSig(i) for each i in
-// [from, to).
+// fill stores a type-1 token with impl i under clockReq(i) for each i
+// in [from, to).
 func fill(tc *TokenCache, from, to int) {
 	for i := from; i < to; i++ {
-		tc.StoreSig(lruSig(i), Token{Type: 1, Impl: casebase.ImplID(i)})
+		r := clockReq(i)
+		tc.Store(Hash(r), r, Token{Type: 1, Impl: casebase.ImplID(i)})
 	}
 }
 
-func TestTokenCacheLRUEviction(t *testing.T) {
+// has reports whether req has an entry, without touching its
+// reference bit as Lookup would.
+func has(tc *TokenCache, req casebase.Request) bool { return tc.find(Hash(req), req) >= 0 }
+
+// TestTokenCacheClockEviction pins the CLOCK rules at the cap: a
+// referenced entry survives the next eviction (and loses its bit doing
+// so), exactly one unreferenced entry goes per store, and the cap holds.
+func TestTokenCacheClockEviction(t *testing.T) {
 	tc := NewTokenCache()
 	fill(tc, 0, DefaultMaxTokens)
-	// Touch 0 so 1 becomes the LRU tail.
-	if _, ok := tc.LookupSig(lruSig(0)); !ok {
+	if _, ok := tc.Lookup(Hash(clockReq(0)), clockReq(0)); !ok {
 		t.Fatal("token 0 missing before eviction")
 	}
 	fill(tc, DefaultMaxTokens, DefaultMaxTokens+1)
 	if tc.Len() != DefaultMaxTokens {
 		t.Fatalf("Len = %d, want %d", tc.Len(), DefaultMaxTokens)
 	}
-	if _, ok := tc.LookupSig(lruSig(1)); ok {
-		t.Error("LRU entry 1 survived past the cap")
+	if has(tc, clockReq(1)) {
+		t.Error("unreferenced entry 1 survived past the cap")
 	}
 	for _, i := range []int{0, 2, DefaultMaxTokens} {
-		if _, ok := tc.LookupSig(lruSig(i)); !ok {
-			t.Errorf("entry %d evicted out of LRU order", i)
+		if !has(tc, clockReq(i)) {
+			t.Errorf("entry %d evicted out of CLOCK order", i)
 		}
+	}
+	// The hand cleared 0's bit on its way past, so once it comes round
+	// again 0 goes like any other unreferenced entry.
+	fill(tc, DefaultMaxTokens+1, 2*DefaultMaxTokens)
+	if has(tc, clockReq(0)) {
+		t.Error("entry 0 kept its reference bit through a full sweep")
+	}
+	// With every entry referenced, one sweep clears them all and the
+	// store evicts exactly the entry under the hand.
+	for i := DefaultMaxTokens; i < 2*DefaultMaxTokens; i++ {
+		tc.Lookup(Hash(clockReq(i)), clockReq(i))
+	}
+	fill(tc, 2*DefaultMaxTokens, 2*DefaultMaxTokens+1)
+	gone := 0
+	for i := DefaultMaxTokens; i < 2*DefaultMaxTokens; i++ {
+		if !has(tc, clockReq(i)) {
+			gone++
+		}
+	}
+	if gone != 1 || tc.Len() != DefaultMaxTokens {
+		t.Errorf("a store past the cap evicted %d entries (Len %d), want exactly 1", gone, tc.Len())
 	}
 }
 
 func TestTokenCacheStoreRefreshesRecency(t *testing.T) {
 	tc := NewTokenCache()
 	fill(tc, 0, DefaultMaxTokens)
-	// Re-storing 0 (an updated pin) must refresh it, making 1 the tail.
-	tc.StoreSig(lruSig(0), Token{Type: 1, Impl: 10})
+	// Re-storing 0 (an updated pin) sets its reference bit, so the hand
+	// passes it and evicts 1.
+	r0 := clockReq(0)
+	tc.Store(Hash(r0), r0, Token{Type: 1, Impl: 10})
 	fill(tc, DefaultMaxTokens, DefaultMaxTokens+1)
-	if got, ok := tc.LookupSig(lruSig(0)); !ok || got.Impl != 10 {
-		t.Errorf("refreshed entry = %+v, %v; want impl 10 present", got, ok)
+	if got, ok := tc.Lookup(Hash(r0), r0); !ok || got.Impl != 10 {
+		t.Errorf("re-stored entry = %+v, %v; want impl 10 present", got, ok)
 	}
-	if _, ok := tc.LookupSig(lruSig(1)); ok {
-		t.Error("stale entry 1 survived past the refreshed one")
+	if has(tc, clockReq(1)) {
+		t.Error("unreferenced entry 1 survived past the re-stored one")
 	}
-	// InvalidateType keeps the LRU bookkeeping consistent.
+	// InvalidateType keeps the index consistent with the entries.
 	if n := tc.InvalidateType(1); n != DefaultMaxTokens {
 		t.Errorf("InvalidateType = %d, want %d", n, DefaultMaxTokens)
 	}
-	if tc.Len() != 0 || len(tc.tokens) != 0 {
-		t.Errorf("map/list out of sync after invalidate: %d/%d", len(tc.tokens), tc.Len())
+	if tc.Len() != 0 {
+		t.Errorf("Len = %d after invalidating every token", tc.Len())
+	}
+	for s, v := range tc.slots {
+		if v != 0 {
+			t.Fatalf("slot %d still indexes entry %d after invalidate", s, v-1)
+		}
+	}
+	fill(tc, 0, 3)
+	if !has(tc, clockReq(2)) || tc.Len() != 3 {
+		t.Errorf("store after invalidate: Len %d", tc.Len())
+	}
+}
+
+// TestTokenCollisionNeverServes plants an entry whose stored hash is
+// another request's hash: that request must miss, and storing it must
+// give it an entry of its own beside the planted one.
+func TestTokenCollisionNeverServes(t *testing.T) {
+	tc := NewTokenCache()
+	a, b := clockReq(1), clockReq(2)
+	h := Hash(b)
+	tokA, tokB := Token{Type: 1, Impl: 1}, Token{Type: 1, Impl: 2}
+	tc.Store(h, a, tokA)
+	if got, ok := tc.Lookup(h, b); ok {
+		t.Fatalf("a colliding request was served %+v", got)
+	}
+	tc.Store(h, b, tokB)
+	if got, ok := tc.Lookup(h, a); !ok || got != tokA {
+		t.Errorf("planted entry = %+v, %v", got, ok)
+	}
+	if got, ok := tc.Lookup(h, b); !ok || got != tokB {
+		t.Errorf("colliding entry = %+v, %v", got, ok)
+	}
+	if tc.Len() != 2 {
+		t.Errorf("Len = %d, want 2", tc.Len())
 	}
 }

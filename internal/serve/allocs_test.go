@@ -5,13 +5,16 @@ import (
 	"testing"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/retrieval"
 )
 
 // TestServiceAllocsPinned pins the heap allocations of the service
 // paths per call: a token-hit Retrieve after warm-up, a Retrieve that
-// misses and walks on the caller's goroutine, an Allocate followed by
-// its Release, a RetrieveBatch of 16 distinct requests over four
-// shards, and the two clock publishers, Tick and Exclusive. The counts
+// misses and walks on the caller's goroutine (below the token cap, where
+// the miss copies its key, and at it, where the key reuses the evicted
+// entry's slice), an Allocate followed by its Release, a RetrieveBatch
+// of 16 distinct requests over four shards, and the two clock
+// publishers, Tick and Exclusive. The counts
 // include the shard worker's share, so a change to the job pipeline
 // that makes any path allocate more fails here before it shows in a
 // benchmark.
@@ -37,6 +40,18 @@ func TestServiceAllocsPinned(t *testing.T) {
 	ms := New(gcb, fig1System(t, gcb), Config{})
 	defer ms.Close()
 	next := 0
+	// fs's one shard starts with a full token table of requests shaped
+	// like cold's but keyed apart by their weights.
+	fs := New(gcb, fig1System(t, gcb), Config{Shards: 1})
+	defer fs.Close()
+	full := fs.snap.Load().tokens[0]
+	for i := 0; full.Len() < retrieval.DefaultMaxTokens; i++ {
+		r := cold[i%len(cold)]
+		r.Constraints = append([]casebase.Constraint(nil), r.Constraints...)
+		r.Constraints[0].Weight = float64(i + 2)
+		full.Store(retrieval.Hash(r), r, retrieval.Token{Type: r.Type})
+	}
+	nextFull := 0
 
 	for _, c := range []struct {
 		name string
@@ -48,13 +63,19 @@ func TestServiceAllocsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"Retrieve/miss", 3, func() {
+		{"Retrieve/miss", 1, func() {
 			if _, err := ms.Retrieve(ctx, cold[next]); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}},
-		{"Allocate+Release", 14, func() {
+		{"Retrieve/miss-at-cap", 0, func() {
+			if _, err := fs.Retrieve(ctx, cold[nextFull]); err != nil {
+				t.Fatal(err)
+			}
+			nextFull++
+		}},
+		{"Allocate+Release", 11, func() {
 			d, err := s.Allocate(ctx, "mp3", req, 5)
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +84,7 @@ func TestServiceAllocsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"RetrieveBatch/16", 74, func() {
+		{"RetrieveBatch/16", 25, func() {
 			if _, err := gs.RetrieveBatch(ctx, batch); err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +99,15 @@ func TestServiceAllocsPinned(t *testing.T) {
 			t.Errorf("%s allocates %.1f times per call, pinned at %.0f", c.name, got, c.max)
 		}
 	}
-	if walks := ms.counts.inlineWalks.Load(); walks != int64(next) {
-		t.Errorf("%d miss calls walked inline %d times; each must miss and walk once", next, walks)
+	for _, m := range []struct {
+		s     *Service
+		calls int
+	}{{ms, next}, {fs, nextFull}} {
+		if walks := m.s.counts.inlineWalks.Load(); walks != int64(m.calls) {
+			t.Errorf("%d miss calls walked inline %d times; each must miss and walk once", m.calls, walks)
+		}
+	}
+	if n := full.Len(); n != retrieval.DefaultMaxTokens {
+		t.Errorf("full token table holds %d tokens, want the cap %d", n, retrieval.DefaultMaxTokens)
 	}
 }

@@ -14,13 +14,17 @@
 //     for concurrent use.
 //
 //   - Micro-batching. Concurrent requests landing on one shard coalesce
-//     into bounded batches. Within a batch, identical request
-//     signatures are deduplicated singleflight-style — one list walk
-//     serves every waiter — and across batches the shard's TokenCache
-//     bypasses retrieval for signatures it has already resolved. A
-//     Retrieve on a shard with nothing queued is answered on the
-//     caller's goroutine instead, from its token or by a walk of its
-//     own, without the hop to the shard worker.
+//     into bounded batches. Within a batch, identical requests are
+//     deduplicated singleflight-style — one list walk serves every
+//     waiter — and across batches the shard's TokenCache bypasses
+//     retrieval for requests it has already resolved. Each request is
+//     hashed once (retrieval.Hash) when it enters the service; the hash
+//     keys both the token probe and the singleflight map, and both
+//     compare the full request before they share an answer, so a hash
+//     collision costs a walk, never a wrong result. A Retrieve on a
+//     shard with nothing queued is answered on the caller's goroutine
+//     instead, from its token or by a walk of its own, without the hop
+//     to the shard worker.
 //
 //   - Admission control. Each shard queue is bounded; beyond it the
 //     service sheds load with a typed *ErrOverload carrying a
@@ -152,17 +156,18 @@ const (
 	jobCandidates                // N-best list feeding a placement
 )
 
-// job is one retrieval unit. A queued job (Retrieve, Allocate) gets
-// its reply on done; a job of a pre-formed batch (RetrieveBatch,
-// AllocateBatch) has no channel, and runBatch writes *out instead.
+// job is one retrieval unit. runBatch writes its result to res; a
+// queued job (Retrieve, Allocate) also gets the reply on done, while
+// the caller of a pre-formed batch (RetrieveBatch, AllocateBatch) reads
+// res once the batch has run.
 type job struct {
 	ctx  context.Context
 	kind jobKind
 	n    int32 // candidate depth for jobCandidates; int32 packs it beside kind
 	req  casebase.Request
-	sig  string         // request signature (dedup key), set when the job is built
+	hash uint64         // retrieval.Hash(req): token and dedup key, set when the job is built
 	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
-	out  *jobResult     // the pre-formed job's result slot
+	res  jobResult
 }
 
 type jobResult struct {
@@ -172,16 +177,17 @@ type jobResult struct {
 	err   error
 }
 
-// jobKey is the singleflight key: the signature qualified by kind and
-// candidate depth, so a best-match walk never masks a candidate walk
-// and candidate walks of different depth never share a result.
+// jobKey is the singleflight key: the request hash qualified by kind
+// and candidate depth, so a best-match walk never masks a candidate
+// walk and candidate walks of different depth never share a result.
+// Equal keys share a result only when the requests are equal too.
 type jobKey struct {
 	kind jobKind
 	n    int32
-	sig  string
+	hash uint64
 }
 
-func (j *job) key() jobKey { return jobKey{j.kind, j.n, j.sig} }
+func (j *job) key() jobKey { return jobKey{j.kind, j.n, j.hash} }
 
 // shard is one partition: a queue, the mutexes serializing its batches
 // and its token caches, and its count of inline walks. The token cache
@@ -198,9 +204,10 @@ type shard struct {
 
 	mu    sync.RWMutex // serializes this shard's batches; write-held per batch
 	tokMu sync.Mutex   // serializes this shard's token caches, of any epoch
-	// seen is the per-batch singleflight map, guarded by mu and cleared
-	// as every batch ends; reusing it spares a map per batch.
-	seen map[jobKey]*jobResult
+	// seen is the per-batch singleflight map from a key to the first
+	// job resolved under it, guarded by mu and cleared as every batch
+	// ends; reusing it spares a map per batch.
+	seen map[jobKey]*job
 	// walkers counts the misses walking inline on this shard; with the
 	// queue length it is bounded by MaxQueue.
 	walkers atomic.Int64
@@ -307,7 +314,7 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		sh := &shard{
 			idx:  i,
 			q:    make(chan *job, cfg.MaxQueue),
-			seen: make(map[jobKey]*jobResult),
+			seen: make(map[jobKey]*job),
 		}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -448,18 +455,13 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
-	var buf [sigBufLen]byte
-	key := retrieval.AppendSignature(buf[:0], req)
-	if r, ok, err := s.answerInline(ctx, req, key); ok {
+	h := retrieval.Hash(req)
+	if r, ok, err := s.answerInline(ctx, req, h); ok {
 		return r, err
 	}
-	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, sig: string(key), done: make(chan jobResult, 1)})
+	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, hash: h, done: make(chan jobResult, 1)})
 	return r.best, r.err
 }
-
-// sigBufLen sizes Retrieve's stack buffer for the request signature:
-// room for eight constraints; a longer signature grows onto the heap.
-const sigBufLen = 256
 
 // answerInline answers req on the caller's goroutine, without the hop
 // to the shard worker, and reports whether it did. It answers only
@@ -474,7 +476,7 @@ const sigBufLen = 256
 // valid (the queued path refuses an invalid one unadmitted). A probe
 // never fails on another probe, so no walk waits for another walk.
 // Either answer counts as an admitted batch of one job.
-func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []byte) (retrieval.Result, bool, error) {
+func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint64) (retrieval.Result, bool, error) {
 	if s.cfg.Engine.KeepLocals {
 		return retrieval.Result{}, false, nil
 	}
@@ -490,7 +492,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []
 	sh.tokMu.Lock()
 	sn := s.snap.Load()
 	tokens := sn.tokens[sh.idx]
-	tok, hit := tokens.LookupKey(key)
+	tok, hit := tokens.Lookup(h, req)
 	sh.tokMu.Unlock()
 	if hit {
 		if r, live := sn.resultFromToken(tok); live {
@@ -517,7 +519,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, key []
 	r, err := sn.engine.Retrieve(req)
 	if err == nil {
 		sh.tokMu.Lock()
-		tokens.StoreSig(string(key), retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
+		tokens.Store(h, req, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
 		sh.tokMu.Unlock()
 	}
 	return r, true, err
@@ -534,9 +536,9 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 		return nil, err
 	}
 	defer s.inflight.Done()
-	sig := retrieval.Signature(req)
+	h := retrieval.Hash(req)
 	for attempt := 0; ; attempt++ {
-		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), sig: sig, done: make(chan jobResult, 1)})
+		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), hash: h, done: make(chan jobResult, 1)})
 		if r.err == nil {
 			r.err = retrieval.Canceled(ctx)
 		}
@@ -623,13 +625,13 @@ func (s *Service) RetrieveBatch(ctx context.Context, reqs []casebase.Request) ([
 		return nil, err
 	}
 	defer s.inflight.Done()
-	res, err := s.fanout(ctx, reqs, jobRetrieve, 0)
+	jobs, err := s.fanout(ctx, reqs, jobRetrieve, 0)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]RetrieveOutcome, len(reqs))
-	for i, r := range res {
-		out[i] = RetrieveOutcome{Result: r.best, Err: r.err}
+	for i := range jobs {
+		out[i] = RetrieveOutcome{Result: jobs[i].res.best, Err: jobs[i].res.err}
 	}
 	return out, nil
 }
@@ -654,15 +656,15 @@ func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase
 		return nil, err
 	}
 	defer s.inflight.Done()
-	res, err := s.fanout(ctx, reqs, jobCandidates, s.cfg.Manager.NBest)
+	jobs, err := s.fanout(ctx, reqs, jobCandidates, s.cfg.Manager.NBest)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]BatchResult, len(reqs))
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	for i, r := range res {
-		out[i].Decision, out[i].Err = s.placeLocked(app, reqs[i], r, basePrio)
+	for i := range jobs {
+		out[i].Decision, out[i].Err = s.placeLocked(app, reqs[i], jobs[i].res, basePrio)
 	}
 	s.now.Store(uint64(s.sys.Now()))
 	return out, nil
@@ -798,8 +800,8 @@ func (s *Service) gather(sh *shard, batch []*job) []*job {
 }
 
 // runBatch executes one batch of jobs, queued or pre-formed (the caller
-// splits batches at MaxBatch), deduplicating identical signatures, and
-// replies to every job. The snapshot is loaded once, after the shard
+// splits batches at MaxBatch), deduplicating identical requests, and
+// resolves every job. The snapshot is loaded once, after the shard
 // mutex is taken, and serves the whole batch: every job of a batch is
 // answered from one epoch.
 func (s *Service) runBatch(sh *shard, batch []*job) {
@@ -812,17 +814,14 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	s.noteBatch(met, len(batch))
 	defer clear(sh.seen)
 	for _, j := range batch {
-		var r jobResult
 		if err := retrieval.Canceled(j.ctx); err != nil {
 			s.counts.canceled.Inc()
-			r.err = err
+			j.res = jobResult{err: err}
 		} else {
-			r = s.resolve(sn, sh, j)
+			j.res = s.resolve(sn, sh, j)
 		}
 		if j.done != nil {
-			j.done <- r
-		} else {
-			*j.out = r
+			j.done <- j.res
 		}
 	}
 }
@@ -842,15 +841,20 @@ func (s *Service) noteBatch(met *metrics, n int) {
 }
 
 // resolve serves one job from the batch's singleflight map, the token
-// cache, or an engine walk against the sn epoch. Caller holds sh.mu.
+// cache, or an engine walk against the sn epoch. A job shares the
+// result of the first job under its key only when their requests are
+// equal; on a hash collision it walks. Caller holds sh.mu.
 func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
 	key := j.key()
-	if r, ok := sh.seen[key]; ok {
+	first, ok := sh.seen[key]
+	if ok && retrieval.SameRequest(first.req, j.req) {
 		s.counts.dedupHits.Inc()
-		return *r
+		return first.res
 	}
 	r := s.runJob(sn, sh, j)
-	sh.seen[key] = &r
+	if !ok {
+		sh.seen[key] = j
+	}
 	return r
 }
 
@@ -864,7 +868,7 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 		return jobResult{list: list, epoch: sn.epoch, err: err}
 	}
 	// Best-match path: the shard token cache bypasses the walk for
-	// signatures it has already resolved ("only an availability check
+	// requests it has already resolved ("only an availability check
 	// ... has to be done", §3). The cache lives inside the snapshot and
 	// is born empty at each epoch, so a token can only ever bypass
 	// retrieval against the exact tree it was minted from. Disabled when
@@ -872,7 +876,7 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	// and the bit-identical contract with sequential retrieval must hold.
 	if !s.cfg.Engine.KeepLocals {
 		sh.tokMu.Lock()
-		tok, ok := tokens.LookupSig(j.sig)
+		tok, ok := tokens.Lookup(j.hash, j.req)
 		sh.tokMu.Unlock()
 		if ok {
 			if r, live := sn.resultFromToken(tok); live {
@@ -887,7 +891,7 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 		return jobResult{epoch: sn.epoch, err: err}
 	}
 	sh.tokMu.Lock()
-	tokens.StoreSig(j.sig, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
+	tokens.Store(j.hash, j.req, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
 	sh.tokMu.Unlock()
 	return jobResult{best: r, epoch: sn.epoch}
 }
@@ -895,18 +899,17 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 // fanout runs reqs as pre-formed micro-batches: one job per valid
 // request, grouped by shard, each group split at MaxBatch and run
 // through runBatch, in parallel across shards. An invalid request gets
-// its validation error and joins no batch. Results are positionally
-// aligned with reqs.
-func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobKind, n int) ([]jobResult, error) {
+// its validation error and joins no batch. The jobs, whose res fields
+// hold the results, are positionally aligned with reqs.
+func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobKind, n int) ([]job, error) {
 	jobs := make([]job, len(reqs))
-	res := make([]jobResult, len(reqs))
 	groups := make([][]*job, len(s.shards))
 	cb := s.CaseBase()
 	for i, r := range reqs {
-		if res[i].err = r.Validate(cb); res[i].err != nil {
+		if jobs[i].res.err = r.Validate(cb); jobs[i].res.err != nil {
 			continue
 		}
-		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: int32(n), sig: retrieval.Signature(r), out: &res[i]}
+		jobs[i] = job{ctx: ctx, kind: kind, req: r, n: int32(n), hash: retrieval.Hash(r)}
 		si := shardOf(r.Type, len(s.shards))
 		groups[si] = append(groups[si], &jobs[i])
 	}
@@ -929,5 +932,5 @@ func (s *Service) fanout(ctx context.Context, reqs []casebase.Request, kind jobK
 	if err := retrieval.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return jobs, nil
 }

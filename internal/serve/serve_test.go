@@ -644,15 +644,16 @@ func TestDrainMetricsExported(t *testing.T) {
 // TestJobKeyDistinct pins the singleflight key: kind-qualified, with the
 // candidate depth in the key, so a best-match walk never masks an n-best
 // walk and n-best walks of different depth never share a result, while
-// jobs of equal kind, depth and signature share one key.
+// jobs of equal kind, depth and request hash share one key.
 func TestJobKeyDistinct(t *testing.T) {
+	h := retrieval.Hash(casebase.PaperRequest())
 	jobs := []job{
-		{kind: jobRetrieve, n: 3, sig: "7|1=16"},
-		{kind: jobCandidates, n: 3, sig: "7|1=16"},
-		{kind: jobCandidates, n: 12, sig: ""},
+		{kind: jobRetrieve, n: 3, hash: h},
+		{kind: jobCandidates, n: 3, hash: h},
+		{kind: jobCandidates, n: 12, hash: 0},
 	}
 	for i := range jobs {
-		twin := job{ctx: context.Background(), kind: jobs[i].kind, n: jobs[i].n, sig: jobs[i].sig}
+		twin := job{ctx: context.Background(), kind: jobs[i].kind, n: jobs[i].n, hash: jobs[i].hash}
 		if jobs[i].key() != twin.key() {
 			t.Errorf("equal jobs %+v and %+v have different keys", jobs[i], twin)
 		}
@@ -661,5 +662,57 @@ func TestJobKeyDistinct(t *testing.T) {
 				t.Errorf("jobs %+v and %+v share key %+v", jobs[i], jobs[k], jobs[i].key())
 			}
 		}
+	}
+}
+
+// TestHashCollisionWalksBoth plants hash collisions on a shard. A token
+// stored under another request's hash must not serve that request, and
+// a queued batch of two different requests that share a hash must walk
+// both: neither the singleflight map nor the token table may pair them.
+func TestHashCollisionWalksBoth(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 64, 0)
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
+	a := reqs[0]
+	want, err := eng.Retrieve(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b casebase.Request
+	var wantB retrieval.Result
+	for _, r := range reqs[1:] {
+		if wantB, err = eng.Retrieve(r); err == nil && wantB.Impl != want.Impl {
+			b = r
+			break
+		}
+	}
+	if b.Constraints == nil {
+		t.Fatal("no request retrieves a different variant from reqs[0]")
+	}
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
+	defer s.Close()
+	sh := s.shards[0]
+	h := retrieval.Hash(b)
+
+	tokens := s.snap.Load().tokens[0]
+	tokens.Store(h, a, retrieval.Token{Type: want.Type, Impl: want.Impl, Similarity: want.Similarity})
+	if tok, ok := tokens.Lookup(h, b); ok {
+		t.Fatalf("b was served a's token %+v", tok)
+	}
+	tokens.InvalidateAll()
+
+	ctx := context.Background()
+	ja := &job{ctx: ctx, kind: jobRetrieve, req: a, hash: h, done: make(chan jobResult, 1)}
+	jb := &job{ctx: ctx, kind: jobRetrieve, req: b, hash: h, done: make(chan jobResult, 1)}
+	s.runBatch(sh, []*job{ja, jb})
+	ra, rb := <-ja.done, <-jb.done
+	if ra.err != nil || rb.err != nil {
+		t.Fatal(ra.err, rb.err)
+	}
+	if !reflect.DeepEqual(ra.best, want) || !reflect.DeepEqual(rb.best, wantB) {
+		t.Errorf("colliding batch answered %+v and %+v; fresh walks give %+v and %+v", ra.best, rb.best, want, wantB)
+	}
+	if st := s.Stats(); st.EngineRetrievals != 2 || st.DedupHits != 0 || st.TokenHits != 0 {
+		t.Errorf("colliding batch: %d walks, %d dedup hits, %d token hits; want 2, 0, 0",
+			st.EngineRetrievals, st.DedupHits, st.TokenHits)
 	}
 }

@@ -132,7 +132,7 @@ type (
 	ErrNoMatch = retrieval.ErrNoMatch
 	// Token pins a previous selection for repeated calls.
 	Token = retrieval.Token
-	// TokenCache maps request signatures to bypass tokens.
+	// TokenCache maps requests to bypass tokens in a fixed-capacity table.
 	TokenCache = retrieval.TokenCache
 	// Q15 is the 16-bit fixed-point similarity format.
 	Q15 = fixed.Q15
