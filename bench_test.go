@@ -470,7 +470,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 			device.NewProcessor("dsp0", casebase.TargetDSP, 1000, 128*1024),
 			device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 256*1024),
 		)
-		m := alloc.New(cb, sys, alloc.Options{})
+		m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{})
 		if _, err := m.Request("mp3", req, 5); err != nil {
 			b.Fatal(err)
 		}

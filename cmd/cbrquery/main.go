@@ -139,14 +139,20 @@ func main() {
 			fatal(err)
 		}
 		e := qosalloc.NewRetrievalEngine(cb, qosalloc.WithLocalMeasure(lm),
-			qosalloc.WithAmalgamation(am), qosalloc.WithThreshold(*threshold), qosalloc.WithKeepLocals(true))
+			qosalloc.WithAmalgamation(am), qosalloc.WithThreshold(*threshold))
 		rs, err := e.RetrieveN(req, *n)
+		if err != nil {
+			fatal(err)
+		}
+		// RetrieveN's answer is the head of RetrieveAll's ranking, which
+		// carries the per-attribute breakdowns.
+		all, err := e.RetrieveAll(req)
 		if err != nil {
 			fatal(err)
 		}
 		for i, r := range rs {
 			fmt.Printf("#%d impl %d (%s, %s): S = %.4f\n", i+1, r.Impl, r.Name, r.Target, r.Similarity)
-			for _, l := range r.Locals {
+			for _, l := range all[i].Locals {
 				fmt.Printf("     attr %d: req=%d impl=%d found=%v s=%.4f w=%.3f\n",
 					l.ID, l.Req, l.Impl, l.Found, l.Sim, l.Weight)
 			}

@@ -57,7 +57,7 @@ func TestCommandsRun(t *testing.T) {
 			[]string{"2 types, 5 implementations", "FIR Equalizer", "wrote JSON"}},
 		{"cbrquery-names", []string{"run", "./cmd/cbrquery", "-load", cbJSON,
 			"-type", "1", "-c", "bitwidth=16", "-c", "output-mode=stereo", "-c", "sample-rate=40", "-n", "3"},
-			[]string{"impl 2", "S = 0.9640"}},
+			[]string{"impl 2", "S = 0.9640", "#3 impl 3", "attr 4: req=40 impl=44 found=true s=0.8919 w=0.333"}},
 		{"cbrquery-hw", []string{"run", "./cmd/cbrquery", "-engine", "hw",
 			"-type", "1", "-c", "1=16", "-c", "3=1", "-c", "4=40"},
 			[]string{"157 cycles"}},

@@ -15,7 +15,8 @@
 //     requests (package internal/attr, internal/casebase).
 //   - Retrieval: NewRetrievalEngine is the double-precision reference
 //     retrieval (eq. 1 local similarity, eq. 2 weighted amalgamation,
-//     thresholds, n-best); NewFixedEngine is the bit-exact 16-bit twin of the
+//     thresholds, n-best, and RetrieveAll's per-attribute Table 1
+//     breakdown); NewFixedEngine is the bit-exact 16-bit twin of the
 //     hardware datapath, scoring over the §5 block-compacted memory image
 //     (internal/retrieval, internal/similarity, internal/fixed).
 //   - Memory images: EncodeTree/EncodeRequest/EncodeSupplemental lay the

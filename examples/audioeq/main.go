@@ -22,7 +22,7 @@ func main() {
 	fmt.Println("request: FIR equalizer, {bitwidth=16, output=stereo, 40 kS/s}, w=1/3 each")
 
 	// Table 1: the float64 reference with the per-attribute breakdown.
-	eng := qosalloc.NewRetrievalEngine(cb, qosalloc.WithKeepLocals(true))
+	eng := qosalloc.NewRetrievalEngine(cb)
 	all, err := eng.RetrieveAll(req)
 	if err != nil {
 		log.Fatal(err)

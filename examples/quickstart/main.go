@@ -53,7 +53,7 @@ func main() {
 		qosalloc.Constraint{ID: 3, Value: 1, Weight: 0.2},
 	).NormalizeWeights()
 
-	eng := qosalloc.NewRetrievalEngine(cb, qosalloc.WithKeepLocals(true))
+	eng := qosalloc.NewRetrievalEngine(cb)
 	ranked, err := eng.RetrieveN(req, 3)
 	if err != nil {
 		log.Fatal(err)

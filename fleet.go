@@ -4,14 +4,16 @@ package qosalloc
 // its own repository, device set and runtime — behind one allocator
 // that scores placements with the pure policy package and enforces
 // per-tenant QoS-class budgets at admission. Construction uses the
-// shared Option vocabulary: WithThreshold/WithNBest/WithPowerWeight
-// tune the fleet exactly as they tune a Manager, while WithFleetNode,
-// WithTenant and WithClassBudget declare the fleet-only topology and
-// tenancy. Declaration order is part of the replay contract.
+// shared Option vocabulary: WithThreshold, WithLocalMeasure,
+// WithAmalgamation, WithNBest and WithPowerWeight tune the fleet exactly
+// as they tune a Manager, while WithFleetNode, WithTenant and
+// WithClassBudget declare the fleet-only topology and tenancy.
+// Declaration order is part of the replay contract.
 
 import (
 	"qosalloc/internal/admit"
 	"qosalloc/internal/fleet"
+	"qosalloc/internal/retrieval"
 )
 
 // Fleet-layer types.
@@ -95,8 +97,7 @@ func WithClassBudget(class QoSClass, b ClassBudget) Option {
 //	p, err := fl.Allocate("batch", "mp3", req, 5)
 func NewFleet(cb *CaseBase, opts ...Option) (*Fleet, error) {
 	c := buildConfig(opts)
-	fl := fleet.New(cb, fleet.Options{
-		Threshold:   c.serve.Manager.Threshold,
+	fl := fleet.New(retrieval.NewEngine(cb, c.serve.Engine), fleet.Options{
 		NBest:       c.serve.Manager.NBest,
 		PowerWeight: c.serve.Manager.PowerWeight,
 	})

@@ -33,12 +33,10 @@ import (
 // placed anywhere, even after falling down the N-best list.
 var ErrNoViableVariant = errors.New("alloc: no viable variant")
 
-// Options tune the manager's policy.
+// Options tune the manager's policy. The similarity threshold ("it's
+// conceivable to reject all results below a given threshold
+// similarity", §3) is the retrieval engine's (retrieval.Options).
 type Options struct {
-	// Threshold rejects retrieval results below this global
-	// similarity ("it's conceivable to reject all results below a
-	// given threshold similarity", §3).
-	Threshold float64
 	// NBest bounds how many retrieval candidates are checked for
 	// feasibility, the §5 n-most-similar extension. Zero means
 	// DefaultNBest.
@@ -170,47 +168,41 @@ type origin struct {
 // devices, place and preempt). All bookkeeping that spans both —
 // counters, metrics, bypass tokens, task origins — lives here.
 type Manager struct {
-	mech   *Mechanism
-	engine *retrieval.Engine
-	// locEngine keeps per-attribute breakdowns (off the hot path) for
-	// degradation accounting: which QoS attributes got worse.
-	locEngine *retrieval.Engine
-	sys       *rtsys.System
-	tokens    *retrieval.TokenCache
-	opt       Options
-	counts    counts
-	met       *metrics
-	retMet    *retrieval.Metrics // survives UpdateCaseBase engine rebuilds
-	origins   map[rtsys.TaskID]origin
+	mech    *Mechanism
+	engine  *retrieval.Engine
+	sys     *rtsys.System
+	tokens  *retrieval.TokenCache
+	opt     Options
+	counts  counts
+	met     *metrics
+	origins map[rtsys.TaskID]origin
 }
 
-// New builds a manager over a case base and run-time system.
-func New(cb *casebase.CaseBase, sys *rtsys.System, opt Options) *Manager {
+// New builds a manager that retrieves on eng, over eng's case base, and
+// places on sys. Requests, recovery and degradation accounting all walk
+// eng, so its measures and threshold are the manager's.
+func New(eng *retrieval.Engine, sys *rtsys.System, opt Options) *Manager {
 	if opt.NBest <= 0 {
 		opt.NBest = DefaultNBest
 	}
 	return &Manager{
-		mech:      NewMechanism(cb, sys),
-		engine:    retrieval.NewEngine(cb, retrieval.Options{Threshold: opt.Threshold}),
-		locEngine: retrieval.NewEngine(cb, retrieval.Options{KeepLocals: true}),
-		sys:       sys,
-		tokens:    retrieval.NewTokenCache(),
-		opt:       opt,
-		met:       newMetrics(nil),
-		origins:   make(map[rtsys.TaskID]origin),
+		mech:    NewMechanism(eng.CaseBase(), sys),
+		engine:  eng,
+		sys:     sys,
+		tokens:  retrieval.NewTokenCache(),
+		opt:     opt,
+		met:     newMetrics(nil),
+		origins: make(map[rtsys.TaskID]origin),
 	}
 }
 
-// Instrument registers the manager's metric set on reg and threads the
-// retrieval bundle through both engines. The run-time system and devices
-// have their own Instrument hooks; call them separately so each layer's
-// metrics can go to the same or different registries.
+// Instrument registers the manager's own metric set on reg. The engine,
+// the run-time system and the devices have their own Instrument hooks;
+// whoever builds them instruments them, so each layer's metrics can go
+// to the same or different registries.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	m.met = newMetrics(reg)
 	m.counts.attach(reg)
-	m.retMet = retrieval.NewMetrics(reg)
-	m.engine.Instrument(m.retMet)
-	m.locEngine.Instrument(m.retMet)
 }
 
 // Stats returns a copy of the counters.
@@ -228,7 +220,7 @@ func (m *Manager) Stats() Stats {
 // System returns the underlying run-time system.
 func (m *Manager) System() *rtsys.System { return m.sys }
 
-// Engine returns the retrieval engine (for inspection in reports).
+// Engine returns the retrieval engine the manager walks.
 func (m *Manager) Engine() *retrieval.Engine { return m.engine }
 
 // Request allocates an implementation for a QoS function request on
@@ -410,19 +402,14 @@ func (m *Manager) ReplacePending() int {
 	}
 }
 
-// UpdateCaseBase swaps in a revised case base — the §5 dynamic update,
-// produced by the learn package's Rebuild. The retrieval engine is
-// rebuilt over the new tree and every bypass token is invalidated, since
-// pinned selections may no longer be the best match. Tasks already
-// placed keep running; only future requests see the new tree.
-func (m *Manager) UpdateCaseBase(cb *casebase.CaseBase) {
-	m.mech = NewMechanism(cb, m.sys)
-	m.engine = retrieval.NewEngine(cb, retrieval.Options{Threshold: m.opt.Threshold})
-	m.locEngine = retrieval.NewEngine(cb, retrieval.Options{KeepLocals: true})
-	if m.retMet != nil {
-		m.engine.Instrument(m.retMet)
-		m.locEngine.Instrument(m.retMet)
-	}
+// UpdateCaseBase swaps in an engine over a revised case base — the §5
+// dynamic update, produced by the learn package's Builder. Every bypass
+// token is invalidated, since pinned selections may no longer be the
+// best match. Tasks already placed keep running; only future requests
+// see the new tree.
+func (m *Manager) UpdateCaseBase(eng *retrieval.Engine) {
+	m.mech = NewMechanism(eng.CaseBase(), m.sys)
+	m.engine = eng
 	m.tokens.InvalidateAll()
 }
 
@@ -451,11 +438,13 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 		org = origin{app: t.App, req: casebase.NewRequest(t.Type), impl: t.Impl}
 	}
 	excluded := m.mech.ExcludedTargets()
-	candidates, err := m.locEngine.RetrieveN(org.req, m.opt.NBest)
+	// The N best with their breakdowns, threshold not applied.
+	all, err := m.engine.RetrieveAll(org.req)
 	if err != nil {
 		rec.Report = m.reject(t, org, excluded, nil)
 		return rec
 	}
+	candidates := all[:min(m.opt.NBest, len(all))]
 	m.mech.RankForPower(org.req.Type, candidates, m.opt.PowerWeight)
 	tried, im, dev := m.mech.Reseat(t, org.req.Type, candidates, excluded)
 	if dev == nil {
@@ -471,7 +460,7 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 		Similarity: cand.Similarity, ReadyAt: t.ReadyAt,
 	}
 	if known {
-		if deg := Degraded(m.locEngine, org.req, org.impl, org.sim, cand); deg != nil {
+		if deg := Degraded(m.engine, org.req, org.impl, org.sim, cand); deg != nil {
 			m.counts.degraded.Inc()
 			m.met.event(int64(m.sys.Now()), "degrade", "task=%d impl %d->%d sim %.3f->%.3f", t.ID, org.impl, cand.Impl, org.sim, cand.Similarity)
 			rec.Decision.Degraded = deg
@@ -500,14 +489,15 @@ func (m *Manager) reject(t *rtsys.Task, org origin, excluded []casebase.Target, 
 // Degraded reports what recovering a task from variant from, granted
 // at similarity fromSim, onto the substitute to cost the application,
 // or nil when to is the same variant or nothing got worse
-// (policy.IsDegradation). loc must keep per-attribute locals: it
-// supplies the breakdowns policy.LostAttrs compares.
-func Degraded(loc *retrieval.Engine, req casebase.Request, from casebase.ImplID, fromSim float64, to retrieval.Result) *Degradation {
+// (policy.IsDegradation). The per-attribute breakdowns
+// policy.LostAttrs compares come from eng's RetrieveAll, so they use
+// the measures the candidates were ranked by.
+func Degraded(eng *retrieval.Engine, req casebase.Request, from casebase.ImplID, fromSim float64, to retrieval.Result) *Degradation {
 	if to.Impl == from {
 		return nil
 	}
 	var lost []attr.ID
-	if all, err := loc.RetrieveAll(req); err == nil {
+	if all, err := eng.RetrieveAll(req); err == nil {
 		locals := func(id casebase.ImplID) []retrieval.LocalScore {
 			for _, r := range all {
 				if r.Impl == id {

@@ -15,6 +15,13 @@ import (
 // platform builds the fig. 1 style test system: 2-slot FPGA, DSP, GPP.
 func platform(t *testing.T, opt Options) (*Manager, *rtsys.System) {
 	t.Helper()
+	return thresholdPlatform(t, 0, opt)
+}
+
+// thresholdPlatform is platform with a manager whose engine rejects
+// results below similarity th.
+func thresholdPlatform(t *testing.T, th float64, opt Options) (*Manager, *rtsys.System) {
+	t.Helper()
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +37,7 @@ func platform(t *testing.T, opt Options) (*Manager, *rtsys.System) {
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 1000, 128*1024)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 256*1024)
 	sys := rtsys.NewSystem(repo, fpga, dsp, gpp)
-	return New(cb, sys, opt), sys
+	return New(retrieval.NewEngine(cb, retrieval.Options{Threshold: th}), sys, opt), sys
 }
 
 func TestRequestPicksTableOneBest(t *testing.T) {
@@ -79,7 +86,7 @@ func TestFallbackToSecondBestWhenDSPFull(t *testing.T) {
 }
 
 func TestThresholdRejection(t *testing.T) {
-	m, _ := platform(t, Options{Threshold: 0.99})
+	m, _ := thresholdPlatform(t, 0.99, Options{})
 	_, err := m.Request("mp3", casebase.PaperRequest(), 5)
 	var nm *retrieval.ErrNoMatch
 	if !errors.As(err, &nm) {
@@ -94,7 +101,7 @@ func TestRelaxedRequestAdmitsLowVariant(t *testing.T) {
 	// §3: "the application has to repeat its request with rather
 	// relaxed constraints giving a chance to the third low performance
 	// implementation."
-	m, _ := platform(t, Options{Threshold: 0.5})
+	m, _ := thresholdPlatform(t, 0.5, Options{})
 	req := casebase.PaperRequest()
 	// With threshold 0.5 the GP-Proc variant (0.43) is rejected; relax
 	// the sample-rate constraint and it scores 1/3·(0.11+0.66)→ no,
@@ -126,7 +133,7 @@ func TestNoFeasibleOffersAlternatives(t *testing.T) {
 	_ = repo.PopulateFromCaseBase(cb)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 256*1024)
 	sys := rtsys.NewSystem(repo, gpp)
-	m := New(cb, sys, Options{})
+	m := New(retrieval.NewEngine(cb, retrieval.Options{}), sys, Options{})
 
 	if _, err := m.Request("a", casebase.PaperRequest(), 5); err != nil {
 		t.Fatal(err) // takes the GP-Proc variant (700 permille)
@@ -153,7 +160,7 @@ func TestPreemptionEvictsLowerPriority(t *testing.T) {
 	_ = repo.PopulateFromCaseBase(cb)
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 500, 128*1024)
 	sys := rtsys.NewSystem(repo, dsp)
-	m := New(cb, sys, Options{AllowPreemption: true, NBest: 1})
+	m := New(retrieval.NewEngine(cb, retrieval.Options{}), sys, Options{AllowPreemption: true, NBest: 1})
 
 	low, err := m.Request("bg", casebase.PaperRequest(), 1)
 	if err != nil {
@@ -218,10 +225,11 @@ func TestBypassTokens(t *testing.T) {
 	if st.Retrievals != 1 {
 		t.Errorf("retrievals = %d, want 1", st.Retrievals)
 	}
-	// Case-base update invalidates tokens for the type.
-	if n := m.tokens.InvalidateType(casebase.TypeFIREqualizer); n != 1 {
-		t.Errorf("invalidated %d tokens", n)
+	// A case-base update drops every token.
+	if n := m.tokens.Len(); n != 1 {
+		t.Errorf("%d tokens, want 1", n)
 	}
+	m.tokens.InvalidateAll()
 	d3, err := m.Request("mp3", req, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +260,7 @@ func TestPreemptiveRequestStoresToken(t *testing.T) {
 	repo := device.NewRepository(20)
 	_ = repo.PopulateFromCaseBase(cb)
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 500, 128*1024)
-	m := New(cb, rtsys.NewSystem(repo, dsp), Options{UseBypassTokens: true, AllowPreemption: true, NBest: 1})
+	m := New(retrieval.NewEngine(cb, retrieval.Options{}), rtsys.NewSystem(repo, dsp), Options{UseBypassTokens: true, AllowPreemption: true, NBest: 1})
 	req := casebase.PaperRequest()
 	if _, err := m.Request("bg", req, 1); err != nil {
 		t.Fatal(err)
@@ -315,7 +323,7 @@ func TestUpdateCaseBaseSwapsTreeAndDropsTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.UpdateCaseBase(cb2)
+	m.UpdateCaseBase(retrieval.NewEngine(cb2, retrieval.Options{}))
 	if m.tokens.Len() != 0 {
 		t.Error("tokens must be invalidated on case-base update")
 	}

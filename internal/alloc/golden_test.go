@@ -10,6 +10,7 @@ import (
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -55,7 +56,7 @@ func recoveryScenario(t *testing.T, powerWeight float64) ([]string, Stats) {
 		device.NewProcessor("gpp0", casebase.TargetGPP, 1500, 1<<21),
 	)
 	sys.RetryLimit = 1 // configuration faults strand tasks, not only device faults
-	m := New(cb, sys, Options{NBest: 5, AllowPreemption: true, PowerWeight: powerWeight})
+	m := New(retrieval.NewEngine(cb, retrieval.Options{}), sys, Options{NBest: 5, AllowPreemption: true, PowerWeight: powerWeight})
 	plan, err := fault.Storm(rand.New(rand.NewSource(5)), fault.StormSpec{
 		Horizon:   device.Micros(len(reqs)) * 1000,
 		SlotFails: 3, DeviceFails: 2, ConfigErrors: 30, SEUs: 20,

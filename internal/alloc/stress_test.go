@@ -6,6 +6,7 @@ import (
 
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -36,7 +37,7 @@ func TestStressInvariants(t *testing.T) {
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 1500, 1<<20)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1500, 1<<20)
 	sys := rtsys.NewSystem(repo, fpga, dsp, gpp)
-	m := New(cb, sys, Options{NBest: 3, AllowPreemption: true, UseBypassTokens: true})
+	m := New(retrieval.NewEngine(cb, retrieval.Options{}), sys, Options{NBest: 3, AllowPreemption: true, UseBypassTokens: true})
 
 	check := func(step int) {
 		t.Helper()

@@ -8,10 +8,13 @@ import (
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 )
 
-func manager(t *testing.T, opt alloc.Options) *alloc.Manager {
+// manager builds a manager on a 1-slot FPGA, a DSP and a GPP whose
+// engine rejects results below similarity th.
+func manager(t *testing.T, th float64) *alloc.Manager {
 	t.Helper()
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
@@ -26,11 +29,11 @@ func manager(t *testing.T, opt alloc.Options) *alloc.Manager {
 	}, 66)
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 1000, 128*1024)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 256*1024)
-	return alloc.New(cb, rtsys.NewSystem(repo, fpga, dsp, gpp), opt)
+	return alloc.New(retrieval.NewEngine(cb, retrieval.Options{Threshold: th}), rtsys.NewSystem(repo, fpga, dsp, gpp), alloc.Options{})
 }
 
 func TestCallPlacesDirectly(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	c, err := s.Call(casebase.PaperRequest())
 	if err != nil {
@@ -62,7 +65,7 @@ func TestCallPlacesDirectly(t *testing.T) {
 func TestCallNegotiatesThreshold(t *testing.T) {
 	// Threshold 0.97 rejects even the DSP variant (0.96). Relaxing the
 	// sample-rate constraint lifts the DSP variant to (1+1)/2 = 1.0.
-	m := manager(t, alloc.Options{Threshold: 0.97})
+	m := manager(t, 0.97)
 	s := NewSession(m, "mp3", 5, Options{
 		RelaxOrder: []attr.ID{casebase.AttrSampleRate, casebase.AttrOutputMode},
 	})
@@ -88,7 +91,7 @@ func TestCallNegotiatesThreshold(t *testing.T) {
 }
 
 func TestCallFailsWhenExhausted(t *testing.T) {
-	m := manager(t, alloc.Options{Threshold: 1.1}) // unreachable
+	m := manager(t, 1.1) // unreachable
 	s := NewSession(m, "mp3", 5, Options{
 		RelaxOrder: []attr.ID{casebase.AttrSampleRate},
 	})
@@ -119,7 +122,7 @@ func TestCallNegotiatesInfeasible(t *testing.T) {
 	repo := device.NewRepository(20)
 	_ = repo.PopulateFromCaseBase(cb)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 256*1024)
-	m := alloc.New(cb, rtsys.NewSystem(repo, gpp), alloc.Options{})
+	m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), rtsys.NewSystem(repo, gpp), alloc.Options{})
 	s := NewSession(m, "a", 5, Options{})
 	first, err := s.Call(casebase.PaperRequest())
 	if err != nil {
@@ -146,7 +149,7 @@ func TestCallNegotiatesInfeasible(t *testing.T) {
 }
 
 func TestSessionClose(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	if _, err := s.Call(casebase.PaperRequest()); err != nil {
 		t.Fatal(err)
@@ -169,7 +172,7 @@ func TestSessionClose(t *testing.T) {
 }
 
 func TestCallPropagatesValidationErrors(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	bad := casebase.NewRequest(99, casebase.Constraint{ID: 1, Value: 16, Weight: 1})
 	if _, err := s.Call(bad); err == nil {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAbsorbRecoveryDegraded(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	c, err := s.Call(casebase.PaperRequest())
 	if err != nil {
@@ -49,7 +49,7 @@ func TestAbsorbRecoveryDegraded(t *testing.T) {
 }
 
 func TestAbsorbRecoveryRejected(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	c, err := s.Call(casebase.PaperRequest())
 	if err != nil {
@@ -85,7 +85,7 @@ func TestAbsorbRecoveryRejected(t *testing.T) {
 }
 
 func TestAbsorbRecoveryForeignTask(t *testing.T) {
-	m := manager(t, alloc.Options{})
+	m := manager(t, 0)
 	s := NewSession(m, "mp3", 5, Options{})
 	if s.AbsorbRecovery(alloc.Recovery{Task: 999}) {
 		t.Error("unknown task cannot belong to this session")

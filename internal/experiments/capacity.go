@@ -7,6 +7,7 @@ import (
 	"qosalloc/internal/alloc"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -61,7 +62,7 @@ func CapacitySweep() ([]CapacityPoint, error) {
 			device.NewProcessor("dsp0", casebase.TargetDSP, 1500, 1<<20),
 			device.NewProcessor("gpp0", casebase.TargetGPP, 1500, 1<<21),
 		)
-		m := alloc.New(cb, sys, alloc.Options{NBest: 3, AllowPreemption: true})
+		m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{NBest: 3, AllowPreemption: true})
 
 		pt := CapacityPoint{FPGASlots: slots}
 		var simSum float64

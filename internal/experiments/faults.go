@@ -10,6 +10,7 @@ import (
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -96,7 +97,7 @@ func FaultSweepRun(spec FaultSweepSpec) (FaultSweepData, error) {
 		device.NewProcessor("dsp0", casebase.TargetDSP, 2000, 1<<20),
 		device.NewProcessor("gpp0", casebase.TargetGPP, 2000, 1<<21),
 	)
-	m := alloc.New(cb, sys, alloc.Options{
+	m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{
 		NBest: 5, AllowPreemption: true, UseBypassTokens: true,
 	})
 

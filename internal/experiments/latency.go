@@ -9,6 +9,7 @@ import (
 	"qosalloc/internal/alloc"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -62,7 +63,7 @@ func LatencyRun() ([]LatencyStats, error) {
 		device.NewProcessor("dsp0", casebase.TargetDSP, 2000, 1<<20),
 		device.NewProcessor("gpp0", casebase.TargetGPP, 2000, 1<<21),
 	)
-	m := alloc.New(cb, sys, alloc.Options{NBest: 3})
+	m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{NBest: 3})
 
 	// Exponential-ish inter-arrival times (mean 1.5 ms), deterministic
 	// seed.

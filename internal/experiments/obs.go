@@ -11,6 +11,7 @@ import (
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
 	"qosalloc/internal/obs"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -71,7 +72,8 @@ func ObsRun(spec ObsSpec) (*obs.Registry, error) {
 		device.NewProcessor("dsp0", casebase.TargetDSP, 2000, 1<<20),
 		device.NewProcessor("gpp0", casebase.TargetGPP, 2000, 1<<21),
 	)
-	m := alloc.New(cb, sys, alloc.Options{
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
+	m := alloc.New(eng, sys, alloc.Options{
 		NBest: 5, AllowPreemption: true, UseBypassTokens: true,
 	})
 
@@ -96,8 +98,8 @@ func ObsRun(spec ObsSpec) (*obs.Registry, error) {
 	}
 	inj := fault.NewInjector(sys, plan)
 
-	// One registry, every layer. Manager.Instrument also instruments the
-	// retrieval engines it owns.
+	// One registry, every layer.
+	eng.Instrument(retrieval.NewMetrics(reg))
 	m.Instrument(reg)
 	sys.Instrument(reg)
 	inj.Instrument(reg)

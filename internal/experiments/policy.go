@@ -90,7 +90,7 @@ func PolicyRun() ([]PolicyResult, error) {
 	// Policy 1: the paper's QoS-CBR manager.
 	{
 		sys := makePlatform()
-		m := alloc.New(cb, sys, alloc.Options{NBest: 3})
+		m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{NBest: 3})
 		res := PolicyResult{Name: "qos-cbr"}
 		var simSum, powSum float64
 		var live []rtsys.TaskID

@@ -7,6 +7,7 @@ import (
 	"qosalloc/internal/alloc"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -61,7 +62,7 @@ func PowerTradeSweep() ([]PowerTradePoint, error) {
 			device.NewProcessor("dsp0", casebase.TargetDSP, 2000, 1<<20),
 			device.NewProcessor("gpp0", casebase.TargetGPP, 2000, 1<<21),
 		)
-		m := alloc.New(cb, sys, alloc.Options{NBest: 3, PowerWeight: pw})
+		m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{NBest: 3, PowerWeight: pw})
 
 		pt := PowerTradePoint{PowerWeight: pw}
 		var simSum, powSum float64

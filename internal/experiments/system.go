@@ -8,6 +8,7 @@ import (
 	"qosalloc/internal/alloc"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -64,8 +65,8 @@ func SystemRun() (SystemResult, error) {
 	dsp := device.NewProcessor("dsp0", casebase.TargetDSP, 1000, 192*1024)
 	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 512*1024)
 	sys := rtsys.NewSystem(repo, fpga0, fpga1, dsp, gpp)
-	m := alloc.New(cb, sys, alloc.Options{
-		Threshold: 0.3, NBest: 3, AllowPreemption: true, UseBypassTokens: true,
+	m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{Threshold: 0.3}), sys, alloc.Options{
+		NBest: 3, AllowPreemption: true, UseBypassTokens: true,
 	})
 
 	// Flatten the app scripts into a time-ordered event list.

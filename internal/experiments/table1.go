@@ -24,7 +24,7 @@ func Table1Data() ([]retrieval.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := retrieval.NewEngine(cb, retrieval.Options{KeepLocals: true})
+	e := retrieval.NewEngine(cb, retrieval.Options{})
 	return e.RetrieveAll(casebase.PaperRequest())
 }
 

@@ -39,10 +39,9 @@ import (
 )
 
 // Options tune fleet-wide allocation policy; the same knobs as the
-// single-node manager where they overlap.
+// single-node manager where they overlap. The similarity threshold is
+// the retrieval engine's.
 type Options struct {
-	// Threshold rejects retrieval results below this global similarity.
-	Threshold float64
 	// NBest bounds how many candidates are checked per request. Zero
 	// means alloc.DefaultNBest.
 	NBest int
@@ -132,34 +131,31 @@ type Fleet struct {
 	// records (ImplOf and RankForPower never touch a run-time system).
 	resolve *alloc.Mechanism
 	engine  *retrieval.Engine
-	// locEngine keeps per-attribute breakdowns for degradation
-	// accounting, exactly like the single-node manager.
-	locEngine *retrieval.Engine
-	nodes     []*Node
-	byName    map[string]*Node
-	ledger    *admit.Ledger
-	opt       Options
-	now       device.Micros
-	reg       *obs.Registry // nil until Instrument
-	counts    counts
-	journal   *obs.Journal
+	nodes   []*Node
+	byName  map[string]*Node
+	ledger  *admit.Ledger
+	opt     Options
+	now     device.Micros
+	reg     *obs.Registry // nil until Instrument
+	counts  counts
+	journal *obs.Journal
 }
 
-// New builds an empty fleet over one shared case base; add platforms
-// with AddNode.
-func New(cb *casebase.CaseBase, opt Options) *Fleet {
+// New builds an empty fleet that retrieves on eng, over eng's case base,
+// which every node shares; add platforms with AddNode.
+func New(eng *retrieval.Engine, opt Options) *Fleet {
 	if opt.NBest <= 0 {
 		opt.NBest = alloc.DefaultNBest
 	}
+	cb := eng.CaseBase()
 	return &Fleet{
-		cb:        cb,
-		resolve:   alloc.NewMechanism(cb, nil),
-		engine:    retrieval.NewEngine(cb, retrieval.Options{Threshold: opt.Threshold}),
-		locEngine: retrieval.NewEngine(cb, retrieval.Options{KeepLocals: true}),
-		byName:    make(map[string]*Node),
-		ledger:    admit.NewLedger(),
-		opt:       opt,
-		journal:   obs.NewJournal(),
+		cb:      cb,
+		resolve: alloc.NewMechanism(cb, nil),
+		engine:  eng,
+		byName:  make(map[string]*Node),
+		ledger:  admit.NewLedger(),
+		opt:     opt,
+		journal: obs.NewJournal(),
 	}
 }
 
@@ -378,11 +374,13 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 	}
 	rec := Recovery{Node: n.name, Task: t.ID, Tenant: tr.tenant}
 	excluded := n.mech.ExcludedTargets()
-	candidates, err := f.locEngine.RetrieveN(tr.req, f.opt.NBest)
+	// The N best with their breakdowns, threshold not applied.
+	all, err := f.engine.RetrieveAll(tr.req)
 	if err != nil {
 		f.rejectRecovery(n, t, tr)
 		return rec
 	}
+	candidates := all[:min(f.opt.NBest, len(all))]
 	f.resolve.RankForPower(tr.req.Type, candidates, f.opt.PowerWeight)
 
 	// Same node first: the storm-hit node's surviving capacity belongs
@@ -419,7 +417,7 @@ func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, t
 		f.ledger.ForceCharge(tr.tenant, im.Foot)
 		f.observeTenant(tr.tenant)
 	}
-	if alloc.Degraded(f.locEngine, tr.req, tr.impl, tr.sim, cand) != nil {
+	if alloc.Degraded(f.engine, tr.req, tr.impl, tr.sim, cand) != nil {
 		rec.Degraded = true
 		f.counts.degraded.Inc()
 	}

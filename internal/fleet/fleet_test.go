@@ -11,6 +11,7 @@ import (
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
 	"qosalloc/internal/obs"
+	"qosalloc/internal/retrieval"
 )
 
 // newTestFleet builds n identical paper-style nodes (2-slot FPGA, DSP,
@@ -21,7 +22,7 @@ func newTestFleet(t *testing.T, n int, opt Options) *Fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(cb, opt)
+	f := New(retrieval.NewEngine(cb, retrieval.Options{}), opt)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node%d", i)
 		fpga := device.NewFPGA(device.ID(name+"-fpga"), []device.Slot{

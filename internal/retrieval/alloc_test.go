@@ -28,7 +28,7 @@ func largeEngine(tb testing.TB, opt Options) (*Engine, []casebase.Request) {
 }
 
 // TestEngineRetrieveZeroAllocs guards the single-pass walk: once its
-// scratch has grown, Retrieve without KeepLocals allocates nothing —
+// scratch has grown, Retrieve allocates nothing —
 // not per variant, not per constraint, not for the selection.
 func TestEngineRetrieveZeroAllocs(t *testing.T) {
 	if raceEnabled {

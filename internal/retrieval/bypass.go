@@ -3,7 +3,6 @@ package retrieval
 import (
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -288,18 +287,6 @@ func (tc *TokenCache) reindex(n int) {
 	for i := range tc.entries {
 		tc.link(i)
 	}
-}
-
-// InvalidateType drops every token pinned to function type t — the
-// correct response when t's implementation sub-tree is updated at run
-// time (the paper's future-work dynamic case-base update). It compacts
-// the entries in order, rebuilds the index and restarts the hand.
-func (tc *TokenCache) InvalidateType(t casebase.TypeID) int {
-	n := len(tc.entries)
-	tc.entries = slices.DeleteFunc(tc.entries, func(e tokenEntry) bool { return e.tok.Type == t })
-	tc.hand = 0
-	tc.reindex(len(tc.slots))
-	return n - len(tc.entries)
 }
 
 // InvalidateAll empties the cache.

@@ -153,29 +153,6 @@ func TestLookupSetsReference(t *testing.T) {
 	}
 }
 
-func TestInvalidateType(t *testing.T) {
-	tc := NewTokenCache()
-	reqA := casebase.PaperRequest()
-	reqB := casebase.NewRequest(casebase.Type1DFFT,
-		casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16},
-	).EqualWeights()
-	tc.StoreSig(Signature(reqA), Token{Type: reqA.Type, Impl: 2})
-	tc.StoreSig(Signature(reqB), Token{Type: reqB.Type, Impl: 1})
-	if n := tc.InvalidateType(casebase.TypeFIREqualizer); n != 1 {
-		t.Errorf("InvalidateType dropped %d, want 1", n)
-	}
-	if _, ok := tc.LookupSig(Signature(reqA)); ok {
-		t.Error("invalidated token still present")
-	}
-	if _, ok := tc.LookupSig(Signature(reqB)); !ok {
-		t.Error("unrelated token lost")
-	}
-	tc.InvalidateAll()
-	if tc.Len() != 0 {
-		t.Error("InvalidateAll left tokens behind")
-	}
-}
-
 // clockReq builds a distinct request per i (the cache never validates
 // requests, so synthetic constraint values are fine).
 func clockReq(i int) casebase.Request {
@@ -254,22 +231,6 @@ func TestTokenCacheStoreRefreshesRecency(t *testing.T) {
 	}
 	if has(tc, clockReq(1)) {
 		t.Error("unreferenced entry 1 survived past the re-stored one")
-	}
-	// InvalidateType keeps the index consistent with the entries.
-	if n := tc.InvalidateType(1); n != DefaultMaxTokens {
-		t.Errorf("InvalidateType = %d, want %d", n, DefaultMaxTokens)
-	}
-	if tc.Len() != 0 {
-		t.Errorf("Len = %d after invalidating every token", tc.Len())
-	}
-	for s, v := range tc.slots {
-		if v != 0 {
-			t.Fatalf("slot %d still indexes entry %d after invalidate", s, v-1)
-		}
-	}
-	fill(tc, 0, 3)
-	if !has(tc, clockReq(2)) || tc.Len() != 3 {
-		t.Errorf("store after invalidate: Len %d", tc.Len())
 	}
 }
 

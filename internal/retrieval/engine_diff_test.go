@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,8 +191,9 @@ func stepClock() func() int64 {
 // missing attributes, every entry point must return exactly what the
 // sort-based reference returns — results, locals and similarity bits,
 // errors and ErrNoMatch.Best bits — and leave identical Stats and metric
-// counters after every call, across measures, thresholds and KeepLocals.
-// Earlier results are re-checked at the end of each trial to catch
+// counters after every call, across measures and thresholds. RetrieveAll
+// must carry the reference's per-attribute breakdowns, and Retrieve and
+// RetrieveN must carry none. Earlier results are re-checked at the end of each trial to catch
 // answers aliasing reused engine storage.
 func TestEngineMatchesSortReference(t *testing.T) {
 	measures := []struct {
@@ -219,13 +221,11 @@ func TestEngineMatchesSortReference(t *testing.T) {
 			}
 		}
 		for mi, ms := range measures {
-			for _, keep := range []bool{false, true} {
-				opt := Options{Local: ms.local, Amalgamation: ms.amal, KeepLocals: keep}
-				for _, th := range diffThresholds(r, cb, opt, reqs) {
-					opt.Threshold = th
-					name := fmt.Sprintf("trial %d measures %d keep %v threshold %v", trial, mi, keep, th)
-					diffEngines(t, name, cb, opt, reqs)
-				}
+			opt := Options{Local: ms.local, Amalgamation: ms.amal}
+			for _, th := range diffThresholds(r, cb, opt, reqs) {
+				opt.Threshold = th
+				name := fmt.Sprintf("trial %d measures %d threshold %v", trial, mi, th)
+				diffEngines(t, name, cb, opt, reqs)
 			}
 		}
 	}
@@ -261,6 +261,11 @@ func diffEngines(t *testing.T, name string, cb *casebase.CaseBase, opt Options, 
 	var kept []answer
 	check := func(op string, got, want []Result, gerr, werr error) {
 		t.Helper()
+		for _, r := range got {
+			if wantLocals := strings.HasSuffix(op, "RetrieveAll"); (r.Locals != nil) != wantLocals {
+				t.Fatalf("%s: %s: impl %d has locals %v", name, op, r.Impl, r.Locals)
+			}
+		}
 		if err := sameResults(got, want); err != nil {
 			t.Fatalf("%s: %s: %v", name, op, err)
 		}
@@ -302,11 +307,11 @@ func diffEngines(t *testing.T, name string, cb *casebase.CaseBase, opt Options, 
 	}
 }
 
-// TestEngineConcurrentWalks shares one engine among several goroutines,
-// with and without KeepLocals, while another re-instruments it: every
-// Retrieve, RetrieveN and RetrieveAll must return exactly what a
-// private engine returns for the same request, and the shared Stats
-// must add up to one private engine's per caller. Run it with -race.
+// TestEngineConcurrentWalks shares one engine among several goroutines
+// while another re-instruments it: every Retrieve, RetrieveN and
+// RetrieveAll must return exactly what a private engine returns for the
+// same request, and the shared Stats must add up to one private
+// engine's per caller. Run it with -race.
 func TestEngineConcurrentWalks(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	cb, reg := tieCaseBase(r)
@@ -314,54 +319,95 @@ func TestEngineConcurrentWalks(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = tieRequest(r, cb, reg)
 	}
-	for _, keep := range []bool{false, true} {
-		opt := Options{KeepLocals: keep}
-		walkAll := func(e *Engine) [][]Result {
-			var out [][]Result
-			for _, req := range reqs {
-				best, _ := e.Retrieve(req)
-				top, _ := e.RetrieveN(req, 3)
-				all, _ := e.RetrieveAll(req)
-				out = append(out, []Result{best}, top, all)
-			}
-			return out
+	walkAll := func(e *Engine) [][]Result {
+		var out [][]Result
+		for _, req := range reqs {
+			best, _ := e.Retrieve(req)
+			top, _ := e.RetrieveN(req, 3)
+			all, _ := e.RetrieveAll(req)
+			out = append(out, []Result{best}, top, all)
 		}
-		private := NewEngine(cb, opt)
-		want := walkAll(private)
-		shared := NewEngine(cb, opt)
-		const callers = 4
-		stop := make(chan struct{})
-		instrumented := make(chan struct{})
-		go func() {
-			defer close(instrumented)
-			for {
-				select {
-				case <-stop:
+		return out
+	}
+	private := NewEngine(cb, Options{})
+	want := walkAll(private)
+	shared := NewEngine(cb, Options{})
+	const callers = 4
+	stop := make(chan struct{})
+	instrumented := make(chan struct{})
+	go func() {
+		defer close(instrumented)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				shared.Instrument(NewMetrics(nil))
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i, got := range walkAll(shared) {
+				if err := sameResults(got, want[i]); err != nil {
+					t.Errorf("caller %d answer %d: %v", c, i, err)
 					return
-				default:
-					shared.Instrument(NewMetrics(nil))
 				}
 			}
-		}()
-		var wg sync.WaitGroup
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i, got := range walkAll(shared) {
-					if err := sameResults(got, want[i]); err != nil {
-						t.Errorf("keep %v caller %d answer %d: %v", keep, c, i, err)
-						return
-					}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-instrumented
+	ps, ss := private.Stats(), shared.Stats()
+	if ss != (Stats{callers * ps.Retrievals, callers * ps.ImplsScored, callers * ps.AttrsCompared, callers * ps.BelowThreshold}) {
+		t.Errorf("shared stats %+v, want %d× %+v", ss, callers, ps)
+	}
+}
+
+// TestRetrieveAllPrefixMatchesRetrieveN is the differential test for
+// degrade-and-retry's candidate list: on seeded random case bases,
+// requests and depths, the first n results of RetrieveAll must be what a
+// threshold-free RetrieveN(req, n) returns, rank by rank, with the same
+// identity and similarity bits, the same error, and the same Stats
+// delta.
+func TestRetrieveAllPrefixMatchesRetrieveN(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 40; trial++ {
+		cb, reg := tieCaseBase(r)
+		e := NewEngine(cb, Options{})
+		for q := 0; q < 8; q++ {
+			req := tieRequest(r, cb, reg)
+			n := 1 + r.Intn(14)
+			before := e.Stats()
+			list, lerr := e.RetrieveN(req, n)
+			mid := e.Stats()
+			all, aerr := e.RetrieveAll(req)
+			after := e.Stats()
+			name := fmt.Sprintf("trial %d req %d n %d", trial, q, n)
+			if err := sameError(aerr, lerr); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if mid.Retrievals-before.Retrievals != after.Retrievals-mid.Retrievals ||
+				mid.ImplsScored-before.ImplsScored != after.ImplsScored-mid.ImplsScored ||
+				mid.AttrsCompared-before.AttrsCompared != after.AttrsCompared-mid.AttrsCompared ||
+				mid.BelowThreshold-before.BelowThreshold != after.BelowThreshold-mid.BelowThreshold {
+				t.Fatalf("%s: stats delta %+v -> %+v -> %+v", name, before, mid, after)
+			}
+			prefix := all[:min(n, len(all))]
+			if len(prefix) != len(list) {
+				t.Fatalf("%s: %d-result prefix vs %d results", name, len(prefix), len(list))
+			}
+			for i, a := range prefix {
+				b := list[i]
+				if a.Type != b.Type || a.Impl != b.Impl || a.Target != b.Target || a.Name != b.Name ||
+					math.Float64bits(a.Similarity) != math.Float64bits(b.Similarity) {
+					t.Fatalf("%s: rank %d: %+v vs %+v", name, i, a, b)
 				}
-			}(c)
-		}
-		wg.Wait()
-		close(stop)
-		<-instrumented
-		ps, ss := private.Stats(), shared.Stats()
-		if ss != (Stats{callers * ps.Retrievals, callers * ps.ImplsScored, callers * ps.AttrsCompared, callers * ps.BelowThreshold}) {
-			t.Errorf("keep %v: shared stats %+v, want %d× %+v", keep, ss, callers, ps)
+			}
 		}
 	}
 }

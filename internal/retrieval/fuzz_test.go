@@ -49,20 +49,6 @@ func (l *lruTokens) store(sig string, t Token) {
 	}
 }
 
-func (l *lruTokens) invalidateType(t casebase.TypeID) int {
-	n := 0
-	var next *list.Element
-	for el := l.order.Front(); el != nil; el = next {
-		next = el.Next()
-		if ent := el.Value.(*lruEntry); ent.tok.Type == t {
-			l.order.Remove(el)
-			delete(l.tokens, ent.key)
-			n++
-		}
-	}
-	return n
-}
-
 // fuzzWeights holds weights that differ only in their bits (0 and -0)
 // beside ordinary ones.
 var fuzzWeights = [8]float64{0, math.Copysign(0, -1), 0.5, 1, 1.0 / 3, 0.25, 2, math.Inf(1)}
@@ -82,7 +68,7 @@ func fuzzRequest(a, b byte) casebase.Request {
 }
 
 // FuzzTokenCache drives the token table and the LRU reference with one
-// decoded stream of lookups, stores, type invalidations and bulk fills.
+// decoded stream of lookups, stores and bulk fills.
 // Below the cap both give the same hit/miss sequence and the same
 // tokens. Once the reference has evicted, the eviction orders differ,
 // so the table is held to the cap and to serving, on every hit, the
@@ -120,17 +106,6 @@ func FuzzTokenCache(f *testing.F) {
 					store(req, Signature(req), Token{Type: 9, Impl: casebase.ImplID(seq)})
 				}
 				checkIndex(t, tc)
-			case 1:
-				typ := casebase.TypeID(a % 4)
-				got, want := tc.InvalidateType(typ), ref.invalidateType(typ)
-				if !full && got != want {
-					t.Fatalf("InvalidateType(%d) = %d, reference %d", typ, got, want)
-				}
-				for sig, tok := range last {
-					if tok.Type == typ {
-						delete(last, sig)
-					}
-				}
 			default: // a request: probe, and store on a miss or when op asks
 				req := fuzzRequest(a, b)
 				sig := Signature(req)

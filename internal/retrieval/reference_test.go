@@ -12,8 +12,9 @@ import (
 // refEngine is the sort-based floating-point engine as it stood before
 // the single-pass rewrite: score allocates per variant and resolves dmax
 // through the registry per constraint, RetrieveAll stable-sorts the
-// whole field, and Retrieve/RetrieveN read the sorted field. It is kept
-// only as the differential-test reference for Engine.
+// whole field, and Retrieve/RetrieveN read the sorted field. Like the
+// engine, only its RetrieveAll keeps the per-attribute breakdown. It is
+// kept only as the differential-test reference for Engine.
 type refEngine struct {
 	cb    *casebase.CaseBase
 	opt   Options
@@ -35,10 +36,7 @@ func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (fl
 	n := len(req.Constraints)
 	sims := make([]float64, n)
 	weights := make([]float64, n)
-	var locals []LocalScore
-	if e.opt.KeepLocals {
-		locals = make([]LocalScore, n)
-	}
+	locals := make([]LocalScore, n)
 	for i, c := range req.Constraints {
 		weights[i] = c.Weight
 		dmax, err := e.cb.Registry().DMax(c.ID)
@@ -53,11 +51,9 @@ func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (fl
 		sims[i] = s
 		e.stats.AttrsCompared++
 		e.met.AttrsCompared.Inc()
-		if e.opt.KeepLocals {
-			locals[i] = LocalScore{
-				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
-				Found: found, DMax: dmax, Sim: s, Weight: c.Weight,
-			}
+		locals[i] = LocalScore{
+			ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
+			Found: found, DMax: dmax, Sim: s, Weight: c.Weight,
 		}
 	}
 	return e.opt.Amalgamation.Combine(sims, weights), locals
@@ -99,6 +95,7 @@ func (e *refEngine) Retrieve(req casebase.Request) (Result, error) {
 		return Result{}, err
 	}
 	best := all[0]
+	best.Locals = nil
 	if best.Similarity < e.opt.Threshold {
 		e.stats.BelowThreshold += len(all)
 		e.met.BelowThreshold.Add(int64(len(all)))
@@ -130,6 +127,7 @@ func (e *refEngine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 			continue
 		}
 		if len(out) < n {
+			r.Locals = nil
 			out = append(out, r)
 		}
 	}

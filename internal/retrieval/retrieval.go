@@ -23,7 +23,9 @@
 // the §5 block-compacted view), resolved once per constraint, so scoring
 // a variant indexes k arrays instead of bisecting its attribute list k
 // times. RetrieveN keeps the n best in the same kind of pass by bounded
-// insertion; only RetrieveAll sorts. A warmed Retrieve allocates
+// insertion; only RetrieveAll sorts, and only RetrieveAll fills each
+// result's per-attribute breakdown (Result.Locals), the rows of Table 1,
+// from the same scoring arithmetic. A warmed Retrieve allocates
 // nothing: the walk scores into scratch it borrows from a package-level
 // pool, so an Engine holds no per-walk state and, like FixedEngine, is
 // safe for concurrent use.
@@ -64,8 +66,10 @@ type Result struct {
 	Impl       casebase.ImplID
 	Target     casebase.Target
 	Name       string
-	Similarity float64      // global similarity S in [0, 1]
-	Locals     []LocalScore // per-attribute breakdown, request order
+	Similarity float64 // global similarity S in [0, 1]
+	// Locals is the per-attribute breakdown in request order. Only
+	// RetrieveAll fills it; Retrieve and RetrieveN leave it nil.
+	Locals []LocalScore
 }
 
 // Options configure an Engine.
@@ -79,9 +83,6 @@ type Options struct {
 	// reject all results below a given threshold similarity", §3).
 	// Zero admits everything.
 	Threshold float64
-	// KeepLocals retains the per-attribute breakdown in results.
-	// Disable for large sweeps to avoid the allocations.
-	KeepLocals bool
 }
 
 // Engine performs floating-point retrieval over a case base. An Engine
@@ -162,14 +163,16 @@ func (e *ErrNoMatch) Error() string {
 // the request's per-constraint constants and attribute columns, resolved
 // once per walk; sims is the local-similarity vector of the variant
 // being scored; scores is the global similarity column of ft's variants
-// in storage order; locals holds every variant's breakdown (KeepLocals
+// in storage order; locals holds every variant's breakdown (RetrieveAll
 // only), one row of len(Constraints) per variant; top serves n-best
-// selection. e, met, ft and start describe the walk in progress.
+// selection. e, met, ft and start describe the walk in progress; keep
+// says whether it fills locals.
 type walkState struct {
 	e     *Engine
 	met   *Metrics
 	ft    *casebase.FunctionType
 	start int64
+	keep  bool
 
 	dmax    []uint16
 	weights []float64
@@ -195,18 +198,18 @@ func (w *walkState) release() {
 
 // walk validates the request and scores every implementation of the
 // requested type into the returned state's scores (storage order), the
-// fig. 6 inner loop. With KeepLocals, variant i's breakdown lands in
-// row i of locals. Stats and metric counters are updated once per walk;
-// at quiescence the totals equal one increment per variant and per
-// comparison. The latency clock starts once the request validated; the
+// fig. 6 inner loop. With keep (RetrieveAll), variant i's breakdown
+// lands in row i of locals. Stats and metric counters are updated once
+// per walk; at quiescence the totals equal one increment per variant and
+// per comparison. The latency clock starts once the request validated; the
 // caller closes it with observeLatency after its selection, then
 // releases the state.
-func (e *Engine) walk(req casebase.Request) (*walkState, error) {
+func (e *Engine) walk(req casebase.Request, keep bool) (*walkState, error) {
 	if err := req.Validate(e.cb); err != nil {
 		return nil, err
 	}
 	w := walkPool.Get().(*walkState)
-	w.e, w.met = e, e.met.Load()
+	w.e, w.met, w.keep = e, e.met.Load(), keep
 	w.start = w.met.start()
 	w.ft, _ = e.cb.Type(req.Type)
 	e.stats.retrievals.Add(1)
@@ -215,12 +218,12 @@ func (e *Engine) walk(req casebase.Request) (*walkState, error) {
 	n, k := len(w.ft.Impls), len(req.Constraints)
 	w.scores = resize(w.scores, n)
 	w.prepare(req)
-	if e.opt.KeepLocals {
+	if keep {
 		w.locals = resize(w.locals, n*k)
 	}
 	for i := range w.ft.Impls {
 		var row []LocalScore
-		if e.opt.KeepLocals {
+		if keep {
 			row = w.locals[i*k : (i+1)*k]
 		}
 		w.scores[i] = w.score(i, req, row)
@@ -310,14 +313,14 @@ func (w *walkState) rank(i, j int) int {
 func (w *walkState) ahead(i, j int) bool { return w.rank(i, j) < 0 }
 
 // result materializes variant i of the walk, with a private copy of its
-// locals row when KeepLocals is on.
+// locals row when the walk keeps them.
 func (w *walkState) result(i, k int) Result {
 	im := &w.ft.Impls[i]
 	r := Result{
 		Type: w.ft.ID, Impl: im.ID, Target: im.Target, Name: im.Name,
 		Similarity: w.scores[i],
 	}
-	if w.e.opt.KeepLocals {
+	if w.keep {
 		r.Locals = slices.Clone(w.locals[i*k : (i+1)*k])
 	}
 	return r
@@ -325,10 +328,12 @@ func (w *walkState) result(i, k int) Result {
 
 // RetrieveAll scores every implementation of the requested type and
 // returns the results sorted by descending similarity (ties broken by
-// ascending implementation ID, the order the hardware scan would keep).
-// The threshold is NOT applied; callers see the full field.
+// ascending implementation ID, the order the hardware scan would keep),
+// each with its per-attribute breakdown in Locals. The threshold is NOT
+// applied; callers see the full field. Its first n results are what a
+// threshold-free RetrieveN(req, n) returns, plus the breakdowns.
 func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
-	w, err := e.walk(req)
+	w, err := e.walk(req, true)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +356,7 @@ func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
 // threshold. This is the fig. 6 algorithm: one pass over the
 // implementation sub-list keeping the running best.
 func (e *Engine) Retrieve(req casebase.Request) (Result, error) {
-	w, err := e.walk(req)
+	w, err := e.walk(req, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -371,7 +376,7 @@ func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
 	}
-	w, err := e.walk(req)
+	w, err := e.walk(req, false)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func paperEngine(t *testing.T, opt Options) *Engine {
 // equalizer request must score the DSP variant 0.96, the FPGA variant
 // 0.85 and the GP-Proc variant 0.43, and the DSP variant must win.
 func TestTableOne(t *testing.T) {
-	e := paperEngine(t, Options{KeepLocals: true})
+	e := paperEngine(t, Options{})
 	all, err := e.RetrieveAll(casebase.PaperRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestTableOne(t *testing.T) {
 // TestTableOneLocals checks the per-attribute breakdown against the
 // printed local similarities.
 func TestTableOneLocals(t *testing.T) {
-	e := paperEngine(t, Options{KeepLocals: true})
+	e := paperEngine(t, Options{})
 	all, err := e.RetrieveAll(casebase.PaperRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestRetrieveNLimits(t *testing.T) {
 func TestMissingAttributeScoresZero(t *testing.T) {
 	// Request the FFT with an output-mode constraint; no FFT variant
 	// describes output-mode, so that local similarity must be 0.
-	e := paperEngine(t, Options{KeepLocals: true})
+	e := paperEngine(t, Options{})
 	req := casebase.NewRequest(casebase.Type1DFFT,
 		casebase.Constraint{ID: casebase.AttrBitwidth, Value: 16},
 		casebase.Constraint{ID: casebase.AttrOutputMode, Value: 1},

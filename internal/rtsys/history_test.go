@@ -12,6 +12,7 @@ import (
 	"qosalloc/internal/device"
 	"qosalloc/internal/fault"
 	"qosalloc/internal/obs"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/workload"
 )
@@ -78,7 +79,7 @@ func newRig(t *testing.T, seed int64, steps int, reg *obs.Registry) *rig {
 	}
 	return &rig{
 		sys:  sys,
-		m:    alloc.New(cb, sys, alloc.Options{NBest: 5, AllowPreemption: true, PowerWeight: 0.1}),
+		m:    alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), sys, alloc.Options{NBest: 5, AllowPreemption: true, PowerWeight: 0.1}),
 		mech: alloc.NewMechanism(cb, sys),
 		inj:  fault.NewInjector(sys, plan),
 		reqs: reqs,

@@ -339,7 +339,7 @@ func (s *Service) commitLocked(reason string, structural func(*learn.Builder) er
 	// too (candidates are never newer than the manager).
 	s.allocMu.Lock()
 	s.snap.Store(next)
-	s.mgr.UpdateCaseBase(cb)
+	s.mgr.UpdateCaseBase(next.engine)
 	s.mgrEpoch = next.epoch
 	if post != nil {
 		post()

@@ -91,6 +91,25 @@ func TestCommitNowBumpsEpochAndJournals(t *testing.T) {
 	}
 }
 
+// TestManagerWalksSnapshotEngine pins that the service builds one engine
+// per epoch: the manager walks the snapshot's engine from New on, and a
+// commit hands it the new snapshot's engine.
+func TestManagerWalksSnapshotEngine(t *testing.T) {
+	cb, _, _ := genWorkload(t, 1, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 2, Learning: learnConfig(64, 0)})
+	defer s.Close()
+	first := s.snap.Load().engine
+	if s.Manager().Engine() != first {
+		t.Fatal("manager does not walk the first snapshot's engine")
+	}
+	if _, err := s.CommitNow(); err != nil {
+		t.Fatal(err)
+	}
+	if cur := s.snap.Load().engine; cur == first || s.Manager().Engine() != cur {
+		t.Fatal("after CommitNow the manager does not walk the new snapshot's engine")
+	}
+}
+
 // TestReplayHashFoldsJournalAtAppend checks the running digest: after
 // every commit, ReplayHash equals a fresh fnv64a fold over Journal().
 func TestReplayHashFoldsJournalAtAppend(t *testing.T) {

@@ -70,7 +70,8 @@ type Config struct {
 	// MaxQueue bounds each shard's admission queue; submissions beyond
 	// it are shed with *ErrOverload.
 	MaxQueue int
-	// Engine configures the retrieval engine of every epoch.
+	// Engine configures the retrieval engine of every epoch, which the
+	// shards and the allocation manager share.
 	Engine retrieval.Options
 	// Manager tunes the allocation policy fed by AllocateBatch and
 	// Allocate.
@@ -294,16 +295,17 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 			cfg.Learning.FoldThreshold = DefaultFoldThreshold
 		}
 	}
+	sn := newSnapshot(1, cb, cfg.Shards, cfg.Engine, nil)
 	s := &Service{
 		cfg:      cfg,
 		sys:      sys,
-		mgr:      alloc.New(cb, sys, cfg.Manager),
+		mgr:      alloc.New(sn.engine, sys, cfg.Manager),
 		mgrEpoch: 1,
 		drain:    make(chan struct{}),
 		done:     make(chan struct{}),
 		journal:  obs.NewJournal(),
 	}
-	s.snap.Store(newSnapshot(1, cb, cfg.Shards, cfg.Engine, nil))
+	s.snap.Store(sn)
 	s.met.Store(newMetrics(nil, cfg.Shards))
 	s.met.Load().epoch.Set(1)
 	s.now.Store(uint64(sys.Now()))
@@ -352,9 +354,10 @@ func (s *Service) Draining() bool {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Manager returns the underlying allocation manager. Direct calls on it
-// must not race the service's Allocate*/Advance/Release — drive it from
-// the same goroutine that drives the service, or not at all.
+// Manager returns the underlying allocation manager, which walks the
+// committed epoch's engine. Direct calls on it must not race the
+// service's Allocate*/Advance/Release — drive it from the same
+// goroutine that drives the service, or not at all.
 func (s *Service) Manager() *alloc.Manager { return s.mgr }
 
 // System returns the underlying run-time system (same caveat as
@@ -364,7 +367,8 @@ func (s *Service) System() *rtsys.System { return s.sys }
 // Instrument registers the serve metric set on reg, attaches the
 // service's counts, and threads the registry through the current
 // epoch's engine and the manager. Engines built by later commits
-// inherit the same retrieval metric set.
+// inherit the same retrieval metric set, so the manager's walks count
+// there too.
 func (s *Service) Instrument(reg *obs.Registry) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -466,10 +470,9 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 // answerInline answers req on the caller's goroutine, without the hop
 // to the shard worker, and reports whether it did. It answers only
 // where the queued path would give the same answer with no batch to
-// join: admission is open, the context is live, no locals are kept
-// (tokens cannot carry them) and the shard has nothing queued. The
-// snapshot is loaded under the token mutex, so a call that starts after
-// a commit returned answers from the new epoch.
+// join: admission is open, the context is live and the shard has
+// nothing queued. The snapshot is loaded under the token mutex, so a
+// call that starts after a commit returned answers from the new epoch.
 // A hit answers from its token. A miss walks the snapshot's engine when
 // a TryRLock probe finds no batch holding the shard mutex, the shard's
 // inline walks plus its queue stay within MaxQueue, and the request is
@@ -477,9 +480,6 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 // never fails on another probe, so no walk waits for another walk.
 // Either answer counts as an admitted batch of one job.
 func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint64) (retrieval.Result, bool, error) {
-	if s.cfg.Engine.KeepLocals {
-		return retrieval.Result{}, false, nil
-	}
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining || retrieval.Canceled(ctx) != nil {
@@ -871,18 +871,14 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	// requests it has already resolved ("only an availability check
 	// ... has to be done", §3). The cache lives inside the snapshot and
 	// is born empty at each epoch, so a token can only ever bypass
-	// retrieval against the exact tree it was minted from. Disabled when
-	// locals are kept — a token cannot carry the per-attribute breakdown,
-	// and the bit-identical contract with sequential retrieval must hold.
-	if !s.cfg.Engine.KeepLocals {
-		sh.tokMu.Lock()
-		tok, ok := tokens.Lookup(j.hash, j.req)
-		sh.tokMu.Unlock()
-		if ok {
-			if r, live := sn.resultFromToken(tok); live {
-				s.counts.tokenHits.Inc()
-				return jobResult{best: r, epoch: sn.epoch}
-			}
+	// retrieval against the exact tree it was minted from.
+	sh.tokMu.Lock()
+	tok, ok := tokens.Lookup(j.hash, j.req)
+	sh.tokMu.Unlock()
+	if ok {
+		if r, live := sn.resultFromToken(tok); live {
+			s.counts.tokenHits.Inc()
+			return jobResult{best: r, epoch: sn.epoch}
 		}
 	}
 	s.counts.walks.Inc()

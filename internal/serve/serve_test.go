@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"qosalloc/internal/obs"
 	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
+	"qosalloc/internal/similarity"
 	"qosalloc/internal/workload"
 )
 
@@ -100,39 +103,54 @@ func TestRetrieveBatchBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestRetrieveKeepLocalsBitIdentical pins the KeepLocals contract: the
-// token fast-path is disabled (tokens cannot carry locals) and results
-// still match sequential walks including the per-attribute breakdown.
-func TestRetrieveKeepLocalsBitIdentical(t *testing.T) {
-	cb, _, reqs := genWorkload(t, 60, 0.5)
-	opt := retrieval.Options{KeepLocals: true}
-	eng := retrieval.NewEngine(cb, opt)
-
-	s := New(cb, fig1System(t, cb), Config{Shards: 2, Engine: opt})
-	defer s.Close()
-
-	out, err := s.RetrieveBatch(context.Background(), reqs)
+// TestRecoveryScoresUnderServiceMeasure pins that degrade-and-retry
+// ranks on the service's own engine: with a non-default local measure,
+// a task stranded by a device fault is recovered onto a variant whose
+// Similarity is that variant's score under the service's measure, not
+// under eq. (1).
+func TestRecoveryScoresUnderServiceMeasure(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, o := range out {
-		want, _ := eng.Retrieve(reqs[k])
-		if !reflect.DeepEqual(o.Result, want) {
-			t.Fatalf("req %d: batched %+v != sequential %+v", k, o.Result, want)
-		}
-		if o.Err == nil && o.Result.Locals == nil {
-			t.Fatalf("req %d: KeepLocals result lost its locals", k)
-		}
+	cfg := Config{Shards: 1, Engine: retrieval.Options{Local: similarity.Quadratic{}}}
+	s := New(cb, fig1System(t, cb), cfg)
+	defer s.Close()
+	req := casebase.PaperRequest()
+	d, err := s.Allocate(context.Background(), "app", req, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.TokenHits != 0 {
-		t.Errorf("token fast-path ran %d times with KeepLocals on", st.TokenHits)
+	var recs []alloc.Recovery
+	s.Exclusive(func() {
+		if _, err := s.System().FailDevice(d.Device); err != nil {
+			t.Error(err)
+		}
+		recs = s.Manager().RecoverFromFaults()
+	})
+	if len(recs) != 1 || recs[0].Decision == nil {
+		t.Fatalf("recoveries = %+v, want one re-placed task", recs)
+	}
+	got := recs[0].Decision
+	if got.Impl == d.Impl {
+		t.Fatalf("recovered onto impl %d, the variant on the failed device", got.Impl)
+	}
+	all, err := retrieval.NewEngine(cb, cfg.Engine).RetrieveAll(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(all, func(r retrieval.Result) bool { return r.Impl == got.Impl })
+	if i < 0 {
+		t.Fatalf("recovered impl %d is not a variant of the type", got.Impl)
+	}
+	if want := all[i].Similarity; math.Float64bits(got.Similarity) != math.Float64bits(want) {
+		t.Errorf("recovered impl %d at S = %v, the service's measure scores it %v", got.Impl, got.Similarity, want)
 	}
 }
 
 // TestInlineHitAccounting pins the inline path's bookkeeping: a token
 // hit answered on the caller's goroutine counts as an admitted batch of
-// one token-hit job, with no walk. With KeepLocals on, Retrieve never
-// answers inline.
+// one token-hit job, with no walk.
 func TestInlineHitAccounting(t *testing.T) {
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
@@ -146,7 +164,6 @@ func TestInlineHitAccounting(t *testing.T) {
 		inline int64
 	}{
 		{"tokens", retrieval.Options{}, 1},
-		{"keep-locals", retrieval.Options{KeepLocals: true}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(cb, fig1System(t, cb), Config{Shards: 2, Engine: c.opt})

@@ -11,7 +11,8 @@ import (
 // the pointer once per call or batch and never see a half-updated
 // epoch: the engine, the token caches and the tree a token is validated
 // against always agree. The engine is safe for concurrent use, so every
-// shard batch and every inline walk of the epoch shares it.
+// shard batch, every inline walk and the allocation manager of the
+// epoch share it.
 //
 // Epochs are numbered from 1 (the snapshot New builds). Every commit —
 // fold, structural retain/retire, or manual CommitNow — installs epoch
@@ -47,7 +48,7 @@ func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.
 // return for the token's signature against THIS epoch's tree: the
 // engine is deterministic over the immutable snapshot, so (Type, Impl,
 // Similarity) plus the tree's Target/Name reproduce it bit for bit —
-// with nil Locals, exactly like a KeepLocals-off walk. A token whose
+// with nil Locals, exactly like Retrieve. A token whose
 // implementation is gone from this epoch reports live=false and the
 // caller walks the engine instead.
 func (sn *snapshot) resultFromToken(tok retrieval.Token) (retrieval.Result, bool) {

@@ -3,8 +3,9 @@ package qosalloc
 // Functional options (DESIGN.md §9). The entry points — NewService,
 // NewRetrievalEngine, NewAllocationManager, NewFleet — take a variadic
 // Option list drawn from one shared vocabulary, so the same
-// WithThreshold tunes a standalone engine, a manager, or the whole
-// service, and new knobs never break existing call sites.
+// WithThreshold, WithLocalMeasure and WithAmalgamation tune a standalone
+// engine, the engine a manager or fleet walks, or the whole service, and
+// new knobs never break existing call sites.
 
 import (
 	"qosalloc/internal/alloc"
@@ -44,14 +45,9 @@ func WithMaxBatch(n int) Option { return func(c *config) { c.serve.MaxBatch = n 
 // it are shed with *ErrOverload (service only).
 func WithMaxQueue(n int) Option { return func(c *config) { c.serve.MaxQueue = n } }
 
-// WithThreshold rejects candidates whose similarity falls below t at
-// both the retrieval and the allocation layer.
-func WithThreshold(t float64) Option {
-	return func(c *config) {
-		c.serve.Engine.Threshold = t
-		c.serve.Manager.Threshold = t
-	}
-}
+// WithThreshold rejects retrieval results whose similarity falls below
+// t; a manager, fleet or service built with it places none of them.
+func WithThreshold(t float64) Option { return func(c *config) { c.serve.Engine.Threshold = t } }
 
 // WithLocalMeasure replaces the eq. (1) linear local similarity.
 func WithLocalMeasure(m LocalMeasure) Option { return func(c *config) { c.serve.Engine.Local = m } }
@@ -60,10 +56,6 @@ func WithLocalMeasure(m LocalMeasure) Option { return func(c *config) { c.serve.
 func WithAmalgamation(a Amalgamation) Option {
 	return func(c *config) { c.serve.Engine.Amalgamation = a }
 }
-
-// WithKeepLocals retains the per-attribute score breakdown in results
-// (and disables the service's token fast-path, which cannot carry it).
-func WithKeepLocals(keep bool) Option { return func(c *config) { c.serve.Engine.KeepLocals = keep } }
 
 // WithNBest bounds how many retrieval candidates the allocation layer
 // checks for feasibility (§5 n-most-similar extension).
@@ -180,7 +172,8 @@ func NewService(cb *CaseBase, rt *Runtime, opts ...Option) *Service {
 
 // NewRetrievalEngine returns the reference retrieval engine over cb.
 // Zero options give the paper's measure: eq. (1) linear local
-// similarity and eq. (2) weighted-sum amalgamation.
+// similarity and eq. (2) weighted-sum amalgamation. Its RetrieveAll
+// gives each result's per-attribute breakdown (Result.Locals).
 func NewRetrievalEngine(cb *CaseBase, opts ...Option) *Engine {
 	c := buildConfig(opts)
 	e := retrieval.NewEngine(cb, c.serve.Engine)
@@ -189,11 +182,11 @@ func NewRetrievalEngine(cb *CaseBase, opts ...Option) *Engine {
 }
 
 // NewAllocationManager builds the allocation manager over a case base
-// and runtime (WithThreshold also configures its internal retrieval
-// engine).
+// and runtime. It retrieves on the engine NewRetrievalEngine builds from
+// the same options (WithThreshold, WithLocalMeasure, WithAmalgamation).
 func NewAllocationManager(cb *CaseBase, rt *Runtime, opts ...Option) *Manager {
 	c := buildConfig(opts)
-	m := alloc.New(cb, rt, c.serve.Manager)
+	m := alloc.New(NewRetrievalEngine(cb, opts...), rt, c.serve.Manager)
 	m.Instrument(c.reg)
 	return m
 }

@@ -119,3 +119,33 @@ func TestFacadeV2Constructors(t *testing.T) {
 		t.Fatalf("manager = %+v, %v", d, err)
 	}
 }
+
+// TestFacadeManagerRanksByAmalgamation pins that NewAllocationManager
+// ranks with the options' measures. Under the maximum amalgamation the
+// paper request's FPGA and DSP variants tie at S = 1 and the tie goes to
+// the lower implementation ID, FPGA impl 1; eq. (2) would pick DSP impl
+// 2 at 0.96.
+func TestFacadeManagerRanksByAmalgamation(t *testing.T) {
+	cb, err := qosalloc.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := qosalloc.AmalgamationByName("maximum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := qosalloc.PaperRequest()
+	want, err := qosalloc.NewRetrievalEngine(cb, qosalloc.WithAmalgamation(am)).Retrieve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := qosalloc.NewAllocationManager(cb, fig1Runtime(t, cb), qosalloc.WithAmalgamation(am))
+	d, err := mgr.Request("mp3", req, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Impl != 1 || d.Impl != want.Impl || d.Similarity != want.Similarity {
+		t.Errorf("manager placed impl %d at S = %v; the maximum amalgamation ranks impl %d first at %v",
+			d.Impl, d.Similarity, want.Impl, want.Similarity)
+	}
+}

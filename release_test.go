@@ -9,6 +9,7 @@ import (
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
 	"qosalloc/internal/fleet"
+	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
 	"qosalloc/internal/serve"
 )
@@ -55,7 +56,7 @@ func releaseStacks(t *testing.T, cb *casebase.CaseBase) []releaseStack {
 	req := casebase.PaperRequest()
 
 	msys := newSys()
-	m := alloc.New(cb, msys, alloc.Options{})
+	m := alloc.New(retrieval.NewEngine(cb, retrieval.Options{}), msys, alloc.Options{})
 	mgr := releaseStack{
 		name: "Manager", sys: msys,
 		allocate: func() (rtsys.TaskID, error) {
@@ -92,7 +93,7 @@ func releaseStacks(t *testing.T, cb *casebase.CaseBase) []releaseStack {
 		},
 	}
 
-	f := fleet.New(cb, fleet.Options{})
+	f := fleet.New(retrieval.NewEngine(cb, retrieval.Options{}), fleet.Options{})
 	node, err := f.AddNode("node0", 64, paperDevices()...)
 	if err != nil {
 		t.Fatal(err)

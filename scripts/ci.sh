@@ -39,9 +39,18 @@ gate_fmt() {
 	fi
 }
 
-gate_build() { $GO build ./...; }
+# build, vet and race also cover the perfbench module, a module of its
+# own (perfbench/go.mod) that the root ./... pattern skips but that
+# compiles against the facade.
+gate_build() {
+	$GO build ./...
+	$GO -C perfbench build -o /dev/null ./...
+}
 
-gate_vet() { $GO vet ./...; }
+gate_vet() {
+	$GO vet ./...
+	$GO -C perfbench vet ./...
+}
 
 # qosvet: the project invariant suite (internal/lint) run through the
 # standard vet driver, before the race pass — deadlocks and goroutine
@@ -63,7 +72,10 @@ gate_lint() {
 # or reasonless keeps).
 gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
 
-gate_race() { $GO test -race ./...; }
+gate_race() {
+	$GO test -race ./...
+	$GO -C perfbench test -race ./...
+}
 
 # Decoder and token-table fuzzing: each target, named package:Fuzz
 # function (FuzzTokenCache checks the bypass-token table against its
