@@ -13,7 +13,6 @@ package qosalloc
 import (
 	"qosalloc/internal/admit"
 	"qosalloc/internal/fleet"
-	"qosalloc/internal/retrieval"
 )
 
 // Fleet-layer types.
@@ -97,7 +96,7 @@ func WithClassBudget(class QoSClass, b ClassBudget) Option {
 //	p, err := fl.Allocate("batch", "mp3", req, 5)
 func NewFleet(cb *CaseBase, opts ...Option) (*Fleet, error) {
 	c := buildConfig(opts)
-	fl := fleet.New(retrieval.NewEngine(cb, c.serve.Engine), fleet.Options{
+	fl := fleet.New(NewRetrievalEngine(cb, opts...), fleet.Options{
 		NBest:       c.serve.Manager.NBest,
 		PowerWeight: c.serve.Manager.PowerWeight,
 	})

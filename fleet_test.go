@@ -27,7 +27,7 @@ func TestFacadeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *qosalloc.Fleet {
+	build := func(reg *qosalloc.ObsRegistry) *qosalloc.Fleet {
 		fl, err := qosalloc.NewFleet(cb,
 			qosalloc.WithFleetNode("node0", 20, fleetDevs("node0")...),
 			qosalloc.WithFleetNode("node1", 20, fleetDevs("node1")...),
@@ -35,18 +35,23 @@ func TestFacadeFleet(t *testing.T) {
 				ConfigBytesPerSec: 1, ConfigBurstBytes: 18 * 1024,
 			}),
 			qosalloc.WithTenant("batch", "bronze"),
-			qosalloc.WithRegistry(qosalloc.NewObsRegistry()),
+			qosalloc.WithRegistry(reg),
 			qosalloc.WithThreshold(0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fl
 	}
-	fl := build()
+	reg := qosalloc.NewObsRegistry()
+	fl := build(reg)
 
 	p, err := fl.Allocate("batch", "mp3", qosalloc.PaperRequest(), 5)
 	if err != nil {
 		t.Fatalf("metered allocate: %v", err)
+	}
+	// The fleet's engine is instrumented on the fleet's registry.
+	if n, _ := reg.CounterValue("qos_retrieval_total"); n == 0 {
+		t.Errorf("qos_retrieval_total = %d after an allocation, want > 0", n)
 	}
 	if p.Node != "node0" || p.Tenant != "batch" {
 		t.Fatalf("placement %+v", p)
@@ -69,14 +74,14 @@ func TestFacadeFleet(t *testing.T) {
 	}
 
 	// The same option list replays to the same journal hash.
-	fl2 := build()
+	fl2 := build(qosalloc.NewObsRegistry())
 	for _, tenant := range []string{"batch", "free"} {
 		if _, err := fl2.Allocate(tenant, "app-"+tenant, qosalloc.PaperRequest(), 5); err != nil &&
 			!errors.As(err, &be) {
 			t.Fatalf("replay allocate(%s): %v", tenant, err)
 		}
 	}
-	fl3 := build()
+	fl3 := build(qosalloc.NewObsRegistry())
 	for _, tenant := range []string{"batch", "free"} {
 		if _, err := fl3.Allocate(tenant, "app-"+tenant, qosalloc.PaperRequest(), 5); err != nil &&
 			!errors.As(err, &be) {

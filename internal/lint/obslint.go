@@ -26,15 +26,17 @@ var ObsLint = &Analyzer{
 // before any {label="v"} suffix).
 var metricBaseRE = regexp.MustCompile(`^qos_[a-z0-9_]*[a-z0-9]$`)
 
-// registryFactories maps the Registry get-or-create methods, and Attach,
-// to the index of their bucket/capacity argument (-1 when none needs
-// checking).
-var registryFactories = map[string]int{
-	"Attach":    -1,
-	"Counter":   -1,
-	"Gauge":     -1,
-	"Histogram": 2,
-	"Ring":      -1,
+// registryFactories maps the Registry get-or-create and attach methods,
+// and obs.NewHistogram, to the index of their name argument and of their
+// bucket argument (-1 when the call has none that needs checking).
+var registryFactories = map[string]struct{ name, buckets int }{
+	"Attach":          {0, -1},
+	"AttachHistogram": {0, -1},
+	"Counter":         {0, -1},
+	"Gauge":           {0, -1},
+	"Histogram":       {0, 2},
+	"NewHistogram":    {-1, 0},
+	"Ring":            {0, -1},
 }
 
 func runObsLint(pass *Pass) {
@@ -54,8 +56,8 @@ func runObsLint(pass *Pass) {
 	}
 }
 
-// obsLintFactory checks one Registry.Counter/Gauge/Histogram/Ring/Attach
-// call.
+// obsLintFactory checks one Registry.Counter/Gauge/Histogram/Ring/Attach/
+// AttachHistogram or obs.NewHistogram call.
 func obsLintFactory(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -66,19 +68,25 @@ func obsLintFactory(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !namedFrom(sig.Recv().Type(), "obs", "Registry") {
+	if !ok {
 		return
 	}
-	bucketArg, isFactory := registryFactories[fn.Name()]
-	if !isFactory || len(call.Args) == 0 {
+	if recv := sig.Recv(); recv != nil && !namedFrom(recv.Type(), "obs", "Registry") ||
+		recv == nil && !isPkg(fn.Pkg(), "obs") {
+		return
+	}
+	args, isFactory := registryFactories[fn.Name()]
+	if !isFactory {
 		return
 	}
 
-	checkMetricName(pass, call.Args[0])
+	if args.name >= 0 && args.name < len(call.Args) {
+		checkMetricName(pass, call.Args[args.name])
+	}
 
-	if bucketArg >= 0 && bucketArg < len(call.Args) {
-		if v := packageLevelVar(pass.TypesInfo, call.Args[bucketArg]); v == nil {
-			pass.Reportf(call.Args[bucketArg].Pos(),
+	if args.buckets >= 0 && args.buckets < len(call.Args) {
+		if v := packageLevelVar(pass.TypesInfo, call.Args[args.buckets]); v == nil {
+			pass.Reportf(call.Args[args.buckets].Pos(),
 				"histogram buckets must be a shared package-level bucket set (e.g. obs.LatencyBucketsMicros), not built at the call site")
 		}
 	}

@@ -59,6 +59,12 @@ func (r *Registry) Attach(name, help string, c *Counter) {}
 // Gauge mirrors (*obs.Registry).Gauge.
 func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
 
+// AttachHistogram mirrors (*obs.Registry).AttachHistogram.
+func (r *Registry) AttachHistogram(name, help string, h *Histogram) {}
+
+// NewHistogram mirrors obs.NewHistogram.
+func NewHistogram(bounds []int64) *Histogram { return &Histogram{} }
+
 // Histogram mirrors (*obs.Registry).Histogram.
 func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram { return &Histogram{} }
 

@@ -28,6 +28,19 @@ func attach(reg *obs.Registry, c *obs.Counter) {
 	reg.Attach("owned", "rejected: missing qos_ prefix", c) // want `obslint: metric name "owned" does not match`
 }
 
+// attachHistogram: an owned histogram's buckets are package-level like
+// a created one's, and its attached name obeys the same rules.
+func attachHistogram(reg *obs.Registry) {
+	h := obs.NewHistogram(depthBuckets)
+	reg.AttachHistogram("qos_owned_size", "well-shaped attached histogram", h)
+	reg.AttachHistogram("qos_owned_size{shard=\"0\"}", "well-shaped labeled series", h)
+	reg.AttachHistogram("owned_size", "rejected: missing qos_ prefix", h) // want `obslint: metric name "owned_size" does not match`
+	var name string
+	reg.AttachHistogram(name, "unauditable", h) // want `obslint: metric name must be a constant string`
+	_ = obs.NewHistogram([]int64{1, 2})         // want `obslint: histogram buckets must be a shared package-level bucket set`
+	_ = obs.NewHistogram(obs.LatencyBucketsMicros)
+}
+
 // series is the sanctioned labeled-series idiom: a constant Sprintf
 // format whose base name is auditable.
 func series(reg *obs.Registry, shard int) {

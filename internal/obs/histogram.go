@@ -30,7 +30,10 @@ var (
 	CountBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
-func newHistogram(bounds []int64) *Histogram {
+// NewHistogram returns a histogram over the given bucket upper bounds,
+// owned by the caller: a nil registry's dangling histogram, or a source
+// for Registry.AttachHistogram.
+func NewHistogram(bounds []int64) *Histogram {
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}

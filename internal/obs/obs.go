@@ -78,7 +78,8 @@ type Registry struct {
 	counters map[string]*Counter   // the counter Counter hands out, by series
 	sources  map[string][]*Counter // what a series sums: Counter's own and attached ones
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*Histogram   // the histogram Histogram hands out, by series
+	hsources map[string][]*Histogram // what a series merges: Histogram's own and attached ones
 	rings    map[string]*Ring
 }
 
@@ -100,6 +101,7 @@ func NewRegistry() *Registry {
 		sources:  make(map[string][]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		hsources: make(map[string][]*Histogram),
 		rings:    make(map[string]*Ring),
 	}
 }
@@ -195,10 +197,10 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket upper bounds on first use (later calls reuse the
-// first bounds).
+// first bounds). Like Counter, it never returns an attached histogram.
 func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	if r == nil {
-		return newHistogram(bounds)
+		return NewHistogram(bounds)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -206,9 +208,52 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 		return h
 	}
 	r.register(name, help, kindHistogram)
-	h := newHistogram(bounds)
+	h := NewHistogram(bounds)
 	r.hists[name] = h
+	r.addHistSource(name, h)
 	return h
+}
+
+// AttachHistogram exports a histogram its owner keeps, the histogram
+// twin of Attach: a layer that observes one fact in several places (one
+// histogram per shard, so no two shards write one cache line) exports
+// them as one series, whose buckets, count and sum are the sums of its
+// sources'. Every source of a series must have the same bounds; a
+// mismatch panics, like a kind clash. Attaching the same histogram
+// twice does nothing, and so does any call on a nil registry.
+func (r *Registry) AttachHistogram(name, help string, h *Histogram) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.register(name, help, kindHistogram)
+	if !slices.Contains(r.hsources[name], h) {
+		r.addHistSource(name, h)
+	}
+}
+
+// addHistSource appends h to a histogram series' sources. Caller holds
+// r.mu.
+func (r *Registry) addHistSource(name string, h *Histogram) {
+	if srcs := r.hsources[name]; len(srcs) > 0 && !slices.Equal(srcs[0].bounds, h.bounds) {
+		panic(fmt.Sprintf("obs: histogram %q attached with different bounds", name))
+	}
+	r.hsources[name] = append(r.hsources[name], h)
+}
+
+// histogramValue merges a histogram series' sources. Caller holds r.mu.
+func (r *Registry) histogramValue(name string) HistogramSnapshot {
+	srcs := r.hsources[name]
+	s := HistogramSnapshot{Bounds: srcs[0].Bounds(), Buckets: make([]int64, len(srcs[0].buckets))}
+	for _, h := range srcs {
+		for i, n := range h.BucketCounts() {
+			s.Buckets[i] += n
+		}
+		s.Count += h.Count()
+		s.Sum += h.Sum()
+	}
+	return s
 }
 
 // Ring returns the event ring registered under name, creating it with

@@ -47,7 +47,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]int64{10, 100, 1000})
+	h := NewHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 100, 5000} {
 		h.Observe(v)
 	}
@@ -209,6 +209,92 @@ func TestAttach(t *testing.T) {
 		if _, ok := r.CounterValue(name); ok {
 			t.Error("nil registry reported a series")
 		}
+	})
+}
+
+// TestAttachHistogram checks that a histogram series merges its sources
+// bucket by bucket in both renderings.
+func TestAttachHistogram(t *testing.T) {
+	const name = "qos_attached_size"
+	bounds := []int64{1, 4}
+	prom := func(b1, b4, inf, sum, count int64) string {
+		return fmt.Sprintf("# HELP qos_attached_size attached\n# TYPE qos_attached_size histogram\n"+
+			"qos_attached_size_bucket{le=\"1\"} %d\n"+
+			"qos_attached_size_bucket{le=\"4\"} %d\n"+
+			"qos_attached_size_bucket{le=\"+Inf\"} %d\n"+
+			"qos_attached_size_sum %d\nqos_attached_size_count %d\n",
+			b1, b4, inf, sum, count)
+	}
+	for _, tc := range []struct {
+		desc    string
+		setup   func(r *Registry, a, b *Histogram)
+		buckets []int64
+		sum     int64
+	}{
+		{"one source", func(r *Registry, a, b *Histogram) {
+			r.AttachHistogram(name, "attached", a)
+		}, []int64{1, 1, 0}, 4},
+		{"two sources merge", func(r *Registry, a, b *Histogram) {
+			r.AttachHistogram(name, "attached", a)
+			r.AttachHistogram(name, "", b)
+		}, []int64{2, 1, 1}, 14},
+		{"re-attach is a no-op", func(r *Registry, a, b *Histogram) {
+			r.AttachHistogram(name, "attached", a)
+			r.AttachHistogram(name, "attached", a)
+		}, []int64{1, 1, 0}, 4},
+		{"created plus attached", func(r *Registry, a, b *Histogram) {
+			r.Histogram(name, "attached", bounds).Observe(2)
+			r.AttachHistogram(name, "", a)
+		}, []int64{1, 2, 0}, 6},
+	} {
+		t.Run(tc.desc, func(t *testing.T) {
+			r := NewRegistry()
+			a, b := NewHistogram(bounds), NewHistogram(bounds)
+			a.Observe(1)
+			a.Observe(3)
+			b.Observe(0)
+			b.Observe(10)
+			tc.setup(r, a, b)
+			var count int64
+			for _, n := range tc.buckets {
+				count += n
+			}
+			want := HistogramSnapshot{Bounds: bounds, Buckets: tc.buckets, Count: count, Sum: tc.sum}
+			if got := r.Snapshot().Histograms[name]; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Snapshot = %+v, want %+v", got, want)
+			}
+			var buf bytes.Buffer
+			if err := r.WriteProm(&buf); err != nil {
+				t.Fatal(err)
+			}
+			b1, b4 := tc.buckets[0], tc.buckets[0]+tc.buckets[1]
+			if want := prom(b1, b4, count, tc.sum, count); buf.String() != want {
+				t.Errorf("WriteProm =\n%s\nwant\n%s", buf.String(), want)
+			}
+		})
+	}
+	t.Run("nil registry", func(t *testing.T) {
+		var r *Registry
+		h := NewHistogram(bounds)
+		r.AttachHistogram(name, "", h)
+		h.Observe(1)
+		if len(r.Snapshot().Histograms) != 0 {
+			t.Error("nil registry reported a series")
+		}
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil || buf.Len() != 0 {
+			t.Errorf("nil WriteProm = %q, %v", buf.String(), err)
+		}
+	})
+	t.Run("bounds mismatch panics", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("attaching a histogram with other bounds must panic")
+			}
+		}()
+		r := NewRegistry()
+		r.AttachHistogram(name, "", NewHistogram(bounds))
+		r.AttachHistogram(name, "", NewHistogram(DepthBuckets))
 	})
 }
 

@@ -51,17 +51,16 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	for _, name := range r.seriesByKind(kindHistogram) {
 		emitHeader(seen, name, "histogram")
-		h := r.hists[name]
-		bounds, counts := h.Bounds(), h.BucketCounts()
+		h := r.histogramValue(name)
 		var cum int64
-		for i, b := range bounds {
-			cum += counts[i]
+		for i, b := range h.Bounds {
+			cum += h.Buckets[i]
 			fmt.Fprintf(w, "%s %d\n", withLabel(name+"_bucket", fmt.Sprintf("le=%q", fmt.Sprint(b))), cum)
 		}
-		cum += counts[len(counts)-1]
+		cum += h.Buckets[len(h.Buckets)-1]
 		fmt.Fprintf(w, "%s %d\n", withLabel(name+"_bucket", `le="+Inf"`), cum)
-		fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+		fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum)
+		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 	}
 	for _, name := range r.seriesByKind(kindRing) {
 		counterName := name + "_events_total"
@@ -116,11 +115,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
 	}
-	for name, h := range r.hists {
-		s.Histograms[name] = HistogramSnapshot{
-			Bounds: h.Bounds(), Buckets: h.BucketCounts(),
-			Count: h.Count(), Sum: h.Sum(),
-		}
+	for name := range r.hsources {
+		s.Histograms[name] = r.histogramValue(name)
 	}
 	for name, rg := range r.rings {
 		s.Rings[name] = RingSnapshot{Total: rg.Total(), Events: rg.Events()}

@@ -103,7 +103,11 @@ func TestServiceAllocsPinned(t *testing.T) {
 		s     *Service
 		calls int
 	}{{ms, next}, {fs, nextFull}} {
-		if walks := m.s.counts.inlineWalks.Load(); walks != int64(m.calls) {
+		var walks int64
+		for _, sh := range m.s.shards {
+			walks += sh.stripe.inlineWalks.Load()
+		}
+		if walks != int64(m.calls) {
 			t.Errorf("%d miss calls walked inline %d times; each must miss and walk once", m.calls, walks)
 		}
 	}

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/retrieval"
 )
 
 // lateCancel is a context that is live at its first Err check and
@@ -149,5 +151,121 @@ func TestRequestConservation(t *testing.T) {
 	}
 	if st.DedupHits == 0 || st.TokenHits == 0 || st.Canceled == 0 || st.Allocated == 0 || st.AllocFailed == 0 || badSent.Load() == 0 {
 		t.Errorf("a path went unexercised: %+v", st)
+	}
+}
+
+// TestCloseRacesAdmission races Close against inline hits, inline
+// misses, queued Retrieves, Allocates and RetrieveBatches on every
+// shard. The drain fence must give each call one of two fates: answered
+// and counted, or refused with ErrDraining and counted nowhere. So the
+// answered calls account for every enqueued and every batched job, and
+// the counters read when Close returns never move again.
+func TestCloseRacesAdmission(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 64, 0.5)
+	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxBatch: 8})
+	ctx := context.Background()
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
+	want := make([]retrieval.Result, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if want[i], err = eng.Retrieve(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range reqs[:16] { // tokens for the inline hits
+		if _, err := s.Retrieve(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := s.Stats()
+
+	var retrieved, allocs, placed, allocsRefused, batchItems, calls atomic.Int64
+	var errMu sync.Mutex
+	var errs []error
+	fail := func(err error) {
+		errMu.Lock()
+		errs = append(errs, err)
+		errMu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for refused := false; !refused; calls.Add(1) {
+				i := rng.Intn(len(reqs) - 4)
+				switch op := rng.Intn(4); {
+				case op < 2:
+					r, err := s.Retrieve(ctx, reqs[i])
+					if refused = errors.Is(err, ErrDraining); err == nil {
+						retrieved.Add(1)
+						if r.Impl != want[i].Impl || r.Similarity != want[i].Similarity {
+							fail(fmt.Errorf("Retrieve(reqs[%d]) = %+v, want %+v", i, r, want[i]))
+						}
+					} else if !refused {
+						fail(fmt.Errorf("Retrieve: %w", err))
+					}
+				case op == 2:
+					d, err := s.Allocate(ctx, "app", reqs[i], 5)
+					if refused = errors.Is(err, ErrDraining); refused {
+						allocsRefused.Add(1)
+					} else {
+						allocs.Add(1)
+					}
+					if err == nil {
+						placed.Add(1)
+						_ = s.Release(d.Task.ID)
+					}
+				default:
+					out, err := s.RetrieveBatch(ctx, reqs[i:i+4])
+					if refused = errors.Is(err, ErrDraining); err == nil {
+						batchItems.Add(int64(len(out)))
+						for k, o := range out {
+							if o.Err != nil {
+								fail(fmt.Errorf("RetrieveBatch item %d: %w", k, o.Err))
+							}
+						}
+					} else if !refused {
+						fail(fmt.Errorf("RetrieveBatch: %w", err))
+					}
+				}
+			}
+		}(c)
+	}
+	waitFor(t, "traffic before the drain", func() bool { return calls.Load() >= 400 })
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	s.Close()
+	atClose := s.Stats()
+	wg.Wait()
+	<-closed
+	if len(errs) > 0 {
+		t.Fatalf("%d calls failed their checks; first: %v", len(errs), errs[0])
+	}
+
+	st := s.Stats()
+	if st != atClose {
+		t.Errorf("Stats moved after Close returned:\n at Close %+v\n later    %+v", atClose, st)
+	}
+	if got, want := st.Enqueued-warm.Enqueued, retrieved.Load()+allocs.Load(); got != want {
+		t.Errorf("Enqueued = %d, want %d answered Retrieves and admitted Allocates", got, want)
+	}
+	// An Allocate can pass acquire and then be refused at its submit; it
+	// returns ErrDraining and is counted as failed. One refused at
+	// acquire is counted nowhere.
+	if st.Allocated != placed.Load() {
+		t.Errorf("Allocated = %d, want %d placed", st.Allocated, placed.Load())
+	}
+	if n := st.Allocated + st.AllocFailed; n < allocs.Load() || n > allocs.Load()+allocsRefused.Load() {
+		t.Errorf("Allocated %d + AllocFailed %d, want %d answered Allocates plus at most %d refused",
+			st.Allocated, st.AllocFailed, allocs.Load(), allocsRefused.Load())
+	}
+	// Pre-formed batch jobs are batched but never enqueued.
+	if st.BatchedJobs != st.Enqueued+batchItems.Load() {
+		t.Errorf("BatchedJobs = %d, want Enqueued %d + %d pre-formed items", st.BatchedJobs, st.Enqueued, batchItems.Load())
+	}
+	if st.TokenHits == 0 || st.EngineRetrievals == 0 || st.Allocated == 0 || batchItems.Load() == 0 {
+		t.Errorf("a path went unexercised: %+v, %d batch items", st, batchItems.Load())
 	}
 }

@@ -125,7 +125,7 @@ func (s *Service) Observe(o learn.Observation) error {
 	if s.ls == nil {
 		return ErrLearningOff
 	}
-	if err := s.acquire(context.Background()); err != nil {
+	if err := s.acquire(context.Background(), s.shardFor(o.Type)); err != nil {
 		return err
 	}
 	defer s.inflight.Done()
@@ -167,7 +167,7 @@ func (s *Service) Retain(t casebase.TypeID, im casebase.Implementation, atEpoch 
 	if s.ls == nil {
 		return 0, ErrLearningOff
 	}
-	if err := s.acquire(context.Background()); err != nil {
+	if err := s.acquire(context.Background(), s.shardFor(t)); err != nil {
 		return 0, err
 	}
 	defer s.inflight.Done()
@@ -208,7 +208,7 @@ func (s *Service) Retire(t casebase.TypeID, impl casebase.ImplID, atEpoch uint64
 	if s.ls == nil {
 		return ErrLearningOff
 	}
-	if err := s.acquire(context.Background()); err != nil {
+	if err := s.acquire(context.Background(), s.shardFor(t)); err != nil {
 		return err
 	}
 	defer s.inflight.Done()
@@ -230,7 +230,7 @@ func (s *Service) CommitNow() (uint64, error) {
 	if s.ls == nil {
 		return 0, ErrLearningOff
 	}
-	if err := s.acquire(context.Background()); err != nil {
+	if err := s.acquire(context.Background(), s.shards[0]); err != nil {
 		return 0, err
 	}
 	defer s.inflight.Done()

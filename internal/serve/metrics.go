@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"qosalloc/internal/obs"
 )
@@ -10,14 +11,13 @@ import (
 // the largest batch a shard will ever coalesce.
 var batchBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// counts are the service's counters: Stats and EpochStats read them and
-// Instrument attaches each one that has a series (batchedJobs shows as
-// the batch-size histogram's sum), so each fact is counted once.
-// Commits are counted by reason; their sum is EpochStats.Commits.
+// counts are the service's cold-path counters (each shard keeps the
+// hot-path ones in its stripe): Stats and EpochStats read them and
+// Instrument attaches each one that has a series, so each fact is
+// counted once. Commits are counted by reason; their sum is
+// EpochStats.Commits.
 type counts struct {
-	enqueued, shed, batches, batchedJobs  obs.Counter
-	dedupHits, tokenHits, inlineHits      obs.Counter
-	walks, inlineWalks                    obs.Counter
+	shed, dedupHits                       obs.Counter
 	canceled, drainFlushed                obs.Counter
 	allocated, allocFailed                obs.Counter
 	folds, retained, retired, manual      obs.Counter
@@ -27,13 +27,8 @@ type counts struct {
 // attach exports the counts on reg. Retain and Retire commits share the
 // structural series, which reports their sum.
 func (c *counts) attach(reg *obs.Registry) {
-	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", &c.enqueued)
 	reg.Attach("qos_serve_shed_total", "requests refused by admission control (ErrOverload)", &c.shed)
-	reg.Attach("qos_serve_batches_total", "micro-batches processed across all shards", &c.batches)
 	reg.Attach("qos_serve_dedup_hits_total", "in-batch requests served by another job's retrieval (singleflight)", &c.dedupHits)
-	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &c.tokenHits)
-	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &c.inlineHits)
-	reg.Attach("qos_serve_inline_walks_total", "token misses walked on the caller's goroutine, without the hop to the shard worker", &c.inlineWalks)
 	reg.Attach("qos_serve_canceled_total", "jobs dropped because the caller's context died", &c.canceled)
 	reg.Attach("qos_serve_drain_flushed_total", "queued jobs answered during the shutdown flush", &c.drainFlushed)
 	reg.Attach("qos_serve_allocations_total{outcome=\"placed\"}", "allocation calls that placed a variant", &c.allocated)
@@ -47,13 +42,46 @@ func (c *counts) attach(reg *obs.Registry) {
 	reg.Attach("qos_serve_stale_retries_total", "Allocate candidate fetches retried because a commit landed in between", &c.staleRetries)
 }
 
+// stripeSpan is the span in bytes that two shards' hot words must never
+// share: two 64-byte cache lines, which the adjacent-line prefetcher
+// moves as a pair.
+const stripeSpan = 128
+
+// stripe is one shard's hot-path counters and its drain-fence count: all
+// that a call on the shard writes besides the shard's mutexes and its
+// token table, so that an inline answer writes no line another shard's
+// callers write. It is the last field of its shard, and its trailing pad
+// keeps whatever the allocator places next (another shard, whose hot
+// words come first) stripeSpan bytes away. TestShardLayout pins this.
+// Stats sums the stripes; Instrument attaches every stripe under the
+// one series name, and the series sums them too.
+type stripe struct {
+	enqueued, batches, batchedJobs obs.Counter
+	tokenHits, inlineHits          obs.Counter
+	walks, inlineWalks             obs.Counter
+	// admitted counts the calls inside this shard's drain fence (see
+	// Service.closing).
+	admitted atomic.Int64
+	_        [stripeSpan]byte
+}
+
+// attach exports the stripe's counters on reg. batchedJobs shows as the
+// batch-size histogram's sum; walks as the Stats field alone.
+func (st *stripe) attach(reg *obs.Registry) {
+	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", &st.enqueued)
+	reg.Attach("qos_serve_batches_total", "micro-batches processed across all shards", &st.batches)
+	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &st.tokenHits)
+	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &st.inlineHits)
+	reg.Attach("qos_serve_inline_walks_total", "token misses walked on the caller's goroutine, without the hop to the shard worker", &st.inlineWalks)
+}
+
 // metrics is the service's histogram and gauges. Like the retrieval
 // bundle, an uninstrumented service carries a dangling bundle over a nil
 // registry: the hot path never branches on "is observability on".
 // Per-shard gauges are labeled series of one base metric, so the
 // exposition groups them under shared HELP/TYPE.
 type metrics struct {
-	batchSize *obs.Histogram
+	batchSize []*obs.Histogram // per shard, exported as one merged series
 
 	draining *obs.Gauge // 1 once Close has begun
 	epoch    *obs.Gauge // committed case-base epoch (1 until a commit)
@@ -66,11 +94,13 @@ type metrics struct {
 // reg (nil yields a dangling bundle).
 func newMetrics(reg *obs.Registry, n int) *metrics {
 	m := &metrics{
-		draining:  reg.Gauge("qos_serve_draining", "1 once service shutdown (drain) has begun"),
-		batchSize: reg.Histogram("qos_serve_batch_size", "requests coalesced per micro-batch", batchBuckets),
-		epoch:     reg.Gauge("qos_serve_epoch", "committed case-base epoch installed by the snapshot swap"),
+		draining: reg.Gauge("qos_serve_draining", "1 once service shutdown (drain) has begun"),
+		epoch:    reg.Gauge("qos_serve_epoch", "committed case-base epoch installed by the snapshot swap"),
 	}
 	for i := 0; i < n; i++ {
+		h := obs.NewHistogram(batchBuckets)
+		reg.AttachHistogram("qos_serve_batch_size", "requests coalesced per micro-batch", h)
+		m.batchSize = append(m.batchSize, h)
 		m.queueDepth = append(m.queueDepth, reg.Gauge(
 			fmt.Sprintf("qos_serve_queue_depth{shard=%q}", fmt.Sprint(i)),
 			"requests waiting in a shard's admission queue"))

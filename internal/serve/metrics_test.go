@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
@@ -10,18 +17,40 @@ import (
 	"qosalloc/internal/obs"
 )
 
+// updateGolden rewrites the /metrics goldens under testdata instead of
+// comparing against them.
+var updateGolden = flag.Bool("update", false, "rewrite the /metrics goldens under testdata")
+
 // TestStatsEqualAttachedSeries drives a mixed workload through an
 // instrumented service (token misses and hits, dedup, a canceled job,
 // placed and failed allocations, a shed request, a drain flush, and
 // commits of all four reasons) and checks that every Stats and
 // EpochStats field with a series reads the same value as that series:
-// each fact is counted once, so the two views cannot drift.
+// each fact is counted once, so the two views cannot drift. It runs at
+// one shard and at four, where the hot-path counters and the batch-size
+// histogram are summed over the shards' stripes. The whole exposition
+// must then equal its golden, which the service wrote before the
+// counters were striped.
 func TestStatsEqualAttachedSeries(t *testing.T) {
-	cb, _, reqs := genWorkload(t, 8, 0)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxBatch: 2, MaxQueue: 1, Learning: learnConfig(2, 0)})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { statsEqualAttachedSeries(t, shards) })
+	}
+}
+
+func statsEqualAttachedSeries(t *testing.T, shards int) {
+	cb, _, reqs := genWorkload(t, 64, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: shards, MaxBatch: 2, MaxQueue: 1, Learning: learnConfig(2, 0)})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	ctx := context.Background()
+	// wedged are three requests new to the service that shard 0 serves:
+	// the shed and drain steps below wedge that shard.
+	var wedged []casebase.Request
+	for _, r := range reqs[3:] {
+		if shardOf(r.Type, shards) == 0 && len(wedged) < 3 {
+			wedged = append(wedged, r)
+		}
+	}
 
 	for _, r := range []casebase.Request{reqs[0], reqs[0]} { // miss, then inline hit
 		if _, err := s.Retrieve(ctx, r); err != nil {
@@ -67,18 +96,22 @@ func TestStatsEqualAttachedSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wedge the single shard: the worker takes one job and, busy, waits
+	// Wedge shard 0: the worker takes one job and, busy, waits
 	// on the shard mutex; a second job fills the queue, and a third is
 	// shed.
 	// Close then begins the drain, and unwedging flushes the queued job.
+	// A queued call gets its reply before its batch clears the busy
+	// gauge, so first wait for the last batch to end: a stale busy
+	// reading would let the wedge start with no job taken.
 	sh := s.shards[0]
+	waitFor(t, "shard 0 to go idle", func() bool { return s.met.Load().busy[0].Load() == 0 })
 	sh.mu.Lock()
 	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, reqs[3]); done <- err }()
+	go func() { _, err := s.Retrieve(ctx, wedged[0]); done <- err }()
 	waitFor(t, "worker to take the first job", func() bool { return s.met.Load().busy[0].Load() == 1 })
-	go func() { _, err := s.Retrieve(ctx, reqs[4]); done <- err }()
+	go func() { _, err := s.Retrieve(ctx, wedged[1]); done <- err }()
 	waitFor(t, "second job to fill the queue", func() bool { return len(sh.q) == 1 })
-	if _, err := s.Retrieve(ctx, reqs[5]); err == nil {
+	if _, err := s.Retrieve(ctx, wedged[2]); err == nil {
 		t.Fatal("Retrieve past a full queue was not shed")
 	}
 	closed := make(chan struct{})
@@ -149,5 +182,57 @@ func TestStatsEqualAttachedSeries(t *testing.T) {
 	}
 	if inline := series("qos_serve_inline_hits_total"); inline == 0 || inline > st.TokenHits {
 		t.Errorf("inline hits = %d, want within (0, TokenHits=%d]", inline, st.TokenHits)
+	}
+
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", fmt.Sprintf("metrics_shards%d.prom", shards))
+	if *updateGolden {
+		if err := os.WriteFile(golden, prom.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prom.Bytes(), want) {
+		t.Errorf("/metrics differs from %s:\n%s", golden, prom.String())
+	}
+}
+
+// TestShardLayout pins the stripe padding. The stripe must be the last
+// field of shard and end in at least stripeSpan bytes of padding, so the
+// hot words of a shard — every field before that pad — sit stripeSpan
+// bytes or more before whatever the allocator places next, which may be
+// another shard. A field added after the pad, or a pad cut short, fails
+// here. The live shards of a service must then have no 128-byte span in
+// which two of them write.
+func TestShardLayout(t *testing.T) {
+	var sh shard
+	if end := unsafe.Offsetof(sh.stripe) + unsafe.Sizeof(sh.stripe); end != unsafe.Sizeof(sh) {
+		t.Fatalf("stripe ends at byte %d of a %d-byte shard: it must be the last field", end, unsafe.Sizeof(sh))
+	}
+	st := reflect.TypeOf(stripe{})
+	pad := st.Field(st.NumField() - 1)
+	if pad.Name != "_" || pad.Type.Kind() != reflect.Array || pad.Type.Elem().Kind() != reflect.Uint8 || pad.Type.Size() < stripeSpan {
+		t.Fatalf("stripe's last field is %s %v: want a blank byte array of at least %d bytes", pad.Name, pad.Type, stripeSpan)
+	}
+	hot := unsafe.Offsetof(sh.stripe) + pad.Offset // bytes of a shard before its pad
+
+	cb, _, _ := genWorkload(t, 1, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 8})
+	defer s.Close()
+	owner := make(map[uintptr]int) // 128-byte span → the shard writing in it
+	for i, p := range s.shards {
+		lo := uintptr(unsafe.Pointer(p))
+		for span := lo / stripeSpan; span <= (lo+hot-1)/stripeSpan; span++ {
+			if j, ok := owner[span]; ok {
+				t.Errorf("shards %d and %d both write the 128-byte span at %#x", j, i, span*stripeSpan)
+			}
+			owner[span] = i
+		}
 	}
 }

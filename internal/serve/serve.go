@@ -40,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -191,14 +192,14 @@ type jobKey struct {
 func (j *job) key() jobKey { return jobKey{j.kind, j.n, j.hash} }
 
 // shard is one partition: a queue, the mutexes serializing its batches
-// and its token caches, and its count of inline walks. The token cache
-// itself lives in the snapshot — an epoch swap replaces it wholesale —
-// but the shard state persists across swaps. mu is write-held for a
-// whole batch; an inline walk only probes its read side, to see whether
-// a batch is running, so concurrent probes never fail each other.
-// tokMu guards the token caches alone and is only ever held for one
-// lookup or store, never across a walk, so an inline answer never waits
-// behind a walk.
+// and its token caches, its count of inline walks, and its stripe of
+// hot-path counters. The token cache itself lives in the snapshot — an
+// epoch swap replaces it wholesale — but the shard state persists
+// across swaps. mu is write-held for a whole batch; an inline walk only
+// probes its read side, to see whether a batch is running, so
+// concurrent probes never fail each other. tokMu guards the token
+// caches alone and is only ever held for one lookup or store, never
+// across a walk, so an inline answer never waits behind a walk.
 type shard struct {
 	idx int
 	q   chan *job
@@ -212,6 +213,7 @@ type shard struct {
 	// walkers counts the misses walking inline on this shard; with the
 	// queue length it is bounded by MaxQueue.
 	walkers atomic.Int64
+	stripe  stripe // last: its pad parts this shard's hot words from the next's
 }
 
 // Service is the concurrent allocation front end. Create with New,
@@ -256,13 +258,14 @@ type Service struct {
 	counts   counts
 	maxBatch atomic.Int64 // high-water mark of the batch size
 
-	// drainMu fences admission against shutdown: submissions hold the
-	// read side across the draining check and the queue send, Close
-	// holds the write side while raising the flag — so a job is either
-	// refused with ErrDraining or fully enqueued before the workers
-	// start their final flush. Nothing admitted is ever abandoned.
-	drainMu   sync.RWMutex
-	draining  bool
+	// closing and the shards' admitted counts are the drain fence
+	// (DESIGN.md §11): a call counts itself in on its shard, admits its
+	// work only while closing is false, and counts itself out; Close
+	// raises closing and waits for every count to reach zero before it
+	// closes drain. Go's atomics are sequentially consistent, so a job is
+	// either refused with ErrDraining or enqueued before the final flush,
+	// and no call ever waits on the fence.
+	closing   atomic.Bool
 	drain     chan struct{}  // closed when shutdown begins
 	inflight  sync.WaitGroup // Allocate/*Batch calls past admission
 	drainOnce sync.Once
@@ -333,9 +336,14 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 // concurrently; every call blocks until the flush has finished.
 func (s *Service) Close() {
 	s.drainOnce.Do(func() {
-		s.drainMu.Lock()
-		s.draining = true
-		s.drainMu.Unlock()
+		s.closing.Store(true)
+		for _, sh := range s.shards {
+			// An admission in progress is short and never blocks: a token
+			// probe, an inline walk, a queue send or an in-flight Add.
+			for sh.stripe.admitted.Load() != 0 {
+				runtime.Gosched()
+			}
+		}
 		s.met.Load().draining.Set(1)
 		close(s.drain)
 	})
@@ -345,11 +353,7 @@ func (s *Service) Close() {
 }
 
 // Draining reports whether shutdown has begun (Close called).
-func (s *Service) Draining() bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	return s.draining
-}
+func (s *Service) Draining() bool { return s.closing.Load() }
 
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
@@ -377,6 +381,9 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	m.epoch.Set(int64(sn.epoch))
 	s.met.Store(m)
 	s.counts.attach(reg)
+	for _, sh := range s.shards {
+		sh.stripe.attach(reg)
+	}
 	s.retMet = retrieval.NewMetrics(reg)
 	sn.engine.Instrument(s.retMet)
 	s.allocMu.Lock()
@@ -384,23 +391,28 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	s.allocMu.Unlock()
 }
 
-// Stats returns a snapshot of the service counters.
+// Stats returns a snapshot of the service counters, summing the
+// shards' stripes.
 func (s *Service) Stats() Stats {
 	c := &s.counts
-	return Stats{
-		Enqueued:         c.enqueued.Load(),
-		Shed:             c.shed.Load(),
-		Batches:          c.batches.Load(),
-		BatchedJobs:      c.batchedJobs.Load(),
-		DedupHits:        c.dedupHits.Load(),
-		TokenHits:        c.tokenHits.Load(),
-		Canceled:         c.canceled.Load(),
-		DrainFlushed:     c.drainFlushed.Load(),
-		MaxBatch:         s.maxBatch.Load(),
-		EngineRetrievals: c.walks.Load(),
-		Allocated:        c.allocated.Load(),
-		AllocFailed:      c.allocFailed.Load(),
+	st := Stats{
+		Shed:         c.shed.Load(),
+		DedupHits:    c.dedupHits.Load(),
+		Canceled:     c.canceled.Load(),
+		DrainFlushed: c.drainFlushed.Load(),
+		MaxBatch:     s.maxBatch.Load(),
+		Allocated:    c.allocated.Load(),
+		AllocFailed:  c.allocFailed.Load(),
 	}
+	for _, sh := range s.shards {
+		p := &sh.stripe
+		st.Enqueued += p.enqueued.Load()
+		st.Batches += p.batches.Load()
+		st.BatchedJobs += p.batchedJobs.Load()
+		st.TokenHits += p.tokenHits.Load()
+		st.EngineRetrievals += p.walks.Load()
+	}
+	return st
 }
 
 // --- Clock plumbing ----------------------------------------------------
@@ -478,14 +490,16 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 // inline walks plus its queue stay within MaxQueue, and the request is
 // valid (the queued path refuses an invalid one unadmitted). A probe
 // never fails on another probe, so no walk waits for another walk.
-// Either answer counts as an admitted batch of one job.
+// Either answer counts as an admitted batch of one job, on the shard's
+// stripe: a hit writes no line that callers of other shards write.
 func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint64) (retrieval.Result, bool, error) {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining || retrieval.Canceled(ctx) != nil {
+	sh := s.shardFor(req.Type)
+	st := &sh.stripe
+	st.admitted.Add(1)
+	defer st.admitted.Add(-1)
+	if s.closing.Load() || retrieval.Canceled(ctx) != nil {
 		return retrieval.Result{}, false, nil
 	}
-	sh := s.shards[shardOf(req.Type, len(s.shards))]
 	if len(sh.q) != 0 {
 		return retrieval.Result{}, false, nil
 	}
@@ -496,10 +510,10 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 	sh.tokMu.Unlock()
 	if hit {
 		if r, live := sn.resultFromToken(tok); live {
-			s.counts.enqueued.Inc()
-			s.noteBatch(s.met.Load(), 1)
-			s.counts.tokenHits.Inc()
-			s.counts.inlineHits.Inc()
+			st.enqueued.Inc()
+			s.noteBatch(sh, s.met.Load(), 1)
+			st.tokenHits.Inc()
+			st.inlineHits.Inc()
 			return r, true, nil
 		}
 	}
@@ -512,10 +526,10 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 		return retrieval.Result{}, false, nil
 	}
 	defer sh.walkers.Add(-1)
-	s.counts.enqueued.Inc()
-	s.noteBatch(s.met.Load(), 1)
-	s.counts.walks.Inc()
-	s.counts.inlineWalks.Inc()
+	st.enqueued.Inc()
+	s.noteBatch(sh, s.met.Load(), 1)
+	st.walks.Inc()
+	st.inlineWalks.Inc()
 	r, err := sn.engine.Retrieve(req)
 	if err == nil {
 		sh.tokMu.Lock()
@@ -532,7 +546,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 // re-fetched (the manager's case base moved under them); after
 // maxStaleRetries re-fetches the call fails with *ErrStaleEpoch.
 func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request, basePrio int) (*alloc.Decision, error) {
-	if err := s.acquire(ctx); err != nil {
+	if err := s.acquire(ctx, s.shardFor(req.Type)); err != nil {
 		return nil, err
 	}
 	defer s.inflight.Done()
@@ -621,7 +635,7 @@ type RetrieveOutcome struct {
 // deterministic caller gets deterministic batching — the property the
 // serve experiment pins. Results are positionally aligned with reqs.
 func (s *Service) RetrieveBatch(ctx context.Context, reqs []casebase.Request) ([]RetrieveOutcome, error) {
-	if err := s.acquire(ctx); err != nil {
+	if err := s.acquire(ctx, s.shards[0]); err != nil {
 		return nil, err
 	}
 	defer s.inflight.Done()
@@ -652,7 +666,7 @@ type BatchResult struct {
 // per-item *ErrStaleEpoch (the batch is not re-fetched; the caller
 // retries the marked items).
 func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase.Request, basePrio int) ([]BatchResult, error) {
-	if err := s.acquire(ctx); err != nil {
+	if err := s.acquire(ctx, s.shards[0]); err != nil {
 		return nil, err
 	}
 	defer s.inflight.Done()
@@ -673,15 +687,16 @@ func (s *Service) AllocateBatch(ctx context.Context, app string, reqs []casebase
 // acquire guards the Allocate/*Batch and mutation entry points and
 // registers the call on the in-flight group Close waits for: a call
 // either sees ErrDraining here, or its placements or commit finish
-// before Close returns. The check and the Add sit under the drain fence
-// so the group can never grow after Close started waiting on it.
-func (s *Service) acquire(ctx context.Context) error {
+// before Close returns. The check and the Add sit inside the drain fence
+// of sh — the shard of the call's type; shard 0 for a call with no one
+// type — so the group can never grow after Close started waiting on it.
+func (s *Service) acquire(ctx context.Context, sh *shard) error {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return err
 	}
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
+	sh.stripe.admitted.Add(1)
+	defer sh.stripe.admitted.Add(-1)
+	if s.closing.Load() {
 		return ErrDraining
 	}
 	s.inflight.Add(1)
@@ -694,28 +709,31 @@ func (s *Service) acquire(ctx context.Context) error {
 // stripes alike: type t belongs to partition t mod n.
 func shardOf(t casebase.TypeID, n int) int { return int(t) % n }
 
+// shardFor returns the shard that serves type t.
+func (s *Service) shardFor(t casebase.TypeID) *shard { return s.shards[shardOf(t, len(s.shards))] }
+
 // submit routes a job to its shard queue, shedding with *ErrOverload
 // when the shard's queued jobs plus its inline walks reach MaxQueue. A
 // request that fails casebase.Request.Validate is refused with its
 // error and never admitted. (A token hit answered inline skips the
 // check: a token is stored only after its walk validated the request.)
-// The admission check and the queue send sit under the drain fence: a
-// submission either lands before the workers' final flush or is refused
-// with ErrDraining — never admitted and then abandoned.
+// The admission check and the queue send sit inside the shard's drain
+// fence: a submission either lands before the workers' final flush or is
+// refused with ErrDraining — never admitted and then abandoned.
 func (s *Service) submit(j *job) error {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
+	sh := s.shardFor(j.req.Type)
+	sh.stripe.admitted.Add(1)
+	defer sh.stripe.admitted.Add(-1)
+	if s.closing.Load() {
 		return ErrDraining
 	}
 	if err := j.req.Validate(s.CaseBase()); err != nil {
 		return err
 	}
-	sh := s.shards[shardOf(j.req.Type, len(s.shards))]
 	if len(sh.q)+int(sh.walkers.Load()) < s.cfg.MaxQueue {
 		select {
 		case sh.q <- j:
-			s.counts.enqueued.Inc()
+			sh.stripe.enqueued.Inc()
 			s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
 			return nil
 		default:
@@ -811,7 +829,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sn := s.snap.Load()
-	s.noteBatch(met, len(batch))
+	s.noteBatch(sh, met, len(batch))
 	defer clear(sh.seen)
 	for _, j := range batch {
 		if err := retrieval.Canceled(j.ctx); err != nil {
@@ -826,12 +844,12 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	}
 }
 
-// noteBatch records batch accounting for a batch of n jobs: a queued or
-// pre-formed batch under sh.mu, or an inline answer.
-func (s *Service) noteBatch(met *metrics, n int) {
-	s.counts.batches.Inc()
-	s.counts.batchedJobs.Add(int64(n))
-	met.batchSize.Observe(int64(n))
+// noteBatch records batch accounting for a batch of n jobs on sh: a
+// queued or pre-formed batch under sh.mu, or an inline answer.
+func (s *Service) noteBatch(sh *shard, met *metrics, n int) {
+	sh.stripe.batches.Inc()
+	sh.stripe.batchedJobs.Add(int64(n))
+	met.batchSize[sh.idx].Observe(int64(n))
 	for {
 		cur := s.maxBatch.Load()
 		if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
@@ -863,7 +881,7 @@ func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
 func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	tokens := sn.tokens[sh.idx]
 	if j.kind == jobCandidates {
-		s.counts.walks.Inc()
+		sh.stripe.walks.Inc()
 		list, err := sn.engine.RetrieveN(j.req, int(j.n))
 		return jobResult{list: list, epoch: sn.epoch, err: err}
 	}
@@ -877,11 +895,11 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	sh.tokMu.Unlock()
 	if ok {
 		if r, live := sn.resultFromToken(tok); live {
-			s.counts.tokenHits.Inc()
+			sh.stripe.tokenHits.Inc()
 			return jobResult{best: r, epoch: sn.epoch}
 		}
 	}
-	s.counts.walks.Inc()
+	sh.stripe.walks.Inc()
 	r, err := sn.engine.Retrieve(j.req)
 	if err != nil {
 		return jobResult{epoch: sn.epoch, err: err}

@@ -235,12 +235,12 @@ func TestInlineHitSkipsBusyShard(t *testing.T) {
 		<-hit
 		t.Fatal("token hit waited for the busy shard")
 	}
-	if got := s.counts.tokenHits.Load(); got != 1 {
+	if got := s.Stats().TokenHits; got != 1 {
 		t.Fatalf("token hits = %d with the shard busy, want 1 (answered inline)", got)
 	}
 	done := make(chan error, 1)
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "the new request to queue", func() bool { return s.counts.enqueued.Load() == 3 })
+	waitFor(t, "the new request to queue", func() bool { return s.Stats().Enqueued == 3 })
 	select {
 	case err := <-done:
 		t.Fatalf("new request answered while the shard was busy (err %v)", err)
@@ -346,7 +346,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 2)
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
 
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to fill the queue", func() bool { return len(sh.q) == 1 })
@@ -580,7 +580,7 @@ func TestDrainFlushesQueuedJobs(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 2)
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
 
@@ -637,7 +637,7 @@ func TestDrainMetricsExported(t *testing.T) {
 	ctx := context.Background()
 	done := make(chan error, 2)
 	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.counts.enqueued.Load() == 1 })
+	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
 	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
 	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
 

@@ -72,9 +72,13 @@ gate_lint() {
 # or reasonless keeps).
 gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
 
+# The serve drain fence (a per-shard admitted count and one closing
+# flag) gets twenty extra race runs of the test that races Close against
+# every kind of admission.
 gate_race() {
 	$GO test -race ./...
 	$GO -C perfbench test -race ./...
+	$GO test -race -run '^TestCloseRacesAdmission$' -count=20 ./internal/serve/
 }
 
 # Decoder and token-table fuzzing: each target, named package:Fuzz
