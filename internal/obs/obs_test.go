@@ -119,6 +119,36 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
+// TestPromLabeledHistogram renders histogram series that carry a label
+// set: the _bucket, _sum and _count suffixes go on the base name, before
+// the labels, and le joins the series' own labels.
+func TestPromLabeledHistogram(t *testing.T) {
+	r := NewRegistry()
+	h0 := r.Histogram(`qos_x{shard="0"}`, "sizes", []int64{1})
+	h0.Observe(1)
+	h0.Observe(5)
+	r.Histogram(`qos_x{shard="1"}`, "", []int64{1}).Observe(2)
+
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP qos_x sizes
+# TYPE qos_x histogram
+qos_x_bucket{shard="0",le="1"} 1
+qos_x_bucket{shard="0",le="+Inf"} 2
+qos_x_sum{shard="0"} 6
+qos_x_count{shard="0"} 2
+qos_x_bucket{shard="1",le="1"} 0
+qos_x_bucket{shard="1",le="+Inf"} 1
+qos_x_sum{shard="1"} 2
+qos_x_count{shard="1"} 1
+`
+	if buf.String() != want {
+		t.Errorf("WriteProm =\n%s\nwant\n%s", buf.String(), want)
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(9)

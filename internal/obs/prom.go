@@ -52,15 +52,17 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for _, name := range r.seriesByKind(kindHistogram) {
 		emitHeader(seen, name, "histogram")
 		h := r.histogramValue(name)
+		base := baseName(name)
+		labels := name[len(base):]
 		var cum int64
 		for i, b := range h.Bounds {
 			cum += h.Buckets[i]
-			fmt.Fprintf(w, "%s %d\n", withLabel(name+"_bucket", fmt.Sprintf("le=%q", fmt.Sprint(b))), cum)
+			fmt.Fprintf(w, "%s %d\n", withLabel(base+"_bucket"+labels, fmt.Sprintf("le=%q", fmt.Sprint(b))), cum)
 		}
 		cum += h.Buckets[len(h.Buckets)-1]
-		fmt.Fprintf(w, "%s %d\n", withLabel(name+"_bucket", `le="+Inf"`), cum)
-		fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
+		fmt.Fprintf(w, "%s %d\n", withLabel(base+"_bucket"+labels, `le="+Inf"`), cum)
+		fmt.Fprintf(w, "%s_sum%s %d\n", base, labels, h.Sum)
+		fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count)
 	}
 	for _, name := range r.seriesByKind(kindRing) {
 		counterName := name + "_events_total"

@@ -272,8 +272,8 @@ func diffEngines(t *testing.T, name string, cb *casebase.CaseBase, opt Options, 
 		if err := sameError(gerr, werr); err != nil {
 			t.Fatalf("%s: %s: %v", name, op, err)
 		}
-		if e.Stats() != ref.stats {
-			t.Fatalf("%s: %s: stats %+v vs %+v", name, op, e.Stats(), ref.stats)
+		if e.Stats() != ref.Stats() {
+			t.Fatalf("%s: %s: stats %+v vs %+v", name, op, e.Stats(), ref.Stats())
 		}
 		if g, w := metricsOf(em), metricsOf(rm); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: %s: metrics %+v vs %+v", name, op, g, w)
@@ -310,8 +310,13 @@ func diffEngines(t *testing.T, name string, cb *casebase.CaseBase, opt Options, 
 // TestEngineConcurrentWalks shares one engine among several goroutines
 // while another re-instruments it: every Retrieve, RetrieveN and
 // RetrieveAll must return exactly what a private engine returns for the
-// same request, and the shared Stats must add up to one private
-// engine's per caller. Run it with -race.
+// same request. Each walk counts into the one bundle it loaded, so the
+// bundles the shared engine counted into — the one NewEngine gave it and
+// every one Instrument installed — must add up to one private engine's
+// Stats per caller: a racing Instrument loses no walk's counts and
+// counts none twice. The private engine's Stats must equal the
+// reference engine's, so a count the engine skips fails too. Run it
+// with -race.
 func TestEngineConcurrentWalks(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	cb, reg := tieCaseBase(r)
@@ -319,7 +324,11 @@ func TestEngineConcurrentWalks(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = tieRequest(r, cb, reg)
 	}
-	walkAll := func(e *Engine) [][]Result {
+	walkAll := func(e interface {
+		Retrieve(casebase.Request) (Result, error)
+		RetrieveN(casebase.Request, int) ([]Result, error)
+		RetrieveAll(casebase.Request) ([]Result, error)
+	}) [][]Result {
 		var out [][]Result
 		for _, req := range reqs {
 			best, _ := e.Retrieve(req)
@@ -329,9 +338,15 @@ func TestEngineConcurrentWalks(t *testing.T) {
 		}
 		return out
 	}
-	private := NewEngine(cb, Options{})
+	private, ref := NewEngine(cb, Options{}), newRefEngine(cb, Options{})
 	want := walkAll(private)
+	walkAll(ref)
+	ps := private.Stats()
+	if ps != ref.Stats() {
+		t.Fatalf("private stats %+v, reference %+v", ps, ref.Stats())
+	}
 	shared := NewEngine(cb, Options{})
+	bundles := []*Metrics{shared.met.Load()}
 	const callers = 4
 	stop := make(chan struct{})
 	instrumented := make(chan struct{})
@@ -342,7 +357,9 @@ func TestEngineConcurrentWalks(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				shared.Instrument(NewMetrics(nil))
+				m := NewMetrics(nil)
+				bundles = append(bundles, m)
+				shared.Instrument(m)
 			}
 		}
 	}()
@@ -362,9 +379,16 @@ func TestEngineConcurrentWalks(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-instrumented
-	ps, ss := private.Stats(), shared.Stats()
-	if ss != (Stats{callers * ps.Retrievals, callers * ps.ImplsScored, callers * ps.AttrsCompared, callers * ps.BelowThreshold}) {
-		t.Errorf("shared stats %+v, want %d× %+v", ss, callers, ps)
+	var sum Stats
+	for _, m := range bundles {
+		st := bundleStats(m)
+		sum.Retrievals += st.Retrievals
+		sum.ImplsScored += st.ImplsScored
+		sum.AttrsCompared += st.AttrsCompared
+		sum.BelowThreshold += st.BelowThreshold
+	}
+	if want := (Stats{callers * ps.Retrievals, callers * ps.ImplsScored, callers * ps.AttrsCompared, callers * ps.BelowThreshold}); sum != want {
+		t.Errorf("%d bundles sum to %+v, want %d× %+v = %+v", len(bundles), sum, callers, ps, want)
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 // engine, only its RetrieveAll keeps the per-attribute breakdown. It is
 // kept only as the differential-test reference for Engine.
 type refEngine struct {
-	cb    *casebase.CaseBase
-	opt   Options
-	stats Stats
-	met   *Metrics
+	cb  *casebase.CaseBase
+	opt Options
+	met *Metrics
 }
 
 func newRefEngine(cb *casebase.CaseBase, opt Options) *refEngine {
@@ -30,6 +29,16 @@ func newRefEngine(cb *casebase.CaseBase, opt Options) *refEngine {
 		opt.Amalgamation = similarity.WeightedSum{}
 	}
 	return &refEngine{cb: cb, opt: opt, met: NewMetrics(nil)}
+}
+
+// Stats reads the reference's walk counters as Engine.Stats does.
+func (e *refEngine) Stats() Stats { return bundleStats(e.met) }
+
+// bundleStats returns the Stats an engine counting into m reports.
+func bundleStats(m *Metrics) Stats {
+	var e Engine
+	e.Instrument(m)
+	return e.Stats()
 }
 
 func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (float64, []LocalScore) {
@@ -49,7 +58,6 @@ func (e *refEngine) score(im *casebase.Implementation, req casebase.Request) (fl
 			s = e.opt.Local.Similarity(c.Value, v, dmax)
 		}
 		sims[i] = s
-		e.stats.AttrsCompared++
 		e.met.AttrsCompared.Inc()
 		locals[i] = LocalScore{
 			ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
@@ -65,14 +73,12 @@ func (e *refEngine) RetrieveAll(req casebase.Request) ([]Result, error) {
 	}
 	start := e.met.start()
 	ft, _ := e.cb.Type(req.Type)
-	e.stats.Retrievals++
 	e.met.Retrievals.Inc()
 	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
 	out := make([]Result, 0, len(ft.Impls))
 	for i := range ft.Impls {
 		im := &ft.Impls[i]
 		s, locals := e.score(im, req)
-		e.stats.ImplsScored++
 		e.met.ImplsScored.Inc()
 		out = append(out, Result{
 			Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
@@ -97,14 +103,12 @@ func (e *refEngine) Retrieve(req casebase.Request) (Result, error) {
 	best := all[0]
 	best.Locals = nil
 	if best.Similarity < e.opt.Threshold {
-		e.stats.BelowThreshold += len(all)
 		e.met.BelowThreshold.Add(int64(len(all)))
 		e.met.NoMatch.Inc()
 		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: best.Similarity}
 	}
 	for _, r := range all {
 		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
 			e.met.BelowThreshold.Inc()
 		}
 	}
@@ -122,7 +126,6 @@ func (e *refEngine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	out := make([]Result, 0, n)
 	for _, r := range all {
 		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
 			e.met.BelowThreshold.Inc()
 			continue
 		}

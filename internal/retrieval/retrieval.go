@@ -88,14 +88,13 @@ type Options struct {
 // Engine performs floating-point retrieval over a case base. An Engine
 // is safe for concurrent use: its case base and options never change,
 // each walk scores into scratch storage it takes from a package-level
-// pool for the length of the call, the activity counters are atomic,
-// and the metric bundle sits behind an atomic pointer (the serving
-// layer shares one engine per epoch among all its callers).
+// pool for the length of the call, and the metric bundle that counts
+// its activity sits behind an atomic pointer (the serving layer shares
+// one engine per epoch among all its callers).
 type Engine struct {
-	cb    *casebase.CaseBase
-	opt   Options
-	stats engineStats
-	met   atomic.Pointer[Metrics]
+	cb  *casebase.CaseBase
+	opt Options
+	met atomic.Pointer[Metrics]
 }
 
 // Stats counts engine activity.
@@ -104,11 +103,6 @@ type Stats struct {
 	ImplsScored    int // implementation variants scored
 	AttrsCompared  int // attribute comparisons performed
 	BelowThreshold int // variants rejected by the threshold
-}
-
-// engineStats is Stats as atomic counts, so concurrent walks add to it.
-type engineStats struct {
-	retrievals, implsScored, attrsCompared, belowThreshold atomic.Int64
 }
 
 // NewEngine returns an Engine over cb. Nil option fields get the paper's
@@ -137,13 +131,17 @@ func (e *Engine) Instrument(m *Metrics) {
 // CaseBase returns the engine's case base.
 func (e *Engine) CaseBase() *casebase.CaseBase { return e.cb }
 
-// Stats returns a copy of the activity counters.
+// Stats reads the counters of the metric bundle the engine counts into.
+// Engines that share a bundle (one service's epochs, or engines
+// instrumented on one registry) report the bundle's totals; an engine
+// never instrumented reports its own walks alone.
 func (e *Engine) Stats() Stats {
+	m := e.met.Load()
 	return Stats{
-		Retrievals:     int(e.stats.retrievals.Load()),
-		ImplsScored:    int(e.stats.implsScored.Load()),
-		AttrsCompared:  int(e.stats.attrsCompared.Load()),
-		BelowThreshold: int(e.stats.belowThreshold.Load()),
+		Retrievals:     int(m.Retrievals.Load()),
+		ImplsScored:    int(m.ImplsScored.Load()),
+		AttrsCompared:  int(m.AttrsCompared.Load()),
+		BelowThreshold: int(m.BelowThreshold.Load()),
 	}
 }
 
@@ -199,8 +197,8 @@ func (w *walkState) release() {
 // walk validates the request and scores every implementation of the
 // requested type into the returned state's scores (storage order), the
 // fig. 6 inner loop. With keep (RetrieveAll), variant i's breakdown
-// lands in row i of locals. Stats and metric counters are updated once
-// per walk; at quiescence the totals equal one increment per variant and
+// lands in row i of locals. The metric counters are updated once per
+// walk; at quiescence the totals equal one increment per variant and
 // per comparison. The latency clock starts once the request validated; the
 // caller closes it with observeLatency after its selection, then
 // releases the state.
@@ -212,7 +210,6 @@ func (e *Engine) walk(req casebase.Request, keep bool) (*walkState, error) {
 	w.e, w.met, w.keep = e, e.met.Load(), keep
 	w.start = w.met.start()
 	w.ft, _ = e.cb.Type(req.Type)
-	e.stats.retrievals.Add(1)
 	w.met.Retrievals.Inc()
 	w.met.ImplsPerRetrieval.Observe(int64(len(w.ft.Impls)))
 	n, k := len(w.ft.Impls), len(req.Constraints)
@@ -228,9 +225,7 @@ func (e *Engine) walk(req casebase.Request, keep bool) (*walkState, error) {
 		}
 		w.scores[i] = w.score(i, req, row)
 	}
-	e.stats.implsScored.Add(int64(n))
 	w.met.ImplsScored.Add(int64(n))
-	e.stats.attrsCompared.Add(int64(n * k))
 	w.met.AttrsCompared.Add(int64(n * k))
 	return w, nil
 }
@@ -426,7 +421,6 @@ func (w *walkState) selectTop(req casebase.Request, n int) ([]int, error) {
 		top[j] = i
 	}
 	w.top = top
-	w.e.stats.belowThreshold.Add(int64(below))
 	w.met.BelowThreshold.Add(int64(below))
 	if len(top) == 0 {
 		w.met.NoMatch.Inc()

@@ -47,42 +47,42 @@ func (c *counts) attach(reg *obs.Registry) {
 // moves as a pair.
 const stripeSpan = 128
 
-// stripe is one shard's hot-path counters and its drain-fence count: all
-// that a call on the shard writes besides the shard's mutexes and its
-// token table, so that an inline answer writes no line another shard's
-// callers write. It is the last field of its shard, and its trailing pad
-// keeps whatever the allocator places next (another shard, whose hot
-// words come first) stripeSpan bytes away. TestShardLayout pins this.
-// Stats sums the stripes; Instrument attaches every stripe under the
-// one series name, and the series sums them too.
+// stripe is one shard's hot-path counters, its batch-size histogram and
+// its drain-fence count: all that a call on the shard writes besides the
+// shard's mutexes and its token table, so that an inline answer writes
+// no line another shard's callers write. It is the last field of its
+// shard, and its trailing pad keeps whatever the allocator places next
+// (another shard, whose hot words come first) stripeSpan bytes away.
+// TestShardLayout pins this. Stats sums the stripes; Instrument attaches
+// every stripe under the one series name, and the series sums them too.
 type stripe struct {
-	enqueued, batches, batchedJobs obs.Counter
-	tokenHits, inlineHits          obs.Counter
-	walks, inlineWalks             obs.Counter
+	enqueued, batches     obs.Counter
+	tokenHits, inlineHits obs.Counter
+	walks, inlineWalks    obs.Counter
+	batchSize             *obs.Histogram // jobs per batch; its sum is Stats.BatchedJobs
 	// admitted counts the calls inside this shard's drain fence (see
 	// Service.closing).
 	admitted atomic.Int64
 	_        [stripeSpan]byte
 }
 
-// attach exports the stripe's counters on reg. batchedJobs shows as the
-// batch-size histogram's sum; walks as the Stats field alone.
+// attach exports the stripe's counters and histogram on reg; walks shows
+// as the Stats field alone.
 func (st *stripe) attach(reg *obs.Registry) {
 	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", &st.enqueued)
 	reg.Attach("qos_serve_batches_total", "micro-batches processed across all shards", &st.batches)
+	reg.AttachHistogram("qos_serve_batch_size", "requests coalesced per micro-batch", st.batchSize)
 	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &st.tokenHits)
 	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &st.inlineHits)
 	reg.Attach("qos_serve_inline_walks_total", "token misses walked on the caller's goroutine, without the hop to the shard worker", &st.inlineWalks)
 }
 
-// metrics is the service's histogram and gauges. Like the retrieval
-// bundle, an uninstrumented service carries a dangling bundle over a nil
-// registry: the hot path never branches on "is observability on".
-// Per-shard gauges are labeled series of one base metric, so the
-// exposition groups them under shared HELP/TYPE.
+// metrics is the service's gauges. Like the retrieval bundle, an
+// uninstrumented service carries a dangling bundle over a nil registry:
+// the hot path never branches on "is observability on". Per-shard
+// gauges are labeled series of one base metric, so the exposition
+// groups them under shared HELP/TYPE.
 type metrics struct {
-	batchSize []*obs.Histogram // per shard, exported as one merged series
-
 	draining *obs.Gauge // 1 once Close has begun
 	epoch    *obs.Gauge // committed case-base epoch (1 until a commit)
 
@@ -90,17 +90,14 @@ type metrics struct {
 	busy       []*obs.Gauge // per shard, 0/1 occupancy
 }
 
-// newMetrics registers the serve histogram and gauges for n shards on
-// reg (nil yields a dangling bundle).
+// newMetrics registers the serve gauges for n shards on reg (nil yields
+// a dangling bundle).
 func newMetrics(reg *obs.Registry, n int) *metrics {
 	m := &metrics{
 		draining: reg.Gauge("qos_serve_draining", "1 once service shutdown (drain) has begun"),
 		epoch:    reg.Gauge("qos_serve_epoch", "committed case-base epoch installed by the snapshot swap"),
 	}
 	for i := 0; i < n; i++ {
-		h := obs.NewHistogram(batchBuckets)
-		reg.AttachHistogram("qos_serve_batch_size", "requests coalesced per micro-batch", h)
-		m.batchSize = append(m.batchSize, h)
 		m.queueDepth = append(m.queueDepth, reg.Gauge(
 			fmt.Sprintf("qos_serve_queue_depth{shard=%q}", fmt.Sprint(i)),
 			"requests waiting in a shard's admission queue"))

@@ -26,8 +26,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the /metrics goldens unde
 // placed and failed allocations, a shed request, a drain flush, and
 // commits of all four reasons) and checks that every Stats and
 // EpochStats field with a series reads the same value as that series:
-// each fact is counted once, so the two views cannot drift. It runs at
-// one shard and at four, where the hot-path counters and the batch-size
+// each fact is counted once, so the two views cannot drift. The last
+// epoch's engine, the manager's, must report the retrieval series of
+// every epoch's walks: all epochs count into one bundle. It runs at one
+// shard and at four, where the hot-path counters and the batch-size
 // histogram are summed over the shards' stripes. The whole exposition
 // must then equal its golden, which the service wrote before the
 // counters were striped.
@@ -182,6 +184,24 @@ func statsEqualAttachedSeries(t *testing.T, shards int) {
 	}
 	if inline := series("qos_serve_inline_hits_total"); inline == 0 || inline > st.TokenHits {
 		t.Errorf("inline hits = %d, want within (0, TokenHits=%d]", inline, st.TokenHits)
+	}
+	rs := s.Manager().Engine().Stats()
+	for _, c := range []struct {
+		field  string
+		got    int
+		series string
+	}{
+		{"Retrievals", rs.Retrievals, "qos_retrieval_total"},
+		{"ImplsScored", rs.ImplsScored, "qos_retrieval_impls_scored_total"},
+		{"AttrsCompared", rs.AttrsCompared, "qos_retrieval_attrs_compared_total"},
+		{"BelowThreshold", rs.BelowThreshold, "qos_retrieval_below_threshold_total"},
+	} {
+		if want := series(c.series); int64(c.got) != want {
+			t.Errorf("engine %s = %d, but %s reads %d", c.field, c.got, c.series, want)
+		}
+	}
+	if rs.Retrievals != int(st.EngineRetrievals) {
+		t.Errorf("engine Retrievals = %d, want the service's %d walks", rs.Retrievals, st.EngineRetrievals)
 	}
 
 	var prom bytes.Buffer

@@ -148,7 +148,7 @@ type Stats struct {
 	MaxBatch         int64 // largest batch coalesced so far
 	EngineRetrievals int64 // actual engine list walks, queued and inline
 	Allocated        int64 // allocation calls that placed a variant
-	AllocFailed      int64 // allocation calls that returned an error
+	AllocFailed      int64 // allocation calls that failed (not refused with ErrDraining)
 }
 
 type jobKind uint8
@@ -232,8 +232,8 @@ type Service struct {
 	snap atomic.Pointer[snapshot]
 	met  atomic.Pointer[metrics]
 
-	// commitMu serializes the swap pipeline (and guards retMet, which
-	// every freshly built epoch's engine is instrumented with).
+	// commitMu serializes the swap pipeline (and guards retMet, the
+	// retrieval bundle every epoch's engine counts into from its birth).
 	commitMu sync.Mutex
 	retMet   *retrieval.Metrics
 	// mgrEpoch is the epoch the manager's case base matches; guarded by
@@ -298,16 +298,17 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 			cfg.Learning.FoldThreshold = DefaultFoldThreshold
 		}
 	}
-	sn := newSnapshot(1, cb, cfg.Shards, cfg.Engine, nil)
 	s := &Service{
 		cfg:      cfg,
 		sys:      sys,
-		mgr:      alloc.New(sn.engine, sys, cfg.Manager),
+		retMet:   retrieval.NewMetrics(nil),
 		mgrEpoch: 1,
 		drain:    make(chan struct{}),
 		done:     make(chan struct{}),
 		journal:  obs.NewJournal(),
 	}
+	sn := newSnapshot(1, cb, cfg.Shards, cfg.Engine, s.retMet)
+	s.mgr = alloc.New(sn.engine, sys, cfg.Manager)
 	s.snap.Store(sn)
 	s.met.Store(newMetrics(nil, cfg.Shards))
 	s.met.Load().epoch.Set(1)
@@ -321,6 +322,7 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 			q:    make(chan *job, cfg.MaxQueue),
 			seen: make(map[jobKey]*job),
 		}
+		sh.stripe.batchSize = obs.NewHistogram(batchBuckets)
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.worker(sh)
@@ -408,7 +410,7 @@ func (s *Service) Stats() Stats {
 		p := &sh.stripe
 		st.Enqueued += p.enqueued.Load()
 		st.Batches += p.batches.Load()
-		st.BatchedJobs += p.batchedJobs.Load()
+		st.BatchedJobs += p.batchSize.Sum()
 		st.TokenHits += p.tokenHits.Load()
 		st.EngineRetrievals += p.walks.Load()
 	}
@@ -511,7 +513,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 	if hit {
 		if r, live := sn.resultFromToken(tok); live {
 			st.enqueued.Inc()
-			s.noteBatch(sh, s.met.Load(), 1)
+			s.noteBatch(sh, 1)
 			st.tokenHits.Inc()
 			st.inlineHits.Inc()
 			return r, true, nil
@@ -527,7 +529,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 	}
 	defer sh.walkers.Add(-1)
 	st.enqueued.Inc()
-	s.noteBatch(sh, s.met.Load(), 1)
+	s.noteBatch(sh, 1)
 	st.walks.Inc()
 	st.inlineWalks.Inc()
 	r, err := sn.engine.Retrieve(req)
@@ -544,7 +546,9 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 // It is Manager.Request with the retrieval half sharded and batched.
 // Candidates scored against an epoch a commit has since retired are
 // re-fetched (the manager's case base moved under them); after
-// maxStaleRetries re-fetches the call fails with *ErrStaleEpoch.
+// maxStaleRetries re-fetches the call fails with *ErrStaleEpoch. A call
+// whose retrieval is refused because Close has begun returns ErrDraining
+// and, like one refused before it started, is counted nowhere.
 func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request, basePrio int) (*alloc.Decision, error) {
 	if err := s.acquire(ctx, s.shardFor(req.Type)); err != nil {
 		return nil, err
@@ -553,6 +557,9 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 	h := retrieval.Hash(req)
 	for attempt := 0; ; attempt++ {
 		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), hash: h, done: make(chan jobResult, 1)})
+		if errors.Is(r.err, ErrDraining) {
+			return nil, r.err
+		}
 		if r.err == nil {
 			r.err = retrieval.Canceled(ctx)
 		}
@@ -829,7 +836,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sn := s.snap.Load()
-	s.noteBatch(sh, met, len(batch))
+	s.noteBatch(sh, len(batch))
 	defer clear(sh.seen)
 	for _, j := range batch {
 		if err := retrieval.Canceled(j.ctx); err != nil {
@@ -846,10 +853,9 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 
 // noteBatch records batch accounting for a batch of n jobs on sh: a
 // queued or pre-formed batch under sh.mu, or an inline answer.
-func (s *Service) noteBatch(sh *shard, met *metrics, n int) {
+func (s *Service) noteBatch(sh *shard, n int) {
 	sh.stripe.batches.Inc()
-	sh.stripe.batchedJobs.Add(int64(n))
-	met.batchSize[sh.idx].Observe(int64(n))
+	sh.stripe.batchSize.Observe(int64(n))
 	for {
 		cur := s.maxBatch.Load()
 		if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {

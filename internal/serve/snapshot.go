@@ -33,8 +33,8 @@ type snapshot struct {
 // request racing a commit (the service's own epoch checks do).
 func (s *Service) CaseBase() *casebase.CaseBase { return s.snap.Load().cb }
 
-// newSnapshot builds the epoch's engine and per-shard token caches over
-// cb. rm may be nil (uninstrumented service).
+// newSnapshot builds the epoch's engine, counting into rm, and its
+// per-shard token caches over cb.
 func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.Options, rm *retrieval.Metrics) *snapshot {
 	sn := &snapshot{epoch: epoch, cb: cb, engine: retrieval.NewEngine(cb, opt)}
 	sn.engine.Instrument(rm)

@@ -10,19 +10,35 @@
 # with traffic behind it and requires a clean drain (exit 0).
 #
 # Usage: scripts/loadcheck.sh [outdir]
-#   outdir defaults to a temp dir; pass "." to refresh the committed
-#   BENCH_qosd_*.json reports at the repo root.
+#   outdir defaults to a temp dir, removed on exit; pass "." to refresh
+#   the committed BENCH_qosd_*.json reports at the repo root.
 set -eu
 
 PORT="${QOSD_PORT:-7351}"
 ADDR="127.0.0.1:$PORT"
 URL="http://$ADDR"
-OUT="${1:-$(mktemp -d)}"
-mkdir -p "$OUT"
+# OWN_OUT names $OUT only when the script made it.
+OWN_OUT=""
+if [ -n "${1:-}" ]; then
+	OUT="$1"
+	mkdir -p "$OUT"
+else
+	OUT="$(mktemp -d)"
+	OWN_OUT="$OUT"
+fi
 # Scratch artifacts (daemon log, replay + drain-probe reports) never go
 # to $OUT, so `scripts/loadcheck.sh .` refreshes exactly the two
 # committed reports and nothing else.
 TMP="$(mktemp -d)"
+DPID=""
+# The trap removes the scratch directory, and $OUT only when the script
+# made it: a directory passed in may be the repo root or one the caller
+# keeps.
+cleanup() {
+	[ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
+	rm -rf "$TMP" ${OWN_OUT:+"$OWN_OUT"}
+}
+trap cleanup EXIT INT TERM
 REQS=600
 SEED=1
 # Tight admission so the zipf hot client actually sheds: the schedule
@@ -31,15 +47,6 @@ DAEMON_FLAGS="-lockstep -rate 500 -burst 50"
 
 go build -o bin/qosd ./cmd/qosd
 go build -o bin/qosload ./cmd/qosload
-
-DPID=""
-# The trap removes the scratch directory but never $OUT, which may be
-# the repo root or a directory the caller keeps.
-cleanup() {
-	[ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
-	rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
 
 boot() {
 	./bin/qosd -addr "$ADDR" $DAEMON_FLAGS >"$TMP/qosd.log" 2>&1 &
@@ -124,4 +131,8 @@ grep -q "final metrics snapshot" "$TMP/qosd.log" || {
 	exit 1
 }
 
-echo "loadcheck: ok (reports in $OUT)"
+if [ -n "$OWN_OUT" ]; then
+	echo "loadcheck: ok"
+else
+	echo "loadcheck: ok (reports in $OUT)"
+fi
