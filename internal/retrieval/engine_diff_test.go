@@ -435,3 +435,71 @@ func TestRetrieveAllPrefixMatchesRetrieveN(t *testing.T) {
 		}
 	}
 }
+
+// genericLinear and genericWeightedSum are eq. (1) and eq. (2) under
+// types NewEngine does not recognise: the same arithmetic, scored
+// through the measure interfaces one variant at a time.
+type genericLinear struct{ similarity.Linear }
+
+type genericWeightedSum struct{ similarity.WeightedSum }
+
+// genericOptions returns the default measures in their generic wrappers.
+func genericOptions(th float64) Options {
+	return Options{Local: genericLinear{}, Amalgamation: genericWeightedSum{}, Threshold: th}
+}
+
+// TestColumnKernelMatchesGenericScorer is the differential test for the
+// column kernel: on seeded random case bases rich in ties, missing
+// attributes and NaN or unnormalized weights, an engine with the default
+// measures (scored column by column) and one with the same measures in
+// wrappers (scored variant by variant) must give the same Retrieve and
+// RetrieveN answers at every depth, with similarity bits equal, the
+// same errors and ErrNoMatch.Best bits, and the same Stats after every
+// call.
+func TestColumnKernelMatchesGenericScorer(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	trials := 60
+	if testing.Short() || raceEnabled {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		cb, reg := tieCaseBase(r)
+		reqs := make([]casebase.Request, 16)
+		for i := range reqs {
+			reqs[i] = tieRequest(r, cb, reg)
+		}
+		for _, th := range []float64{0, 0.5, 1} {
+			kern, gen := NewEngine(cb, Options{Threshold: th}), NewEngine(cb, genericOptions(th))
+			if !kern.columns || gen.columns {
+				t.Fatalf("column kernel chosen: default measures %v, wrapped %v", kern.columns, gen.columns)
+			}
+			check := func(op string, got, want []Result, gerr, werr error) {
+				t.Helper()
+				name := fmt.Sprintf("trial %d threshold %v %s", trial, th, op)
+				if err := sameResults(got, want); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := sameError(gerr, werr); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if kern.Stats() != gen.Stats() {
+					t.Fatalf("%s: stats %+v vs %+v", name, kern.Stats(), gen.Stats())
+				}
+			}
+			for qi, req := range reqs {
+				got, gerr := kern.Retrieve(req)
+				want, werr := gen.Retrieve(req)
+				check(fmt.Sprintf("req %d Retrieve", qi), []Result{got}, []Result{want}, gerr, werr)
+				depth := 1
+				if ft, ok := cb.Type(req.Type); ok {
+					depth = len(ft.Impls)
+				}
+				for n := 1; n <= depth+1; n++ {
+					gl, gerr := kern.RetrieveN(req, n)
+					wl, werr := gen.RetrieveN(req, n)
+					check(fmt.Sprintf("req %d RetrieveN(%d)", qi, n), gl, wl, gerr, werr)
+				}
+			}
+		}
+	}
+}

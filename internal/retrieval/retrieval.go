@@ -14,21 +14,25 @@
 // step will be an extension for getting n most similar solutions") is
 // RetrieveN.
 //
-// Engine.Retrieve is literally fig. 6's single pass over the
-// implementation sub-list: each variant is scored into a column the
-// engine reuses, the running best (descending similarity, ties to the
-// lower implementation ID) is kept as the pass goes, and the variants
-// the threshold rejects are counted on the way. The walk reads attribute
-// values from the type's attribute columns (casebase.FunctionType.Column,
-// the §5 block-compacted view), resolved once per constraint, so scoring
-// a variant indexes k arrays instead of bisecting its attribute list k
-// times. RetrieveN keeps the n best in the same kind of pass by bounded
+// Engine.Retrieve is fig. 6's retrieval over the implementation
+// sub-list: every variant is scored into a column the engine reuses,
+// then one selection pass keeps the running best (descending
+// similarity, ties to the lower implementation ID) and counts the
+// variants the threshold rejects. The walk reads attribute values from
+// the type's attribute columns (casebase.FunctionType.Column, the §5
+// block-compacted view), resolved once per constraint. With the default
+// measures, eq. (1) Linear and eq. (2) WeightedSum, Retrieve and
+// RetrieveN score the way fig. 7's datapath streams attribute blocks:
+// one pass per constraint down its column, adding w_i·s_i into every
+// variant's sum, and one clamp per variant at the end, with the same
+// bits as scoring each variant alone. Any other measure, and
+// RetrieveAll, score variant by variant through the Local and
+// Amalgamation interfaces. RetrieveN keeps the n best by bounded
 // insertion; only RetrieveAll sorts, and only RetrieveAll fills each
-// result's per-attribute breakdown (Result.Locals), the rows of Table 1,
-// from the same scoring arithmetic. A warmed Retrieve allocates
-// nothing: the walk scores into scratch it borrows from a package-level
-// pool, so an Engine holds no per-walk state and, like FixedEngine, is
-// safe for concurrent use.
+// result's per-attribute breakdown (Result.Locals), the rows of Table 1.
+// A warmed Retrieve allocates nothing: the walk scores into scratch it
+// borrows from a package-level pool, so an Engine holds no per-walk
+// state and, like FixedEngine, is safe for concurrent use.
 //
 // The paper's bypass token (§3) lives here too (bypass.go). TokenCache
 // pins the variant a walk chose for a request, so a repeated call skips
@@ -41,6 +45,7 @@ package retrieval
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -95,6 +100,9 @@ type Engine struct {
 	cb  *casebase.CaseBase
 	opt Options
 	met atomic.Pointer[Metrics]
+	// columns says the measures are eq. (1) Linear and eq. (2)
+	// WeightedSum, so Retrieve and RetrieveN score with scoreColumns.
+	columns bool
 }
 
 // Stats counts engine activity.
@@ -114,7 +122,9 @@ func NewEngine(cb *casebase.CaseBase, opt Options) *Engine {
 	if opt.Amalgamation == nil {
 		opt.Amalgamation = similarity.WeightedSum{}
 	}
-	e := &Engine{cb: cb, opt: opt}
+	_, linear := opt.Local.(similarity.Linear)
+	_, sum := opt.Amalgamation.(similarity.WeightedSum)
+	e := &Engine{cb: cb, opt: opt, columns: linear && sum}
 	e.met.Store(NewMetrics(nil))
 	return e
 }
@@ -215,15 +225,18 @@ func (e *Engine) walk(req casebase.Request, keep bool) (*walkState, error) {
 	n, k := len(w.ft.Impls), len(req.Constraints)
 	w.scores = resize(w.scores, n)
 	w.prepare(req)
-	if keep {
+	switch {
+	case keep:
 		w.locals = resize(w.locals, n*k)
-	}
-	for i := range w.ft.Impls {
-		var row []LocalScore
-		if keep {
-			row = w.locals[i*k : (i+1)*k]
+		for i := range w.ft.Impls {
+			w.scores[i] = w.score(i, req, w.locals[i*k:(i+1)*k])
 		}
-		w.scores[i] = w.score(i, req, row)
+	case e.columns:
+		w.scoreColumns(req)
+	default:
+		for i := range w.ft.Impls {
+			w.scores[i] = w.score(i, req, nil)
+		}
 	}
 	w.met.ImplsScored.Add(int64(n))
 	w.met.AttrsCompared.Add(int64(n * k))
@@ -279,6 +292,60 @@ func (w *walkState) score(v int, req casebase.Request, locals []LocalScore) floa
 	return opt.Amalgamation.Combine(w.sims, w.weights)
 }
 
+// scoreColumns is score with the default measures inlined, run one
+// attribute column at a time: each constraint adds w_i·s_i, eq. (1)
+// times its weight, into every variant's running sum, and eq. (2)'s
+// clamp is applied once per variant at the end. Each score has the bits
+// score gives it: the same division, and the same acc += w*s in request
+// order. A missing cell, or a column no variant has, still adds w*0, so
+// a NaN weight yields NaN here as it does there.
+//
+// The cell loop has no branch on the data, since whether a cell is found
+// is as good as random across variants. The distance of two 16-bit
+// values is exact in float64 whichever way it is taken. max(x, 0) is
+// clamp01(x) there: x = 1 - d/den is never NaN, -0 or above 1.
+// Multiplying by found (0 or 1) leaves the similarity exact, or makes
+// it the +0 a missing cell scores.
+func (w *walkState) scoreColumns(req casebase.Request) {
+	scores := w.scores
+	clear(scores)
+	for i, c := range req.Constraints {
+		wt := w.weights[i]
+		col := w.cols[i]
+		if col == nil {
+			for v := range scores {
+				scores[v] += wt * 0
+			}
+			continue
+		}
+		col = col[:len(scores)] // one bounds check per column, not per cell
+		den := 1 + float64(w.dmax[i])
+		for v, cell := range col {
+			found := 0
+			if cell.Found {
+				found = 1
+			}
+			d := math.Abs(float64(c.Value) - float64(cell.Value))
+			s := max(1-d/den, 0) * float64(found)
+			scores[v] += wt * s
+		}
+	}
+	for v, s := range scores {
+		scores[v] = clamp01(s)
+	}
+}
+
+// clamp01 is similarity's clamp, for eq. (2)'s sum.
+func clamp01(f float64) float64 {
+	if f < 0 {
+		return 0
+	}
+	if f > 1 {
+		return 1
+	}
+	return f
+}
+
 // resize returns buf with length n, reallocating only when it is too
 // small; the contents are left for the caller to overwrite.
 func resize[T any](buf []T, n int) []T {
@@ -305,7 +372,13 @@ func (w *walkState) rank(i, j int) int {
 }
 
 // ahead reports whether variant i of the walk ranks ahead of j.
-func (w *walkState) ahead(i, j int) bool { return w.rank(i, j) < 0 }
+// A score already below j's decides without rank; NaN falls through.
+func (w *walkState) ahead(i, j int) bool {
+	if w.scores[i] < w.scores[j] {
+		return false
+	}
+	return w.rank(i, j) < 0
+}
 
 // result materializes variant i of the walk, with a private copy of its
 // locals row when the walk keeps them.

@@ -32,7 +32,7 @@ func (c *counts) attach(reg *obs.Registry) {
 	reg.Attach("qos_serve_canceled_total", "jobs dropped because the caller's context died", &c.canceled)
 	reg.Attach("qos_serve_drain_flushed_total", "queued jobs answered during the shutdown flush", &c.drainFlushed)
 	reg.Attach("qos_serve_allocations_total{outcome=\"placed\"}", "allocation calls that placed a variant", &c.allocated)
-	reg.Attach("qos_serve_allocations_total{outcome=\"failed\"}", "allocation calls that returned an error", &c.allocFailed)
+	reg.Attach("qos_serve_allocations_total{outcome=\"failed\"}", "allocation calls that failed (not refused with ErrDraining)", &c.allocFailed)
 	reg.Attach("qos_serve_commits_total{reason=\"fold\"}", "epoch commits tripped by the fold policy (threshold or age)", &c.folds)
 	reg.Attach("qos_serve_commits_total{reason=\"structural\"}", "epoch commits forced by Retain/Retire", &c.retained)
 	reg.Attach("qos_serve_commits_total{reason=\"structural\"}", "", &c.retired)
