@@ -460,7 +460,7 @@ func (m *Manager) recoverTask(t *rtsys.Task) Recovery {
 		Similarity: cand.Similarity, ReadyAt: t.ReadyAt,
 	}
 	if known {
-		if deg := Degraded(m.engine, org.req, org.impl, org.sim, cand); deg != nil {
+		if deg := Degraded(all, org.impl, org.sim, cand); deg != nil {
 			m.counts.degraded.Inc()
 			m.met.event(int64(m.sys.Now()), "degrade", "task=%d impl %d->%d sim %.3f->%.3f", t.ID, org.impl, cand.Impl, org.sim, cand.Similarity)
 			rec.Decision.Degraded = deg
@@ -489,25 +489,23 @@ func (m *Manager) reject(t *rtsys.Task, org origin, excluded []casebase.Target, 
 // Degraded reports what recovering a task from variant from, granted
 // at similarity fromSim, onto the substitute to cost the application,
 // or nil when to is the same variant or nothing got worse
-// (policy.IsDegradation). The per-attribute breakdowns
-// policy.LostAttrs compares come from eng's RetrieveAll, so they use
-// the measures the candidates were ranked by.
-func Degraded(eng *retrieval.Engine, req casebase.Request, from casebase.ImplID, fromSim float64, to retrieval.Result) *Degradation {
+// (policy.IsDegradation). all is the recovery's RetrieveAll list for the
+// task's request, so the per-attribute breakdowns policy.LostAttrs
+// compares use the measures the candidates were ranked by; its order
+// does not matter.
+func Degraded(all []retrieval.Result, from casebase.ImplID, fromSim float64, to retrieval.Result) *Degradation {
 	if to.Impl == from {
 		return nil
 	}
-	var lost []attr.ID
-	if all, err := eng.RetrieveAll(req); err == nil {
-		locals := func(id casebase.ImplID) []retrieval.LocalScore {
-			for _, r := range all {
-				if r.Impl == id {
-					return r.Locals
-				}
+	locals := func(id casebase.ImplID) []retrieval.LocalScore {
+		for _, r := range all {
+			if r.Impl == id {
+				return r.Locals
 			}
-			return nil
 		}
-		lost = policy.LostAttrs(locals(from), locals(to.Impl))
+		return nil
 	}
+	lost := policy.LostAttrs(locals(from), locals(to.Impl))
 	if !policy.IsDegradation(fromSim, to.Similarity, lost) {
 		return nil
 	}

@@ -68,6 +68,27 @@ func TestRecoverDegradesAcrossTargetClasses(t *testing.T) {
 	}
 }
 
+// TestDegradedRecoveryWalksOnce pins that a degraded recovery walks the
+// task's type once: Degraded reads the breakdowns of the RetrieveAll
+// list the recovery already holds instead of walking again.
+func TestDegradedRecoveryWalksOnce(t *testing.T) {
+	m, sys := platform(t, Options{})
+	if _, err := m.Request("mp3", casebase.PaperRequest(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FailDevice("dsp0"); err != nil {
+		t.Fatal(err)
+	}
+	before := m.engine.Stats().Retrievals
+	recs := m.RecoverFromFaults()
+	if len(recs) != 1 || recs[0].Decision == nil || recs[0].Decision.Degraded == nil {
+		t.Fatalf("recoveries = %+v, want one degraded", recs)
+	}
+	if walks := m.engine.Stats().Retrievals - before; walks != 1 {
+		t.Errorf("a degraded recovery walked %d times, want 1", walks)
+	}
+}
+
 func TestRecoverRejectsWithDegradationReport(t *testing.T) {
 	m, sys := platform(t, Options{})
 	d, err := m.Request("mp3", casebase.PaperRequest(), 5)

@@ -31,9 +31,9 @@ func TestObsGoldenCounters(t *testing.T) {
 		"qos_alloc_degraded_total":                     1,
 		"qos_alloc_fault_rejected_total":               0,
 		"qos_alloc_infeasible_total":                   0,
-		"qos_retrieval_total":                          99,
-		"qos_retrieval_impls_scored_total":             990,
-		"qos_retrieval_attrs_compared_total":           3960,
+		"qos_retrieval_total":                          98,
+		"qos_retrieval_impls_scored_total":             980,
+		"qos_retrieval_attrs_compared_total":           3920,
 		"qos_retrieval_no_match_total":                 0,
 		"qos_rtsys_device_faults_total":                0,
 		"qos_rtsys_slot_faults_total":                  2,

@@ -386,7 +386,7 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 	// Same node first: the storm-hit node's surviving capacity belongs
 	// to its own stranded tenants.
 	if tried, im, dev := n.mech.Reseat(t, tr.req.Type, candidates, excluded); dev != nil {
-		f.settleRecovery(&rec, n, n, t.ID, tr, tried[len(tried)-1], im, dev.Name(), t.ReadyAt)
+		f.settleRecovery(&rec, n, n, t.ID, tr, all, tried[len(tried)-1], im, dev.Name(), t.ReadyAt)
 		return rec
 	}
 
@@ -398,7 +398,7 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 			continue
 		}
 		if dst, task, dev := f.migrate(n, t, tr, im, order); dst != nil {
-			f.settleRecovery(&rec, n, dst, task.ID, tr, cand, im, dev.Name(), task.ReadyAt)
+			f.settleRecovery(&rec, n, dst, task.ID, tr, all, cand, im, dev.Name(), task.ReadyAt)
 			rec.Migrated = true
 			return rec
 		}
@@ -410,14 +410,15 @@ func (f *Fleet) recoverTask(n *Node, t *rtsys.Task) Recovery {
 
 // settleRecovery books a successful recovery placement: ledger
 // transfer (old footprint out, new in, no budget check), degradation
-// accounting against the original variant, journal, metrics.
-func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, tr *taskRec, cand retrieval.Result, im *casebase.Implementation, dev device.ID, readyAt device.Micros) {
+// accounting against the original variant (from all, the recovery's
+// RetrieveAll list), journal, metrics.
+func (f *Fleet) settleRecovery(rec *Recovery, from, to *Node, id rtsys.TaskID, tr *taskRec, all []retrieval.Result, cand retrieval.Result, im *casebase.Implementation, dev device.ID, readyAt device.Micros) {
 	if tr.tenant != "" {
 		f.ledger.Release(tr.tenant, tr.foot)
 		f.ledger.ForceCharge(tr.tenant, im.Foot)
 		f.observeTenant(tr.tenant)
 	}
-	if alloc.Degraded(f.engine, tr.req, tr.impl, tr.sim, cand) != nil {
+	if alloc.Degraded(all, tr.impl, tr.sim, cand) != nil {
 		rec.Degraded = true
 		f.counts.degraded.Inc()
 	}

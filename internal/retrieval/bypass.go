@@ -22,11 +22,20 @@ const DefaultMaxTokens = 4096
 // Token is the paper's bypass token (§3): "data on the previous selection
 // which can be reused at repeated function calls so that only an
 // availability check on the function and its allocated resources has to
-// be done". It pins the implementation chosen for a request.
+// be done". It holds the answer a walk gave for a request, so a hit
+// serves that answer without reading the tree again.
 type Token struct {
 	Type       casebase.TypeID
 	Impl       casebase.ImplID
+	Target     casebase.Target
+	Name       string
 	Similarity float64
+}
+
+// Result returns the walk's answer the token holds, with nil Locals as
+// Retrieve returns it.
+func (t Token) Result() Result {
+	return Result{Type: t.Type, Impl: t.Impl, Target: t.Target, Name: t.Name, Similarity: t.Similarity}
 }
 
 // Hash is the 64-bit token key of a request: a hash over exactly the
@@ -92,9 +101,9 @@ type tokenEntry struct {
 // is clear, reusing its constraint slice.
 //
 // It is a plain cache: its owner stores a token after a successful
-// selection and invalidates it when the case base changes or the pinned
-// implementation is evicted. Not safe for concurrent use; the
-// allocation manager — and each serve shard — serializes access.
+// selection and empties the cache when the case base changes. Not safe
+// for concurrent use; the allocation manager — and each serve shard —
+// serializes access.
 type TokenCache struct {
 	entries []tokenEntry
 	slots   []int32 // entry index + 1; 0 is an empty slot

@@ -34,12 +34,12 @@
 // borrows from a package-level pool, so an Engine holds no per-walk
 // state and, like FixedEngine, is safe for concurrent use.
 //
-// The paper's bypass token (§3) lives here too (bypass.go). TokenCache
-// pins the variant a walk chose for a request, so a repeated call skips
-// the walk. It keys tokens by a 64-bit Hash of the request, keeps a copy
-// of each full request so a hash collision never serves a token, and
-// holds at most DefaultMaxTokens of them in one open-addressing table
-// with CLOCK eviction.
+// The paper's bypass token (§3) lives here too (bypass.go). A Token holds
+// the answer a walk gave for a request, and TokenCache keeps tokens, so a
+// repeated call skips the walk and the tree. It keys tokens by a 64-bit
+// Hash of the request, keeps a copy of each full request so a hash
+// collision never serves a token, and holds at most DefaultMaxTokens of
+// them in one open-addressing table with CLOCK eviction.
 package retrieval
 
 import (

@@ -511,13 +511,11 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 	tok, hit := tokens.Lookup(h, req)
 	sh.tokMu.Unlock()
 	if hit {
-		if r, live := sn.resultFromToken(tok); live {
-			st.enqueued.Inc()
-			s.noteBatch(sh, 1)
-			st.tokenHits.Inc()
-			st.inlineHits.Inc()
-			return r, true, nil
-		}
+		st.enqueued.Inc()
+		s.noteBatch(sh, 1)
+		st.tokenHits.Inc()
+		st.inlineHits.Inc()
+		return tok.Result(), true, nil
 	}
 	if !sh.mu.TryRLock() {
 		return retrieval.Result{}, false, nil
@@ -534,9 +532,7 @@ func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint
 	st.inlineWalks.Inc()
 	r, err := sn.engine.Retrieve(req)
 	if err == nil {
-		sh.tokMu.Lock()
-		tokens.Store(h, req, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
-		sh.tokMu.Unlock()
+		sh.store(tokens, h, req, r)
 	}
 	return r, true, err
 }
@@ -900,20 +896,25 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	tok, ok := tokens.Lookup(j.hash, j.req)
 	sh.tokMu.Unlock()
 	if ok {
-		if r, live := sn.resultFromToken(tok); live {
-			sh.stripe.tokenHits.Inc()
-			return jobResult{best: r, epoch: sn.epoch}
-		}
+		sh.stripe.tokenHits.Inc()
+		return jobResult{best: tok.Result(), epoch: sn.epoch}
 	}
 	sh.stripe.walks.Inc()
 	r, err := sn.engine.Retrieve(j.req)
 	if err != nil {
 		return jobResult{epoch: sn.epoch, err: err}
 	}
-	sh.tokMu.Lock()
-	tokens.Store(j.hash, j.req, retrieval.Token{Type: r.Type, Impl: r.Impl, Similarity: r.Similarity})
-	sh.tokMu.Unlock()
+	sh.store(tokens, j.hash, j.req, r)
 	return jobResult{best: r, epoch: sn.epoch}
+}
+
+// store keeps r, the walk's answer to req (whose Hash is h), as a token
+// in tokens, one of this shard's caches, under tokMu.
+func (sh *shard) store(tokens *retrieval.TokenCache, h uint64, req casebase.Request, r retrieval.Result) {
+	tok := retrieval.Token{Type: r.Type, Impl: r.Impl, Target: r.Target, Name: r.Name, Similarity: r.Similarity}
+	sh.tokMu.Lock()
+	tokens.Store(h, req, tok)
+	sh.tokMu.Unlock()
 }
 
 // fanout runs reqs as pre-formed micro-batches: one job per valid

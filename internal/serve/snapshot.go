@@ -9,10 +9,10 @@ import (
 // plus the retrieval engine and per-shard bypass token caches built
 // over it, installed behind Service.snap as a single unit. Readers load
 // the pointer once per call or batch and never see a half-updated
-// epoch: the engine, the token caches and the tree a token is validated
-// against always agree. The engine is safe for concurrent use, so every
-// shard batch, every inline walk and the allocation manager of the
-// epoch share it.
+// epoch: the engine, the token caches and the tree always agree, and a
+// token holds the answer this epoch's engine gave. The engine is safe
+// for concurrent use, so every shard batch, every inline walk and the
+// allocation manager of the epoch share it.
 //
 // Epochs are numbered from 1 (the snapshot New builds). Every commit —
 // fold, structural retain/retire, or manual CommitNow — installs epoch
@@ -42,26 +42,4 @@ func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.
 		sn.tokens = append(sn.tokens, retrieval.NewTokenCache())
 	}
 	return sn
-}
-
-// resultFromToken rebuilds the full Result a fresh engine walk would
-// return for the token's signature against THIS epoch's tree: the
-// engine is deterministic over the immutable snapshot, so (Type, Impl,
-// Similarity) plus the tree's Target/Name reproduce it bit for bit —
-// with nil Locals, exactly like Retrieve. A token whose
-// implementation is gone from this epoch reports live=false and the
-// caller walks the engine instead.
-func (sn *snapshot) resultFromToken(tok retrieval.Token) (retrieval.Result, bool) {
-	ft, ok := sn.cb.Type(tok.Type)
-	if !ok {
-		return retrieval.Result{}, false
-	}
-	im, ok := ft.Impl(tok.Impl)
-	if !ok {
-		return retrieval.Result{}, false
-	}
-	return retrieval.Result{
-		Type: tok.Type, Impl: tok.Impl, Target: im.Target, Name: im.Name,
-		Similarity: tok.Similarity,
-	}, true
 }

@@ -67,8 +67,11 @@ func WithPreemption(allow bool) Option {
 	return func(c *config) { c.serve.Manager.AllowPreemption = allow }
 }
 
-// WithBypassTokens enables the §3 repeated-call shortcut in the
-// allocation manager.
+// WithBypassTokens enables the §3 repeated-call shortcut of
+// Manager.Request, so it matters only for NewAllocationManager. A
+// NewService ignores it: the service places through
+// Manager.PlaceCandidates, which never reads or stores the manager's
+// tokens, and its shards keep their own tokens either way.
 func WithBypassTokens(use bool) Option {
 	return func(c *config) { c.serve.Manager.UseBypassTokens = use }
 }

@@ -130,7 +130,7 @@ type (
 	FixedResult = retrieval.FixedResult
 	// ErrNoMatch reports that nothing cleared the threshold.
 	ErrNoMatch = retrieval.ErrNoMatch
-	// Token pins a previous selection for repeated calls.
+	// Token holds a previous selection's answer for repeated calls.
 	Token = retrieval.Token
 	// TokenCache maps requests to bypass tokens in a fixed-capacity table.
 	TokenCache = retrieval.TokenCache

@@ -74,12 +74,14 @@ gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
 
 # The serve drain fence (a per-shard admitted count and one closing
 # flag) gets twenty extra race runs of the test that races Close against
-# every kind of admission, and the retrieval engine twenty of the test
+# every kind of admission, the bypass tokens twenty of the test that
+# races inline hits and misses against commits (a token answering from
+# the wrong epoch fails it), and the retrieval engine twenty of the test
 # that races Instrument against walks sharing one engine.
 gate_race() {
 	$GO test -race ./...
 	$GO -C perfbench test -race ./...
-	$GO test -race -run '^TestCloseRacesAdmission$' -count=20 ./internal/serve/
+	$GO test -race -run '^(TestCloseRacesAdmission|TestInlineHitsAcrossEpochSwap)$' -count=20 ./internal/serve/
 	$GO test -race -run '^TestEngineConcurrentWalks$' -count=20 ./internal/retrieval/
 }
 
