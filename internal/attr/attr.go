@@ -105,14 +105,29 @@ func (d Def) SymbolFor(v Value) string {
 // Registry is the design-time attribute dictionary: every attribute type
 // the function library uses, with its global bounds. It is immutable
 // after sealing; the run-time system only reads it.
+//
+// Like the paper's supplemental table, it is indexed by attribute ID:
+// slot[id] is one more than the position of id's definition in defs
+// (ascending by ID), and 0 for an undefined ID. slot reaches only up to
+// the highest defined ID, so a lookup checks that bound first.
 type Registry struct {
-	defs   map[ID]Def
+	defs   []Def
+	slot   []uint16
 	sealed bool
 }
 
 // NewRegistry returns an empty attribute registry.
-func NewRegistry() *Registry {
-	return &Registry{defs: make(map[ID]Def)}
+func NewRegistry() *Registry { return &Registry{} }
+
+// def returns the definition of id, nil when id is undefined.
+func (r *Registry) def(id ID) *Def {
+	if int(id) >= len(r.slot) {
+		return nil
+	}
+	if s := r.slot[id]; s != 0 {
+		return &r.defs[s-1]
+	}
+	return nil
 }
 
 // Define adds an attribute type. It returns an error for reserved or
@@ -124,7 +139,7 @@ func (r *Registry) Define(d Def) error {
 	if d.ID == 0 || d.ID == 0xFFFF {
 		return fmt.Errorf("attr: ID %d is reserved as a list terminator", d.ID)
 	}
-	if _, dup := r.defs[d.ID]; dup {
+	if r.def(d.ID) != nil {
 		return fmt.Errorf("attr: duplicate definition of ID %d", d.ID)
 	}
 	if d.Hi < d.Lo {
@@ -134,7 +149,14 @@ func (r *Registry) Define(d Def) error {
 		return fmt.Errorf("attr: %q has %d symbols for range [%d, %d]",
 			d.Name, len(d.Symbols), d.Lo, d.Hi)
 	}
-	r.defs[d.ID] = d
+	i, _ := slices.BinarySearchFunc(r.defs, d.ID, func(e Def, id ID) int { return cmp.Compare(e.ID, id) })
+	r.defs = slices.Insert(r.defs, i, d)
+	if n := int(d.ID) + 1; n > len(r.slot) {
+		r.slot = append(r.slot, make([]uint16, n-len(r.slot))...)
+	}
+	for j := i; j < len(r.defs); j++ {
+		r.slot[r.defs[j].ID] = uint16(j + 1)
+	}
 	return nil
 }
 
@@ -156,15 +178,17 @@ func (r *Registry) Sealed() bool { return r.sealed }
 
 // Lookup returns the definition of id.
 func (r *Registry) Lookup(id ID) (Def, bool) {
-	d, ok := r.defs[id]
-	return d, ok
+	if d := r.def(id); d != nil {
+		return *d, true
+	}
+	return Def{}, false
 }
 
 // DMax returns the design-global maximum distance for id, or an error for
 // unknown attribute types.
 func (r *Registry) DMax(id ID) (uint16, error) {
-	d, ok := r.defs[id]
-	if !ok {
+	d := r.def(id)
+	if d == nil {
 		return 0, fmt.Errorf("attr: unknown attribute ID %d", id)
 	}
 	return d.DMax(), nil
@@ -177,18 +201,12 @@ func (r *Registry) Len() int { return len(r.defs) }
 // human convenience (CLIs, JSON); IDs remain the canonical key, so
 // duplicated names resolve to the lowest ID deterministically.
 func (r *Registry) ByName(name string) (Def, bool) {
-	best := Def{}
-	found := false
 	for _, d := range r.defs {
-		if d.Name != name {
-			continue
-		}
-		if !found || d.ID < best.ID {
-			best = d
-			found = true
+		if d.Name == name {
+			return d, true
 		}
 	}
-	return best, found
+	return Def{}, false
 }
 
 // ParseValue interprets s as a value of attribute d: a symbol name when
@@ -210,11 +228,10 @@ func (d Def) ParseValue(s string) (Value, error) {
 // which the supplemental list is emitted (fig. 4: "list entries presorted
 // by ID").
 func (r *Registry) IDs() []ID {
-	ids := make([]ID, 0, len(r.defs))
-	for id := range r.defs {
-		ids = append(ids, id)
+	ids := make([]ID, len(r.defs))
+	for i := range r.defs {
+		ids[i] = r.defs[i].ID
 	}
-	slices.Sort(ids)
 	return ids
 }
 
@@ -222,8 +239,8 @@ func (r *Registry) IDs() []ID {
 // bounds. Out-of-bounds values would make d exceed dmax and the fixed-point
 // local similarity clamp to 0, so they are design errors worth surfacing.
 func (r *Registry) Validate(p Pair) error {
-	d, ok := r.defs[p.ID]
-	if !ok {
+	d := r.def(p.ID)
+	if d == nil {
 		return fmt.Errorf("attr: pair references unknown attribute ID %d", p.ID)
 	}
 	if p.Value < d.Lo || p.Value > d.Hi {

@@ -1,6 +1,9 @@
 package attr
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,5 +214,96 @@ func TestParseValue(t *testing.T) {
 	}
 	if _, err := sr.ParseValue("fast"); err == nil {
 		t.Error("non-symbol non-number must fail")
+	}
+}
+
+// TestSlotTableMatchesMap checks the registry's ID-indexed slot table
+// against a map of the accepted definitions: random definitions, with
+// IDs anywhere in [0, 0xFFFF] or bunched at either end, defined in
+// random order, some rejected. After every Define, Lookup, DMax and
+// Validate must answer as the map does for every defined ID, for IDs
+// around them and above the highest one, and for the reserved IDs;
+// IDs must list the map's keys in ascending order, and ByName and Len
+// must agree.
+func TestSlotTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 50; trial++ {
+		r, ref := NewRegistry(), map[ID]Def{}
+		for n := rng.Intn(30); n > 0; n-- {
+			id := ID(rng.Intn(0x10000))
+			switch rng.Intn(3) {
+			case 0:
+				id = ID(rng.Intn(8))
+			case 1:
+				id = 0xFFFF - ID(rng.Intn(8))
+			}
+			lo := Value(rng.Intn(0x10000))
+			hi := lo + Value(rng.Intn(0x10000-int(lo)))
+			if rng.Intn(8) == 0 {
+				lo, hi = hi+1, lo // inverted unless hi was 0xFFFF
+			}
+			d := Def{ID: id, Name: string(rune('a' + rng.Intn(4))), Lo: lo, Hi: hi}
+			_, dup := ref[id]
+			err := r.Define(d)
+			if wantOK := id != 0 && id != 0xFFFF && !dup && lo <= hi; (err == nil) != wantOK {
+				t.Fatalf("trial %d: Define(%+v) = %v, want ok %v", trial, d, err, wantOK)
+			}
+			if err == nil {
+				ref[id] = d
+			}
+			checkAgainstMap(t, r, ref, rng)
+		}
+	}
+}
+
+func checkAgainstMap(t *testing.T, r *Registry, ref map[ID]Def, rng *rand.Rand) {
+	t.Helper()
+	if r.Len() != len(ref) {
+		t.Fatalf("Len = %d, map holds %d", r.Len(), len(ref))
+	}
+	var keys []ID
+	for id := range ref {
+		keys = append(keys, id)
+	}
+	slices.Sort(keys)
+	if ids := r.IDs(); !slices.Equal(ids, keys) {
+		t.Fatalf("IDs = %v, want %v", ids, keys)
+	}
+	probes := []ID{0, 1, 0xFFFE, 0xFFFF}
+	for _, id := range keys {
+		probes = append(probes, id-1, id, id+1)
+	}
+	for _, id := range probes {
+		want, wantOK := ref[id]
+		got, ok := r.Lookup(id)
+		if ok != wantOK || ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup(%d) = %+v, %v; want %+v, %v", id, got, ok, want, wantOK)
+		}
+		dmax, err := r.DMax(id)
+		if (err == nil) != wantOK || dmax != want.DMax() {
+			t.Fatalf("DMax(%d) = %d, %v; want %d, ok %v", id, dmax, err, want.DMax(), wantOK)
+		}
+		v := want.Lo + Value(rng.Intn(int(want.Hi-want.Lo)+1))
+		if err := r.Validate(Pair{ID: id, Value: v}); (err == nil) != wantOK {
+			t.Fatalf("Validate(%d, %d) = %v, want ok %v", id, v, err, wantOK)
+		}
+		if wantOK && want.Hi < 0xFFFF {
+			if err := r.Validate(Pair{ID: id, Value: want.Hi + 1}); err == nil {
+				t.Fatalf("Validate(%d, %d) above Hi %d passed", id, want.Hi+1, want.Hi)
+			}
+		}
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		var want Def
+		wantOK := false
+		for _, id := range keys {
+			if ref[id].Name == name {
+				want, wantOK = ref[id], true
+				break
+			}
+		}
+		if got, ok := r.ByName(name); ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%q) = %+v, %v; want %+v, %v", name, got, ok, want, wantOK)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"qosalloc/internal/attr"
 )
@@ -282,7 +281,10 @@ func (ft *FunctionType) validate(errs []error, reg *attr.Registry, base *Functio
 type CaseBase struct {
 	registry *attr.Registry
 	types    []FunctionType // sorted by TypeID
-	byID     map[TypeID]int
+	// byID is the type index by TypeID: byID[id] is one more than id's
+	// position in types, 0 for an undeclared type. It reaches only up
+	// to the highest type ID.
+	byID []uint16
 }
 
 // Registry returns the attribute registry the case base was built
@@ -299,11 +301,18 @@ func (cb *CaseBase) Types() []FunctionType { return cb.types }
 // lookup ("as first step all function type entries have to be checked for
 // finding the required type", §3).
 func (cb *CaseBase) Type(id TypeID) (*FunctionType, bool) {
-	i, ok := cb.byID[id]
-	if !ok {
-		return nil, false
+	if i := cb.slot(id); i >= 0 {
+		return &cb.types[i], true
 	}
-	return &cb.types[i], true
+	return nil, false
+}
+
+// slot returns id's position in cb.types, -1 for an undeclared type.
+func (cb *CaseBase) slot(id TypeID) int {
+	if int(id) >= len(cb.byID) {
+		return -1
+	}
+	return int(cb.byID[id]) - 1
 }
 
 // Derive returns the case base that differs from cb only in the given
@@ -329,8 +338,8 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 	var admitErrs, errs []error
 	for k := range types {
 		ft := &types[k]
-		i, ok := cb.byID[ft.ID]
-		if !ok {
+		i := cb.slot(ft.ID)
+		if i < 0 {
 			return nil, fmt.Errorf("casebase: Derive of undeclared type %d", ft.ID)
 		}
 		if k > 0 && ft.ID <= types[k-1].ID {
@@ -353,7 +362,7 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 		return nil, errors.Join(errs...)
 	}
 	for k := range types {
-		next.types[cb.byID[types[k].ID]].index()
+		next.types[cb.slot(types[k].ID)].index()
 	}
 	return next, nil
 }
@@ -464,14 +473,17 @@ func (b *Builder) AddImpl(t TypeID, im Implementation) *Builder {
 //     should not happen that the desired type is not found").
 func (b *Builder) Build() (*CaseBase, error) {
 	errs := append([]error(nil), b.errs...)
-	cb := &CaseBase{registry: b.registry, byID: make(map[TypeID]int)}
-	ids := append([]TypeID(nil), b.order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	cb := &CaseBase{registry: b.registry}
+	ids := slices.Clone(b.order)
+	slices.Sort(ids)
+	if len(ids) > 0 {
+		cb.byID = make([]uint16, int(ids[len(ids)-1])+1)
+	}
 	for _, id := range ids {
 		ft := b.types[id]
 		errs = ft.validate(errs, b.registry, nil)
-		cb.byID[ft.ID] = len(cb.types)
 		cb.types = append(cb.types, *ft)
+		cb.byID[id] = uint16(len(cb.types))
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)

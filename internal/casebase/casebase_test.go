@@ -1,6 +1,8 @@
 package casebase
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -274,5 +276,101 @@ func TestDerive(t *testing.T) {
 		{ID: fft.ID, Impls: slices.Clone(fft.Impls)}, {ID: fir.ID, Impls: slices.Clone(fir.Impls)},
 	}); err == nil {
 		t.Error("Derive of types out of order succeeded")
+	}
+}
+
+// checkImplOrder fails t unless every type of cb lists its variants in
+// strictly ascending ID order, the order retrieval's tie rule rests on,
+// and unless Type finds each type at its own entry and no other ID: the
+// two reserved ones, the ID just above the highest type, and those of
+// absent.
+func checkImplOrder(t *testing.T, cb *CaseBase, step string, absent []TypeID) {
+	t.Helper()
+	for k := range cb.Types() {
+		ft := &cb.Types()[k]
+		for i := 1; i < len(ft.Impls); i++ {
+			if ft.Impls[i].ID <= ft.Impls[i-1].ID {
+				t.Fatalf("%s: type %d: impl %d follows impl %d", step, ft.ID, ft.Impls[i].ID, ft.Impls[i-1].ID)
+			}
+		}
+		if got, ok := cb.Type(ft.ID); !ok || got != ft {
+			t.Fatalf("%s: Type(%d) = %p, %v; want entry %d", step, ft.ID, got, ok, k)
+		}
+	}
+	last := cb.Types()[cb.NumTypes()-1].ID
+	for _, id := range append([]TypeID{0, 0xFFFF, last + 1}, absent...) {
+		if ft, ok := cb.Type(id); ok {
+			t.Fatalf("%s: Type(%d) found type %d", step, id, ft.ID)
+		}
+	}
+}
+
+// TestImplsAscendingByID checks the variant order of every type after
+// Build, from variants added in random order under sparse IDs up to
+// 0xFFFE, and after each of a chain of Derives that retire, revise and
+// retain variants and hand Derive the list in random order; every
+// earlier epoch must keep its order too. Type lookups must hit exactly
+// the declared types.
+func TestImplsAscendingByID(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	drawIDs := func(n int) []uint16 {
+		seen := map[uint16]bool{}
+		var ids []uint16
+		for len(ids) < n {
+			id := uint16(1 + rng.Intn(0xFFFE))
+			if rng.Intn(4) == 0 {
+				id = 0xFFFE - uint16(rng.Intn(4))
+			}
+			if !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	for tree := 0; tree < 40; tree++ {
+		reg := randomRegistry(rng, 1+rng.Intn(8), tree%2 == 0)
+		b := NewBuilder(reg)
+		typeIDs := drawIDs(2 + rng.Intn(6))
+		declared, absent := typeIDs[:len(typeIDs)-1], []TypeID{TypeID(typeIDs[len(typeIDs)-1])}
+		for _, tid := range declared {
+			b.AddType(TypeID(tid), "t")
+			for _, id := range drawIDs(1 + rng.Intn(20)) {
+				b.AddImpl(TypeID(tid), Implementation{ID: ImplID(id), Attrs: randomAttrs(rng, reg)})
+			}
+		}
+		cb, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkImplOrder(t, cb, "build", absent)
+		epochs := []*CaseBase{cb}
+		for step := 0; step < 6; step++ {
+			var types []FunctionType
+			for k := range cb.Types() {
+				if rng.Intn(2) != 0 {
+					continue
+				}
+				ft := mutate(rng, reg, &cb.Types()[k], false)
+				// mutate retains above the highest ID, which may pass
+				// 0xFFFE; drop those and retain under unused IDs instead.
+				ft.Impls = slices.DeleteFunc(ft.Impls, func(im Implementation) bool { return im.ID == 0 || im.ID == 0xFFFF })
+				for n := rng.Intn(3); n > 0 || len(ft.Impls) == 0; n-- {
+					id := ImplID(1 + rng.Intn(0xFFFE))
+					if _, taken := ft.Impl(id); !taken {
+						ft.Impls = append(ft.Impls, Implementation{ID: id, Attrs: randomAttrs(rng, reg)})
+					}
+				}
+				rng.Shuffle(len(ft.Impls), func(i, j int) { ft.Impls[i], ft.Impls[j] = ft.Impls[j], ft.Impls[i] })
+				types = append(types, ft)
+			}
+			if cb, err = cb.Derive(types); err != nil {
+				t.Fatal(err)
+			}
+			epochs = append(epochs, cb)
+			for i, e := range epochs {
+				checkImplOrder(t, e, fmt.Sprintf("derive %d, epoch %d", step, i), absent)
+			}
+		}
 	}
 }

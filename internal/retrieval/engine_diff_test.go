@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,127 @@ func tieRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebas
 		req.Constraints[0].Weight = math.NaN() // passes Validate
 	}
 	return req
+}
+
+// edgeCaseBase builds a small random case base at the edges of the
+// 16-bit encoding, beside tieCaseBase's narrow ranges: one attribute
+// spans the full range [0, 0xFFFF], one is pinned near the top at
+// [0xFFF0, 0xFFFF], so that a missing cell's value 0 lies far below its
+// range, and attribute, type and implementation IDs reach 0xFFFE, the
+// highest one not reserved. Values fall on a bound as often as between
+// them, copied attribute sets force ties, and attributes and variants
+// are defined out of ID order.
+func edgeCaseBase(r *rand.Rand) (*casebase.CaseBase, *attr.Registry) {
+	reg := attr.NewRegistry()
+	bounds := [][2]attr.Value{{0, 0xFFFF}, {0xFFF0, 0xFFFF}}
+	spans := []int{0, 1, 3, 0x100}
+	for k, id := range edgeIDs(r, 3+r.Intn(4)) {
+		d := attr.Def{ID: attr.ID(id), Name: "a"}
+		if k < len(bounds) {
+			d.Lo, d.Hi = bounds[k][0], bounds[k][1]
+		} else {
+			d.Lo = attr.Value(r.Intn(0x10000))
+			d.Hi = d.Lo + attr.Value(min(spans[r.Intn(len(spans))], 0xFFFF-int(d.Lo)))
+		}
+		reg.MustDefine(d)
+	}
+	ids := reg.IDs()
+	b := casebase.NewBuilder(reg)
+	for _, t := range edgeIDs(r, 1+r.Intn(3)) {
+		tid := casebase.TypeID(t)
+		b.AddType(tid, "t")
+		var prev [][]attr.Pair
+		for k, id := range edgeIDs(r, 1+r.Intn(12)) {
+			var ps []attr.Pair
+			if len(prev) > 0 && r.Intn(3) == 0 {
+				ps = prev[r.Intn(len(prev))]
+			} else {
+				for _, ai := range r.Perm(len(ids))[:r.Intn(len(ids)+1)] {
+					d, _ := reg.Lookup(ids[ai])
+					ps = append(ps, attr.Pair{ID: d.ID, Value: edgeValue(r, d)})
+				}
+			}
+			prev = append(prev, ps)
+			b.AddImpl(tid, casebase.Implementation{
+				ID: casebase.ImplID(id), Name: fmt.Sprintf("v%d", k),
+				Target: casebase.Target(r.Intn(3)), Attrs: ps,
+			})
+		}
+	}
+	cb, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return cb, reg
+}
+
+// edgeIDs draws n distinct IDs from [1, 0xFFFE], 0xFFFE first, the
+// others drawn near either end of the range or anywhere in it. A drawn
+// ID already taken gives way to the next free one below it, so the draw
+// ends even when r repeats itself.
+func edgeIDs(r *rand.Rand, n int) []uint16 {
+	ids := []uint16{0xFFFE}
+	for len(ids) < n {
+		var id uint16
+		switch r.Intn(3) {
+		case 0:
+			id = 0xFFFE - uint16(r.Intn(8))
+		case 1:
+			id = 1 + uint16(r.Intn(8))
+		default:
+			id = 1 + uint16(r.Intn(0xFFFE))
+		}
+		for slices.Contains(ids, id) {
+			if id--; id == 0 {
+				id = 0xFFFE
+			}
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// edgeValue draws a value of d: its lower bound, its upper bound, or
+// one in between.
+func edgeValue(r *rand.Rand, d attr.Def) attr.Value {
+	switch r.Intn(4) {
+	case 0:
+		return d.Lo
+	case 1:
+		return d.Hi
+	}
+	return d.Lo + attr.Value(r.Intn(int(d.Hi-d.Lo)+1))
+}
+
+// edgeRequest is tieRequest with about half of its constraint values
+// moved onto a bound of their attribute.
+func edgeRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebase.Request {
+	req := tieRequest(r, cb, reg)
+	for i, c := range req.Constraints {
+		if d, ok := reg.Lookup(c.ID); ok && r.Intn(2) == 0 {
+			req.Constraints[i].Value = []attr.Value{d.Lo, d.Hi}[r.Intn(2)]
+		}
+	}
+	return req
+}
+
+// caseBaseGens are the random case-base shapes the differential tests
+// run over, each with its request generator.
+var caseBaseGens = []struct {
+	name string
+	cb   func(*rand.Rand) (*casebase.CaseBase, *attr.Registry)
+	req  func(*rand.Rand, *casebase.CaseBase, *attr.Registry) casebase.Request
+}{
+	{"tie", tieCaseBase, tieRequest},
+	{"edge", edgeCaseBase, edgeRequest},
+}
+
+// retriever is the float retrieval surface Engine and refEngine share.
+type retriever interface {
+	Retrieve(casebase.Request) (Result, error)
+	RetrieveN(casebase.Request, int) ([]Result, error)
+	RetrieveAll(casebase.Request) ([]Result, error)
+	Stats() Stats
 }
 
 // sameResult compares two results field by field, floats by their bits.
@@ -187,8 +309,8 @@ func stepClock() func() int64 {
 }
 
 // TestEngineMatchesSortReference is the differential test for the
-// single-pass engine: on seeded random case bases rich in ties and
-// missing attributes, every entry point must return exactly what the
+// single-pass engine: on seeded random case bases of every shape in
+// caseBaseGens, rich in ties and missing attributes, every entry point must return exactly what the
 // sort-based reference returns — results, locals and similarity bits,
 // errors and ErrNoMatch.Best bits — and leave identical Stats and metric
 // counters after every call, across measures and thresholds. RetrieveAll
@@ -206,28 +328,32 @@ func TestEngineMatchesSortReference(t *testing.T) {
 		{nil, similarity.Minimum{}},
 		{similarity.AtLeast{}, similarity.WeightedEuclid{}},
 	}
-	r := rand.New(rand.NewSource(14))
 	trials := 40
 	if testing.Short() || raceEnabled {
 		trials = 10
 	}
-	for trial := 0; trial < trials; trial++ {
-		cb, reg := tieCaseBase(r)
-		reqs := make([]casebase.Request, 8)
-		for i := range reqs {
-			reqs[i] = tieRequest(r, cb, reg)
-			if r.Intn(3) == 0 {
-				reqs[i] = unsortRequest(reqs[i])
+	for _, g := range caseBaseGens {
+		t.Run(g.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(14))
+			for trial := 0; trial < trials; trial++ {
+				cb, reg := g.cb(r)
+				reqs := make([]casebase.Request, 8)
+				for i := range reqs {
+					reqs[i] = g.req(r, cb, reg)
+					if r.Intn(3) == 0 {
+						reqs[i] = unsortRequest(reqs[i])
+					}
+				}
+				for mi, ms := range measures {
+					opt := Options{Local: ms.local, Amalgamation: ms.amal}
+					for _, th := range diffThresholds(r, cb, opt, reqs) {
+						opt.Threshold = th
+						name := fmt.Sprintf("trial %d measures %d threshold %v", trial, mi, th)
+						diffEngines(t, name, cb, opt, reqs)
+					}
+				}
 			}
-		}
-		for mi, ms := range measures {
-			opt := Options{Local: ms.local, Amalgamation: ms.amal}
-			for _, th := range diffThresholds(r, cb, opt, reqs) {
-				opt.Threshold = th
-				name := fmt.Sprintf("trial %d measures %d threshold %v", trial, mi, th)
-				diffEngines(t, name, cb, opt, reqs)
-			}
-		}
+		})
 	}
 }
 
@@ -324,11 +450,7 @@ func TestEngineConcurrentWalks(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = tieRequest(r, cb, reg)
 	}
-	walkAll := func(e interface {
-		Retrieve(casebase.Request) (Result, error)
-		RetrieveN(casebase.Request, int) ([]Result, error)
-		RetrieveAll(casebase.Request) ([]Result, error)
-	}) [][]Result {
+	walkAll := func(e retriever) [][]Result {
 		var out [][]Result
 		for _, req := range reqs {
 			best, _ := e.Retrieve(req)
@@ -393,45 +515,56 @@ func TestEngineConcurrentWalks(t *testing.T) {
 }
 
 // TestRetrieveAllPrefixMatchesRetrieveN is the differential test for
-// degrade-and-retry's candidate list: on seeded random case bases,
-// requests and depths, the first n results of RetrieveAll must be what a
-// threshold-free RetrieveN(req, n) returns, rank by rank, with the same
-// identity and similarity bits, the same error, and the same Stats
-// delta.
+// degrade-and-retry's candidate list: on seeded random case bases of
+// every shape in caseBaseGens, requests and depths, the first n results
+// of RetrieveAll must be what a threshold-free RetrieveN(req, n)
+// returns, rank by rank, with the same identity and similarity bits,
+// the same error, and the same Stats delta.
 func TestRetrieveAllPrefixMatchesRetrieveN(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 40; trial++ {
-		cb, reg := tieCaseBase(r)
-		e := NewEngine(cb, Options{})
-		for q := 0; q < 8; q++ {
-			req := tieRequest(r, cb, reg)
-			n := 1 + r.Intn(14)
-			before := e.Stats()
-			list, lerr := e.RetrieveN(req, n)
-			mid := e.Stats()
-			all, aerr := e.RetrieveAll(req)
-			after := e.Stats()
-			name := fmt.Sprintf("trial %d req %d n %d", trial, q, n)
-			if err := sameError(aerr, lerr); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if mid.Retrievals-before.Retrievals != after.Retrievals-mid.Retrievals ||
-				mid.ImplsScored-before.ImplsScored != after.ImplsScored-mid.ImplsScored ||
-				mid.AttrsCompared-before.AttrsCompared != after.AttrsCompared-mid.AttrsCompared ||
-				mid.BelowThreshold-before.BelowThreshold != after.BelowThreshold-mid.BelowThreshold {
-				t.Fatalf("%s: stats delta %+v -> %+v -> %+v", name, before, mid, after)
-			}
-			prefix := all[:min(n, len(all))]
-			if len(prefix) != len(list) {
-				t.Fatalf("%s: %d-result prefix vs %d results", name, len(prefix), len(list))
-			}
-			for i, a := range prefix {
-				b := list[i]
-				if a.Type != b.Type || a.Impl != b.Impl || a.Target != b.Target || a.Name != b.Name ||
-					math.Float64bits(a.Similarity) != math.Float64bits(b.Similarity) {
-					t.Fatalf("%s: rank %d: %+v vs %+v", name, i, a, b)
+	for _, g := range caseBaseGens {
+		t.Run(g.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(32))
+			for trial := 0; trial < 40; trial++ {
+				cb, reg := g.cb(r)
+				e := NewEngine(cb, Options{})
+				for q := 0; q < 8; q++ {
+					name := fmt.Sprintf("trial %d req %d", trial, q)
+					prefixMatchesRetrieveN(t, name, e, g.req(r, cb, reg), 1+r.Intn(14))
 				}
 			}
+		})
+	}
+}
+
+// prefixMatchesRetrieveN runs RetrieveN(req, n) and RetrieveAll(req) on
+// e and fails unless RetrieveAll's first n results, its error and its
+// Stats delta are RetrieveN's.
+func prefixMatchesRetrieveN(t *testing.T, name string, e *Engine, req casebase.Request, n int) {
+	t.Helper()
+	name = fmt.Sprintf("%s n %d", name, n)
+	before := e.Stats()
+	list, lerr := e.RetrieveN(req, n)
+	mid := e.Stats()
+	all, aerr := e.RetrieveAll(req)
+	after := e.Stats()
+	if err := sameError(aerr, lerr); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if mid.Retrievals-before.Retrievals != after.Retrievals-mid.Retrievals ||
+		mid.ImplsScored-before.ImplsScored != after.ImplsScored-mid.ImplsScored ||
+		mid.AttrsCompared-before.AttrsCompared != after.AttrsCompared-mid.AttrsCompared ||
+		mid.BelowThreshold-before.BelowThreshold != after.BelowThreshold-mid.BelowThreshold {
+		t.Fatalf("%s: stats delta %+v -> %+v -> %+v", name, before, mid, after)
+	}
+	prefix := all[:min(n, len(all))]
+	if len(prefix) != len(list) {
+		t.Fatalf("%s: %d-result prefix vs %d results", name, len(prefix), len(list))
+	}
+	for i, a := range prefix {
+		b := list[i]
+		if a.Type != b.Type || a.Impl != b.Impl || a.Target != b.Target || a.Name != b.Name ||
+			math.Float64bits(a.Similarity) != math.Float64bits(b.Similarity) {
+			t.Fatalf("%s: rank %d: %+v vs %+v", name, i, a, b)
 		}
 	}
 }
@@ -448,58 +581,72 @@ func genericOptions(th float64) Options {
 	return Options{Local: genericLinear{}, Amalgamation: genericWeightedSum{}, Threshold: th}
 }
 
-// TestColumnKernelMatchesGenericScorer is the differential test for the
-// column kernel: on seeded random case bases rich in ties, missing
-// attributes and NaN or unnormalized weights, an engine with the default
-// measures (scored column by column) and one with the same measures in
-// wrappers (scored variant by variant) must give the same Retrieve and
-// RetrieveN answers at every depth, with similarity bits equal, the
-// same errors and ErrNoMatch.Best bits, and the same Stats after every
-// call.
+// TestColumnKernelMatchesGenericScorer is the differential test for
+// the column kernel: on seeded random case bases of every shape in
+// caseBaseGens, rich in ties, missing attributes, NaN or unnormalized
+// weights and values on the bounds of 16-bit ranges, an engine with the
+// default measures (scored column by column) and one with the same
+// measures in wrappers (scored variant by variant) must give the same
+// Retrieve and RetrieveN answers at every depth, with similarity bits
+// equal, the same errors and ErrNoMatch.Best bits, and the same Stats
+// after every call.
 func TestColumnKernelMatchesGenericScorer(t *testing.T) {
-	r := rand.New(rand.NewSource(35))
 	trials := 60
 	if testing.Short() || raceEnabled {
 		trials = 15
 	}
-	for trial := 0; trial < trials; trial++ {
-		cb, reg := tieCaseBase(r)
-		reqs := make([]casebase.Request, 16)
-		for i := range reqs {
-			reqs[i] = tieRequest(r, cb, reg)
+	for _, g := range caseBaseGens {
+		t.Run(g.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(35))
+			for trial := 0; trial < trials; trial++ {
+				cb, reg := g.cb(r)
+				reqs := make([]casebase.Request, 16)
+				for i := range reqs {
+					reqs[i] = g.req(r, cb, reg)
+				}
+				for _, th := range []float64{0, 0.5, 1} {
+					kern, gen := NewEngine(cb, Options{Threshold: th}), NewEngine(cb, genericOptions(th))
+					if !kern.columns || gen.columns {
+						t.Fatalf("column kernel chosen: default measures %v, wrapped %v", kern.columns, gen.columns)
+					}
+					for qi, req := range reqs {
+						name := fmt.Sprintf("trial %d threshold %v req %d", trial, th, qi)
+						kernelMatchesGeneric(t, name, kern, gen, req)
+					}
+				}
+			}
+		})
+	}
+}
+
+// kernelMatchesGeneric fails unless kern and gen give req the same
+// Retrieve answer and the same RetrieveN answer at every depth from 1
+// to one past the type's variant count, with equal Stats after each
+// call.
+func kernelMatchesGeneric(t *testing.T, name string, kern, gen *Engine, req casebase.Request) {
+	t.Helper()
+	check := func(op string, got, want []Result, gerr, werr error) {
+		t.Helper()
+		if err := sameResults(got, want); err != nil {
+			t.Fatalf("%s %s: %v", name, op, err)
 		}
-		for _, th := range []float64{0, 0.5, 1} {
-			kern, gen := NewEngine(cb, Options{Threshold: th}), NewEngine(cb, genericOptions(th))
-			if !kern.columns || gen.columns {
-				t.Fatalf("column kernel chosen: default measures %v, wrapped %v", kern.columns, gen.columns)
-			}
-			check := func(op string, got, want []Result, gerr, werr error) {
-				t.Helper()
-				name := fmt.Sprintf("trial %d threshold %v %s", trial, th, op)
-				if err := sameResults(got, want); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := sameError(gerr, werr); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if kern.Stats() != gen.Stats() {
-					t.Fatalf("%s: stats %+v vs %+v", name, kern.Stats(), gen.Stats())
-				}
-			}
-			for qi, req := range reqs {
-				got, gerr := kern.Retrieve(req)
-				want, werr := gen.Retrieve(req)
-				check(fmt.Sprintf("req %d Retrieve", qi), []Result{got}, []Result{want}, gerr, werr)
-				depth := 1
-				if ft, ok := cb.Type(req.Type); ok {
-					depth = len(ft.Impls)
-				}
-				for n := 1; n <= depth+1; n++ {
-					gl, gerr := kern.RetrieveN(req, n)
-					wl, werr := gen.RetrieveN(req, n)
-					check(fmt.Sprintf("req %d RetrieveN(%d)", qi, n), gl, wl, gerr, werr)
-				}
-			}
+		if err := sameError(gerr, werr); err != nil {
+			t.Fatalf("%s %s: %v", name, op, err)
 		}
+		if kern.Stats() != gen.Stats() {
+			t.Fatalf("%s %s: stats %+v vs %+v", name, op, kern.Stats(), gen.Stats())
+		}
+	}
+	got, gerr := kern.Retrieve(req)
+	want, werr := gen.Retrieve(req)
+	check("Retrieve", []Result{got}, []Result{want}, gerr, werr)
+	depth := 1
+	if ft, ok := kern.CaseBase().Type(req.Type); ok {
+		depth = len(ft.Impls)
+	}
+	for n := 1; n <= depth+1; n++ {
+		gl, gerr := kern.RetrieveN(req, n)
+		wl, werr := gen.RetrieveN(req, n)
+		check(fmt.Sprintf("RetrieveN(%d)", n), gl, wl, gerr, werr)
 	}
 }

@@ -2,7 +2,10 @@ package retrieval
 
 import (
 	"container/list"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -153,4 +156,91 @@ func checkIndex(t *testing.T, tc *TokenCache) {
 	if linked != len(tc.entries) {
 		t.Fatalf("index links %d slots for %d entries", linked, len(tc.entries))
 	}
+}
+
+// byteSource is a rand.Source that reads its stream from fuzz bytes,
+// one byte per draw, so the fuzzer steers every choice a generator
+// makes. Past the end of the bytes it draws from a generator seeded by
+// their hash, so a short input still yields a varied case base.
+type byteSource struct {
+	data []byte
+	rest rand.Source
+}
+
+func newByteSource(data []byte) *byteSource {
+	h := fnv.New64a()
+	h.Write(data)
+	return &byteSource{data: data, rest: rand.NewSource(int64(h.Sum64()))}
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) == 0 {
+		return s.rest.Int63()
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int64(uint64(b) * 0x0101010101010101 >> 1) // b in every byte, so in the high and the low bits
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzEngineMatchesReference is the differential fuzz target for the
+// float engine. The first byte picks a case-base shape from
+// caseBaseGens (tie or edge); the rest drive the draws of its case base,
+// one request and a threshold. The engine with the default measures
+// (the column kernel and one-compare selection), the engine with the
+// same measures in generic wrappers, and the sort-based reference must
+// give the same Retrieve, the same RetrieveN at every n from 1 to one
+// past the type's variant count, and the same RetrieveAll: results with
+// equal similarity bits, the same errors and ErrNoMatch.Best bits, and
+// equal Stats after every call.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for _, seed := range []string{"\x00", "\x01", "\x00\x03\x01\x04\x01\x05", "\x01\x02\x07\x01\x08\x02\x08", "\x01\xff\xff\xff\xff"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := caseBaseGens[int(data[0])%len(caseBaseGens)]
+		r := rand.New(newByteSource(data[1:]))
+		cb, reg := g.cb(r)
+		req := g.req(r, cb, reg)
+		th := []float64{0, 0.5, 1, 1.5, r.Float64()}[r.Intn(5)]
+		if all, err := newRefEngine(cb, Options{}).RetrieveAll(req); err == nil && r.Intn(2) == 0 {
+			th = all[r.Intn(len(all))].Similarity // a threshold some variant meets exactly
+		}
+		names := []string{"columns", "generic", "reference"}
+		engines := []retriever{NewEngine(cb, Options{Threshold: th}), NewEngine(cb, genericOptions(th)),
+			newRefEngine(cb, Options{Threshold: th})}
+		agree := func(op string, call func(retriever) ([]Result, error)) {
+			t.Helper()
+			want, werr := call(engines[0])
+			for i, e := range engines[1:] {
+				got, gerr := call(e)
+				name := fmt.Sprintf("%s threshold %v: %s vs %s", op, th, names[i+1], names[0])
+				if err := sameResults(got, want); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := sameError(gerr, werr); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if e.Stats() != engines[0].Stats() {
+					t.Fatalf("%s: stats %+v vs %+v", name, e.Stats(), engines[0].Stats())
+				}
+			}
+		}
+		agree("Retrieve", func(e retriever) ([]Result, error) {
+			res, err := e.Retrieve(req)
+			return []Result{res}, err
+		})
+		depth := 1
+		if ft, ok := cb.Type(req.Type); ok {
+			depth = len(ft.Impls)
+		}
+		for n := 1; n <= depth+1; n++ {
+			agree(fmt.Sprintf("RetrieveN(%d)", n), func(e retriever) ([]Result, error) { return e.RetrieveN(req, n) })
+		}
+		agree("RetrieveAll", func(e retriever) ([]Result, error) { return e.RetrieveAll(req) })
+	})
 }

@@ -34,6 +34,14 @@
 // borrows from a package-level pool, so an Engine holds no per-walk
 // state and, like FixedEngine, is safe for concurrent use.
 //
+// The walk rests on two invariants of a validated case base. First,
+// every found cell and every request value lies in its attribute's
+// design range [Lo, Hi], so eq. (1)'s 1 - d/(1+dmax) is already in
+// (0, 1] and the column kernel leaves its clamp out. Second, a type
+// stores its variants strictly ascending by ID, so the tie rule (ties go
+// to the lower ID) is storage order, and selection keeps its running
+// best with one plain compare per variant, as fig. 6's unit does.
+//
 // The paper's bypass token (§3) lives here too (bypass.go). A Token holds
 // the answer a walk gave for a request, and TokenCache keeps tokens, so a
 // repeated call skips the walk and the tree. It keys tokens by a 64-bit
@@ -45,7 +53,6 @@ package retrieval
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -301,11 +308,14 @@ func (w *walkState) score(v int, req casebase.Request, locals []LocalScore) floa
 // a NaN weight yields NaN here as it does there.
 //
 // The cell loop has no branch on the data, since whether a cell is found
-// is as good as random across variants. The distance of two 16-bit
-// values is exact in float64 whichever way it is taken. max(x, 0) is
-// clamp01(x) there: x = 1 - d/den is never NaN, -0 or above 1.
-// Multiplying by found (0 or 1) leaves the similarity exact, or makes
-// it the +0 a missing cell scores.
+// is as good as random across variants. It rests on validation: the
+// request's value and every found cell's value lie in the attribute's
+// [Lo, Hi], so their distance d is at most dmax < 1+dmax, and eq. (1)'s
+// 1 - d/(1+dmax) is in (0, 1]: its clamp is the identity and is left
+// out. A missing cell reads as value 0, possibly far outside the range,
+// which makes 1 - d/(1+dmax) finite but maybe negative; multiplying by
+// found = 0 turns it into +0 or -0, and adding w·(±0) leaves every sum
+// as adding the +0 of score's missing cell does.
 func (w *walkState) scoreColumns(req casebase.Request) {
 	scores := w.scores
 	clear(scores)
@@ -319,15 +329,18 @@ func (w *walkState) scoreColumns(req casebase.Request) {
 			continue
 		}
 		col = col[:len(scores)] // one bounds check per column, not per cell
+		q := int(c.Value)
 		den := 1 + float64(w.dmax[i])
 		for v, cell := range col {
 			found := 0
 			if cell.Found {
 				found = 1
 			}
-			d := math.Abs(float64(c.Value) - float64(cell.Value))
-			s := max(1-d/den, 0) * float64(found)
-			scores[v] += wt * s
+			d := q - int(cell.Value)
+			if d < 0 {
+				d = -d
+			}
+			scores[v] += wt * ((1 - float64(d)/den) * float64(found))
 		}
 	}
 	for v, s := range scores {
@@ -357,7 +370,7 @@ func resize[T any](buf []T, n int) []T {
 
 // rank orders variants i and j of the walk, negative when i ranks
 // ahead: higher similarity first, ties broken by ascending implementation
-// ID, the order the hardware scan keeps.
+// ID, the order the hardware scan keeps. RetrieveAll sorts by it.
 func (w *walkState) rank(i, j int) int {
 	si, sj := w.scores[i], w.scores[j]
 	switch {
@@ -369,15 +382,6 @@ func (w *walkState) rank(i, j int) int {
 		return 0 // NaN is unordered against everything
 	}
 	return cmp.Compare(w.ft.Impls[i].ID, w.ft.Impls[j].ID)
-}
-
-// ahead reports whether variant i of the walk ranks ahead of j.
-// A score already below j's decides without rank; NaN falls through.
-func (w *walkState) ahead(i, j int) bool {
-	if w.scores[i] < w.scores[j] {
-		return false
-	}
-	return w.rank(i, j) < 0
 }
 
 // result materializes variant i of the walk, with a private copy of its
@@ -464,40 +468,51 @@ func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 // selectTop is the one selection pass over the walk's scores: it keeps
 // the n best variants that meet the threshold, best first, by bounded
 // insertion (with n = 1, fig. 6's running best), counting the variants
-// the threshold rejects and tracking the best one overall for
+// the threshold rejects and tracking the best score overall for
 // ErrNoMatch.Best. The returned indices live in w.top until w is
 // released.
+//
+// Variants are stored in strictly ascending ID order (validate sorts
+// them, and IDs are unique within a type), so a later variant ranks
+// ahead of an earlier one exactly when its score is greater: a tie goes
+// to the earlier, lower ID, and a NaN score is never ahead. One plain
+// compare against the running best and one against the cut-off score
+// of the n-th kept variant therefore do rank's work.
 func (w *walkState) selectTop(req casebase.Request, n int) ([]int, error) {
 	th := w.e.opt.Threshold
-	n = min(n, len(w.scores))
+	scores := w.scores
+	n = min(n, len(scores))
 	top := w.top[:0]
-	best, below := 0, 0
-	for i, s := range w.scores {
-		if w.ahead(i, best) {
-			best = i
+	best, cut, below := scores[0], 0.0, 0
+	for i, s := range scores {
+		if s > best {
+			best = s
 		}
 		if s < th {
 			below++
 			continue
 		}
 		if len(top) == n {
-			if !w.ahead(i, top[n-1]) {
+			if !(s > cut) {
 				continue
 			}
 			top = top[:n-1]
 		}
 		j := len(top)
 		top = append(top, i)
-		for ; j > 0 && w.ahead(i, top[j-1]); j-- {
+		for ; j > 0 && s > scores[top[j-1]]; j-- {
 			top[j] = top[j-1]
 		}
 		top[j] = i
+		if len(top) == n {
+			cut = scores[top[n-1]]
+		}
 	}
 	w.top = top
 	w.met.BelowThreshold.Add(int64(below))
 	if len(top) == 0 {
 		w.met.NoMatch.Inc()
-		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: w.scores[best]}
+		return nil, &ErrNoMatch{Type: req.Type, Threshold: th, Best: best}
 	}
 	return top, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -30,6 +31,61 @@ func benchWorkload(b *testing.B) (*casebase.CaseBase, []casebase.Request) {
 		b.Fatal(err)
 	}
 	return cb, reqs
+}
+
+// BenchmarkServiceRetrieveMiss is the serving path of a walk-bound
+// stream: the 64 types × 64 variants × 16 attributes case base, requests
+// of 4 constraints that never repeat, so no bypass token and no shared
+// walk ever answers, from parallel callers answered inline. One op is
+// one Retrieve: hash, token probe, inline walk, token store. Request i
+// asks for type i mod 64 and puts its quotient's base-32 digits on four
+// attributes of at least 32 values, so requests stay distinct for the
+// first 64·32⁴ ops.
+func BenchmarkServiceRetrieveMiss(b *testing.B) {
+	cb, reg, err := workload.GenCaseBase(workload.CaseBaseSpec{
+		Types: 64, ImplsPerType: 64, AttrsPerImpl: 16, AttrUniverse: 32, Seed: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k, digits = 4, 32
+	var wide []attr.Def
+	for _, id := range reg.IDs() {
+		if d, _ := reg.Lookup(id); int(d.Hi-d.Lo)+1 >= digits {
+			wide = append(wide, d)
+		}
+	}
+	if len(wide) < k {
+		b.Fatalf("%d attributes span %d values, need %d", len(wide), digits, k)
+	}
+	types := cb.Types()
+	s := New(cb, fig1System(b, cb), Config{})
+	defer s.Close()
+	ctx := context.Background()
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]casebase.Constraint, k)
+		for pb.Next() {
+			i := next.Add(1) - 1
+			t := i % uint64(len(types))
+			x := i / uint64(len(types))
+			for c := range buf {
+				d := wide[(int(t)+c*7)%len(wide)]
+				buf[c] = casebase.Constraint{ID: d.ID, Value: d.Lo + attr.Value(x%digits), Weight: 1.0 / k}
+				x /= digits
+			}
+			if _, err := s.Retrieve(ctx, casebase.Request{Type: types[t].ID, Constraints: buf}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := s.Stats(); st.EngineRetrievals != int64(b.N) {
+		b.Fatalf("%d ops walked %d times (%d token hits, %d dedup hits)", b.N, st.EngineRetrievals, st.TokenHits, st.DedupHits)
+	}
 }
 
 // BenchmarkServeSequential is the baseline: one engine, one request at

@@ -85,9 +85,11 @@ gate_race() {
 	$GO test -race -run '^TestEngineConcurrentWalks$' -count=20 ./internal/retrieval/
 }
 
-# Decoder and token-table fuzzing: each target, named package:Fuzz
-# function (FuzzTokenCache checks the bypass-token table against its
-# map-and-list LRU reference), fuzzes for
+# Decoder, token-table and engine fuzzing: each target, named
+# package:Fuzz function (FuzzTokenCache checks the bypass-token table
+# against its map-and-list LRU reference; FuzzEngineMatchesReference
+# checks the float engine's column kernel and selection against its
+# generic scorer and the sort-based reference), fuzzes for
 # the given time (default 5s), one target per go test run because go
 # test fuzzes one target at a time. `make fuzz FUZZTIME=10m` hunts longer.
 # Minimization is off (-fuzzminimizetime 0): shrinking the inputs that
@@ -95,7 +97,7 @@ gate_race() {
 # still fails the run and is still written, unshrunk, to testdata/fuzz.
 FUZZ_TARGETS="cbjson:FuzzDecodeCaseBase wire:FuzzDecodeAllocRequest
 	wire:FuzzDecodeObserveRequest wire:FuzzDecodeMutationBodies
-	retrieval:FuzzTokenCache"
+	retrieval:FuzzTokenCache retrieval:FuzzEngineMatchesReference"
 gate_fuzz() {
 	for t in $FUZZ_TARGETS; do
 		$GO test "./internal/${t%%:*}/" -run xxx -fuzz "^${t#*:}\$" -fuzztime "${1:-5s}" -fuzzminimizetime 0
