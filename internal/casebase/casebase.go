@@ -224,24 +224,79 @@ func (ft *FunctionType) admit(id ImplID) error {
 	return nil
 }
 
-// carries reports whether im is a variant of ft that still shares ft's
-// attribute slice, i.e. data ft was validated with. ft's variants must
-// be sorted by ID.
-func (ft *FunctionType) carries(im *Implementation) bool {
-	lo, hi := 0, len(ft.Impls)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ft.Impls[m].ID < im.ID {
-			lo = m + 1
-		} else {
-			hi = m
+// carries reports whether im, the i-th variant of a type derived from
+// ft, is a variant of ft that still shares ft's attribute slice, i.e.
+// data ft was validated with. It looks at ft's i-th variant first, where
+// a commit that keeps the variant set finds it, and bisects otherwise.
+// ft's variants must be sorted by ID.
+func (ft *FunctionType) carries(im *Implementation, i int) bool {
+	if i >= len(ft.Impls) || ft.Impls[i].ID != im.ID {
+		lo, hi := 0, len(ft.Impls)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if ft.Impls[m].ID < im.ID {
+				lo = m + 1
+			} else {
+				hi = m
+			}
 		}
+		if lo == len(ft.Impls) || ft.Impls[lo].ID != im.ID {
+			return false
+		}
+		i = lo
 	}
-	if lo == len(ft.Impls) || ft.Impls[lo].ID != im.ID {
+	return sameSlice(im.Attrs, ft.Impls[i].Attrs)
+}
+
+// sameSlice reports whether a and b are one attribute slice.
+func sameSlice(a, b []attr.Pair) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// patch builds ft's attribute columns from base's when ft's validated
+// variants match base's one to one — the same IDs in the same order,
+// and every variant whose attribute slice is not base's naming the same
+// attribute IDs as its base variant — and reports whether they did. A
+// fold commit, which only moves values, always does: ft then shares
+// base's column IDs and copies its cells, and only the values of the
+// variants with a slice of their own are written. Any other shape
+// (retained or retired variants, a variant that gained or lost an
+// attribute) leaves ft as it is for index.
+func (ft *FunctionType) patch(base *FunctionType) bool {
+	if len(ft.Impls) != len(base.Impls) {
 		return false
 	}
-	a, b := im.Attrs, ft.Impls[lo].Attrs
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	for i := range ft.Impls {
+		a, b := &ft.Impls[i], &base.Impls[i]
+		if a.ID != b.ID || len(a.Attrs) != len(b.Attrs) {
+			return false
+		}
+		if sameSlice(a.Attrs, b.Attrs) {
+			continue
+		}
+		for j := range a.Attrs {
+			if a.Attrs[j].ID != b.Attrs[j].ID {
+				return false
+			}
+		}
+	}
+	rows := len(ft.Impls)
+	cells := slices.Clone(base.cells)
+	for i := range ft.Impls {
+		as := ft.Impls[i].Attrs
+		if sameSlice(as, base.Impls[i].Attrs) {
+			continue
+		}
+		k := 0 // both the pairs and the column IDs ascend: one merge
+		for _, p := range as {
+			for base.colIDs[k] != p.ID {
+				k++
+			}
+			cells[k*rows+i].Value = p.Value
+		}
+	}
+	ft.colIDs, ft.cells = base.colIDs, cells
+	return true
 }
 
 // validate sorts ft's admitted variants by ID and appends what is wrong
@@ -261,7 +316,7 @@ func (ft *FunctionType) validate(errs []error, reg *attr.Registry, base *Functio
 	}
 	for i := range ft.Impls {
 		im := &ft.Impls[i]
-		if base != nil && base.carries(im) {
+		if base != nil && base.carries(im, i) {
 			continue
 		}
 		if err := attr.CheckSorted(im.Attrs); err != nil {
@@ -322,8 +377,10 @@ func (cb *CaseBase) slot(id TypeID) int {
 // copied — cb's sealed registry, its type index (the set of types does
 // not change), every type not replaced together with its attribute
 // columns, and within a replaced type every variant whose attribute
-// slice is still cb's. Only the replaced types get their columns
-// built afresh, whatever columns their given structs carry.
+// slice is still cb's. Only the replaced types get new columns, whatever
+// columns their given structs carry: patched from the base type's when
+// the variants match it one to one (FunctionType.patch), built afresh
+// otherwise.
 //
 // types must be in strictly ascending ID order and name only types of
 // cb. Each one's Impls lists its variants in the order Builder.AddImpl
@@ -345,24 +402,29 @@ func (cb *CaseBase) Derive(types []FunctionType) (*CaseBase, error) {
 		if k > 0 && ft.ID <= types[k-1].ID {
 			return nil, fmt.Errorf("casebase: Derive types not in ascending order at type %d", ft.ID)
 		}
-		base := &cb.types[i]
 		given := ft.Impls
 		ft.Impls = given[:0]
-		for _, im := range given {
-			if err := ft.admit(im.ID); err != nil {
+		for j := range given {
+			if err := ft.admit(given[j].ID); err != nil {
 				admitErrs = append(admitErrs, err)
 				continue
 			}
-			ft.Impls = append(ft.Impls, im)
+			if n := len(ft.Impls); n != j { // a rejection came before: close the gap
+				given[n] = given[j]
+			}
+			ft.Impls = given[:len(ft.Impls)+1]
 		}
-		errs = ft.validate(errs, cb.registry, base)
+		errs = ft.validate(errs, cb.registry, &cb.types[i])
 		next.types[i] = *ft
 	}
 	if errs = append(admitErrs, errs...); len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
 	for k := range types {
-		next.types[cb.slot(types[k].ID)].index()
+		i := cb.slot(types[k].ID)
+		if ft := &next.types[i]; !ft.patch(&cb.types[i]) {
+			ft.index()
+		}
 	}
 	return next, nil
 }

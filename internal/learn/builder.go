@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
@@ -18,20 +17,16 @@ import (
 // regenerates memory images and invalidates bypass tokens — exactly the
 // update protocol a dynamic BRAM reload would follow.
 type Builder struct {
-	base     *casebase.CaseBase
-	revised  []revision // in staging order until Build sorts them
-	retained map[casebase.TypeID][]casebase.Implementation
-	retired  map[implKey]bool
+	base *casebase.CaseBase
+	// The staged edits are kept in staging order until Build sorts them
+	// by type and variant.
+	revised  []revision
+	retained []retention
+	retired  []implKey
 }
 
 // NewBuilder returns an empty builder over the committed base.
-func NewBuilder(base *casebase.CaseBase) *Builder {
-	return &Builder{
-		base:     base,
-		retained: make(map[casebase.TypeID][]casebase.Implementation),
-		retired:  make(map[implKey]bool),
-	}
-}
+func NewBuilder(base *casebase.CaseBase) *Builder { return &Builder{base: base} }
 
 // revision is one staged attribute value of a variant.
 type revision struct {
@@ -40,18 +35,31 @@ type revision struct {
 	v  attr.Value
 }
 
+// retention is one variant staged for Retain, with its type.
+type retention struct {
+	t  casebase.TypeID
+	im casebase.Implementation
+}
+
+// cmpKey orders variant keys by type, then ID.
+func cmpKey(x, y implKey) int { return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.i, y.i)) }
+
 // revise stages a quantized value for an attribute the case describes.
 // A later value for the same attribute replaces an earlier one.
 func (b *Builder) revise(k implKey, id attr.ID, v attr.Value) {
 	b.revised = append(b.revised, revision{k, id, v})
 }
 
-// sortRevisions orders the staged revisions by type, variant and
-// attribute, keeping only the last value staged for each attribute.
-func (b *Builder) sortRevisions() {
-	key := func(x, y revision) int {
-		return cmp.Or(cmp.Compare(x.k.t, y.k.t), cmp.Compare(x.k.i, y.k.i), cmp.Compare(x.id, y.id))
-	}
+// sortEdits orders the staged edits by type and variant, keeping only
+// the last value staged for each attribute and one retirement of each
+// variant. Retained IDs are unique per type, so their order is total.
+func (b *Builder) sortEdits() {
+	slices.SortFunc(b.retained, func(x, y retention) int {
+		return cmpKey(implKey{x.t, x.im.ID}, implKey{y.t, y.im.ID})
+	})
+	slices.SortFunc(b.retired, cmpKey)
+	b.retired = slices.Compact(b.retired)
+	key := func(x, y revision) int { return cmp.Or(cmpKey(x.k, y.k), cmp.Compare(x.id, y.id)) }
 	slices.SortStableFunc(b.revised, key)
 	out := b.revised[:0]
 	for j, r := range b.revised {
@@ -76,13 +84,13 @@ func (b *Builder) Retain(t casebase.TypeID, im casebase.Implementation) (casebas
 	} else if _, dup := ft.Impl(im.ID); dup {
 		return 0, fmt.Errorf("learn: impl %d already exists in type %d", im.ID, t)
 	} else {
-		for _, r := range b.retained[t] {
-			if r.ID == im.ID {
+		for _, r := range b.retained {
+			if r.t == t && r.im.ID == im.ID {
 				return 0, fmt.Errorf("learn: impl %d already retained for type %d", im.ID, t)
 			}
 		}
 	}
-	b.retained[t] = append(b.retained[t], im)
+	b.retained = append(b.retained, retention{t, im})
 	return im.ID, nil
 }
 
@@ -93,9 +101,9 @@ func (b *Builder) nextFreeImplID(ft *casebase.FunctionType) casebase.ImplID {
 			next = im.ID + 1
 		}
 	}
-	for _, im := range b.retained[ft.ID] {
-		if im.ID >= next {
-			next = im.ID + 1
+	for _, r := range b.retained {
+		if r.t == ft.ID && r.im.ID >= next {
+			next = r.im.ID + 1
 		}
 	}
 	return next
@@ -112,7 +120,7 @@ func (b *Builder) Retire(t casebase.TypeID, id casebase.ImplID) error {
 	if _, ok := ft.Impl(id); !ok {
 		return fmt.Errorf("learn: retire of unknown impl %d in type %d", id, t)
 	}
-	b.retired[implKey{t, id}] = true
+	b.retired = append(b.retired, implKey{t, id})
 	return nil
 }
 
@@ -121,26 +129,27 @@ func (b *Builder) Retire(t casebase.TypeID, id casebase.ImplID) error {
 // entries that differ from the base. Only the types a staged edit
 // changes are rebuilt and validated (casebase.CaseBase.Derive); every
 // other type, and every variant of a rebuilt type that no revision
-// changed, is shared with the base rather than copied.
+// changed, is shared with the base rather than copied. Sorted by type,
+// the staged edits give each type its share in one pass over the base's
+// types.
 func (b *Builder) Build() (*casebase.CaseBase, int, error) {
-	b.sortRevisions()
-	touched := make(map[casebase.TypeID]bool)
-	for k := range b.retired {
-		touched[k.t] = true
-	}
-	for t := range b.retained {
-		touched[t] = true
-	}
+	b.sortEdits()
 	var types []casebase.FunctionType
 	changed := 0
-	revs := b.revised
-	for _, ft := range b.base.Types() {
-		var mine []revision
-		mine, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.t, ft.ID) })
-		if len(mine) == 0 && !touched[ft.ID] {
+	revs, gone, news := b.revised, b.retired, b.retained
+	base := b.base.Types()
+	for i := range base {
+		ft := &base[i]
+		var myRevs []revision
+		var myGone []implKey
+		var myNews []retention
+		myRevs, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.t, ft.ID) })
+		myGone, gone = take(gone, func(k implKey) int { return cmp.Compare(k.t, ft.ID) })
+		myNews, news = take(news, func(r retention) int { return cmp.Compare(r.t, ft.ID) })
+		if len(myRevs) == 0 && len(myGone) == 0 && len(myNews) == 0 {
 			continue
 		}
-		impls, n := b.apply(&ft, mine)
+		impls, n := apply(ft, myRevs, myGone, myNews)
 		if n == 0 {
 			continue // only no-op revisions: the type stays shared
 		}
@@ -154,33 +163,35 @@ func (b *Builder) Build() (*casebase.CaseBase, int, error) {
 	return cb, changed, nil
 }
 
-// apply returns ft's variants with this commit's edits applied, in the
-// order casebase.Builder.AddImpl would receive them — the surviving base
-// variants in base order, then the retained ones by ID — and the number
-// of entries that changed. A surviving variant keeps its attribute slice
+// apply returns ft's variants with the type's share of the staged edits
+// applied, and the number of entries that changed. revs, gone and news
+// are its revisions, retirements and retentions, each sorted by variant
+// ID. The variants come in the order casebase.Builder.AddImpl would
+// receive them: the surviving base variants in base order, then the
+// retained ones by ID. A surviving variant keeps its attribute slice
 // unless a revision changes one of its values; a retained variant gets a
-// sorted copy of its own. revs are ft's sorted revisions; ft's variants
-// are sorted by ID, so one merge pairs them up.
-func (b *Builder) apply(ft *casebase.FunctionType, revs []revision) ([]casebase.Implementation, int) {
-	news := b.retained[ft.ID]
+// sorted copy of its own. ft's variants are sorted by ID like the edits,
+// so one merge pairs them up.
+func apply(ft *casebase.FunctionType, revs []revision, gone []implKey, news []retention) ([]casebase.Implementation, int) {
 	impls := make([]casebase.Implementation, 0, len(ft.Impls)+len(news))
 	changed := 0
-	for _, im := range ft.Impls {
+	for i := range ft.Impls {
+		id := ft.Impls[i].ID
 		var mine []revision
-		mine, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.i, im.ID) })
-		if b.retired[implKey{ft.ID, im.ID}] {
+		mine, revs = take(revs, func(r revision) int { return cmp.Compare(r.k.i, id) })
+		if len(gone) > 0 && gone[0].i == id { // Retire admits only variants of ft
+			gone = gone[1:]
 			changed++
 			continue
 		}
-		if attrs := revisedAttrs(im.Attrs, mine); attrs != nil {
-			im.Attrs = attrs
+		impls = append(impls, ft.Impls[i])
+		if attrs := revisedAttrs(ft.Impls[i].Attrs, mine); attrs != nil {
+			impls[len(impls)-1].Attrs = attrs
 			changed++
 		}
-		impls = append(impls, im)
 	}
-	news = append([]casebase.Implementation(nil), news...)
-	sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
-	for _, im := range news {
+	for _, r := range news {
+		im := r.im
 		im.Attrs = append([]attr.Pair(nil), im.Attrs...)
 		attr.SortPairs(im.Attrs)
 		impls = append(impls, im)
@@ -189,17 +200,17 @@ func (b *Builder) apply(ft *casebase.FunctionType, revs []revision) ([]casebase.
 	return impls, changed
 }
 
-// take splits off the front of the sorted revs the run that c reports
+// take splits off the front of the sorted xs the run that c reports
 // equal to its key (0), after dropping those that order before it (<0).
-func take(revs []revision, c func(revision) int) (run, rest []revision) {
-	for len(revs) > 0 && c(revs[0]) < 0 {
-		revs = revs[1:]
+func take[T any](xs []T, c func(T) int) (run, rest []T) {
+	for len(xs) > 0 && c(xs[0]) < 0 {
+		xs = xs[1:]
 	}
 	n := 0
-	for n < len(revs) && c(revs[n]) == 0 {
+	for n < len(xs) && c(xs[n]) == 0 {
 		n++
 	}
-	return revs[:n], revs[n:]
+	return xs[:n], xs[n:]
 }
 
 // revisedAttrs returns a copy of attrs carrying the revised values, or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -32,7 +33,7 @@ func referenceBuild(b *Builder) (*casebase.CaseBase, int, error) {
 		for i := range ft.Impls {
 			im := ft.Impls[i]
 			k := implKey{ft.ID, im.ID}
-			if b.retired[k] {
+			if slices.Contains(b.retired, k) {
 				changed++
 				continue
 			}
@@ -52,7 +53,12 @@ func referenceBuild(b *Builder) (*casebase.CaseBase, int, error) {
 			}
 			cbb.AddImpl(ft.ID, im)
 		}
-		news := append([]casebase.Implementation(nil), b.retained[ft.ID]...)
+		var news []casebase.Implementation
+		for _, r := range b.retained {
+			if r.t == ft.ID {
+				news = append(news, r.im)
+			}
+		}
 		sort.Slice(news, func(i, j int) bool { return news[i].ID < news[j].ID })
 		for _, im := range news {
 			cbb.AddImpl(ft.ID, im)
@@ -231,11 +237,11 @@ func errText(err error) string {
 func checkShared(t *testing.T, where string, b *Builder, next *casebase.CaseBase) {
 	t.Helper()
 	structural := make(map[casebase.TypeID]bool)
-	for k := range b.retired {
+	for _, k := range b.retired {
 		structural[k.t] = true
 	}
-	for ty := range b.retained {
-		structural[ty] = true
+	for _, r := range b.retained {
+		structural[r.t] = true
 	}
 	for i, ft := range b.base.Types() {
 		nt := next.Types()[i]
@@ -249,8 +255,8 @@ func checkShared(t *testing.T, where string, b *Builder, next *casebase.CaseBase
 				continue
 			}
 			retained := false
-			for _, r := range b.retained[ft.ID] {
-				retained = retained || r.ID == im.ID
+			for _, r := range b.retained {
+				retained = retained || r.t == ft.ID && r.im.ID == im.ID
 			}
 			if !retained && &im.Attrs[0] != &old.Attrs[0] {
 				t.Fatalf("%s: unchanged variant %d/%d was copied", where, ft.ID, im.ID)

@@ -74,7 +74,7 @@ func (st *stripe) attach(reg *obs.Registry) {
 	reg.AttachHistogram("qos_serve_batch_size", "requests coalesced per micro-batch", st.batchSize)
 	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &st.tokenHits)
 	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &st.inlineHits)
-	reg.Attach("qos_serve_inline_walks_total", "token misses walked on the caller's goroutine, without the hop to the shard worker", &st.inlineWalks)
+	reg.Attach("qos_serve_inline_walks_total", "token misses and Allocate candidate lists walked on the caller's goroutine, without the hop to the shard worker", &st.inlineWalks)
 }
 
 // metrics is the service's gauges. Like the retrieval bundle, an

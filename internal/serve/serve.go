@@ -18,13 +18,14 @@
 //     deduplicated singleflight-style — one list walk serves every
 //     waiter — and across batches the shard's TokenCache bypasses
 //     retrieval for requests it has already resolved. Each request is
-//     hashed once (retrieval.Hash) when it enters the service; the hash
-//     keys both the token probe and the singleflight map, and both
-//     compare the full request before they share an answer, so a hash
-//     collision costs a walk, never a wrong result. A Retrieve on a
-//     shard with nothing queued is answered on the caller's goroutine
-//     instead, from its token or by a walk of its own, without the hop
-//     to the shard worker.
+//     hashed once (retrieval.Hash) before it can meet a token or a
+//     batch; the hash keys both the token probe and the singleflight
+//     map, and both compare the full request before they share an
+//     answer, so a hash collision costs a walk, never a wrong result. A
+//     Retrieve on a shard with nothing queued is answered on the
+//     caller's goroutine instead, from its token or by a walk of its
+//     own, and an Allocate walks its candidate list there, without the
+//     hop to the shard worker.
 //
 //   - Admission control. Each shard queue is bounded; beyond it the
 //     service sheds load with a typed *ErrOverload carrying a
@@ -474,85 +475,94 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 		return retrieval.Result{}, err
 	}
 	h := retrieval.Hash(req)
-	if r, ok, err := s.answerInline(ctx, req, h); ok {
-		return r, err
+	if r, ok := s.answerInline(ctx, jobRetrieve, 0, req, h); ok {
+		return r.best, r.err
 	}
-	r := s.await(ctx, &job{ctx: ctx, kind: jobRetrieve, req: req, hash: h, done: make(chan jobResult, 1)})
+	r := s.enqueue(job{ctx: ctx, kind: jobRetrieve, req: req, hash: h})
 	return r.best, r.err
 }
 
-// answerInline answers req on the caller's goroutine, without the hop
-// to the shard worker, and reports whether it did. It answers only
-// where the queued path would give the same answer with no batch to
-// join: admission is open, the context is live and the shard has
-// nothing queued. The snapshot is loaded under the token mutex, so a
-// call that starts after a commit returned answers from the new epoch.
-// A hit answers from its token. A miss walks the snapshot's engine when
-// a TryRLock probe finds no batch holding the shard mutex, the shard's
-// inline walks plus its queue stay within MaxQueue, and the request is
-// valid (the queued path refuses an invalid one unadmitted). A probe
-// never fails on another probe, so no walk waits for another walk.
-// Either answer counts as an admitted batch of one job, on the shard's
-// stripe: a hit writes no line that callers of other shards write.
-func (s *Service) answerInline(ctx context.Context, req casebase.Request, h uint64) (retrieval.Result, bool, error) {
+// answerInline answers a job on the caller's goroutine, without the hop
+// to the shard worker, and reports whether it did: a Retrieve's
+// best-match job, or an Allocate's candidate job of depth n. h is req's
+// Hash; only a best-match job reads it. It answers only where the
+// queued path would give the same answer with no batch to join:
+// admission is open, the context is live and the shard has nothing
+// queued. A best-match job loads the snapshot
+// under the token mutex and answers a hit from its token; a candidate
+// job has no token and loads it plainly. Either way a call that starts
+// after a commit returned answers from the new epoch. A job that did not
+// hit walks the snapshot's engine when a TryRLock probe finds no batch
+// holding the shard mutex, the shard's inline walks plus its queue stay
+// within MaxQueue, and the request is valid (the queued path refuses an
+// invalid one unadmitted). A probe never fails on another probe, so no
+// walk waits for another walk. Either answer counts as an admitted batch
+// of one job, on the shard's stripe: a hit writes no line that callers
+// of other shards write. The result carries the epoch of the snapshot
+// that answered it. The job's fields come as arguments, not as a job, so
+// that a token hit builds none.
+func (s *Service) answerInline(ctx context.Context, kind jobKind, n int32, req casebase.Request, h uint64) (jobResult, bool) {
 	sh := s.shardFor(req.Type)
 	st := &sh.stripe
 	st.admitted.Add(1)
 	defer st.admitted.Add(-1)
-	if s.closing.Load() || retrieval.Canceled(ctx) != nil {
-		return retrieval.Result{}, false, nil
+	if s.closing.Load() || retrieval.Canceled(ctx) != nil || len(sh.q) != 0 {
+		return jobResult{}, false
 	}
-	if len(sh.q) != 0 {
-		return retrieval.Result{}, false, nil
-	}
-	sh.tokMu.Lock()
-	sn := s.snap.Load()
-	tokens := sn.tokens[sh.idx]
-	tok, hit := tokens.Lookup(h, req)
-	sh.tokMu.Unlock()
-	if hit {
-		st.enqueued.Inc()
-		s.noteBatch(sh, 1)
-		st.tokenHits.Inc()
-		st.inlineHits.Inc()
-		return tok.Result(), true, nil
+	var sn *snapshot
+	if kind == jobRetrieve {
+		sh.tokMu.Lock()
+		sn = s.snap.Load()
+		tok, hit := sn.tokens[sh.idx].Lookup(h, req)
+		sh.tokMu.Unlock()
+		if hit {
+			st.enqueued.Inc()
+			s.noteBatch(sh, 1)
+			st.tokenHits.Inc()
+			st.inlineHits.Inc()
+			return jobResult{best: tok.Result(), epoch: sn.epoch}, true
+		}
+	} else {
+		sn = s.snap.Load()
 	}
 	if !sh.mu.TryRLock() {
-		return retrieval.Result{}, false, nil
+		return jobResult{}, false
 	}
 	sh.mu.RUnlock()
 	if sh.walkers.Add(1)+int64(len(sh.q)) > int64(s.cfg.MaxQueue) || req.Validate(sn.cb) != nil {
 		sh.walkers.Add(-1)
-		return retrieval.Result{}, false, nil
+		return jobResult{}, false
 	}
 	defer sh.walkers.Add(-1)
 	st.enqueued.Inc()
 	s.noteBatch(sh, 1)
-	st.walks.Inc()
 	st.inlineWalks.Inc()
-	r, err := sn.engine.Retrieve(req)
-	if err == nil {
-		sh.store(tokens, h, req, r)
-	}
-	return r, true, err
+	return s.walk(sn, sh, &job{ctx: ctx, kind: kind, n: n, req: req, hash: h}), true
 }
 
-// Allocate retrieves the N-best candidates for req on its shard, then
-// feeds them to the allocation manager under the serialization lock.
-// It is Manager.Request with the retrieval half sharded and batched.
-// Candidates scored against an epoch a commit has since retired are
-// re-fetched (the manager's case base moved under them); after
-// maxStaleRetries re-fetches the call fails with *ErrStaleEpoch. A call
-// whose retrieval is refused because Close has begun returns ErrDraining
-// and, like one refused before it started, is counted nowhere.
+// Allocate retrieves the N-best candidates for req, then feeds them to
+// the allocation manager under the serialization lock. It is
+// Manager.Request with the retrieval half sharded: on a shard with
+// nothing queued the N-best list is walked on the caller's goroutine
+// (answerInline), otherwise the job is queued and batched. Candidates
+// scored against an epoch a commit has since retired are re-fetched (the
+// manager's case base moved under them); after maxStaleRetries re-fetches
+// the call fails with *ErrStaleEpoch. A call whose retrieval is refused
+// because Close has begun returns ErrDraining and, like one refused
+// before it started, is counted nowhere.
 func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request, basePrio int) (*alloc.Decision, error) {
 	if err := s.acquire(ctx, s.shardFor(req.Type)); err != nil {
 		return nil, err
 	}
 	defer s.inflight.Done()
-	h := retrieval.Hash(req)
+	n := int32(s.cfg.Manager.NBest)
 	for attempt := 0; ; attempt++ {
-		r := s.await(ctx, &job{ctx: ctx, kind: jobCandidates, req: req, n: int32(s.cfg.Manager.NBest), hash: h, done: make(chan jobResult, 1)})
+		// Only a queued candidate job meets the hash: the singleflight
+		// map keys on it, and candidate jobs have no tokens.
+		r, ok := s.answerInline(ctx, jobCandidates, n, req, 0)
+		if !ok {
+			r = s.enqueue(job{ctx: ctx, kind: jobCandidates, n: n, req: req, hash: retrieval.Hash(req)})
+		}
 		if errors.Is(r.err, ErrDraining) {
 			return nil, r.err
 		}
@@ -579,17 +589,19 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 // when commits keep landing between its retrieval and its placement.
 const maxStaleRetries = 2
 
-// await submits a queued job to its shard and waits for the reply, the
-// caller's context, or the end of the drain flush.
-func (s *Service) await(ctx context.Context, j *job) jobResult {
-	if err := s.submit(j); err != nil {
+// enqueue submits j to its shard queue and waits for the reply, the
+// caller's context, or the end of the drain flush. Only a job that
+// queues is built on the heap.
+func (s *Service) enqueue(j job) jobResult {
+	j.done = make(chan jobResult, 1)
+	if err := s.submit(&j); err != nil {
 		return jobResult{err: err}
 	}
 	select {
 	case r := <-j.done:
 		return r
-	case <-ctx.Done():
-		return jobResult{err: retrieval.Canceled(ctx)}
+	case <-j.ctx.Done():
+		return jobResult{err: retrieval.Canceled(j.ctx)}
 	case <-s.done:
 		// done closes only after the drain flush answered every
 		// admitted job, so the reply is already buffered — but select
@@ -879,32 +891,40 @@ func (s *Service) resolve(sn *snapshot, sh *shard, j *job) jobResult {
 }
 
 // runJob performs the actual retrieval for one deduplicated job against
-// the sn epoch. Caller holds sh.mu.
+// the sn epoch: a best-match job from the shard's token cache when it
+// holds the request, any other by a walk. Caller holds sh.mu.
 func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
-	tokens := sn.tokens[sh.idx]
+	if j.kind == jobRetrieve {
+		// The shard token cache bypasses the walk for requests it has
+		// already resolved ("only an availability check ... has to be
+		// done", §3). The cache lives inside the snapshot and is born
+		// empty at each epoch, so a token can only ever bypass retrieval
+		// against the exact tree it was minted from.
+		sh.tokMu.Lock()
+		tok, ok := sn.tokens[sh.idx].Lookup(j.hash, j.req)
+		sh.tokMu.Unlock()
+		if ok {
+			sh.stripe.tokenHits.Inc()
+			return jobResult{best: tok.Result(), epoch: sn.epoch}
+		}
+	}
+	return s.walk(sn, sh, j)
+}
+
+// walk runs j's engine walk against the sn epoch, queued or inline, and
+// counts it: the N-best list of a candidate job, or the best match of a
+// best-match job, which it keeps as a token of the epoch.
+func (s *Service) walk(sn *snapshot, sh *shard, j *job) jobResult {
+	sh.stripe.walks.Inc()
 	if j.kind == jobCandidates {
-		sh.stripe.walks.Inc()
 		list, err := sn.engine.RetrieveN(j.req, int(j.n))
 		return jobResult{list: list, epoch: sn.epoch, err: err}
 	}
-	// Best-match path: the shard token cache bypasses the walk for
-	// requests it has already resolved ("only an availability check
-	// ... has to be done", §3). The cache lives inside the snapshot and
-	// is born empty at each epoch, so a token can only ever bypass
-	// retrieval against the exact tree it was minted from.
-	sh.tokMu.Lock()
-	tok, ok := tokens.Lookup(j.hash, j.req)
-	sh.tokMu.Unlock()
-	if ok {
-		sh.stripe.tokenHits.Inc()
-		return jobResult{best: tok.Result(), epoch: sn.epoch}
-	}
-	sh.stripe.walks.Inc()
 	r, err := sn.engine.Retrieve(j.req)
 	if err != nil {
 		return jobResult{epoch: sn.epoch, err: err}
 	}
-	sh.store(tokens, j.hash, j.req, r)
+	sh.store(sn.tokens[sh.idx], j.hash, j.req, r)
 	return jobResult{best: r, epoch: sn.epoch}
 }
 

@@ -252,6 +252,65 @@ func TestInlineHitSkipsBusyShard(t *testing.T) {
 	}
 }
 
+// TestAllocateQueuesBehindBatch pins Allocate's fallback: with the shard
+// mutex held, as by a batch mid-walk, an Allocate does not walk on the
+// caller's goroutine but queues, and is answered once the mutex is
+// released. An Allocate on the idle shard then walks inline.
+func TestAllocateQueuesBehindBatch(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
+	defer s.Close()
+	ctx := context.Background()
+	req := casebase.PaperRequest()
+
+	sh := s.shards[0]
+	sh.mu.Lock() // a batch holds the shard
+	type outcome struct {
+		d   *alloc.Decision
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		d, err := s.Allocate(ctx, "mp3", req, 5)
+		done <- outcome{d, err}
+	}()
+	waitFor(t, "the Allocate to queue", func() bool { return s.Stats().Enqueued == 1 })
+	select {
+	case o := <-done:
+		t.Fatalf("Allocate answered while the shard was busy: %+v", o)
+	default:
+	}
+	sh.mu.Unlock()
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if o.d.Impl != 2 || o.d.Device != "dsp0" {
+		t.Errorf("queued Allocate placed %+v, want impl 2 on dsp0", o.d)
+	}
+	if err := s.Release(o.d.Task.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n := sh.stripe.inlineWalks.Load(); n != 0 {
+		t.Fatalf("the queued Allocate walked inline (%d inline walks)", n)
+	}
+
+	d, err := s.Allocate(ctx, "mp3", req, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Impl != 2 || d.Device != "dsp0" {
+		t.Errorf("inline Allocate placed %+v, want impl 2 on dsp0", d)
+	}
+	st := s.Stats()
+	if n := sh.stripe.inlineWalks.Load(); n != 1 || st.Enqueued != 2 || st.EngineRetrievals != 2 || st.BatchedJobs != 2 {
+		t.Errorf("after one queued and one idle-shard Allocate: inline walks %d, stats %+v", n, st)
+	}
+}
+
 // TestAllocatePicksTableOneBest mirrors the alloc-layer golden: the
 // paper's request through the service lands impl 2 on the DSP.
 func TestAllocatePicksTableOneBest(t *testing.T) {
