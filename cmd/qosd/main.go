@@ -42,7 +42,7 @@ func main() {
 	flag.StringVar(&opt.addr, "addr", opt.addr, "listen address")
 	flag.IntVar(&opt.shards, "shards", opt.shards, "retrieval shards")
 	flag.IntVar(&opt.maxBatch, "max-batch", opt.maxBatch, "max requests per micro-batch")
-	flag.IntVar(&opt.maxQueue, "max-queue", opt.maxQueue, "per-shard admission queue bound")
+	flag.IntVar(&opt.maxQueue, "max-queue", opt.maxQueue, "per-shard bound on concurrent retrieval walks; a call beyond it is shed")
 	flag.Float64Var(&opt.threshold, "threshold", opt.threshold, "similarity acceptance threshold")
 	flag.BoolVar(&opt.preemption, "preemption", opt.preemption, "allow priority preemption")
 	flag.IntVar(&opt.types, "types", opt.types, "case-base function types")

@@ -188,8 +188,9 @@ func runService(n, clients, shards int, seed int64, repeat float64, oreg *qosall
 
 	fmt.Printf("=== service mode: %d clients, %d shards, %d requests ===\n", clients, shards, n)
 
-	// Phase 1: concurrent clients hammer the queued retrieval path;
-	// shed requests are retried after the hinted backoff.
+	// Phase 1: concurrent clients hammer Retrieve, each call answered on
+	// its client's goroutine; shed requests are retried after the hinted
+	// backoff.
 	ctx := context.Background()
 	var ok, failed, shedRetries atomic.Int64
 	var wg sync.WaitGroup

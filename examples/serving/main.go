@@ -1,8 +1,9 @@
 // Serving: the v2 service layer (DESIGN.md §9). Many client goroutines
-// share one qosalloc.Service — the case base sharded across retrieval
-// engines, concurrent requests coalesced into deduplicated
-// micro-batches, bounded admission queues — then a deterministic
-// batched-allocation pass places a stream against the platform.
+// share one qosalloc.Service — the case base sharded by type, each
+// Retrieve answered on its caller's goroutine from a bypass token or by
+// a walk of its own, a bound on each shard's concurrent walks — then a
+// deterministic batched-allocation pass, deduplicated within its
+// micro-batches, places a stream against the platform.
 package main
 
 import (
@@ -54,9 +55,9 @@ func main() {
 	)
 	defer svc.Close()
 
-	// Phase 1: 16 concurrent clients retrieve through the shard queues.
+	// Phase 1: 16 concurrent clients retrieve on their own goroutines.
 	// Overload comes back as a typed error with a retry-after hint; a
-	// real client would back off — here the queues are deep enough.
+	// real client would back off — here the walk bound is high enough.
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {
@@ -117,7 +118,8 @@ func main() {
 		}
 	}
 
-	// Cancellation is first-class: a dead context never queues work.
+	// Cancellation is first-class: a dead context is refused before any
+	// work starts.
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := svc.Retrieve(dead, reqs[0]); errors.Is(err, qosalloc.ErrCanceled) {

@@ -93,7 +93,7 @@ func (r Request) Validate(cb *CaseBase) error {
 		if err := cb.Registry().Validate(attr.Pair{ID: c.ID, Value: c.Value}); err != nil {
 			return err
 		}
-		if c.Weight < 0 || c.Weight > 1 {
+		if !(c.Weight >= 0 && c.Weight <= 1) { // NaN fails both compares
 			return fmt.Errorf("casebase: constraint on attribute %d has weight %v outside [0,1]", c.ID, c.Weight)
 		}
 	}

@@ -2,6 +2,7 @@ package casebase
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +91,11 @@ func TestValidateRequest(t *testing.T) {
 	badW := NewRequest(TypeFIREqualizer, Constraint{ID: AttrBitwidth, Value: 16, Weight: 1.5})
 	if err := badW.Validate(cb); err == nil {
 		t.Error("weight > 1 must fail validation")
+	}
+	nanW := PaperRequest()
+	nanW.Constraints[0].Weight = math.NaN()
+	if err := nanW.Validate(cb); err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+		t.Errorf("NaN weight validated with %v, want the out-of-range error", err)
 	}
 }
 

@@ -59,8 +59,9 @@ func tieCaseBase(r *rand.Rand) (*casebase.CaseBase, *attr.Registry) {
 }
 
 // tieRequest draws a request against cb: random constraint subsets (so
-// some miss every variant), equal, random, zero or NaN weights, sorted
-// or reversed constraint order, and now and then an invalid request.
+// some miss every variant), equal, random or zero weights, sorted or
+// reversed constraint order, and now and then an invalid request (an
+// unknown type, no constraints, a duplicate, a weight of 1.5 or NaN).
 func tieRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebase.Request {
 	types := cb.Types()
 	req := casebase.Request{Type: types[r.Intn(len(types))].ID}
@@ -91,7 +92,7 @@ func tieRequest(r *rand.Rand, cb *casebase.CaseBase, reg *attr.Registry) casebas
 	case 6:
 		req.Constraints[0].Weight = 1.5
 	case 7:
-		req.Constraints[0].Weight = math.NaN() // passes Validate
+		req.Constraints[0].Weight = math.NaN() // fails Validate, as 1.5 does
 	}
 	return req
 }
@@ -583,13 +584,13 @@ func genericOptions(th float64) Options {
 
 // TestColumnKernelMatchesGenericScorer is the differential test for
 // the column kernel: on seeded random case bases of every shape in
-// caseBaseGens, rich in ties, missing attributes, NaN or unnormalized
-// weights and values on the bounds of 16-bit ranges, an engine with the
-// default measures (scored column by column) and one with the same
-// measures in wrappers (scored variant by variant) must give the same
-// Retrieve and RetrieveN answers at every depth, with similarity bits
-// equal, the same errors and ErrNoMatch.Best bits, and the same Stats
-// after every call.
+// caseBaseGens, rich in ties, missing attributes, zero or unnormalized
+// weights, invalid requests and values on the bounds of 16-bit ranges,
+// an engine with the default measures (scored column by column) and one
+// with the same measures in wrappers (scored variant by variant) must
+// give the same Retrieve and RetrieveN answers at every depth, with
+// similarity bits equal, the same errors and ErrNoMatch.Best bits, and
+// the same Stats after every call.
 func TestColumnKernelMatchesGenericScorer(t *testing.T) {
 	trials := 60
 	if testing.Short() || raceEnabled {

@@ -245,8 +245,8 @@ func TestCompactMatchesFixedBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// Tie-rich bases with sparse IDs, missing attributes, NaN or zero
-	// weights and invalid requests: answers and error texts must match.
+	// Tie-rich bases with sparse IDs, missing attributes, zero weights
+	// and invalid requests: answers and error texts must match.
 	for trial := 0; trial < trials; trial++ {
 		cb, reg := tieCaseBase(r)
 		fe, ce := newFixedReference(cb), mustFixedEngine(t, cb)

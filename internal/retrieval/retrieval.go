@@ -304,8 +304,8 @@ func (w *walkState) score(v int, req casebase.Request, locals []LocalScore) floa
 // times its weight, into every variant's running sum, and eq. (2)'s
 // clamp is applied once per variant at the end. Each score has the bits
 // score gives it: the same division, and the same acc += w*s in request
-// order. A missing cell, or a column no variant has, still adds w*0, so
-// a NaN weight yields NaN here as it does there.
+// order. A missing cell, or a column no variant has, still adds w*0, as
+// it does there.
 //
 // The cell loop has no branch on the data, since whether a cell is found
 // is as good as random across variants. It rests on validation: the

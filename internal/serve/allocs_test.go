@@ -15,10 +15,8 @@ import (
 // entry's slice), an Allocate followed by its Release, which walks its
 // candidate list on the caller's goroutine, a RetrieveBatch
 // of 16 distinct requests over four shards, and the two clock
-// publishers, Tick and Exclusive. The counts
-// include the shard worker's share, so a change to the job pipeline
-// that makes any path allocate more fails here before it shows in a
-// benchmark.
+// publishers, Tick and Exclusive. A change to a request path that makes
+// it allocate more fails here before it shows in a benchmark.
 func TestServiceAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,5 +268,142 @@ func TestCloseRacesAdmission(t *testing.T) {
 	}
 	if st.TokenHits == 0 || st.EngineRetrievals == 0 || st.Allocated == 0 || batchItems.Load() == 0 {
 		t.Errorf("a path went unexercised: %+v, %d batch items", st, batchItems.Load())
+	}
+}
+
+// TestInlineBesideBatches races Retrieve and Allocate callers, answered
+// on their own goroutines, against RetrieveBatch and AllocateBatch
+// callers running pre-formed batches on the same shards and a driver
+// forcing commits. The commits change no case-base value, so every
+// retrieval, by either path and at any epoch, must equal a fresh walk
+// over the first tree; an allocation may only place, find nothing
+// feasible, or (a batch item) meet a stale epoch. Both conservation laws
+// must hold, counting each stale re-fetch of an Allocate as a job of
+// its own.
+func TestInlineBesideBatches(t *testing.T) {
+	const commits = 12
+	cb, _, reqs := genWorkload(t, 64, 0.5)
+	s := New(cb, fig1System(t, cb), Config{Shards: 2, MaxBatch: 4, Learning: learnConfig(64, 0)})
+	defer s.Close()
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
+	want := make([]retrieval.Result, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if want[i], err = eng.Retrieve(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var retrieves, allocs, batchItems atomic.Int64
+	var done atomic.Bool
+	var errMu sync.Mutex
+	var errs []error
+	fail := func(err error) {
+		errMu.Lock()
+		errs = append(errs, err)
+		errMu.Unlock()
+	}
+	placedOrNot := func(err error) bool {
+		var stale *ErrStaleEpoch
+		return err == nil || isNoFeasible(err) || errors.As(err, &stale)
+	}
+	clients := []func(rng *rand.Rand, ctx context.Context){
+		func(rng *rand.Rand, ctx context.Context) { // Retrieve
+			i := rng.Intn(len(reqs))
+			r, err := s.Retrieve(ctx, reqs[i])
+			retrieves.Add(1)
+			if err != nil || !reflect.DeepEqual(r, want[i]) {
+				fail(fmt.Errorf("Retrieve(reqs[%d]) = %+v, %v; want %+v", i, r, err, want[i]))
+			}
+		},
+		func(rng *rand.Rand, ctx context.Context) { // Allocate
+			d, err := s.Allocate(ctx, "inline", reqs[rng.Intn(len(reqs))], 5)
+			allocs.Add(1)
+			if !placedOrNot(err) {
+				fail(fmt.Errorf("Allocate: %w", err))
+			} else if err == nil {
+				_ = s.Release(d.Task.ID)
+			}
+		},
+		func(rng *rand.Rand, ctx context.Context) { // RetrieveBatch
+			lo := rng.Intn(len(reqs) - 8)
+			out, err := s.RetrieveBatch(ctx, reqs[lo:lo+8])
+			if err != nil {
+				fail(fmt.Errorf("RetrieveBatch: %w", err))
+				return
+			}
+			batchItems.Add(int64(len(out)))
+			for k, o := range out {
+				if o.Err != nil || !reflect.DeepEqual(o.Result, want[lo+k]) {
+					fail(fmt.Errorf("RetrieveBatch item reqs[%d] = %+v, %v; want %+v", lo+k, o.Result, o.Err, want[lo+k]))
+				}
+			}
+		},
+		func(rng *rand.Rand, ctx context.Context) { // AllocateBatch
+			lo := rng.Intn(len(reqs) - 4)
+			out, err := s.AllocateBatch(ctx, "batch", reqs[lo:lo+4], 5)
+			if err != nil {
+				fail(fmt.Errorf("AllocateBatch: %w", err))
+				return
+			}
+			batchItems.Add(int64(len(out)))
+			for _, r := range out {
+				if !placedOrNot(r.Err) {
+					fail(fmt.Errorf("AllocateBatch item: %w", r.Err))
+				} else if r.Err == nil {
+					_ = s.Release(r.Decision.Task.ID)
+				}
+			}
+		},
+	}
+	clients = append(clients, clients[0], clients[1])
+	calls := make([]atomic.Int64, len(clients)) // per client
+	var wg sync.WaitGroup
+	for c, call := range clients {
+		wg.Add(1)
+		go func(c int, call func(*rand.Rand, context.Context)) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for !done.Load() {
+				call(rng, context.Background())
+				calls[c].Add(1)
+			}
+		}(c, call)
+	}
+	// Each commit waits until every client has finished two more calls,
+	// so every kind of call runs between every two commits.
+	for i := 1; i <= commits; i++ {
+		for c := range calls {
+			for calls[c].Load() < int64(2*i) {
+				runtime.Gosched()
+			}
+		}
+		if _, err := s.CommitNow(); err != nil {
+			fail(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if len(errs) > 0 {
+		t.Fatalf("%d calls failed their checks; first: %v", len(errs), errs[0])
+	}
+
+	st, es := s.Stats(), s.EpochStats()
+	t.Logf("stats: %+v; %d stale re-fetches", st, es.StaleRetries)
+	if es.Epoch != 1+commits {
+		t.Errorf("epoch = %d, want %d", es.Epoch, 1+commits)
+	}
+	if got, want := st.Enqueued, retrieves.Load()+allocs.Load()+es.StaleRetries; got != want {
+		t.Errorf("Enqueued = %d, want %d Retrieves + Allocates + stale re-fetches", got, want)
+	}
+	if st.BatchedJobs != st.Enqueued+batchItems.Load() {
+		t.Errorf("BatchedJobs = %d, want Enqueued %d + %d batch items", st.BatchedJobs, st.Enqueued, batchItems.Load())
+	}
+	if answered := st.DedupHits + st.TokenHits + st.Canceled + st.EngineRetrievals; st.BatchedJobs != answered {
+		t.Errorf("BatchedJobs = %d, but dedup %d + token %d + canceled %d + walks %d = %d",
+			st.BatchedJobs, st.DedupHits, st.TokenHits, st.Canceled, st.EngineRetrievals, answered)
+	}
+	if st.Shed != 0 || st.TokenHits == 0 || st.EngineRetrievals == 0 || st.Allocated == 0 {
+		t.Errorf("a path went unexercised or shed: %+v", st)
 	}
 }

@@ -8,10 +8,10 @@ package serve
 // into a learn.Builder, builds a validated CaseBase, and installs a
 // fresh snapshot (tree + engine + empty epoch-bound token caches)
 // behind the atomic pointer, in the same allocMu section that moves the
-// manager onto the new tree. No fence follows the store: a batch or an
-// inline call that loaded the old snapshot finishes on the old tree, as
-// a call that started before the commit may, and the walk counts live
-// in the service, not in the retired engine.
+// manager onto the new tree. No fence follows the store: a batch, a
+// Retrieve or an Allocate that loaded the old snapshot finishes on the
+// old tree, as a call that started before the commit may, and the walk
+// counts live in the service, not in the retired engine.
 //
 // The deadlock discipline is declared below and machine-checked by
 // qosvet's locklint (see internal/lint/locklint.go): commitMu is

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"qosalloc/internal/obs"
 )
 
 // batchBuckets are the batch-size histogram bounds: powers of two up to
-// the largest batch a shard will ever coalesce.
+// the largest batch a shard will ever run.
 var batchBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // counts are the service's cold-path counters (each shard keeps the
@@ -17,8 +16,7 @@ var batchBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 // counted once. Commits are counted by reason; their sum is
 // EpochStats.Commits.
 type counts struct {
-	shed, dedupHits                       obs.Counter
-	canceled, drainFlushed                obs.Counter
+	shed, dedupHits, canceled             obs.Counter
 	allocated, allocFailed                obs.Counter
 	folds, retained, retired, manual      obs.Counter
 	observations, foldedObs, staleRetries obs.Counter
@@ -30,7 +28,6 @@ func (c *counts) attach(reg *obs.Registry) {
 	reg.Attach("qos_serve_shed_total", "requests refused by admission control (ErrOverload)", &c.shed)
 	reg.Attach("qos_serve_dedup_hits_total", "in-batch requests served by another job's retrieval (singleflight)", &c.dedupHits)
 	reg.Attach("qos_serve_canceled_total", "jobs dropped because the caller's context died", &c.canceled)
-	reg.Attach("qos_serve_drain_flushed_total", "queued jobs answered during the shutdown flush", &c.drainFlushed)
 	reg.Attach("qos_serve_allocations_total{outcome=\"placed\"}", "allocation calls that placed a variant", &c.allocated)
 	reg.Attach("qos_serve_allocations_total{outcome=\"failed\"}", "allocation calls that failed (not refused with ErrDraining)", &c.allocFailed)
 	reg.Attach("qos_serve_commits_total{reason=\"fold\"}", "epoch commits tripped by the fold policy (threshold or age)", &c.folds)
@@ -79,31 +76,17 @@ func (st *stripe) attach(reg *obs.Registry) {
 
 // metrics is the service's gauges. Like the retrieval bundle, an
 // uninstrumented service carries a dangling bundle over a nil registry:
-// the hot path never branches on "is observability on". Per-shard
-// gauges are labeled series of one base metric, so the exposition
-// groups them under shared HELP/TYPE.
+// the hot path never branches on "is observability on".
 type metrics struct {
 	draining *obs.Gauge // 1 once Close has begun
 	epoch    *obs.Gauge // committed case-base epoch (1 until a commit)
-
-	queueDepth []*obs.Gauge // per shard
-	busy       []*obs.Gauge // per shard, 0/1 occupancy
 }
 
-// newMetrics registers the serve gauges for n shards on reg (nil yields
-// a dangling bundle).
-func newMetrics(reg *obs.Registry, n int) *metrics {
-	m := &metrics{
+// newMetrics registers the serve gauges on reg (nil yields a dangling
+// bundle).
+func newMetrics(reg *obs.Registry) *metrics {
+	return &metrics{
 		draining: reg.Gauge("qos_serve_draining", "1 once service shutdown (drain) has begun"),
 		epoch:    reg.Gauge("qos_serve_epoch", "committed case-base epoch installed by the snapshot swap"),
 	}
-	for i := 0; i < n; i++ {
-		m.queueDepth = append(m.queueDepth, reg.Gauge(
-			fmt.Sprintf("qos_serve_queue_depth{shard=%q}", fmt.Sprint(i)),
-			"requests waiting in a shard's admission queue"))
-		m.busy = append(m.busy, reg.Gauge(
-			fmt.Sprintf("qos_serve_shard_busy{shard=%q}", fmt.Sprint(i)),
-			"1 while the shard's engine is scoring a batch"))
-	}
-	return m
 }

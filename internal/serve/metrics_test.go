@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,8 +23,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the /metrics goldens under testdata")
 
 // TestStatsEqualAttachedSeries drives a mixed workload through an
-// instrumented service (token misses and hits, dedup, a canceled job,
-// placed and failed allocations, a shed request, a drain flush, and
+// instrumented service (token misses and hits, dedup, a canceled batch
+// job, placed and failed allocations, a shed request, a drain, and
 // commits of all four reasons) and checks that every Stats and
 // EpochStats field with a series reads the same value as that series:
 // each fact is counted once, so the two views cannot drift. The last
@@ -31,8 +32,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the /metrics goldens unde
 // every epoch's walks: all epochs count into one bundle. It runs at one
 // shard and at four, where the hot-path counters and the batch-size
 // histogram are summed over the shards' stripes. The whole exposition
-// must then equal its golden, which the service wrote before the
-// counters were striped.
+// must then equal its golden.
 func TestStatsEqualAttachedSeries(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { statsEqualAttachedSeries(t, shards) })
@@ -45,14 +45,6 @@ func statsEqualAttachedSeries(t *testing.T, shards int) {
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	ctx := context.Background()
-	// wedged are three requests new to the service that shard 0 serves:
-	// the shed and drain steps below wedge that shard.
-	var wedged []casebase.Request
-	for _, r := range reqs[3:] {
-		if shardOf(r.Type, shards) == 0 && len(wedged) < 3 {
-			wedged = append(wedged, r)
-		}
-	}
 
 	for _, r := range []casebase.Request{reqs[0], reqs[0]} { // miss, then inline hit
 		if _, err := s.Retrieve(ctx, r); err != nil {
@@ -62,8 +54,8 @@ func statsEqualAttachedSeries(t *testing.T, shards int) {
 	if _, err := s.RetrieveBatch(ctx, []casebase.Request{reqs[1], reqs[1]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Retrieve(&lateCancel{Context: ctx}, reqs[2]); err == nil {
-		t.Fatal("Retrieve on a late-canceled context succeeded")
+	if _, err := s.RetrieveBatch(&lateCancel{Context: ctx}, reqs[2:3]); err == nil {
+		t.Fatal("RetrieveBatch on a late-canceled context succeeded")
 	}
 	d, err := s.Allocate(ctx, "app", reqs[0], 5)
 	if err != nil {
@@ -98,41 +90,16 @@ func statsEqualAttachedSeries(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
-	// Wedge shard 0: the worker takes one job and, busy, waits
-	// on the shard mutex; a second job fills the queue, and a third is
-	// shed.
-	// Close then begins the drain, and unwedging flushes the queued job.
-	// A queued call gets its reply before its batch clears the busy
-	// gauge, so first wait for the last batch to end: a stale busy
-	// reading would let the wedge start with no job taken.
-	sh := s.shards[0]
-	waitFor(t, "shard 0 to go idle", func() bool { return s.met.Load().busy[0].Load() == 0 })
-	sh.mu.Lock()
-	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, wedged[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return s.met.Load().busy[0].Load() == 1 })
-	go func() { _, err := s.Retrieve(ctx, wedged[1]); done <- err }()
-	waitFor(t, "second job to fill the queue", func() bool { return len(sh.q) == 1 })
-	if _, err := s.Retrieve(ctx, wedged[2]); err == nil {
-		t.Fatal("Retrieve past a full queue was not shed")
+	// A walk in flight on reqs[3]'s shard fills its MaxQueue of one, so
+	// a miss there is shed.
+	sh := s.shardFor(reqs[3].Type)
+	sh.walkers.Add(1)
+	var ov *ErrOverload
+	if _, err := s.Retrieve(ctx, reqs[3]); !errors.As(err, &ov) {
+		t.Fatalf("Retrieve past a full shard = %v, want *ErrOverload", err)
 	}
-	closed := make(chan struct{})
-	go func() { s.Close(); close(closed) }()
-	waitFor(t, "drain to begin", func() bool {
-		select {
-		case <-s.drain:
-			return true
-		default:
-			return false
-		}
-	})
-	sh.mu.Unlock()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("queued caller %d: %v", i, err)
-		}
-	}
-	<-closed
+	sh.walkers.Add(-1)
+	s.Close()
 
 	st, es := s.Stats(), s.EpochStats()
 	snap := reg.Snapshot()
@@ -161,7 +128,6 @@ func statsEqualAttachedSeries(t *testing.T, shards int) {
 		{"DedupHits", st.DedupHits, series("qos_serve_dedup_hits_total")},
 		{"TokenHits", st.TokenHits, series("qos_serve_token_hits_total")},
 		{"Canceled", st.Canceled, series("qos_serve_canceled_total")},
-		{"DrainFlushed", st.DrainFlushed, series("qos_serve_drain_flushed_total")},
 		{"Allocated", st.Allocated, series(`qos_serve_allocations_total{outcome="placed"}`)},
 		{"AllocFailed", st.AllocFailed, series(`qos_serve_allocations_total{outcome="failed"}`)},
 		{"Epoch", int64(es.Epoch), snap.Gauges["qos_serve_epoch"]},

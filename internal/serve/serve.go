@@ -9,27 +9,29 @@
 //
 //   - Sharding. The case base is partitioned by TypeID across N
 //     shards, so requests for unrelated function types score in
-//     parallel. Each shard owns a bypass TokenCache and an admission
-//     queue; every shard walks the epoch's one Engine, which is safe
-//     for concurrent use.
+//     parallel. Each shard owns a bypass TokenCache; every shard walks
+//     the epoch's one Engine, which is safe for concurrent use.
 //
-//   - Micro-batching. Concurrent requests landing on one shard coalesce
-//     into bounded batches. Within a batch, identical requests are
-//     deduplicated singleflight-style — one list walk serves every
-//     waiter — and across batches the shard's TokenCache bypasses
-//     retrieval for requests it has already resolved. Each request is
-//     hashed once (retrieval.Hash) before it can meet a token or a
-//     batch; the hash keys both the token probe and the singleflight
-//     map, and both compare the full request before they share an
-//     answer, so a hash collision costs a walk, never a wrong result. A
-//     Retrieve on a shard with nothing queued is answered on the
-//     caller's goroutine instead, from its token or by a walk of its
-//     own, and an Allocate walks its candidate list there, without the
-//     hop to the shard worker.
+//   - One request path. Retrieve and Allocate are answered on the
+//     caller's goroutine, as the allocation manager answers each
+//     application call when it arrives (§3): a Retrieve from its shard's
+//     token when one holds the request, otherwise by a walk of its own,
+//     and an Allocate by a walk of its candidate list. Each Retrieve is
+//     hashed once (retrieval.Hash); the hash keys the token probe, which
+//     compares the full request before it shares an answer, so a hash
+//     collision costs a walk, never a wrong result.
 //
-//   - Admission control. Each shard queue is bounded; beyond it the
-//     service sheds load with a typed *ErrOverload carrying a
-//     retry-after hint instead of queuing without bound.
+//   - Micro-batching. RetrieveBatch and AllocateBatch split their
+//     requests into pre-formed per-shard batches. Within a batch,
+//     identical requests are deduplicated singleflight-style — one list
+//     walk serves every job under the same hash whose request is equal —
+//     and a batch's best-match jobs probe and fill the same token caches
+//     a Retrieve does.
+//
+//   - Admission control. Each shard bounds its concurrent walks at
+//     MaxQueue; beyond it the service sheds load with a typed
+//     *ErrOverload carrying a retry-after hint instead of piling walks up
+//     without bound.
 //
 // Placements feed the alloc.Manager under one serialization lock — the
 // manager and run-time system model a single platform and are not
@@ -66,11 +68,11 @@ type Config struct {
 	// Shards is the number of partitions the case base is split
 	// across (by TypeID modulo Shards).
 	Shards int
-	// MaxBatch bounds how many requests one shard coalesces per
-	// micro-batch.
+	// MaxBatch bounds how many requests of a RetrieveBatch or
+	// AllocateBatch one shard runs as one micro-batch.
 	MaxBatch int
-	// MaxQueue bounds each shard's admission queue; submissions beyond
-	// it are shed with *ErrOverload.
+	// MaxQueue bounds each shard's concurrent walks; a Retrieve or
+	// Allocate that would walk beyond it is shed with *ErrOverload.
 	MaxQueue int
 	// Engine configures the retrieval engine of every epoch, which the
 	// shards and the allocation manager share.
@@ -112,18 +114,17 @@ type LearnConfig struct {
 var ErrClosed = errors.New("serve: service closed")
 
 // ErrDraining reports a call into a service whose shutdown has begun:
-// the service stopped admitting work and is flushing the jobs already
-// queued. It wraps ErrClosed, so existing errors.Is(err, ErrClosed)
+// the service stopped admitting work and is finishing the calls already
+// admitted. It wraps ErrClosed, so existing errors.Is(err, ErrClosed)
 // checks keep rejecting, while errors.Is(err, ErrDraining) lets a
 // front end distinguish shutdown (permanent for this process — fail
 // over) from overload (*ErrOverload — retry here after the hint).
 var ErrDraining = fmt.Errorf("%w: draining", ErrClosed)
 
 // ErrOverload is the typed admission-control rejection: the target
-// shard's queued jobs plus its inline walks (QueueLen) reached
-// MaxQueue. RetryAfter is a coarse sim-time hint — the §4.2
-// software-retrieval scale (~10 µs) per job ahead — after which the
-// shard has likely drained.
+// shard's walks in flight (QueueLen) reached MaxQueue. RetryAfter is a
+// coarse sim-time hint — the §4.2 software-retrieval scale (~10 µs) per
+// walk ahead — after which the shard has likely drained.
 type ErrOverload struct {
 	Shard      int
 	QueueLen   int
@@ -131,23 +132,22 @@ type ErrOverload struct {
 }
 
 func (e *ErrOverload) Error() string {
-	return fmt.Sprintf("serve: shard %d overloaded (%d queued); retry after ~%d µs",
+	return fmt.Sprintf("serve: shard %d overloaded (%d walks in flight); retry after ~%d µs",
 		e.Shard, e.QueueLen, e.RetryAfter)
 }
 
 // Stats counts service activity. All fields are monotone except
 // MaxBatch (a high-water mark).
 type Stats struct {
-	Enqueued         int64 // jobs admitted to shards (queued, or answered inline)
+	Enqueued         int64 // Retrieve and Allocate jobs admitted to a shard and answered there
 	Shed             int64 // jobs refused with ErrOverload
-	Batches          int64 // micro-batches processed (queued + pre-formed + inline answers)
+	Batches          int64 // micro-batches processed (pre-formed batches, and each admitted job as one)
 	BatchedJobs      int64 // jobs across those batches
 	DedupHits        int64 // jobs served by another job's walk (singleflight)
 	TokenHits        int64 // retrievals bypassed by a shard token cache
-	Canceled         int64 // jobs dropped on a dead caller context
-	DrainFlushed     int64 // queued jobs answered during the drain flush
+	Canceled         int64 // batch jobs dropped on a dead caller context
 	MaxBatch         int64 // largest batch coalesced so far
-	EngineRetrievals int64 // actual engine list walks, queued and inline
+	EngineRetrievals int64 // actual engine list walks
 	Allocated        int64 // allocation calls that placed a variant
 	AllocFailed      int64 // allocation calls that failed (not refused with ErrDraining)
 }
@@ -159,17 +159,16 @@ const (
 	jobCandidates                // N-best list feeding a placement
 )
 
-// job is one retrieval unit. runBatch writes its result to res; a
-// queued job (Retrieve, Allocate) also gets the reply on done, while
+// job is one retrieval unit. runBatch writes its result to res, which
 // the caller of a pre-formed batch (RetrieveBatch, AllocateBatch) reads
-// res once the batch has run.
+// once the batch has run; a Retrieve or Allocate walk takes the result
+// from walk directly.
 type job struct {
 	ctx  context.Context
 	kind jobKind
 	n    int32 // candidate depth for jobCandidates; int32 packs it beside kind
 	req  casebase.Request
-	hash uint64         // retrieval.Hash(req): token and dedup key, set when the job is built
-	done chan jobResult // buffered(1) on a queued job; nil on a pre-formed one
+	hash uint64 // retrieval.Hash(req): token and dedup key of a batch job and a Retrieve
 	res  jobResult
 }
 
@@ -192,27 +191,24 @@ type jobKey struct {
 
 func (j *job) key() jobKey { return jobKey{j.kind, j.n, j.hash} }
 
-// shard is one partition: a queue, the mutexes serializing its batches
-// and its token caches, its count of inline walks, and its stripe of
-// hot-path counters. The token cache itself lives in the snapshot — an
-// epoch swap replaces it wholesale — but the shard state persists
-// across swaps. mu is write-held for a whole batch; an inline walk only
-// probes its read side, to see whether a batch is running, so
-// concurrent probes never fail each other. tokMu guards the token
-// caches alone and is only ever held for one lookup or store, never
-// across a walk, so an inline answer never waits behind a walk.
+// shard is one partition: the mutexes serializing its batches and its
+// token caches, its count of walks in flight, and its stripe of hot-path
+// counters. The token cache itself lives in the snapshot — an epoch swap
+// replaces it wholesale — but the shard state persists across swaps. mu
+// is held for a whole batch and only batches take it, so a Retrieve or
+// Allocate never waits behind one. tokMu guards the token caches alone
+// and is only ever held for one lookup or store, never across a walk.
 type shard struct {
 	idx int
-	q   chan *job
 
-	mu    sync.RWMutex // serializes this shard's batches; write-held per batch
-	tokMu sync.Mutex   // serializes this shard's token caches, of any epoch
+	mu    sync.Mutex // serializes this shard's batches and guards seen
+	tokMu sync.Mutex // serializes this shard's token caches, of any epoch
 	// seen is the per-batch singleflight map from a key to the first
-	// job resolved under it, guarded by mu and cleared as every batch
-	// ends; reusing it spares a map per batch.
+	// job resolved under it, cleared as every batch ends; reusing it
+	// spares a map per batch.
 	seen map[jobKey]*job
-	// walkers counts the misses walking inline on this shard; with the
-	// queue length it is bounded by MaxQueue.
+	// walkers counts the Retrieve and Allocate walks in flight on this
+	// shard, bounded by MaxQueue.
 	walkers atomic.Int64
 	stripe  stripe // last: its pad parts this shard's hot words from the next's
 }
@@ -262,22 +258,17 @@ type Service struct {
 	// closing and the shards' admitted counts are the drain fence
 	// (DESIGN.md §11): a call counts itself in on its shard, admits its
 	// work only while closing is false, and counts itself out; Close
-	// raises closing and waits for every count to reach zero before it
-	// closes drain. Go's atomics are sequentially consistent, so a job is
-	// either refused with ErrDraining or enqueued before the final flush,
-	// and no call ever waits on the fence.
+	// raises closing and waits for every count to reach zero. Go's
+	// atomics are sequentially consistent, so a call is either refused
+	// with ErrDraining or answered before Close returns, and no call ever
+	// waits on the fence.
 	closing   atomic.Bool
-	drain     chan struct{}  // closed when shutdown begins
-	inflight  sync.WaitGroup // Allocate/*Batch calls past admission
+	inflight  sync.WaitGroup // Allocate/*Batch and mutation calls past admission
 	drainOnce sync.Once
-	done      chan struct{} // closed when the flush has finished
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // New builds the service over a shared immutable case base and a
-// run-time system, and starts one worker per shard. The caller must
-// Close it to stop the workers.
+// run-time system. It starts no goroutine; Close drains it.
 func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -304,55 +295,43 @@ func New(cb *casebase.CaseBase, sys *rtsys.System, cfg Config) *Service {
 		sys:      sys,
 		retMet:   retrieval.NewMetrics(nil),
 		mgrEpoch: 1,
-		drain:    make(chan struct{}),
-		done:     make(chan struct{}),
 		journal:  obs.NewJournal(),
 	}
 	sn := newSnapshot(1, cb, cfg.Shards, cfg.Engine, s.retMet)
 	s.mgr = alloc.New(sn.engine, sys, cfg.Manager)
 	s.snap.Store(sn)
-	s.met.Store(newMetrics(nil, cfg.Shards))
+	s.met.Store(newMetrics(nil))
 	s.met.Load().epoch.Set(1)
 	s.now.Store(uint64(sys.Now()))
 	if cfg.Learning.Enabled {
 		s.ls = newLearnState(cb, cfg.Learning, cfg.Shards)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
-			idx:  i,
-			q:    make(chan *job, cfg.MaxQueue),
-			seen: make(map[jobKey]*job),
-		}
+		sh := &shard{idx: i, seen: make(map[jobKey]*job)}
 		sh.stripe.batchSize = obs.NewHistogram(batchBuckets)
 		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.worker(sh)
 	}
 	return s
 }
 
-// Close drains the service and stops the shard workers: admission ends
-// immediately (new submissions are refused with ErrDraining), every
-// job already queued is batched, scored and answered, and only then do
-// the workers exit. Callers blocked in Retrieve/Allocate therefore get
-// their results, not an error. Close is idempotent and safe to call
-// concurrently; every call blocks until the flush has finished.
+// Close drains the service: admission ends immediately (new calls are
+// refused with ErrDraining), and every call already admitted — a token
+// probe or walk, a batch, a placement, a commit — finishes with its
+// result, not an error. Close is idempotent and safe to call
+// concurrently; every call blocks until the drain has finished.
 func (s *Service) Close() {
 	s.drainOnce.Do(func() {
 		s.closing.Store(true)
+		s.met.Load().draining.Set(1)
 		for _, sh := range s.shards {
 			// An admission in progress is short and never blocks: a token
-			// probe, an inline walk, a queue send or an in-flight Add.
+			// probe, a walk or an in-flight Add.
 			for sh.stripe.admitted.Load() != 0 {
 				runtime.Gosched()
 			}
 		}
-		s.met.Load().draining.Set(1)
-		close(s.drain)
 	})
-	s.wg.Wait()       // shard workers flush their queues and exit
 	s.inflight.Wait() // Allocate/*Batch calls finish their placements
-	s.closeOnce.Do(func() { close(s.done) })
 }
 
 // Draining reports whether shutdown has begun (Close called).
@@ -379,7 +358,7 @@ func (s *Service) System() *rtsys.System { return s.sys }
 func (s *Service) Instrument(reg *obs.Registry) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	m := newMetrics(reg, len(s.shards))
+	m := newMetrics(reg)
 	sn := s.snap.Load()
 	m.epoch.Set(int64(sn.epoch))
 	s.met.Store(m)
@@ -399,13 +378,12 @@ func (s *Service) Instrument(reg *obs.Registry) {
 func (s *Service) Stats() Stats {
 	c := &s.counts
 	st := Stats{
-		Shed:         c.shed.Load(),
-		DedupHits:    c.dedupHits.Load(),
-		Canceled:     c.canceled.Load(),
-		DrainFlushed: c.drainFlushed.Load(),
-		MaxBatch:     s.maxBatch.Load(),
-		Allocated:    c.allocated.Load(),
-		AllocFailed:  c.allocFailed.Load(),
+		Shed:        c.shed.Load(),
+		DedupHits:   c.dedupHits.Load(),
+		Canceled:    c.canceled.Load(),
+		MaxBatch:    s.maxBatch.Load(),
+		Allocated:   c.allocated.Load(),
+		AllocFailed: c.allocFailed.Load(),
 	}
 	for _, sh := range s.shards {
 		p := &sh.stripe
@@ -446,7 +424,7 @@ func (s *Service) Release(id rtsys.TaskID) error {
 // republishes the sim clock to the shards. It is the safe way for a
 // driver to compose external platform mutation — fault injection,
 // recovery sweeps, manual task surgery on Manager()/System() — with
-// live service traffic; without it such calls race the shard workers'
+// live service traffic; without it such calls race the service's
 // placements. fn must not call back into the service's locked entry
 // points (Advance, Release, Allocate*, ReplacePending, Exclusive).
 func (s *Service) Exclusive(fn func()) {
@@ -466,51 +444,49 @@ func (s *Service) ReplacePending() int {
 
 // --- Public request paths ---------------------------------------------
 
-// Retrieve returns the most similar implementation for req, batched and
-// deduplicated with concurrent callers on the same shard. On a shard
-// with nothing queued it is answered on the caller's goroutine instead
-// (answerInline).
+// Retrieve returns the most similar implementation for req, answered on
+// the caller's goroutine (answer): from the shard's token when one holds
+// req, otherwise by a walk of its own.
 func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval.Result, error) {
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
-	h := retrieval.Hash(req)
-	if r, ok := s.answerInline(ctx, jobRetrieve, 0, req, h); ok {
-		return r.best, r.err
-	}
-	r := s.enqueue(job{ctx: ctx, kind: jobRetrieve, req: req, hash: h})
+	r := s.answer(ctx, jobRetrieve, 0, req)
 	return r.best, r.err
 }
 
-// answerInline answers a job on the caller's goroutine, without the hop
-// to the shard worker, and reports whether it did: a Retrieve's
-// best-match job, or an Allocate's candidate job of depth n. h is req's
-// Hash; only a best-match job reads it. It answers only where the
-// queued path would give the same answer with no batch to join:
-// admission is open, the context is live and the shard has nothing
-// queued. A best-match job loads the snapshot
-// under the token mutex and answers a hit from its token; a candidate
-// job has no token and loads it plainly. Either way a call that starts
-// after a commit returned answers from the new epoch. A job that did not
-// hit walks the snapshot's engine when a TryRLock probe finds no batch
-// holding the shard mutex, the shard's inline walks plus its queue stay
-// within MaxQueue, and the request is valid (the queued path refuses an
-// invalid one unadmitted). A probe never fails on another probe, so no
-// walk waits for another walk. Either answer counts as an admitted batch
-// of one job, on the shard's stripe: a hit writes no line that callers
-// of other shards write. The result carries the epoch of the snapshot
-// that answered it. The job's fields come as arguments, not as a job, so
-// that a token hit builds none.
-func (s *Service) answerInline(ctx context.Context, kind jobKind, n int32, req casebase.Request, h uint64) (jobResult, bool) {
+// answer answers a Retrieve's best-match job, or an Allocate's candidate
+// job of depth n, on the caller's goroutine, inside the drain fence of
+// req's shard. It refuses the job with ErrDraining once Close has begun
+// and with ErrCanceled on a dead context, counting it nowhere. A
+// best-match job then probes the shard's token under the token mutex,
+// loading the snapshot there, and answers a hit from its token; a
+// candidate job has no token and loads the snapshot plainly. Either way
+// a call that starts after a commit returned answers from the new epoch.
+// A job that did not hit is refused unadmitted when the request is
+// invalid (a hit skips the check: a token is stored only after its walk
+// validated the request), shed with *ErrOverload when the shard already
+// has MaxQueue walks in flight, and otherwise walks the snapshot's
+// engine. Walks never wait for each other or for a batch. Either answer
+// counts as an admitted batch of one job, on the shard's stripe: a hit
+// writes no line that callers of other shards write. The result carries
+// the epoch of the snapshot that answered it. The job's fields come as
+// arguments, not as a job, so that a token hit builds none.
+func (s *Service) answer(ctx context.Context, kind jobKind, n int32, req casebase.Request) jobResult {
 	sh := s.shardFor(req.Type)
 	st := &sh.stripe
 	st.admitted.Add(1)
 	defer st.admitted.Add(-1)
-	if s.closing.Load() || retrieval.Canceled(ctx) != nil || len(sh.q) != 0 {
-		return jobResult{}, false
+	if s.closing.Load() {
+		return jobResult{err: ErrDraining}
 	}
+	if err := retrieval.Canceled(ctx); err != nil {
+		return jobResult{err: err}
+	}
+	var h uint64
 	var sn *snapshot
 	if kind == jobRetrieve {
+		h = retrieval.Hash(req)
 		sh.tokMu.Lock()
 		sn = s.snap.Load()
 		tok, hit := sn.tokens[sh.idx].Lookup(h, req)
@@ -520,36 +496,34 @@ func (s *Service) answerInline(ctx context.Context, kind jobKind, n int32, req c
 			s.noteBatch(sh, 1)
 			st.tokenHits.Inc()
 			st.inlineHits.Inc()
-			return jobResult{best: tok.Result(), epoch: sn.epoch}, true
+			return jobResult{best: tok.Result(), epoch: sn.epoch}
 		}
 	} else {
 		sn = s.snap.Load()
 	}
-	if !sh.mu.TryRLock() {
-		return jobResult{}, false
+	if err := req.Validate(sn.cb); err != nil {
+		return jobResult{err: err}
 	}
-	sh.mu.RUnlock()
-	if sh.walkers.Add(1)+int64(len(sh.q)) > int64(s.cfg.MaxQueue) || req.Validate(sn.cb) != nil {
+	if w := sh.walkers.Add(1) - 1; w >= int64(s.cfg.MaxQueue) {
 		sh.walkers.Add(-1)
-		return jobResult{}, false
+		s.counts.shed.Inc()
+		return jobResult{err: &ErrOverload{Shard: sh.idx, QueueLen: int(w), RetryAfter: retryAfter(int(w))}}
 	}
 	defer sh.walkers.Add(-1)
 	st.enqueued.Inc()
 	s.noteBatch(sh, 1)
 	st.inlineWalks.Inc()
-	return s.walk(sn, sh, &job{ctx: ctx, kind: kind, n: n, req: req, hash: h}), true
+	return s.walk(sn, sh, &job{kind: kind, n: n, req: req, hash: h})
 }
 
-// Allocate retrieves the N-best candidates for req, then feeds them to
-// the allocation manager under the serialization lock. It is
-// Manager.Request with the retrieval half sharded: on a shard with
-// nothing queued the N-best list is walked on the caller's goroutine
-// (answerInline), otherwise the job is queued and batched. Candidates
-// scored against an epoch a commit has since retired are re-fetched (the
-// manager's case base moved under them); after maxStaleRetries re-fetches
-// the call fails with *ErrStaleEpoch. A call whose retrieval is refused
-// because Close has begun returns ErrDraining and, like one refused
-// before it started, is counted nowhere.
+// Allocate retrieves the N-best candidates for req on the caller's
+// goroutine (answer), then feeds them to the allocation manager under
+// the serialization lock. It is Manager.Request with the retrieval half
+// sharded. Candidates scored against an epoch a commit has since retired
+// are re-fetched (the manager's case base moved under them); after
+// maxStaleRetries re-fetches the call fails with *ErrStaleEpoch. A call
+// whose retrieval is refused because Close has begun returns ErrDraining
+// and, like one refused before it started, is counted nowhere.
 func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request, basePrio int) (*alloc.Decision, error) {
 	if err := s.acquire(ctx, s.shardFor(req.Type)); err != nil {
 		return nil, err
@@ -557,12 +531,7 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 	defer s.inflight.Done()
 	n := int32(s.cfg.Manager.NBest)
 	for attempt := 0; ; attempt++ {
-		// Only a queued candidate job meets the hash: the singleflight
-		// map keys on it, and candidate jobs have no tokens.
-		r, ok := s.answerInline(ctx, jobCandidates, n, req, 0)
-		if !ok {
-			r = s.enqueue(job{ctx: ctx, kind: jobCandidates, n: n, req: req, hash: retrieval.Hash(req)})
-		}
+		r := s.answer(ctx, jobCandidates, n, req)
 		if errors.Is(r.err, ErrDraining) {
 			return nil, r.err
 		}
@@ -588,32 +557,6 @@ func (s *Service) Allocate(ctx context.Context, app string, req casebase.Request
 // maxStaleRetries bounds how many times Allocate re-fetches candidates
 // when commits keep landing between its retrieval and its placement.
 const maxStaleRetries = 2
-
-// enqueue submits j to its shard queue and waits for the reply, the
-// caller's context, or the end of the drain flush. Only a job that
-// queues is built on the heap.
-func (s *Service) enqueue(j job) jobResult {
-	j.done = make(chan jobResult, 1)
-	if err := s.submit(&j); err != nil {
-		return jobResult{err: err}
-	}
-	select {
-	case r := <-j.done:
-		return r
-	case <-j.ctx.Done():
-		return jobResult{err: retrieval.Canceled(j.ctx)}
-	case <-s.done:
-		// done closes only after the drain flush answered every
-		// admitted job, so the reply is already buffered — but select
-		// picks arms at random when both are ready; prefer the result.
-		select {
-		case r := <-j.done:
-			return r
-		default:
-		}
-		return jobResult{err: ErrDraining}
-	}
-}
 
 // placeLocked places one request from its retrieval result: a failed
 // retrieval fails the request, candidates scored against an epoch the
@@ -718,129 +661,37 @@ func (s *Service) acquire(ctx context.Context, sh *shard) error {
 	return nil
 }
 
-// --- Shard routing & admission ----------------------------------------
+// --- Shard routing & overload hint -------------------------------------
 
-// shardOf is the one routing rule, for shard queues and learning
-// stripes alike: type t belongs to partition t mod n.
+// shardOf is the one routing rule, for shards and learning stripes
+// alike: type t belongs to partition t mod n.
 func shardOf(t casebase.TypeID, n int) int { return int(t) % n }
 
 // shardFor returns the shard that serves type t.
 func (s *Service) shardFor(t casebase.TypeID) *shard { return s.shards[shardOf(t, len(s.shards))] }
 
-// submit routes a job to its shard queue, shedding with *ErrOverload
-// when the shard's queued jobs plus its inline walks reach MaxQueue. A
-// request that fails casebase.Request.Validate is refused with its
-// error and never admitted. (A token hit answered inline skips the
-// check: a token is stored only after its walk validated the request.)
-// The admission check and the queue send sit inside the shard's drain
-// fence: a submission either lands before the workers' final flush or is
-// refused with ErrDraining — never admitted and then abandoned.
-func (s *Service) submit(j *job) error {
-	sh := s.shardFor(j.req.Type)
-	sh.stripe.admitted.Add(1)
-	defer sh.stripe.admitted.Add(-1)
-	if s.closing.Load() {
-		return ErrDraining
-	}
-	if err := j.req.Validate(s.CaseBase()); err != nil {
-		return err
-	}
-	if len(sh.q)+int(sh.walkers.Load()) < s.cfg.MaxQueue {
-		select {
-		case sh.q <- j:
-			sh.stripe.enqueued.Inc()
-			s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
-			return nil
-		default:
-		}
-	}
-	s.counts.shed.Inc()
-	qn := len(sh.q) + int(sh.walkers.Load())
-	return &ErrOverload{Shard: sh.idx, QueueLen: qn, RetryAfter: retryAfter(qn)}
-}
-
 // retrievalCostMicros is the §4.2 software-retrieval scale: one list
 // walk on the MicroBlaze-class baseline costs on the order of 10 µs.
-// It prices the queued work behind an overload rejection.
+// It prices the walks in flight behind an overload rejection.
 const retrievalCostMicros = 10
 
-// retryAfter derives the *ErrOverload hint from the observed queue
-// depth at shed time: every queued job ahead, and the rejected one,
-// costs one list walk on the §4.2 software scale. The hint is monotone
-// in the observed depth — a deeper queue never promises a sooner retry
-// — so clients backing off on it spread out instead of re-colliding.
-func retryAfter(queued int) device.Micros {
-	return device.Micros(queued+1) * retrievalCostMicros
+// retryAfter derives the *ErrOverload hint from the walks in flight on
+// the shard at shed time: every walk ahead, and the rejected one, costs
+// one list walk on the §4.2 software scale. The hint is monotone in that
+// count — more walks ahead never promise a sooner retry — so clients
+// backing off on it spread out instead of re-colliding.
+func retryAfter(walks int) device.Micros {
+	return device.Micros(walks+1) * retrievalCostMicros
 }
 
-// --- Workers & batch execution ----------------------------------------
+// --- Batch execution ---------------------------------------------------
 
-// worker drains one shard's queue, coalescing micro-batches. When
-// shutdown begins it switches to the final flush: every job already
-// admitted is batched and answered before the worker exits.
-func (s *Service) worker(sh *shard) {
-	defer s.wg.Done()
-	batch := make([]*job, 0, s.cfg.MaxBatch)
-	for {
-		// Drain wins over new queue picks: once shutdown has begun the
-		// worker must settle the backlog via the flush path, not start
-		// another coalescing round.
-		select {
-		case <-s.drain:
-			s.flush(sh, batch[:0])
-			return
-		default:
-		}
-		select {
-		case <-s.drain:
-			s.flush(sh, batch[:0])
-			return
-		case j := <-sh.q:
-			batch = s.gather(sh, append(batch[:0], j))
-			s.met.Load().queueDepth[sh.idx].Set(int64(len(sh.q)))
-			s.runBatch(sh, batch)
-		}
-	}
-}
-
-// flush answers everything left in the shard queue at shutdown. By the
-// time the worker gets here the drain fence guarantees no new sends
-// can start, so a dry queue means the shard is done.
-func (s *Service) flush(sh *shard, batch []*job) {
-	for {
-		batch = s.gather(sh, batch[:0])
-		if len(batch) == 0 {
-			s.met.Load().queueDepth[sh.idx].Set(0)
-			return
-		}
-		s.counts.drainFlushed.Add(int64(len(batch)))
-		s.runBatch(sh, batch)
-	}
-}
-
-// gather appends the jobs queued on the shard to batch, up to MaxBatch,
-// and returns it once the queue runs dry. It never waits for arrivals.
-func (s *Service) gather(sh *shard, batch []*job) []*job {
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case j := <-sh.q:
-			batch = append(batch, j)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch executes one batch of jobs, queued or pre-formed (the caller
-// splits batches at MaxBatch), deduplicating identical requests, and
-// resolves every job. The snapshot is loaded once, after the shard
-// mutex is taken, and serves the whole batch: every job of a batch is
-// answered from one epoch.
+// runBatch executes one pre-formed batch of jobs (fanout splits batches
+// at MaxBatch), deduplicating identical requests, and resolves every
+// job. The snapshot is loaded once, after the shard mutex is taken, and
+// serves the whole batch: every job of a batch is answered from one
+// epoch.
 func (s *Service) runBatch(sh *shard, batch []*job) {
-	met := s.met.Load()
-	met.busy[sh.idx].Set(1)
-	defer met.busy[sh.idx].Set(0)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sn := s.snap.Load()
@@ -853,14 +704,11 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 		} else {
 			j.res = s.resolve(sn, sh, j)
 		}
-		if j.done != nil {
-			j.done <- j.res
-		}
 	}
 }
 
 // noteBatch records batch accounting for a batch of n jobs on sh: a
-// queued or pre-formed batch under sh.mu, or an inline answer.
+// pre-formed batch under sh.mu, or a job answered by answer.
 func (s *Service) noteBatch(sh *shard, n int) {
 	sh.stripe.batches.Inc()
 	sh.stripe.batchSize.Observe(int64(n))
@@ -911,8 +759,8 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 	return s.walk(sn, sh, j)
 }
 
-// walk runs j's engine walk against the sn epoch, queued or inline, and
-// counts it: the N-best list of a candidate job, or the best match of a
+// walk runs j's engine walk against the sn epoch, in a batch or for
+// answer, and counts it: the N-best list of a candidate job, or the best match of a
 // best-match job, which it keeps as a token of the epoch.
 func (s *Service) walk(sn *snapshot, sh *shard, j *job) jobResult {
 	sh.stripe.walks.Inc()

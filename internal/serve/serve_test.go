@@ -16,6 +16,7 @@ import (
 	"qosalloc/internal/attr"
 	"qosalloc/internal/casebase"
 	"qosalloc/internal/device"
+	"qosalloc/internal/learn"
 	"qosalloc/internal/obs"
 	"qosalloc/internal/retrieval"
 	"qosalloc/internal/rtsys"
@@ -60,46 +61,79 @@ func genWorkload(t testing.TB, nReqs int, repeat float64) (*casebase.CaseBase, *
 }
 
 // TestRetrieveBatchBitIdenticalToSequential is the golden equivalence
-// test: every batched result — deduplicated, token-bypassed, sharded —
-// must be bit-identical to a plain sequential engine walk.
+// test of the two request paths. One stream goes through RetrieveBatch
+// on one service (deduplicated, token-bypassed, sharded batches) and
+// through Retrieve on another (token hits and walks on the caller's
+// goroutine), first at epoch 1 and again after a CommitNow has folded an
+// observation into the case base. Every answer of either path must be
+// bit-identical to a fresh engine walk over the committed case base.
 func TestRetrieveBatchBitIdenticalToSequential(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 240, 0.5)
-	eng := retrieval.NewEngine(cb, retrieval.Options{})
-
-	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxBatch: 16})
-	defer s.Close()
+	cfg := Config{Shards: 4, MaxBatch: 16, Learning: learnConfig(64, 0)}
+	batched := New(cb, fig1System(t, cb), cfg)
+	defer batched.Close()
+	single := New(cb, fig1System(t, cb), cfg)
+	defer single.Close()
+	ft := cb.Types()[0]
+	im := ft.Impls[0]
+	p := im.Attrs[0]
+	observed := learn.Observation{Type: ft.ID, Impl: im.ID,
+		Measured: []attr.Pair{{ID: p.ID, Value: nudged(t, cb, p.ID, p.Value)}}}
 
 	ctx := context.Background()
-	for lo := 0; lo < len(reqs); lo += 48 {
-		hi := min(lo+48, len(reqs))
-		out, err := s.RetrieveBatch(ctx, reqs[lo:hi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, o := range out {
-			want, wantErr := eng.Retrieve(reqs[lo+k])
-			if (o.Err == nil) != (wantErr == nil) {
-				t.Fatalf("req %d: err = %v, sequential err = %v", lo+k, o.Err, wantErr)
+	same := func(a, b retrieval.Result) bool {
+		return reflect.DeepEqual(a, b) && math.Float64bits(a.Similarity) == math.Float64bits(b.Similarity)
+	}
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		if epoch == 2 {
+			for _, s := range []*Service{batched, single} {
+				if err := s.Observe(observed); err != nil {
+					t.Fatal(err)
+				}
+				if e, err := s.CommitNow(); err != nil || e != epoch {
+					t.Fatalf("CommitNow = %d, %v; want epoch %d", e, err, epoch)
+				}
 			}
-			if !reflect.DeepEqual(o.Result, want) {
-				t.Fatalf("req %d: batched %+v != sequential %+v", lo+k, o.Result, want)
+		}
+		eng := retrieval.NewEngine(batched.CaseBase(), retrieval.Options{})
+		for lo := 0; lo < len(reqs); lo += 48 {
+			hi := min(lo+48, len(reqs))
+			out, err := batched.RetrieveBatch(ctx, reqs[lo:hi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, o := range out {
+				req := reqs[lo+k]
+				want, wantErr := eng.Retrieve(req)
+				got, gotErr := single.Retrieve(ctx, req)
+				if (o.Err == nil) != (wantErr == nil) || (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("epoch %d req %d: batched err %v, Retrieve err %v, fresh walk err %v", epoch, lo+k, o.Err, gotErr, wantErr)
+				}
+				if !same(o.Result, want) || !same(got, want) {
+					t.Fatalf("epoch %d req %d: batched %+v, Retrieve %+v, fresh walk %+v", epoch, lo+k, o.Result, got, want)
+				}
 			}
 		}
 	}
 
-	st := s.Stats()
+	n := 2 * int64(len(reqs))
+	st := batched.Stats()
 	if st.TokenHits == 0 {
 		t.Error("repeat-heavy stream produced no token bypasses")
 	}
 	if st.DedupHits == 0 {
 		t.Error("repeat-heavy stream produced no in-batch dedups")
 	}
-	if st.EngineRetrievals+st.TokenHits+st.DedupHits != int64(len(reqs)) {
+	if st.EngineRetrievals+st.TokenHits+st.DedupHits != n {
 		t.Errorf("walks(%d)+tokens(%d)+dedups(%d) != %d requests",
-			st.EngineRetrievals, st.TokenHits, st.DedupHits, len(reqs))
+			st.EngineRetrievals, st.TokenHits, st.DedupHits, n)
 	}
-	if st.EngineRetrievals >= int64(len(reqs)) {
-		t.Errorf("no retrieval was saved: %d walks for %d requests", st.EngineRetrievals, len(reqs))
+	if st.EngineRetrievals >= n {
+		t.Errorf("no retrieval was saved: %d walks for %d requests", st.EngineRetrievals, n)
+	}
+	st = single.Stats()
+	if st.TokenHits == 0 || st.EngineRetrievals == 0 || st.TokenHits+st.EngineRetrievals != n || st.Enqueued != n || st.BatchedJobs != n {
+		t.Errorf("Retrieve path over %d requests: stats %+v, want token hits and walks summing to every request", n, st)
 	}
 }
 
@@ -201,12 +235,13 @@ func TestInlineHitAccounting(t *testing.T) {
 	}
 }
 
-// TestInlineHitSkipsBusyShard pins that a token hit never waits for a
+// TestInlineHitSkipsBusyShard pins that a Retrieve never waits for a
 // batch: with the shard mutex held, as by a batch mid-walk, a repeat of
-// a resolved request is still answered on the caller's goroutine, while
-// a new request queues behind the batch.
+// a resolved request is answered from its token and a new request by a
+// walk of its own, both on the caller's goroutine.
 func TestInlineHitSkipsBusyShard(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 2, 0)
+	eng := retrieval.NewEngine(cb, retrieval.Options{})
 	s := New(cb, fig1System(t, cb), Config{Shards: 1})
 	defer s.Close()
 	ctx := context.Background()
@@ -214,100 +249,52 @@ func TestInlineHitSkipsBusyShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := eng.Retrieve(reqs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sh := s.shards[0]
 	sh.mu.Lock() // a batch holds the shard
-	hit := make(chan retrieval.Result, 1)
-	go func() {
-		r, err := s.Retrieve(ctx, reqs[0])
-		if err != nil {
-			t.Error(err)
-		}
-		hit <- r
-	}()
-	select {
-	case again := <-hit:
-		if !reflect.DeepEqual(again, first) {
-			t.Errorf("repeat answered %+v, first call %+v", again, first)
-		}
-	case <-time.After(5 * time.Second):
-		sh.mu.Unlock()
-		<-hit
-		t.Fatal("token hit waited for the busy shard")
+	defer sh.mu.Unlock()
+	again, err := s.Retrieve(ctx, reqs[0])
+	if err != nil || !reflect.DeepEqual(again, first) {
+		t.Errorf("repeat answered %+v (err %v), first call %+v", again, err, first)
 	}
-	if got := s.Stats().TokenHits; got != 1 {
-		t.Fatalf("token hits = %d with the shard busy, want 1 (answered inline)", got)
+	miss, err := s.Retrieve(ctx, reqs[1])
+	if err != nil || !reflect.DeepEqual(miss, want) {
+		t.Errorf("new request answered %+v (err %v), a fresh walk gives %+v", miss, err, want)
 	}
-	done := make(chan error, 1)
-	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "the new request to queue", func() bool { return s.Stats().Enqueued == 3 })
-	select {
-	case err := <-done:
-		t.Fatalf("new request answered while the shard was busy (err %v)", err)
-	default:
-	}
-	sh.mu.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	st := s.Stats()
+	if st.TokenHits != 1 || st.EngineRetrievals != 2 || st.Enqueued != 3 || st.BatchedJobs != 3 {
+		t.Errorf("with the shard busy: stats %+v, want 1 token hit and 2 walks over 3 jobs", st)
 	}
 }
 
-// TestAllocateQueuesBehindBatch pins Allocate's fallback: with the shard
-// mutex held, as by a batch mid-walk, an Allocate does not walk on the
-// caller's goroutine but queues, and is answered once the mutex is
-// released. An Allocate on the idle shard then walks inline.
-func TestAllocateQueuesBehindBatch(t *testing.T) {
+// TestAllocateWalksBesideBatch pins that an Allocate never waits for a
+// batch: with the shard mutex held, as by a batch mid-walk, it walks its
+// candidate list on the caller's goroutine and places the paper's best
+// variant.
+func TestAllocateWalksBesideBatch(t *testing.T) {
 	cb, err := casebase.PaperCaseBase()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(cb, fig1System(t, cb), Config{Shards: 1})
 	defer s.Close()
-	ctx := context.Background()
-	req := casebase.PaperRequest()
-
 	sh := s.shards[0]
 	sh.mu.Lock() // a batch holds the shard
-	type outcome struct {
-		d   *alloc.Decision
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		d, err := s.Allocate(ctx, "mp3", req, 5)
-		done <- outcome{d, err}
-	}()
-	waitFor(t, "the Allocate to queue", func() bool { return s.Stats().Enqueued == 1 })
-	select {
-	case o := <-done:
-		t.Fatalf("Allocate answered while the shard was busy: %+v", o)
-	default:
-	}
-	sh.mu.Unlock()
-	o := <-done
-	if o.err != nil {
-		t.Fatal(o.err)
-	}
-	if o.d.Impl != 2 || o.d.Device != "dsp0" {
-		t.Errorf("queued Allocate placed %+v, want impl 2 on dsp0", o.d)
-	}
-	if err := s.Release(o.d.Task.ID); err != nil {
-		t.Fatal(err)
-	}
-	if n := sh.stripe.inlineWalks.Load(); n != 0 {
-		t.Fatalf("the queued Allocate walked inline (%d inline walks)", n)
-	}
-
-	d, err := s.Allocate(ctx, "mp3", req, 5)
+	defer sh.mu.Unlock()
+	d, err := s.Allocate(context.Background(), "mp3", casebase.PaperRequest(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Impl != 2 || d.Device != "dsp0" {
-		t.Errorf("inline Allocate placed %+v, want impl 2 on dsp0", d)
+		t.Errorf("Allocate placed %+v, want impl 2 on dsp0", d)
 	}
 	st := s.Stats()
-	if n := sh.stripe.inlineWalks.Load(); n != 1 || st.Enqueued != 2 || st.EngineRetrievals != 2 || st.BatchedJobs != 2 {
-		t.Errorf("after one queued and one idle-shard Allocate: inline walks %d, stats %+v", n, st)
+	if n := sh.stripe.inlineWalks.Load(); n != 1 || st.Enqueued != 1 || st.EngineRetrievals != 1 || st.BatchedJobs != 1 {
+		t.Errorf("Allocate beside a batch: inline walks %d, stats %+v", n, st)
 	}
 }
 
@@ -391,45 +378,45 @@ func TestAllocateBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestOverloadShedsTyped pins admission control: with the single shard
-// wedged (its mutex held) and a queue of one, the third request must be
-// refused with a typed *ErrOverload carrying a retry hint.
+// TestOverloadShedsTyped pins admission control: with the single
+// shard's walks in flight already at MaxQueue, a miss must be refused
+// with a typed *ErrOverload carrying a retry hint, while a token hit,
+// which walks nothing, is still answered.
 func TestOverloadShedsTyped(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 4, 0)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxBatch: 1, MaxQueue: 1})
+	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxQueue: 1})
 	defer s.Close()
+	ctx := context.Background()
+	first, err := s.Retrieve(ctx, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sh := s.shards[0]
-	sh.mu.Lock() // wedge the worker mid-batch
-
-	ctx := context.Background()
-	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
-
-	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "second job to fill the queue", func() bool { return len(sh.q) == 1 })
-
-	_, err := s.Retrieve(ctx, reqs[2])
+	sh.walkers.Store(1) // a walk in flight fills the bound
+	_, err = s.Retrieve(ctx, reqs[1])
 	var ov *ErrOverload
 	if !errors.As(err, &ov) {
 		t.Fatalf("err = %v, want *ErrOverload", err)
 	}
-	if ov.Shard != 0 || ov.QueueLen != 1 || ov.RetryAfter == 0 {
+	if ov.Shard != 0 || ov.QueueLen != 1 || ov.RetryAfter != retryAfter(1) {
 		t.Errorf("overload = %+v", ov)
 	}
 	if !strings.Contains(ov.Error(), "retry after") {
 		t.Errorf("Error() = %q", ov.Error())
 	}
-	if shed := s.counts.shed.Load(); shed != 1 {
-		t.Errorf("Shed = %d, want 1", shed)
+	if _, err := s.Allocate(ctx, "app", reqs[1], 5); !errors.As(err, &ov) {
+		t.Errorf("Allocate err = %v, want *ErrOverload", err)
 	}
-
-	sh.mu.Unlock() // unwedge; both queued callers must complete
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("queued caller %d: %v", i, err)
-		}
+	if again, err := s.Retrieve(ctx, reqs[0]); err != nil || !reflect.DeepEqual(again, first) {
+		t.Errorf("token hit under overload answered %+v (err %v), want %+v", again, err, first)
+	}
+	if st := s.Stats(); st.Shed != 2 || st.TokenHits != 1 {
+		t.Errorf("Shed = %d, TokenHits = %d; want 2 and 1", st.Shed, st.TokenHits)
+	}
+	sh.walkers.Store(0)
+	if _, err := s.Retrieve(ctx, reqs[1]); err != nil {
+		t.Errorf("Retrieve once the walk finished: %v", err)
 	}
 }
 
@@ -484,8 +471,7 @@ func TestCloseRejectsAndIsIdempotent(t *testing.T) {
 }
 
 // TestInstrumentExportsServeSeries wires a registry mid-flight and
-// checks the serve metric family shows up in the Prometheus exposition
-// with per-shard labels.
+// checks the serve metric family shows up in the Prometheus exposition.
 func TestInstrumentExportsServeSeries(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 40, 0.5)
 	s := New(cb, fig1System(t, cb), Config{Shards: 2, MaxBatch: 8})
@@ -504,8 +490,8 @@ func TestInstrumentExportsServeSeries(t *testing.T) {
 	for _, want := range []string{
 		"qos_serve_batches_total",
 		"qos_serve_batch_size_bucket",
-		`qos_serve_queue_depth{shard="1"}`,
-		`qos_serve_shard_busy{shard="0"}`,
+		"qos_serve_draining",
+		"qos_serve_epoch",
 		"qos_serve_token_hits_total",
 	} {
 		if !strings.Contains(out, want) {
@@ -624,96 +610,54 @@ func TestErrDrainingIdentity(t *testing.T) {
 	}
 }
 
-// TestDrainFlushesQueuedJobs pins the graceful-drain contract: once
-// Close begins, new submissions get ErrDraining (distinguishable from
-// overload, still matching ErrClosed), while every job admitted before
-// the drain is answered — the wedged batch and the queued backlog both
-// complete, and the backlog goes through the shutdown flush.
-func TestDrainFlushesQueuedJobs(t *testing.T) {
+// TestDrainWaitsForAdmittedCalls pins the graceful-drain contract and
+// its observability. A shard's admitted count, held here, stands in for
+// a call inside the drain fence. Once Close begins, the draining gauge
+// reads 1 and every entry point refuses new work with ErrDraining
+// (distinguishable from overload, still matching ErrClosed), while
+// Close waits until the admitted call counts itself out.
+func TestDrainWaitsForAdmittedCalls(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 4, 0)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxBatch: 1, MaxQueue: 4})
-
-	sh := s.shards[0]
-	sh.mu.Lock() // wedge the worker mid-batch
-
-	ctx := context.Background()
-	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
-	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
-
-	closed := make(chan struct{})
-	go func() { s.Close(); close(closed) }()
-	waitFor(t, "drain to begin", s.Draining)
-
-	// New work is refused with the typed sentinel, not *ErrOverload.
-	_, err := s.Retrieve(ctx, reqs[2])
-	if !errors.Is(err, ErrDraining) {
-		t.Errorf("Retrieve during drain = %v, want ErrDraining", err)
-	}
-	if !errors.Is(err, ErrClosed) {
-		t.Errorf("Retrieve during drain = %v, want it to also match ErrClosed", err)
-	}
-	var ov *ErrOverload
-	if errors.As(err, &ov) {
-		t.Errorf("drain rejection must not read as overload: %v", err)
-	}
-	if _, err := s.RetrieveBatch(ctx, reqs); !errors.Is(err, ErrDraining) {
-		t.Errorf("RetrieveBatch during drain = %v, want ErrDraining", err)
-	}
-	if _, err := s.AllocateBatch(ctx, "app", reqs, 5); !errors.Is(err, ErrDraining) {
-		t.Errorf("AllocateBatch during drain = %v, want ErrDraining", err)
-	}
-
-	sh.mu.Unlock() // unwedge: the flush must settle the backlog
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("admitted caller %d got %v during drain; admitted jobs must complete", i, err)
-		}
-	}
-	<-closed
-
-	st := s.Stats()
-	if st.DrainFlushed != 1 {
-		t.Errorf("DrainFlushed = %d, want 1 (the queued job settles via the shutdown flush)", st.DrainFlushed)
-	}
-	if st.Shed != 0 {
-		t.Errorf("Shed = %d; drain rejections must not count as overload sheds", st.Shed)
-	}
-}
-
-// TestDrainMetricsExported pins the drain observability: the draining
-// gauge flips to 1 and the flush counter lands in the registry.
-func TestDrainMetricsExported(t *testing.T) {
-	cb, _, reqs := genWorkload(t, 2, 0)
-	s := New(cb, fig1System(t, cb), Config{Shards: 1, MaxBatch: 1, MaxQueue: 4})
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 
-	sh := s.shards[0]
-	sh.mu.Lock()
-	ctx := context.Background()
-	done := make(chan error, 2)
-	go func() { _, err := s.Retrieve(ctx, reqs[0]); done <- err }()
-	waitFor(t, "worker to take the first job", func() bool { return len(sh.q) == 0 && s.Stats().Enqueued == 1 })
-	go func() { _, err := s.Retrieve(ctx, reqs[1]); done <- err }()
-	waitFor(t, "second job to queue", func() bool { return len(sh.q) == 1 })
-
+	admitted := &s.shards[0].stripe.admitted
+	admitted.Add(1) // a call inside the fence
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
 	waitFor(t, "drain to begin", s.Draining)
-	sh.mu.Unlock()
-	<-done
-	<-done
-	<-closed
-
-	snap := reg.Snapshot()
-	if got := snap.Gauges["qos_serve_draining"]; got != 1 {
-		t.Errorf("qos_serve_draining = %d, want 1", got)
+	if got := reg.Snapshot().Gauges["qos_serve_draining"]; got != 1 {
+		t.Errorf("qos_serve_draining = %d during the drain, want 1", got)
 	}
-	if got, ok := reg.CounterValue("qos_serve_drain_flushed_total"); !ok || got != 1 {
-		t.Errorf("qos_serve_drain_flushed_total = %d (present %v), want 1", got, ok)
+
+	ctx := context.Background()
+	_, errRetrieve := s.Retrieve(ctx, reqs[0])
+	_, errAllocate := s.Allocate(ctx, "app", reqs[1], 5)
+	_, errRetrieveBatch := s.RetrieveBatch(ctx, reqs)
+	_, errAllocateBatch := s.AllocateBatch(ctx, "app", reqs, 5)
+	for name, err := range map[string]error{
+		"Retrieve": errRetrieve, "Allocate": errAllocate,
+		"RetrieveBatch": errRetrieveBatch, "AllocateBatch": errAllocateBatch,
+	} {
+		if !errors.Is(err, ErrDraining) || !errors.Is(err, ErrClosed) {
+			t.Errorf("%s during drain = %v, want ErrDraining (matching ErrClosed)", name, err)
+		}
+		var ov *ErrOverload
+		if errors.As(err, &ov) {
+			t.Errorf("%s: a drain rejection must not read as overload: %v", name, err)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a call was still admitted")
+	default:
+	}
+
+	admitted.Add(-1) // the call finishes
+	<-closed
+	if st := s.Stats(); st.Shed != 0 || st.Enqueued != 0 || st.Allocated+st.AllocFailed != 0 {
+		t.Errorf("stats = %+v; drain rejections must be counted nowhere", st)
 	}
 }
 
@@ -743,7 +687,7 @@ func TestJobKeyDistinct(t *testing.T) {
 
 // TestHashCollisionWalksBoth plants hash collisions on a shard. A token
 // stored under another request's hash must not serve that request, and
-// a queued batch of two different requests that share a hash must walk
+// a batch of two different requests that share a hash must walk
 // both: neither the singleflight map nor the token table may pair them.
 func TestHashCollisionWalksBoth(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 64, 0)
@@ -777,10 +721,10 @@ func TestHashCollisionWalksBoth(t *testing.T) {
 	tokens.InvalidateAll()
 
 	ctx := context.Background()
-	ja := &job{ctx: ctx, kind: jobRetrieve, req: a, hash: h, done: make(chan jobResult, 1)}
-	jb := &job{ctx: ctx, kind: jobRetrieve, req: b, hash: h, done: make(chan jobResult, 1)}
+	ja := &job{ctx: ctx, kind: jobRetrieve, req: a, hash: h}
+	jb := &job{ctx: ctx, kind: jobRetrieve, req: b, hash: h}
 	s.runBatch(sh, []*job{ja, jb})
-	ra, rb := <-ja.done, <-jb.done
+	ra, rb := ja.res, jb.res
 	if ra.err != nil || rb.err != nil {
 		t.Fatal(ra.err, rb.err)
 	}

@@ -37,12 +37,13 @@ type Option func(*config)
 // case base across (service only).
 func WithShards(n int) Option { return func(c *config) { c.serve.Shards = n } }
 
-// WithMaxBatch bounds how many requests one shard coalesces per
-// micro-batch (service only).
+// WithMaxBatch bounds how many requests of a RetrieveBatch or
+// AllocateBatch one shard runs as one micro-batch (service only).
 func WithMaxBatch(n int) Option { return func(c *config) { c.serve.MaxBatch = n } }
 
-// WithMaxQueue bounds each shard's admission queue; submissions beyond
-// it are shed with *ErrOverload (service only).
+// WithMaxQueue bounds each shard's concurrent walks; a Retrieve or
+// Allocate that would walk beyond it is shed with *ErrOverload (service
+// only).
 func WithMaxQueue(n int) Option { return func(c *config) { c.serve.MaxQueue = n } }
 
 // WithThreshold rejects retrieval results whose similarity falls below
@@ -120,10 +121,12 @@ func buildConfig(opts []Option) config {
 // Service-layer types (DESIGN.md §9).
 type (
 	// Service is the concurrent allocation service: the case base
-	// sharded across retrieval engines, concurrent requests coalesced
-	// into deduplicated micro-batches, bounded admission queues, and
-	// placements serialized into the allocation manager. Safe for
-	// concurrent use; create with NewService, dispose with Close.
+	// sharded by type, each Retrieve and Allocate answered on the
+	// caller's goroutine from a bypass token or by a walk of its own,
+	// batch calls coalesced into deduplicated micro-batches, a bound on
+	// each shard's concurrent walks, and placements serialized into the
+	// allocation manager. Safe for concurrent use; create with
+	// NewService, dispose with Close.
 	Service = serve.Service
 	// ServiceConfig is the explicit configuration behind the Options.
 	ServiceConfig = serve.Config
@@ -143,8 +146,8 @@ var (
 	// ErrServiceClosed reports calls into a closed Service.
 	ErrServiceClosed = serve.ErrClosed
 	// ErrServiceDraining reports calls into a Service whose graceful
-	// shutdown has begun: admission is closed but queued work is still
-	// being flushed. It wraps ErrServiceClosed, so existing
+	// shutdown has begun: admission is closed but calls already admitted
+	// are still finishing. It wraps ErrServiceClosed, so existing
 	// errors.Is(err, ErrServiceClosed) checks keep rejecting, while a
 	// front end can distinguish drain (retry another replica soon) via
 	// errors.Is(err, ErrServiceDraining).

@@ -73,18 +73,21 @@ gate_lint() {
 gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
 
 # The serve drain fence (a per-shard admitted count and one closing
-# flag) gets twenty extra race runs of the test that races Close against
-# every kind of admission, the bypass tokens twenty of the test that
-# races inline hits and misses against commits (a token answering from
-# the wrong epoch fails it), Allocate twenty of the test that races its
-# candidate walks, inline on client goroutines, against commits
-# (candidates must never lead the manager's epoch), and the retrieval
-# engine twenty of the test that races Instrument against walks sharing
-# one engine.
+# flag, which every call crosses while it probes a token, walks or
+# registers as in flight) gets twenty extra race runs of the test that
+# races Close against every kind of admission, the bypass tokens twenty
+# of the test that races inline hits and misses against commits (a token
+# answering from the wrong epoch fails it), Allocate twenty of the test
+# that races its candidate walks, inline on client goroutines, against
+# commits (candidates must never lead the manager's epoch), the two
+# request paths twenty of the test that races Retrieve and Allocate
+# against RetrieveBatch, AllocateBatch and commits on shared shards, and
+# the retrieval engine twenty of the test that races Instrument against
+# walks sharing one engine.
 gate_race() {
 	$GO test -race ./...
 	$GO -C perfbench test -race ./...
-	$GO test -race -run '^(TestCloseRacesAdmission|TestInlineHitsAcrossEpochSwap|TestAllocateNeverAheadOfManager)$' -count=20 ./internal/serve/
+	$GO test -race -run '^(TestCloseRacesAdmission|TestInlineHitsAcrossEpochSwap|TestAllocateNeverAheadOfManager|TestInlineBesideBatches)$' -count=20 ./internal/serve/
 	$GO test -race -run '^TestEngineConcurrentWalks$' -count=20 ./internal/retrieval/
 }
 
