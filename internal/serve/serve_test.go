@@ -610,26 +610,21 @@ func TestErrDrainingIdentity(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForAdmittedCalls pins the graceful-drain contract and
-// its observability. A shard's admitted count, held here, stands in for
-// a call inside the drain fence. Once Close begins, the draining gauge
-// reads 1 and every entry point refuses new work with ErrDraining
-// (distinguishable from overload, still matching ErrClosed), while
-// Close waits until the admitted call counts itself out.
+// TestDrainWaitsForAdmittedCalls pins the graceful-drain contract. A
+// shard's admitted count, held here, stands in for a call inside the
+// drain fence. Once Close begins, every entry point refuses new work
+// with ErrDraining (distinguishable from overload, still matching
+// ErrClosed), while Close waits until the admitted call counts itself
+// out.
 func TestDrainWaitsForAdmittedCalls(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 4, 0)
 	s := New(cb, fig1System(t, cb), Config{Shards: 1})
-	reg := obs.NewRegistry()
-	s.Instrument(reg)
 
 	admitted := &s.shards[0].stripe.admitted
 	admitted.Add(1) // a call inside the fence
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
 	waitFor(t, "drain to begin", s.Draining)
-	if got := reg.Snapshot().Gauges["qos_serve_draining"]; got != 1 {
-		t.Errorf("qos_serve_draining = %d during the drain, want 1", got)
-	}
 
 	ctx := context.Background()
 	_, errRetrieve := s.Retrieve(ctx, reqs[0])
@@ -658,6 +653,89 @@ func TestDrainWaitsForAdmittedCalls(t *testing.T) {
 	<-closed
 	if st := s.Stats(); st.Shed != 0 || st.Enqueued != 0 || st.Allocated+st.AllocFailed != 0 {
 		t.Errorf("stats = %+v; drain rejections must be counted nowhere", st)
+	}
+}
+
+// TestDrainFlushesQueuedJobs pins that work admitted before Close
+// settles with its result during the drain. An Allocate that has walked
+// its candidates is held at the serialization lock; Close begins, new
+// work is refused with ErrDraining, and Close does not return until the
+// held Allocate has placed the paper's best variant.
+func TestDrainFlushesQueuedJobs(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
+
+	ctx := context.Background()
+	s.allocMu.Lock() // hold the admitted Allocate before its placement
+	type outcome struct {
+		d   *alloc.Decision
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		d, err := s.Allocate(ctx, "mp3", casebase.PaperRequest(), 5)
+		done <- outcome{d, err}
+	}()
+	waitFor(t, "Allocate to be admitted", func() bool { return s.Stats().Enqueued == 1 })
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor(t, "drain to begin", s.Draining)
+	if _, err := s.Retrieve(ctx, casebase.PaperRequest()); !errors.Is(err, ErrDraining) {
+		t.Errorf("Retrieve during drain = %v, want ErrDraining", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned before the admitted Allocate placed")
+	default:
+	}
+
+	s.allocMu.Unlock() // the held Allocate must settle with its decision
+	o := <-done
+	<-closed
+	if o.err != nil {
+		t.Fatalf("admitted Allocate got %v during drain; admitted work must complete", o.err)
+	}
+	if o.d.Impl != 2 || o.d.Device != "dsp0" {
+		t.Errorf("admitted Allocate placed %+v, want impl 2 on dsp0", o.d)
+	}
+	if st := s.Stats(); st.Allocated != 1 || st.AllocFailed != 0 || st.Shed != 0 {
+		t.Errorf("stats = %+v; want the one placement, and no drain rejection counted as a shed", st)
+	}
+}
+
+// TestDrainMetricsExported pins the drain's observability: the draining
+// gauge reads 0 while serving and 1 from the moment Close begins, and no
+// shutdown-flush counter is exported (admitted calls finish on their own
+// goroutines; there is no queue to flush).
+func TestDrainMetricsExported(t *testing.T) {
+	cb, _, _ := genWorkload(t, 2, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 1})
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	if got := reg.Snapshot().Gauges["qos_serve_draining"]; got != 0 {
+		t.Errorf("qos_serve_draining = %d while serving, want 0", got)
+	}
+
+	admitted := &s.shards[0].stripe.admitted
+	admitted.Add(1) // a call inside the fence keeps the drain open
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor(t, "drain to begin", s.Draining)
+	if got := reg.Snapshot().Gauges["qos_serve_draining"]; got != 1 {
+		t.Errorf("qos_serve_draining = %d during the drain, want 1", got)
+	}
+	admitted.Add(-1)
+	<-closed
+
+	if got := reg.Snapshot().Gauges["qos_serve_draining"]; got != 1 {
+		t.Errorf("qos_serve_draining = %d after the drain, want 1", got)
+	}
+	if got, ok := reg.CounterValue("qos_serve_drain_flushed_total"); ok {
+		t.Errorf("qos_serve_drain_flushed_total exported (= %d); the shutdown flush is gone", got)
 	}
 }
 
