@@ -30,13 +30,14 @@ var metricBaseRE = regexp.MustCompile(`^qos_[a-z0-9_]*[a-z0-9]$`)
 // and obs.NewHistogram, to the index of their name argument and of their
 // bucket argument (-1 when the call has none that needs checking).
 var registryFactories = map[string]struct{ name, buckets int }{
-	"Attach":          {0, -1},
-	"AttachHistogram": {0, -1},
-	"Counter":         {0, -1},
-	"Gauge":           {0, -1},
-	"Histogram":       {0, 2},
-	"NewHistogram":    {-1, 0},
-	"Ring":            {0, -1},
+	"Attach":                 {0, -1},
+	"AttachHistogram":        {0, -1},
+	"AttachHistogramCounter": {0, 2},
+	"Counter":                {0, -1},
+	"Gauge":                  {0, -1},
+	"Histogram":              {0, 2},
+	"NewHistogram":           {-1, 0},
+	"Ring":                   {0, -1},
 }
 
 func runObsLint(pass *Pass) {
@@ -57,7 +58,7 @@ func runObsLint(pass *Pass) {
 }
 
 // obsLintFactory checks one Registry.Counter/Gauge/Histogram/Ring/Attach/
-// AttachHistogram or obs.NewHistogram call.
+// AttachHistogram/AttachHistogramCounter or obs.NewHistogram call.
 func obsLintFactory(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

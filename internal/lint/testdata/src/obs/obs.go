@@ -62,6 +62,9 @@ func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
 // AttachHistogram mirrors (*obs.Registry).AttachHistogram.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram) {}
 
+// AttachHistogramCounter mirrors (*obs.Registry).AttachHistogramCounter.
+func (r *Registry) AttachHistogramCounter(name, help string, bounds []int64, v int64, c *Counter) {}
+
 // NewHistogram mirrors obs.NewHistogram.
 func NewHistogram(bounds []int64) *Histogram { return &Histogram{} }
 

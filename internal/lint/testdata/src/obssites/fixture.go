@@ -41,6 +41,14 @@ func attachHistogram(reg *obs.Registry) {
 	_ = obs.NewHistogram(obs.LatencyBucketsMicros)
 }
 
+// attachHistogramCounter: a counter attached as a histogram source
+// names its series and its buckets under the same rules.
+func attachHistogramCounter(reg *obs.Registry, c *obs.Counter) {
+	reg.AttachHistogramCounter("qos_owned_size", "well-shaped counter source", depthBuckets, 1, c)
+	reg.AttachHistogramCounter("owned_size", "rejected: missing qos_ prefix", depthBuckets, 1, c) // want `obslint: metric name "owned_size" does not match`
+	reg.AttachHistogramCounter("qos_owned_size", "", []int64{1, 2}, 1, c)                         // want `obslint: histogram buckets must be a shared package-level bucket set`
+}
+
 // series is the sanctioned labeled-series idiom: a constant Sprintf
 // format whose base name is auditable.
 func series(reg *obs.Registry, shard int) {

@@ -41,13 +41,19 @@ func NewHistogram(bounds []int64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// bucketOf returns the index of the bucket that v falls in: the first
+// bound at or above v, or len(bounds), the overflow bucket.
+func bucketOf(bounds []int64, v int64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
 }
 
 // Count returns the number of observations.
@@ -55,13 +61,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []int64 {
-	out := make([]int64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
 
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the overflow bucket.

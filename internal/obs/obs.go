@@ -80,7 +80,16 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram   // the histogram Histogram hands out, by series
 	hsources map[string][]*Histogram // what a series merges: Histogram's own and attached ones
+	hcounts  map[string][]histCount  // what a series merges besides: attached counters
+	hbounds  map[string][]int64      // a histogram series' bounds, set by its first source
 	rings    map[string]*Ring
+}
+
+// histCount is a histogram source a counter stands for: each unit of c
+// is one observation of the value v.
+type histCount struct {
+	c *Counter
+	v int64
 }
 
 type metricKind uint8
@@ -102,6 +111,8 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		hsources: make(map[string][]*Histogram),
+		hcounts:  make(map[string][]histCount),
+		hbounds:  make(map[string][]int64),
 		rings:    make(map[string]*Ring),
 	}
 }
@@ -233,25 +244,60 @@ func (r *Registry) AttachHistogram(name, help string, h *Histogram) {
 	}
 }
 
+// AttachHistogramCounter exports a counter as a histogram source: each
+// unit of c is one observation of the value v, so a layer whose every
+// observation of some fact has the same value counts it once, with one
+// counter write, and the series still renders the buckets, count and
+// sum that as many Observe(v) calls would give. The series merges it
+// with its other sources, of either kind; bounds must equal theirs, and
+// a mismatch panics, as in AttachHistogram. Attaching the same counter
+// twice does nothing, and so does any call on a nil registry.
+func (r *Registry) AttachHistogramCounter(name, help string, bounds []int64, v int64, c *Counter) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.register(name, help, kindHistogram)
+	if !slices.ContainsFunc(r.hcounts[name], func(hc histCount) bool { return hc.c == c }) {
+		r.claimBounds(name, bounds)
+		r.hcounts[name] = append(r.hcounts[name], histCount{c, v})
+	}
+}
+
 // addHistSource appends h to a histogram series' sources. Caller holds
 // r.mu.
 func (r *Registry) addHistSource(name string, h *Histogram) {
-	if srcs := r.hsources[name]; len(srcs) > 0 && !slices.Equal(srcs[0].bounds, h.bounds) {
+	r.claimBounds(name, h.bounds)
+	r.hsources[name] = append(r.hsources[name], h)
+}
+
+// claimBounds sets a histogram series' bounds at its first source and
+// panics when a later source's differ. Caller holds r.mu.
+func (r *Registry) claimBounds(name string, bounds []int64) {
+	if b, ok := r.hbounds[name]; !ok {
+		r.hbounds[name] = slices.Clone(bounds)
+	} else if !slices.Equal(b, bounds) {
 		panic(fmt.Sprintf("obs: histogram %q attached with different bounds", name))
 	}
-	r.hsources[name] = append(r.hsources[name], h)
 }
 
 // histogramValue merges a histogram series' sources. Caller holds r.mu.
 func (r *Registry) histogramValue(name string) HistogramSnapshot {
-	srcs := r.hsources[name]
-	s := HistogramSnapshot{Bounds: srcs[0].Bounds(), Buckets: make([]int64, len(srcs[0].buckets))}
-	for _, h := range srcs {
+	b := r.hbounds[name]
+	s := HistogramSnapshot{Bounds: slices.Clone(b), Buckets: make([]int64, len(b)+1)}
+	for _, h := range r.hsources[name] {
 		for i, n := range h.BucketCounts() {
 			s.Buckets[i] += n
 		}
 		s.Count += h.Count()
 		s.Sum += h.Sum()
+	}
+	for _, hc := range r.hcounts[name] {
+		n := hc.c.Load()
+		s.Buckets[bucketOf(b, hc.v)] += n
+		s.Count += n
+		s.Sum += n * hc.v
 	}
 	return s
 }

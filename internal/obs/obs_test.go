@@ -328,6 +328,79 @@ func TestAttachHistogram(t *testing.T) {
 	})
 }
 
+// TestAttachHistogramCounterMatchesObserve is the differential test of
+// a counter source: a counter of value n attached at value v must render
+// the same exposition and the same snapshot as n Observe(v) calls, with
+// v below the first bound, on a bound, and above the last bound (the
+// overflow bucket), alone and beside an observed histogram source.
+func TestAttachHistogramCounterMatchesObserve(t *testing.T) {
+	const name = `qos_attached_size{shard="x"}`
+	bounds := []int64{2, 4}
+	render := func(r *Registry) (string, string) {
+		var prom, js bytes.Buffer
+		if err := r.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		return prom.String(), js.String()
+	}
+	for _, v := range []int64{1, 4, 9} {
+		for _, beside := range []bool{false, true} {
+			t.Run(fmt.Sprintf("v=%d/beside=%v", v, beside), func(t *testing.T) {
+				const n = 5
+				want, got := NewRegistry(), NewRegistry()
+				h := want.Histogram(name, "attached", bounds)
+				for i := 0; i < n; i++ {
+					h.Observe(v)
+				}
+				var c Counter
+				c.Add(n)
+				if beside {
+					h.Observe(3)
+					other := NewHistogram(bounds)
+					other.Observe(3)
+					got.AttachHistogram(name, "attached", other)
+				}
+				got.AttachHistogramCounter(name, "attached", bounds, v, &c)
+				got.AttachHistogramCounter(name, "", bounds, v, &c) // a re-attach is a no-op
+				wantProm, wantJSON := render(want)
+				gotProm, gotJSON := render(got)
+				if gotProm != wantProm {
+					t.Errorf("WriteProm =\n%s\nwant\n%s", gotProm, wantProm)
+				}
+				if gotJSON != wantJSON {
+					t.Errorf("WriteJSON =\n%s\nwant\n%s", gotJSON, wantJSON)
+				}
+			})
+		}
+	}
+	t.Run("nil registry", func(t *testing.T) {
+		var r *Registry
+		var c Counter
+		r.AttachHistogramCounter(name, "", bounds, 1, &c)
+		c.Inc()
+		if len(r.Snapshot().Histograms) != 0 {
+			t.Error("nil registry reported a series")
+		}
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil || buf.Len() != 0 {
+			t.Errorf("nil WriteProm = %q, %v", buf.String(), err)
+		}
+	})
+	t.Run("bounds mismatch panics", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("attaching a counter with other bounds must panic")
+			}
+		}()
+		r := NewRegistry()
+		r.AttachHistogram(name, "", NewHistogram(bounds))
+		r.AttachHistogramCounter(name, "", DepthBuckets, 1, &Counter{})
+	})
+}
+
 func TestRegistryKindClashPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -117,7 +117,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
 	}
-	for name := range r.hsources {
+	for name := range r.hbounds {
 		s.Histograms[name] = r.histogramValue(name)
 	}
 	for name, rg := range r.rings {

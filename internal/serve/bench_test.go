@@ -88,6 +88,52 @@ func BenchmarkServiceRetrieveMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceRetrieveHit is the serving path of a repeat-bound
+// stream, hot_small's regime: the paper-scale tree, a hot set of 64
+// distinct requests whose tokens are warmed before the timer, and
+// parallel callers answered inline. One op is one Retrieve answered by
+// its shard's token: hash, drain fence, token probe, one counter write.
+// Each caller cycles through the hot set from its own offset, so the
+// callers share no counter of their own.
+func BenchmarkServiceRetrieveHit(b *testing.B) {
+	cb, reg, err := workload.GenCaseBase(workload.PaperScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hot, err := workload.GenRequests(cb, reg, workload.RequestStreamSpec{N: 64, ConstraintsPer: 5, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(cb, fig1System(b, cb), Config{})
+	defer s.Close()
+	ctx := context.Background()
+	for _, r := range hot {
+		if _, err := s.Retrieve(ctx, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.TokenHits != 0 || st.EngineRetrievals != int64(len(hot)) {
+		b.Fatalf("warming %d requests: %+v, want one walk each", len(hot), st)
+	}
+	var callers atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := callers.Add(1) * 13
+		for pb.Next() {
+			if _, err := s.Retrieve(ctx, hot[i%uint64(len(hot))]); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	if st := s.Stats(); st.TokenHits != int64(b.N) {
+		b.Fatalf("%d ops, %d token hits", b.N, st.TokenHits)
+	}
+}
+
 // BenchmarkServeSequential is the baseline: one engine, one request at
 // a time, no batching, no dedup, no token bypass. One op = the whole
 // 512-request stream.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/obs"
 	"qosalloc/internal/retrieval"
 )
 
@@ -49,11 +50,15 @@ func invalidRequests(req casebase.Request) []casebase.Request {
 // uncounted: every batched job was answered by a dedup hit, a token
 // hit, a cancellation or an engine walk, and every admitted allocation
 // request was counted as placed or failed. An invalid request fails
-// with its validation error and joins no batch.
+// with its validation error and joins no batch. Many of those totals
+// are derived from the inline counters when read, in Stats and in the
+// attached series alike, so the laws are checked on both views.
 func TestRequestConservation(t *testing.T) {
 	cb, _, reqs := genWorkload(t, 64, 0.5)
 	s := New(cb, fig1System(t, cb), Config{Shards: 4, MaxBatch: 8, MaxQueue: 4096})
 	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
 	bad := invalidRequests(reqs[0])
 	var badSent atomic.Int64
 
@@ -143,13 +148,34 @@ func TestRequestConservation(t *testing.T) {
 
 	st := s.Stats()
 	t.Logf("stats: %+v", st)
-	if answered := st.DedupHits + st.TokenHits + st.Canceled + st.EngineRetrievals; st.BatchedJobs != answered {
-		t.Errorf("BatchedJobs = %d, but dedup %d + token %d + canceled %d + walks %d = %d",
-			st.BatchedJobs, st.DedupHits, st.TokenHits, st.Canceled, st.EngineRetrievals, answered)
+	snap := reg.Snapshot()
+	sizes := snap.Histograms["qos_serve_batch_size"]
+	series := Stats{
+		Batches:          snap.Counters["qos_serve_batches_total"],
+		BatchedJobs:      sizes.Sum,
+		DedupHits:        snap.Counters["qos_serve_dedup_hits_total"],
+		TokenHits:        snap.Counters["qos_serve_token_hits_total"],
+		Canceled:         snap.Counters["qos_serve_canceled_total"],
+		EngineRetrievals: snap.Counters["qos_retrieval_total"],
+		Allocated:        snap.Counters[`qos_serve_allocations_total{outcome="placed"}`],
+		AllocFailed:      snap.Counters[`qos_serve_allocations_total{outcome="failed"}`],
 	}
-	if want := admittedAllocs.Load() + batchItems.Load(); st.Allocated+st.AllocFailed != want {
-		t.Errorf("Allocated %d + AllocFailed %d = %d, want %d admitted Allocate calls + AllocateBatch items",
-			st.Allocated, st.AllocFailed, st.Allocated+st.AllocFailed, want)
+	if series.Batches != sizes.Count {
+		t.Errorf("series: batches %d, but the batch-size histogram counts %d", series.Batches, sizes.Count)
+	}
+	for _, v := range []struct {
+		view string
+		st   Stats
+	}{{"Stats", st}, {"series", series}} {
+		st := v.st
+		if answered := st.DedupHits + st.TokenHits + st.Canceled + st.EngineRetrievals; st.BatchedJobs != answered {
+			t.Errorf("%s: BatchedJobs = %d, but dedup %d + token %d + canceled %d + walks %d = %d",
+				v.view, st.BatchedJobs, st.DedupHits, st.TokenHits, st.Canceled, st.EngineRetrievals, answered)
+		}
+		if want := admittedAllocs.Load() + batchItems.Load(); st.Allocated+st.AllocFailed != want {
+			t.Errorf("%s: Allocated %d + AllocFailed %d = %d, want %d admitted Allocate calls + AllocateBatch items",
+				v.view, st.Allocated, st.AllocFailed, st.Allocated+st.AllocFailed, want)
+		}
 	}
 	if st.DedupHits == 0 || st.TokenHits == 0 || st.Canceled == 0 || st.Allocated == 0 || st.AllocFailed == 0 || badSent.Load() == 0 {
 		t.Errorf("a path went unexercised: %+v", st)

@@ -50,28 +50,42 @@ const stripeSpan = 128
 // no line another shard's callers write. It is the last field of its
 // shard, and its trailing pad keeps whatever the allocator places next
 // (another shard, whose hot words come first) stripeSpan bytes away.
-// TestShardLayout pins this. Stats sums the stripes; Instrument attaches
-// every stripe under the one series name, and the series sums them too.
+// TestShardLayout pins this.
+//
+// Each fact is written once. An answer on the caller's goroutine
+// (Service.answer) counts one inline hit or one inline walk, and
+// nothing else; batches, batchSize, tokenHits and walks count the
+// pre-formed batches alone. Every total that includes inline answers —
+// enqueued jobs, batches of one, batched jobs, token hits, walks — is
+// derived when it is read: Stats sums the stripes and adds the inline
+// counts where they belong, and Instrument attaches the inline counters
+// under each series they add to, which sums them as Stats does.
 type stripe struct {
-	enqueued, batches     obs.Counter
-	tokenHits, inlineHits obs.Counter
-	walks, inlineWalks    obs.Counter
-	batchSize             *obs.Histogram // jobs per batch; its sum is Stats.BatchedJobs
+	batches, tokenHits, walks obs.Counter    // pre-formed batches only
+	inlineHits, inlineWalks   obs.Counter    // answers on the caller's goroutine
+	batchSize                 *obs.Histogram // jobs per pre-formed batch
 	// admitted counts the calls inside this shard's drain fence (see
 	// Service.closing).
 	admitted atomic.Int64
 	_        [stripeSpan]byte
 }
 
-// attach exports the stripe's counters and histogram on reg; walks shows
-// as the Stats field alone.
+// attach exports the stripe's counters and histogram on reg, each
+// inline counter under every series it adds to; in the batch-size
+// histogram, each inline answer is one batch of one job. walks shows as
+// the Stats field alone.
 func (st *stripe) attach(reg *obs.Registry) {
-	reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", &st.enqueued)
 	reg.Attach("qos_serve_batches_total", "micro-batches processed across all shards", &st.batches)
 	reg.AttachHistogram("qos_serve_batch_size", "requests coalesced per micro-batch", st.batchSize)
 	reg.Attach("qos_serve_token_hits_total", "retrievals bypassed by a shard token-cache hit", &st.tokenHits)
+	reg.Attach("qos_serve_token_hits_total", "", &st.inlineHits)
 	reg.Attach("qos_serve_inline_hits_total", "token hits answered on the caller's goroutine, without the hop to the shard worker", &st.inlineHits)
 	reg.Attach("qos_serve_inline_walks_total", "token misses and Allocate candidate lists walked on the caller's goroutine, without the hop to the shard worker", &st.inlineWalks)
+	for _, c := range []*obs.Counter{&st.inlineHits, &st.inlineWalks} {
+		reg.Attach("qos_serve_enqueued_total", "requests admitted to a shard: queued, or answered inline", c)
+		reg.Attach("qos_serve_batches_total", "", c)
+		reg.AttachHistogramCounter("qos_serve_batch_size", "", batchBuckets, 1, c)
+	}
 }
 
 // metrics is the service's gauges. Like the retrieval bundle, an

@@ -137,17 +137,20 @@ func (e *ErrOverload) Error() string {
 }
 
 // Stats counts service activity. All fields are monotone except
-// MaxBatch (a high-water mark).
+// MaxBatch (a high-water mark). A Retrieve or Allocate job answered on
+// the caller's goroutine is counted once, as an inline hit or an inline
+// walk; the fields marked derived add those two counts to the
+// pre-formed batches' own when Stats is read.
 type Stats struct {
-	Enqueued         int64 // Retrieve and Allocate jobs admitted to a shard and answered there
+	Enqueued         int64 // Retrieve and Allocate jobs answered on the caller's goroutine (derived: inline hits + inline walks)
 	Shed             int64 // jobs refused with ErrOverload
-	Batches          int64 // micro-batches processed (pre-formed batches, and each admitted job as one)
-	BatchedJobs      int64 // jobs across those batches
+	Batches          int64 // micro-batches processed: pre-formed batches, and each Enqueued job as one (derived)
+	BatchedJobs      int64 // jobs across those batches (derived: pre-formed batch jobs + Enqueued)
 	DedupHits        int64 // jobs served by another job's walk (singleflight)
-	TokenHits        int64 // retrievals bypassed by a shard token cache
+	TokenHits        int64 // retrievals bypassed by a shard token cache (derived: batch jobs' + inline hits)
 	Canceled         int64 // batch jobs dropped on a dead caller context
-	MaxBatch         int64 // largest batch coalesced so far
-	EngineRetrievals int64 // actual engine list walks
+	MaxBatch         int64 // largest batch coalesced so far (derived: at least 1 once Enqueued is)
+	EngineRetrievals int64 // actual engine list walks (derived: batch jobs' + inline walks)
 	Allocated        int64 // allocation calls that placed a variant
 	AllocFailed      int64 // allocation calls that failed (not refused with ErrDraining)
 }
@@ -253,7 +256,7 @@ type Service struct {
 	allocMu sync.Mutex // serializes Manager and rtsys access
 
 	counts   counts
-	maxBatch atomic.Int64 // high-water mark of the batch size
+	maxBatch atomic.Int64 // high-water mark of the pre-formed batches' size
 
 	// closing and the shards' admitted counts are the drain fence
 	// (DESIGN.md §11): a call counts itself in on its shard, admits its
@@ -374,7 +377,8 @@ func (s *Service) Instrument(reg *obs.Registry) {
 }
 
 // Stats returns a snapshot of the service counters, summing the
-// shards' stripes.
+// shards' stripes and deriving the totals an inline answer adds to
+// (see stripe).
 func (s *Service) Stats() Stats {
 	c := &s.counts
 	st := Stats{
@@ -387,11 +391,15 @@ func (s *Service) Stats() Stats {
 	}
 	for _, sh := range s.shards {
 		p := &sh.stripe
-		st.Enqueued += p.enqueued.Load()
-		st.Batches += p.batches.Load()
-		st.BatchedJobs += p.batchSize.Sum()
-		st.TokenHits += p.tokenHits.Load()
-		st.EngineRetrievals += p.walks.Load()
+		hits, walks := p.inlineHits.Load(), p.inlineWalks.Load()
+		st.Enqueued += hits + walks
+		st.Batches += p.batches.Load() + hits + walks
+		st.BatchedJobs += p.batchSize.Sum() + hits + walks
+		st.TokenHits += p.tokenHits.Load() + hits
+		st.EngineRetrievals += p.walks.Load() + walks
+	}
+	if st.Enqueued > 0 {
+		st.MaxBatch = max(st.MaxBatch, 1)
 	}
 	return st
 }
@@ -468,10 +476,12 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 // validated the request), shed with *ErrOverload when the shard already
 // has MaxQueue walks in flight, and otherwise walks the snapshot's
 // engine. Walks never wait for each other or for a batch. Either answer
-// counts as an admitted batch of one job, on the shard's stripe: a hit
-// writes no line that callers of other shards write. The result carries
-// the epoch of the snapshot that answered it. The job's fields come as
-// arguments, not as a job, so that a token hit builds none.
+// writes one counter of the shard's stripe, inlineHits or inlineWalks,
+// from which Stats derives the rest of its accounting (a batch of one
+// job): a hit writes no line that callers of other shards write. The
+// result carries the epoch of the snapshot that answered it. The job's
+// fields come as arguments, not as a job, so that a token hit builds
+// none.
 func (s *Service) answer(ctx context.Context, kind jobKind, n int32, req casebase.Request) jobResult {
 	sh := s.shardFor(req.Type)
 	st := &sh.stripe
@@ -492,9 +502,6 @@ func (s *Service) answer(ctx context.Context, kind jobKind, n int32, req casebas
 		tok, hit := sn.tokens[sh.idx].Lookup(h, req)
 		sh.tokMu.Unlock()
 		if hit {
-			st.enqueued.Inc()
-			s.noteBatch(sh, 1)
-			st.tokenHits.Inc()
 			st.inlineHits.Inc()
 			return jobResult{best: tok.Result(), epoch: sn.epoch}
 		}
@@ -510,8 +517,6 @@ func (s *Service) answer(ctx context.Context, kind jobKind, n int32, req casebas
 		return jobResult{err: &ErrOverload{Shard: sh.idx, QueueLen: int(w), RetryAfter: retryAfter(int(w))}}
 	}
 	defer sh.walkers.Add(-1)
-	st.enqueued.Inc()
-	s.noteBatch(sh, 1)
 	st.inlineWalks.Inc()
 	return s.walk(sn, sh, &job{kind: kind, n: n, req: req, hash: h})
 }
@@ -707,8 +712,8 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	}
 }
 
-// noteBatch records batch accounting for a batch of n jobs on sh: a
-// pre-formed batch under sh.mu, or a job answered by answer.
+// noteBatch records batch accounting for a pre-formed batch of n jobs
+// on sh. Caller holds sh.mu.
 func (s *Service) noteBatch(sh *shard, n int) {
 	sh.stripe.batches.Inc()
 	sh.stripe.batchSize.Observe(int64(n))
@@ -756,14 +761,15 @@ func (s *Service) runJob(sn *snapshot, sh *shard, j *job) jobResult {
 			return jobResult{best: tok.Result(), epoch: sn.epoch}
 		}
 	}
+	sh.stripe.walks.Inc()
 	return s.walk(sn, sh, j)
 }
 
 // walk runs j's engine walk against the sn epoch, in a batch or for
-// answer, and counts it: the N-best list of a candidate job, or the best match of a
-// best-match job, which it keeps as a token of the epoch.
+// answer, whichever counted it: the N-best list of a candidate job, or
+// the best match of a best-match job, which it keeps as a token of the
+// epoch.
 func (s *Service) walk(sn *snapshot, sh *shard, j *job) jobResult {
-	sh.stripe.walks.Inc()
 	if j.kind == jobCandidates {
 		list, err := sn.engine.RetrieveN(j.req, int(j.n))
 		return jobResult{list: list, epoch: sn.epoch, err: err}

@@ -235,6 +235,64 @@ func TestInlineHitAccounting(t *testing.T) {
 	}
 }
 
+// TestInlineAnswerCountsOnce pins that an answer on the caller's
+// goroutine writes one stripe counter: after N token hits and M inline
+// walks (Retrieve misses and Allocates) on a fresh service, the fields
+// only pre-formed batches write — batches, the batch-size histogram,
+// tokenHits, walks and the service's maxBatch — still read 0, the
+// inline counters read N and M, and Stats derives the totals each
+// answer used to write: N+M enqueued batches of one job, N token hits
+// and M walks.
+func TestInlineAnswerCountsOnce(t *testing.T) {
+	cb, _, reqs := genWorkload(t, 8, 0)
+	s := New(cb, fig1System(t, cb), Config{Shards: 4})
+	defer s.Close()
+	ctx := context.Background()
+	const hitsPer = 3
+	var n, m int64
+	for _, r := range reqs[:4] {
+		for i := 0; i <= hitsPer; i++ { // a walk, then hits
+			if _, err := s.Retrieve(ctx, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n += hitsPer
+		m++
+	}
+	for _, r := range reqs[4:7] {
+		d, err := s.Allocate(ctx, "app", r, 5)
+		if err == nil {
+			err = s.Release(d.Task.ID)
+		}
+		if err != nil && !isNoFeasible(err) {
+			t.Fatal(err)
+		}
+		m++
+	}
+
+	var hits, walks int64
+	for i, sh := range s.shards {
+		p := &sh.stripe
+		if b, c, h, w := p.batches.Load(), p.batchSize.Count(), p.tokenHits.Load(), p.walks.Load(); b|c|h|w != 0 {
+			t.Errorf("shard %d: batches %d, batch-size count %d, token hits %d, walks %d; inline answers must write none", i, b, c, h, w)
+		}
+		hits += p.inlineHits.Load()
+		walks += p.inlineWalks.Load()
+	}
+	if mb := s.maxBatch.Load(); mb != 0 {
+		t.Errorf("maxBatch = %d, want 0: only pre-formed batches write it", mb)
+	}
+	if hits != n || walks != m {
+		t.Errorf("inline hits %d, walks %d; want %d, %d", hits, walks, n, m)
+	}
+	st := s.Stats()
+	want := Stats{Enqueued: n + m, Batches: n + m, BatchedJobs: n + m, TokenHits: n, MaxBatch: 1,
+		EngineRetrievals: m, Allocated: st.Allocated, AllocFailed: st.AllocFailed}
+	if st != want || st.Allocated+st.AllocFailed != 3 {
+		t.Errorf("Stats = %+v, want %+v with 3 allocation outcomes", st, want)
+	}
+}
+
 // TestInlineHitSkipsBusyShard pins that a Retrieve never waits for a
 // batch: with the shard mutex held, as by a batch mid-walk, a repeat of
 // a resolved request is answered from its token and a new request by a

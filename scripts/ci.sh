@@ -81,13 +81,16 @@ gate_deadcode() { $GO test -run '^TestDeadcode' -count=1 -v ./internal/lint/; }
 # that races its candidate walks, inline on client goroutines, against
 # commits (candidates must never lead the manager's epoch), the two
 # request paths twenty of the test that races Retrieve and Allocate
-# against RetrieveBatch, AllocateBatch and commits on shared shards, and
-# the retrieval engine twenty of the test that races Instrument against
-# walks sharing one engine.
+# against RetrieveBatch, AllocateBatch and commits on shared shards, the
+# request counters twenty of the test that checks their conservation
+# laws, on Stats and on the exported series, after concurrent calls of
+# every kind (most totals are derived from the inline counters when
+# read), and the retrieval engine twenty of the test that races
+# Instrument against walks sharing one engine.
 gate_race() {
 	$GO test -race ./...
 	$GO -C perfbench test -race ./...
-	$GO test -race -run '^(TestCloseRacesAdmission|TestInlineHitsAcrossEpochSwap|TestAllocateNeverAheadOfManager|TestInlineBesideBatches)$' -count=20 ./internal/serve/
+	$GO test -race -run '^(TestCloseRacesAdmission|TestInlineHitsAcrossEpochSwap|TestAllocateNeverAheadOfManager|TestInlineBesideBatches|TestRequestConservation)$' -count=20 ./internal/serve/
 	$GO test -race -run '^TestEngineConcurrentWalks$' -count=20 ./internal/retrieval/
 }
 
